@@ -10,7 +10,7 @@ from .bounds import (
     steady_state_check,
 )
 from .caseio import builtin_case, load_case, parse_case, write_trajectory
-from .engine import HeProblem, SegmentSolution, solve_coefficients
+from .engine import SegmentSolution
 from .grid import (
     BranchSpec,
     BusSpec,
@@ -42,8 +42,6 @@ from .scheduler import (
 from .series import (
     PadeApproximant,
     TruncatedSeries,
-    estimate_effective_range,
-    evaluate,
     pade_from_series,
     series_mul,
     series_reciprocal,

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import EmptyVariableSet
-from .series import PadeApproximant, TruncatedSeries, pade_with_fallback
+from .series import PadeApproximant, TruncatedSeries, batch_pade, pade_of_row
 
 PS = "PS"
 PA = "PA"
@@ -81,7 +81,9 @@ def pa_rate_bound(pade: PadeApproximant, t_e: float) -> RateBound:
     where ñ[k] = num[k] - c*den[k] (numerator and denominator padded to equal
     length first). Both polynomials are bounded by interval Horner; when the
     denominator's lower bound is not strictly positive the quotient bound is
-    not defined and the PS criterion alone must decide.
+    not defined and the PS criterion alone must decide. Each signed
+    numerator bound is divided by the denominator end that keeps it a bound
+    (the smallest for a positive value, the largest for a negative one).
     """
     if t_e <= 0:
         raise ValueError("t_e must be positive")
@@ -98,9 +100,10 @@ def pa_rate_bound(pade: PadeApproximant, t_e: float) -> RateBound:
     if n < 2:
         return RateBound(0.0, 0.0, 0.0, PA)
     na_lb, na_ub = poly_bounds(tilde[1:], t_e)
-    lo = na_lb / den_lb
-    hi = na_ub / den_lb
-    return RateBound(lo, hi, max(abs(lo), abs(hi)), PA)
+    den_ub = poly_bounds(den, t_e)[1]
+    lo = na_lb / (den_lb if na_lb < 0 else den_ub)
+    hi = na_ub / (den_lb if na_ub > 0 else den_ub)
+    return RateBound(lo, hi, max(abs(na_lb), abs(na_ub)) / den_lb, PA)
 
 
 @dataclass(frozen=True)
@@ -148,20 +151,24 @@ def steady_state_check(
         raise KeyError(f"angle reference {angle_reference!r} not in variables")
 
     per: dict[str, VariableVerdict] = {}
-    ref_coeffs = None
-    if angle_reference is not None:
-        ref_coeffs = variables[angle_reference][0].coeffs.real
+    variables = dict(variables)
+    angles = [n for n in variables if n in angle_vars]
+    if angle_reference is not None and angles:
+        # relative angles, zero-padded to one order, and their Pade in one call
+        ref = variables[angle_reference][0].coeffs.real
+        width = max([len(ref)] + [len(variables[n][0].coeffs) for n in angles])
+        diffs = np.zeros((len(angles), width))
+        diffs[:, : len(ref)] -= ref
+        for i, name in enumerate(angles):
+            a = variables[name][0].coeffs.real
+            diffs[i, : len(a)] += a
+        half = (width - 1) // 2
+        nums, dens = batch_pade(diffs, half, half)
+        for i, name in enumerate(angles):
+            variables[name] = (TruncatedSeries(diffs[i]),
+                               pade_of_row(nums[i], dens[i]))
 
     for name, (series, pade) in variables.items():
-        if angle_reference is not None and name in angle_vars:
-            a = series.coeffs.real
-            n = max(len(a), len(ref_coeffs))
-            diff = np.zeros(n)
-            diff[: len(a)] += a
-            diff[: len(ref_coeffs)] -= ref_coeffs
-            series = TruncatedSeries(diff)
-            half = series.order // 2
-            pade = pade_with_fallback(series, half, half)
         delta_ps = ps_rate_bound(series, t_e).delta
         delta_pa = None
         if pade is not None:

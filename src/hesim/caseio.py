@@ -294,27 +294,18 @@ def write_trajectory(traj: Trajectory, dt: float = 0.1,
                                 + [traj.segments[-1].t1]))
     else:
         ts = traj.sample_times(dt)
-    cols = {_chan_name(c, a): np.full(len(ts), np.nan) for c, a in chans}
-    modes = [""] * len(ts)
-
     starts = np.array([s.t0 for s in traj.segments])
-    for i, t in enumerate(ts):
-        k = int(np.searchsorted(starts, t + 1e-12) - 1)
-        k = max(0, min(k, len(traj.segments) - 1))
-        rec = traj.segments[k]
-        tau = min(max(t - rec.t0, 0.0), rec.step)
-        modes[i] = rec.mode
-        for chan, args in chans:
-            cols[_chan_name(chan, args)][i] = np.atleast_1d(
-                rec.channel(chan, args, tau))[0]
+    ks = np.clip(np.searchsorted(starts, ts + 1e-12) - 1,
+                 0, len(traj.segments) - 1)
+    cols = traj.sample(chans, ts, ks)
 
     header = ["time", "mode"] + [_chan_name(c, a) for c, a in chans]
     lines = [f"# hesim trajectory v1",
              f"# case: {case.name}",
              ",".join(header)]
     for i, t in enumerate(ts):
-        row = [_fmt(t), modes[i]]
-        row += [_fmt(cols[_chan_name(c, a)][i]) for c, a in chans]
+        row = [_fmt(t), traj.segments[ks[i]].mode]
+        row += [_fmt(v) for v in cols[:, i]]
         lines.append(",".join(row))
     for ev in traj.events:
         lines.append(f"# event,{_fmt(ev.t)},{ev.kind},{ev.label}")

@@ -43,7 +43,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="trajectory file path")
     p.add_argument("--summary", default=None,
                    help="machine-readable key=value summary path")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _load(case_arg: str):
@@ -58,8 +57,7 @@ def _config(args, script) -> RunConfig:
         stops = [e.t_due for e in script if e.kind == "stop"]
         t_end = min(stops) if stops else 10.0
     return RunConfig(mode=args.mode, order=args.order, eps_t=args.eps_t,
-                     tol_res=args.tol, dt_out=args.dt_out, t_end=t_end,
-                     seed=args.seed)
+                     tol_res=args.tol, dt_out=args.dt_out, t_end=t_end)
 
 
 def _summary_pairs(traj, config: RunConfig) -> list:

@@ -30,12 +30,15 @@ from .errors import (
     NoValidRange,
     SingularJacobian,
 )
-from .series import (
+# pade_with_fallback is not called here; benchmarks/tracing.py counts the
+# calls made through this name
+from .series import (  # noqa: F401
     PadeApproximant,
     TruncatedSeries,
-    _taylor_of_pade,
+    batch_pade,
     chebyshev_probes,
     diagonal_orders,
+    pade_of_row,
     pade_with_fallback,
     shrink_refine_range,
 )
@@ -245,18 +248,27 @@ class CompiledSystem:
     # -- point evaluation ---------------------------------------------------------
 
     def _rows_at_point(self, kind: str, ext: np.ndarray, n_rows: int) -> np.ndarray:
-        out = np.zeros(n_rows)
+        """Rows at one point (ext 1-D) or at P points at once (ext (n, P))."""
+        pts = ext.shape[1:]
+        x = ext.reshape(len(ext), -1)
+        n_pts = x.shape[1]
+        out = np.zeros((n_rows, n_pts))
+
+        def scatter(rows, weights):
+            flat = (rows[:, None] * n_pts + np.arange(n_pts)).ravel()
+            return np.bincount(flat, weights=weights.ravel(),
+                               minlength=n_rows * n_pts).reshape(n_rows, n_pts)
+
         r0, c0, _, _ = self.terms[kind + "0"]
         if len(r0):
-            out += np.bincount(r0, weights=c0, minlength=n_rows)
+            out += np.bincount(r0, weights=c0, minlength=n_rows)[:, None]
         r1, c1, f1, _ = self.terms[kind + "1"]
         if len(r1):
-            out += np.bincount(r1, weights=c1 * ext[f1], minlength=n_rows)
+            out += scatter(r1, c1[:, None] * x[f1])
         r2, c2, g1, g2 = self.terms[kind + "2"]
         if len(r2):
-            out += np.bincount(r2, weights=c2 * ext[g1] * ext[g2],
-                               minlength=n_rows)
-        return out
+            out += scatter(r2, c2[:, None] * x[g1] * x[g2])
+        return out.reshape((n_rows,) + pts)
 
     def _ext(self, values, kvalues) -> np.ndarray:
         if self.nk:
@@ -319,7 +331,7 @@ class CompiledSystem:
                 raise SingularJacobian("non-finite Newton step")
             v[self.alg_slots] += delta
         r = np.max(np.abs(self.alg_residual(v, kvalues)))
-        if r > max(tol, 1e-7):
+        if not r <= max(tol, 1e-7):  # a NaN residual fails too
             raise AnchorInconsistent(f"Newton refinement stalled at {r:.3e}")
         return v
 
@@ -365,73 +377,26 @@ class CompiledSystem:
 # --- segment solutions ------------------------------------------------------------
 
 
-def batch_pade(C: np.ndarray, n_num: int, n_den: int):
-    """Diagonal Pade for every row of a coefficient table.
-
-    Rows whose Toeplitz system misbehaves fall down the usual ladder
-    individually (a row that ends at denominator order 0 keeps its full
-    series as the numerator).  Arrays are zero-padded to a common shape.
-    """
-    nv, width = C.shape
-    L, M = n_num, n_den
-    num_w = max(L + 1, width)
-    nums = np.zeros((nv, num_w))
-    dens = np.zeros((nv, M + 1))
-    dens[:, 0] = 1.0
-    if M == 0 or width < L + M + 1:
-        nums[:, :width] = C
-        return nums, dens
-
-    scale = np.maximum(1.0, np.max(np.abs(C), axis=1))
-    tails = np.max(np.abs(C[:, 1:]), axis=1)
-    poly_rows = tails <= 1e-14 * scale  # constants: series is its own Pade
-    nums[poly_rows, 0] = C[poly_rows, 0]
-
-    todo = np.where(~poly_rows)[0]
-    if len(todo):
-        T = np.empty((len(todo), M, M))
-        rhs = np.empty((len(todo), M))
-        for i in range(M):
-            rhs[:, i] = -C[todo, L + 1 + i]
-            for j in range(M):
-                idx = L + i - j
-                T[:, i, j] = C[todo, idx] if idx >= 0 else 0.0
-        try:
-            b = np.linalg.solve(T, rhs[:, :, None])[:, :, 0]
-            ok = np.all(np.isfinite(b), axis=1)
-        except np.linalg.LinAlgError:
-            b = np.zeros((len(todo), M))
-            ok = np.zeros(len(todo), dtype=bool)
-        for pos, row in enumerate(todo):
-            accepted = False
-            if ok[pos]:
-                den = np.concatenate(([1.0], b[pos]))
-                num = np.array([
-                    sum(den[j] * (C[row, i - j] if i - j >= 0 else 0.0)
-                        for j in range(min(i, M) + 1))
-                    for i in range(L + 1)
-                ])
-                re = _taylor_of_pade(num, den, L + M)
-                if np.max(np.abs(re - C[row, : L + M + 1])) <= 1e-8 * scale[row]:
-                    nums[row, : L + 1] = num
-                    nums[row, L + 1:] = 0.0
-                    dens[row, 0] = 1.0
-                    dens[row, 1:] = b[pos]
-                    accepted = True
-            if not accepted:
-                p = pade_with_fallback(TruncatedSeries(C[row]), L, M)
-                nums[row] = 0.0
-                nums[row, : len(p.num)] = p.num.real
-                dens[row] = 0.0
-                dens[row, : len(p.den)] = p.den.real
-    return nums, dens
-
-
-def _polyval_rows(coeffs: np.ndarray, t: float) -> np.ndarray:
-    out = coeffs[:, -1].copy()
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        out = out * t + coeffs[:, k]
+def _horner(c: np.ndarray, t) -> np.ndarray:
+    """Horner over the first axis of c (c[k] holds the k-th coefficients);
+    t broadcasts against c[k]."""
+    out = c[-1] + 0.0 * t
+    for ck in c[-2::-1]:
+        out = out * t + ck
     return out
+
+
+def _polyval_rows(coeffs: np.ndarray, t) -> np.ndarray:
+    """Every row of a coefficient table at t (scalar or 1-D); the result
+    has shape (rows,) + shape(t)."""
+    t = np.asarray(t, dtype=float)
+    return _horner(coeffs.T.reshape(coeffs.shape[::-1] + (1,) * t.ndim), t)
+
+
+def _deriv_rows(coeffs: np.ndarray) -> np.ndarray:
+    if coeffs.shape[1] < 2:
+        return np.zeros_like(coeffs)
+    return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
 
 
 def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
@@ -444,26 +409,36 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
     exact solution continued past its own singularity does).  Roots whose
     residue is negligible against the variable's scale are spurious
     zero-pole pairs from fitting float noise and are ignored.
+
+    Rows are grouped by trimmed denominator degree; each group's roots are
+    the eigenvalues of a stack of the companion matrices that
+    ``numpy.polynomial.polynomial.polyroots`` builds, found in one call.
     """
     best = np.inf
-    for num, den in zip(nums, dens):
-        c = np.trim_zeros(den, "b")
-        if len(c) < 2:
+    nz = dens != 0.0
+    degree = dens.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    for d in np.unique(degree[degree > 0]):
+        sel = np.flatnonzero(degree == d)
+        c = dens[sel, : d + 1]
+        comp = np.zeros((len(sel), d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots = np.linalg.eigvals(comp)
+        x = roots.real
+        cand = ((np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(x)))
+                & (x > 1e-12) & (x <= limit))
+        if not cand.any():
             continue
-        scale = max(1.0, float(np.max(np.abs(num))))
-        dc = c[1:] * np.arange(1, len(c))
-        roots = np.polynomial.polynomial.polyroots(c)
-        for r in roots:
-            if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):
-                continue
-            x = r.real
-            if not (1e-12 < x <= limit):
-                continue
-            nv = abs(np.polynomial.polynomial.polyval(x, num))
-            dv = abs(np.polynomial.polynomial.polyval(x, dc))
-            residue = nv / max(dv, 1e-300)
-            if residue > 1e-9 * scale:
-                best = min(best, x)
+        rows, cols = np.nonzero(cand)
+        xs = x[rows, cols]
+        num = nums[sel[rows]]
+        residue = (np.abs(_horner(num.T, xs))
+                   / np.maximum(np.abs(_horner(_deriv_rows(c)[rows].T, xs)),
+                                1e-300))
+        scale = np.maximum(1.0, np.max(np.abs(num), axis=1))
+        genuine = residue > 1e-9 * scale
+        if genuine.any():
+            best = min(best, float(np.min(xs[genuine])))
     return best
 
 
@@ -484,80 +459,45 @@ class SegmentSolution:
     t_e: float = np.inf
     mode: str = ""
 
-    def names(self) -> list[str]:
-        return self.system.var_names
-
     def series(self, name: str) -> TruncatedSeries:
         return TruncatedSeries(self.C[self.system.index[name]])
 
     def pade(self, name: str) -> PadeApproximant:
         i = self.system.index[name]
-        den = np.trim_zeros(self.pade_den[i], "b")
-        return PadeApproximant(self.pade_num[i], den if len(den) else [1.0])
+        return pade_of_row(self.pade_num[i], self.pade_den[i])
 
-    def values_at(self, t: float, use_pade: bool = True) -> np.ndarray:
+    def values_at(self, t, use_pade: bool = True) -> np.ndarray:
         if use_pade:
             den = _polyval_rows(self.pade_den, t)
             den = np.where(np.abs(den) < 1e-12, np.nan, den)
             return _polyval_rows(self.pade_num, t) / den
         return _polyval_rows(self.C, t)
 
-    def derivs_at(self, t: float) -> np.ndarray:
-        n, d = self.pade_num, self.pade_den
-        dn = n[:, 1:] * np.arange(1, n.shape[1]) if n.shape[1] > 1 else None
-        dd = d[:, 1:] * np.arange(1, d.shape[1]) if d.shape[1] > 1 else None
-        nv_ = _polyval_rows(n, t)
-        dv_ = _polyval_rows(d, t)
-        dnv = _polyval_rows(dn, t) if dn is not None else np.zeros(n.shape[0])
-        ddv = _polyval_rows(dd, t) if dd is not None else np.zeros(d.shape[0])
-        return (dnv * dv_ - nv_ * ddv) / (dv_ * dv_)
-
-    def known_values_at(self, t: float) -> np.ndarray:
+    def known_values_at(self, t) -> np.ndarray:
         if self.kcoeffs.size == 0:
-            return np.zeros(0)
+            return np.zeros((0,) + np.shape(t))
         return _polyval_rows(self.kcoeffs, t)
 
     def value(self, name: str, t):
         i = self.system.index[name]
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        num = np.polynomial.polynomial.polyval(tt, self.pade_num[i])
-        den = np.polynomial.polynomial.polyval(tt, self.pade_den[i])
-        out = num / den
-        return out if np.ndim(t) else float(out[0])
+        tt = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+        out = _horner(self.pade_num[i], tt) / _horner(self.pade_den[i], tt)
+        return out if np.ndim(t) else float(out)
 
-    def residual_max_at(self, t: float) -> float:
+    def residual_max_at(self, t):
+        """Max-norm residual at t, or at every time of a 1-D t in one Horner
+        pass over rows x times; a non-finite value or residual reads inf."""
         vals = self.values_at(t)
-        if not np.all(np.isfinite(vals)):
-            return np.inf
-        kv = self.known_values_at(t)
-        dvals = (self.derivs_at(t)[self.system.state_slots]
-                 if self.system.n_state else np.zeros(0))
-        r = self.system.residual(vals, dvals, kv)
-        return float(np.max(np.abs(r))) if r.size else 0.0
-
-
-@dataclass
-class HeProblem:
-    """One embedding problem: what to solve and how far to trust it."""
-
-    kind: str                  # TIME_* or ALPHA_*
-    system: CompiledSystem
-    anchors: np.ndarray        # order-0 values (the embedding's anchor)
-    knowns: np.ndarray         # (nk, width) input series coefficients
-    order: int = 15
-    tol_res: float = 1e-6
-    t_max: float = 1.0
-
-
-def solve_coefficients(problem: HeProblem) -> SegmentSolution:
-    """Solve an embedding problem order-by-order into an analytic segment.
-
-    Alpha problems get their range certified on [0, 1]; time problems up to
-    the requested horizon.
-    """
-    t_max = 1.0 if problem.kind.startswith("ALPHA") else problem.t_max
-    return solve_segment(problem.system, problem.anchors, problem.knowns,
-                         problem.order, problem.kind, problem.tol_res, t_max)
+        st = self.system.state_slots
+        n, d = self.pade_num[st], self.pade_den[st]
+        dv = _polyval_rows(d, t)
+        dvals = (_polyval_rows(_deriv_rows(n), t) * dv
+                 - _polyval_rows(n, t) * _polyval_rows(_deriv_rows(d), t)) / (dv * dv)
+        r = self.system.residual(vals, dvals, self.known_values_at(t))
+        worst = np.max(np.abs(r), axis=0, initial=0.0)
+        finite = np.all(np.isfinite(vals), axis=0) & np.isfinite(worst)
+        out = np.where(finite, worst, np.inf)
+        return out if np.ndim(t) else float(out)
 
 
 def solve_segment(system: CompiledSystem, anchors: np.ndarray,
@@ -582,7 +522,7 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
         raise NoValidRange("rational approximant has a pole at the anchor")
 
     def worst_residual(t_end: float) -> float:
-        return max(seg.residual_max_at(t) for t in chebyshev_probes(t_end, n_probe))
+        return float(np.max(seg.residual_max_at(chebyshev_probes(t_end, n_probe))))
 
     seg.t_e = shrink_refine_range(worst_residual, tol_res, t_cap)
     return seg
@@ -609,10 +549,10 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
         seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
                               kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
         ok = True
-        for a in ALPHA_CHECKPOINTS:
-            r = seg.residual_max_at(a)
+        res = seg.residual_max_at(np.array(ALPHA_CHECKPOINTS))
+        for a, r in zip(ALPHA_CHECKPOINTS, res):
             limit = predictor_tol if a == 1.0 else path_tol
-            if not np.isfinite(r) or r > limit:
+            if not r <= limit:
                 ok = False
                 last_err = f"residual {r:.3e} at alpha={a}"
                 break

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
+from .series import bracketed_root
 
 SOURCE = "source"   # ideal voltage source (slack / infinite bus)
 DYN4 = "dyn4"       # two-axis transient machine + AVR + governor + AGC
@@ -252,8 +253,6 @@ def motor_torque(motor: MotorSpec, v: complex, slip: float) -> float:
 def motor_equilibrium_slip(motor: MotorSpec, v: complex,
                            s_hint: float = 0.02) -> float:
     """Stable-branch slip solving torque balance at terminal voltage v."""
-    from scipy.optimize import brentq
-
     def f(s):
         return motor.torque - motor_torque(motor, v, s)
 
@@ -267,7 +266,7 @@ def motor_equilibrium_slip(motor: MotorSpec, v: complex,
     hi = grid[peak]
     if f(hi) > 0:
         hi = 1.0
-    return brentq(f, lo, hi, xtol=1e-14)
+    return bracketed_root(f, lo, hi, xtol=1e-14)
 
 
 def flat_voltage(mag: float, angle: float) -> complex:

@@ -247,7 +247,12 @@ def integrate_reference(model: DaeModel, t_span, method: str, h: float = 0.01,
     cache = {"y": ys.copy()}
 
     def rhs(t, x):
-        cache["y"] = model.solve_alg(x, t, cache["y"])
+        try:
+            cache["y"] = model.solve_alg(x, t, cache["y"])
+        except StepRejectionLimit:
+            # no algebraic solution near this trial stage: a NaN derivative
+            # makes the integrator reject the step and try a shorter one
+            return np.full(len(x), np.nan)
         return model.f(x, cache["y"], t)
 
     sol = solve_ivp(rhs, (t0, t1), xs, method="DOP853", rtol=rtol, atol=atol,

@@ -2,7 +2,7 @@
 
 The loop alternates analytic segments with instantaneous events.  Segments
 never straddle an event: timed events bound the step, condition-triggered
-events are localized on the analytic trajectory by a scan plus bisection and
+events are localized on the analytic trajectory by a scan plus root finding and
 the segment is truncated there.  After every dynamic segment in hybrid mode
 the steady-state criteria run on the segment's coefficients, and a passing
 verdict converts the machines to the QSS representation; any switching event
@@ -43,7 +43,7 @@ from .model import (
     refine_state,
     write_back,
 )
-from .series import TruncatedSeries, pade_with_fallback
+from .series import TruncatedSeries, batch_pade, bracketed_root, pade_of_row
 
 HYBRID = "hybrid"
 
@@ -56,12 +56,11 @@ class RunConfig:
     tol_res: float = 1e-6         # residual certificate tolerance
     dt_out: float = 0.1
     t_end: float = 10.0
-    event_tol: float = 1e-6       # conditional-event bisection tolerance
+    event_tol: float = 1e-6       # conditional-event root tolerance
     dwell: float = 1.0            # min dynamic time before re-checking steadiness
     max_step_dyn: float = 1.0
     max_step_qss: float = 30.0
     step_safety: float = 0.8
-    seed: int = 0                 # randomized tests only
 
     def __post_init__(self):
         if self.mode not in (HYBRID, DYNAMIC, QSS):
@@ -316,11 +315,23 @@ class Trajectory:
 
     def channel(self, chan: str, args: tuple, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            rec = self.record_for(t)
-            tau = min(max(t - rec.t0, 0.0), rec.step)
-            out[i] = np.atleast_1d(rec.channel(chan, args, tau))[0]
+        ends = np.array([s.t1 for s in self.segments])
+        ks = np.minimum(np.searchsorted(ends, ts - 1e-12), len(ends) - 1)
+        return self.sample([(chan, args)], ts, ks)[0]
+
+    def sample(self, chans: list, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Channels x times, time i evaluated on segment ks[i].
+
+        Times are grouped by segment, so each segment evaluates each
+        channel once, for the vector of its local times.
+        """
+        out = np.full((len(chans), len(ts)), np.nan)
+        for k in np.unique(ks):
+            at = np.flatnonzero(ks == k)
+            rec = self.segments[k]
+            tau = np.clip(ts[at] - rec.t0, 0.0, rec.step)
+            for c, (chan, args) in enumerate(chans):
+                out[c, at] = rec.channel(chan, args, tau)
         return out
 
     def sample_times(self, dt: float) -> np.ndarray:
@@ -340,11 +351,9 @@ def locate_conditional_event(rec: SegmentRecord, cond: Condition,
                              window: float, tol: float = 1e-6):
     """Earliest root of the trigger on [0, window], or None.
 
-    A scan over 64 subintervals brackets the first sign change, then
-    bisection refines it on the analytic trajectory.
+    A scan over 64 subintervals brackets the first sign change, then a
+    bracketed root finder refines it to ``tol`` on the analytic trajectory.
     """
-    from scipy.optimize import brentq
-
     taus = np.linspace(0.0, window, 65)
     hs = np.asarray(cond.h(rec, taus), dtype=float)
     if hs[0] >= 0.0:
@@ -355,7 +364,7 @@ def locate_conditional_event(rec: SegmentRecord, cond: Condition,
             continue
         if a < 0.0 <= b or a > 0.0 >= b:
             f = lambda tau: float(np.atleast_1d(cond.h(rec, tau))[0])
-            return float(brentq(f, taus[k], taus[k + 1], xtol=tol))
+            return bracketed_root(f, taus[k], taus[k + 1], xtol=tol)
     return None
 
 
@@ -391,15 +400,19 @@ def steadiness_verdict(case: GridCase, state: SystemState, built: Built,
             if gid in isl.machines:
                 variables[name] = reps(name)
                 angle_vars.append(name)
-        for bus in isl.buses:
-            vn = f"vx:{bus}"
-            if vn not in idx:
-                continue
-            vx = seg.C[idx[f"vx:{bus}"]]
-            vy = seg.C[idx[f"vy:{bus}"]]
-            vsq = (np.convolve(vx, vx) + np.convolve(vy, vy))[: order + 1]
-            s = TruncatedSeries(vsq)
-            variables[f"vsq:{bus}"] = (s, pade_with_fallback(s, half, half))
+        buses = [b for b in isl.buses if f"vx:{b}" in idx]
+        if buses:
+            vx = seg.C[[idx[f"vx:{b}"] for b in buses]]
+            vy = seg.C[[idx[f"vy:{b}"] for b in buses]]
+            # V^2 = vx^2 + vy^2 truncated at the series order, all buses at once
+            vsq = np.zeros_like(vx)
+            for j in range(order + 1):
+                vsq[:, j:] += (vx[:, j, None] * vx[:, : order + 1 - j]
+                               + vy[:, j, None] * vy[:, : order + 1 - j])
+            nums, dens = batch_pade(vsq, half, half)
+            for i, bus in enumerate(buses):
+                variables[f"vsq:{bus}"] = (TruncatedSeries(vsq[i]),
+                                           pade_of_row(nums[i], dens[i]))
         if not variables:
             continue
         ref = built.angle_ref.get(isl.index)
@@ -600,14 +613,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
 
             rec = SegmentRecord(
                 t0=t, step=step, mode=mode, sol=seg, built=built, case=case,
-                branch_params={
-                    bid: (1.0 / complex(*state.branch_overrides.get(
-                        bid, (case.branch_by_id[bid].r,
-                              case.branch_by_id[bid].x,
-                              case.branch_by_id[bid].b_sh))[:2]),
-                        state.branch_overrides.get(
-                            bid, (0, 0, case.branch_by_id[bid].b_sh))[2])
-                    for bid in state.branch_online},
+                branch_params={bid: mdl._branch_params(case, state, bid)[1:]
+                               for bid in state.branch_online},
             )
 
             fired = None

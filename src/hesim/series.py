@@ -87,20 +87,6 @@ class PadeApproximant:
             raise DenominatorZero(f"Pade denominator ~0 at t={t}")
         return n / d
 
-    def deriv_eval(self, t):
-        """(num/den)' evaluated at t."""
-        n = TruncatedSeries(self.num)
-        d = TruncatedSeries(self.den)
-        dv = d.eval(t)
-        if np.min(np.abs(dv)) < 1e-12:
-            raise DenominatorZero(f"Pade denominator ~0 at t={t}")
-        return (n.deriv().eval(t) * dv - n.eval(t) * d.deriv().eval(t)) / (dv * dv)
-
-
-def evaluate(rep, t):
-    """Evaluate either representation at t (Pade = num(t)/den(t))."""
-    return rep.eval(t)
-
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSeries:
     """Convolution product truncated at order n (n <= a.order + b.order)."""
@@ -108,18 +94,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSerie
         raise ValueError("requested order exceeds available information")
     full = np.convolve(a.coeffs, b.coeffs)
     return TruncatedSeries(full[: n + 1])
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = max(a.order, b.order)
-    out = np.zeros(n + 1, dtype=np.result_type(a.coeffs, b.coeffs))
-    out[: len(a.coeffs)] += a.coeffs
-    out[: len(b.coeffs)] += b.coeffs
-    return TruncatedSeries(out)
-
-
-def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return series_add(a, TruncatedSeries(-b.coeffs))
 
 
 def series_reciprocal(a: TruncatedSeries, n: int, tol: float = 1e-9) -> TruncatedSeries:
@@ -143,73 +117,181 @@ def series_reciprocal(a: TruncatedSeries, n: int, tol: float = 1e-9) -> Truncate
     return TruncatedSeries(out)
 
 
-def _taylor_of_pade(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
-    recip = series_reciprocal(TruncatedSeries(den), n, tol=1e-300)
-    return series_mul(TruncatedSeries(np.pad(num, (0, max(0, n + 1 - len(num))))),
-                      recip, n).coeffs
+_PADE_TOL = 1e-8  # re-expansion tolerance, relative to the row scale
+
+
+def _solve_stack(T: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every system T[i] x = rhs[i] of a stack with one batched LU.
+
+    An exactly singular system (as for the Toeplitz matrix of a polynomial)
+    is split off by halving the stack and takes the minimum-norm solution;
+    the others are solved exactly as if it were not in the stack.
+    """
+    try:
+        return np.linalg.solve(T, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(T) == 1:
+            return (np.linalg.pinv(T) @ rhs[..., None])[..., 0]
+    half = len(T) // 2
+    return np.concatenate([_solve_stack(T[:half], rhs[:half]),
+                           _solve_stack(T[half:], rhs[half:])])
+
+
+def _pade_level(C: np.ndarray, n_num: int, m: int):
+    """(n_num, m) Pade of every row of C: (nums, dens, accepted).
+
+    Rows whose tail sits at float noise are constants and their own
+    approximant; the others' Toeplitz systems are gathered with one index
+    array and solved as one stack. A row is accepted when its re-expansion
+    r_k = num_k - sum_{j>=1} den_j r_{k-j} reproduces C[:, :n_num+m+1] within
+    1e-8 of the row scale, NaN and inf never passing. The float recurrence
+    can hide its own rounding (num_k and den_j c_{k-j} share products, so a
+    den of 1e200 re-expands "exactly"), so the bound on each step's
+    rounding, propagated through the Taylor coefficients h of 1/den, is
+    added to the measured error.
+    """
+    rows = C.shape[0]
+    L = n_num
+    scale = np.maximum(1.0, np.max(np.abs(C), axis=1))
+    const = np.max(np.abs(C[:, 1:]), axis=1, initial=0.0) <= 1e-14 * scale
+    dens = np.zeros((rows, m + 1), dtype=C.dtype)
+    dens[:, 0] = 1.0
+    with np.errstate(all="ignore"):  # non-finite rows are rejected below
+        if m:
+            # T[:, i, j] = c[L + i - j], zero for negative indices
+            gather = L + m + np.arange(m)[:, None] - np.arange(m)
+            padded = np.concatenate([np.zeros((rows, m), dtype=C.dtype), C], axis=1)
+            solve = ~const
+            dens[solve, 1:] = _solve_stack(padded[solve][:, gather],
+                                           -C[solve, L + 1: L + m + 1])
+        nums = np.zeros((rows, L + 1), dtype=C.dtype)
+        for j in range(min(m, L) + 1):
+            nums[:, j:] += dens[:, j, None] * C[:, : L + 1 - j]
+        nums[const] = 0.0
+        nums[const, 0] = C[const, 0]
+        gamma = (m + 2) * np.finfo(float).eps
+        n = L + m + 1
+        r = np.zeros((rows, n), dtype=C.dtype)
+        r[:, : L + 1] = nums
+        h = np.zeros((rows, n), dtype=C.dtype)
+        h[:, 0] = 1.0
+        rho = np.zeros((rows, n))
+        for k in range(1, n):
+            j = min(k, m)
+            terms = dens[:, 1: j + 1] * r[:, k - j: k][:, ::-1]
+            r[:, k] -= terms.sum(axis=1)
+            h[:, k] = -np.einsum("ij,ij->i", dens[:, 1: j + 1], h[:, k - j: k][:, ::-1])
+            rho[:, k] = gamma * (np.abs(r[:, k]) + np.abs(terms).sum(axis=1))
+        # r - (exact re-expansion) = h * (rounding), to first order
+        lag = np.arange(n)[:, None] - np.arange(n)
+        abs_h = np.concatenate([np.abs(h), np.zeros((rows, 1))], axis=1)
+        drift = np.einsum("rki,ri->rk", abs_h[:, np.where(lag >= 0, lag, n)], rho)
+        err = np.max(np.abs(r - C[:, :n]) + drift, axis=1)
+    ok = np.isfinite(err) & (err <= _PADE_TOL * scale)
+    return nums, dens, ok | const
+
+
+def batch_pade(C, n_num: int, n_den: int):
+    """(n_num, n_den) Pade approximant of every row of a coefficient table.
+
+    Rows that fail the re-expansion check go down the fallback ladder in
+    batch, one denominator order m = n_den, ..., 1 at a time; a row still
+    rejected at m = 0 (or a table too short for the orders) keeps its full
+    series as the numerator. Returns zero-padded arrays
+    nums (rows, max(n_num+1, width)) and dens (rows, n_den+1).
+    """
+    C = np.asarray(C)
+    C = C.astype(np.result_type(C, float), copy=False)
+    rows, width = C.shape
+    nums = np.zeros((rows, max(n_num + 1, width)), dtype=C.dtype)
+    nums[:, :width] = C
+    dens = np.zeros((rows, n_den + 1), dtype=C.dtype)
+    dens[:, 0] = 1.0
+    if width < n_num + n_den + 1:
+        return nums, dens
+    todo = np.arange(rows)
+    for m in range(n_den, 0, -1):
+        if not len(todo):
+            break
+        num, den, ok = _pade_level(C[todo], n_num, m)
+        done = todo[ok]
+        nums[done] = 0.0
+        nums[done, : n_num + 1] = num[ok]
+        dens[done, : m + 1] = den[ok]
+        todo = todo[~ok]
+    return nums, dens
+
+
+def pade_of_row(num, den) -> PadeApproximant:
+    """One row of a Pade table as an approximant, in canonical form.
+
+    Trailing zero denominator coefficients are dropped; a denominator that
+    reduces to [1] means the input was (numerically) a polynomial, so the
+    numerator's trailing zeros go too.
+    """
+    den = np.trim_zeros(np.asarray(den), "b")
+    num = np.asarray(num)
+    if len(den) == 1:
+        num = num[: max(1, len(np.trim_zeros(num, "b")))]
+    return PadeApproximant(num, den)
 
 
 def pade_from_series(a: TruncatedSeries, n_num: int, n_den: int) -> PadeApproximant:
     """Build the (n_num, n_den) Pade approximant of a truncated series.
 
-    The denominator coefficients solve the usual Toeplitz system (least
-    squares, which also resolves degenerate cases such as polynomial input);
-    the result is accepted only if its Taylor re-expansion reproduces the
-    input through order n_num + n_den. Otherwise SingularPade is raised and
-    the caller is expected to retry at lower denominator order.
+    A one-row call of the batched kernel. The result is accepted only if
+    its Taylor re-expansion reproduces the input through order
+    n_num + n_den; otherwise SingularPade is raised and the caller is
+    expected to retry at lower denominator order.
     """
     if n_num < 0 or n_den < 0:
         raise ValueError("orders must be nonnegative")
     if n_num + n_den > a.order:
         raise ValueError("n_num + n_den must not exceed the series order")
-    c = a.coeffs
-    scale = max(1.0, float(np.max(np.abs(c))))
-    L, M = n_num, n_den
-
-    def coef(i):
-        return c[i] if 0 <= i < len(c) else 0.0
-
-    if M == 0:
-        num = np.array([coef(i) for i in range(L + 1)])
-        den = np.ones(1)
-    else:
-        C = np.empty((M, M), dtype=c.dtype)
-        rhs = np.empty(M, dtype=c.dtype)
-        for i in range(M):
-            rhs[i] = -coef(L + 1 + i)
-            for j in range(M):
-                C[i, j] = coef(L + i - j)
-        b, *_ = np.linalg.lstsq(C, rhs, rcond=None)
-        den = np.concatenate(([1.0], b))
-        num = np.array([
-            sum(den[j] * coef(i - j) for j in range(min(i, M) + 1))
-            for i in range(L + 1)
-        ])
-
-    re = _taylor_of_pade(num, den, L + M)
-    if np.max(np.abs(re - c[: L + M + 1])) > 1e-8 * scale:
-        raise SingularPade(f"({L},{M}) approximant fails re-expansion check")
-
-    # canonical trimming: a denominator that reduces to [1] means the input
-    # was (numerically) a polynomial, so drop its trailing zeros too
-    while len(den) > 1 and den[-1] == 0.0:
-        den = den[:-1]
-    if len(den) == 1:
-        while len(num) > 1 and num[-1] == 0.0:
-            num = num[:-1]
-    return PadeApproximant(num, den)
+    nums, dens, ok = _pade_level(a.coeffs[None, :], n_num, n_den)
+    if not ok[0]:
+        raise SingularPade(f"({n_num},{n_den}) approximant fails re-expansion check")
+    return pade_of_row(nums[0], dens[0])
 
 
 def pade_with_fallback(a: TruncatedSeries, n_num: int, n_den: int) -> PadeApproximant:
     """SingularPade fallback ladder: lower the denominator order until it
     works; at order 0 the 'Pade' equals the truncated series."""
-    m = n_den
-    while m > 0:
-        try:
-            return pade_from_series(a, n_num, m)
-        except SingularPade:
-            m -= 1
-    return PadeApproximant(a.coeffs.copy(), np.ones(1))
+    nums, dens = batch_pade(a.coeffs[None, :], n_num, n_den)
+    return pade_of_row(nums[0], dens[0])
+
+
+def bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
+    """A point within xtol of a sign change of f in [lo, hi].
+
+    The ITP method (Oliveira & Takahashi, ACM TOMS 2020): regula falsi,
+    truncated and projected so that it never needs more evaluations than
+    bisection plus one, and superlinear on smooth f. Raises ValueError when
+    f has one sign at both ends or is not finite where evaluated.
+    """
+    y_lo, y_hi = f(lo), f(hi)
+    if not (np.isfinite(y_lo) and np.isfinite(y_hi)) or y_lo * y_hi > 0:
+        raise ValueError("f must be finite with different signs at lo and hi")
+    sign = 1.0 if y_hi > 0 or y_lo < 0 else -1.0  # sign * f rises from lo to hi
+    n_max = int(np.ceil(np.log2(max((hi - lo) / (2.0 * xtol), 1.0)))) + 1
+    k1 = 0.2 / (hi - lo)
+    for j in range(n_max + 1):
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        if y_lo * y_hi == 0 or width <= 2.0 * xtol or not lo < mid < hi:
+            break
+        x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+        toward, delta = np.sign(mid - x_f), k1 * width * width
+        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
+        r = xtol * 2.0 ** (n_max - j) - 0.5 * width
+        x = x_t if abs(x_t - mid) <= r else mid - toward * r
+        y = f(x)
+        if not np.isfinite(y):
+            raise ValueError(f"f is not finite at {x!r}")
+        if sign * y > 0:
+            hi, y_hi = x, y
+        else:
+            lo, y_lo = x, y
+    return float(lo if y_lo == 0 else hi if y_hi == 0 else 0.5 * (lo + hi))
 
 
 def diagonal_orders(order: int) -> tuple[int, int]:
@@ -240,7 +322,7 @@ def shrink_refine_range(residual_at, tol_res: float, t_max: float) -> float:
     t = t_max
     last_fail = None
     floor = t_max * _RANGE_FLOOR_FACTOR
-    while residual_at(t) > tol_res:
+    while not residual_at(t) <= tol_res:  # a NaN residual fails too
         last_fail = t
         t *= 0.5
         if t < floor:
@@ -253,36 +335,3 @@ def shrink_refine_range(residual_at, tol_res: float, t_max: float) -> float:
     if cand > t and residual_at(cand) <= tol_res:
         return cand
     return t
-
-
-def estimate_effective_range(solution, residual_fn, tol_res: float, t_max: float,
-                             n_probe: int = 8) -> float:
-    """Largest tested T_e <= t_max with residual <= tol_res on (0, T_e].
-
-    ``solution`` maps variable names to series/Pade representations.  At each
-    probe point the representations are evaluated and passed to
-    ``residual_fn(values, t)`` as a dict; for every variable the dict also
-    carries the time derivative of its representation under the key
-    ``"<name>.dot"`` so differential residuals can be formed.
-    """
-
-    def residual_at(t_end: float) -> float:
-        worst = 0.0
-        for t in chebyshev_probes(t_end, n_probe):
-            values = {}
-            try:
-                for name, rep in solution.items():
-                    values[name] = rep.eval(t)
-                    if isinstance(rep, PadeApproximant):
-                        values[name + ".dot"] = rep.deriv_eval(t)
-                    else:
-                        values[name + ".dot"] = rep.deriv().eval(t)
-            except DenominatorZero:
-                return np.inf
-            r = np.max(np.abs(np.atleast_1d(residual_fn(values, t))))
-            if not np.isfinite(r):
-                return np.inf
-            worst = max(worst, r)
-        return worst
-
-    return shrink_refine_range(residual_at, tol_res, t_max)

@@ -111,6 +111,31 @@ def test_pa_bounds_sampled_rate_damped_exponential():
     assert np.all(rate <= rb.delta + 1e-9)
 
 
+def test_pa_signed_bounds_use_the_right_denominator_end():
+    # (1 + 2t)/(1 + t): average rate 1/(1 + t) spans [0.2, 1] on [0, 4]
+    rb = pa_rate_bound(PadeApproximant([1.0, 2.0], [1.0, 1.0]), 4.0)
+    assert rb.source == PA
+    assert rb.lower <= 0.2 and rb.upper >= 1.0
+    assert rb.delta == 1.0  # unchanged: max |numerator| / den lower bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+       st.lists(st.floats(-1, 1), min_size=1, max_size=3),
+       st.floats(0.05, 3.0))
+def test_pa_signed_bounds_contain_sampled_rate(num, den_tail, t_e):
+    p = PadeApproximant(num, [1.0] + den_tail)
+    rb = pa_rate_bound(p, t_e)
+    if rb.source != PA:
+        return
+    t = np.linspace(t_e / 500, t_e, 500)
+    rate = (p.eval(t) - p.eval(0.0)) / t
+    slack = 1e-9 * (1.0 + np.max(np.abs(rate)))
+    assert np.all(rate >= rb.lower - slack)
+    assert np.all(rate <= rb.upper + slack)
+    assert np.all(np.abs(rate) <= rb.delta + slack)
+
+
 # --- steady-state verdicts ------------------------------------------------------------
 
 def test_table_style_decisions():

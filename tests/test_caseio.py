@@ -7,6 +7,7 @@ from hesim.caseio import (
     builtin_case,
     parse_case,
     parse_trajectory,
+    trajectory_channels,
     write_case,
     write_trajectory,
 )
@@ -115,6 +116,44 @@ def test_write_samples_match_segment_eval(small_run):
         tau = min(max(t - rec.t0, 0.0), rec.step)
         expect = rec.channel("V", ("2",), tau)
         assert data[k, j] == float(np.atleast_1d(expect)[0])
+
+
+def _per_sample_trajectory(traj, dt):
+    """write_trajectory evaluated one sample time and one channel at a time."""
+    chans = trajectory_channels(traj.case)
+    ts = traj.sample_times(dt)
+    starts = np.array([s.t0 for s in traj.segments])
+    name = lambda c, a: c if not a else f"{c}:{','.join(a)}"
+    lines = ["# hesim trajectory v1", f"# case: {traj.case.name}",
+             ",".join(["time", "mode"] + [name(c, a) for c, a in chans])]
+    for t in ts:
+        k = int(np.searchsorted(starts, t + 1e-12) - 1)
+        rec = traj.segments[max(0, min(k, len(traj.segments) - 1))]
+        tau = min(max(t - rec.t0, 0.0), rec.step)
+        row = [repr(float(t)), rec.mode]
+        row += [repr(float(np.atleast_1d(rec.channel(c, a, tau))[0]))
+                for c, a in chans]
+        lines.append(",".join(row))
+    for ev in traj.events:
+        lines.append(f"# event,{float(ev.t)!r},{ev.kind},{ev.label}")
+    return "\n".join(lines) + "\n"
+
+
+def test_sampler_matches_per_sample_evaluation():
+    # 0-40 s: dynamic start, QSS, the load step at 30 s and its transient
+    case, script = builtin_case("fourbus")
+    traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=40.0))
+    assert traj.failure is None and len(traj.segments) > 10
+    assert write_trajectory(traj, 0.1) == _per_sample_trajectory(traj, 0.1)
+    # Trajectory.channel assigns a boundary time to the segment ending there
+    ts = np.linspace(0.0, traj.t_end, 173)
+    for chan, args in (("f", ()), ("V", ("3",)), ("pg", ("G1",))):
+        want = []
+        for t in ts:
+            rec = traj.record_for(t)
+            tau = min(max(t - rec.t0, 0.0), rec.step)
+            want.append(float(np.atleast_1d(rec.channel(chan, args, tau))[0]))
+        assert np.array_equal(traj.channel(chan, args, ts), want)
 
 
 def test_trajectory_rewrite_byte_identical(small_run):

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hesim
 from hesim.cli import main
 
 
@@ -75,9 +77,14 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_console_script_entrypoint():
+    # the child imports hesim from where this process found it, installed
+    # or not (pytest's pythonpath setting does not reach subprocesses)
+    root = os.path.dirname(os.path.dirname(hesim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hesim.cli", "simulate", "builtin:twobus",
          "--mode", "qss", "--t-end", "1.0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "qss_fraction=" in proc.stdout

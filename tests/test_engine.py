@@ -8,6 +8,7 @@ import pytest
 from hesim.engine import (
     SystemBuilder,
     batch_pade,
+    min_real_positive_root,
     solve_alpha_problem,
     solve_segment,
 )
@@ -187,16 +188,13 @@ def test_segment_chaining_state_is_exact():
 
 
 def test_he_problem_wrapper():
-    from hesim.engine import HeProblem, solve_coefficients
-
+    # time and alpha embeddings through the one segment solver
     b = SystemBuilder()
     x = b.state("x")
     b.rhs_term(x, -2.0, x)
     sys = b.compile()
-    prob = HeProblem(kind="TIME_DYNAMIC", system=sys,
-                     anchors=np.array([1.0]), knowns=np.zeros((0, 0)),
-                     order=12, tol_res=1e-8, t_max=3.0)
-    seg = solve_coefficients(prob)
+    seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=12,
+                        kind="TIME_DYNAMIC", tol_res=1e-8, t_max=3.0)
     assert seg.kind == "TIME_DYNAMIC"
     assert seg.value("x", 1.0) == pytest.approx(math.exp(-2.0), abs=1e-9)
 
@@ -209,9 +207,79 @@ def test_he_problem_wrapper():
     b2.term(eq, -1.0)
     b2.term(eq, -1.0, al)
     sys2 = b2.compile()
-    prob2 = HeProblem(kind="ALPHA_PARAM", system=sys2,
-                      anchors=np.array([1.0]),
-                      knowns=np.array([[0.0, 1.0]]), order=10)
-    seg2 = solve_coefficients(prob2)
+    seg2 = solve_segment(sys2, np.array([1.0]), np.array([[0.0, 1.0]]),
+                         order=10, kind="ALPHA_PARAM", tol_res=1e-6, t_max=1.0)
     assert seg2.t_e == 1.0
     assert seg2.value("y", 1.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_newton_refine_rejects_nan_state():
+    # with no iteration left, only the final gate stands between a NaN
+    # anchor and the caller; "r > tol" is False for r = NaN
+    b = SystemBuilder()
+    y = b.alg("y")
+    eq = b.alg_eq("quad")
+    b.term(eq, 1.0, y, y)
+    b.term(eq, -4.0)
+    sys = b.compile()
+    with pytest.raises(AnchorInconsistent):
+        sys.newton_refine(np.array([np.nan]), np.zeros(0), maxiter=0)
+
+
+def _reference_min_real_positive_root(nums, dens, limit):
+    """The pole screen one row and one root at a time, via polyroots."""
+    best = np.inf
+    for num, den in zip(nums, dens):
+        c = np.trim_zeros(den, "b")
+        if len(c) < 2:
+            continue
+        scale = max(1.0, float(np.max(np.abs(num))))
+        dc = c[1:] * np.arange(1, len(c))
+        for r in np.polynomial.polynomial.polyroots(c):
+            if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):
+                continue
+            x = r.real
+            if not (1e-12 < x <= limit):
+                continue
+            nv = abs(np.polynomial.polynomial.polyval(x, num))
+            dv = abs(np.polynomial.polynomial.polyval(x, dc))
+            if nv / max(dv, 1e-300) > 1e-9 * scale:
+                best = min(best, x)
+    return best
+
+
+def test_pole_screen_matches_per_row_polyroots():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        rows = int(rng.integers(1, 12))
+        width = int(rng.integers(2, 9))
+        dens = rng.normal(size=(rows, width))
+        dens[:, 0] = 1.0
+        # mixed trimmed degrees, including constant denominators
+        for i in range(rows):
+            dens[i, int(rng.integers(1, width + 1)):] = 0.0
+        nums = rng.normal(size=(rows, width + 2))
+        # spurious zero-pole pairs: numerator vanishing at a positive pole
+        pair = rng.random(rows) < 0.3
+        for i in np.flatnonzero(pair):
+            x0 = rng.uniform(0.05, 2.0)
+            dens[i, :] = 0.0
+            dens[i, :2] = [1.0, -1.0 / x0]
+            nums[i, :] = 0.0
+            nums[i, :2] = [1.0, -1.0 / x0]
+        limit = rng.uniform(0.1, 5.0)
+        got = min_real_positive_root(nums, dens, limit)
+        want = _reference_min_real_positive_root(nums, dens, limit)
+        assert got == want
+
+
+def test_pole_screen_on_kernel_output():
+    # 1/(1-t/0.8) has a genuine pole at 0.8; exp and a constant have none
+    C = np.vstack([0.8 ** -np.arange(16.0),
+                   [1 / math.factorial(k) for k in range(16)],
+                   np.r_[2.0, np.zeros(15)]])
+    nums, dens = batch_pade(C, 7, 7)
+    for limit in (0.5, 1.0, 3.0):
+        got = min_real_positive_root(nums, dens, limit)
+        assert got == _reference_min_real_positive_root(nums, dens, limit)
+    assert min_real_positive_root(nums, dens, 1.0) == pytest.approx(0.8, rel=1e-9)

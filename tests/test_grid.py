@@ -111,6 +111,14 @@ def test_motor_equilibrium_slip_balances_torque():
     assert motor_torque(MOT, v, s) == pytest.approx(MOT.torque, abs=1e-10)
 
 
+def test_motor_slip_within_xtol_of_torque_balance():
+    # the slip is bracketed to 1e-14: torque balance changes sign across it
+    v = 0.98 + 0.0j
+    s = motor_equilibrium_slip(MOT, v)
+    gap = lambda x: MOT.torque - motor_torque(MOT, v, x)
+    assert gap(s - 1e-14) * gap(s + 1e-14) <= 0.0
+
+
 def test_motor_infeasible_torque_rejected():
     heavy = MotorSpec(h=0.6, r1=0.02, x1=0.1, xm=3.0, r2=0.03, x2=0.1,
                       torque=50.0)
