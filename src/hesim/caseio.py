@@ -64,6 +64,7 @@ def parse_case(text: str):
     fnom = 60.0
     buses, branches, gens, loads = [], [], [], []
     events: list[SimEvent] = []
+    currents = []                # (line, condition) of I(...) triggers
     seen_any = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -172,6 +173,8 @@ def parse_case(text: str):
                     condition = Condition.parse(rest[1])
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
+                if condition.channel == "I":
+                    currents.append((line_no, condition))
                 kind = rest[2]
                 opts = rest[3:]
             else:
@@ -204,6 +207,11 @@ def parse_case(text: str):
         raise ParseError(0, "empty case file")
     case = GridCase(name=name, f_nominal=fnom, buses=buses,
                     branches=branches, gens=gens, loads=loads)
+    for line_no, condition in currents:
+        try:
+            case.branch_ends(condition.args)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     return case, events
 
 

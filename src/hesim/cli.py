@@ -15,7 +15,7 @@ import numpy as np
 
 from . import caseio
 from .errors import HesimError
-from .scheduler import HYBRID, RunConfig, run_simulation
+from .scheduler import HYBRID, SWITCH_KINDS, RunConfig, run_simulation
 
 log = logging.getLogger("hesim")
 
@@ -80,11 +80,7 @@ def _summary_pairs(traj, config: RunConfig) -> list:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        case, script = _load(args.case)
-    except (OSError, HesimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    case, script = _load(args.case)
     config = _config(args, script)
     traj = run_simulation(case, script, config)
 
@@ -112,12 +108,10 @@ def _method_event_times(case, script, methods, config):
     import copy
 
     from . import model as mdl
-    from .errors import HesimError as _He
     from .reference import DaeModel, integrate_reference, linear_crossing
-    from .scheduler import SWITCH_KINDS
 
     if any(e.kind in SWITCH_KINDS for e in script):
-        raise _He("--methods supports ramp-only scripts")
+        raise HesimError("--methods supports ramp-only scripts")
     conds = [e for e in script if e.condition is not None]
     if not conds:
         return []
@@ -140,49 +134,36 @@ def _method_event_times(case, script, methods, config):
         out = integrate_reference(model, (0.0, config.t_end), name[m],
                                   h=0.01)
         for ev in conds:
-            c = ev.condition
-            # rebuild the channel from the sampled variables
-            rec = _SampledChannel(case, built, out)
-            hs = np.asarray([rec.value(c, k) for k in range(len(out.ts))])
-            t_hit = linear_crossing(out.ts, hs)
+            t_hit = linear_crossing(out.ts,
+                                    _sampled_trigger(case, ev.condition, out))
             if t_hit is not None:
-                rows.append((m, c.text, t_hit))
+                rows.append((m, ev.condition.text, t_hit))
     return rows
 
 
-class _SampledChannel:
-    def __init__(self, case, built, out):
-        self.case = case
-        self.built = built
-        self.out = out
+def _sampled_trigger(case, cond, out) -> np.ndarray:
+    """A condition's trigger h at every sample of a reference run (np.hypot
+    rounds like abs(complex); np.abs of a complex array may not)."""
+    def v(bus):
+        return out.col(f"vx:{bus}") + 1j * out.col(f"vy:{bus}")
 
-    def value(self, cond, k):
-        chan, cargs = cond.channel, cond.args
-        out = self.out
-        if chan == "t":
-            lhs = out.ts[k]
-        elif chan == "V":
-            bus = int(cargs[0])
-            lhs = abs(complex(out.col(f"vx:{bus}")[k],
-                              out.col(f"vy:{bus}")[k]))
-        elif chan == "I":
-            f_bus, t_bus = int(cargs[0]), int(cargs[1])
-            br = next(b for b in self.case.branches
-                      if {b.from_bus, b.to_bus} == {f_bus, t_bus})
-            vf = complex(out.col(f"vx:{f_bus}")[k], out.col(f"vy:{f_bus}")[k])
-            vt = complex(out.col(f"vx:{t_bus}")[k], out.col(f"vy:{t_bus}")[k])
-            lhs = abs(br.y_series * (vf - vt) + 0.5j * br.b_sh * vf)
-        else:
-            raise KeyError(f"channel {chan!r} unsupported for --methods")
-        return lhs - cond.rhs if cond.op.startswith(">") else cond.rhs - lhs
+    if cond.channel == "t":
+        lhs = out.ts
+    elif cond.channel == "V":
+        bus = int(cond.args[0])
+        lhs = np.hypot(out.col(f"vx:{bus}"), out.col(f"vy:{bus}"))
+    elif cond.channel == "I":
+        br, f_bus, t_bus = case.branch_ends(cond.args)
+        vf = v(f_bus)
+        i = br.y_series * (vf - v(t_bus)) + 0.5j * br.b_sh * vf
+        lhs = np.hypot(i.real, i.imag)
+    else:
+        raise KeyError(f"channel {cond.channel!r} unsupported for --methods")
+    return cond.h(lhs)
 
 
 def cmd_compare(args) -> int:
-    try:
-        case, script = _load(args.case)
-    except (OSError, HesimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    case, script = _load(args.case)
     runs = [m.strip() for m in args.runs.split(",") if m.strip()]
     methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
     if len(runs) + len(methods) < 2:
@@ -226,12 +207,8 @@ def cmd_compare(args) -> int:
             if ev.kind == "conditional":
                 cond_rows.append((mode, ev.label, ev.t))
     if methods:
-        try:
-            cond_rows += _method_event_times(case, script, methods,
-                                             _config(args, script))
-        except HesimError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        cond_rows += _method_event_times(case, script, methods,
+                                         _config(args, script))
     if cond_rows:
         base_times = {label: t for mode, label, t in cond_rows
                       if mode == base}
@@ -273,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HesimError as exc:
+    except (OSError, HesimError) as exc:  # e.g. a missing case file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

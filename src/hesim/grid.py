@@ -8,7 +8,6 @@ runtime state owned by the scheduler (see model.py).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -166,6 +165,27 @@ class GridCase:
         if len(set(buses_with_gens)) != len(buses_with_gens):
             raise ValidationError("at most one generator per bus")
 
+    def branch_ends(self, args: tuple) -> tuple[BranchSpec, int, int]:
+        """The branch I(id) or I(a,b) meters, with its near and far bus.
+
+        I(id) meters at the from bus.  I(a,b) meters at bus a and needs
+        exactly one branch joining a and b; otherwise it raises ValueError.
+        """
+        if len(args) == 1 and args[0] in self.branch_by_id:
+            br = self.branch_by_id[args[0]]
+            return br, br.from_bus, br.to_bus
+        if len(args) != 2:
+            raise ValueError(f"I({','.join(args)}) names no branch")
+        a, b = int(args[0]), int(args[1])
+        found = [br for br in self.branches
+                 if {br.from_bus, br.to_bus} == {a, b}]
+        if len(found) != 1:
+            ids = ", ".join(br.branch_id for br in found)
+            raise ValueError(f"I({a},{b}): " + (
+                f"parallel branches {ids}; name one as I(<id>)" if found
+                else f"no branch joins buses {a} and {b}"))
+        return found[0], a, b
+
     def gens_at(self, bus: int) -> list[GenSpec]:
         return [g for g in self.gens if g.bus == bus]
 
@@ -267,7 +287,3 @@ def motor_equilibrium_slip(motor: MotorSpec, v: complex,
     if f(hi) > 0:
         hi = 1.0
     return bracketed_root(f, lo, hi, xtol=1e-14)
-
-
-def flat_voltage(mag: float, angle: float) -> complex:
-    return mag * cmath.exp(1j * angle)

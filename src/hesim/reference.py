@@ -37,7 +37,6 @@ class TwoBusCase:
         a = -((self.q * self.r - self.p * self.x) ** 2) / self.e ** 2
         b = -(self.p * self.r + self.q * self.x)
         c = self.e ** 2 / 4.0
-        disc = b * b - 4 * a * c
         roots = [t for t in np.roots([a, b, c]) if t.real > 0
                  and abs(t.imag) < 1e-12]
         return min(r.real for r in roots) / self.lam_rate
@@ -169,7 +168,6 @@ def _step_trapezoidal(model, xs, ys, t, h, maxiter=20):
             return xn, yn
         vals = model.assemble(xn, yn)
         jf, jg = model.sys.full_jacobian(vals, model.kv(t + h))
-        nv = model.sys.nv
         big = np.zeros((n_x + model.sys.n_alg, n_x + model.sys.n_alg))
         cols_x = model.sys.state_slots
         cols_y = model.sys.alg_slots

@@ -2,8 +2,9 @@
 
 The loop alternates analytic segments with instantaneous events.  Segments
 never straddle an event: timed events bound the step, condition-triggered
-events are localized on the analytic trajectory by a scan plus root finding and
-the segment is truncated there.  After every dynamic segment in hybrid mode
+events are localized on the analytic trajectory (one scan of all pending
+triggers per segment, a root solve only for the earliest bracket) and the
+segment is truncated there.  After every dynamic segment in hybrid mode
 the steady-state criteria run on the segment's coefficients, and a passing
 verdict converts the machines to the QSS representation; any switching event
 while in QSS converts back first.
@@ -11,6 +12,7 @@ while in QSS converts back first.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 import time as _time
@@ -46,6 +48,8 @@ from .model import (
 from .series import TruncatedSeries, batch_pade, bracketed_root, pade_of_row
 
 HYBRID = "hybrid"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -112,9 +116,9 @@ _COND_RE = re.compile(
 class Condition:
     """Trigger h(x(t), y(t), p(t)) >= 0 built from a comparison expression.
 
-    Channels: V(bus), I(from,to), f, t, omega(gen).  The trigger fires when
-    the comparison becomes true, so h = lhs - rhs for '>' and rhs - lhs
-    for '<'.
+    Channels: V(bus), I(from,to) or I(branch id), f, t, omega(gen).  The
+    trigger fires when the comparison becomes true, so ``h(lhs)`` maps the
+    channel's values lhs to lhs - rhs for '>' and rhs - lhs for '<'.
     """
     text: str
     channel: str
@@ -135,8 +139,7 @@ class Condition:
         return cls(text=text, channel=chan, args=args, op=m.group("op"),
                    rhs=float(m.group("rhs")))
 
-    def h(self, rec: "SegmentRecord", tau):
-        lhs = rec.channel(self.channel, self.args, tau)
+    def h(self, lhs):
         return lhs - self.rhs if self.op.startswith(">") else self.rhs - lhs
 
 
@@ -180,18 +183,15 @@ class SegmentRecord:
             vy = self.sol.value(f"vy:{bus}", tau)
             return np.hypot(vx, vy)
         if chan == "I":
-            f_bus, t_bus = int(args[0]), int(args[1])
-            for bid, (y, b) in self.branch_params.items():
-                br = case.branch_by_id[bid]
-                if {br.from_bus, br.to_bus} == {f_bus, t_bus}:
-                    vxf = self.sol.value(f"vx:{f_bus}", tau)
-                    vyf = self.sol.value(f"vy:{f_bus}", tau)
-                    vxt = self.sol.value(f"vx:{t_bus}", tau)
-                    vyt = self.sol.value(f"vy:{t_bus}", tau)
-                    vf = vxf + 1j * vyf
-                    vt = vxt + 1j * vyt
-                    return np.abs(y * (vf - vt) + 0.5j * b * vf)
-            raise KeyError(f"no online branch between {f_bus} and {t_bus}")
+            br, f_bus, t_bus = case.branch_ends(args)
+            if br.branch_id not in self.branch_params:  # offline: no current
+                return np.zeros_like(np.asarray(tau, float))
+            y, b = self.branch_params[br.branch_id]
+            vf = (self.sol.value(f"vx:{f_bus}", tau)
+                  + 1j * self.sol.value(f"vy:{f_bus}", tau))
+            vt = (self.sol.value(f"vx:{t_bus}", tau)
+                  + 1j * self.sol.value(f"vy:{t_bus}", tau))
+            return np.abs(y * (vf - vt) + 0.5j * b * vf)
         if chan == "f":
             return self._frequency(tau)
         if chan == "omega":
@@ -347,25 +347,39 @@ class Trajectory:
 # --------------------------------------------------------------------------
 
 
-def locate_conditional_event(rec: SegmentRecord, cond: Condition,
+def locate_conditional_event(rec: SegmentRecord, conds: list,
                              window: float, tol: float = 1e-6):
-    """Earliest root of the trigger on [0, window], or None.
+    """Earliest trigger root on [0, window]: (index into conds, tau) or None.
 
-    A scan over 64 subintervals brackets the first sign change, then a
-    bracketed root finder refines it to ``tol`` on the analytic trajectory.
+    One scan finds every trigger's first sign change on 65 points; only the
+    triggers bracketed in the earliest subinterval are refined (ITP, to
+    ``tol``), as a later bracket holds no earlier root.  Ties go to the
+    first in list order; NaN never brackets.
     """
     taus = np.linspace(0.0, window, 65)
-    hs = np.asarray(cond.h(rec, taus), dtype=float)
-    if hs[0] >= 0.0:
-        return 0.0
-    for k in range(64):
-        a, b = hs[k], hs[k + 1]
-        if b == a:
-            continue
-        if a < 0.0 <= b or a > 0.0 >= b:
-            f = lambda tau: float(np.atleast_1d(cond.h(rec, tau))[0])
-            return bracketed_root(f, taus[k], taus[k + 1], xtol=tol)
-    return None
+    lhs = {key: rec.channel(*key, taus)
+           for key in dict.fromkeys((c.channel, c.args) for c in conds)}
+    hs = np.reshape([c.h(lhs[c.channel, c.args]) for c in conds], (-1, 65))
+    a, b = hs[:, :-1], hs[:, 1:]
+    brackets = ((a < 0.0) & (b >= 0.0)) | ((a > 0.0) & (b <= 0.0))
+    first = np.where(brackets.any(axis=1), brackets.argmax(axis=1), 64)
+    first[hs[:, 0] >= 0.0] = -1
+    k = int(first.min(initial=64))
+    if k == 64:
+        return None
+    rows = np.flatnonzero(first == k)
+    best, refined = ((int(rows[0]), 0.0), 0) if k < 0 else (None, len(rows))
+    for i in rows[:refined]:
+        c = conds[i]
+        tau = bracketed_root(
+            lambda x: float(c.h(rec.channel(c.channel, c.args, x))),
+            taus[k], taus[k + 1], xtol=tol)
+        if best is None or tau < best[1]:
+            best = (int(i), tau)
+    log.info("conditional event at t=%.9g: %s (%d triggers scanned, "
+             "%d refined)", rec.t0 + best[1], conds[best[0]].text,
+             len(conds), refined)
+    return best
 
 
 # --------------------------------------------------------------------------
@@ -617,16 +631,11 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                                for bid in state.branch_online},
             )
 
-            fired = None
-            for ev in conditional:
-                hit = locate_conditional_event(rec, ev.condition, step,
-                                               config.event_tol)
-                if hit is not None and (fired is None or hit < fired[1]):
-                    fired = (ev, hit)
-            if fired is not None:
-                ev, tau_hit = fired
-                step = tau_hit
-                rec.step = step
+            hit = conditional and locate_conditional_event(
+                rec, [ev.condition for ev in conditional], step,
+                config.event_tol)
+            if hit:
+                step = rec.step = hit[1]
 
             traj.segments.append(rec)
             values = seg.values_at(step)
@@ -653,13 +662,11 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                             traj.events.append(EventRecord(
                                 t, "q_limit", gid, {"q": ms.q_fixed}))
 
-            if fired is not None:
-                conditional.remove(fired[0])
+            if hit:
+                ev = conditional.pop(hit[0])
                 traj.events.append(EventRecord(
-                    t, "conditional", fired[0].condition.text,
-                    {"resolved_t": t}))
-                running = _execute_event(case, state, fired[0], t, traj,
-                                         config)
+                    t, "conditional", ev.condition.text, {"resolved_t": t}))
+                running = _execute_event(case, state, ev, t, traj, config)
                 continue
 
             if (config.mode == HYBRID and mode == DYNAMIC

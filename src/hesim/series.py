@@ -55,12 +55,6 @@ class TruncatedSeries:
             out = out * t + c[k]
         return out if np.ndim(t) else out[()]
 
-    def deriv(self) -> "TruncatedSeries":
-        c = self.coeffs
-        if len(c) == 1:
-            return TruncatedSeries(np.zeros(1, dtype=c.dtype))
-        return TruncatedSeries(c[1:] * np.arange(1, len(c)))
-
 
 @dataclass(frozen=True, eq=False)
 class PadeApproximant:

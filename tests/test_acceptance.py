@@ -73,9 +73,9 @@ def test_criterion_1_twobus_event_times():
     def he_crossing(i_th):
         cond = Condition.parse(f"I(1,2) > {float(i_th)!r}")
         for rec in traj.segments:
-            hit = locate_conditional_event(rec, cond, rec.step, tol=1e-12)
-            if hit is not None and hit > 0.0:
-                return rec.t0 + hit
+            hit = locate_conditional_event(rec, [cond], rec.step, tol=1e-12)
+            if hit is not None and hit[1] > 0.0:
+                return rec.t0 + hit[1]
         return None
 
     # fixed-step baselines: per-step algebraic solves on the same model,

@@ -88,6 +88,33 @@ def test_conditional_event_roundtrip():
     assert conds2[0].condition.rhs == 3.0
 
 
+def _fourbus_with_trigger(expr: str) -> str:
+    from importlib import resources
+
+    text = resources.files("hesim.cases").joinpath("fourbus.case").read_text()
+    return text.replace("STOP 500.0", f'EVENT cond "{expr}" record\nSTOP 500.0')
+
+
+def test_current_trigger_on_parallel_circuits_rejected():
+    # fourbus joins buses 2 and 3 by L23A and L23B: I(2,3) names neither
+    text = _fourbus_with_trigger("I(3,2) > 0.5")
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    line = text.splitlines().index('EVENT cond "I(3,2) > 0.5" record') + 1
+    assert exc.value.line_no == line
+    assert "L23A" in exc.value.reason and "L23B" in exc.value.reason
+    # a branch id names one circuit
+    _, script = parse_case(_fourbus_with_trigger("I(L23B) > 0.5"))
+    assert script[-2].condition.args == ("L23B",)
+
+
+def test_current_trigger_without_branch_rejected():
+    with pytest.raises(ParseError, match="no branch joins buses 1 and 3"):
+        parse_case(_fourbus_with_trigger("I(1,3) > 0.5"))
+    with pytest.raises(ParseError, match="names no branch"):
+        parse_case(_fourbus_with_trigger("I(L99) > 0.5"))
+
+
 # --- trajectory files --------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -88,3 +88,38 @@ def test_console_script_entrypoint():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "qss_fraction=" in proc.stdout
+
+
+_OFFLINE_SCRIPTS = {
+    # both corridor circuits cut, then a trigger on one of them
+    "branch-id": ("", "EVENT 5.0 cut_branch branch=L23A\n"
+                  "EVENT 6.0 cut_branch branch=L23B\n"
+                  'EVENT cond "I(L23A) > 50.0" record\n', ("L23A",)),
+    # the corridor as one circuit, named by its buses
+    "bus-pair": ("BRANCH L23B 2 3 r=0.02 x=0.12 b=0.03\n",
+                 "EVENT 5.0 cut_branch branch=L23A\n"
+                 'EVENT cond "I(2,3) > 50.0" record\n', ("2", "3")),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_OFFLINE_SCRIPTS))
+def test_trigger_on_offline_branch_runs_to_completion(tmp_path, variant):
+    from importlib import resources
+
+    from hesim.caseio import parse_case
+    from hesim.scheduler import RunConfig, run_simulation
+
+    drop, events, args = _OFFLINE_SCRIPTS[variant]
+    text = resources.files("hesim.cases").joinpath("fourbus.case").read_text()
+    text = text.replace(drop, "").replace("STOP 500.0", events + "STOP 10.0")
+    case_file = tmp_path / "offline.case"
+    case_file.write_text(text)
+    out, summ = tmp_path / "traj.csv", tmp_path / "run.sum"
+    rc = run_cli(["simulate", str(case_file), "--t-end", "10.0",
+                  "--out", str(out), "--summary", str(summ)])
+    assert rc == 0
+    assert out.exists() and "failure=\n" in summ.read_text()
+    # an offline branch carries no current, like a dead bus has no voltage
+    traj = run_simulation(*parse_case(text), RunConfig(t_end=10.0))
+    before, after = traj.channel("I", args, [4.0, 8.0])
+    assert before > 0.0 and after == 0.0

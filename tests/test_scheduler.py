@@ -1,11 +1,14 @@
 """Event orchestration, conditional events, mode switching, islanding."""
 
+import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_smib, make_twobus_case
+from hesim import scheduler
 from hesim.bounds import SteadyStateVerdict, VariableVerdict
 from hesim.errors import NotSteady
 from hesim.grid import (
@@ -27,6 +30,7 @@ from hesim.scheduler import (
     run_simulation,
     steadiness_verdict,
 )
+from hesim.series import bracketed_root
 
 
 def _twobus_script(extra=()):
@@ -60,7 +64,7 @@ def test_no_crossing_returns_none():
                           RunConfig(mode="qss", t_end=2.0))
     rec = traj.segments[0]
     cond = Condition.parse("I(1,2) > 99.0")
-    assert locate_conditional_event(rec, cond, rec.step) is None
+    assert locate_conditional_event(rec, [cond], rec.step) is None
 
 
 def test_affine_condition_half_second():
@@ -70,8 +74,118 @@ def test_affine_condition_half_second():
     rec = traj.segments[0]
     assert rec.step >= 1.0
     cond = Condition.parse("t > 0.5")
-    hit = locate_conditional_event(rec, cond, rec.step, tol=1e-9)
+    index, hit = locate_conditional_event(rec, [cond], rec.step, tol=1e-9)
+    assert index == 0
     assert hit == pytest.approx(0.5 - rec.t0, abs=1e-6)
+
+
+def _per_trigger_locate(rec, conds, window, tol):
+    """The loop the batched kernel replaces: each trigger scanned on its own
+    grid and refined, the earliest root kept (first in list order on ties)."""
+    best = None
+    for i, c in enumerate(conds):
+        taus = np.linspace(0.0, window, 65)
+        hs = np.asarray(c.h(rec.channel(c.channel, c.args, taus)), float)
+        hit = 0.0 if hs[0] >= 0.0 else None
+        for k in range(64 if hit is None else 0):
+            a, b = hs[k], hs[k + 1]
+            if b != a and (a < 0.0 <= b or a > 0.0 >= b):
+                hit = bracketed_root(
+                    lambda x: float(c.h(rec.channel(c.channel, c.args, x))),
+                    taus[k], taus[k + 1], xtol=tol)
+                break
+        if hit is not None and (best is None or hit < best[1]):
+            best = (i, hit)
+    return best
+
+
+@pytest.fixture(scope="module")
+def ramp_segment():
+    """First qss segment of the twobus ramp: I(1,2) rises and V(2) falls
+    through it, and delta(S1) is NaN (S1 is a source)."""
+    traj = run_simulation(make_twobus_case(), _twobus_script(),
+                          RunConfig(mode="qss", t_end=2.0))
+    rec = traj.segments[0]
+
+    def at(chan, args, x):
+        """Channel value at grid position x (0..64, fractional)."""
+        return float(rec.channel(chan, args, rec.step * x / 64))
+
+    return rec, at
+
+
+@pytest.mark.parametrize("case", ["mixed", "shared", "at_zero", "nan"])
+def test_batched_locate_matches_per_trigger_loop(ramp_segment, case):
+    rec, at = ramp_segment
+    i_at = lambda x: at("I", ("1", "2"), x)
+    v_at = lambda x: at("V", ("2",), x)
+    t_at = lambda x: at("t", (), x)
+    conds, expected = {
+        # V <, I >, t > and a t < that never fires: t at 20.5 is earliest
+        "mixed": ([f"I(1,2) > {i_at(40.5)!r}", f"V(2) < {v_at(30.2)!r}",
+                   f"t > {t_at(20.5)!r}", f"t < {rec.t0 - 1.0!r}",
+                   "delta(S1) > 0.0"], 2),
+        # four first brackets in subinterval 12; the earliest root (V at
+        # 12.3) is listed second and tied with the fourth
+        "shared": ([f"I(1,2) > {i_at(12.8)!r}", f"V(2) < {v_at(12.3)!r}",
+                    f"I(1,2) > {i_at(50.5)!r}", f"V(2) < {v_at(12.3)!r}",
+                    f"t > {t_at(12.55)!r}"], 1),
+        # true at 0 beats an earlier-listed bracket in subinterval 0
+        "at_zero": ([f"I(1,2) > {i_at(0.5)!r}", "V(2) < 5.0", "t > -1.0"],
+                    1),
+        "nan": (["delta(S1) > 0.0", "delta(S1) < 0.0"], None),
+    }[case]
+    conds = [Condition.parse(c) for c in conds]
+    got = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    assert (got and got[0]) == expected
+    if case == "at_zero":
+        assert got[1] == 0.0
+    for order in itertools.permutations(range(len(conds))):
+        perm = [conds[i] for i in order]
+        assert (locate_conditional_event(rec, perm, rec.step, 1e-9)
+                == _per_trigger_locate(rec, perm, rec.step, 1e-9))
+
+
+def test_batched_locate_refines_only_the_earliest_brackets(ramp_segment,
+                                                          monkeypatch):
+    rec, at = ramp_segment
+    taus = np.linspace(0.0, rec.step, 65)
+    calls = []
+
+    def counting_root(f, lo, hi, xtol):
+        calls.append((lo, hi))
+        return bracketed_root(f, lo, hi, xtol)
+
+    monkeypatch.setattr(scheduler, "bracketed_root", counting_root)
+    conds = [Condition.parse(c) for c in (
+        f"I(1,2) > {at('I', ('1', '2'), 44.5)!r}",
+        f"I(1,2) > {at('I', ('1', '2'), 9.7)!r}",
+        f"I(1,2) > {at('I', ('1', '2'), 60.5)!r}",
+        f"t > {at('t', (), 9.2)!r}",
+        f"V(2) < {at('V', ('2',), 30.5)!r}")]
+    hit = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    # only the two triggers bracketed in subinterval 9 are refined
+    assert calls == [(taus[9], taus[10])] * 2
+    assert hit == _per_trigger_locate(rec, conds, rec.step, 1e-9)
+    assert hit[0] == 3
+
+
+def test_fired_event_logs_scan_counts(caplog):
+    conds = ["t > 0.5", "t > 1.25", "V(2) < 0.1"]
+    script = _twobus_script([SimEvent(kind="record", label=c,
+                                      condition=Condition.parse(c))
+                             for c in conds])
+    with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
+        traj = run_simulation(make_twobus_case(), script,
+                              RunConfig(mode="qss", t_end=2.0))
+    assert [e.t for e in traj.events if e.kind == "conditional"] \
+        == pytest.approx([0.5, 1.25], abs=1e-6)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "hesim.scheduler" and r.levelno == logging.INFO]
+    assert len(lines) == 2
+    assert lines[0].startswith("conditional event at t=0.5")
+    assert "t > 0.5 (3 triggers scanned, 1 refined)" in lines[0]
+    assert "t > 1.25 (2 triggers scanned, 1 refined)" in lines[1]
 
 
 def test_threshold_crossing_matches_closed_form():
@@ -314,7 +428,7 @@ def test_conditional_event_trips_branch(fourbus):
     script = [
         SimEvent(kind="add_load", t_due=5.0, payload={"load": "LX2"}),
         SimEvent(kind="cut_branch", payload={"branch": "L23B"},
-                 condition=Condition.parse("I(2,3) > 0.04"), label="trip"),
+                 condition=Condition.parse("I(L23A) > 0.04"), label="trip"),
     ]
     traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=20.0))
     assert traj.failure is None
@@ -325,7 +439,7 @@ def test_conditional_event_trips_branch(fourbus):
     conds = [e for e in traj.events if e.kind == "conditional"]
     assert conds and conds[0].t == trips[0].t
     # the corridor now runs on one circuit: per-branch current doubles
-    i_end = traj.channel("I", ("2", "3"), [19.9])[0]
+    i_end = traj.channel("I", ("L23A",), [19.9])[0]
     assert i_end > 0.075
 
 

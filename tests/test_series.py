@@ -235,7 +235,7 @@ def test_pade_normalizes_denominator():
 
 def _square_ode_residual_at(x: TruncatedSeries):
     """Max residual of x' = x^2 over the probes of (0, T], x a series."""
-    dx = x.deriv()
+    dx = TruncatedSeries(np.polynomial.polynomial.polyder(x.coeffs))
 
     def residual_at(t_end):
         t = chebyshev_probes(t_end)
@@ -250,7 +250,8 @@ def test_effective_range_exact_polynomial():
 
     def residual_at(t_end):
         t = chebyshev_probes(t_end)
-        return float(np.max(np.abs(x.deriv().eval(t) - 1.0)))
+        dx = TruncatedSeries(np.polynomial.polynomial.polyder(x.coeffs))
+        return float(np.max(np.abs(dx.eval(t) - 1.0)))
 
     assert shrink_refine_range(residual_at, 1e-6, 1.0) == 1.0
 
