@@ -1,14 +1,7 @@
 """Extended-term hybrid QSS/dynamic power-system simulation on
 holomorphic-embedding series."""
 
-from .bounds import (
-    RateBound,
-    SteadyStateVerdict,
-    pa_rate_bound,
-    poly_bounds,
-    ps_rate_bound,
-    steady_state_check,
-)
+from .bounds import SteadyStateVerdict, poly_bounds, steady_state_check
 from .caseio import builtin_case, load_case, parse_case, write_trajectory
 from .engine import SegmentSolution
 from .grid import (

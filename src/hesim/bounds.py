@@ -4,177 +4,101 @@ These are the decision tools that authorize switching a dynamic segment to
 the quasi-steady-state model: bound the average rate of change of every
 monitored variable over the segment's effective range, once from the power
 series and once from the Pade coefficients, and declare the variable steady
-when either bound falls below the threshold.
+when either bound falls below the threshold.  The criteria work on a table
+with one row per monitored variable, all rows in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import EmptyVariableSet
-from .series import PadeApproximant, TruncatedSeries, batch_pade, pade_of_row
-
-PS = "PS"
-PA = "PA"
-PA_UNDEFINED = "PA_undefined"
 
 
-def poly_bounds(coeffs, T: float) -> tuple[float, float]:
+def poly_bounds(coeffs, T: float):
     """Bounds of ``sum x[k] t^k`` for t in [0, T], by interval Horner.
 
-    One backward pass over the coefficients: the running upper bound is
+    One backward pass over the last axis: the running upper bound is
     restarted at x_k whenever it is negative (multiplying by t in [0, T]
     can only pull it up to zero), otherwise multiplied by T and shifted;
     the lower bound is handled symmetrically. O(N), and the returned
-    interval always contains the polynomial's range on [0, T].
+    interval always contains the polynomial's range on [0, T].  A 1-D
+    input gives two floats, a 2-D input (lower, upper) arrays, one entry
+    per row.
     """
     if T < 0:
         raise ValueError("interval end must be nonnegative")
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a non-empty 1-D sequence")
-    ub = lb = c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        xk = c[k]
-        if ub < 0:
-            ub = xk
-        else:
-            ub = ub * T + xk
-        if lb > 0:
-            lb = xk
-        else:
-            lb = lb * T + xk
-    return float(lb), float(ub)
-
-
-@dataclass(frozen=True)
-class RateBound:
-    """Signed bounds on an average rate of change, and their max magnitude."""
-
-    lower: float
-    upper: float
-    delta: float
-    source: str
-
-    def __post_init__(self):
-        if self.source not in (PS, PA, PA_UNDEFINED):
-            raise ValueError(f"unknown source {self.source!r}")
-
-
-def ps_rate_bound(series: TruncatedSeries, t_e: float) -> RateBound:
-    """Bound (x(t) - x(0)) / t = sum_{k>=1} x[k] t^(k-1) over [0, t_e]."""
-    if series.order < 1:
-        return RateBound(0.0, 0.0, 0.0, PS)
-    if t_e <= 0:
-        raise ValueError("t_e must be positive")
-    lb, ub = poly_bounds(series.coeffs[1:].real, t_e)
-    return RateBound(lb, ub, max(abs(lb), abs(ub)), PS)
-
-
-def pa_rate_bound(pade: PadeApproximant, t_e: float) -> RateBound:
-    """Rate-of-change bound from Pade coefficients.
-
-    With c = num[0] the approximant is c + t * (sum_{k>=1} ñ[k] t^(k-1)) / den(t)
-    where ñ[k] = num[k] - c*den[k] (numerator and denominator padded to equal
-    length first). Both polynomials are bounded by interval Horner; when the
-    denominator's lower bound is not strictly positive the quotient bound is
-    not defined and the PS criterion alone must decide. Each signed
-    numerator bound is divided by the denominator end that keeps it a bound
-    (the smallest for a positive value, the largest for a negative one).
-    """
-    if t_e <= 0:
-        raise ValueError("t_e must be positive")
-    n = max(len(pade.num), len(pade.den))
-    num = np.zeros(n)
-    den = np.zeros(n)
-    num[: len(pade.num)] = pade.num.real
-    den[: len(pade.den)] = pade.den.real
-    c = num[0]
-    tilde = num - c * den
-    den_lb, _ = poly_bounds(den, t_e)
-    if den_lb <= 0:
-        return RateBound(np.nan, np.nan, np.nan, PA_UNDEFINED)
-    if n < 2:
-        return RateBound(0.0, 0.0, 0.0, PA)
-    na_lb, na_ub = poly_bounds(tilde[1:], t_e)
-    den_ub = poly_bounds(den, t_e)[1]
-    lo = na_lb / (den_lb if na_lb < 0 else den_ub)
-    hi = na_ub / (den_lb if na_ub > 0 else den_ub)
-    return RateBound(lo, hi, max(abs(na_lb), abs(na_ub)) / den_lb, PA)
-
-
-@dataclass(frozen=True)
-class VariableVerdict:
-    delta_ps: float
-    delta_pa: Optional[float]  # None when the PA bound is undefined
-    ps_ok: bool
-    pa_ok: bool
-    is_steady: bool
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise ValueError("coefficients must be a non-empty 1-D or 2-D array")
+    ub = lb = c[..., -1]
+    with np.errstate(all="ignore"):  # the branch np.where drops may overflow
+        for k in range(c.shape[-1] - 2, -1, -1):
+            xk = c[..., k]
+            ub = np.where(ub < 0, xk, ub * T + xk)
+            lb = np.where(lb > 0, xk, lb * T + xk)
+    if c.ndim == 1:
+        return float(lb), float(ub)
+    return lb, ub
 
 
 @dataclass(frozen=True)
 class SteadyStateVerdict:
-    per_variable: dict[str, VariableVerdict]
-    system_steady: bool
+    """Rate bounds and steady flags of every monitored row of a segment."""
+
+    names: list
+    delta_ps: np.ndarray
+    delta_pa: np.ndarray    # NaN where the PA bound is undefined
+    steady: np.ndarray
     threshold: float
 
-
-def verdict_from_deltas(delta_ps: float, delta_pa: Optional[float],
-                        eps_t: float) -> VariableVerdict:
-    """Steady iff either criterion beats eps_t; an undefined PA never blocks."""
-    ps_ok = delta_ps < eps_t
-    pa_ok = delta_pa is not None and delta_pa < eps_t
-    return VariableVerdict(delta_ps, delta_pa, ps_ok, pa_ok, ps_ok or pa_ok)
+    @property
+    def system_steady(self) -> bool:
+        return bool(self.steady.all())
 
 
-def steady_state_check(
-    variables: Mapping[str, tuple[TruncatedSeries, Optional[PadeApproximant]]],
-    t_e: float,
-    eps_t: float,
-    angle_reference: Optional[str] = None,
-    angle_vars: tuple[str, ...] = (),
-) -> SteadyStateVerdict:
-    """Per-variable and system steady-state verdict over [0, t_e].
+def verdict_from_deltas(delta_ps, delta_pa, eps_t: float):
+    """(ps_ok, pa_ok), elementwise: a criterion holds where its delta is
+    below eps_t.  A NaN delta (undefined) never holds; a row is steady
+    where either criterion holds."""
+    return np.less(delta_ps, eps_t), np.less(delta_pa, eps_t)
 
-    ``variables`` maps names to (series, pade) pairs; the pade entry may be
-    None (PS criterion alone then decides).  Rotor angles drift together with
-    the center of inertia even in steady state, so when ``angle_reference``
-    is given every name in ``angle_vars`` is replaced by its difference
-    against the reference variable's series before bounding.
+
+def steady_state_check(C, nums, dens, t_e: float, eps_t: float):
+    """Per-row rate bounds over [0, t_e]: (delta_ps, delta_pa, steady).
+
+    Row i is one variable: its series C[i] and its Pade approximant
+    nums[i] / dens[i] (den[0] = 1), zero-padded to one width.  The PS bound
+    is the interval-Horner magnitude of (x(t) - x(0)) / t =
+    sum_{k>=1} x[k] t^(k-1).  With c = num[0] the approximant is
+    c + t * (sum_{k>=1} ñ[k] t^(k-1)) / den(t), ñ = num - c*den; the PA
+    bound is the magnitude bound of that numerator over the denominator's
+    lower bound, and NaN (undefined, the PS criterion alone decides) where
+    that lower bound is not strictly positive.  A row with a non-finite
+    coefficient has both bounds NaN, so it never reads steady.
     """
-    if not variables:
+    if len(C) == 0:
         raise EmptyVariableSet("no variables to check")
-    if angle_reference is not None and angle_reference not in variables:
-        raise KeyError(f"angle reference {angle_reference!r} not in variables")
-
-    per: dict[str, VariableVerdict] = {}
-    variables = dict(variables)
-    angles = [n for n in variables if n in angle_vars]
-    if angle_reference is not None and angles:
-        # relative angles, zero-padded to one order, and their Pade in one call
-        ref = variables[angle_reference][0].coeffs.real
-        width = max([len(ref)] + [len(variables[n][0].coeffs) for n in angles])
-        diffs = np.zeros((len(angles), width))
-        diffs[:, : len(ref)] -= ref
-        for i, name in enumerate(angles):
-            a = variables[name][0].coeffs.real
-            diffs[i, : len(a)] += a
-        half = (width - 1) // 2
-        nums, dens = batch_pade(diffs, half, half)
-        for i, name in enumerate(angles):
-            variables[name] = (TruncatedSeries(diffs[i]),
-                               pade_of_row(nums[i], dens[i]))
-
-    for name, (series, pade) in variables.items():
-        delta_ps = ps_rate_bound(series, t_e).delta
-        delta_pa = None
-        if pade is not None:
-            rb = pa_rate_bound(pade, t_e)
-            if rb.source == PA:
-                delta_pa = rb.delta
-        per[name] = verdict_from_deltas(delta_ps, delta_pa, eps_t)
-
-    return SteadyStateVerdict(per, all(v.is_steady for v in per.values()), eps_t)
+    if t_e <= 0:
+        raise ValueError("t_e must be positive")
+    # one width for all three, with at least one zero column after den
+    width = max(np.shape(C)[1], np.shape(nums)[1], np.shape(dens)[1] + 1)
+    C, num, den = (np.pad(np.asarray(a, dtype=float),
+                          ((0, 0), (0, width - np.shape(a)[1])))
+                   for a in (C, nums, dens))
+    n = len(C)
+    finite = np.isfinite(np.hstack([C, num, den])).all(axis=1)
+    with np.errstate(all="ignore"):  # the NaN-masked rows may overflow
+        # one pass over the PS rows, the PA numerator rows and den
+        lb, ub = poly_bounds(np.vstack([C[:, 1:],
+                                        (num - num[:, :1] * den)[:, 1:],
+                                        den[:, :-1]]), t_e)
+        mag = np.maximum(np.abs(lb), np.abs(ub))
+        den_lb = lb[2 * n:]
+        delta_ps = np.where(finite, mag[:n], np.nan)
+        delta_pa = np.where(finite & (den_lb > 0), mag[n: 2 * n] / den_lb,
+                            np.nan)
+    ps_ok, pa_ok = verdict_from_deltas(delta_ps, delta_pa, eps_t)
+    return delta_ps, delta_pa, ps_ok | pa_ok

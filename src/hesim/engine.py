@@ -33,12 +33,9 @@ from .errors import (
 # pade_with_fallback is not called here; benchmarks/tracing.py counts the
 # calls made through this name
 from .series import (  # noqa: F401
-    PadeApproximant,
-    TruncatedSeries,
     batch_pade,
     chebyshev_probes,
     diagonal_orders,
-    pade_of_row,
     pade_with_fallback,
     shrink_refine_range,
 )
@@ -457,14 +454,6 @@ class SegmentSolution:
     pade_num: np.ndarray
     pade_den: np.ndarray
     t_e: float = np.inf
-    mode: str = ""
-
-    def series(self, name: str) -> TruncatedSeries:
-        return TruncatedSeries(self.C[self.system.index[name]])
-
-    def pade(self, name: str) -> PadeApproximant:
-        i = self.system.index[name]
-        return pade_of_row(self.pade_num[i], self.pade_den[i])
 
     def values_at(self, t, use_pade: bool = True) -> np.ndarray:
         if use_pade:

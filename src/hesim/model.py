@@ -284,15 +284,12 @@ class AlphaMods:
 @dataclass
 class Built:
     system: object
-    mode: str
-    alpha: bool
     anchor_getters: list
     known_specs: list
     islands: list
     monitored_plain: list = field(default_factory=list)
     monitored_angles: dict = field(default_factory=dict)  # gen -> var name
     angle_ref: dict = field(default_factory=dict)         # island -> var name
-    bus_v_names: dict = field(default_factory=dict)
 
     def anchors(self, state: SystemState) -> np.ndarray:
         return np.array([g(state) for g in self.anchor_getters])
@@ -575,11 +572,10 @@ class _Assembler:
 
         sysm = self.b.compile()
         return Built(
-            system=sysm, mode=self.mode, alpha=self.alpha,
+            system=sysm,
             anchor_getters=self.anchor_getters, known_specs=self.known_specs,
             islands=islands, monitored_plain=monitored_plain,
             monitored_angles=monitored_angles, angle_ref=angle_ref,
-            bus_v_names={bus: (f"vx:{bus}", f"vy:{bus}") for bus in ebuses},
         )
 
     # -- device emitters ---------------------------------------------------------
@@ -1142,13 +1138,8 @@ def solve_powerflow(case: GridCase, state: Optional[SystemState] = None,
         isl = state.islands[state.island_of[l.bus]]
         vflat = island_flat_voltage(case, isl)
         state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
-    mods = AlphaMods(kind=ALPHA_POWERFLOW, powerflow=True)
-    built = build_system(case, state, state.mode, mods)
-    anchors = built.anchors(state)
-    kc = built.knowns(state, state.t, order + 11)
-    values = solve_alpha_problem(built.system, anchors, kc,
-                                 kind=ALPHA_POWERFLOW, order=order)
-    write_back(built, values, case, state)
+    _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW, powerflow=True),
+                 order)
     return state
 
 

@@ -45,7 +45,7 @@ from .model import (
     refine_state,
     write_back,
 )
-from .series import TruncatedSeries, batch_pade, bracketed_root, pade_of_row
+from .series import batch_pade, bracketed_root
 
 HYBRID = "hybrid"
 
@@ -389,54 +389,57 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
 
 def steadiness_verdict(case: GridCase, state: SystemState, built: Built,
                        seg: SegmentSolution, eps_t: float) -> SteadyStateVerdict:
-    """Assemble the monitored-variable set and run the rate criteria.
+    """Assemble the monitored-variable table and run the rate criteria.
 
-    Monitored: machine speeds, relative rotor angles, internal potentials,
-    AVR and governor states, and squared bus-voltage magnitudes.
+    Monitored, over all islands: machine speeds, internal potentials, AVR
+    and governor states (rows of the segment as solved), rotor angles
+    relative to their island's reference angle (all angles drift together
+    with the center of inertia even in steady state) and squared bus-voltage
+    magnitudes.  The derived rows get their Pade in one call.
     """
-    per: dict = {}
-    steady_all = True
+    idx = built.system.index
     order = seg.C.shape[1] - 1
     half = order // 2
-    idx = built.system.index
-
-    def reps(name):
-        return seg.series(name), seg.pade(name)
-
+    plain = list(built.monitored_plain)
+    angles, refs = [], []
     for isl in built.islands:
-        variables: dict = {}
-        for name in built.monitored_plain:
-            gid = name.split(":")[1]
-            if gid in isl.machines:
-                variables[name] = reps(name)
-        angle_vars = []
-        for gid, name in built.monitored_angles.items():
-            if gid in isl.machines:
-                variables[name] = reps(name)
-                angle_vars.append(name)
-        buses = [b for b in isl.buses if f"vx:{b}" in idx]
-        if buses:
-            vx = seg.C[[idx[f"vx:{b}"] for b in buses]]
-            vy = seg.C[[idx[f"vy:{b}"] for b in buses]]
-            # V^2 = vx^2 + vy^2 truncated at the series order, all buses at once
-            vsq = np.zeros_like(vx)
-            for j in range(order + 1):
-                vsq[:, j:] += (vx[:, j, None] * vx[:, : order + 1 - j]
-                               + vy[:, j, None] * vy[:, : order + 1 - j])
-            nums, dens = batch_pade(vsq, half, half)
-            for i, bus in enumerate(buses):
-                variables[f"vsq:{bus}"] = (TruncatedSeries(vsq[i]),
-                                           pade_of_row(nums[i], dens[i]))
-        if not variables:
-            continue
         ref = built.angle_ref.get(isl.index)
-        verdict = steady_state_check(
-            variables, seg.t_e, eps_t,
-            angle_reference=ref if angle_vars else None,
-            angle_vars=tuple(angle_vars))
-        per.update(verdict.per_variable)
-        steady_all = steady_all and verdict.system_steady
-    return SteadyStateVerdict(per, steady_all, eps_t)
+        for gid, name in built.monitored_angles.items():
+            if gid not in isl.machines:
+                continue
+            if ref is None:  # no reference: the absolute angle
+                plain.append(name)
+            else:
+                angles.append(name)
+                refs.append(idx[ref])
+    buses = [b for isl in built.islands for b in isl.buses
+             if f"vx:{b}" in idx]
+    vx = seg.C[[idx[f"vx:{b}"] for b in buses]]
+    vy = seg.C[[idx[f"vy:{b}"] for b in buses]]
+    # V^2 = vx^2 + vy^2 truncated at the series order, all buses at once
+    vsq = np.zeros_like(vx)
+    for j in range(order + 1):
+        vsq[:, j:] += (vx[:, j, None] * vx[:, : order + 1 - j]
+                       + vy[:, j, None] * vy[:, : order + 1 - j])
+    derived = np.concatenate([seg.C[[idx[n] for n in angles]] - seg.C[refs],
+                              vsq])
+    nums, dens = batch_pade(derived, half, half)
+    rows = [idx[n] for n in plain]
+    names = plain + angles + [f"vsq:{b}" for b in buses]
+    delta_ps, delta_pa, steady = steady_state_check(
+        np.concatenate([seg.C[rows], derived]),
+        np.concatenate([seg.pade_num[rows], nums]),
+        np.concatenate([seg.pade_den[rows], dens]), seg.t_e, eps_t)
+    verdict = SteadyStateVerdict(names, delta_ps, delta_pa, steady, eps_t)
+    if not verdict.system_steady and log.isEnabledFor(logging.DEBUG):
+        bad = np.flatnonzero(~steady)
+        pa = ["undefined" if np.isnan(d) else f"{d:.3g}"
+              for d in delta_pa[bad[:5]]]
+        log.debug("not steady at t=%.9g: %d of %d rows: %s", state.t,
+                  len(bad), len(names), ", ".join(
+                      f"{names[i]} (PS {delta_ps[i]:.3g}, PA {p})"
+                      for i, p in zip(bad, pa)))
+    return verdict
 
 
 def mode_switch(case: GridCase, state: SystemState, direction: str,

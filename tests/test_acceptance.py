@@ -11,8 +11,7 @@ import numpy as np
 
 import hesim.model as mdl
 from conftest import make_smib
-from hesim.bounds import pa_rate_bound, poly_bounds, ps_rate_bound, \
-    verdict_from_deltas
+from hesim.bounds import poly_bounds, steady_state_check, verdict_from_deltas
 from hesim.caseio import builtin_case
 from hesim.grid import LoadSpec
 from hesim.model import (
@@ -41,7 +40,7 @@ from hesim.scheduler import (
     locate_conditional_event,
     run_simulation,
 )
-from hesim.series import TruncatedSeries, pade_with_fallback
+from hesim.series import batch_pade
 
 
 def _report(n, text):
@@ -152,6 +151,7 @@ def test_criterion_2_bound_soundness():
 
 
 def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
+    polyval = np.polynomial.polynomial.polyval
     checked = 0
     violations = 0
     for rec in fourbus_hybrid.segments:
@@ -165,38 +165,38 @@ def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
         half = order // 2
         idx = built.system.index
 
-        variables = {}
-        for name in built.monitored_plain:
-            variables[name] = (seg.series(name), seg.pade(name))
+        rows = [idx[name] for name in built.monitored_plain]
+        derived = []
         for isl in built.islands:
             ref = built.angle_ref.get(isl.index)
             if ref is None:
                 continue
             rc = seg.C[idx[ref]]
             for gid, name in built.monitored_angles.items():
-                if gid not in isl.machines:
+                if gid in isl.machines:
+                    derived.append(seg.C[idx[name]] - rc)
+        for isl in built.islands:
+            for bus in isl.buses:
+                if f"vx:{bus}" not in idx:
                     continue
-                diff = seg.C[idx[name]] - rc
-                s = TruncatedSeries(diff)
-                variables[name + "|rel"] = (s, pade_with_fallback(s, half, half))
-        for bus in built.bus_v_names:
-            vx = seg.C[idx[f"vx:{bus}"]]
-            vy = seg.C[idx[f"vy:{bus}"]]
-            vsq = (np.convolve(vx, vx) + np.convolve(vy, vy))[: order + 1]
-            s = TruncatedSeries(vsq)
-            variables[f"vsq:{bus}"] = (s, pade_with_fallback(s, half, half))
+                vx = seg.C[idx[f"vx:{bus}"]]
+                vy = seg.C[idx[f"vy:{bus}"]]
+                derived.append(
+                    (np.convolve(vx, vx) + np.convolve(vy, vy))[: order + 1])
+        d_num, d_den = batch_pade(np.array(derived), half, half)
+        C = np.vstack([seg.C[rows], derived])
+        nums = np.vstack([seg.pade_num[rows], d_num])
+        dens = np.vstack([seg.pade_den[rows], d_den])
+        d_ps, d_pa, _ = steady_state_check(C, nums, dens, t_e, 1e-3)
 
-        for name, (series, pade) in variables.items():
-            d_ps = ps_rate_bound(series, t_e).delta
-            vals = series.eval(ts)
-            rate = np.abs((vals - series.eval(0.0)) / ts)
-            if np.any(rate > d_ps * (1 + 1e-9) + 1e-12):
+        for c, num, den, dps, dpa in zip(C, nums, dens, d_ps, d_pa):
+            rate = np.abs((polyval(ts, c) - c[0]) / ts)
+            if not np.all(rate <= dps * (1 + 1e-9) + 1e-12):
                 violations += 1
-            rb = pa_rate_bound(pade, t_e)
-            if rb.source == "PA":
-                pv = pade.eval(ts)
-                prate = np.abs((pv - pade.eval(0.0)) / ts)
-                if np.any(prate > rb.delta * (1 + 1e-9) + 1e-12):
+            if not np.isnan(dpa):  # defined: den > 0 on [0, t_e]
+                pv = polyval(ts, num) / polyval(ts, den)
+                prate = np.abs((pv - num[0]) / ts)
+                if np.any(prate > dpa * (1 + 1e-9) + 1e-12):
                     violations += 1
             checked += 1
     assert checked > 1000
@@ -211,12 +211,16 @@ def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
 
 def test_criterion_4_published_deltas():
     eps = 1e-3
-    omega = verdict_from_deltas(6.11e-4, 1.26e-4, eps)
-    v4sq = verdict_from_deltas(0.0279, 9.85e-4, eps)
-    vm2 = verdict_from_deltas(3.76e-4, 0.0013, eps)
-    assert omega.is_steady and omega.ps_ok and omega.pa_ok
-    assert v4sq.is_steady and v4sq.pa_ok and not v4sq.ps_ok
-    assert vm2.is_steady and vm2.ps_ok and not vm2.pa_ok
+    # rows: rotor speed, V4^2, AVR state Vm2, and Vm2 with an undefined
+    # (NaN) PA bound, which leaves the decision to PS
+    ps_ok, pa_ok = verdict_from_deltas(
+        np.array([6.11e-4, 0.0279, 3.76e-4, 3.76e-4]),
+        np.array([1.26e-4, 9.85e-4, 0.0013, np.nan]), eps)
+    omega, v4sq, vm2, vm2_undefined = ps_ok | pa_ok
+    assert omega and ps_ok[0] and pa_ok[0]
+    assert v4sq and pa_ok[1] and not ps_ok[1]
+    assert vm2 and ps_ok[2] and not pa_ok[2]
+    assert vm2_undefined and ps_ok[3] and not pa_ok[3]
     _report(4, "rotor-speed (both), V^2 (PA), AVR state (PS) all steady "
                "at eps_T = 1e-3 with the matching deciding criterion")
 

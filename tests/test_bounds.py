@@ -1,30 +1,103 @@
 """Interval-Horner bounds and steady-state rate criteria."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hesim.bounds import (
-    PA,
-    PA_UNDEFINED,
-    PS,
-    pa_rate_bound,
+    SteadyStateVerdict,
     poly_bounds,
-    ps_rate_bound,
     steady_state_check,
     verdict_from_deltas,
 )
+from hesim.engine import solve_segment
 from hesim.errors import EmptyVariableSet
-from hesim.series import PadeApproximant, TruncatedSeries, pade_from_series
+from hesim.model import DYNAMIC, build_system, init_equilibrium
+from hesim.scheduler import steadiness_verdict
+from hesim.series import TruncatedSeries, pade_from_series
 
 RNG = np.random.default_rng(11)
+POLYVAL = np.polynomial.polynomial.polyval
 
 
 def dense_extrema(coeffs, T, n=10_000):
     t = np.linspace(0.0, T, n)
     v = np.polynomial.polynomial.polyval(t, coeffs)
     return v.min(), v.max()
+
+
+def check(C, nums, dens, t_e, eps_t=1e-3):
+    """steady_state_check on list-of-rows input."""
+    return steady_state_check(np.array(C, float), np.array(nums, float),
+                              np.array(dens, float), t_e, eps_t)
+
+
+# --- scalar reference: one row at a time --------------------------------------
+
+
+def scalar_poly_bounds(c, T):
+    """Interval Horner, one coefficient at a time."""
+    ub = lb = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        xk = c[k]
+        ub = xk if ub < 0 else ub * T + xk
+        lb = xk if lb > 0 else lb * T + xk
+    return lb, ub
+
+
+def reference_check(C, nums, dens, t_e, eps_t):
+    """Per-row PS and PA rate bounds by scalar loops over each row,
+    zero-padded to the table width; both NaN on a non-finite row."""
+    width = max(C.shape[1], nums.shape[1], dens.shape[1], 2)
+    out = []
+    with np.errstate(all="ignore"):
+        for c, num, den in zip(C, nums, dens):
+            c, num, den = (np.concatenate([r, np.zeros(width - len(r))])
+                           for r in (c, num, den))
+            lb, ub = scalar_poly_bounds(c[1:], t_e)
+            d_ps = max(abs(lb), abs(ub))
+            den_lb, _ = scalar_poly_bounds(den, t_e)
+            d_pa = np.nan
+            if den_lb > 0:
+                na_lb, na_ub = scalar_poly_bounds((num - num[0] * den)[1:], t_e)
+                d_pa = max(abs(na_lb), abs(na_ub)) / den_lb
+            if not np.isfinite(np.concatenate([c, num, den])).all():
+                d_ps = d_pa = np.nan
+            out.append((d_ps, d_pa, bool(d_ps < eps_t or d_pa < eps_t)))
+    return tuple(np.array(col) for col in zip(*out))
+
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def row_tables(draw):
+    """(C, nums, dens, t_e): random rows, some scaled down far enough to
+    read steady, dens with den[0] = 1 and a random number of zero-padded
+    trailing coefficients, up to three entries replaced by NaN or +-inf."""
+    rows = draw(st.integers(1, 6))
+    elems = st.floats(-3, 3)
+    scale = draw(hnp.arrays(float, (rows, 1),
+                            elements=st.sampled_from([1.0, 1e-3, 1e-6])))
+    C = scale * draw(hnp.arrays(float, (rows, draw(st.integers(1, 8))),
+                                elements=elems))
+    nums = scale * draw(hnp.arrays(float, (rows, draw(st.integers(1, 8))),
+                                   elements=elems))
+    n_den = draw(st.integers(1, 5))
+    dens = draw(hnp.arrays(float, (rows, n_den), elements=st.floats(-1, 1)))
+    dens[:, 0] = 1.0
+    for i in range(rows):
+        dens[i, draw(st.integers(1, n_den)):] = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        a = (C, nums, dens)[draw(st.integers(0, 2))]
+        a[draw(st.integers(0, rows - 1)),
+          draw(st.integers(0, a.shape[1] - 1))] = draw(SPECIAL)
+    return C, nums, dens, draw(st.floats(0.05, 3.0))
 
 
 # --- poly_bounds ---------------------------------------------------------------
@@ -61,143 +134,168 @@ def test_negative_interval_rejected():
         poly_bounds([1.0], -1.0)
 
 
-# --- ps_rate_bound ----------------------------------------------------------------
+def test_row_table_matches_per_row_calls():
+    c = RNG.uniform(-10, 10, (50, 9))
+    lb, ub = poly_bounds(c, 0.7)
+    assert lb.shape == ub.shape == (50,)
+    for i, row in enumerate(c):
+        assert (lb[i], ub[i]) == poly_bounds(row, 0.7)
+
+
+# --- the row table against the scalar reference ---------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_tables())
+def test_steady_state_check_matches_scalar_reference(table):
+    C, nums, dens, t_e = table
+    got = steady_state_check(C, nums, dens, t_e, 1e-3)
+    want = reference_check(C, nums, dens, t_e, 1e-3)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    finite = (np.isfinite(C).all(axis=1) & np.isfinite(nums).all(axis=1)
+              & np.isfinite(dens).all(axis=1))
+    assert not got[2][~finite].any()  # a non-finite row never reads steady
+
+
+# --- PS rate bound ----------------------------------------------------------------
 
 def test_ps_constant_series_has_zero_delta():
-    rb = ps_rate_bound(TruncatedSeries([5.0, 0.0, 0.0]), 1.0)
-    assert rb.delta == 0.0 and rb.source == PS
+    d_ps, _, _ = check([[5.0, 0.0, 0.0]], [[5.0]], [[1.0]], 1.0)
+    assert d_ps[0] == 0.0
 
 
 def test_ps_linear_series():
-    rb = ps_rate_bound(TruncatedSeries([0.0, 2.0, 0.0]), 1.0)
-    assert rb.lower == 2.0 and rb.upper == 2.0 and rb.delta == 2.0
+    d_ps, _, _ = check([[0.0, 2.0, 0.0]], [[0.0, 2.0]], [[1.0]], 1.0)
+    assert d_ps[0] == 2.0
 
 
 def test_ps_bounds_sampled_rate():
-    for _ in range(30):
-        c = RNG.uniform(-2, 2, 9)
-        s = TruncatedSeries(c)
-        t_e = 0.8
-        rb = ps_rate_bound(s, t_e)
-        t = np.linspace(t_e / 100, t_e, 100)
-        rate = np.abs((s.eval(t) - s.eval(0.0)) / t)
-        assert np.all(rate <= rb.delta + 1e-9)
+    c = RNG.uniform(-2, 2, (30, 9))
+    t_e = 0.8
+    d_ps, _, _ = steady_state_check(c, c, np.ones((30, 1)), t_e, 1e-3)
+    t = np.linspace(t_e / 100, t_e, 100)
+    for row, delta in zip(c, d_ps):
+        rate = np.abs((POLYVAL(t, row) - row[0]) / t)
+        assert np.all(rate <= delta + 1e-9)
 
 
-# --- pa_rate_bound -----------------------------------------------------------------
+# --- PA rate bound -----------------------------------------------------------------
 
 def test_pa_constant():
-    rb = pa_rate_bound(PadeApproximant([4.0], [1.0]), 1.0)
-    assert rb.delta == 0.0 and rb.source == PA
+    _, d_pa, _ = check([[4.0]], [[4.0]], [[1.0]], 1.0)
+    assert d_pa[0] == 0.0
 
 
 def test_pa_undefined_when_denominator_can_vanish():
     # den(t) = 1 - 2t dips negative on [0, 1]
-    rb = pa_rate_bound(PadeApproximant([1.0, 0.0], [1.0, -2.0]), 1.0)
-    assert rb.source == PA_UNDEFINED
+    _, d_pa, _ = check([[1.0, 2.0]], [[1.0, 0.0]], [[1.0, -2.0]], 1.0)
+    assert np.isnan(d_pa[0])
 
 
 def test_pa_bounds_sampled_rate_damped_exponential():
     # Pade of exp(-2t), a damped segment
-    import math
     k = np.arange(9)
     series = TruncatedSeries((-2.0) ** k / np.array([math.factorial(i) for i in k]))
     p = pade_from_series(series, 4, 4)
     t_e = 0.5
-    rb = pa_rate_bound(p, t_e)
-    assert rb.source == PA
+    _, d_pa, _ = check([series.coeffs], [p.num], [p.den], t_e)
+    assert np.isfinite(d_pa[0])
     t = np.linspace(t_e / 100, t_e, 100)
     rate = np.abs((p.eval(t) - p.eval(0.0)) / t)
-    assert np.all(rate <= rb.delta + 1e-9)
-
-
-def test_pa_signed_bounds_use_the_right_denominator_end():
-    # (1 + 2t)/(1 + t): average rate 1/(1 + t) spans [0.2, 1] on [0, 4]
-    rb = pa_rate_bound(PadeApproximant([1.0, 2.0], [1.0, 1.0]), 4.0)
-    assert rb.source == PA
-    assert rb.lower <= 0.2 and rb.upper >= 1.0
-    assert rb.delta == 1.0  # unchanged: max |numerator| / den lower bound
+    assert np.all(rate <= d_pa[0] + 1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=4),
        st.lists(st.floats(-1, 1), min_size=1, max_size=3),
        st.floats(0.05, 3.0))
-def test_pa_signed_bounds_contain_sampled_rate(num, den_tail, t_e):
-    p = PadeApproximant(num, [1.0] + den_tail)
-    rb = pa_rate_bound(p, t_e)
-    if rb.source != PA:
-        return
+# (1 + 2t)/(1 + t): the average rate 1/(1 + t) peaks at 1 as t -> 0
+@example([1.0, 2.0], [1.0], 4.0)
+def test_rate_deltas_contain_sampled_rate(num, den_tail, t_e):
+    den = [1.0] + den_tail
+    k = np.arange(9)
+    # the approximant's own Taylor series as the PS row
+    series = np.zeros(len(k))
+    for j in k:
+        series[j] = (num[j] if j < len(num) else 0.0) - sum(
+            den[i] * series[j - i] for i in range(1, min(j, len(den) - 1) + 1))
+    d_ps, d_pa, _ = check([series], [num], [den], t_e)
     t = np.linspace(t_e / 500, t_e, 500)
-    rate = (p.eval(t) - p.eval(0.0)) / t
-    slack = 1e-9 * (1.0 + np.max(np.abs(rate)))
-    assert np.all(rate >= rb.lower - slack)
-    assert np.all(rate <= rb.upper + slack)
-    assert np.all(np.abs(rate) <= rb.delta + slack)
+    ps_rate = np.abs((POLYVAL(t, series) - series[0]) / t)
+    assert np.all(ps_rate <= d_ps[0] + 1e-9 * (1.0 + np.max(ps_rate)))
+    if np.isnan(d_pa[0]):
+        assert poly_bounds(den, t_e)[0] <= 0
+        return
+    rate = np.abs((POLYVAL(t, num) / POLYVAL(t, den) - num[0]) / t)
+    assert np.all(rate <= d_pa[0] + 1e-9 * (1.0 + np.max(rate)))
 
 
 # --- steady-state verdicts ------------------------------------------------------------
 
 def test_table_style_decisions():
     eps = 1e-3
-    omega = verdict_from_deltas(6.11e-4, 1.26e-4, eps)
-    v4sq = verdict_from_deltas(0.0279, 9.85e-4, eps)
-    vm2 = verdict_from_deltas(3.76e-4, 0.0013, eps)
-    assert omega.is_steady and omega.ps_ok and omega.pa_ok
-    assert v4sq.is_steady and not v4sq.ps_ok and v4sq.pa_ok
-    assert vm2.is_steady and vm2.ps_ok and not vm2.pa_ok
+    # omega, V4^2, Vm2
+    ps_ok, pa_ok = verdict_from_deltas(np.array([6.11e-4, 0.0279, 3.76e-4]),
+                                       np.array([1.26e-4, 9.85e-4, 0.0013]),
+                                       eps)
+    assert (ps_ok | pa_ok).all()
+    assert list(ps_ok) == [True, False, True]
+    assert list(pa_ok) == [True, True, False]
 
 
 def test_raising_threshold_never_flips_to_not_steady():
-    for _ in range(200):
-        dps = RNG.uniform(0, 2e-3)
-        dpa = RNG.uniform(0, 2e-3) if RNG.random() < 0.8 else None
-        low = verdict_from_deltas(dps, dpa, 1e-3)
-        high = verdict_from_deltas(dps, dpa, 2e-3)
-        if low.is_steady:
-            assert high.is_steady
+    dps = RNG.uniform(0, 2e-3, 200)
+    dpa = np.where(RNG.random(200) < 0.8, RNG.uniform(0, 2e-3, 200), np.nan)
+    low = np.logical_or(*verdict_from_deltas(dps, dpa, 1e-3))
+    high = np.logical_or(*verdict_from_deltas(dps, dpa, 2e-3))
+    assert np.all(high[low])
 
 
 def test_pa_undefined_falls_back_to_ps():
-    v = verdict_from_deltas(5e-4, None, 1e-3)
-    assert v.is_steady and not v.pa_ok
+    ps_ok, pa_ok = verdict_from_deltas(5e-4, np.nan, 1e-3)
+    assert ps_ok and not pa_ok
 
 
 def test_steady_state_check_system_verdict():
     flat = TruncatedSeries([1.0, 1e-5, 0.0, 0.0])
-    moving = TruncatedSeries([1.0, 0.5, 0.0, 0.0])
     p_flat = pade_from_series(flat, 1, 1)
-    out = steady_state_check({"a": (flat, p_flat), "b": (moving, None)},
-                             t_e=1.0, eps_t=1e-3)
-    assert out.per_variable["a"].is_steady
-    assert not out.per_variable["b"].is_steady
+    moving = [1.0, 0.5, 0.0, 0.0]
+    num = np.zeros((2, 4))
+    num[0, :2] = p_flat.num
+    num[1] = moving
+    den = np.zeros((2, 2))
+    den[0] = p_flat.den
+    den[1, 0] = 1.0
+    out = SteadyStateVerdict(["a", "b"], *check([flat.coeffs, moving], num,
+                                                den, 1.0), 1e-3)
+    assert out.steady[0]
+    assert not out.steady[1]
     assert not out.system_steady
 
 
 def test_empty_variable_set():
     with pytest.raises(EmptyVariableSet):
-        steady_state_check({}, 1.0, 1e-3)
+        steady_state_check(np.zeros((0, 3)), np.zeros((0, 3)),
+                           np.zeros((0, 1)), 1.0, 1e-3)
 
 
-def test_reference_angle_invariance():
-    # a common constant drift added to every rotor angle must not change the
-    # verdict when a reference is subtracted
-    base = {
-        "delta:a": TruncatedSeries([0.3, 0.02, 0.001, 0.0]),
-        "delta:b": TruncatedSeries([0.8, 0.02, 0.001, 0.0]),
-    }
-    drift = TruncatedSeries([0.0, 7.0, 0.0, 0.0])
-
-    def check(vars_):
-        reps = {k: (v, None) for k, v in vars_.items()}
-        return steady_state_check(reps, 0.2, 1e-3,
-                                  angle_reference="delta:a",
-                                  angle_vars=("delta:a", "delta:b"))
-
-    plain = check(base)
-    shifted = check({k: TruncatedSeries(v.coeffs + drift.coeffs)
-                     for k, v in base.items()})
-    for name in base:
-        assert plain.per_variable[name].is_steady == \
-            shifted.per_variable[name].is_steady
+def test_reference_angle_invariance(fourbus):
+    # a common drift added to every rotor angle must not change the verdict,
+    # because each angle is bounded relative to its island's reference
+    case, _ = fourbus
+    st_ = init_equilibrium(case)
+    built = build_system(case, st_, DYNAMIC)
+    seg = solve_segment(built.system, built.anchors(st_),
+                        built.knowns(st_, st_.t, 16), 15, "TIME_DYNAMIC",
+                        1e-8, 0.2)
+    rows = [built.system.index[n] for n in built.monitored_angles.values()]
+    assert len(rows) > 1
+    C = seg.C.copy()
+    C[rows, 1] += 7.0
+    plain = steadiness_verdict(case, st_, built, seg, 1e-3)
+    shifted = steadiness_verdict(case, st_, built,
+                                 dataclasses.replace(seg, C=C), 1e-3)
+    assert plain.names == shifted.names
+    assert list(plain.steady) == list(shifted.steady)
     assert plain.system_steady == shifted.system_steady

@@ -1,5 +1,6 @@
 """Event orchestration, conditional events, mode switching, islanding."""
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import make_smib, make_twobus_case
 from hesim import scheduler
-from hesim.bounds import SteadyStateVerdict, VariableVerdict
+from hesim.bounds import SteadyStateVerdict
 from hesim.errors import NotSteady
 from hesim.grid import (
     BranchSpec,
@@ -272,18 +273,22 @@ def test_mode_switch_requires_verdict(fourbus):
     st = init_equilibrium(case)
     with pytest.raises(NotSteady):
         mode_switch(case, st, "dyn->qss", None)
-    bad = SteadyStateVerdict({"x": VariableVerdict(1, 1, False, False, False)},
-                             False, 1e-3)
+    bad = SteadyStateVerdict(["x"], np.array([1.0]), np.array([1.0]),
+                             np.array([False]), 1e-3)
     with pytest.raises(NotSteady):
         mode_switch(case, st, "dyn->qss", bad)
 
 
-def _equilibrium_verdict(case, st):
+def _equilibrium_segment(case, st):
     built = build_system(case, st, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st),
                         built.knowns(st, st.t, 16), 15, "TIME_DYNAMIC",
                         1e-8, 1.0)
-    return steadiness_verdict(case, st, built, seg, 1e-3)
+    return built, seg
+
+
+def _equilibrium_verdict(case, st):
+    return steadiness_verdict(case, st, *_equilibrium_segment(case, st), 1e-3)
 
 
 def test_roundtrip_dyn_qss_dyn_at_equilibrium(fourbus):
@@ -305,6 +310,34 @@ def test_roundtrip_dyn_qss_dyn_at_equilibrium(fourbus):
         got = (after.delta, after.omega, after.eps_q, after.eps_d,
                after.avr, after.gov, after.agc)
         assert np.max(np.abs(np.array(got) - np.array(vals))) < 1e-8
+
+
+def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
+    case, _ = fourbus
+    st = init_equilibrium(case)
+    st.t = 12.5
+    built, steady_seg = _equilibrium_segment(case, st)
+    # one speed row leaves the verdict: PS reads 0.5, and its denominator
+    # 1 - 2t/t_e turns negative, so PA is undefined
+    i = built.system.index["omega:G1"]
+    C = steady_seg.C.copy()
+    C[i, 1:] = 0.0
+    C[i, 1] = 0.5
+    den = steady_seg.pade_den.copy()
+    den[i, 1:] = 0.0
+    den[i, 1] = -2.0 / steady_seg.t_e
+    seg = dataclasses.replace(steady_seg, C=C, pade_den=den)
+    with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
+        assert not steadiness_verdict(case, st, built, seg, 1e-3).system_steady
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
+        assert steadiness_verdict(case, st, built, steady_seg,
+                                  1e-3).system_steady
+        verdict = steadiness_verdict(case, st, built, seg, 1e-3)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "hesim.scheduler"]
+    assert lines == [f"not steady at t=12.5: 1 of {len(verdict.names)} rows: "
+                     "omega:G1 (PS 0.5, PA undefined)"]
 
 
 def test_qss_to_dyn_then_flat(fourbus):

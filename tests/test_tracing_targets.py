@@ -1,0 +1,33 @@
+"""Every entry point the benchmark tracer wraps must exist in hesim.
+
+``benchmarks/run.py --trace 1`` wraps the names listed in
+``benchmarks/tracing.py``; a rename in ``src/`` would otherwise only show
+up as a failed traced run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_TRACING = _tracing_module()
+
+
+@pytest.mark.parametrize(
+    "module, attr", [(m, a) for m, a, _ in _TRACING.SPANS + _TRACING.COUNTS])
+def test_traced_name_resolves(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
