@@ -206,13 +206,25 @@ def test_pa_bounds_sampled_rate_damped_exponential():
     assert np.all(rate <= d_pa[0] + 1e-9)
 
 
+def test_pa_signed_bounds_use_the_right_denominator_end():
+    # (1 + 2t)/(1 + t): the average rate 1/(1 + t) spans [0.2, 1] on [0, 4];
+    # the signed numerator bounds are divided by the denominator's lower end
+    _, d_pa, _ = check([[1.0, 1.0, -1.0, 1.0]], [[1.0, 2.0]], [[1.0, 1.0]], 4.0)
+    assert d_pa[0] == 1.0
+    t = np.linspace(4.0 / 500, 4.0, 500)
+    rate = np.abs(((1 + 2 * t) / (1 + t) - 1.0) / t)
+    assert np.all(rate <= d_pa[0] + 1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=4),
        st.lists(st.floats(-1, 1), min_size=1, max_size=3),
        st.floats(0.05, 3.0))
 # (1 + 2t)/(1 + t): the average rate 1/(1 + t) peaks at 1 as t -> 0
 @example([1.0, 2.0], [1.0], 4.0)
-def test_rate_deltas_contain_sampled_rate(num, den_tail, t_e):
+def test_pa_signed_bounds_contain_sampled_rate(num, den_tail, t_e):
+    """delta_ps and delta_pa, built from the signed interval bounds of the
+    rate polynomials, contain the sampled average rate."""
     den = [1.0] + den_tail
     k = np.arange(9)
     # the approximant's own Taylor series as the PS row
