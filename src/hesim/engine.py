@@ -8,7 +8,8 @@ constant times at most two factors (an unknown series or a known input
 series).  Substituting series and matching powers of the embedding variable
 turns the system into one explicit update per state plus one linear solve
 per order, with a constant matrix: the order-0 Jacobian of the algebraic
-block, factorized once per segment and reused for every order.
+block, inverted once per segment (dense; the blocks have at most a few
+dozen rows) and reused for every order.
 
 Anything quadratic-and-above in the physics (products of voltages, rotor
 trigonometry, motor slip couplings) is expressed at build time with at most
@@ -21,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     AnchorInconsistent,
@@ -180,10 +179,7 @@ class CompiledSystem:
         self.nk = len(self.known_names)
         self.n_alg = len(self.alg_slots)
         self.n_state = len(self.state_slots)
-        self._alg_local = np.full(self.nv, -1, dtype=int)
-        self._alg_local[self.alg_slots] = np.arange(self.n_alg)
         self.index = {n: i for i, n in enumerate(self.var_names)}
-        self._jac_struct = self._build_jac_struct()
 
     # -- term evaluation over the coefficient table -----------------------------
 
@@ -211,36 +207,6 @@ class CompiledSystem:
             m = min(order + 1, kcoeffs.shape[1])
             C[self.nv:, :m] = kcoeffs[:, :m]
         return C
-
-    # -- Jacobian of the algebraic block -----------------------------------------
-
-    def _build_jac_struct(self):
-        rows, cols, coefs, others = [], [], [], []
-        r1, c1, f1, _ = self.terms["alg1"]
-        for r, c, f in zip(r1, c1, f1):
-            if f < self.nv and self._alg_local[f] >= 0:
-                rows.append(r); cols.append(self._alg_local[f])
-                coefs.append(c); others.append(-1)
-        r2, c2, g1, g2 = self.terms["alg2"]
-        for r, c, a, b in zip(r2, c2, g1, g2):
-            if a < self.nv and self._alg_local[a] >= 0:
-                rows.append(r); cols.append(self._alg_local[a])
-                coefs.append(c); others.append(b)
-            if b < self.nv and self._alg_local[b] >= 0:
-                rows.append(r); cols.append(self._alg_local[b])
-                coefs.append(c); others.append(a)
-        return (np.array(rows, int), np.array(cols, int),
-                np.array(coefs, float), np.array(others, int))
-
-    def alg_jacobian(self, values: np.ndarray, kvalues: np.ndarray) -> sp.csc_matrix:
-        """d(algebraic residual)/d(algebraic unknowns) at point values."""
-        rows, cols, coefs, others = self._jac_struct
-        ext = np.concatenate([values, kvalues]) if self.nk else np.asarray(values)
-        data = coefs.copy()
-        mask = others >= 0
-        data[mask] *= ext[others[mask]]
-        return sp.coo_matrix(
-            (data, (rows, cols)), shape=(self.n_alg, self.n_alg)).tocsc()
 
     # -- point evaluation ---------------------------------------------------------
 
@@ -289,25 +255,33 @@ class CompiledSystem:
             parts.append(self.alg_residual(values, kvalues))
         return np.concatenate(parts) if parts else np.zeros(0)
 
+    def _term_jacobian(self, kind: str, ext: np.ndarray,
+                       n_rows: int) -> np.ndarray:
+        """Dense d(rows)/d(vars) of the "alg" or "rhs" terms at one point."""
+        J = np.zeros((n_rows, self.nv))
+        r1, c1, f1, _ = self.terms[kind + "1"]
+        if len(r1):
+            m = f1 < self.nv
+            np.add.at(J, (r1[m], f1[m]), c1[m])
+        r2, c2, g1, g2 = self.terms[kind + "2"]
+        if len(r2):
+            m = g1 < self.nv
+            np.add.at(J, (r2[m], g1[m]), c2[m] * ext[g2[m]])
+            m = g2 < self.nv
+            np.add.at(J, (r2[m], g2[m]), c2[m] * ext[g1[m]])
+        return J
+
     def full_jacobian(self, values: np.ndarray, kvalues: np.ndarray):
         """(df/dvars, dg/dvars) dense, for the implicit reference solvers."""
         ext = self._ext(values, kvalues)
+        return (self._term_jacobian("rhs", ext, self.n_state),
+                self._term_jacobian("alg", ext, self.n_alg))
 
-        def jac(kind, n_rows):
-            J = np.zeros((n_rows, self.nv))
-            r1, c1, f1, _ = self.terms[kind + "1"]
-            if len(r1):
-                m = f1 < self.nv
-                np.add.at(J, (r1[m], f1[m]), c1[m])
-            r2, c2, g1, g2 = self.terms[kind + "2"]
-            if len(r2):
-                m = g1 < self.nv
-                np.add.at(J, (r2[m], g1[m]), c2[m] * ext[g2[m]])
-                m = g2 < self.nv
-                np.add.at(J, (r2[m], g2[m]), c2[m] * ext[g1[m]])
-            return J
-
-        return jac("rhs", self.n_state), jac("alg", self.n_alg)
+    def alg_jacobian(self, values: np.ndarray,
+                     kvalues: np.ndarray) -> np.ndarray:
+        """Dense d(algebraic residual)/d(algebraic unknowns) at one point."""
+        J = self._term_jacobian("alg", self._ext(values, kvalues), self.n_alg)
+        return J[:, self.alg_slots]
 
     def newton_refine(self, values: np.ndarray, kvalues: np.ndarray,
                       tol: float = 1e-12, maxiter: int = 12) -> np.ndarray:
@@ -321,8 +295,8 @@ class CompiledSystem:
                 return v
             J = self.alg_jacobian(v, kvalues)
             try:
-                delta = spla.spsolve(J, -r)
-            except Exception as exc:  # singular factorization
+                delta = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
             if not np.all(np.isfinite(delta)):
                 raise SingularJacobian("non-finite Newton step")
@@ -340,7 +314,8 @@ class CompiledSystem:
 
         States update explicitly from k * x[k] = (k-1)-th coefficient of f;
         the algebraic block solves J y[k] = -rhs with the anchor-point
-        Jacobian factorized once.
+        Jacobian inverted once (dense; the blocks have at most a few dozen
+        rows).
         """
         C = self._table(anchors, kcoeffs, order)
         if self.n_alg:
@@ -350,13 +325,11 @@ class CompiledSystem:
                 raise AnchorInconsistent(
                     f"anchor residual {np.max(np.abs(res0)):.3e} "
                     f"(worst: {self.eq_names[worst]})")
-        lu = None
-        if self.n_alg:
             kv = C[self.nv:, 0] if self.nk else np.zeros(0)
             J = self.alg_jacobian(C[: self.nv, 0], kv)
             try:
-                lu = spla.splu(J)
-            except Exception as exc:
+                J_inv = np.linalg.inv(J)
+            except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
         for k in range(1, order + 1):
             if self.n_state:
@@ -364,7 +337,7 @@ class CompiledSystem:
                 C[self.state_slots, k] = fk / k
             if self.n_alg:
                 rhs = self._coeff_of("alg", C, k, self.n_alg)
-                sol = lu.solve(-rhs)
+                sol = J_inv @ -rhs
                 if not np.all(np.isfinite(sol)):
                     raise SingularJacobian(f"non-finite coefficients at order {k}")
                 C[self.alg_slots, k] = sol

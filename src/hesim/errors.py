@@ -46,7 +46,8 @@ class PowerFlowInfeasible(HesimError):
 # --- embedding engine ------------------------------------------------------
 
 class SingularJacobian(HesimError):
-    """Order-0 Jacobian could not be factorized (degenerate operating point)."""
+    """Algebraic Jacobian is singular, or a solve through it is not finite
+    (degenerate operating point)."""
 
 
 class AnchorInconsistent(HesimError):

@@ -167,24 +167,30 @@ def refresh_islands(case: GridCase, state: SystemState) -> list:
 
     Returns a log of collapsed element ids.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     n = case.n_bus
-    rows, cols = [], []
+    root = list(range(n))  # union-find over the online branches
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for br in case.branches:
         if br.branch_id in state.branch_online:
-            i, j = case.bus_index[br.from_bus], case.bus_index[br.to_bus]
-            rows += [i, j]
-            cols += [j, i]
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    n_comp, labels = connected_components(adj, directed=False)
+            a = find(case.bus_index[br.from_bus])
+            b = find(case.bus_index[br.to_bus])
+            root[max(a, b)] = min(a, b)
+    # every root is its component's smallest bus index, so islands keep the
+    # order of their smallest bus index
+    roots = [find(i) for i in range(n)]
+    comps = sorted(set(roots))
 
     collapsed: list = []
     islands: list = []
     island_of: dict = {}
-    for c in range(n_comp):
-        buses = sorted(case.buses[i].bus for i in range(n) if labels[i] == c)
+    for c in comps:
+        buses = sorted(case.buses[i].bus for i in range(n) if roots[i] == c)
         sources = [g.gen_id for g in case.gens
                    if g.bus in buses and g.kind == SOURCE
                    and g.gen_id in state.gen_online]

@@ -110,7 +110,8 @@ class DaeModel:
         return self.sys.alg_residual(self.assemble(xs, ys), self.kv(t))
 
     def solve_alg(self, xs, t, y_guess, tol=1e-12, maxiter=20):
-        import scipy.sparse.linalg as spla
+        """Newton on g = 0; a singular Jacobian or a non-finite update stops
+        it at once, so the integrator rejects the step and retries shorter."""
         y = np.array(y_guess, dtype=float)
         if not self.sys.n_alg:
             return y
@@ -121,7 +122,13 @@ class DaeModel:
             if np.max(np.abs(r)) <= tol:
                 return y
             J = self.sys.alg_jacobian(vals, kv)
-            y = y + spla.spsolve(J, -r)
+            try:
+                delta = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError as exc:
+                raise StepRejectionLimit(str(exc)) from exc
+            if not np.all(np.isfinite(delta)):
+                raise StepRejectionLimit("non-finite Newton update")
+            y = y + delta
         raise StepRejectionLimit("algebraic solve did not converge")
 
 

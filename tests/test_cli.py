@@ -76,18 +76,43 @@ def test_determinism_byte_identical(tmp_path):
     assert outs[0][1] == outs[1][1]
 
 
-def test_console_script_entrypoint():
+def _child_env():
     # the child imports hesim from where this process found it, installed
     # or not (pytest's pythonpath setting does not reach subprocesses)
     root = os.path.dirname(os.path.dirname(hesim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "hesim.cli", "simulate", "builtin:twobus",
          "--mode", "qss", "--t-end", "1.0"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "qss_fraction=" in proc.stdout
+
+
+_NO_SCIPY = """
+import sys
+import hesim.cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, ("import", loaded)
+rc = hesim.cli.main(["simulate", "builtin:fourbus", "--mode", "hybrid",
+                     "--t-end", "40", "--out", sys.argv[1]])
+assert rc == 0, rc
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, ("simulate", loaded)
+"""
+
+
+def test_simulate_never_imports_scipy(tmp_path):
+    # a fresh interpreter: this process has scipy loaded by other tests
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "traj.csv")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "traj.csv").exists()
 
 
 _OFFLINE_SCRIPTS = {

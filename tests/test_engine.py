@@ -283,3 +283,36 @@ def test_pole_screen_on_kernel_output():
         got = min_real_positive_root(nums, dens, limit)
         assert got == _reference_min_real_positive_root(nums, dens, limit)
     assert min_real_positive_root(nums, dens, 1.0) == pytest.approx(0.8, rel=1e-9)
+
+
+# --- the dense algebraic Jacobian -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["fourbus", "ne39"])
+@pytest.mark.parametrize("mode", ["dynamic", "qss"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
+    from hesim.caseio import builtin_case
+    from hesim.model import build_system, init_equilibrium
+
+    case, _ = builtin_case(name)
+    st = init_equilibrium(case)
+    built = build_system(case, st, mode)
+    sys = built.system
+    v = built.anchors(st)
+    kv = built.knowns(st, st.t, 1)[:, 0] if built.known_specs else np.zeros(0)
+    if perturbed:
+        v = v + np.random.default_rng(5).uniform(-0.05, 0.05, v.shape)
+    J = sys.alg_jacobian(v, kv)
+    assert J.shape == (sys.n_alg, sys.n_alg)
+    assert np.array_equal(J, sys.full_jacobian(v, kv)[1][:, sys.alg_slots])
+    # the residual is at most bilinear in the unknowns, so the central
+    # difference is exact up to rounding
+    h = 1e-3
+    fd = np.empty_like(J)
+    for j, slot in enumerate(sys.alg_slots):
+        vp, vm = v.copy(), v.copy()
+        vp[slot] += h
+        vm[slot] -= h
+        fd[:, j] = (sys.alg_residual(vp, kv) - sys.alg_residual(vm, kv)) / (2 * h)
+    assert np.max(np.abs(J - fd)) < 1e-9 * max(1.0, np.max(np.abs(J)))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import root
 
 from conftest import make_smib, make_twobus_case
@@ -14,6 +16,7 @@ from hesim.errors import (
     PowerFlowInfeasible,
 )
 from hesim.grid import (
+    DYN4,
     SOURCE,
     BranchSpec,
     BusSpec,
@@ -34,9 +37,11 @@ from hesim.model import (
     apply_cut_load,
     build_system,
     dynamic_residual,
+    fresh_state,
     init_equilibrium,
     qss_residual,
     refine_state,
+    refresh_islands,
     solve_powerflow,
 )
 from hesim.reference import TwoBusCase
@@ -370,3 +375,101 @@ def test_infeasible_fault_raises():
     from hesim.errors import NoConvergenceAtAlpha1
     with pytest.raises(NoConvergenceAtAlpha1):
         apply_add_shunt(case, st, 2, -500.0j)
+
+
+# --- island labelling -----------------------------------------------------------
+
+
+def _csgraph_refresh_islands(case, state):
+    """refresh_islands as it was with scipy's connected_components."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    from hesim.model import Island
+
+    n = case.n_bus
+    rows, cols = [], []
+    for br in case.branches:
+        if br.branch_id in state.branch_online:
+            i, j = case.bus_index[br.from_bus], case.bus_index[br.to_bus]
+            rows += [i, j]
+            cols += [j, i]
+    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_comp, labels = connected_components(adj, directed=False)
+    collapsed, islands, island_of = [], [], {}
+    for c in range(n_comp):
+        buses = sorted(case.buses[i].bus for i in range(n) if labels[i] == c)
+        sources = [g.gen_id for g in case.gens
+                   if g.bus in buses and g.kind == SOURCE
+                   and g.gen_id in state.gen_online]
+        machines = [g.gen_id for g in case.gens
+                    if g.bus in buses and g.kind == DYN4
+                    and g.gen_id in state.gen_online]
+        online = sorted(sources + machines,
+                        key=lambda gid: (case.gen_by_id[gid].bus, gid))
+        isl = Island(index=len(islands), buses=buses, sources=sources,
+                     machines=machines, ref_gen=online[0] if online else None)
+        if not isl.energized:
+            for bus in buses:
+                bi = case.bus_index[bus]
+                if state.energized[bi]:
+                    collapsed.append(f"bus:{bus}")
+                state.energized[bi] = False
+                state.v[bi] = 0.0
+            for g in case.gens:
+                if g.bus in buses and g.gen_id in state.gen_online:
+                    state.gen_online.discard(g.gen_id)
+                    collapsed.append(f"gen:{g.gen_id}")
+            for l in case.loads:
+                if l.bus in buses and l.load_id in state.load_online:
+                    state.load_online.discard(l.load_id)
+                    collapsed.append(f"load:{l.load_id}")
+        for bus in buses:
+            island_of[bus] = isl.index
+        islands.append(isl)
+    state.islands = islands
+    state.island_of = island_of
+    return collapsed
+
+
+@hst.composite
+def _bus_graphs(draw):
+    """Cases with shuffled bus numbers, isolated buses, parallel circuits,
+    offline branches and generators, and partly de-energized buses."""
+    numbers = draw(hst.lists(hst.integers(1, 40), min_size=1, max_size=9,
+                             unique=True))
+    n = len(numbers)
+    ends = hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1))
+    pairs = [p for p in draw(hst.lists(ends, max_size=14)) if p[0] != p[1]]
+    branches = [BranchSpec(f"L{k}", numbers[i], numbers[j], 0.01, 0.05,
+                           status=draw(hst.sampled_from([1, 1, 0])))
+                for k, (i, j) in enumerate(pairs)]
+    gens, loads = [], []
+    for bus in numbers:
+        kind = draw(hst.sampled_from([None, SOURCE, DYN4]))
+        if kind is not None:
+            gens.append(GenSpec(f"G{bus}", bus, kind=kind,
+                                status=draw(hst.sampled_from([1, 0]))))
+        for k in range(draw(hst.integers(0, 2))):
+            loads.append(LoadSpec(f"LD{bus}_{k}", bus, 0.1, 0.0, 1.0, 0.0, 0.0,
+                                  status=draw(hst.sampled_from([1, 0]))))
+    case = GridCase(name="graph", buses=[BusSpec(b) for b in numbers],
+                    branches=branches, gens=gens, loads=loads)
+    st = fresh_state(case)
+    st.energized = np.array(draw(hst.lists(hst.booleans(), min_size=n,
+                                           max_size=n)))
+    return case, st
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bus_graphs())
+def test_refresh_islands_matches_connected_components(graph):
+    case, st = graph
+    ref = copy.deepcopy(st)
+    collapsed = refresh_islands(case, st)
+    assert collapsed == _csgraph_refresh_islands(case, ref)
+    assert st.islands == ref.islands  # components and their order
+    assert st.island_of == ref.island_of
+    assert np.array_equal(st.energized, ref.energized)
+    assert np.array_equal(st.v, ref.v)
+    assert (st.gen_online, st.load_online) == (ref.gen_online, ref.load_online)

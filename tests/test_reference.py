@@ -1,6 +1,7 @@
 """Closed-form two-bus oracles and the benchmark integrators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from conftest import make_smib
 from hesim.engine import SystemBuilder
-from hesim.errors import PastCollapse, Unreachable
+from hesim.errors import PastCollapse, StepRejectionLimit, Unreachable
 from hesim.model import DYNAMIC, build_system, init_equilibrium
 from hesim.reference import (
     DaeModel,
@@ -167,3 +168,33 @@ def test_no_crossing_gives_none():
     ts = np.arange(0.0, 1.0, 0.1)
     assert linear_crossing(ts, ts + 1.0) is None
     assert cubic_crossing(ts, ts + 1.0) is None
+
+
+def test_singular_algebraic_jacobian_rejects_at_first_solve(monkeypatch):
+    # g = y^2 - x: at y = 0 the algebraic Jacobian 2y is exactly singular
+    b = SystemBuilder()
+    x = b.state("x")
+    y = b.alg("y")
+    eq = b.alg_eq("g")
+    b.term(eq, 1.0, y, y)
+    b.term(eq, -1.0, x)
+    sys = b.compile()
+
+    class Built:
+        system = sys
+        known_specs = []
+
+    model = DaeModel(Built(), None)
+    calls = []
+    jac = sys.alg_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return jac(*args)
+
+    monkeypatch.setattr(sys, "alg_jacobian", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepRejectionLimit):
+            model.solve_alg(np.array([1.0]), 0.0, np.array([0.0]))
+    assert len(calls) == 1
