@@ -15,7 +15,8 @@ import numpy as np
 
 from . import caseio
 from .errors import HesimError
-from .scheduler import HYBRID, SWITCH_KINDS, RunConfig, run_simulation
+from .scheduler import (HYBRID, SWITCH_KINDS, ChannelMap, RunConfig,
+                        run_simulation)
 
 log = logging.getLogger("hesim")
 
@@ -81,7 +82,11 @@ def _summary_pairs(traj, config: RunConfig) -> list:
 
 def cmd_simulate(args) -> int:
     case, script = _load(args.case)
-    config = _config(args, script)
+    try:
+        config = _config(args, script)
+    except ValueError as exc:  # invalid run settings: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     traj = run_simulation(case, script, config)
 
     if args.out and traj.segments:
@@ -118,48 +123,32 @@ def _method_event_times(case, script, methods, config):
     st = mdl.init_equilibrium(case, mode=config.mode
                               if config.mode != "hybrid" else "dynamic")
     for ev in script:
-        if ev.kind == "ramp_load":
-            st.ramps.append(mdl.Ramp(f"load:{ev.payload['load']}",
-                                     ev.payload["rate"], ev.t_due))
-        elif ev.kind == "ramp_gen":
-            st.ramps.append(mdl.Ramp(f"gen:{ev.payload['gen']}",
+        if ev.kind in ("ramp_load", "ramp_gen"):
+            what = ev.kind[len("ramp_"):]
+            st.ramps.append(mdl.Ramp(f"{what}:{ev.payload[what]}",
                                      ev.payload["rate"], ev.t_due))
     built = mdl.build_system(case, st, st.mode)
     mdl.refine_state(built, case, st)
     name = {"me": "modified-euler", "trap": "trapezoidal",
             "adaptive": "adaptive-high-order"}
+    # the triggers read through the channel map of the analytic segments
+    chans = tuple((e.condition.channel, e.condition.args) for e in conds)
+    chan_map = ChannelMap(built, case, st.mode)
+    params = {b: mdl._branch_params(case, st, b)[1:]
+              for b in st.branch_online}
+    known = built.knowns(st, 0.0, 2).T  # the ramps are linear in t
     rows = []
     for m in methods:
         model = DaeModel(built, copy.deepcopy(st))
         out = integrate_reference(model, (0.0, config.t_end), name[m],
                                   h=0.01)
-        for ev in conds:
-            t_hit = linear_crossing(out.ts,
-                                    _sampled_trigger(case, ev.condition, out))
+        lhs = chan_map.apply(chans, (out.values.T, np.polynomial.polynomial
+                                     .polyval(out.ts, known)), out.ts, params)
+        for ev, h in zip(conds, lhs):
+            t_hit = linear_crossing(out.ts, ev.condition.h(h))
             if t_hit is not None:
                 rows.append((m, ev.condition.text, t_hit))
     return rows
-
-
-def _sampled_trigger(case, cond, out) -> np.ndarray:
-    """A condition's trigger h at every sample of a reference run (np.hypot
-    rounds like abs(complex); np.abs of a complex array may not)."""
-    def v(bus):
-        return out.col(f"vx:{bus}") + 1j * out.col(f"vy:{bus}")
-
-    if cond.channel == "t":
-        lhs = out.ts
-    elif cond.channel == "V":
-        bus = int(cond.args[0])
-        lhs = np.hypot(out.col(f"vx:{bus}"), out.col(f"vy:{bus}"))
-    elif cond.channel == "I":
-        br, f_bus, t_bus = case.branch_ends(cond.args)
-        vf = v(f_bus)
-        i = br.y_series * (vf - v(t_bus)) + 0.5j * br.b_sh * vf
-        lhs = np.hypot(i.real, i.imag)
-    else:
-        raise KeyError(f"channel {cond.channel!r} unsupported for --methods")
-    return cond.h(lhs)
 
 
 def cmd_compare(args) -> int:
@@ -171,11 +160,15 @@ def cmd_compare(args) -> int:
               file=sys.stderr)
         return 2
 
+    try:
+        configs = {mode: _config(argparse.Namespace(**{**vars(args),
+                                                       "mode": mode}), script)
+                   for mode in runs}
+    except ValueError as exc:  # invalid run settings: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     trajs = {}
-    for mode in runs:
-        ns = argparse.Namespace(**vars(args))
-        ns.mode = mode
-        config = _config(ns, script)
+    for mode, config in configs.items():
         trajs[mode] = run_simulation(case, script, config)
         if trajs[mode].failure:
             print(f"error: {mode}: {trajs[mode].failure}", file=sys.stderr)

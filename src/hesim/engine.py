@@ -91,23 +91,19 @@ class SystemBuilder:
         return len(self.eq_names) - 1
 
     def term(self, eq: int, coeff: float, *factors: int) -> None:
-        if len(factors) > 2:
-            raise ValueError("terms must have arity <= 2")
-        if coeff == 0.0:
-            return
-        f = list(factors) + [_ABSENT] * (2 - len(factors))
-        self._terms.append((False, eq, float(coeff), f[0], f[1]))
+        self._add(False, eq, coeff, factors)
 
     def rhs_term(self, state_slot: int, coeff: float, *factors: int) -> None:
         if self.var_kinds[state_slot] != STATE:
             raise ValueError("rhs_term target must be a state")
+        self._add(True, self._state_row_of_var[state_slot], coeff, factors)
+
+    def _add(self, is_state: bool, row: int, coeff: float, factors) -> None:
         if len(factors) > 2:
             raise ValueError("terms must have arity <= 2")
-        if coeff == 0.0:
-            return
-        row = self._state_row_of_var[state_slot]
-        f = list(factors) + [_ABSENT] * (2 - len(factors))
-        self._terms.append((True, row, float(coeff), f[0], f[1]))
+        if coeff != 0.0:
+            f = list(factors) + [_ABSENT] * (2 - len(factors))
+            self._terms.append((is_state, row, float(coeff), f[0], f[1]))
 
     # -- compilation -----------------------------------------------------------
 
@@ -356,13 +352,6 @@ def _horner(c: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _polyval_rows(coeffs: np.ndarray, t) -> np.ndarray:
-    """Every row of a coefficient table at t (scalar or 1-D); the result
-    has shape (rows,) + shape(t)."""
-    t = np.asarray(t, dtype=float)
-    return _horner(coeffs.T.reshape(coeffs.shape[::-1] + (1,) * t.ndim), t)
-
-
 def _deriv_rows(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape[1] < 2:
         return np.zeros_like(coeffs)
@@ -417,7 +406,11 @@ class SegmentSolution:
     """One analytic segment: series + Pade per unknown, plus its range.
 
     Times inside the segment are local (0 at the segment anchor); the
-    scheduler tracks the absolute start time.
+    scheduler tracks the absolute start time.  Every value comes from
+    ``evaluate``.  Where a denominator is below 1e-12 in magnitude the
+    unknown reads NaN (the approximant sits at a pole there): the range
+    certificate, the next segment's anchor, trigger localization and the
+    sampled output channels all read this one rule.
     """
 
     kind: str
@@ -428,34 +421,47 @@ class SegmentSolution:
     pade_den: np.ndarray
     t_e: float = np.inf
 
-    def values_at(self, t, use_pade: bool = True) -> np.ndarray:
-        if use_pade:
-            den = _polyval_rows(self.pade_den, t)
-            den = np.where(np.abs(den) < 1e-12, np.nan, den)
-            return _polyval_rows(self.pade_num, t) / den
-        return _polyval_rows(self.C, t)
+    def stacked(self, rates: bool = False) -> tuple:
+        """``evaluate``'s coefficient-major table and its parts' row bounds:
+        numerators, denominators, knowns and, with ``rates``, the state
+        rows' derivative rows.  Zero top coefficients are padded or dropped:
+        at a finite t they leave Horner's result unchanged bit for bit."""
+        parts = [self.pade_num, self.pade_den, self.kcoeffs]
+        if rates:
+            st = self.system.state_slots
+            parts += [_deriv_rows(self.pade_num[st]),
+                      _deriv_rows(self.pade_den[st])]
+        bounds = np.cumsum([0] + [len(p) for p in parts])
+        table = np.zeros((max(p.shape[1] for p in parts), bounds[-1]))
+        for p, at in zip(parts, bounds):
+            table[: p.shape[1], at: at + len(p)] = p.T
+        used = np.flatnonzero(table.any(axis=1))
+        return table[: used[-1] + 1 if len(used) else 1], bounds
 
-    def known_values_at(self, t) -> np.ndarray:
-        if self.kcoeffs.size == 0:
-            return np.zeros((0,) + np.shape(t))
-        return _polyval_rows(self.kcoeffs, t)
-
-    def value(self, name: str, t):
-        i = self.system.index[name]
-        tt = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-        out = _horner(self.pade_num[i], tt) / _horner(self.pade_den[i], tt)
-        return out if np.ndim(t) else float(out)
-
-    def residual_max_at(self, t):
-        """Max-norm residual at t, or at every time of a 1-D t in one Horner
-        pass over rows x times; a non-finite value or residual reads inf."""
-        vals = self.values_at(t)
+    def evaluate(self, t, rates: bool = False, table=None) -> tuple:
+        """(values, knowns) at t, scalar or 1-D, each (rows,) + shape(t),
+        from one Horner pass over rows x times; with ``rates`` also the
+        state rows' time derivatives; ``table`` reuses a ``stacked(rates)``."""
+        table, bounds = table or self.stacked(rates)
+        t = np.asarray(t, dtype=float)
+        out = _horner(table.reshape(table.shape + (1,) * t.ndim), t)
+        num, den, known, *d = (out[a:b] for a, b in
+                               zip(bounds[:-1], bounds[1:]))
+        vals = num / np.where(np.abs(den) < 1e-12, np.nan, den)
+        if not rates:
+            return vals, known
         st = self.system.state_slots
-        n, d = self.pade_num[st], self.pade_den[st]
-        dv = _polyval_rows(d, t)
-        dvals = (_polyval_rows(_deriv_rows(n), t) * dv
-                 - _polyval_rows(n, t) * _polyval_rows(_deriv_rows(d), t)) / (dv * dv)
-        r = self.system.residual(vals, dvals, self.known_values_at(t))
+        return vals, known, (d[0] * den[st] - num[st] * d[1]) / den[st] ** 2
+
+    def values_at(self, t) -> np.ndarray:
+        return self.evaluate(t)[0]
+
+    def residual_max_at(self, t, table=None):
+        """Max-norm residual at t, or at every time of a 1-D t in one Horner
+        pass over rows x times; a non-finite value or residual reads inf.
+        ``table`` reuses a ``stacked(rates=True)`` across calls."""
+        vals, known, rates = self.evaluate(t, rates=True, table=table)
+        r = self.system.residual(vals, rates, known)
         worst = np.max(np.abs(r), axis=0, initial=0.0)
         finite = np.all(np.isfinite(vals), axis=0) & np.isfinite(worst)
         out = np.where(finite, worst, np.inf)
@@ -483,8 +489,11 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     if t_cap <= 0:
         raise NoValidRange("rational approximant has a pole at the anchor")
 
+    table = seg.stacked(rates=True)  # built once for all probe sets
+
     def worst_residual(t_end: float) -> float:
-        return float(np.max(seg.residual_max_at(chebyshev_probes(t_end, n_probe))))
+        return float(np.max(seg.residual_max_at(
+            chebyshev_probes(t_end, n_probe), table)))
 
     seg.t_e = shrink_refine_range(worst_residual, tol_res, t_cap)
     return seg
@@ -510,20 +519,16 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
         nums, dens = batch_pade(C[: system.nv], L, M)
         seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
                               kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
-        ok = True
         res = seg.residual_max_at(np.array(ALPHA_CHECKPOINTS))
-        for a, r in zip(ALPHA_CHECKPOINTS, res):
-            limit = predictor_tol if a == 1.0 else path_tol
-            if not r <= limit:
-                ok = False
-                last_err = f"residual {r:.3e} at alpha={a}"
-                break
-        if not ok:
+        bad = ~(res <= np.where(np.array(ALPHA_CHECKPOINTS) == 1.0,
+                                predictor_tol, path_tol))  # NaN fails
+        if bad.any():
+            i = int(np.argmax(bad))
+            last_err = f"residual {res[i]:.3e} at alpha={ALPHA_CHECKPOINTS[i]}"
             continue
-        values = seg.values_at(1.0)
+        values, known = seg.evaluate(1.0)
         try:
-            polished = system.newton_refine(values, seg.known_values_at(1.0),
-                                            tol=1e-12)
+            polished = system.newton_refine(values, known, tol=1e-12)
         except (AnchorInconsistent, SingularJacobian) as exc:
             last_err = str(exc)
             continue

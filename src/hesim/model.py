@@ -946,6 +946,11 @@ def build_system(case: GridCase, state: SystemState, mode: str,
 # --------------------------------------------------------------------------
 
 
+_MACHINE_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
+                   "epsd": "eps_d", "avr": "avr", "gov": "gov", "agc": "agc",
+                   "pagc": "agc"}
+
+
 def write_back(built: Built, values: np.ndarray, case: GridCase,
                state: SystemState) -> None:
     """Copy solved values into the runtime state (fundamental quantities)."""
@@ -958,20 +963,8 @@ def write_back(built: Built, values: np.ndarray, case: GridCase,
             vr[int(rest)] = val
         elif kind == "vy":
             vi[int(rest)] = val
-        elif kind == "delta":
-            state.mach[rest].delta = val
-        elif kind == "omega":
-            state.mach[rest].omega = val
-        elif kind == "epsq":
-            state.mach[rest].eps_q = val
-        elif kind == "epsd":
-            state.mach[rest].eps_d = val
-        elif kind == "avr":
-            state.mach[rest].avr = val
-        elif kind == "gov":
-            state.mach[rest].gov = val
-        elif kind in ("agc", "pagc"):
-            state.mach[rest].agc = val
+        elif kind in _MACHINE_FIELDS:
+            setattr(state.mach[rest], _MACHINE_FIELDS[kind], val)
         elif kind in ("qg", "qpv"):
             state.mach.setdefault(rest, MachineState()).q_g = val
         elif kind == "slip":
@@ -988,8 +981,7 @@ def refine_state(built: Built, case: GridCase, state: SystemState,
     if built.system.nv == 0:
         return
     anchors = built.anchors(state)
-    kv = built.knowns(state, state.t, 1)[:, 0] if built.known_specs \
-        else np.zeros(0)
+    kv = built.knowns(state, state.t, 1)[:, 0]
     refined = built.system.newton_refine(anchors, kv, tol=tol)
     write_back(built, refined, case, state)
 
@@ -1013,8 +1005,7 @@ def point_residual(built: Built, case: GridCase, state: SystemState,
     elif len(dvalues) != sysm.n_state:
         raise DimensionMismatch(
             f"expected {sysm.n_state} state derivatives, got {len(dvalues)}")
-    kv = built.knowns(state, state.t, 1)[:, 0] if built.known_specs \
-        else np.zeros(0)
+    kv = built.knowns(state, state.t, 1)[:, 0]
     return sysm.residual(values, dvalues, kv)
 
 

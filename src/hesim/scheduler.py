@@ -71,8 +71,9 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.order < 4 or self.order > 40:
             raise ValueError("series order must be in 4..40")
-        if self.eps_t <= 0:
-            raise ValueError("eps_t must be positive")
+        for name in ("eps_t", "tol_res", "dt_out", "t_end", "event_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +149,119 @@ class Condition:
 # --------------------------------------------------------------------------
 
 
+class ChannelMap:
+    """Where the output channels t, V(bus), I(from,to) or I(branch id), f,
+    omega(gen), delta(gen) and pg(gen) read their inputs, for one Built.
+
+    Rows index a value matrix: values and known inputs, a zero row and a
+    NaN row.  A name the Built lacks reads 0 where the channel does (a dead
+    bus, a QSS machine outside every island) and NaN elsewhere.
+    """
+
+    def __init__(self, built: Built, case: GridCase, mode: str):
+        self.case, self.qss, self.islands = case, mode == QSS, built.islands
+        nv, nk = built.system.nv, len(built.known_specs)
+        self.rows = {**built.system.index, **{
+            n: nv + i for i, (n, _) in enumerate(built.known_specs)}}
+        self.zero, self.nan = nv + nk, nv + nk + 1
+        self.plans: dict = {}
+
+    def apply(self, chans: tuple, rows, t, branch_params) -> np.ndarray:
+        """Channels x times from (values, knowns) rows at the times t and the
+        online branches' (y_series, b_sh)."""
+        X = np.concatenate([*rows, [np.zeros(len(t)), np.full(len(t), np.nan)]])
+        if chans not in self.plans:
+            kinds = {c: [i for i, (k, _) in enumerate(chans) if k == c]
+                     for c, _ in chans}
+            self.plans[chans] = [(p, self._kind(c, [chans[i][1] for i in p]))
+                                 for c, p in kinds.items()]
+        out = np.empty((len(chans), len(t)))
+        for pos, kind in self.plans[chans]:
+            out[pos] = kind(X, t, branch_params)
+        return out
+
+    def _at(self, names, absent: int) -> np.ndarray:
+        return np.array([self.rows.get(n, absent) for n in names], dtype=int)
+
+    def _island_of_gen(self, gid: str):
+        return next((isl for isl in self.islands
+                     if gid in isl.machines or gid in isl.sources), None)
+
+    def _main_island(self):
+        """The island of the lowest-numbered generator bus."""
+        return min(self.islands, default=None, key=lambda isl: min(
+            [self.case.gen_by_id[g].bus for g in isl.machines + isl.sources],
+            default=10 ** 9))
+
+    def _kind(self, chan: str, arglist: list):
+        """(value matrix, times, branch params) -> one kind's rows."""
+        case, zero, nan, at = self.case, self.zero, self.nan, self._at
+        fnom = case.f_nominal
+        ids = [a[0] if a else None for a in arglist]
+        gens = [case.gen_by_id.get(g) for g in ids]
+        if chan == "t":
+            return lambda X, t, params: t
+        if chan == "V":
+            vx = at([f"vx:{int(b)}" for b in ids], zero)
+            vy = at([f"vy:{int(b)}" for b in ids], zero)
+            return lambda X, t, params: np.hypot(X[vx], X[vy])
+        if chan == "I":
+            ends = [(br.branch_id, at([f"vx:{a}", f"vy:{a}", f"vx:{b}",
+                                       f"vy:{b}"], zero))
+                    for br, a, b in map(case.branch_ends, arglist)]
+            return lambda X, t, params: [
+                _branch_current(X[v], params.get(b)) for b, v in ends]
+        if chan == "f":
+            isl = self._main_island()
+            if self.qss:
+                df = at([f"df:{isl.index}" if isl else ""], zero)
+                return lambda X, t, params: fnom + X[df]
+            machines = isl.machines if isl is not None else []
+            h = [case.gen_by_id[g].h for g in machines]
+            w = np.array([0.0] + [hi / sum(h) for hi in h])[:, None]
+            om = np.r_[zero, at([f"omega:{g}" for g in machines], nan)]
+            # an H-weighted sum from 0.0 in machine order: cumsum adds in
+            # sequence, where np.sum may add in pairs
+            return lambda X, t, params: fnom * (
+                1.0 + np.cumsum(w * X[om], axis=0)[-1])
+        if chan in ("omega", "pg") and self.qss:
+            df = at([f"df:{i.index}" if i else ""
+                     for i in map(self._island_of_gen, ids)], zero)
+            if chan == "omega":
+                return lambda X, t, params: X[df] / fnom
+            pagc = at([f"pagc:{g}" for g in ids], nan)
+            pd = at([f"pdisp:{g}" for g in ids], zero)
+            gain = np.array([[getattr(g, "k_freq", 0.0) / fnom]
+                             for g in gens])
+            return lambda X, t, params: X[pd] + X[pagc] - gain * X[df]
+        if chan in ("omega", "delta"):
+            rows = at([f"{chan}:{g}" for g in ids], nan)
+            return lambda X, t, params: X[rows]
+        if chan == "pg":
+            i_d, i_q, s, c = (at([f"{n}:{g}" for g in ids], nan)
+                              for n in ("id", "iq", "sind", "cosd"))
+            vx, vy = (at([f"{n}:{getattr(g, 'bus', '')}" for g in gens], nan)
+                      for n in ("vx", "vy"))
+            # electrical power of dynamic machines from their dq currents
+            return lambda X, t, params: (
+                X[vx] * (X[i_d] * X[s] + X[i_q] * X[c])
+                + X[vy] * (-X[i_d] * X[c] + X[i_q] * X[s]))
+        raise KeyError(f"unknown channel {chan!r}")
+
+
+def _branch_current(v, params):
+    """|I| at the from end of a branch (none when offline), from the (vx,
+    vy) rows of its ends, in real arithmetic: numpy's complex multiply may
+    fuse a multiply-add, so its bits would depend on the batch size."""
+    if params is None:
+        return np.zeros(v.shape[1])
+    y, c = params[0], 0.5j * params[1]
+    vfx, vfy, dx, dy = v[0], v[1], v[0] - v[2], v[1] - v[3]
+    ix = (y.real * dx - y.imag * dy) + (c.real * vfx - c.imag * vfy)
+    iy = (y.real * dy + y.imag * dx) + (c.real * vfy + c.imag * vfx)
+    return np.abs(ix + 1j * iy)
+
+
 @dataclass
 class SegmentRecord:
     t0: float
@@ -157,125 +271,23 @@ class SegmentRecord:
     built: Built
     case: GridCase
     branch_params: dict          # branch_id -> (y_series, b_sh) online snapshot
+    chan_map: ChannelMap         # shared by the records of one Built
 
     @property
     def t1(self) -> float:
         return self.t0 + self.step
 
-    def _val(self, name: str, tau):
-        idx = self.built.system.index
-        if name in idx:
-            return self.sol.value(name, tau)
-        return np.full_like(np.atleast_1d(np.asarray(tau, float)), np.nan) \
-            if np.ndim(tau) else math.nan
+    def channels(self, chans: tuple, tau, table=None) -> np.ndarray:
+        """Channels x times (tau 1-D, segment-local) from one evaluation of
+        the segment's rows; ``table`` reuses a ``sol.stacked()``."""
+        return self.chan_map.apply(chans, self.sol.evaluate(tau, table=table),
+                                   self.t0 + tau, self.branch_params)
 
-    def channel(self, chan: str, args: tuple, tau):
+    def channel(self, chan: str, args: tuple, tau, table=None):
         """Evaluate an output channel at segment-local time(s)."""
-        case = self.case
-        idx = self.built.system.index
-        if chan == "t":
-            return self.t0 + np.asarray(tau, float)
-        if chan == "V":
-            bus = int(args[0])
-            if f"vx:{bus}" not in idx:
-                return np.zeros_like(np.asarray(tau, float))
-            vx = self.sol.value(f"vx:{bus}", tau)
-            vy = self.sol.value(f"vy:{bus}", tau)
-            return np.hypot(vx, vy)
-        if chan == "I":
-            br, f_bus, t_bus = case.branch_ends(args)
-            if br.branch_id not in self.branch_params:  # offline: no current
-                return np.zeros_like(np.asarray(tau, float))
-            y, b = self.branch_params[br.branch_id]
-            vf = (self.sol.value(f"vx:{f_bus}", tau)
-                  + 1j * self.sol.value(f"vy:{f_bus}", tau))
-            vt = (self.sol.value(f"vx:{t_bus}", tau)
-                  + 1j * self.sol.value(f"vy:{t_bus}", tau))
-            return np.abs(y * (vf - vt) + 0.5j * b * vf)
-        if chan == "f":
-            return self._frequency(tau)
-        if chan == "omega":
-            gid = args[0]
-            if self.mode == QSS:
-                isl = self._island_of_gen(gid)
-                name = f"df:{isl.index}" if isl is not None else None
-                if name and name in idx:
-                    return self.sol.value(name, tau) / case.f_nominal
-                return np.zeros_like(np.asarray(tau, float))
-            return self._val(f"omega:{gid}", tau)
-        if chan == "delta":
-            return self._val(f"delta:{args[0]}", tau)
-        if chan == "pg":
-            return self._gen_power(args[0], tau)
-        raise KeyError(f"unknown channel {chan!r}")
-
-    def _island_of_gen(self, gid: str):
-        for isl in self.built.islands:
-            if gid in isl.machines or gid in isl.sources:
-                return isl
-        return None
-
-    def _main_island(self):
-        best = None
-        for isl in self.built.islands:
-            key = min([self.case.gen_by_id[g].bus
-                       for g in isl.machines + isl.sources], default=10 ** 9)
-            if best is None or key < best[0]:
-                best = (key, isl)
-        return best[1] if best else None
-
-    def _frequency(self, tau):
-        case = self.case
-        isl = self._main_island()
-        shape = np.zeros_like(np.asarray(tau, float))
-        if isl is None:
-            return shape + case.f_nominal
-        if self.mode == QSS:
-            name = f"df:{isl.index}"
-            if name in self.built.system.index:
-                return case.f_nominal + self.sol.value(name, tau)
-            return shape + case.f_nominal
-        if not isl.machines:
-            return shape + case.f_nominal
-        h_tot = sum(case.gen_by_id[g].h for g in isl.machines)
-        acc = shape.copy()
-        for gid in isl.machines:
-            acc = acc + (case.gen_by_id[gid].h / h_tot) \
-                * self.sol.value(f"omega:{gid}", tau)
-        return case.f_nominal * (1.0 + acc)
-
-    def _gen_power(self, gid: str, tau):
-        case = self.case
-        idx = self.built.system.index
-        if self.mode == QSS:
-            if f"pagc:{gid}" not in idx:
-                return np.full_like(np.asarray(tau, float), np.nan)
-            pagc = self.sol.value(f"pagc:{gid}", tau)
-            kpos = dict((n, i) for i, (n, _) in
-                        enumerate(self.built.known_specs))
-            pd = 0.0
-            if f"pdisp:{gid}" in kpos:
-                krow = self.sol.kcoeffs[kpos[f"pdisp:{gid}"]]
-                pd = np.polynomial.polynomial.polyval(
-                    np.asarray(tau, float), krow)
-            g = case.gen_by_id[gid]
-            isl = self._island_of_gen(gid)
-            dfv = 0.0
-            if isl is not None and f"df:{isl.index}" in idx:
-                dfv = self.sol.value(f"df:{isl.index}", tau)
-            return pd + pagc - (g.k_freq / case.f_nominal) * dfv
-        if f"id:{gid}" not in idx:
-            return np.full_like(np.asarray(tau, float), np.nan)
-        g = case.gen_by_id[gid]
-        i_d = self.sol.value(f"id:{gid}", tau)
-        i_q = self.sol.value(f"iq:{gid}", tau)
-        s = self.sol.value(f"sind:{gid}", tau)
-        c = self.sol.value(f"cosd:{gid}", tau)
-        vx = self.sol.value(f"vx:{g.bus}", tau)
-        vy = self.sol.value(f"vy:{g.bus}", tau)
-        ix = i_d * s + i_q * c
-        iy = -i_d * c + i_q * s
-        return vx * ix + vy * iy
+        tt = np.asarray(tau, dtype=float)
+        out = self.channels(((chan, tuple(args)),), tt.reshape(-1), table)[0]
+        return out.reshape(tt.shape)[()]
 
 
 @dataclass
@@ -304,34 +316,31 @@ class Trajectory:
         return out
 
     def record_for(self, t: float) -> SegmentRecord:
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.segments[mid].t1 < t - 1e-12:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.segments[lo]
+        return self.segments[self._index(t)]
+
+    def _index(self, ts):
+        """The first segment ending at or after each time (else the last)."""
+        ends = np.array([s.t1 for s in self.segments])
+        return np.minimum(np.searchsorted(ends, np.asarray(ts) - 1e-12),
+                          len(ends) - 1)
 
     def channel(self, chan: str, args: tuple, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ends = np.array([s.t1 for s in self.segments])
-        ks = np.minimum(np.searchsorted(ends, ts - 1e-12), len(ends) - 1)
-        return self.sample([(chan, args)], ts, ks)[0]
+        return self.sample([(chan, args)], ts, self._index(ts))[0]
 
     def sample(self, chans: list, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Channels x times, time i evaluated on segment ks[i].
 
-        Times are grouped by segment, so each segment evaluates each
-        channel once, for the vector of its local times.
+        Times are grouped by segment, so each segment evaluates its rows
+        once, for the vector of its local times.
         """
+        chans = tuple((chan, tuple(args)) for chan, args in chans)
         out = np.full((len(chans), len(ts)), np.nan)
         for k in np.unique(ks):
             at = np.flatnonzero(ks == k)
             rec = self.segments[k]
-            tau = np.clip(ts[at] - rec.t0, 0.0, rec.step)
-            for c, (chan, args) in enumerate(chans):
-                out[c, at] = rec.channel(chan, args, tau)
+            out[:, at] = rec.channels(
+                chans, np.clip(ts[at] - rec.t0, 0.0, rec.step))
         return out
 
     def sample_times(self, dt: float) -> np.ndarray:
@@ -357,8 +366,9 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     first in list order; NaN never brackets.
     """
     taus = np.linspace(0.0, window, 65)
-    lhs = {key: rec.channel(*key, taus)
-           for key in dict.fromkeys((c.channel, c.args) for c in conds)}
+    keys = tuple(dict.fromkeys((c.channel, c.args) for c in conds))
+    table = rec.sol.stacked()  # one table for the scan and the root solves
+    lhs = dict(zip(keys, rec.channels(keys, taus, table)))
     hs = np.reshape([c.h(lhs[c.channel, c.args]) for c in conds], (-1, 65))
     a, b = hs[:, :-1], hs[:, 1:]
     brackets = ((a < 0.0) & (b >= 0.0)) | ((a > 0.0) & (b <= 0.0))
@@ -372,7 +382,7 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     for i in rows[:refined]:
         c = conds[i]
         tau = bracketed_root(
-            lambda x: float(c.h(rec.channel(c.channel, c.args, x))),
+            lambda x: float(c.h(rec.channel(c.channel, c.args, x, table))),
             taus[k], taus[k + 1], xtol=tol)
         if best is None or tau < best[1]:
             best = (int(i), tau)
@@ -598,7 +608,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
         key = (mode, state.epoch)
         if key not in built_cache:
             built_cache.clear()
-            built_cache[key] = build_system(case, state, mode)
+            built = build_system(case, state, mode)
+            built_cache[key] = built, ChannelMap(built, case, mode)
         return built_cache[key]
 
     t = 0.0
@@ -620,7 +631,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 continue
             mode = state.mode
             cap = config.max_step_dyn if mode == DYNAMIC else config.max_step_qss
-            built = built_for(mode)
+            built, chan_map = built_for(mode)
             seg = _solve_with_ladder(built, state, t, config.order,
                                      "TIME_DYNAMIC" if mode == DYNAMIC
                                      else "TIME_QSS", config.tol_res,
@@ -632,7 +643,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 t0=t, step=step, mode=mode, sol=seg, built=built, case=case,
                 branch_params={bid: mdl._branch_params(case, state, bid)[1:]
                                for bid in state.branch_online},
-            )
+                chan_map=chan_map)
 
             hit = conditional and locate_conditional_event(
                 rec, [ev.condition for ev in conditional], step,

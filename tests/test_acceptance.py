@@ -312,8 +312,9 @@ def _compare_channels(case, traj, segs, skip_names=("alpha",)):
                 kind = name.split(":")[0]
                 if kind in ("delta", "omega", "epsq", "epsd", "avr", "gov",
                             "agc", "slip", "vx", "vy"):
-                    if name in rec.built.system.index:
-                        he = rec.sol.value(name, tau)
+                    row = rec.built.system.index.get(name)
+                    if row is not None:
+                        he = rec.sol.values_at(tau)[row]
                         worst = max(worst, abs(he - out.values[k, i]))
     return worst
 

@@ -1,5 +1,8 @@
 """Case/trajectory text formats and the built-in fixtures."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from hesim.caseio import (
     write_trajectory,
 )
 from hesim.errors import ParseError, ValidationError
-from hesim.scheduler import RunConfig, run_simulation
+from hesim.scheduler import RunConfig, Trajectory, run_simulation
 
 
 def test_builtin_twobus_parameters():
@@ -134,15 +137,111 @@ def test_flat_run_constant_columns():
         assert np.all(col == col[0])
 
 
+# --- the sampler against a per-name reference ------------------------------
+#
+# The reference evaluates one variable at a time with its own two Horner
+# passes, and each channel from scalar values, as the per-channel sampler
+# did before one value matrix per segment replaced it.
+
+
+def _horner(c, t):
+    out = c[-1] + 0.0 * t
+    for ck in c[-2::-1]:
+        out = out * t + ck
+    return out
+
+
+def _value(rec, name, tau):
+    """One variable at a scalar tau (NaN where its denominator is below
+    1e-12 in magnitude), or None when the segment's Built lacks it."""
+    i = rec.built.system.index.get(name)
+    if i is None:
+        return None
+    den = _horner(rec.sol.pade_den[i], tau)
+    return float(_horner(rec.sol.pade_num[i], tau)
+                 / (den if abs(den) >= 1e-12 else math.nan))
+
+
+def _island_of(rec, gid):
+    return next((isl for isl in rec.built.islands
+                 if gid in isl.machines or gid in isl.sources), None)
+
+
+def _ref_channel(rec, chan, args, tau):
+    """One output channel at one scalar segment-local time."""
+    case, val = rec.case, (lambda name: _value(rec, name, tau))
+    nan = math.nan
+    if chan == "t":
+        return rec.t0 + tau
+    if chan == "V":
+        vx = val(f"vx:{int(args[0])}")
+        return 0.0 if vx is None else float(
+            np.hypot(vx, val(f"vy:{int(args[0])}")))
+    if chan == "I":
+        br, f_bus, t_bus = case.branch_ends(args)
+        if br.branch_id not in rec.branch_params:
+            return 0.0
+        y, b = rec.branch_params[br.branch_id]
+        vf = val(f"vx:{f_bus}") + 1j * val(f"vy:{f_bus}")
+        vt = val(f"vx:{t_bus}") + 1j * val(f"vy:{t_bus}")
+        return float(np.abs(y * (vf - vt) + 0.5j * b * vf))
+    if chan == "f":
+        isl = min(rec.built.islands, default=None, key=lambda i: min(
+            [case.gen_by_id[g].bus for g in i.machines + i.sources],
+            default=10 ** 9))
+        if isl is None:
+            return case.f_nominal
+        if rec.mode == "qss":
+            df = val(f"df:{isl.index}")
+            return case.f_nominal + (0.0 if df is None else df)
+        h_tot = sum(case.gen_by_id[g].h for g in isl.machines)
+        acc = 0.0
+        for g in isl.machines:
+            acc = acc + (case.gen_by_id[g].h / h_tot) * val(f"omega:{g}")
+        return case.f_nominal * (1.0 + acc)
+    gid = args[0]
+    if rec.mode == "qss" and chan in ("omega", "pg"):
+        isl = _island_of(rec, gid)
+        df = None if isl is None else val(f"df:{isl.index}")
+        df = 0.0 if df is None else df
+        if chan == "omega":
+            return df / case.f_nominal
+        pagc = val(f"pagc:{gid}")
+        if pagc is None:
+            return nan
+        kpos = [n for n, _ in rec.built.known_specs]
+        pd = 0.0
+        if f"pdisp:{gid}" in kpos:
+            pd = float(np.polynomial.polynomial.polyval(
+                tau, rec.sol.kcoeffs[kpos.index(f"pdisp:{gid}")]))
+        k = case.gen_by_id[gid].k_freq
+        return pd + pagc - (k / case.f_nominal) * df
+    if chan in ("omega", "delta"):
+        v = val(f"{chan}:{gid}")
+        return nan if v is None else v
+    if chan == "pg":
+        if val(f"id:{gid}") is None:
+            return nan
+        i_d, i_q = val(f"id:{gid}"), val(f"iq:{gid}")
+        s, c = val(f"sind:{gid}"), val(f"cosd:{gid}")
+        bus = case.gen_by_id[gid].bus
+        return (val(f"vx:{bus}") * (i_d * s + i_q * c)
+                + val(f"vy:{bus}") * (-i_d * c + i_q * s))
+    raise KeyError(chan)
+
+
+def _ref_at(rec, chan, args, t):
+    """The reference at absolute time t on segment rec."""
+    return _ref_channel(rec, chan, args, min(max(t - rec.t0, 0.0), rec.step))
+
+
 def test_write_samples_match_segment_eval(small_run):
     text = write_trajectory(small_run, 0.25)
     names, ts, modes, data, events = parse_trajectory(text)
     j = names.index("V:2") - 2  # columns after time, mode
     for k, t in enumerate(ts):
-        rec = small_run.record_for(t)
-        tau = min(max(t - rec.t0, 0.0), rec.step)
-        expect = rec.channel("V", ("2",), tau)
-        assert data[k, j] == float(np.atleast_1d(expect)[0])
+        expect = _ref_at(small_run.record_for(t), "V", ("2",), t)
+        assert data[k, j] == expect
 
 
 def _per_sample_trajectory(traj, dt):
@@ -155,10 +254,9 @@ def _per_sample_trajectory(traj, dt):
              ",".join(["time", "mode"] + [name(c, a) for c, a in chans])]
     for t in ts:
         k = int(np.searchsorted(starts, t + 1e-12) - 1)
-        rec = traj.segments[max(0, min(k, len(traj.segments) - 1))]
-        tau = min(max(t - rec.t0, 0.0), rec.step)
-        row = [repr(float(t)), rec.mode]
-        row += [repr(float(np.atleast_1d(rec.channel(c, a, tau))[0]))
+        k = max(0, min(k, len(traj.segments) - 1))
+        row = [repr(float(t)), traj.segments[k].mode]
+        row += [repr(float(_ref_at(traj.segments[k], c, a, t)))
                 for c, a in chans]
         lines.append(",".join(row))
     for ev in traj.events:
@@ -166,21 +264,124 @@ def _per_sample_trajectory(traj, dt):
     return "\n".join(lines) + "\n"
 
 
-def test_sampler_matches_per_sample_evaluation():
+@pytest.fixture(scope="module")
+def fourbus_40():
     # 0-40 s: dynamic start, QSS, the load step at 30 s and its transient
     case, script = builtin_case("fourbus")
     traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=40.0))
     assert traj.failure is None and len(traj.segments) > 10
+    assert {s.mode for s in traj.segments} == {"dynamic", "qss"}
+    return traj
+
+
+def test_sampler_matches_per_sample_evaluation(fourbus_40):
+    traj = fourbus_40
     assert write_trajectory(traj, 0.1) == _per_sample_trajectory(traj, 0.1)
     # Trajectory.channel assigns a boundary time to the segment ending there
     ts = np.linspace(0.0, traj.t_end, 173)
     for chan, args in (("f", ()), ("V", ("3",)), ("pg", ("G1",))):
-        want = []
-        for t in ts:
-            rec = traj.record_for(t)
-            tau = min(max(t - rec.t0, 0.0), rec.step)
-            want.append(float(np.atleast_1d(rec.channel(chan, args, tau))[0]))
+        want = [_ref_at(traj.record_for(t), chan, args, t) for t in ts]
         assert np.array_equal(traj.channel(chan, args, ts), want)
+
+
+@pytest.fixture(scope="module")
+def ne39_20():
+    # offline branches and machines, de-energized buses, alpha switches
+    case, script = builtin_case("ne39")
+    traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=20.0))
+    assert traj.failure is None
+    return traj
+
+
+def _all_channels(case):
+    chans = [("t", ()), ("f", ())]
+    chans += [("V", (str(b.bus),)) for b in case.buses] + [("V", ("999",))]
+    chans += [("I", (br.branch_id,)) for br in case.branches]
+    for gid in [g.gen_id for g in case.gens] + ["GX"]:
+        chans += [("omega", (gid,)), ("delta", (gid,)), ("pg", (gid,))]
+    return chans
+
+
+@pytest.mark.parametrize("run", ["fourbus_40", "ne39_20", "small_run"])
+def test_every_channel_matches_per_name_reference(request, run):
+    """t, V, I, f, omega, delta and pg in both modes, against the per-name
+    reference written as the trajectory file writes them; "GX" and bus 999
+    are names absent from every Built."""
+    traj = request.getfixturevalue(run)
+    chans = _all_channels(traj.case)
+    ts = traj.sample_times(0.05)
+    starts = np.array([s.t0 for s in traj.segments])
+    ks = np.clip(np.searchsorted(starts, ts + 1e-12) - 1,
+                 0, len(traj.segments) - 1)
+    got = traj.sample(chans, ts, ks)
+    for j, (t, k) in enumerate(zip(ts, ks)):
+        want = [repr(float(_ref_at(traj.segments[k], c, a, t)))
+                for c, a in chans]
+        assert [repr(float(x)) for x in got[:, j]] == want, t
+        # one time per call, as a trigger's root solve evaluates
+        one = traj.sample(chans, ts[j:j + 1], ks[j:j + 1])[:, 0]
+        assert [repr(float(x)) for x in one] == want, t
+    offline = [br.branch_id for br in traj.case.branches
+               if any(br.branch_id not in rec.branch_params
+                      for rec in traj.segments)]
+    assert offline or run != "ne39_20"
+    if run == "fourbus_40":  # QSS machine power reads its pdisp known
+        assert all(f"pdisp:{g}" in dict(rec.built.known_specs)
+                   for rec in traj.segments if rec.mode == "qss"
+                   for g in ("G1", "G2"))
+    if run == "small_run":  # the source S1 has no rotor angle
+        assert np.isnan(got[chans.index(("delta", ("S1",)))]).all()
+
+
+def test_frequency_sums_many_machines_in_order():
+    """f is the H-weighted speed sum added machine by machine from 0.0, at
+    one time or many: a pairwise sum would round differently from eight
+    machines on."""
+    from hesim.engine import SystemBuilder
+    from hesim.grid import BusSpec, GenSpec, GridCase
+    from hesim.model import Built, Island
+    from hesim.scheduler import ChannelMap
+
+    gids = [f"G{i}" for i in range(11)]
+    case = GridCase(name="many", f_nominal=60.0,
+                    buses=[BusSpec(i) for i in range(len(gids))],
+                    branches=[], loads=[],
+                    gens=[GenSpec(g, i, h=1.0 + 0.37 * i)
+                          for i, g in enumerate(gids)])
+    b = SystemBuilder()
+    for g in gids:
+        b.state(f"omega:{g}")
+    built = Built(system=b.compile(), anchor_getters=[], known_specs=[],
+                  islands=[Island(0, list(range(len(gids))), [], gids,
+                                  gids[0])])
+    chan_map = ChannelMap(built, case, "dynamic")
+    h_tot = sum(case.gen_by_id[g].h for g in gids)
+    rng = np.random.default_rng(5)
+    for n in [1] * 200 + [2, 7]:
+        omega = rng.normal(size=(len(gids), n))
+        acc = np.zeros(n)
+        for i, g in enumerate(gids):
+            acc = acc + (case.gen_by_id[g].h / h_tot) * omega[i]
+        got = chan_map.apply((("f", ()),), (omega, np.zeros((0, n))),
+                             np.zeros(n), {})[0]
+        assert np.array_equal(got, 60.0 * (1.0 + acc))
+
+
+def test_sampled_channel_is_nan_where_its_denominator_vanishes(small_run):
+    """The one near-zero-denominator rule: a sampled variable whose Pade
+    denominator is below 1e-12 in magnitude reads NaN, and so does every
+    channel built from it."""
+    rec = copy.deepcopy(small_run.segments[0])
+    assert rec.step >= 1.0
+    i = rec.built.system.index["vx:2"]
+    rec.sol.pade_den[i] = 0.0
+    rec.sol.pade_den[i, :2] = [1.0, -2.0]  # 1 - 2 tau: 0 at tau = 0.5
+    traj = Trajectory(small_run.case, segments=[rec])
+    taus = np.array([0.25, 0.5, 0.5 + 1e-14, 0.75])
+    chans = [("V", ("2",)), ("I", ("L12",)), ("V", ("1",))]
+    got = traj.sample(chans, rec.t0 + taus, np.zeros(4, dtype=int))
+    assert np.isnan(got[:2, 1:3]).all()
+    assert np.isfinite(got[:2, [0, 3]]).all() and np.isfinite(got[2]).all()
 
 
 def test_trajectory_rewrite_byte_identical(small_run):

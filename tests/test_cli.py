@@ -148,3 +148,57 @@ def test_trigger_on_offline_branch_runs_to_completion(tmp_path, variant):
     traj = run_simulation(*parse_case(text), RunConfig(t_end=10.0))
     before, after = traj.channel("I", args, [4.0, 8.0])
     assert before > 0.0 and after == 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt-out", "0"], ["--dt-out", "-1"], ["--dt-out", "nan"],
+    ["--tol", "0"], ["--t-end", "-5"]])
+def test_invalid_run_settings_exit_2_before_the_run(tmp_path, capsys,
+                                                    flags):
+    out = tmp_path / "traj.csv"
+    rc = run_cli(["simulate", "builtin:twobus", "--mode", "qss",
+                  "--out", str(out)] + flags)
+    assert rc == 2
+    io = capsys.readouterr()
+    assert io.err.startswith("error: ") and io.out == ""
+    assert not out.exists()
+    rc = run_cli(["compare", "builtin:twobus", "--runs", "qss,dynamic"]
+                 + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", ["tol_res", "dt_out", "t_end",
+                                   "event_tol", "eps_t"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_config_rejects_non_positive_or_non_finite(field, bad):
+    from hesim.scheduler import RunConfig
+
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: bad})
+
+
+def test_methods_baseline_event_times(tmp_path, capsys):
+    # the fixed-step baselines read I(1,2) through the segments' channel map
+    text = (_builtin_text("twobus").replace(
+        "STOP 15.0", 'EVENT cond "V(2) < 0.97" record name=dip\nSTOP 15.0'))
+    case_file = tmp_path / "twobus_dip.case"
+    case_file.write_text(text)
+    rc = run_cli(["compare", str(case_file), "--runs", "qss",
+                  "--methods", "me,trap", "--mode", "qss"])
+    assert rc == 0
+    times = {}
+    for line in capsys.readouterr().out.splitlines():
+        run, _, rest = line.partition(",")
+        if run in ("qss", "me", "trap"):  # the condition text has commas
+            cond, t, _ = rest.rsplit(",", 2)
+            times[run, cond] = float(t)
+    for cond in ("I(1,2) > 3.0", "V(2) < 0.97"):
+        for method in ("me", "trap"):
+            assert abs(times[method, cond] - times["qss", cond]) < 1e-4
+
+
+def _builtin_text(name):
+    from importlib import resources
+
+    return resources.files("hesim.cases").joinpath(f"{name}.case").read_text()

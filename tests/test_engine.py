@@ -84,7 +84,8 @@ def test_segment_effective_range_and_eval():
                         kind="TIME_DYNAMIC", tol_res=1e-6, t_max=2.0)
     assert seg.t_e < 1.0
     t = 0.4
-    assert seg.value("x", t) == pytest.approx(1.0 / (1.0 - t), abs=1e-9)
+    x_at = seg.values_at(t)[sys.index["x"]]
+    assert x_at == pytest.approx(1.0 / (1.0 - t), abs=1e-9)
 
 
 def test_segment_flat_at_equilibrium():
@@ -184,7 +185,7 @@ def test_segment_chaining_state_is_exact():
     seg2 = solve_segment(sys, np.array([x1]), np.zeros((0, 0)), 15,
                          "TIME_DYNAMIC", 1e-8, 1.0)
     assert seg2.C[0, 0] == x1
-    assert seg2.value("x", 0.0) == pytest.approx(x1, abs=1e-15)
+    assert seg2.values_at(0.0)[sys.index["x"]] == pytest.approx(x1, abs=1e-15)
 
 
 def test_he_problem_wrapper():
@@ -196,7 +197,8 @@ def test_he_problem_wrapper():
     seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=12,
                         kind="TIME_DYNAMIC", tol_res=1e-8, t_max=3.0)
     assert seg.kind == "TIME_DYNAMIC"
-    assert seg.value("x", 1.0) == pytest.approx(math.exp(-2.0), abs=1e-9)
+    x_at = seg.values_at(1.0)[sys.index["x"]]
+    assert x_at == pytest.approx(math.exp(-2.0), abs=1e-9)
 
     # alpha problems certify their range on [0, 1]
     b2 = SystemBuilder()
@@ -210,7 +212,8 @@ def test_he_problem_wrapper():
     seg2 = solve_segment(sys2, np.array([1.0]), np.array([[0.0, 1.0]]),
                          order=10, kind="ALPHA_PARAM", tol_res=1e-6, t_max=1.0)
     assert seg2.t_e == 1.0
-    assert seg2.value("y", 1.0) == pytest.approx(2.0, abs=1e-12)
+    y_at = seg2.values_at(1.0)[sys2.index["y"]]
+    assert y_at == pytest.approx(2.0, abs=1e-12)
 
 
 def test_newton_refine_rejects_nan_state():
@@ -316,3 +319,113 @@ def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
         vm[slot] -= h
         fd[:, j] = (sys.alg_residual(vp, kv) - sys.alg_residual(vm, kv)) / (2 * h)
     assert np.max(np.abs(J - fd)) < 1e-9 * max(1.0, np.max(np.abs(J)))
+
+
+# --- the stacked evaluator against per-table Horner passes ----------------
+
+
+def _horner_ref(c, t):
+    out = c[-1] + 0.0 * t
+    for ck in c[-2::-1]:
+        out = out * t + ck
+    return out
+
+
+def _rows_ref(coeffs, t):
+    t = np.asarray(t, dtype=float)
+    return _horner_ref(coeffs.T.reshape(coeffs.shape[::-1] + (1,) * t.ndim), t)
+
+
+def _deriv_ref(coeffs):
+    if coeffs.shape[1] < 2:
+        return np.zeros_like(coeffs)
+    return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+
+
+def _residual_max_ref(seg, t):
+    """The certificate as seven Horner passes, one per coefficient table:
+    numerators, denominators, the state rows' numerators, denominators and
+    both derivatives, and the known inputs."""
+    den = _rows_ref(seg.pade_den, t)
+    vals = _rows_ref(seg.pade_num, t) / np.where(np.abs(den) < 1e-12,
+                                                  np.nan, den)
+    st = seg.system.state_slots
+    n, d = seg.pade_num[st], seg.pade_den[st]
+    dv = _rows_ref(d, t)
+    dvals = (_rows_ref(_deriv_ref(n), t) * dv
+             - _rows_ref(n, t) * _rows_ref(_deriv_ref(d), t)) / (dv * dv)
+    known = (np.zeros((0,) + np.shape(t)) if seg.kcoeffs.size == 0
+             else _rows_ref(seg.kcoeffs, t))
+    r = seg.system.residual(vals, dvals, known)
+    worst = np.max(np.abs(r), axis=0, initial=0.0)
+    finite = np.all(np.isfinite(vals), axis=0) & np.isfinite(worst)
+    out = np.where(finite, worst, np.inf)
+    return (out if np.ndim(t) else float(out)), vals, known
+
+
+def _check_against_reference(seg, t, got):
+    want, vals, known = _residual_max_ref(seg, t)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(seg.values_at(t), vals)
+    np.testing.assert_array_equal(seg.evaluate(t)[1], known)
+
+
+@pytest.mark.parametrize("name, t_end", [("fourbus", 40.0), ("ne39", 20.0)])
+def test_residual_probes_match_per_table_horner(monkeypatch, name, t_end):
+    # every probe call of a hybrid run: the range certificate's Chebyshev
+    # sets and the alpha checkpoints of each switching event
+    from hesim.caseio import builtin_case
+    from hesim.engine import SegmentSolution
+    from hesim.scheduler import RunConfig, run_simulation
+
+    calls = []
+    probe = SegmentSolution.residual_max_at
+
+    def checked(seg, t, table=None):
+        got = probe(seg, t, table)
+        _check_against_reference(seg, t, got)
+        calls.append(seg.kind)
+        return got
+
+    monkeypatch.setattr(SegmentSolution, "residual_max_at", checked)
+    case, script = builtin_case(name)
+    traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end))
+    assert traj.failure is None
+    kinds = set(calls)
+    assert {"TIME_DYNAMIC", "TIME_QSS"} <= kinds or name == "ne39"
+    assert len(calls) > 100
+    if name == "ne39":  # switching events: alpha checkpoints
+        assert any(k.startswith("ALPHA") for k in kinds)
+
+
+def test_residual_probes_match_reference_on_non_finite_rows():
+    b = SystemBuilder()
+    x = b.state("x")
+    y = b.alg("y")
+    p = b.known("p")
+    eq = b.alg_eq("y")
+    b.rhs_term(x, -0.5, x)
+    b.rhs_term(x, 1.0, p)
+    b.term(eq, 1.0, y)
+    b.term(eq, -2.0, x)
+    sys = b.compile()
+    kc = np.zeros((1, 16))
+    kc[0, :2] = [0.1, 0.3]
+    seg = solve_segment(sys, np.array([1.0, 2.0]), kc, 15, "TIME_DYNAMIC",
+                        1e-8, 1.0)
+    ts = np.linspace(0.0, 1.0, 9)
+    for t in (ts, 0.3):
+        _check_against_reference(seg, t, seg.residual_max_at(t))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for row, table, k, bad in ((0, "pade_num", 3, np.nan),
+                                   (1, "pade_den", 2, np.inf),
+                                   (0, "pade_den", 0, 0.0),
+                                   (1, "pade_num", -1, -np.inf)):
+            getattr(seg, table)[row, k] = bad
+            for t in (ts, 0.3):
+                _check_against_reference(seg, t, seg.residual_max_at(t))
+            assert np.all(seg.residual_max_at(ts) == np.inf)
+        # a NaN known coefficient reaches every residual through the x row
+        seg.kcoeffs[0, 5] = np.nan
+        _check_against_reference(seg, ts, seg.residual_max_at(ts))

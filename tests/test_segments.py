@@ -55,7 +55,8 @@ def test_governor_ramp_tracks_adaptive_integrator():
         for k, t in enumerate(out.ts):
             rec = traj.record_for(t)
             tau = min(t - rec.t0, rec.step)
-            he = rec.sol.value(name, tau)
+            row = rec.built.system.index[name]
+            he = rec.sol.values_at(tau)[row]
             assert abs(he - out.col(name)[k]) < 1e-6, (name, t)
 
 
