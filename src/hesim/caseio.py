@@ -48,6 +48,13 @@ def _split_kv(tokens, line_no):
     return pos, kv
 
 
+def _int(s, line_no, what):
+    try:
+        return int(s)
+    except ValueError:
+        raise ParseError(line_no, f"{what}: {s!r} is not an integer") from None
+
+
 def _num(s, line_no, what):
     try:
         v = float(s)
@@ -58,13 +65,57 @@ def _num(s, line_no, what):
     return v
 
 
+# event kind -> the payload keys it needs; a bus, branch, load or gen key
+# names an element of the case
+_EVENT_KEYS = {
+    "add_branch": ("branch",), "cut_branch": ("branch",),
+    "param_branch": ("branch", "r", "x"), "add_shunt": ("bus", "g", "b"),
+    "add_load": ("load",), "cut_load": ("load",), "ramp_load": ("load", "rate"),
+    "ramp_stop_load": ("load",), "add_gen": ("gen",), "cut_gen": ("gen",),
+    "ramp_gen": ("gen", "rate"), "ramp_stop_gen": ("gen",),
+    "record": (), "stop": (),
+}
+# trigger channel -> what its arguments name (I has its own rule)
+_CHANNEL_ARGS = {"t": (), "f": (), "V": ("bus",), "omega": ("gen",),
+                 "delta": ("gen",), "pg": ("gen",)}
+
+
+def _check_event(case: GridCase, ev: SimEvent, line_no: int) -> None:
+    """The event's kind, payload and trigger must fit the case."""
+    if ev.kind not in _EVENT_KEYS:
+        raise ParseError(line_no, f"unknown event kind {ev.kind!r}")
+    for key in _EVENT_KEYS[ev.kind]:
+        if key not in ev.payload:
+            raise ParseError(line_no, f"{ev.kind} needs {key}=")
+    named = [(key, ev.payload[key]) for key in _EVENT_KEYS[ev.kind]]
+    if ev.condition is not None:
+        chan, args = ev.condition.channel, ev.condition.args
+        if chan == "I":
+            try:
+                case.branch_ends(args)
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+        elif chan not in _CHANNEL_ARGS:
+            raise ParseError(line_no, f"unknown channel {chan!r}")
+        elif len(args) != len(_CHANNEL_ARGS[chan]):
+            raise ParseError(line_no, f"{chan} takes {len(_CHANNEL_ARGS[chan])}"
+                             f" argument(s), not {len(args)}")
+        named += zip(_CHANNEL_ARGS.get(chan, ()), args)
+    elements = {"bus": case.bus_index, "branch": case.branch_by_id,
+                "load": case.load_by_id, "gen": case.gen_by_id}
+    for what, name in named:
+        key = _int(name, line_no, what) if what == "bus" else name
+        if what in elements and key not in elements[what]:
+            raise ParseError(line_no, f"no {what} {name!r}")
+
+
 def parse_case(text: str):
     """Parse a case file into (GridCase, event script)."""
     name = "unnamed"
     fnom = 60.0
     buses, branches, gens, loads = [], [], [], []
     events: list[SimEvent] = []
-    currents = []                # (line, condition) of I(...) triggers
+    checked = []                 # (line, event) of EVENT lines
     seen_any = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -101,12 +152,8 @@ def parse_case(text: str):
             pos, kv = _split_kv(rest, line_no)
             if len(pos) != 1:
                 raise ParseError(line_no, "BUS needs exactly one id")
-            try:
-                bid = int(pos[0])
-            except ValueError:
-                raise ParseError(line_no, f"bus id {pos[0]!r}") from None
             buses.append(BusSpec(
-                bus=bid,
+                bus=_int(pos[0], line_no, "bus id"),
                 base_kv=_num(kv.get("kv", "1"), line_no, "kv"),
                 v_init=_num(kv.get("v", "1"), line_no, "v"),
                 angle_init=math.radians(
@@ -119,19 +166,20 @@ def parse_case(text: str):
             if "r" not in kv or "x" not in kv:
                 raise ParseError(line_no, "BRANCH needs r= and x=")
             branches.append(BranchSpec(
-                branch_id=pos[0], from_bus=int(pos[1]), to_bus=int(pos[2]),
+                branch_id=pos[0], from_bus=_int(pos[1], line_no, "from bus"),
+                to_bus=_int(pos[2], line_no, "to bus"),
                 r=_num(kv["r"], line_no, "r"),
                 x=_num(kv["x"], line_no, "x"),
                 b_sh=_num(kv.get("b", "0"), line_no, "b"),
-                status=int(kv.get("status", "1")),
+                status=_int(kv.get("status", "1"), line_no, "status"),
             ))
         elif tag == "GEN":
             pos, kv = _split_kv(rest, line_no)
             if len(pos) != 2:
                 raise ParseError(line_no, "GEN needs id and bus")
-            fields = {"gen_id": pos[0], "bus": int(pos[1]),
+            fields = {"gen_id": pos[0], "bus": _int(pos[1], line_no, "bus"),
                       "kind": kv.pop("kind", DYN4),
-                      "status": int(kv.pop("status", "1"))}
+                      "status": _int(kv.pop("status", "1"), line_no, "status")}
             for k, v in kv.items():
                 if k not in _GEN_KEYS:
                     raise ParseError(line_no, f"unknown GEN option {k!r}")
@@ -150,14 +198,14 @@ def parse_case(text: str):
                         line_no, "motor= needs h,r1,x1,xm,r2,x2,torque")
                 motor = MotorSpec(*vals)
             loads.append(LoadSpec(
-                load_id=pos[0], bus=int(pos[1]),
+                load_id=pos[0], bus=_int(pos[1], line_no, "bus"),
                 p=_num(kv.get("p", "0"), line_no, "p"),
                 q=_num(kv.get("q", "0"), line_no, "q"),
                 f_z=_num(kv.get("fz", "0"), line_no, "fz"),
                 f_i=_num(kv.get("fi", "0"), line_no, "fi"),
                 f_p=_num(kv.get("fp", "1"), line_no, "fp"),
                 motor=motor,
-                status=int(kv.get("status", "1")),
+                status=_int(kv.get("status", "1"), line_no, "status"),
                 scale=_num(kv.get("scale", "1"), line_no, "scale"),
             ))
         elif tag == "EVENT":
@@ -173,8 +221,6 @@ def parse_case(text: str):
                     condition = Condition.parse(rest[1])
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
-                if condition.channel == "I":
-                    currents.append((line_no, condition))
                 kind = rest[2]
                 opts = rest[3:]
             else:
@@ -195,8 +241,11 @@ def parse_case(text: str):
                                        payload=payload, label=label))
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
+            checked.append((line_no, events[-1]))
         elif tag == "STOP":
             pos, _ = _split_kv(rest, line_no)
+            if len(pos) != 1:
+                raise ParseError(line_no, "STOP needs a time")
             events.append(SimEvent(kind="stop",
                                    t_due=_num(pos[0], line_no, "stop time"),
                                    label="stop"))
@@ -207,11 +256,8 @@ def parse_case(text: str):
         raise ParseError(0, "empty case file")
     case = GridCase(name=name, f_nominal=fnom, buses=buses,
                     branches=branches, gens=gens, loads=loads)
-    for line_no, condition in currents:
-        try:
-            case.branch_ends(condition.args)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
+    for line_no, ev in checked:
+        _check_event(case, ev, line_no)
     return case, events
 
 

@@ -134,8 +134,6 @@ def _method_event_times(case, script, methods, config):
     # the triggers read through the channel map of the analytic segments
     chans = tuple((e.condition.channel, e.condition.args) for e in conds)
     chan_map = ChannelMap(built, case, st.mode)
-    params = {b: mdl._branch_params(case, st, b)[1:]
-              for b in st.branch_online}
     known = built.knowns(st, 0.0, 2).T  # the ramps are linear in t
     rows = []
     for m in methods:
@@ -143,7 +141,7 @@ def _method_event_times(case, script, methods, config):
         out = integrate_reference(model, (0.0, config.t_end), name[m],
                                   h=0.01)
         lhs = chan_map.apply(chans, (out.values.T, np.polynomial.polynomial
-                                     .polyval(out.ts, known)), out.ts, params)
+                                     .polyval(out.ts, known)), out.ts)
         for ev, h in zip(conds, lhs):
             t_hit = linear_crossing(out.ts, ev.condition.h(h))
             if t_hit is not None:

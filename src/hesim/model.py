@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from operator import setitem
 from typing import Optional
 
 import numpy as np
@@ -124,27 +125,22 @@ class SystemState:
     def bump(self) -> None:
         self.epoch += 1
 
-    def scale_now(self, load_id: str, t: Optional[float] = None) -> float:
+    def ramped(self, target: str, base: float,
+               t: Optional[float] = None) -> tuple:
+        """(value at t, rate) of a base value plus the ramps on a target."""
         t = self.t if t is None else t
-        s = self.load_scale[load_id]
+        rate = 0
         for r in self.ramps:
-            if r.target == f"load:{load_id}":
-                s += r.rate * (t - r.t_start)
-        return s
+            if r.target == target:
+                base += r.rate * (t - r.t_start)
+                rate += r.rate
+        return base, rate
 
-    def scale_rate(self, load_id: str) -> float:
-        return sum(r.rate for r in self.ramps if r.target == f"load:{load_id}")
+    def scale_now(self, load_id: str, t: Optional[float] = None) -> float:
+        return self.ramped(f"load:{load_id}", self.load_scale[load_id], t)[0]
 
     def pdisp_now(self, gen_id: str, t: Optional[float] = None) -> float:
-        t = self.t if t is None else t
-        p = self.mach[gen_id].p_disp
-        for r in self.ramps:
-            if r.target == f"gen:{gen_id}":
-                p += r.rate * (t - r.t_start)
-        return p
-
-    def pdisp_rate(self, gen_id: str) -> float:
-        return sum(r.rate for r in self.ramps if r.target == f"gen:{gen_id}")
+        return self.ramped(f"gen:{gen_id}", self.mach[gen_id].p_disp, t)[0]
 
 
 def fresh_state(case: GridCase) -> SystemState:
@@ -290,31 +286,30 @@ class AlphaMods:
 @dataclass
 class Built:
     system: object
-    anchor_getters: list
-    known_specs: list
     islands: list
     monitored_plain: list = field(default_factory=list)
     monitored_angles: dict = field(default_factory=dict)  # gen -> var name
     angle_ref: dict = field(default_factory=dict)         # island -> var name
+    powerflow: bool = False  # bus quantities read the island's flat voltage
+    # online branch -> (series admittance, charging j b_sh / 2)
+    branch_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):  # (kind, key) of every name, parsed once
+        self.keys = [_kind_key(n) for n in self.system.var_names]
+        self.known_keys = [_kind_key(n) for n in self.system.known_names]
 
     def anchors(self, state: SystemState) -> np.ndarray:
-        return np.array([g(state) for g in self.anchor_getters])
+        """The unknowns, in slot order, read from the runtime state."""
+        return np.array([_READ[kind](self, state, key)
+                         for kind, key in self.keys])
 
     def knowns(self, state: SystemState, t0: float, width: int) -> np.ndarray:
-        out = np.zeros((len(self.known_specs), max(width, 1)))
-        for i, (_, provider) in enumerate(self.known_specs):
-            coeffs = provider(state, t0)
+        out = np.zeros((len(self.known_keys), max(width, 1)))
+        for i, (kind, key) in enumerate(self.known_keys):
+            coeffs = _KNOWN[kind](state, key, t0)
             m = min(width, len(coeffs))
             out[i, :m] = coeffs[:m]
         return out
-
-
-def _known_alpha(state, t0):
-    return np.array([0.0, 1.0])
-
-
-def _known_one_minus_alpha(state, t0):
-    return np.array([1.0, -1.0])
 
 
 class _Assembler:
@@ -328,22 +323,14 @@ class _Assembler:
         self.alpha = mods is not None
         self.pf = self.alpha and mods.powerflow
         self.b = SystemBuilder()
-        self.anchor_getters: list = []
-        self.known_specs: list = []
         self.slots: dict = {}
         self.balance: dict = {}
 
     # -- registration helpers ---------------------------------------------------
 
-    def var(self, name, kind, getter) -> int:
+    def var(self, name, kind) -> int:
         slot = self.b.alg(name) if kind == "alg" else self.b.state(name)
         self.slots[name] = slot
-        self.anchor_getters.append(getter)
-        return slot
-
-    def known(self, name, provider) -> int:
-        slot = self.b.known(name)
-        self.known_specs.append((name, provider))
         return slot
 
     def needs(self, bus: int):
@@ -366,13 +353,6 @@ class _Assembler:
                 need_vm = True  # AVR input; frozen across switch instants
         return need_w, need_vm, need_u
 
-    def flat_or_state_v(self, bus: int, state_obj=None) -> complex:
-        st = state_obj if state_obj is not None else self.state
-        if self.pf:
-            isl = st.islands[st.island_of[bus]]
-            return island_flat_voltage(self.case, isl)
-        return st.v[self.case.bus_index[bus]]
-
     # -- the build -----------------------------------------------------------------
 
     def run(self) -> Built:
@@ -382,10 +362,10 @@ class _Assembler:
                   if state.energized[case.bus_index[b.bus]]]
         islands = [isl for isl in state.islands if isl.energized]
 
-        alpha_slot = self.known("alpha", _known_alpha) if self.alpha else None
+        alpha_slot = self.b.known("alpha") if self.alpha else None
         omalpha_slot = None
         if self.alpha and (mods.cut_equiv or mods.ramp_down_devices):
-            omalpha_slot = self.known("one_minus_alpha", _known_one_minus_alpha)
+            omalpha_slot = self.b.known("one_minus_alpha")
         self.alpha_slot = alpha_slot
         self.omalpha_slot = omalpha_slot
 
@@ -407,40 +387,18 @@ class _Assembler:
 
         # ---- per-bus unknowns ----
         vslots, wslots, vmslots, uslots = {}, {}, {}, {}
-
-        def getter_v(bus, im):
-            def get(st, bus=bus, im=im):
-                v = self.flat_or_state_v(bus, st)
-                return v.imag if im else v.real
-            return get
-
-        def getter_w(bus, im):
-            def get(st, bus=bus, im=im):
-                w = 1.0 / self.flat_or_state_v(bus, st)
-                return w.imag if im else w.real
-            return get
-
-        def getter_u(bus, im):
-            def get(st, bus=bus, im=im):
-                v = self.flat_or_state_v(bus, st)
-                u = v.conjugate() / abs(v)  # |V| * W
-                return u.imag if im else u.real
-            return get
-
         for bus in ebuses:
-            vslots[bus] = (self.var(f"vx:{bus}", "alg", getter_v(bus, False)),
-                           self.var(f"vy:{bus}", "alg", getter_v(bus, True)))
+            vslots[bus] = (self.var(f"vx:{bus}", "alg"),
+                           self.var(f"vy:{bus}", "alg"))
             need_w, need_vm, need_u = self.needs(bus)
             if need_w:
-                wslots[bus] = (self.var(f"wx:{bus}", "alg", getter_w(bus, False)),
-                               self.var(f"wy:{bus}", "alg", getter_w(bus, True)))
+                wslots[bus] = (self.var(f"wx:{bus}", "alg"),
+                               self.var(f"wy:{bus}", "alg"))
             if need_vm:
-                vmslots[bus] = self.var(
-                    f"vm:{bus}", "alg",
-                    lambda st, bus=bus: abs(self.flat_or_state_v(bus, st)))
+                vmslots[bus] = self.var(f"vm:{bus}", "alg")
             if need_u:
-                uslots[bus] = (self.var(f"ux:{bus}", "alg", getter_u(bus, False)),
-                               self.var(f"uy:{bus}", "alg", getter_u(bus, True)))
+                uslots[bus] = (self.var(f"ux:{bus}", "alg"),
+                               self.var(f"uy:{bus}", "alg"))
         self.vslots, self.wslots = vslots, wslots
         self.vmslots, self.uslots = vmslots, uslots
 
@@ -576,12 +534,13 @@ class _Assembler:
             for isl in islands:
                 self._emit_island_frequency(isl, slack_gen)
 
-        sysm = self.b.compile()
         return Built(
-            system=sysm,
-            anchor_getters=self.anchor_getters, known_specs=self.known_specs,
-            islands=islands, monitored_plain=monitored_plain,
+            system=self.b.compile(), islands=islands,
+            monitored_plain=monitored_plain,
             monitored_angles=monitored_angles, angle_ref=angle_ref,
+            powerflow=pf,
+            branch_params={br.branch_id: (y, 0.5j * b) for br, y, b in (
+                _branch_params(case, state, i) for i in state.branch_online)},
         )
 
     # -- device emitters ---------------------------------------------------------
@@ -596,11 +555,7 @@ class _Assembler:
             if key in self.mods.ramp_down_devices:
                 return self.omalpha_slot, lam
             return None, lam
-
-        def provider(st, t0, lid=l.load_id):
-            return np.array([st.scale_now(lid, t0), st.scale_rate(lid)])
-
-        return self.known(f"scale:{l.load_id}", provider), 1.0
+        return self.b.known(f"scale:{l.load_id}"), 1.0
 
     def _emit_static_load(self, l: LoadSpec) -> None:
         eqx, eqy = self.balance[l.bus]
@@ -624,31 +579,16 @@ class _Assembler:
         key = f"load:{lid}"
         pf = self.pf
         slip0 = self.state.slip.get(lid, 0.02)
-
-        def circuit_anchor(which, im):
-            def get(st, which=which, im=im):
-                vterm = self.flat_or_state_v(l.bus, st)
-                e, i_s, i_r = motor_circuit(m, vterm, st.slip.get(lid, 0.02))
-                z = {"e": e, "is": i_s, "ir": i_r}[which]
-                return z.imag if im else z.real
-            return get
-
-        ex = self.var(f"mex:{lid}", "alg", circuit_anchor("e", False))
-        ey = self.var(f"mey:{lid}", "alg", circuit_anchor("e", True))
-        isx = self.var(f"misx:{lid}", "alg", circuit_anchor("is", False))
-        isy = self.var(f"misy:{lid}", "alg", circuit_anchor("is", True))
-        irx = self.var(f"mirx:{lid}", "alg", circuit_anchor("ir", False))
-        iry = self.var(f"miry:{lid}", "alg", circuit_anchor("ir", True))
+        ex, ey, isx, isy, irx, iry = (self.var(f"{n}:{lid}", "alg")
+                                      for n in _MOTOR_KINDS)
 
         if self.alpha and not pf:
             slip = None          # frozen across the instant
         elif self.mode == QSS or pf:
-            slip = self.var(f"slip:{lid}", "alg",
-                            lambda st, lid=lid: st.slip.get(lid, 0.02))
+            slip = self.var(f"slip:{lid}", "alg")
             slip_alg = True
         else:
-            slip = self.var(f"slip:{lid}", "state",
-                            lambda st, lid=lid: st.slip.get(lid, 0.02))
+            slip = self.var(f"slip:{lid}", "state")
             slip_alg = False
 
         vx, vy = self.vslots[l.bus]
@@ -706,7 +646,7 @@ class _Assembler:
         b = self.b
         eqx, eqy = self.balance[g.bus]
         wx, wy = self.wslots[g.bus]
-        q = self.var(f"qpv:{g.gen_id}", "alg", lambda st: 0.0)
+        q = self.var(f"qpv:{g.gen_id}", "alg")
         p = (self.state.pdisp_now(g.gen_id) + self.state.mach[g.gen_id].agc
              if g.gen_id in self.state.mach else g.p_set)
         b.term(eqx, p, self.alpha_slot, wx)
@@ -722,41 +662,12 @@ class _Assembler:
         b.term(eq, -(g.v_set ** 2 - vsl * vsl), self.alpha_slot)
 
     def _emit_machine_vars(self, g: GenSpec) -> None:
-        gid = g.gen_id
-        bus = g.bus
-        case = self.case
-
-        def idq_anchor(im):
-            def get(st, im=im):
-                m2 = st.mach[gid]
-                v = st.v[case.bus_index[bus]]
-                s, c = math.sin(m2.delta), math.cos(m2.delta)
-                vd = v.real * s - v.imag * c
-                vq = v.real * c + v.imag * s
-                yg = np.array([[g.ra, -g.xq_t], [g.xd_t, g.ra]])
-                idq = np.linalg.solve(yg, [m2.eps_d - vd, m2.eps_q - vq])
-                return idq[1] if im else idq[0]
-            return get
-
-        if self.alpha:
-            self.var(f"id:{gid}", "alg", idq_anchor(False))
-            self.var(f"iq:{gid}", "alg", idq_anchor(True))
-            return
-
-        mget = lambda attr: (lambda st, a=attr: getattr(st.mach[gid], a))
-        self.var(f"delta:{gid}", "state", mget("delta"))
-        self.var(f"omega:{gid}", "state", mget("omega"))
-        self.var(f"epsq:{gid}", "state", mget("eps_q"))
-        self.var(f"epsd:{gid}", "state", mget("eps_d"))
-        self.var(f"sind:{gid}", "state",
-                 lambda st, gid=gid: math.sin(st.mach[gid].delta))
-        self.var(f"cosd:{gid}", "state",
-                 lambda st, gid=gid: math.cos(st.mach[gid].delta))
-        self.var(f"avr:{gid}", "state", mget("avr"))
-        self.var(f"gov:{gid}", "state", mget("gov"))
-        self.var(f"agc:{gid}", "state", mget("agc"))
-        self.var(f"id:{gid}", "alg", idq_anchor(False))
-        self.var(f"iq:{gid}", "alg", idq_anchor(True))
+        if not self.alpha:  # frozen across a switch instant
+            for n in ("delta", "omega", "epsq", "epsd", "sind", "cosd",
+                      "avr", "gov", "agc"):
+                self.var(f"{n}:{g.gen_id}", "state")
+        self.var(f"id:{g.gen_id}", "alg")
+        self.var(f"iq:{g.gen_id}", "alg")
 
     def _emit_machine_eqs(self, g: GenSpec, isl: Island):
         b = self.b
@@ -797,10 +708,7 @@ class _Assembler:
         sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
         avr, gov, agc = s_[f"avr:{gid}"], s_[f"gov:{gid}"], s_[f"agc:{gid}"]
 
-        pd_slot = self.known(
-            f"pdisp:{gid}",
-            lambda st, t0, gid=gid: np.array([st.pdisp_now(gid, t0),
-                                              st.pdisp_rate(gid)]))
+        pd_slot = self.b.known(f"pdisp:{gid}")
 
         w_s = self.case.omega_base
         b.rhs_term(delta, w_s, omega)
@@ -876,8 +784,7 @@ class _Assembler:
 
         df_slot = self.slots.get(f"df:{isl.index}")
         if df_slot is None and not isl.sources:
-            df_slot = self.var(f"df:{isl.index}", "alg",
-                               lambda st_, i=isl.index: st_.df.get(i, 0.0))
+            df_slot = self.var(f"df:{isl.index}", "alg")
 
         if self.alpha:
             p_now = st.pdisp_now(gid) + ms.agc
@@ -885,12 +792,8 @@ class _Assembler:
             b.term(eqy, -p_now, wy)
             pagc = None
         else:
-            pagc = self.var(f"pagc:{gid}", "state",
-                            lambda st_, gid=gid: st_.mach[gid].agc)
-            pd_slot = self.known(
-                f"pdisp:{gid}",
-                lambda st_, t0, gid=gid: np.array([st_.pdisp_now(gid, t0),
-                                                   st_.pdisp_rate(gid)]))
+            pagc = self.var(f"pagc:{gid}", "state")
+            pd_slot = self.b.known(f"pdisp:{gid}")
             b.term(eqx, 1.0, pd_slot, wx)
             b.term(eqy, -1.0, pd_slot, wy)
             b.term(eqx, 1.0, pagc, wx)
@@ -900,8 +803,7 @@ class _Assembler:
             b.term(eqy, kf, df_slot, wy)
 
         if ms.q_fixed is None:
-            qg = self.var(f"qg:{gid}", "alg",
-                          lambda st_, gid=gid: st_.mach[gid].q_g)
+            qg = self.var(f"qg:{gid}", "alg")
             b.term(eqx, -1.0, qg, wy)
             b.term(eqy, -1.0, qg, wx)
             vx, vy = self.vslots[g.bus]
@@ -924,8 +826,7 @@ class _Assembler:
             raise IslandWithoutGeneration(
                 f"island {isl.index} cannot run in QSS without generation")
         if f"df:{isl.index}" not in self.slots:
-            self.var(f"df:{isl.index}", "alg",
-                     lambda st, i=isl.index: st.df.get(i, 0.0))
+            self.var(f"df:{isl.index}", "alg")
         ref = self.case.gen_by_id[isl.ref_gen]
         bi = self.case.bus_index[ref.bus]
         v0 = self.state.v[bi]
@@ -942,37 +843,110 @@ def build_system(case: GridCase, state: SystemState, mode: str,
 
 
 # --------------------------------------------------------------------------
-# state <-> solution transfer
+# state <-> unknowns: the name-kind table
 # --------------------------------------------------------------------------
+
+# Unknowns are named "<kind>:<key>", the key a bus, generator, load or
+# island.  These tables are the only place that knows which state field
+# holds a kind of unknown or known input.
+
+
+def _voltage(built, st, bus):
+    """A bus voltage; in the powerflow, the flat voltage of its island."""
+    if built.powerflow:
+        return island_flat_voltage(st.case, st.islands[st.island_of[bus]])
+    return st.v[st.case.bus_index[bus]]
+
+
+def _unit_conj(built, st, bus):
+    v = _voltage(built, st, bus)
+    return v.conjugate() / abs(v)  # |V| * W
+
+
+def _stator(st, gid):
+    """(id, iq) from the stator equations at the state's terminal voltage."""
+    g, m = st.case.gen_by_id[gid], st.mach[gid]
+    v = st.v[st.case.bus_index[g.bus]]
+    s, c = math.sin(m.delta), math.cos(m.delta)
+    vd = v.real * s - v.imag * c
+    vq = v.real * c + v.imag * s
+    yg = np.array([[g.ra, -g.xq_t], [g.xd_t, g.ra]])
+    return np.linalg.solve(yg, [m.eps_d - vd, m.eps_q - vq])
+
+
+def _motor(built, st, lid):
+    """Magnetizing voltage, stator and rotor current of the T-circuit, as
+    (real, imaginary) parts in the order of _MOTOR_KINDS."""
+    l = st.case.load_by_id[lid]
+    z = motor_circuit(l.motor, _voltage(built, st, l.bus),
+                      st.slip.get(lid, 0.02))
+    return [part for zi in z for part in (zi.real, zi.imag)]
 
 
 _MACHINE_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
                    "epsd": "eps_d", "avr": "avr", "gov": "gov", "agc": "agc",
                    "pagc": "agc"}
+_MOTOR_KINDS = ("mex", "mey", "misx", "misy", "mirx", "miry")
+_NUMBERED = {"vx", "vy", "wx", "wy", "vm", "ux", "uy", "df"}  # int keys
+
+# kind -> (built, state, key) -> the unknown's anchor value
+_READ = {
+    "vx": lambda b, st, bus: _voltage(b, st, bus).real,
+    "vy": lambda b, st, bus: _voltage(b, st, bus).imag,
+    "wx": lambda b, st, bus: (1.0 / _voltage(b, st, bus)).real,
+    "wy": lambda b, st, bus: (1.0 / _voltage(b, st, bus)).imag,
+    "vm": lambda b, st, bus: abs(_voltage(b, st, bus)),
+    "ux": lambda b, st, bus: _unit_conj(b, st, bus).real,
+    "uy": lambda b, st, bus: _unit_conj(b, st, bus).imag,
+    **{kind: lambda b, st, gid, f=f: getattr(st.mach[gid], f)
+       for kind, f in _MACHINE_FIELDS.items()},
+    "sind": lambda b, st, gid: math.sin(st.mach[gid].delta),
+    "cosd": lambda b, st, gid: math.cos(st.mach[gid].delta),
+    "id": lambda b, st, gid: _stator(st, gid)[0],
+    "iq": lambda b, st, gid: _stator(st, gid)[1],
+    "qg": lambda b, st, gid: st.mach[gid].q_g,
+    "qpv": lambda b, st, gid: 0.0,
+    **{kind: lambda b, st, lid, i=i: _motor(b, st, lid)[i]
+       for i, kind in enumerate(_MOTOR_KINDS)},
+    "slip": lambda b, st, lid: st.slip.get(lid, 0.02),
+    "df": lambda b, st, i: st.df.get(i, 0.0),
+}
+
+# kind -> (state, key, value) stores a solved value; only the fundamental
+# kinds are stored, the others are derived from them when next read
+_STORE = {
+    "vx": lambda st, bus, x: setitem(st.v.real, st.case.bus_index[bus], x),
+    "vy": lambda st, bus, x: setitem(st.v.imag, st.case.bus_index[bus], x),
+    **{kind: lambda st, gid, x, f=f: setattr(st.mach[gid], f, x)
+       for kind, f in _MACHINE_FIELDS.items()},
+    **{kind: lambda st, gid, x: setattr(
+        st.mach.setdefault(gid, MachineState()), "q_g", x)
+       for kind in ("qg", "qpv")},
+    "slip": lambda st, lid, x: setitem(st.slip, lid, x),
+    "df": lambda st, i, x: setitem(st.df, i, x),
+}
+
+# known input kind -> (state, key, t0) -> its first two series coefficients
+_KNOWN = {
+    "alpha": lambda st, key, t0: (0.0, 1.0),
+    "one_minus_alpha": lambda st, key, t0: (1.0, -1.0),
+    "scale": lambda st, lid, t0: st.ramped(f"load:{lid}", st.load_scale[lid],
+                                           t0),
+    "pdisp": lambda st, gid, t0: st.ramped(f"gen:{gid}", st.mach[gid].p_disp,
+                                           t0),
+}
 
 
-def write_back(built: Built, values: np.ndarray, case: GridCase,
-               state: SystemState) -> None:
+def _kind_key(name: str) -> tuple:
+    kind, _, key = name.partition(":")
+    return kind, int(key) if kind in _NUMBERED else key
+
+
+def write_back(built: Built, values: np.ndarray, state: SystemState) -> None:
     """Copy solved values into the runtime state (fundamental quantities)."""
-    vr: dict = {}
-    vi: dict = {}
-    for name, slot in built.system.index.items():
-        kind, _, rest = name.partition(":")
-        val = values[slot]
-        if kind == "vx":
-            vr[int(rest)] = val
-        elif kind == "vy":
-            vi[int(rest)] = val
-        elif kind in _MACHINE_FIELDS:
-            setattr(state.mach[rest], _MACHINE_FIELDS[kind], val)
-        elif kind in ("qg", "qpv"):
-            state.mach.setdefault(rest, MachineState()).q_g = val
-        elif kind == "slip":
-            state.slip[rest] = val
-        elif kind == "df":
-            state.df[int(rest)] = val
-    for bus, re_ in vr.items():
-        state.v[case.bus_index[bus]] = complex(re_, vi[bus])
+    for (kind, key), x in zip(built.keys, values):
+        if kind in _STORE:
+            _STORE[kind](state, key, x)
 
 
 def refine_state(built: Built, case: GridCase, state: SystemState,
@@ -983,7 +957,7 @@ def refine_state(built: Built, case: GridCase, state: SystemState,
     anchors = built.anchors(state)
     kv = built.knowns(state, state.t, 1)[:, 0]
     refined = built.system.newton_refine(anchors, kv, tol=tol)
-    write_back(built, refined, case, state)
+    write_back(built, refined, state)
 
 
 # --------------------------------------------------------------------------
@@ -1194,7 +1168,7 @@ def _alpha_solve(case: GridCase, state: SystemState, mods: AlphaMods,
     kc = built.knowns(state, state.t, order + 11)
     values = solve_alpha_problem(built.system, anchors, kc,
                                  kind=mods.kind, order=order)
-    write_back(built, values, case, state)
+    write_back(built, values, state)
 
 
 def apply_add_shunt(case: GridCase, state: SystemState, bus: int,

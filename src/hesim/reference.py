@@ -87,7 +87,7 @@ class DaeModel:
         self.state = state
 
     def kv(self, t: float) -> np.ndarray:
-        if not self.built.known_specs:
+        if not self.sys.nk:
             return np.zeros(0)
         return self.built.knowns(self.state, t, 1)[:, 0]
 

@@ -82,7 +82,6 @@ class RunConfig:
 
 SWITCH_KINDS = {"add_branch", "cut_branch", "add_load", "cut_load",
                 "add_gen", "cut_gen", "add_shunt", "param_branch"}
-RAMP_KINDS = {"ramp_load", "ramp_stop_load", "ramp_gen", "ramp_stop_gen"}
 
 
 @dataclass
@@ -117,9 +116,10 @@ _COND_RE = re.compile(
 class Condition:
     """Trigger h(x(t), y(t), p(t)) >= 0 built from a comparison expression.
 
-    Channels: V(bus), I(from,to) or I(branch id), f, t, omega(gen).  The
-    trigger fires when the comparison becomes true, so ``h(lhs)`` maps the
-    channel's values lhs to lhs - rhs for '>' and rhs - lhs for '<'.
+    Channels: V(bus), I(from,to) or I(branch id), f, t, omega(gen),
+    delta(gen) and pg(gen).  The trigger fires when the comparison becomes
+    true, so ``h(lhs)`` maps the channel's values lhs to lhs - rhs for '>'
+    and rhs - lhs for '<'.
     """
     text: str
     channel: str
@@ -155,20 +155,21 @@ class ChannelMap:
 
     Rows index a value matrix: values and known inputs, a zero row and a
     NaN row.  A name the Built lacks reads 0 where the channel does (a dead
-    bus, a QSS machine outside every island) and NaN elsewhere.
+    bus, a QSS machine outside every island) and NaN elsewhere.  Branch
+    currents use the Built's snapshot of the online branches' parameters.
     """
 
     def __init__(self, built: Built, case: GridCase, mode: str):
         self.case, self.qss, self.islands = case, mode == QSS, built.islands
-        nv, nk = built.system.nv, len(built.known_specs)
+        self.branch_params = built.branch_params
+        nv, nk = built.system.nv, built.system.nk
         self.rows = {**built.system.index, **{
-            n: nv + i for i, (n, _) in enumerate(built.known_specs)}}
+            n: nv + i for i, n in enumerate(built.system.known_names)}}
         self.zero, self.nan = nv + nk, nv + nk + 1
         self.plans: dict = {}
 
-    def apply(self, chans: tuple, rows, t, branch_params) -> np.ndarray:
-        """Channels x times from (values, knowns) rows at the times t and the
-        online branches' (y_series, b_sh)."""
+    def apply(self, chans: tuple, rows, t) -> np.ndarray:
+        """Channels x times from (values, knowns) rows at the times t."""
         X = np.concatenate([*rows, [np.zeros(len(t)), np.full(len(t), np.nan)]])
         if chans not in self.plans:
             kinds = {c: [i for i, (k, _) in enumerate(chans) if k == c]
@@ -177,7 +178,7 @@ class ChannelMap:
                                  for c, p in kinds.items()]
         out = np.empty((len(chans), len(t)))
         for pos, kind in self.plans[chans]:
-            out[pos] = kind(X, t, branch_params)
+            out[pos] = kind(X, t)
         return out
 
     def _at(self, names, absent: int) -> np.ndarray:
@@ -194,68 +195,68 @@ class ChannelMap:
             default=10 ** 9))
 
     def _kind(self, chan: str, arglist: list):
-        """(value matrix, times, branch params) -> one kind's rows."""
+        """(value matrix, times) -> one kind's rows."""
         case, zero, nan, at = self.case, self.zero, self.nan, self._at
         fnom = case.f_nominal
         ids = [a[0] if a else None for a in arglist]
         gens = [case.gen_by_id.get(g) for g in ids]
         if chan == "t":
-            return lambda X, t, params: t
+            return lambda X, t: t
         if chan == "V":
             vx = at([f"vx:{int(b)}" for b in ids], zero)
             vy = at([f"vy:{int(b)}" for b in ids], zero)
-            return lambda X, t, params: np.hypot(X[vx], X[vy])
+            return lambda X, t: np.hypot(X[vx], X[vy])
         if chan == "I":
-            ends = [(br.branch_id, at([f"vx:{a}", f"vy:{a}", f"vx:{b}",
-                                       f"vy:{b}"], zero))
+            ends = [(self.branch_params.get(br.branch_id),
+                     at([f"vx:{a}", f"vy:{a}", f"vx:{b}", f"vy:{b}"], zero))
                     for br, a, b in map(case.branch_ends, arglist)]
-            return lambda X, t, params: [
-                _branch_current(X[v], params.get(b)) for b, v in ends]
+            return lambda X, t: [_branch_current(X[v], yc) for yc, v in ends]
         if chan == "f":
             isl = self._main_island()
             if self.qss:
                 df = at([f"df:{isl.index}" if isl else ""], zero)
-                return lambda X, t, params: fnom + X[df]
+                return lambda X, t: fnom + X[df]
             machines = isl.machines if isl is not None else []
             h = [case.gen_by_id[g].h for g in machines]
             w = np.array([0.0] + [hi / sum(h) for hi in h])[:, None]
             om = np.r_[zero, at([f"omega:{g}" for g in machines], nan)]
             # an H-weighted sum from 0.0 in machine order: cumsum adds in
             # sequence, where np.sum may add in pairs
-            return lambda X, t, params: fnom * (
+            return lambda X, t: fnom * (
                 1.0 + np.cumsum(w * X[om], axis=0)[-1])
         if chan in ("omega", "pg") and self.qss:
             df = at([f"df:{i.index}" if i else ""
                      for i in map(self._island_of_gen, ids)], zero)
             if chan == "omega":
-                return lambda X, t, params: X[df] / fnom
+                return lambda X, t: X[df] / fnom
             pagc = at([f"pagc:{g}" for g in ids], nan)
             pd = at([f"pdisp:{g}" for g in ids], zero)
             gain = np.array([[getattr(g, "k_freq", 0.0) / fnom]
                              for g in gens])
-            return lambda X, t, params: X[pd] + X[pagc] - gain * X[df]
+            return lambda X, t: X[pd] + X[pagc] - gain * X[df]
         if chan in ("omega", "delta"):
             rows = at([f"{chan}:{g}" for g in ids], nan)
-            return lambda X, t, params: X[rows]
+            return lambda X, t: X[rows]
         if chan == "pg":
             i_d, i_q, s, c = (at([f"{n}:{g}" for g in ids], nan)
                               for n in ("id", "iq", "sind", "cosd"))
             vx, vy = (at([f"{n}:{getattr(g, 'bus', '')}" for g in gens], nan)
                       for n in ("vx", "vy"))
             # electrical power of dynamic machines from their dq currents
-            return lambda X, t, params: (
+            return lambda X, t: (
                 X[vx] * (X[i_d] * X[s] + X[i_q] * X[c])
                 + X[vy] * (-X[i_d] * X[c] + X[i_q] * X[s]))
         raise KeyError(f"unknown channel {chan!r}")
 
 
-def _branch_current(v, params):
+def _branch_current(v, yc):
     """|I| at the from end of a branch (none when offline), from the (vx,
-    vy) rows of its ends, in real arithmetic: numpy's complex multiply may
-    fuse a multiply-add, so its bits would depend on the batch size."""
-    if params is None:
+    vy) rows of its ends and its (y_series, charging), in real arithmetic:
+    numpy's complex multiply may fuse a multiply-add, so its bits would
+    depend on the batch size."""
+    if yc is None:
         return np.zeros(v.shape[1])
-    y, c = params[0], 0.5j * params[1]
+    y, c = yc
     vfx, vfy, dx, dy = v[0], v[1], v[0] - v[2], v[1] - v[3]
     ix = (y.real * dx - y.imag * dy) + (c.real * vfx - c.imag * vfy)
     iy = (y.real * dy + y.imag * dx) + (c.real * vfy + c.imag * vfx)
@@ -270,7 +271,6 @@ class SegmentRecord:
     sol: SegmentSolution
     built: Built
     case: GridCase
-    branch_params: dict          # branch_id -> (y_series, b_sh) online snapshot
     chan_map: ChannelMap         # shared by the records of one Built
 
     @property
@@ -281,7 +281,7 @@ class SegmentRecord:
         """Channels x times (tau 1-D, segment-local) from one evaluation of
         the segment's rows; ``table`` reuses a ``sol.stacked()``."""
         return self.chan_map.apply(chans, self.sol.evaluate(tau, table=table),
-                                   self.t0 + tau, self.branch_params)
+                                   self.t0 + tau)
 
     def channel(self, chan: str, args: tuple, tau, table=None):
         """Evaluate an output channel at segment-local time(s)."""
@@ -579,10 +579,11 @@ def _solve_with_ladder(built, state, t, order, kind, tol_res, t_max):
     """Retry ladder: higher order, then two step halvings."""
     attempts = ((order, t_max), (order + 10, t_max),
                 (order + 10, t_max / 2), (order + 10, t_max / 4))
+    anchors = built.anchors(state)
     last = None
     for n, tm in attempts:
         try:
-            return solve_segment(built.system, built.anchors(state),
+            return solve_segment(built.system, anchors,
                                  built.knowns(state, t, n + 1), n, kind,
                                  tol_res, tm)
         except (NoValidRange, SingularJacobian, AnchorInconsistent) as exc:
@@ -639,11 +640,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             step = gap if seg.t_e >= gap - 1e-12 else config.step_safety * seg.t_e
             step = min(step, gap)
 
-            rec = SegmentRecord(
-                t0=t, step=step, mode=mode, sol=seg, built=built, case=case,
-                branch_params={bid: mdl._branch_params(case, state, bid)[1:]
-                               for bid in state.branch_online},
-                chan_map=chan_map)
+            rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
+                                built=built, case=case, chan_map=chan_map)
 
             hit = conditional and locate_conditional_event(
                 rec, [ev.condition for ev in conditional], step,
@@ -653,7 +651,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
 
             traj.segments.append(rec)
             values = seg.values_at(step)
-            write_back(built, values, case, state)
+            write_back(built, values, state)
             t = t + step
             state.t = t
             try:

@@ -280,7 +280,7 @@ def _reference_piecewise(case, state, events, t_end, dt_out):
                                   rtol=1e-9, atol=1e-11, dt_out=dt_out)
         segs.append(out)
         final = {n: out.values[-1, i] for i, n in enumerate(out.names)}
-        mdl.write_back(built, out.values[-1], case, st)
+        mdl.write_back(built, out.values[-1], st)
         st.t = t_next
         t = t_next
         while pending and pending[0].t_due <= t + 1e-12:
@@ -362,8 +362,7 @@ def test_criterion_8_switch_correctness(fourbus):
     def oracle(st):
         built = build_system(case, st, DYNAMIC)
         sysm = built.system
-        kv = built.knowns(st, st.t, 1)[:, 0] if built.known_specs \
-            else np.zeros(0)
+        kv = built.knowns(st, st.t, 1)[:, 0] if sysm.nk else np.zeros(0)
         x0 = built.anchors(st)
 
         def fun(y):

@@ -118,6 +118,57 @@ def test_current_trigger_without_branch_rejected():
         parse_case(_fourbus_with_trigger("I(L99) > 0.5"))
 
 
+def _twobus_text(old, new):
+    from importlib import resources
+
+    text = resources.files("hesim.cases").joinpath("twobus.case").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("STOP 15.0", "STOP", "STOP needs a time"),
+    ("BRANCH L12 1 2", "BRANCH L12 1 two", "to bus: 'two' is not an integer"),
+    ("GEN S1 1", "GEN S1 one", "bus: 'one' is not an integer"),
+    ("LOAD LD2 2", "LOAD LD2 b2", "bus: 'b2' is not an integer"),
+    ("b=0.0", "b=0.0 status=on", "status: 'on' is not an integer"),
+], ids=["stop-without-time", "branch-bus", "gen-bus", "load-bus",
+        "status-on"])
+def test_malformed_line_is_a_parse_error_at_its_line(old, new, reason):
+    text = _twobus_text(old, new)
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert exc.value.reason == reason
+    assert new in text.splitlines()[exc.value.line_no - 1]
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("ramp_load load=LD2", "explode", "unknown event kind 'explode'"),
+    ("ramp_load load=LD2", "ramp_load", "ramp_load needs load="),
+    ("ramp_load load=LD2", "ramp_load load=LD9", "no load 'LD9'"),
+    ("I(1,2) > 3.0", "X(1) > 3", "unknown channel 'X'"),
+    ("I(1,2) > 3.0", "V(abc) < 0.5", "bus: 'abc' is not an integer"),
+    ("I(1,2) > 3.0", "V() < 0.5", "V takes 1 argument(s), not 0"),
+    ("I(1,2) > 3.0", "V(9) < 0.5", "no bus '9'"),
+    ("I(1,2) > 3.0", "omega(G9) < -0.01", "no gen 'G9'"),
+    ("I(1,2) > 3.0", "V(1,2) < 0.5", "V takes 1 argument(s), not 2"),
+], ids=["unknown-kind", "ramp-without-load", "no-such-load",
+        "unknown-channel", "bus-not-an-integer", "no-argument",
+        "no-such-bus", "no-such-gen", "two-arguments"])
+def test_event_that_does_not_fit_the_case_is_a_parse_error(old, new, reason):
+    text = _twobus_text(old, new)
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert exc.value.reason == reason
+    assert new in text.splitlines()[exc.value.line_no - 1]
+
+
+def test_event_checks_accept_bus_voltage_and_frequency_triggers():
+    _, script = parse_case(_twobus_text(
+        "I(1,2) > 3.0", "V(2) < 0.5\" record\nEVENT cond \"f > 60.1"))
+    assert [e.condition.channel for e in script if e.condition] == ["V", "f"]
+
+
 # --- trajectory files --------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -179,12 +230,12 @@ def _ref_channel(rec, chan, args, tau):
             np.hypot(vx, val(f"vy:{int(args[0])}")))
     if chan == "I":
         br, f_bus, t_bus = case.branch_ends(args)
-        if br.branch_id not in rec.branch_params:
+        if br.branch_id not in rec.built.branch_params:
             return 0.0
-        y, b = rec.branch_params[br.branch_id]
+        y, c = rec.built.branch_params[br.branch_id]
         vf = val(f"vx:{f_bus}") + 1j * val(f"vy:{f_bus}")
         vt = val(f"vx:{t_bus}") + 1j * val(f"vy:{t_bus}")
-        return float(np.abs(y * (vf - vt) + 0.5j * b * vf))
+        return float(np.abs(y * (vf - vt) + c * vf))
     if chan == "f":
         isl = min(rec.built.islands, default=None, key=lambda i: min(
             [case.gen_by_id[g].bus for g in i.machines + i.sources],
@@ -209,7 +260,7 @@ def _ref_channel(rec, chan, args, tau):
         pagc = val(f"pagc:{gid}")
         if pagc is None:
             return nan
-        kpos = [n for n, _ in rec.built.known_specs]
+        kpos = rec.built.system.known_names
         pd = 0.0
         if f"pdisp:{gid}" in kpos:
             pd = float(np.polynomial.polynomial.polyval(
@@ -322,11 +373,11 @@ def test_every_channel_matches_per_name_reference(request, run):
         one = traj.sample(chans, ts[j:j + 1], ks[j:j + 1])[:, 0]
         assert [repr(float(x)) for x in one] == want, t
     offline = [br.branch_id for br in traj.case.branches
-               if any(br.branch_id not in rec.branch_params
+               if any(br.branch_id not in rec.built.branch_params
                       for rec in traj.segments)]
     assert offline or run != "ne39_20"
     if run == "fourbus_40":  # QSS machine power reads its pdisp known
-        assert all(f"pdisp:{g}" in dict(rec.built.known_specs)
+        assert all(f"pdisp:{g}" in rec.built.system.known_names
                    for rec in traj.segments if rec.mode == "qss"
                    for g in ("G1", "G2"))
     if run == "small_run":  # the source S1 has no rotor angle
@@ -351,7 +402,7 @@ def test_frequency_sums_many_machines_in_order():
     b = SystemBuilder()
     for g in gids:
         b.state(f"omega:{g}")
-    built = Built(system=b.compile(), anchor_getters=[], known_specs=[],
+    built = Built(system=b.compile(),
                   islands=[Island(0, list(range(len(gids))), [], gids,
                                   gids[0])])
     chan_map = ChannelMap(built, case, "dynamic")
@@ -363,7 +414,7 @@ def test_frequency_sums_many_machines_in_order():
         for i, g in enumerate(gids):
             acc = acc + (case.gen_by_id[g].h / h_tot) * omega[i]
         got = chan_map.apply((("f", ()),), (omega, np.zeros((0, n))),
-                             np.zeros(n), {})[0]
+                             np.zeros(n))[0]
         assert np.array_equal(got, 60.0 * (1.0 + acc))
 
 

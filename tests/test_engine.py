@@ -303,7 +303,7 @@ def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
     built = build_system(case, st, mode)
     sys = built.system
     v = built.anchors(st)
-    kv = built.knowns(st, st.t, 1)[:, 0] if built.known_specs else np.zeros(0)
+    kv = built.knowns(st, st.t, 1)[:, 0] if sys.nk else np.zeros(0)
     if perturbed:
         v = v + np.random.default_rng(5).uniform(-0.05, 0.05, v.shape)
     J = sys.alg_jacobian(v, kv)

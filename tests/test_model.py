@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from scipy.optimize import root
 
 from conftest import make_smib, make_twobus_case
+from hesim.caseio import builtin_case
 from hesim.engine import solve_segment
 from hesim.errors import (
     DimensionMismatch,
@@ -23,10 +24,15 @@ from hesim.grid import (
     GenSpec,
     GridCase,
     LoadSpec,
+    motor_circuit,
 )
+from hesim import model as mdl
 from hesim.model import (
+    DEAD_VOLTAGE,
     DYNAMIC,
     QSS,
+    MachineState,
+    Ramp,
     apply_add_branch,
     apply_add_gen,
     apply_add_load,
@@ -39,12 +45,14 @@ from hesim.model import (
     dynamic_residual,
     fresh_state,
     init_equilibrium,
+    island_flat_voltage,
     qss_residual,
     refine_state,
     refresh_islands,
     solve_powerflow,
 )
 from hesim.reference import TwoBusCase
+from hesim.scheduler import RunConfig, run_simulation
 
 
 # --- power flow ----------------------------------------------------------------
@@ -226,7 +234,7 @@ def _oracle_resolve(case, st, mode=DYNAMIC):
     frozen-state algebraic equations, started from the current values."""
     built = build_system(case, st, mode)
     sysm = built.system
-    kv = built.knowns(st, st.t, 1)[:, 0] if built.known_specs else np.zeros(0)
+    kv = built.knowns(st, st.t, 1)[:, 0] if sysm.nk else np.zeros(0)
     x0 = built.anchors(st)
 
     def fun(y):
@@ -265,6 +273,43 @@ def test_param_change_matches_resolve(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
     apply_branch_param(case, st, "L12", 0.015, 0.1, 0.05)
+    ref = copy.deepcopy(st)
+    built, vals = _oracle_resolve(case, ref)
+    assert np.max(np.abs(built.anchors(st) - vals)) < 1e-8
+
+
+def _dead_load_case():
+    """A pure-Z load behind shunts that pull its bus to |V| = 9.9e-9."""
+    case = GridCase(
+        name="deadload", buses=[BusSpec(1), BusSpec(2)],
+        branches=[BranchSpec("L12", 1, 2, 0.01, 0.1)],
+        gens=[GenSpec("S1", 1, kind=SOURCE, v_set=1.0)],
+        loads=[LoadSpec("LZ", 2, 0.5, 0.2, 1.0, 0.0, 0.0)],
+    )
+    st = init_equilibrium(case)
+    for y in (-1e3j, 1e5, 1e7, 1e9):
+        apply_add_shunt(case, st, 2, y)
+    return case, st
+
+
+def test_cut_load_at_dead_boundary_matches_resolve(monkeypatch):
+    # no equivalent shunt at a dead boundary: the cut ramps the load's own
+    # current down with the one_minus_alpha known instead
+    case, st = _dead_load_case()
+    assert abs(st.v[1]) < DEAD_VOLTAGE
+    builds = []
+    real_build = mdl.build_system
+
+    def build(case_, st_, mode, mods=None):
+        builds.append(mods)
+        return real_build(case_, st_, mode, mods)
+
+    monkeypatch.setattr(mdl, "build_system", build)
+    apply_cut_load(case, st, "LZ")
+    monkeypatch.undo()
+    [mods] = builds
+    assert mods.ramp_down_devices == {"load:LZ"} and not mods.cut_equiv
+    assert "LZ" not in st.load_online
     ref = copy.deepcopy(st)
     built, vals = _oracle_resolve(case, ref)
     assert np.max(np.abs(built.anchors(st) - vals)) < 1e-8
@@ -476,3 +521,215 @@ def test_refresh_islands_matches_connected_components(graph):
     assert np.array_equal(st.energized, ref.energized)
     assert np.array_equal(st.v, ref.v)
     assert (st.gen_online, st.load_online) == (ref.gen_online, ref.load_online)
+
+
+# --- state <-> unknowns: the name table against per-name closures --------------
+
+_REF_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
+               "epsd": "eps_d", "avr": "avr", "gov": "gov", "agc": "agc",
+               "pagc": "agc"}
+
+
+def _ref_anchor(case, st, name, pf):
+    """One unknown read from the state the way a per-name closure did."""
+    kind, _, key = name.partition(":")
+
+    def volt(bus):
+        if pf:
+            return island_flat_voltage(case, st.islands[st.island_of[bus]])
+        return st.v[case.bus_index[bus]]
+
+    if kind in ("vx", "vy"):
+        z = volt(int(key))
+    elif kind in ("wx", "wy"):
+        z = 1.0 / volt(int(key))
+    elif kind in ("ux", "uy"):
+        v = volt(int(key))
+        z = v.conjugate() / abs(v)
+    elif kind == "vm":
+        return abs(volt(int(key)))
+    elif kind in ("mex", "mey", "misx", "misy", "mirx", "miry"):
+        l = case.load_by_id[key]
+        e, i_s, i_r = motor_circuit(l.motor, volt(l.bus),
+                                    st.slip.get(key, 0.02))
+        z = {"me": e, "mis": i_s, "mir": i_r}[kind[:-1]]
+    elif kind in ("id", "iq"):
+        g, m = case.gen_by_id[key], st.mach[key]
+        v = st.v[case.bus_index[g.bus]]
+        s, c = math.sin(m.delta), math.cos(m.delta)
+        vd = v.real * s - v.imag * c
+        vq = v.real * c + v.imag * s
+        yg = np.array([[g.ra, -g.xq_t], [g.xd_t, g.ra]])
+        idq = np.linalg.solve(yg, [m.eps_d - vd, m.eps_q - vq])
+        return idq[1] if kind == "iq" else idq[0]
+    elif kind == "sind":
+        return math.sin(st.mach[key].delta)
+    elif kind == "cosd":
+        return math.cos(st.mach[key].delta)
+    elif kind == "slip":
+        return st.slip.get(key, 0.02)
+    elif kind == "df":
+        return st.df.get(int(key), 0.0)
+    elif kind == "qpv":
+        return 0.0
+    elif kind == "qg":
+        return st.mach[key].q_g
+    else:
+        return getattr(st.mach[key], _REF_FIELDS[kind])
+    return z.imag if kind.endswith("y") else z.real
+
+
+def _ref_knowns(st, names, t0, width):
+    out = np.zeros((len(names), max(width, 1)))
+    for i, name in enumerate(names):
+        kind, _, key = name.partition(":")
+        if kind in ("alpha", "one_minus_alpha"):
+            coeffs = np.array([0.0, 1.0] if kind == "alpha" else [1.0, -1.0])
+        else:
+            target, value = ((f"load:{key}", st.load_scale[key])
+                             if kind == "scale"
+                             else (f"gen:{key}", st.mach[key].p_disp))
+            for r in st.ramps:
+                if r.target == target:
+                    value += r.rate * (t0 - r.t_start)
+            coeffs = np.array([value, sum(r.rate for r in st.ramps
+                                          if r.target == target)])
+        m = min(width, len(coeffs))
+        out[i, :m] = coeffs[:m]
+    return out
+
+
+def _ref_write_back(built, values, case, state):
+    vr, vi = {}, {}
+    for name, slot in built.system.index.items():
+        kind, _, rest = name.partition(":")
+        val = values[slot]
+        if kind == "vx":
+            vr[int(rest)] = val
+        elif kind == "vy":
+            vi[int(rest)] = val
+        elif kind in _REF_FIELDS:
+            setattr(state.mach[rest], _REF_FIELDS[kind], val)
+        elif kind in ("qg", "qpv"):
+            state.mach.setdefault(rest, MachineState()).q_g = val
+        elif kind == "slip":
+            state.slip[rest] = val
+        elif kind == "df":
+            state.df[int(rest)] = val
+    for bus, re_ in vr.items():
+        state.v[case.bus_index[bus]] = complex(re_, vi[bus])
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _state_bits(st):
+    # repr keeps the scalar types: a Python float and np.float64 differ
+    return (_bits(st.v), repr({g: vars(m) for g, m in st.mach.items()}),
+            repr(st.slip), repr(st.df))
+
+
+def _fourbus_switches():
+    base, _ = builtin_case("fourbus")
+    case = GridCase(  # with a spare machine G3 at bus 2
+        name="spare", f_nominal=60.0, buses=list(base.buses),
+        branches=list(base.branches), loads=list(base.loads),
+        gens=list(base.gens) + [GenSpec("G3", 2, p_set=0.0, status=0)])
+    for mode in (DYNAMIC, QSS):
+        st = init_equilibrium(case, mode=mode)
+        st.ramps += [Ramp("load:LD2", 0.0213, 0.37),
+                     Ramp("gen:G1", -0.0117, 0.21),
+                     Ramp("load:LD2", 0.0051, 1.13)]
+        st.t = 1.618
+        refine_state(mdl.build_system(case, st, mode), case, st)
+        apply_add_shunt(case, st, 2, 0.05 - 0.15j)
+        apply_branch_param(case, st, "L12", 0.015, 0.1, 0.05)
+        apply_cut_branch(case, st, "L23B")
+        apply_add_branch(case, st, "L23B")
+        apply_add_load(case, st, "LX2")
+        apply_cut_load(case, st, "LX2")
+        if mode == DYNAMIC:  # the scheduler switches machines in dynamic
+            apply_add_gen(case, st, "G3")
+            apply_cut_gen(case, st, "G3")
+
+
+def _ne39_qss_and_hybrid():
+    case, script = builtin_case("ne39")
+    init_equilibrium(case, mode=QSS)
+    run_simulation(case, script, RunConfig(mode="hybrid", t_end=20.0))
+
+
+def _fourbus_hybrid():
+    case, script = builtin_case("fourbus")
+    run_simulation(case, script, RunConfig(mode="hybrid", t_end=40.0))
+
+
+def _dead_boundary_cut():
+    case, st = _dead_load_case()
+    apply_cut_load(case, st, "LZ")
+
+
+@pytest.mark.parametrize("scenario, flavors", [
+    (_fourbus_switches, {"powerflow", "dynamic", "qss", "dynamic add",
+                         "dynamic cut", "dynamic param", "qss add",
+                         "qss cut", "qss param"}),
+    (_ne39_qss_and_hybrid, {"powerflow", "dynamic", "qss", "dynamic add",
+                      "dynamic param"}),
+    (_fourbus_hybrid, {"powerflow", "dynamic", "qss", "dynamic add"}),
+    (_dead_boundary_cut, {"powerflow", "dynamic param", "dynamic ramp-down"}),
+], ids=["fourbus-switches", "ne39-qss-and-hybrid", "fourbus-hybrid",
+        "dead-boundary-cut"])
+def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
+    """Built.anchors, Built.knowns and write_back against per-name closures
+    kept here, bit for bit, at every state a Built reads in the scenario."""
+    import hesim.scheduler as sch
+
+    flavor_of, seen = {}, []  # id(built) -> (built, flavor), (built, state)
+    real_build, real_anchors = mdl.build_system, mdl.Built.anchors
+
+    def build(case, state, mode, mods=None):
+        built = real_build(case, state, mode, mods)
+        if mods is None:
+            flavor = mode
+        elif mods.powerflow:
+            flavor = "powerflow"
+        elif mods.ramp_down_devices:
+            flavor = f"{mode} ramp-down"
+        else:
+            flavor = f"{mode} {mods.kind[len('ALPHA_'):].lower()}"
+        flavor_of[id(built)] = built, flavor  # the Built keeps its id
+        return built
+
+    def anchors(self, state):
+        seen.append((self, copy.deepcopy(state)))
+        return real_anchors(self, state)
+
+    monkeypatch.setattr(mdl, "build_system", build)
+    monkeypatch.setattr(sch, "build_system", build)
+    monkeypatch.setattr(mdl.Built, "anchors", anchors)
+    scenario()
+    monkeypatch.undo()
+
+    assert {flavor_of[id(b)][1] for b, _ in seen} >= flavors
+    rng = np.random.default_rng(11)
+    for built, st in seen:
+        fields = list(vars(built).values())
+        held = fields + [x for f in fields if isinstance(f, (list, dict))
+                         for x in (f.values() if isinstance(f, dict) else f)]
+        assert not any(map(callable, held))  # a Built holds data only
+        names = built.system.var_names
+        flavor = flavor_of[id(built)][1]
+        got = built.anchors(st)
+        want = np.array([_ref_anchor(st.case, st, n, flavor == "powerflow")
+                         for n in names])
+        assert _bits(got) == _bits(want), (flavor, st.t)
+        for t0, width in ((st.t, 1), (st.t + 0.37, 2), (st.t + 2.5, 17)):
+            assert _bits(built.knowns(st, t0, width)) == _bits(
+                _ref_knowns(st, built.system.known_names, t0, width))
+        values = got * (1.0 + rng.normal(0.0, 1e-3, len(got)))
+        mine, ref = copy.deepcopy(st), copy.deepcopy(st)
+        mdl.write_back(built, values, mine)
+        _ref_write_back(built, values, ref.case, ref)
+        assert _state_bits(mine) == _state_bits(ref)

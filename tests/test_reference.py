@@ -76,7 +76,6 @@ def _decay_model():
 
     class Built:
         system = sys
-        known_specs = []
 
         def anchors(self, state):
             return np.array([1.0])
@@ -183,7 +182,6 @@ def test_singular_algebraic_jacobian_rejects_at_first_solve(monkeypatch):
 
     class Built:
         system = sys
-        known_specs = []
 
     model = DaeModel(Built(), None)
     calls = []
