@@ -24,7 +24,8 @@ from .grid import (
     LoadSpec,
     MotorSpec,
 )
-from .scheduler import Condition, SimEvent, Trajectory
+from .scheduler import (CHANNEL_ARGS, EVENT_KEYS, Condition, SimEvent,
+                        Trajectory)
 
 _GEN_KEYS = {
     "p": "p_set", "v": "v_set", "h": "h", "d": "d", "ra": "ra",
@@ -65,29 +66,9 @@ def _num(s, line_no, what):
     return v
 
 
-# event kind -> the payload keys it needs; a bus, branch, load or gen key
-# names an element of the case
-_EVENT_KEYS = {
-    "add_branch": ("branch",), "cut_branch": ("branch",),
-    "param_branch": ("branch", "r", "x"), "add_shunt": ("bus", "g", "b"),
-    "add_load": ("load",), "cut_load": ("load",), "ramp_load": ("load", "rate"),
-    "ramp_stop_load": ("load",), "add_gen": ("gen",), "cut_gen": ("gen",),
-    "ramp_gen": ("gen", "rate"), "ramp_stop_gen": ("gen",),
-    "record": (), "stop": (),
-}
-# trigger channel -> what its arguments name (I has its own rule)
-_CHANNEL_ARGS = {"t": (), "f": (), "V": ("bus",), "omega": ("gen",),
-                 "delta": ("gen",), "pg": ("gen",)}
-
-
 def _check_event(case: GridCase, ev: SimEvent, line_no: int) -> None:
-    """The event's kind, payload and trigger must fit the case."""
-    if ev.kind not in _EVENT_KEYS:
-        raise ParseError(line_no, f"unknown event kind {ev.kind!r}")
-    for key in _EVENT_KEYS[ev.kind]:
-        if key not in ev.payload:
-            raise ParseError(line_no, f"{ev.kind} needs {key}=")
-    named = [(key, ev.payload[key]) for key in _EVENT_KEYS[ev.kind]]
+    """Every bus, branch, load and generator the event names must exist."""
+    named = [(key, ev.payload[key]) for key in EVENT_KEYS[ev.kind]]
     if ev.condition is not None:
         chan, args = ev.condition.channel, ev.condition.args
         if chan == "I":
@@ -95,12 +76,8 @@ def _check_event(case: GridCase, ev: SimEvent, line_no: int) -> None:
                 case.branch_ends(args)
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
-        elif chan not in _CHANNEL_ARGS:
-            raise ParseError(line_no, f"unknown channel {chan!r}")
-        elif len(args) != len(_CHANNEL_ARGS[chan]):
-            raise ParseError(line_no, f"{chan} takes {len(_CHANNEL_ARGS[chan])}"
-                             f" argument(s), not {len(args)}")
-        named += zip(_CHANNEL_ARGS.get(chan, ()), args)
+        else:
+            named += zip(CHANNEL_ARGS[chan], args)
     elements = {"bus": case.bus_index, "branch": case.branch_by_id,
                 "load": case.load_by_id, "gen": case.gen_by_id}
     for what, name in named:

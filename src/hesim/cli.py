@@ -128,7 +128,7 @@ def _method_event_times(case, script, methods, config):
             st.ramps.append(mdl.Ramp(f"{what}:{ev.payload[what]}",
                                      ev.payload["rate"], ev.t_due))
     built = mdl.build_system(case, st, st.mode)
-    mdl.refine_state(built, case, st)
+    mdl.refine_state(built, st)
     name = {"me": "modified-euler", "trap": "trapezoidal",
             "adaptive": "adaptive-high-order"}
     # the triggers read through the channel map of the analytic segments

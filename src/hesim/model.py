@@ -291,7 +291,7 @@ class Built:
     monitored_angles: dict = field(default_factory=dict)  # gen -> var name
     angle_ref: dict = field(default_factory=dict)         # island -> var name
     powerflow: bool = False  # bus quantities read the island's flat voltage
-    # online branch -> (series admittance, charging j b_sh / 2)
+    # online branch -> (series admittance, b_sh)
     branch_params: dict = field(default_factory=dict)
 
     def __post_init__(self):  # (kind, key) of every name, parsed once
@@ -539,7 +539,7 @@ class _Assembler:
             monitored_plain=monitored_plain,
             monitored_angles=monitored_angles, angle_ref=angle_ref,
             powerflow=pf,
-            branch_params={br.branch_id: (y, 0.5j * b) for br, y, b in (
+            branch_params={br.branch_id: (y, b) for br, y, b in (
                 _branch_params(case, state, i) for i in state.branch_online)},
         )
 
@@ -949,7 +949,7 @@ def write_back(built: Built, values: np.ndarray, state: SystemState) -> None:
             _STORE[kind](state, key, x)
 
 
-def refine_state(built: Built, case: GridCase, state: SystemState,
+def refine_state(built: Built, state: SystemState,
                  tol: float = 1e-12) -> None:
     """Newton-polish the algebraic variables so the anchor is consistent."""
     if built.system.nv == 0:
@@ -1152,7 +1152,7 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
                 ms.agc = 0.0
         state.df = {isl.index: 0.0 for isl in state.islands}
     built = build_system(case, state, mode)
-    refine_state(built, case, state)
+    refine_state(built, state)
     return state
 
 

@@ -82,6 +82,20 @@ class RunConfig:
 
 SWITCH_KINDS = {"add_branch", "cut_branch", "add_load", "cut_load",
                 "add_gen", "cut_gen", "add_shunt", "param_branch"}
+# event kind -> the payload keys it needs; a bus, branch, load or gen key
+# names an element of the case
+EVENT_KEYS = {
+    "add_branch": ("branch",), "cut_branch": ("branch",),
+    "param_branch": ("branch", "r", "x"), "add_shunt": ("bus", "g", "b"),
+    "add_load": ("load",), "cut_load": ("load",), "ramp_load": ("load", "rate"),
+    "ramp_stop_load": ("load",), "add_gen": ("gen",), "cut_gen": ("gen",),
+    "ramp_gen": ("gen", "rate"), "ramp_stop_gen": ("gen",),
+    "record": (), "stop": (),
+}
+# trigger channel -> what its arguments name; I(id) or I(from,to) names a
+# branch through GridCase.branch_ends
+CHANNEL_ARGS = {"t": (), "f": (), "V": ("bus",), "omega": ("gen",),
+                "delta": ("gen",), "pg": ("gen",), "I": None}
 
 
 @dataclass
@@ -97,6 +111,11 @@ class SimEvent:
             raise ValueError("event needs exactly one of time or condition")
         if self.t_due is not None and not math.isfinite(self.t_due):
             raise ValueError("timed events need a finite due time")
+        if self.kind not in EVENT_KEYS:
+            raise ValueError(f"unknown event kind {self.kind!r}")
+        for key in EVENT_KEYS[self.kind]:
+            if key not in self.payload:
+                raise ValueError(f"{self.kind} needs {key}=")
 
 
 @dataclass
@@ -137,6 +156,12 @@ class Condition:
         args: tuple = ()
         if raw:
             args = tuple(a.strip() for a in raw.split(",") if a.strip())
+        if chan not in CHANNEL_ARGS:
+            raise ValueError(f"unknown channel {chan!r}")
+        need = CHANNEL_ARGS[chan]
+        if need is not None and len(args) != len(need):
+            raise ValueError(f"{chan} takes {len(need)} argument(s), "
+                             f"not {len(args)}")
         return cls(text=text, channel=chan, args=args, op=m.group("op"),
                    rhs=float(m.group("rhs")))
 
@@ -251,12 +276,12 @@ class ChannelMap:
 
 def _branch_current(v, yc):
     """|I| at the from end of a branch (none when offline), from the (vx,
-    vy) rows of its ends and its (y_series, charging), in real arithmetic:
+    vy) rows of its ends and its (y_series, b_sh), in real arithmetic:
     numpy's complex multiply may fuse a multiply-add, so its bits would
     depend on the batch size."""
     if yc is None:
         return np.zeros(v.shape[1])
-    y, c = yc
+    y, c = yc[0], 0.5j * yc[1]
     vfx, vfy, dx, dy = v[0], v[1], v[0] - v[2], v[1] - v[3]
     ix = (y.real * dx - y.imag * dy) + (c.real * vfx - c.imag * vfy)
     iy = (y.real * dy + y.imag * dx) + (c.real * vfy + c.imag * vfx)
@@ -483,7 +508,7 @@ def mode_switch(case: GridCase, state: SystemState, direction: str,
         state.mode = QSS
         state.bump()
         built = build_system(case, state, QSS)
-        refine_state(built, case, state)
+        refine_state(built, state)
     elif direction == "qss->dyn":
         if state.mode != QSS:
             raise HesimError("not in QSS mode")
@@ -509,7 +534,7 @@ def mode_switch(case: GridCase, state: SystemState, direction: str,
         state.last_dyn_entry = state.t
         state.bump()
         built = build_system(case, state, DYNAMIC)
-        refine_state(built, case, state)
+        refine_state(built, state)
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
@@ -567,8 +592,6 @@ def _execute_event(case, state, ev: SimEvent, t: float,
             if r.target == f"gen:{gid}":
                 state.mach[gid].p_disp += r.rate * (t - r.t_start)
                 state.ramps.remove(r)
-    else:
-        raise ValueError(f"unknown event kind {ev.kind!r}")
     if ev.kind in SWITCH_KINDS:
         state.last_dyn_entry = t
     traj.events.append(EventRecord(t, ev.kind, ev.label, info))
@@ -655,7 +678,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             t = t + step
             state.t = t
             try:
-                refine_state(built, case, state)
+                refine_state(built, state)
             except (AnchorInconsistent, SingularJacobian) as exc:
                 raise SegmentFailure(
                     f"state refinement at t={t:.6f}: {exc}", time=t) from exc

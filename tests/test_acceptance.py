@@ -274,7 +274,7 @@ def _reference_piecewise(case, state, events, t_end, dt_out):
     while t < t_end - 1e-12:
         t_next = min(t_end, pending[0].t_due if pending else t_end)
         built = build_system(case, st, DYNAMIC)
-        refine_state(built, case, st)
+        refine_state(built, st)
         model = DaeModel(built, st)
         out = integrate_reference(model, (t, t_next), "adaptive-high-order",
                                   rtol=1e-9, atol=1e-11, dt_out=dt_out)

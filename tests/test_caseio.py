@@ -232,10 +232,10 @@ def _ref_channel(rec, chan, args, tau):
         br, f_bus, t_bus = case.branch_ends(args)
         if br.branch_id not in rec.built.branch_params:
             return 0.0
-        y, c = rec.built.branch_params[br.branch_id]
+        y, b = rec.built.branch_params[br.branch_id]
         vf = val(f"vx:{f_bus}") + 1j * val(f"vy:{f_bus}")
         vt = val(f"vx:{t_bus}") + 1j * val(f"vy:{t_bus}")
-        return float(np.abs(y * (vf - vt) + c * vf))
+        return float(np.abs(y * (vf - vt) + 0.5j * b * vf))
     if chan == "f":
         isl = min(rec.built.islands, default=None, key=lambda i: min(
             [case.gen_by_id[g].bus for g in i.machines + i.sources],

@@ -142,7 +142,7 @@ def test_residual_central_difference_matches_rhs():
     st = init_equilibrium(case)
     st.mach["G1"].delta += 0.05
     built = build_system(case, st, DYNAMIC)
-    refine_state(built, case, st)
+    refine_state(built, st)
     seg = solve_segment(built.system, built.anchors(st),
                         built.knowns(st, 0.0, 16), 15, "TIME_DYNAMIC",
                         1e-9, 1.0)
@@ -220,7 +220,7 @@ def test_qss_droop_sign_and_linearity():
         st.bump()
         built = build_system(case, st, QSS)
         # freeze the AGC state and solve the algebraic equilibrium
-        refine_state(built, case, st, tol=1e-12)
+        refine_state(built, st, tol=1e-12)
         dfs.append(st.df[0])
     assert dfs[0] < 0 and dfs[1] < 0
     assert dfs[1] == pytest.approx(dfs[0] / 2, rel=1e-6)
@@ -643,7 +643,7 @@ def _fourbus_switches():
                      Ramp("gen:G1", -0.0117, 0.21),
                      Ramp("load:LD2", 0.0051, 1.13)]
         st.t = 1.618
-        refine_state(mdl.build_system(case, st, mode), case, st)
+        refine_state(mdl.build_system(case, st, mode), st)
         apply_add_shunt(case, st, 2, 0.05 - 0.15j)
         apply_branch_param(case, st, "L12", 0.015, 0.1, 0.05)
         apply_cut_branch(case, st, "L23B")

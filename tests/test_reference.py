@@ -130,7 +130,7 @@ def test_adaptive_agrees_with_embedding_on_smib():
     st.mach["G1"].delta += 0.03
     built = build_system(case, st, DYNAMIC)
     from hesim.model import refine_state
-    refine_state(built, case, st)
+    refine_state(built, st)
     model = DaeModel(built, st)
     out = integrate_reference(model, (0.0, 2.0), "adaptive-high-order",
                               rtol=1e-10, atol=1e-12, dt_out=0.2)

@@ -57,6 +57,20 @@ def test_event_needs_time_or_condition():
         SimEvent(kind="record", t_due=1.0, condition=Condition.parse("t>1"))
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: SimEvent(kind="explode", t_due=1.0), "unknown event kind"),
+    (lambda: SimEvent(kind="param_branch", t_due=1.0,
+                      payload={"branch": "L12", "r": 0.1}), "needs x="),
+    (lambda: Condition.parse("X(1) > 3"), "unknown channel 'X'"),
+    (lambda: Condition.parse("f(1) > 60.1"), "f takes 0 argument"),
+    (lambda: Condition.parse("omega() > 0.01"), "omega takes 1 argument"),
+], ids=["unknown-kind", "missing-key", "unknown-channel", "f-with-argument",
+        "omega-without-argument"])
+def test_events_and_triggers_are_checked_when_built(make, reason):
+    with pytest.raises(ValueError, match=reason):
+        make()
+
+
 # --- conditional localization -------------------------------------------------------
 
 def test_no_crossing_returns_none():
@@ -425,7 +439,7 @@ def test_speed_envelope_decays_on_small_signal_case():
     st.mach["G1"].delta += 0.02
     built = build_system(case, st, DYNAMIC)
     from hesim.model import refine_state
-    refine_state(built, case, st)
+    refine_state(built, st)
     traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=6.0),
                           state=st)
     ts = np.linspace(0.0, 6.0, 1200)

@@ -45,7 +45,7 @@ def test_governor_ramp_tracks_adaptive_integrator():
     st = init_equilibrium(case)
     st.ramps.append(Ramp("gen:G1", 0.02, 0.0))
     built = build_system(case, st, DYNAMIC)
-    refine_state(built, case, st)
+    refine_state(built, st)
     model = DaeModel(built, copy.deepcopy(st))
     out = integrate_reference(model, (0.0, 4.0), "adaptive-high-order",
                               rtol=1e-11, atol=1e-13, dt_out=0.25)
@@ -69,7 +69,7 @@ def test_qss_agc_decay_matches_adaptive_integrator():
     apply_add_load(case, st, "LX2")
     st.mode = QSS
     built = build_system(case, st, QSS)
-    refine_state(built, case, st)
+    refine_state(built, st)
     model = DaeModel(built, copy.deepcopy(st))
     out = integrate_reference(model, (0.0, 12.0), "adaptive-high-order",
                               rtol=1e-11, atol=1e-13, dt_out=1.0)
