@@ -176,6 +176,7 @@ class CompiledSystem:
         self.n_alg = len(self.alg_slots)
         self.n_state = len(self.state_slots)
         self.index = {n: i for i, n in enumerate(self.var_names)}
+        self._flat: dict = {}  # (kind, point count) -> scatter indices
 
     # -- term evaluation over the coefficient table -----------------------------
 
@@ -212,9 +213,13 @@ class CompiledSystem:
         x = ext.reshape(len(ext), -1)
         n_pts = x.shape[1]
         out = np.zeros((n_rows, n_pts))
+        if (kind, n_pts) not in self._flat:  # scatter indices per point count
+            self._flat[kind, n_pts] = [
+                (self.terms[kind + a][0][:, None] * n_pts
+                 + np.arange(n_pts)).ravel() for a in "12"]
+        flat1, flat2 = self._flat[kind, n_pts]
 
-        def scatter(rows, weights):
-            flat = (rows[:, None] * n_pts + np.arange(n_pts)).ravel()
+        def scatter(flat, weights):
             return np.bincount(flat, weights=weights.ravel(),
                                minlength=n_rows * n_pts).reshape(n_rows, n_pts)
 
@@ -223,10 +228,10 @@ class CompiledSystem:
             out += np.bincount(r0, weights=c0, minlength=n_rows)[:, None]
         r1, c1, f1, _ = self.terms[kind + "1"]
         if len(r1):
-            out += scatter(r1, c1[:, None] * x[f1])
+            out += scatter(flat1, c1[:, None] * x[f1])
         r2, c2, g1, g2 = self.terms[kind + "2"]
         if len(r2):
-            out += scatter(r2, c2[:, None] * x[g1] * x[g2])
+            out += scatter(flat2, c2[:, None] * x[g1] * x[g2])
         return out.reshape((n_rows,) + pts)
 
     def _ext(self, values, kvalues) -> np.ndarray:
@@ -348,7 +353,8 @@ def _horner(c: np.ndarray, t) -> np.ndarray:
     t broadcasts against c[k]."""
     out = c[-1] + 0.0 * t
     for ck in c[-2::-1]:
-        out = out * t + ck
+        out *= t
+        out += ck
     return out
 
 
@@ -358,24 +364,34 @@ def _deriv_rows(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
 
 
+def _degree(dens: np.ndarray) -> np.ndarray:
+    """Trimmed degree of each denominator row."""
+    return dens.shape[1] - 1 - np.argmax(dens[:, ::-1] != 0.0, axis=1)
+
+
 def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
-                           limit: float) -> float:
+                           limit: float, per_row: bool = False):
     """Smallest *genuine* real pole in (0, limit] over all rows, or inf.
 
     A real denominator root marks a pole of the rational approximant; the
     certified range of a segment must stay strictly below the first one even
     when the approximant happens to satisfy the residual on both sides (the
-    exact solution continued past its own singularity does).  Roots whose
-    residue is negligible against the variable's scale are spurious
-    zero-pole pairs from fitting float noise and are ignored.
+    exact solution continued past its own singularity does).  A root whose
+    residue is negligible against the variable's scale is spurious: a
+    zero-pole pair (Froissart doublet) from fitting float noise.  It does
+    not cap the range, but the approximant still spikes next to it, so
+    ``solve_segment`` cancels it by refitting its row.  With ``per_row``
+    the result is each row's smallest genuine root (inf where none) and a
+    mask of the rows holding a spurious one.
 
     Rows are grouped by trimmed denominator degree; each group's roots are
     the eigenvalues of a stack of the companion matrices that
     ``numpy.polynomial.polynomial.polyroots`` builds, found in one call.
     """
-    best = np.inf
-    nz = dens != 0.0
-    degree = dens.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    poles = np.full(len(dens), np.inf)
+    spurious = np.zeros(len(dens), dtype=bool)
+    # without a negative coefficient there is no positive root (Descartes)
+    degree = np.where(np.all(dens >= 0.0, axis=1), 0, _degree(dens))
     for d in np.unique(degree[degree > 0]):
         sel = np.flatnonzero(degree == d)
         c = dens[sel, : d + 1]
@@ -396,9 +412,11 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
                                 1e-300))
         scale = np.maximum(1.0, np.max(np.abs(num), axis=1))
         genuine = residue > 1e-9 * scale
-        if genuine.any():
-            best = min(best, float(np.min(xs[genuine])))
-    return best
+        np.minimum.at(poles, sel[rows[genuine]], xs[genuine])
+        spurious[sel[rows[~genuine]]] = True
+    if per_row:
+        return poles, spurious
+    return float(np.min(poles, initial=np.inf))
 
 
 @dataclass
@@ -420,6 +438,8 @@ class SegmentSolution:
     pade_num: np.ndarray
     pade_den: np.ndarray
     t_e: float = np.inf
+    t_cap: float = np.inf      # range cap: t_max or just below a pole
+    refit: int = 0             # rows refitted to cancel a spurious pole
 
     def stacked(self, rates: bool = False) -> tuple:
         """``evaluate``'s coefficient-major table and its parts' row bounds:
@@ -472,7 +492,14 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
                   kcoeffs: np.ndarray, order: int, kind: str,
                   tol_res: float, t_max: float,
                   anchor_tol: float = 1e-6, n_probe: int = 8) -> SegmentSolution:
-    """Solve a time-embedded segment and certify its effective range."""
+    """Solve a time-embedded segment and certify its effective range.
+
+    Rows with a spurious real pole in (0, t_max] are refitted one
+    denominator order lower, batched per degree, until none is left; the
+    first genuine pole caps the range at t_cap.  t_e is the largest range
+    t_cap * 2^(-j/8), j = 0..16, whose probes all pass, found in one probe
+    call; below t_cap/4 ``shrink_refine_range`` takes over.
+    """
     C = system.solve_series(anchors, kcoeffs, order, anchor_tol=anchor_tol)
     # a variable whose entire tail sits at float noise is a constant; keeping
     # the noise would wreck the range estimate at large t (noise * t^N)
@@ -484,14 +511,34 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
                           kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
 
-    pole = min_real_positive_root(nums, dens, t_max)
-    t_cap = min(t_max, 0.995 * pole)
+    poles, spurious = min_real_positive_root(nums, dens, t_max, per_row=True)
+    rows = np.flatnonzero(spurious)
+    seg.refit = len(rows)
+    while len(rows):  # each pass lowers every listed row's degree
+        degree = _degree(dens[rows])
+        for d in np.unique(degree):
+            sel = rows[degree == d]
+            nums[sel], dens[sel, :d] = batch_pade(seg.C[sel], L, d - 1)
+            dens[sel, d:] = 0.0
+        poles[rows], spurious = min_real_positive_root(
+            nums[rows], dens[rows], t_max, per_row=True)
+        rows = rows[spurious]
+    seg.t_cap = t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     if t_cap <= 0:
         raise NoValidRange("rational approximant has a pole at the anchor")
 
     table = seg.stacked(rates=True)  # built once for all probe sets
+    ranges = t_cap * 2.0 ** (-np.arange(17) / 8)
+    res = seg.residual_max_at(
+        chebyshev_probes(ranges[:, None], n_probe).ravel(), table)
+    passed = np.all(res.reshape(len(ranges), -1) <= tol_res, axis=1)
+    if passed.any():  # NaN and inf never pass
+        seg.t_e = float(ranges[np.argmax(passed)])
+        return seg
 
     def worst_residual(t_end: float) -> float:
+        if t_end >= ranges[-1]:  # the ranges above already failed
+            return np.inf
         return float(np.max(seg.residual_max_at(
             chebyshev_probes(t_end, n_probe), table)))
 

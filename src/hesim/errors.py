@@ -69,7 +69,8 @@ class NotSteady(HesimError):
 
 
 class SegmentFailure(HesimError):
-    """A simulation segment could not be solved after the retry ladder."""
+    """A simulation segment could not be solved, neither at the configured
+    series order nor ten orders higher."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

@@ -64,7 +64,7 @@ class RunConfig:
     dwell: float = 1.0            # min dynamic time before re-checking steadiness
     max_step_dyn: float = 1.0
     max_step_qss: float = 30.0
-    step_safety: float = 0.8
+    step_safety: float = 0.9
 
     def __post_init__(self):
         if self.mode not in (HYBRID, DYNAMIC, QSS):
@@ -599,16 +599,14 @@ def _execute_event(case, state, ev: SimEvent, t: float,
 
 
 def _solve_with_ladder(built, state, t, order, kind, tol_res, t_max):
-    """Retry ladder: higher order, then two step halvings."""
-    attempts = ((order, t_max), (order + 10, t_max),
-                (order + 10, t_max / 2), (order + 10, t_max / 4))
+    """Retry ladder: the configured order, then ten orders higher."""
     anchors = built.anchors(state)
     last = None
-    for n, tm in attempts:
+    for n in (order, order + 10):
         try:
             return solve_segment(built.system, anchors,
                                  built.knowns(state, t, n + 1), n, kind,
-                                 tol_res, tm)
+                                 tol_res, t_max)
         except (NoValidRange, SingularJacobian, AnchorInconsistent) as exc:
             last = exc
     raise SegmentFailure(f"segment at t={t:.6f}: {last}", time=t)
@@ -671,6 +669,13 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 config.event_tol)
             if hit:
                 step = rec.step = hit[1]
+            if log.isEnabledFor(logging.DEBUG):
+                why = ("trigger" if hit else "gap" if seg.t_e >= gap - 1e-12
+                       else "residual" if seg.t_e < seg.t_cap
+                       else "cap" if seg.t_cap >= min(gap, cap) else "pole")
+                log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step "
+                          "%.6g, limited by %s, %d rows refitted", t, mode,
+                          seg.C.shape[1] - 1, seg.t_e, step, why, seg.refit)
 
             traj.segments.append(rec)
             values = seg.values_at(step)

@@ -294,15 +294,18 @@ def diagonal_orders(order: int) -> tuple[int, int]:
     return half, half
 
 
-def chebyshev_probes(t_end: float, n: int = 8) -> np.ndarray:
-    """n Chebyshev-spaced probe points inside (0, t_end]."""
+def chebyshev_probes(t_end, n: int = 8) -> np.ndarray:
+    """n Chebyshev-spaced probe points inside (0, t_end), then t_end itself,
+    so a range certificate looks at the end of its range too; a column of
+    ranges t_end gives one row of probes per range."""
     i = np.arange(1, n + 1)
-    x = np.cos((2 * i - 1) * np.pi / (2 * n))  # in (-1, 1)
+    x = np.append(np.cos((2 * i - 1) * np.pi / (2 * n)), 1.0)  # in (-1, 1]
     return t_end * (1.0 + x) / 2.0
 
 
 def shrink_refine_range(residual_at, tol_res: float, t_max: float) -> float:
-    """Shared search used by every effective-range estimate.
+    """Halving range search, the fallback of ``solve_segment``'s one-call
+    ladder of ranges.
 
     Geometric shrink from t_max by factor 0.5 until the residual passes,
     then one refinement pass by factor 1.25 capped at the last failing

@@ -12,7 +12,7 @@ from hesim.engine import (
     solve_alpha_problem,
     solve_segment,
 )
-from hesim.errors import AnchorInconsistent, NoConvergenceAtAlpha1
+from hesim.errors import AnchorInconsistent, NoConvergenceAtAlpha1, NoValidRange
 
 
 def test_exponential_decay_coefficients():
@@ -288,6 +288,72 @@ def test_pole_screen_on_kernel_output():
     assert min_real_positive_root(nums, dens, 1.0) == pytest.approx(0.8, rel=1e-9)
 
 
+def _forced_state(f, order):
+    """y' = p(t) with p the derivative series of f; returns (system, anchors,
+    known coefficients) of a segment whose exact solution is f."""
+    b = SystemBuilder()
+    y = b.state("y")
+    b.rhs_term(y, 1.0, b.known("p"))
+    p = f[1:] * np.arange(1, len(f))
+    return b.compile(), f[:1].copy(), p[None, : order + 1].copy()
+
+
+def test_spurious_pole_is_refitted_and_does_not_cap_the_range():
+    # exp(-t) + 1e-12 / (1 - 2t): the pole at 0.5 carries a residue far
+    # below the row scale, so the (7,7) approximant holds a near-cancelling
+    # pole-zero pair there; left in, its spike falls between the probes
+    # (t_e 0.625 with a residual of 1e-2 near 0.5)
+    order, a = 15, 0.5
+    k = np.arange(order + 2)
+    f = (np.array([(-1.0) ** i / math.factorial(i) for i in k])
+         + 1e-12 * a ** -k)
+    sys, anchors, kc = _forced_state(f, order)
+    nums, dens = batch_pade(sys.solve_series(anchors, kc, order)[:1], 7, 7)
+    poles, spurious = min_real_positive_root(nums, dens, 1.0, per_row=True)
+    assert spurious.tolist() == [True] and poles.tolist() == [np.inf]
+    seg = solve_segment(sys, anchors, kc, order, "TIME_DYNAMIC", 1e-6, 1.0)
+    assert seg.refit == 1
+    roots = np.polynomial.polynomial.polyroots(np.trim_zeros(seg.pade_den[0],
+                                                             "b"))
+    assert not np.any((np.abs(roots.imag) < 1e-9) & (roots.real > 0)
+                      & (roots.real <= 1.0))
+    assert seg.t_cap == 1.0 and seg.t_e > a
+    ts = np.r_[np.linspace(0.0, seg.t_e, 256), a + np.linspace(-1e-4, 1e-4, 41)]
+    assert np.max(seg.residual_max_at(ts)) <= 1e-6
+
+
+def test_nan_probe_fails_its_range(monkeypatch):
+    # x' = 1 - x at its equilibrium certifies all of t_max; a NaN probe
+    # residual fails its whole range, never passing a "<=" check
+    from hesim.engine import SegmentSolution
+
+    b = SystemBuilder()
+    x = b.state("x")
+    b.rhs_term(x, -1.0, x)
+    b.rhs_term(x, 1.0)
+    sys = b.compile()
+    probe = SegmentSolution.residual_max_at
+
+    def solve_with_nan(where):
+        def patched(seg, t, table=None):
+            res = probe(seg, t, table)
+            res[where(len(res))] = np.nan
+            return res
+        monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
+        return solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
+                             "TIME_DYNAMIC", 1e-8, 2.0).t_e
+
+    assert solve_with_nan(lambda n: []) == 2.0
+    # the first range's end point: the next range of the ladder
+    assert solve_with_nan(lambda n: 8) == 2.0 * 2.0 ** (-1 / 8)
+    # every probe of the one-call ladder: the halving search takes over
+    # below t_max/4 and refines once toward the failed t_max/4
+    assert solve_with_nan(lambda n: slice(None) if n > 9 else []) \
+        == 2.0 * 0.15625
+    with pytest.raises(NoValidRange):
+        solve_with_nan(lambda n: slice(None))
+
+
 # --- the dense algebraic Jacobian -----------------------------------------------
 
 
@@ -385,18 +451,63 @@ def test_residual_probes_match_per_table_horner(monkeypatch, name, t_end):
     def checked(seg, t, table=None):
         got = probe(seg, t, table)
         _check_against_reference(seg, t, got)
-        calls.append(seg.kind)
+        calls.append((seg.kind, np.size(t)))
         return got
 
     monkeypatch.setattr(SegmentSolution, "residual_max_at", checked)
     case, script = builtin_case(name)
     traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end))
     assert traj.failure is None
-    kinds = set(calls)
+    kinds = {k for k, _ in calls}
     assert {"TIME_DYNAMIC", "TIME_QSS"} <= kinds or name == "ne39"
-    assert len(calls) > 100
+    assert sum(n for _, n in calls) > 500  # probe times checked
     if name == "ne39":  # switching events: alpha checkpoints
         assert any(k.startswith("ALPHA") for k in kinds)
+
+
+# --- the range certificate between its probes ----------------------------
+
+
+def _dense_residual(seg, step):
+    return float(np.max(seg.residual_max_at(np.linspace(0.0, step, 256))))
+
+
+def test_range_certificate_holds_densely_on_ne39_hybrid():
+    # every accepted dynamic segment of ne39 hybrid 0-40 s, 256 points over
+    # the step taken: with spurious poles left in, 5 of them spike between
+    # their probes
+    from hesim.caseio import builtin_case
+    from hesim.scheduler import RunConfig, run_simulation
+
+    case, script = builtin_case("ne39")
+    config = RunConfig(mode="hybrid", t_end=40.0)
+    traj = run_simulation(case, script, config)
+    assert traj.failure is None
+    over = [(rec.t0, r) for rec in traj.segments if rec.mode == "dynamic"
+            if not (r := _dense_residual(rec.sol, rec.step)) <= config.tol_res]
+    assert not over
+
+
+def test_range_certificate_holds_densely_at_ne39_worst_anchor():
+    # the worst of them: anchored at 7.971352229493641 s, with spurious
+    # poles left in, the step taken reaches 148 x tol_res
+    from hesim.caseio import builtin_case
+    from hesim.model import build_system, init_equilibrium
+    from hesim.scheduler import RunConfig, _solve_with_ladder, run_simulation
+
+    t0 = 7.971352229493641
+    case, script = builtin_case("ne39")
+    config = RunConfig(mode="hybrid", t_end=t0)
+    state = init_equilibrium(case)
+    assert run_simulation(case, script, config, state).failure is None
+    assert state.mode == "dynamic"
+    t_max = min([config.max_step_dyn] + [e.t_due - t0 for e in script
+                                         if e.t_due and e.t_due > t0])
+    built = build_system(case, state, state.mode)
+    seg = _solve_with_ladder(built, state, t0, config.order, "TIME_DYNAMIC",
+                             config.tol_res, t_max)
+    step = t_max if seg.t_e >= t_max else config.step_safety * seg.t_e
+    assert _dense_residual(seg, step) <= config.tol_res
 
 
 def test_residual_probes_match_reference_on_non_finite_rows():

@@ -326,6 +326,28 @@ def test_roundtrip_dyn_qss_dyn_at_equilibrium(fourbus):
         assert np.max(np.abs(np.array(got) - np.array(vals))) < 1e-8
 
 
+def test_each_segment_logs_one_debug_line(caplog):
+    # a timed load step bounds one step by its gap
+    script = [SimEvent(kind="cut_load", t_due=1.5, payload={"load": "LD2"})]
+    config = RunConfig(mode="dynamic", t_end=4.0)
+    with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
+        run_simulation(make_smib(), script, config)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
+        traj = run_simulation(make_smib(), script, config)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "hesim.scheduler"]
+    assert len(lines) == len(traj.segments) > 2
+    for line, rec in zip(lines, traj.segments):
+        assert line.startswith(f"segment at t={rec.t0:.9g}: dynamic, "
+                               f"order {config.order}, t_e ")
+        assert f", step {rec.step:.6g}, limited by " in line
+        assert line.endswith(" rows refitted")
+    limits = {line.split("limited by ")[1].split(",")[0] for line in lines}
+    assert "gap" in limits and limits <= {"gap", "cap", "pole", "residual",
+                                          "trigger"}
+
+
 def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
     case, _ = fourbus
     st = init_equilibrium(case)
