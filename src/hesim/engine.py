@@ -369,9 +369,9 @@ def _degree(dens: np.ndarray) -> np.ndarray:
     return dens.shape[1] - 1 - np.argmax(dens[:, ::-1] != 0.0, axis=1)
 
 
-def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
-                           limit: float, per_row: bool = False):
-    """Smallest *genuine* real pole in (0, limit] over all rows, or inf.
+def min_real_positive_root(nums: np.ndarray, dens: np.ndarray, limit: float):
+    """Each row's smallest *genuine* real pole in (0, limit] (inf where
+    none), and a mask of the rows holding a spurious one.
 
     A real denominator root marks a pole of the rational approximant; the
     certified range of a segment must stay strictly below the first one even
@@ -380,9 +380,7 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
     residue is negligible against the variable's scale is spurious: a
     zero-pole pair (Froissart doublet) from fitting float noise.  It does
     not cap the range, but the approximant still spikes next to it, so
-    ``solve_segment`` cancels it by refitting its row.  With ``per_row``
-    the result is each row's smallest genuine root (inf where none) and a
-    mask of the rows holding a spurious one.
+    ``solve_segment`` cancels it by refitting its row.
 
     Rows are grouped by trimmed denominator degree; each group's roots are
     the eigenvalues of a stack of the companion matrices that
@@ -414,9 +412,7 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray,
         genuine = residue > 1e-9 * scale
         np.minimum.at(poles, sel[rows[genuine]], xs[genuine])
         spurious[sel[rows[~genuine]]] = True
-    if per_row:
-        return poles, spurious
-    return float(np.min(poles, initial=np.inf))
+    return poles, spurious
 
 
 @dataclass
@@ -497,8 +493,9 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     Rows with a spurious real pole in (0, t_max] are refitted one
     denominator order lower, batched per degree, until none is left; the
     first genuine pole caps the range at t_cap.  t_e is the largest range
-    t_cap * 2^(-j/8), j = 0..16, whose probes all pass, found in one probe
-    call; below t_cap/4 ``shrink_refine_range`` takes over.
+    t_cap * 2^(-j/8), j = 0..16, below the first failing probe time of all
+    the ranges' probes, found in one probe call; below t_cap/4
+    ``shrink_refine_range`` takes over.
     """
     C = system.solve_series(anchors, kcoeffs, order, anchor_tol=anchor_tol)
     # a variable whose entire tail sits at float noise is a constant; keeping
@@ -511,7 +508,7 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
                           kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
 
-    poles, spurious = min_real_positive_root(nums, dens, t_max, per_row=True)
+    poles, spurious = min_real_positive_root(nums, dens, t_max)
     rows = np.flatnonzero(spurious)
     seg.refit = len(rows)
     while len(rows):  # each pass lowers every listed row's degree
@@ -520,8 +517,8 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
             sel = rows[degree == d]
             nums[sel], dens[sel, :d] = batch_pade(seg.C[sel], L, d - 1)
             dens[sel, d:] = 0.0
-        poles[rows], spurious = min_real_positive_root(
-            nums[rows], dens[rows], t_max, per_row=True)
+        poles[rows], spurious = min_real_positive_root(nums[rows],
+                                                       dens[rows], t_max)
         rows = rows[spurious]
     seg.t_cap = t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     if t_cap <= 0:
@@ -529,15 +526,17 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
 
     table = seg.stacked(rates=True)  # built once for all probe sets
     ranges = t_cap * 2.0 ** (-np.arange(17) / 8)
-    res = seg.residual_max_at(
-        chebyshev_probes(ranges[:, None], n_probe).ravel(), table)
-    passed = np.all(res.reshape(len(ranges), -1) <= tol_res, axis=1)
-    if passed.any():  # NaN and inf never pass
-        seg.t_e = float(ranges[np.argmax(passed)])
+    tp = chebyshev_probes(ranges[:, None], n_probe).ravel()
+    res = seg.residual_max_at(tp, table)
+    # a range below the first failing probe time (NaN and inf fail) holds
+    # only passing probes, its own and those of every larger range
+    first_bad = np.min(tp[~(res <= tol_res)], initial=np.inf)
+    if ranges[-1] < first_bad:
+        seg.t_e = float(ranges[np.argmax(ranges < first_bad)])
         return seg
 
     def worst_residual(t_end: float) -> float:
-        if t_end >= ranges[-1]:  # the ranges above already failed
+        if t_end >= first_bad:
             return np.inf
         return float(np.max(seg.residual_max_at(
             chebyshev_probes(t_end, n_probe), table)))

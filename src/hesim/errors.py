@@ -70,7 +70,8 @@ class NotSteady(HesimError):
 
 class SegmentFailure(HesimError):
     """A simulation segment could not be solved, neither at the configured
-    series order nor ten orders higher."""
+    series order nor ten orders higher.  The range search floors at
+    t_max * 2^-20 at either order (no halved t_max is retried)."""
 
     def __init__(self, message, time=None):
         super().__init__(message)
