@@ -32,12 +32,5 @@ from .scheduler import (
     mode_switch,
     run_simulation,
 )
-from .series import (
-    PadeApproximant,
-    TruncatedSeries,
-    pade_from_series,
-    series_mul,
-    series_reciprocal,
-)
 
 __version__ = "0.1.0"

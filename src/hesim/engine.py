@@ -29,15 +29,11 @@ from .errors import (
     NoValidRange,
     SingularJacobian,
 )
+from .series import batch_pade, diagonal_orders, shrink_refine_range
+
 # pade_with_fallback is not called here; benchmarks/tracing.py counts the
 # calls made through this name
-from .series import (  # noqa: F401
-    batch_pade,
-    chebyshev_probes,
-    diagonal_orders,
-    pade_with_fallback,
-    shrink_refine_range,
-)
+pade_with_fallback = batch_pade
 
 ALG = "alg"
 STATE = "state"
@@ -51,6 +47,9 @@ ALPHA_CUT = "ALPHA_CUT"
 ALPHA_PARAM = "ALPHA_PARAM"
 
 ALPHA_CHECKPOINTS = (0.25, 0.5, 0.75, 1.0)
+_ANCHOR_TOL = 1e-6     # largest algebraic residual accepted at an anchor
+_PATH_TOL = 1e-3       # alpha continuation: residual along the path
+_PREDICTOR_TOL = 1e-2  # ... and at alpha = 1, before the Newton corrector
 
 _ABSENT = -1  # encoding for a missing second factor
 
@@ -309,8 +308,8 @@ class CompiledSystem:
 
     # -- the order-by-order solve ---------------------------------------------------
 
-    def solve_series(self, anchors: np.ndarray, kcoeffs: np.ndarray, order: int,
-                     anchor_tol: float = 1e-6) -> np.ndarray:
+    def solve_series(self, anchors: np.ndarray, kcoeffs: np.ndarray,
+                     order: int) -> np.ndarray:
         """Coefficient table (vars+knowns x order+1); one linear solve per order.
 
         States update explicitly from k * x[k] = (k-1)-th coefficient of f;
@@ -321,7 +320,7 @@ class CompiledSystem:
         C = self._table(anchors, kcoeffs, order)
         if self.n_alg:
             res0 = self._coeff_of("alg", C, 0, self.n_alg)
-            if np.max(np.abs(res0)) > anchor_tol:
+            if np.max(np.abs(res0)) > _ANCHOR_TOL:
                 worst = int(np.argmax(np.abs(res0)))
                 raise AnchorInconsistent(
                     f"anchor residual {np.max(np.abs(res0)):.3e} "
@@ -486,18 +485,15 @@ class SegmentSolution:
 
 def solve_segment(system: CompiledSystem, anchors: np.ndarray,
                   kcoeffs: np.ndarray, order: int, kind: str,
-                  tol_res: float, t_max: float,
-                  anchor_tol: float = 1e-6, n_probe: int = 8) -> SegmentSolution:
+                  tol_res: float, t_max: float) -> SegmentSolution:
     """Solve a time-embedded segment and certify its effective range.
 
     Rows with a spurious real pole in (0, t_max] are refitted one
     denominator order lower, batched per degree, until none is left; the
-    first genuine pole caps the range at t_cap.  t_e is the largest range
-    t_cap * 2^(-j/8), j = 0..16, below the first failing probe time of all
-    the ranges' probes, found in one probe call; below t_cap/4
-    ``shrink_refine_range`` takes over.
+    first genuine pole caps the range at t_cap, and ``shrink_refine_range``
+    certifies t_e in (0, t_cap].
     """
-    C = system.solve_series(anchors, kcoeffs, order, anchor_tol=anchor_tol)
+    C = system.solve_series(anchors, kcoeffs, order)
     # a variable whose entire tail sits at float noise is a constant; keeping
     # the noise would wreck the range estimate at large t (noise * t^N)
     tail = np.max(np.abs(C[: system.nv, 1:]), axis=1)
@@ -523,32 +519,15 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     seg.t_cap = t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     if t_cap <= 0:
         raise NoValidRange("rational approximant has a pole at the anchor")
-
-    table = seg.stacked(rates=True)  # built once for all probe sets
-    ranges = t_cap * 2.0 ** (-np.arange(17) / 8)
-    tp = chebyshev_probes(ranges[:, None], n_probe).ravel()
-    res = seg.residual_max_at(tp, table)
-    # a range below the first failing probe time (NaN and inf fail) holds
-    # only passing probes, its own and those of every larger range
-    first_bad = np.min(tp[~(res <= tol_res)], initial=np.inf)
-    if ranges[-1] < first_bad:
-        seg.t_e = float(ranges[np.argmax(ranges < first_bad)])
-        return seg
-
-    def worst_residual(t_end: float) -> float:
-        if t_end >= first_bad:
-            return np.inf
-        return float(np.max(seg.residual_max_at(
-            chebyshev_probes(t_end, n_probe), table)))
-
-    seg.t_e = shrink_refine_range(worst_residual, tol_res, t_cap)
+    table = seg.stacked(rates=True)  # built once for all probe calls
+    seg.t_e = shrink_refine_range(lambda ts: seg.residual_max_at(ts, table),
+                                  tol_res, t_cap)
     return seg
 
 
 def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
-                        kcoeffs: np.ndarray, kind: str, order: int = 30,
-                        path_tol: float = 1e-3, predictor_tol: float = 1e-2,
-                        anchor_tol: float = 1e-6) -> np.ndarray:
+                        kcoeffs: np.ndarray, kind: str,
+                        order: int = 30) -> np.ndarray:
     """Continuation from alpha=0 (pre-switch) to the alpha=1 state.
 
     The Pade continuation is validated along the path (alpha = 0.25, 0.5,
@@ -560,14 +539,14 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
     """
     last_err = None
     for n in (order, order + 10):
-        C = system.solve_series(anchors, kcoeffs, n, anchor_tol=anchor_tol)
+        C = system.solve_series(anchors, kcoeffs, n)
         L, M = diagonal_orders(n)
         nums, dens = batch_pade(C[: system.nv], L, M)
         seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
                               kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
         res = seg.residual_max_at(np.array(ALPHA_CHECKPOINTS))
         bad = ~(res <= np.where(np.array(ALPHA_CHECKPOINTS) == 1.0,
-                                predictor_tol, path_tol))  # NaN fails
+                                _PREDICTOR_TOL, _PATH_TOL))  # NaN fails
         if bad.any():
             i = int(np.argmax(bad))
             last_err = f"residual {res[i]:.3e} at alpha={ALPHA_CHECKPOINTS[i]}"

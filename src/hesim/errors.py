@@ -5,19 +5,7 @@ class HesimError(Exception):
     """Base class for all simulator errors."""
 
 
-# --- series / Pade ---------------------------------------------------------
-
-class ZeroLeadingCoefficient(HesimError):
-    """Reciprocal of a series whose constant term is (numerically) zero."""
-
-
-class SingularPade(HesimError):
-    """The Toeplitz system for the Pade denominator has no usable solution."""
-
-
-class DenominatorZero(HesimError):
-    """Pade denominator vanished at the queried point (pole inside range)."""
-
+# --- effective range -------------------------------------------------------
 
 class NoValidRange(HesimError):
     """Residual exceeds tolerance even at the smallest probed range."""
@@ -70,8 +58,8 @@ class NotSteady(HesimError):
 
 class SegmentFailure(HesimError):
     """A simulation segment could not be solved, neither at the configured
-    series order nor ten orders higher.  The range search floors at
-    t_max * 2^-20 at either order (no halved t_max is retried)."""
+    series order nor ten orders higher.  At either order the range search
+    tries ranges down to t_max * 2^-20 (no halved t_max is retried)."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

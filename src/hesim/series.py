@@ -1,115 +1,18 @@
-"""Truncated power-series arithmetic, Pade conversion and effective ranges.
+"""Batched Pade conversion, effective ranges and a bracketed root finder.
 
-Every analytic segment produced by the embedding engine is represented per
-variable either as a truncated power series ``x(t) = sum x[k] t^k`` or as the
-rational (Pade) approximant built from those coefficients.  All operations
-here are pure and the value types are immutable, so solutions can be shared
-freely between threads.
+Every analytic segment produced by the embedding engine is a coefficient
+table with one row per variable: its truncated power series
+``x(t) = sum x[k] t^k``, and the rational (Pade) approximant built from
+those coefficients as a numerator and a denominator table.  The kernels here
+take and return plain arrays, whole tables at a time; there are no value
+types.  All of them are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DenominatorZero,
-    NoValidRange,
-    SingularPade,
-    ZeroLeadingCoefficient,
-)
-
-_RANGE_FLOOR_FACTOR = 2.0 ** -20  # smallest probed fraction of t_max
-
-
-def _as_coeffs(values) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("coefficient array must be non-empty and 1-D")
-    if not np.issubdtype(arr.dtype, np.number):
-        raise ValueError("coefficients must be numeric")
-    arr = arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """Coefficients x[0..N] of a power series in the embedding variable."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, t):
-        """Horner evaluation; exact constant term at t=0."""
-        c = self.coeffs
-        out = np.full_like(np.asarray(t, dtype=float), c[-1], dtype=c.dtype)
-        for k in range(len(c) - 2, -1, -1):
-            out = out * t + c[k]
-        return out if np.ndim(t) else out[()]
-
-
-@dataclass(frozen=True, eq=False)
-class PadeApproximant:
-    """Rational approximant num/den with the normalization den[0] = 1."""
-
-    num: np.ndarray
-    den: np.ndarray
-
-    def __post_init__(self):
-        num = _as_coeffs(self.num)
-        den = _as_coeffs(self.den)
-        if abs(den[0]) < 1e-300:
-            raise ValueError("Pade denominator must have nonzero constant term")
-        if den[0] != 1.0:
-            num = _as_coeffs(num / den[0])
-            den = _as_coeffs(den / den[0])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def eval(self, t):
-        n = TruncatedSeries(self.num).eval(t)
-        d = TruncatedSeries(self.den).eval(t)
-        if np.min(np.abs(d)) < 1e-12:
-            raise DenominatorZero(f"Pade denominator ~0 at t={t}")
-        return n / d
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Convolution product truncated at order n (n <= a.order + b.order)."""
-    if n > a.order + b.order:
-        raise ValueError("requested order exceeds available information")
-    full = np.convolve(a.coeffs, b.coeffs)
-    return TruncatedSeries(full[: n + 1])
-
-
-def series_reciprocal(a: TruncatedSeries, n: int, tol: float = 1e-9) -> TruncatedSeries:
-    """Order-by-order solve of a * result = 1.
-
-    Raises ZeroLeadingCoefficient when |a[0]| < tol, which in network terms
-    signals a collapsed (zero-voltage) bus.
-    """
-    a0 = a.coeffs[0]
-    if abs(a0) < tol:
-        raise ZeroLeadingCoefficient(f"|a[0]|={abs(a0):.3e} below {tol:.1e}")
-    out = np.zeros(n + 1, dtype=np.result_type(a.coeffs, float))
-    out[0] = 1.0 / a0
-    ac = a.coeffs
-    for k in range(1, n + 1):
-        jmax = min(k, len(ac) - 1)
-        acc = 0.0
-        for j in range(1, jmax + 1):
-            acc = acc + ac[j] * out[k - j]
-        out[k] = -acc / a0
-    return TruncatedSeries(out)
-
+from .errors import NoValidRange
 
 _PADE_TOL = 1e-8  # re-expansion tolerance, relative to the row scale
 
@@ -216,45 +119,6 @@ def batch_pade(C, n_num: int, n_den: int):
     return nums, dens
 
 
-def pade_of_row(num, den) -> PadeApproximant:
-    """One row of a Pade table as an approximant, in canonical form.
-
-    Trailing zero denominator coefficients are dropped; a denominator that
-    reduces to [1] means the input was (numerically) a polynomial, so the
-    numerator's trailing zeros go too.
-    """
-    den = np.trim_zeros(np.asarray(den), "b")
-    num = np.asarray(num)
-    if len(den) == 1:
-        num = num[: max(1, len(np.trim_zeros(num, "b")))]
-    return PadeApproximant(num, den)
-
-
-def pade_from_series(a: TruncatedSeries, n_num: int, n_den: int) -> PadeApproximant:
-    """Build the (n_num, n_den) Pade approximant of a truncated series.
-
-    A one-row call of the batched kernel. The result is accepted only if
-    its Taylor re-expansion reproduces the input through order
-    n_num + n_den; otherwise SingularPade is raised and the caller is
-    expected to retry at lower denominator order.
-    """
-    if n_num < 0 or n_den < 0:
-        raise ValueError("orders must be nonnegative")
-    if n_num + n_den > a.order:
-        raise ValueError("n_num + n_den must not exceed the series order")
-    nums, dens, ok = _pade_level(a.coeffs[None, :], n_num, n_den)
-    if not ok[0]:
-        raise SingularPade(f"({n_num},{n_den}) approximant fails re-expansion check")
-    return pade_of_row(nums[0], dens[0])
-
-
-def pade_with_fallback(a: TruncatedSeries, n_num: int, n_den: int) -> PadeApproximant:
-    """SingularPade fallback ladder: lower the denominator order until it
-    works; at order 0 the 'Pade' equals the truncated series."""
-    nums, dens = batch_pade(a.coeffs[None, :], n_num, n_den)
-    return pade_of_row(nums[0], dens[0])
-
-
 def bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
     """A point within xtol of a sign change of f in [lo, hi].
 
@@ -294,41 +158,42 @@ def diagonal_orders(order: int) -> tuple[int, int]:
     return half, half
 
 
-def chebyshev_probes(t_end, n: int = 8) -> np.ndarray:
-    """n Chebyshev-spaced probe points inside (0, t_end), then t_end itself,
+_N_PROBE = 8  # Chebyshev probes per range, before its end point
+_RANGES_PER_CALL = 17
+_LAST_RANGE = 160  # t_max * 2^(-160/8) = t_max * 2^-20, the smallest range
+
+
+def _chebyshev_probes(t_end) -> np.ndarray:
+    """8 Chebyshev-spaced probe points inside (0, t_end), then t_end itself,
     so a range certificate looks at the end of its range too; a column of
     ranges t_end gives one row of probes per range."""
-    i = np.arange(1, n + 1)
-    x = np.append(np.cos((2 * i - 1) * np.pi / (2 * n)), 1.0)  # in (-1, 1]
-    return t_end * (1.0 + x) / 2.0
+    i = np.arange(1, _N_PROBE + 1)
+    x = np.append(np.cos((2 * i - 1) * np.pi / (2 * _N_PROBE)), 1.0)
+    return t_end * (1.0 + x) / 2.0  # x in (-1, 1]
 
 
 def shrink_refine_range(residual_at, tol_res: float, t_max: float) -> float:
-    """Halving range search, the fallback of ``solve_segment``'s one-call
-    ladder of ranges.
+    """The largest range t_max * 2^(-j/8), j = 0..160, whose certificate holds.
 
-    Geometric shrink from t_max by factor 0.5 until the residual passes,
-    then one refinement pass by factor 1.25 capped at the last failing
-    value. ``residual_at(T)`` returns the max-norm residual over the probe
-    points of (0, T].
+    ``residual_at(ts)`` returns the max-norm residual at each probe time of
+    the 1-D ``ts``.  Each range is probed at ``_chebyshev_probes``, 17 ranges
+    per call, largest first.  A range below the first failing probe time of
+    every call so far (NaN and inf fail) holds only passing probes, its own
+    and those of every larger range; the largest such range is returned.
+    Raises NoValidRange when not even t_max * 2^-20 qualifies.
     """
     if tol_res <= 0:
         raise ValueError("tol_res must be positive")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    t = t_max
-    last_fail = None
-    floor = t_max * _RANGE_FLOOR_FACTOR
-    while not residual_at(t) <= tol_res:  # a NaN residual fails too
-        last_fail = t
-        t *= 0.5
-        if t < floor:
-            raise NoValidRange(
-                f"residual above {tol_res:.2e} even at t={t:.3e}"
-            )
-    if last_fail is None:
-        return t_max
-    cand = min(t * 1.25, last_fail, t_max)
-    if cand > t and residual_at(cand) <= tol_res:
-        return cand
-    return t
+    first_bad = np.inf
+    for j0 in range(0, _LAST_RANGE + 1, _RANGES_PER_CALL):
+        j = np.arange(j0, min(j0 + _RANGES_PER_CALL, _LAST_RANGE + 1))
+        ranges = t_max * 2.0 ** (-j / 8)
+        tp = _chebyshev_probes(ranges[:, None]).ravel()
+        res = residual_at(tp)
+        first_bad = min(first_bad, np.min(tp[~(res <= tol_res)],
+                                          initial=np.inf))
+        if ranges[-1] < first_bad:
+            return float(ranges[np.argmax(ranges < first_bad)])
+    raise NoValidRange(f"residual above {tol_res:.2e} even at t={ranges[-1]:.3e}")

@@ -19,7 +19,7 @@ from hesim.engine import solve_segment
 from hesim.errors import EmptyVariableSet
 from hesim.model import DYNAMIC, build_system, init_equilibrium
 from hesim.scheduler import steadiness_verdict
-from hesim.series import TruncatedSeries, pade_from_series
+from hesim.series import batch_pade
 
 RNG = np.random.default_rng(11)
 POLYVAL = np.polynomial.polynomial.polyval
@@ -196,13 +196,18 @@ def test_pa_undefined_when_denominator_can_vanish():
 def test_pa_bounds_sampled_rate_damped_exponential():
     # Pade of exp(-2t), a damped segment
     k = np.arange(9)
-    series = TruncatedSeries((-2.0) ** k / np.array([math.factorial(i) for i in k]))
-    p = pade_from_series(series, 4, 4)
+    series = (-2.0) ** k / np.array([math.factorial(i) for i in k])
+    nums, dens = batch_pade(series[None], 4, 4)
+    assert dens[0, 4] != 0.0 and np.all(nums[0, 5:] == 0.0)  # (4,4) accepted
     t_e = 0.5
-    _, d_pa, _ = check([series.coeffs], [p.num], [p.den], t_e)
+    _, d_pa, _ = check([series], nums, dens, t_e)
     assert np.isfinite(d_pa[0])
     t = np.linspace(t_e / 100, t_e, 100)
-    rate = np.abs((p.eval(t) - p.eval(0.0)) / t)
+
+    def pade(t):
+        return POLYVAL(t, nums[0]) / POLYVAL(t, dens[0])
+
+    rate = np.abs((pade(t) - pade(0.0)) / t)
     assert np.all(rate <= d_pa[0] + 1e-9)
 
 
@@ -270,16 +275,16 @@ def test_pa_undefined_falls_back_to_ps():
 
 
 def test_steady_state_check_system_verdict():
-    flat = TruncatedSeries([1.0, 1e-5, 0.0, 0.0])
-    p_flat = pade_from_series(flat, 1, 1)
+    flat = [1.0, 1e-5, 0.0, 0.0]
+    p_num, p_den = batch_pade(np.array([flat]), 1, 1)
     moving = [1.0, 0.5, 0.0, 0.0]
     num = np.zeros((2, 4))
-    num[0, :2] = p_flat.num
+    num[0] = p_num[0]
     num[1] = moving
     den = np.zeros((2, 2))
-    den[0] = p_flat.den
+    den[0] = p_den[0]
     den[1, 0] = 1.0
-    out = SteadyStateVerdict(["a", "b"], *check([flat.coeffs, moving], num,
+    out = SteadyStateVerdict(["a", "b"], *check([flat, moving], num,
                                                 den, 1.0), 1e-3)
     assert out.steady[0]
     assert not out.steady[1]

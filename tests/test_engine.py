@@ -336,27 +336,56 @@ def test_nan_probe_fails_its_range(monkeypatch):
     probe = SegmentSolution.residual_max_at
 
     def solve_with_nan(where):
+        calls = []
+
         def patched(seg, t, table=None):
             res = probe(seg, t, table)
-            res[where(len(res))] = np.nan
+            res[where(len(calls))] = np.nan
+            calls.append(t)
             return res
         monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
         return solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
                              "TIME_DYNAMIC", 1e-8, 2.0).t_e
 
-    assert solve_with_nan(lambda n: []) == 2.0
+    assert solve_with_nan(lambda call: []) == 2.0
     # the first range's end point: the next range of the ladder
-    assert solve_with_nan(lambda n: 8) == 2.0 * 2.0 ** (-1 / 8)
+    assert solve_with_nan(lambda call: 8) == 2.0 * 2.0 ** (-1 / 8)
     # a probe of the first range at 1.8315, just below the second range's
     # end 1.8340: the second range passes its own probes but holds the
     # failed one, so the third is taken
-    assert solve_with_nan(lambda n: 1) == 2.0 * 2.0 ** (-2 / 8)
-    # every end point of the one-call ladder: the halving search takes over
-    # below t_max/4 and refines once toward the failed t_max/4
-    assert solve_with_nan(lambda n: slice(8, None, 9) if n > 9 else []) \
-        == 2.0 * 0.15625
+    assert solve_with_nan(lambda call: 1) == 2.0 * 2.0 ** (-2 / 8)
+    # every end point of the first call's 17 ranges: the second call's
+    # largest range lies below them all
+    assert solve_with_nan(lambda call: slice(8, None, 9) if call == 0
+                          else []) == 2.0 * 2.0 ** (-17 / 8)
     with pytest.raises(NoValidRange):
-        solve_with_nan(lambda n: slice(None))
+        solve_with_nan(lambda call: slice(None))
+
+
+def test_range_below_failing_probes_of_every_call(monkeypatch):
+    # x' = 1 - x at its equilibrium, with the probe residual failing on
+    # [0.2, 0.25] and [0.073, 0.076]: the first call finds no range below
+    # 0.2, and the second must not take a range holding a failed probe
+    # of [0.073, 0.076] (0.078125 would hold the failed probe at 0.0747)
+    from hesim.engine import SegmentSolution
+
+    b = SystemBuilder()
+    x = b.state("x")
+    b.rhs_term(x, -1.0, x)
+    b.rhs_term(x, 1.0)
+    sys = b.compile()
+    probe = SegmentSolution.residual_max_at
+    failed = []
+
+    def patched(seg, t, table=None):
+        bad = ((t >= 0.2) & (t <= 0.25)) | ((t >= 0.073) & (t <= 0.076))
+        failed.extend(t[bad])
+        return np.where(bad, 1.0, probe(seg, t, table))
+
+    monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
+    t_e = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
+                        "TIME_DYNAMIC", 1e-8, 1.0).t_e
+    assert t_e == 2.0 ** (-31 / 8) and t_e < min(failed)
 
 
 # --- the dense algebraic Jacobian -----------------------------------------------

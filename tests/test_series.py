@@ -1,4 +1,5 @@
-"""Series arithmetic, Pade conversion and effective-range estimation."""
+"""Series kernels: the products and reciprocals of the order recursion,
+batched Pade conversion and the effective-range search."""
 
 import math
 from fractions import Fraction
@@ -8,41 +9,48 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hesim.errors import (
-    DenominatorZero,
-    NoValidRange,
-    SingularPade,
-    ZeroLeadingCoefficient,
-)
+from hesim.engine import SystemBuilder, _horner
+from hesim.errors import NoValidRange
 from hesim.series import (
-    PadeApproximant,
-    TruncatedSeries,
     batch_pade,
     bracketed_root,
-    chebyshev_probes,
-    pade_from_series,
-    pade_with_fallback,
-    series_mul,
-    series_reciprocal,
     shrink_refine_range,
 )
 
 RNG = np.random.default_rng(2024)
+POLYVAL = np.polynomial.polynomial.polyval
 
 
-# --- series_mul -------------------------------------------------------------
+def _known_table(*series, n):
+    k = np.zeros((len(series), n + 1))
+    for row, c in zip(k, series):
+        c = np.asarray(c, float)[: n + 1]
+        row[: len(c)] = c
+    return k
+
+
+# --- series products, as the order recursion solves p = a b -----------------
+
+def _product(a, b, n):
+    """Coefficients 0..n of a * b from ``solve_series``: the unknown p
+    solves p - a b = 0 with a and b known input series."""
+    sb = SystemBuilder()
+    p, eq = sb.alg("p"), sb.alg_eq("p - a b")
+    sb.term(eq, 1.0, p)
+    sb.term(eq, -1.0, sb.known("a"), sb.known("b"))
+    k = _known_table(a, b, n=n)
+    return sb.compile().solve_series(k[:1, 0] * k[1:, 0], k, n)[0]
+
 
 def test_mul_binomial_square():
-    a = TruncatedSeries([1.0, 1.0])
-    out = series_mul(a, a, 2)
-    assert np.allclose(out.coeffs, [1.0, 2.0, 1.0])
+    out = _product([1.0, 1.0], [1.0, 1.0], 2)
+    assert np.allclose(out, [1.0, 2.0, 1.0])
 
 
 def test_mul_identity():
-    a = TruncatedSeries([3.0, -2.0, 0.5, 7.0])
-    one = TruncatedSeries([1.0, 0.0, 0.0, 0.0])
-    out = series_mul(a, one, 3)
-    assert np.allclose(out.coeffs, a.coeffs)
+    a = np.array([3.0, -2.0, 0.5, 7.0])
+    out = _product(a, [1.0, 0.0, 0.0, 0.0], 3)
+    assert np.allclose(out, a)
 
 
 def test_mul_matches_polynomial_expansion():
@@ -51,37 +59,42 @@ def test_mul_matches_polynomial_expansion():
         a = RNG.uniform(-5, 5, 5)
         b = RNG.uniform(-5, 5, 5)
         expect = np.polynomial.polynomial.polymul(a, b)
-        got = series_mul(TruncatedSeries(a), TruncatedSeries(b), 8).coeffs
-        assert np.allclose(got, expect[:9])
+        assert np.allclose(_product(a, b, 8), expect[:9])
 
 
-def test_mul_truncation_contract():
-    a = TruncatedSeries([1.0, 1.0])
-    with pytest.raises(ValueError):
-        series_mul(a, a, 5)
+# --- series reciprocals, as the order recursion solves a y = 1 ---------------
+
+def _reciprocal(a, n):
+    """Coefficients 0..n of 1/a from ``solve_series``: the unknown y
+    solves a y - 1 = 0 with a a known input series."""
+    sb = SystemBuilder()
+    y, eq = sb.alg("y"), sb.alg_eq("a y - 1")
+    sb.term(eq, 1.0, sb.known("a"), y)
+    sb.term(eq, -1.0)
+    k = _known_table(a, n=n)
+    return sb.compile().solve_series(1.0 / k[:, 0], k, n)[0]
 
 
-# --- series_reciprocal --------------------------------------------------------
+def _unit_error(coeffs, recip):
+    n = len(recip) - 1
+    unit = np.convolve(coeffs, recip)[: n + 1]
+    expect = np.zeros(n + 1)
+    expect[0] = 1.0
+    return np.max(np.abs(unit - expect))
+
 
 def test_reciprocal_of_one():
-    out = series_reciprocal(TruncatedSeries([1.0, 0.0, 0.0]), 2)
-    assert np.allclose(out.coeffs, [1.0, 0.0, 0.0])
+    assert np.allclose(_reciprocal([1.0, 0.0, 0.0], 2), [1.0, 0.0, 0.0])
 
 
 def test_reciprocal_of_constant():
-    out = series_reciprocal(TruncatedSeries([2.0, 0.0, 0.0]), 2)
-    assert np.allclose(out.coeffs, [0.5, 0.0, 0.0])
+    assert np.allclose(_reciprocal([2.0, 0.0, 0.0], 2), [0.5, 0.0, 0.0])
 
 
 def test_reciprocal_geometric():
     # 1/(1+t) = 1 - t + t^2 - t^3
-    out = series_reciprocal(TruncatedSeries([1.0, 1.0, 0.0, 0.0]), 3)
-    assert np.allclose(out.coeffs, [1.0, -1.0, 1.0, -1.0])
-
-
-def test_reciprocal_zero_leading():
-    with pytest.raises(ZeroLeadingCoefficient):
-        series_reciprocal(TruncatedSeries([1e-12, 1.0]), 3)
+    out = _reciprocal([1.0, 1.0, 0.0, 0.0], 3)
+    assert np.allclose(out, [1.0, -1.0, 1.0, -1.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,14 +104,9 @@ def test_reciprocal_roundtrip(tail, lead):
     # 1e-10 relative to the reciprocal's own magnitude: its coefficients can
     # grow like (|a|/|a0|)^k, which float64 cannot cancel to 1e-10 absolute
     coeffs = np.array([lead] + tail)
-    n = len(coeffs) - 1
-    a = TruncatedSeries(coeffs)
-    recip = series_reciprocal(a, n)
-    unit = series_mul(a, recip, n).coeffs
-    expect = np.zeros(n + 1)
-    expect[0] = 1.0
-    scale = max(1.0, float(np.max(np.abs(recip.coeffs))))
-    assert np.max(np.abs(unit - expect)) < 1e-10 * scale
+    recip = _reciprocal(coeffs, len(coeffs) - 1)
+    scale = max(1.0, float(np.max(np.abs(recip))))
+    assert _unit_error(coeffs, recip) < 1e-10 * scale
 
 
 def test_reciprocal_roundtrip_thousand_random():
@@ -106,53 +114,67 @@ def test_reciprocal_roundtrip_thousand_random():
     for _ in range(1000):
         c = rng.uniform(-1, 1, rng.integers(2, 8))
         c[0] = rng.uniform(0.1, 1.0) * (1 if rng.random() < 0.5 else -1)
-        n = len(c) - 1
-        a = TruncatedSeries(c)
-        recip = series_reciprocal(a, n)
-        unit = series_mul(a, recip, n).coeffs
-        expect = np.zeros(n + 1)
-        expect[0] = 1.0
-        scale = max(1.0, float(np.max(np.abs(recip.coeffs))))
-        assert np.max(np.abs(unit - expect)) < 1e-10 * scale
+        recip = _reciprocal(c, len(c) - 1)
+        scale = max(1.0, float(np.max(np.abs(recip))))
+        assert _unit_error(c, recip) < 1e-10 * scale
 
 
-# --- pade_from_series ---------------------------------------------------------
+# --- batch_pade, one row at a time ----------------------------------------------
+
+def _pade(coeffs, n_num, n_den):
+    """batch_pade of a one-row table: (num, den) of that row."""
+    nums, dens = batch_pade(np.array([coeffs], float), n_num, n_den)
+    return nums[0], dens[0]
+
+
+def _degree(c):
+    return len(np.trim_zeros(c, "b")) - 1
+
 
 def test_pade_reconstructs_simple_pole():
     # 1/(1-t) truncated at order 4
-    a = TruncatedSeries([1.0, 1.0, 1.0, 1.0, 1.0])
-    p = pade_from_series(a, 1, 1)
-    assert np.allclose(p.num, [1.0, 0.0])
-    assert np.allclose(p.den, [1.0, -1.0])
+    num, den = _pade([1.0, 1.0, 1.0, 1.0, 1.0], 1, 1)
+    assert np.allclose(num, [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.allclose(den, [1.0, -1.0])
 
 
 def test_pade_of_constant_is_itself():
-    p = pade_from_series(TruncatedSeries([4.5, 0.0, 0.0]), 1, 1)
-    assert np.allclose(p.num, [4.5])
-    assert np.allclose(p.den, [1.0])
+    num, den = _pade([4.5, 0.0, 0.0], 1, 1)
+    assert np.allclose(np.trim_zeros(num, "b"), [4.5])
+    assert np.allclose(np.trim_zeros(den, "b"), [1.0])
 
 
 def test_pade_exp_reexpansion():
-    a = TruncatedSeries([1 / math.factorial(k) for k in range(5)])
-    p = pade_from_series(a, 2, 2)
+    coeffs = [1 / math.factorial(k) for k in range(5)]
+    num, den = _pade(coeffs, 2, 2)
+    assert _degree(den) == 2  # the (2,2) level was accepted
     # re-expand num/den and compare Taylor coefficients
-    recip = series_reciprocal(TruncatedSeries(p.den), 4)
-    num = TruncatedSeries(np.pad(p.num, (0, 2)))
-    re = series_mul(num, recip, 4).coeffs
-    assert np.max(np.abs(re - a.coeffs)) < 1e-12
+    re = np.array(_exact_reexpansion(num, den, 4), float)
+    assert np.max(np.abs(re - coeffs)) < 1e-12
 
 
 def test_pade_order_contract():
-    with pytest.raises(ValueError):
-        pade_from_series(TruncatedSeries([1.0, 2.0]), 2, 2)
+    # a table too short for the orders keeps its series as the numerator
+    num, den = _pade([1.0, 2.0], 2, 2)
+    assert num.tolist() == [1.0, 2.0, 0.0] and den.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_pade_fallback_ladder_reaches_series():
     # random noise usually has a usable Pade; a short series with a
     # deliberately inconsistent tail must at worst return the series itself
-    a = TruncatedSeries([1.0, 0.0, 0.0, 0.0, 1e30])
-    p = pade_with_fallback(a, 2, 2)
-    assert p.den[0] == 1.0
+    num, den = _pade([1.0, 0.0, 0.0, 0.0, 1e30], 2, 2)
+    assert den[0] == 1.0
+
+
+def test_pade_normalizes_denominator():
+    # every row's denominator starts at 1, accepted or fallen back, so each
+    # approximant reads its series' constant term at t = 0
+    table = np.array([[2.0, 1.0, 0.5, 0.25, 0.125],
+                      [1.0, 0.0, 0.0, 0.0, 1e30],
+                      [-3.0, 0.0, 0.0, 0.0, 0.0]])
+    nums, dens = batch_pade(table, 2, 2)
+    assert np.all(dens[:, 0] == 1.0)
+    assert np.allclose(_horner(nums.T, 0.0) / _horner(dens.T, 0.0), table[:, 0])
 
 
 def _exact_reexpansion(num, den, n):
@@ -178,13 +200,13 @@ def _exact_reexpansion(num, den, n):
 @example([0.0, -0.0401781999743176, 1.0, 0.0, -0.19322968611423308, 0.0,
           -0.658684918045096])  # den[1] = -464: float re-expansion off by 1e-6
 def test_pade_consistency_property(coeffs):
-    a = TruncatedSeries(np.array(coeffs))
-    try:
-        p = pade_from_series(a, 3, 3)
-    except SingularPade:
-        return
-    re = _exact_reexpansion(p.num, p.den, 6)
-    scale = max(1.0, np.max(np.abs(a.coeffs)))
+    # an accepted (3, m) level keeps num to degree 3 and reproduces the
+    # series through order 3 + m (checked through 3 + its trimmed degree);
+    # a row no level accepts keeps the whole series as its numerator
+    num, den = _pade(coeffs, 3, 3)
+    n = 6 if np.any(num[4:] != 0.0) else 3 + max(_degree(den), 0)
+    re = _exact_reexpansion(num, den, n)
+    scale = max(1.0, np.max(np.abs(coeffs)))
     assert max(abs(x - Fraction(float(c))) for x, c in zip(re, coeffs)) \
         < 1e-8 * scale
 
@@ -193,77 +215,53 @@ def test_pade_rejects_reexpansion_lost_to_cancellation():
     # the (3,3) denominator is 1 + 1.8e201 t^3; num_3 and den_3 * c_0 round
     # alike, so a float re-expansion reproduces c_3 = 0 although the
     # approximant's own t^3 coefficient is of order 1e185
-    a = TruncatedSeries([-1.01626964257285, -4.0006782736425527e-202,
-                         0.0, 0.0, 0.7335599636116235, 0.0, 0.0])
-    with pytest.raises(SingularPade):
-        pade_from_series(a, 3, 3)
+    num, den = _pade([-1.01626964257285, -4.0006782736425527e-202,
+                      0.0, 0.0, 0.7335599636116235, 0.0, 0.0], 3, 3)
+    assert _degree(den) < 3
 
 
 # --- evaluation ------------------------------------------------------------------
 
 def test_eval_series_horner():
-    s = TruncatedSeries([1.0, 2.0, 1.0])
-    assert s.eval(1.0) == pytest.approx(4.0)
+    assert _horner(np.array([1.0, 2.0, 1.0]), 1.0) == pytest.approx(4.0)
 
 
 def test_eval_at_zero_gives_constant_term():
-    s = TruncatedSeries([3.25, -1.0, 9.0])
-    p = PadeApproximant([3.25, 1.0], [1.0, 0.5])
-    assert s.eval(0.0) == 3.25
-    assert p.eval(0.0) == 3.25
+    assert _horner(np.array([3.25, -1.0, 9.0]), 0.0) == 3.25
+    assert (_horner(np.array([3.25, 1.0]), 0.0)
+            / _horner(np.array([1.0, 0.5]), 0.0)) == 3.25
 
 
 def test_eval_pade_closed_form():
     # 1/(1+t) at t = 0.5 -> 2/3
-    p = pade_from_series(TruncatedSeries([1.0, -1.0, 1.0, -1.0, 1.0]), 1, 1)
-    assert p.eval(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-def test_eval_pade_pole_raises():
-    p = PadeApproximant([1.0], [1.0, -1.0])
-    with pytest.raises(DenominatorZero):
-        p.eval(1.0)
-
-
-def test_pade_normalizes_denominator():
-    p = PadeApproximant([2.0], [2.0, 1.0])
-    assert p.den[0] == 1.0
-    assert p.eval(0.0) == pytest.approx(1.0)
+    num, den = _pade([1.0, -1.0, 1.0, -1.0, 1.0], 1, 1)
+    assert _horner(num, 0.5) / _horner(den, 0.5) \
+        == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 # --- effective range ----------------------------------------------------------------
 
-def _square_ode_residual_at(x: TruncatedSeries):
-    """Max residual of x' = x^2 over the probes of (0, T], x a series."""
-    dx = TruncatedSeries(np.polynomial.polynomial.polyder(x.coeffs))
-
-    def residual_at(t_end):
-        t = chebyshev_probes(t_end)
-        return float(np.max(np.abs(dx.eval(t) - x.eval(t) ** 2)))
-
-    return residual_at
+def _square_ode_residual_at(x):
+    """Max residual of x' = x^2 at each probe time, x a series."""
+    dx = np.polynomial.polynomial.polyder(x)
+    return lambda ts: np.abs(POLYVAL(ts, dx) - POLYVAL(ts, x) ** 2)
 
 
 def test_effective_range_exact_polynomial():
     # x(t) = 1 + t solves x' = 1 exactly: zero residual everywhere
-    x = TruncatedSeries([1.0, 1.0])
-
-    def residual_at(t_end):
-        t = chebyshev_probes(t_end)
-        dx = TruncatedSeries(np.polynomial.polynomial.polyder(x.coeffs))
-        return float(np.max(np.abs(dx.eval(t) - 1.0)))
-
-    assert shrink_refine_range(residual_at, 1e-6, 1.0) == 1.0
+    dx = np.polynomial.polynomial.polyder([1.0, 1.0])
+    assert shrink_refine_range(lambda ts: np.abs(POLYVAL(ts, dx) - 1.0),
+                               1e-6, 1.0) == 1.0
 
 
 def test_effective_range_detects_pole():
     # truncated series of 1/(1-t); the residual of x' = x^2 blows up near t=1
-    residual_at = _square_ode_residual_at(TruncatedSeries(np.ones(16)))
+    residual_at = _square_ode_residual_at(np.ones(16))
     assert shrink_refine_range(residual_at, 1e-6, 2.0) < 1.0
 
 
 def test_effective_range_monotone_in_tolerance():
-    residual_at = _square_ode_residual_at(TruncatedSeries(np.ones(16)))
+    residual_at = _square_ode_residual_at(np.ones(16))
     loose = shrink_refine_range(residual_at, 1e-4, 2.0)
     tight = shrink_refine_range(residual_at, 5e-5, 2.0)
     tighter = shrink_refine_range(residual_at, 2.5e-5, 2.0)
@@ -271,14 +269,49 @@ def test_effective_range_monotone_in_tolerance():
 
 
 def test_effective_range_no_valid_range():
-    with pytest.raises(NoValidRange):
-        shrink_refine_range(lambda t_end: 1.0, 1e-9, 1.0)  # never satisfiable
+    with pytest.raises(NoValidRange):  # never satisfiable
+        shrink_refine_range(lambda ts: np.ones_like(ts), 1e-9, 1.0)
 
 
 def test_range_search_rejects_nan_residual():
     # a NaN residual must count as a failure, not slip past "> tol"
     with pytest.raises(NoValidRange):
-        shrink_refine_range(lambda t: math.nan, 1e-6, 1.0)
+        shrink_refine_range(lambda ts: np.full_like(ts, math.nan), 1e-6, 1.0)
+
+
+_LADDER = 2.0 ** (-np.arange(161) / 8)  # the ranges, as fractions of t_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 22.0), st.floats(0.0, 3.0),
+                          st.sampled_from([1.0, math.nan, math.inf])),
+                max_size=3),
+       st.lists(st.integers(0, 152), max_size=4),
+       st.floats(0.01, 100.0))
+def test_range_search_stays_below_every_failing_probe(windows, nan_at, t_max):
+    """Failing windows t_max * [2^-(u+w), 2^-u] (residual above tol, NaN
+    or inf) and NaN at some probe positions of every call: the range found
+    lies below every failing probe time the search saw, and each larger
+    range of the ladder reaches one of them."""
+    failed = []
+
+    def residual_at(ts):
+        res = np.zeros_like(ts)
+        for u, w, fill in windows:
+            lo, hi = t_max * 2.0 ** -(u + w), t_max * 2.0 ** -u
+            res[(ts >= lo) & (ts <= hi)] = fill
+        res[[i for i in nan_at if i < len(ts)]] = math.nan
+        failed.extend(ts[~(res <= 1e-6)])
+        return res
+
+    try:
+        t_e = shrink_refine_range(residual_at, 1e-6, t_max)
+    except NoValidRange:
+        t_e = 0.0
+    first_bad = min(failed, default=np.inf)
+    assert t_e < first_bad
+    larger = t_max * _LADDER[t_max * _LADDER > t_e]
+    assert np.all(larger >= first_bad)
 
 
 # --- batched Pade kernel against a per-row reference loop ----------------------------
