@@ -489,9 +489,9 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     """Solve a time-embedded segment and certify its effective range.
 
     Rows with a spurious real pole in (0, t_max] are refitted one
-    denominator order lower, batched per degree, until none is left; the
-    first genuine pole caps the range at t_cap, and ``shrink_refine_range``
-    certifies t_e in (0, t_cap].
+    denominator order lower, one ``batch_pade`` call per pass with an order
+    per row, until none is left; the first genuine pole caps the range at
+    t_cap, and ``shrink_refine_range`` certifies t_e in (0, t_cap].
     """
     C = system.solve_series(anchors, kcoeffs, order)
     # a variable whose entire tail sits at float noise is a constant; keeping
@@ -508,11 +508,9 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     rows = np.flatnonzero(spurious)
     seg.refit = len(rows)
     while len(rows):  # each pass lowers every listed row's degree
-        degree = _degree(dens[rows])
-        for d in np.unique(degree):
-            sel = rows[degree == d]
-            nums[sel], dens[sel, :d] = batch_pade(seg.C[sel], L, d - 1)
-            dens[sel, d:] = 0.0
+        nums[rows], low = batch_pade(seg.C[rows], L, _degree(dens[rows]) - 1)
+        dens[rows] = 0.0
+        dens[rows, : low.shape[1]] = low
         poles[rows], spurious = min_real_positive_root(nums[rows],
                                                        dens[rows], t_max)
         rows = rows[spurious]

@@ -17,7 +17,9 @@ constant-current injections need it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import setitem
 from typing import Optional
@@ -283,6 +285,10 @@ class AlphaMods:
     # delta_y entries: ("shunt", bus, y) or ("branch", i, j, y, b_i, b_j)
 
 
+# the slots of a steadiness verdict's rows, see Built.monitored
+MonitoredRows = namedtuple("MonitoredRows", "names plain angles refs vx vy")
+
+
 @dataclass
 class Built:
     system: object
@@ -298,10 +304,32 @@ class Built:
         self.keys = [_kind_key(n) for n in self.system.var_names]
         self.known_keys = [_kind_key(n) for n in self.system.known_names]
 
+    @functools.cached_property
+    def monitored(self) -> MonitoredRows:
+        """The steadiness verdict's slots, resolved once: plain rows (with
+        the absolute angle where an island has no reference), (angle,
+        reference) pairs, the (vx, vy) of every bus for V^2, and the names."""
+        idx = self.system.index
+        pairs = [(self.monitored_angles[g], self.angle_ref.get(isl.index))
+                 for isl in self.islands for g in isl.machines
+                 if g in self.monitored_angles]
+        plain = self.monitored_plain + [a for a, ref in pairs if ref is None]
+        pairs = [(a, ref) for a, ref in pairs if ref is not None]
+        buses = [b for isl in self.islands for b in isl.buses
+                 if f"vx:{b}" in idx]
+
+        def at(names):
+            return np.array([idx[n] for n in names], dtype=int)
+
+        return MonitoredRows(
+            plain + [a for a, _ in pairs] + [f"vsq:{b}" for b in buses],
+            at(plain), at(a for a, _ in pairs), at(r for _, r in pairs),
+            at(f"vx:{b}" for b in buses), at(f"vy:{b}" for b in buses))
+
     def anchors(self, state: SystemState) -> np.ndarray:
         """The unknowns, in slot order, read from the runtime state."""
-        return np.array([_READ[kind](self, state, key)
-                         for kind, key in self.keys])
+        reads = _Reads(self, state)
+        return np.array([_READ[kind](reads, key) for kind, key in self.keys])
 
     def knowns(self, state: SystemState, t0: float, width: int) -> np.ndarray:
         out = np.zeros((len(self.known_keys), max(width, 1)))
@@ -851,20 +879,36 @@ def build_system(case: GridCase, state: SystemState, mode: str,
 # holds a kind of unknown or known input.
 
 
-def _voltage(built, st, bus):
+class _Reads:
+    """One ``Built.anchors`` call's view of the runtime state: ``reads(f,
+    key)`` is f(reads, key), computed once per call, so each bus voltage,
+    stator solve and motor T-circuit is computed once however many unknowns
+    read it."""
+
+    def __init__(self, built, st):
+        self.built, self.st, self.memo = built, st, {}
+
+    def __call__(self, f, key):
+        if (f, key) not in self.memo:
+            self.memo[f, key] = f(self, key)
+        return self.memo[f, key]
+
+
+def _voltage(r, bus):
     """A bus voltage; in the powerflow, the flat voltage of its island."""
-    if built.powerflow:
+    st = r.st
+    if r.built.powerflow:
         return island_flat_voltage(st.case, st.islands[st.island_of[bus]])
     return st.v[st.case.bus_index[bus]]
 
 
-def _unit_conj(built, st, bus):
-    v = _voltage(built, st, bus)
+def _unit_conj(v):
     return v.conjugate() / abs(v)  # |V| * W
 
 
-def _stator(st, gid):
+def _stator(r, gid):
     """(id, iq) from the stator equations at the state's terminal voltage."""
+    st = r.st
     g, m = st.case.gen_by_id[gid], st.mach[gid]
     v = st.v[st.case.bus_index[g.bus]]
     s, c = math.sin(m.delta), math.cos(m.delta)
@@ -874,12 +918,11 @@ def _stator(st, gid):
     return np.linalg.solve(yg, [m.eps_d - vd, m.eps_q - vq])
 
 
-def _motor(built, st, lid):
+def _motor(r, lid):
     """Magnetizing voltage, stator and rotor current of the T-circuit, as
     (real, imaginary) parts in the order of _MOTOR_KINDS."""
-    l = st.case.load_by_id[lid]
-    z = motor_circuit(l.motor, _voltage(built, st, l.bus),
-                      st.slip.get(lid, 0.02))
+    l = r.st.case.load_by_id[lid]
+    z = motor_circuit(l.motor, r(_voltage, l.bus), r.st.slip.get(lid, 0.02))
     return [part for zi in z for part in (zi.real, zi.imag)]
 
 
@@ -889,27 +932,27 @@ _MACHINE_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
 _MOTOR_KINDS = ("mex", "mey", "misx", "misy", "mirx", "miry")
 _NUMBERED = {"vx", "vy", "wx", "wy", "vm", "ux", "uy", "df"}  # int keys
 
-# kind -> (built, state, key) -> the unknown's anchor value
+# kind -> (_Reads, key) -> the unknown's anchor value
 _READ = {
-    "vx": lambda b, st, bus: _voltage(b, st, bus).real,
-    "vy": lambda b, st, bus: _voltage(b, st, bus).imag,
-    "wx": lambda b, st, bus: (1.0 / _voltage(b, st, bus)).real,
-    "wy": lambda b, st, bus: (1.0 / _voltage(b, st, bus)).imag,
-    "vm": lambda b, st, bus: abs(_voltage(b, st, bus)),
-    "ux": lambda b, st, bus: _unit_conj(b, st, bus).real,
-    "uy": lambda b, st, bus: _unit_conj(b, st, bus).imag,
-    **{kind: lambda b, st, gid, f=f: getattr(st.mach[gid], f)
+    "vx": lambda r, bus: r(_voltage, bus).real,
+    "vy": lambda r, bus: r(_voltage, bus).imag,
+    "wx": lambda r, bus: (1.0 / r(_voltage, bus)).real,
+    "wy": lambda r, bus: (1.0 / r(_voltage, bus)).imag,
+    "vm": lambda r, bus: abs(r(_voltage, bus)),
+    "ux": lambda r, bus: _unit_conj(r(_voltage, bus)).real,
+    "uy": lambda r, bus: _unit_conj(r(_voltage, bus)).imag,
+    **{kind: lambda r, gid, f=f: getattr(r.st.mach[gid], f)
        for kind, f in _MACHINE_FIELDS.items()},
-    "sind": lambda b, st, gid: math.sin(st.mach[gid].delta),
-    "cosd": lambda b, st, gid: math.cos(st.mach[gid].delta),
-    "id": lambda b, st, gid: _stator(st, gid)[0],
-    "iq": lambda b, st, gid: _stator(st, gid)[1],
-    "qg": lambda b, st, gid: st.mach[gid].q_g,
-    "qpv": lambda b, st, gid: 0.0,
-    **{kind: lambda b, st, lid, i=i: _motor(b, st, lid)[i]
+    "sind": lambda r, gid: math.sin(r.st.mach[gid].delta),
+    "cosd": lambda r, gid: math.cos(r.st.mach[gid].delta),
+    "id": lambda r, gid: r(_stator, gid)[0],
+    "iq": lambda r, gid: r(_stator, gid)[1],
+    "qg": lambda r, gid: r.st.mach[gid].q_g,
+    "qpv": lambda r, gid: 0.0,
+    **{kind: lambda r, lid, i=i: r(_motor, lid)[i]
        for i, kind in enumerate(_MOTOR_KINDS)},
-    "slip": lambda b, st, lid: st.slip.get(lid, 0.02),
-    "df": lambda b, st, i: st.df.get(i, 0.0),
+    "slip": lambda r, lid: r.st.slip.get(lid, 0.02),
+    "df": lambda r, i: r.st.df.get(i, 0.0),
 }
 
 # kind -> (state, key, value) stores a solved value; only the fundamental

@@ -424,54 +424,44 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
 
 def steadiness_verdict(case: GridCase, state: SystemState, built: Built,
                        seg: SegmentSolution, eps_t: float) -> SteadyStateVerdict:
-    """Assemble the monitored-variable table and run the rate criteria.
+    """Run the rate criteria on the monitored rows, in two stages.
 
-    Monitored, over all islands: machine speeds, internal potentials, AVR
-    and governor states (rows of the segment as solved), rotor angles
-    relative to their island's reference angle (all angles drift together
-    with the center of inertia even in steady state) and squared bus-voltage
-    magnitudes.  The derived rows get their Pade in one call.
+    Monitored, over all islands (``Built.monitored``): machine speeds,
+    internal potentials, AVR and governor states (rows as solved, with their
+    Pade), rotor angles relative to their island's reference angle (all
+    angles drift together with the center of inertia even in steady state)
+    and squared bus-voltage magnitudes.  Stage 2 builds these derived rows
+    and their Pade only when stage 1 finds every plain row steady; else the
+    verdict, not steady either way, holds the plain rows only.
     """
-    idx = built.system.index
-    order = seg.C.shape[1] - 1
-    half = order // 2
-    plain = list(built.monitored_plain)
-    angles, refs = [], []
-    for isl in built.islands:
-        ref = built.angle_ref.get(isl.index)
-        for gid, name in built.monitored_angles.items():
-            if gid not in isl.machines:
-                continue
-            if ref is None:  # no reference: the absolute angle
-                plain.append(name)
-            else:
-                angles.append(name)
-                refs.append(idx[ref])
-    buses = [b for isl in built.islands for b in isl.buses
-             if f"vx:{b}" in idx]
-    vx = seg.C[[idx[f"vx:{b}"] for b in buses]]
-    vy = seg.C[[idx[f"vy:{b}"] for b in buses]]
-    # V^2 = vx^2 + vy^2 truncated at the series order, all buses at once
-    vsq = np.zeros_like(vx)
-    for j in range(order + 1):
-        vsq[:, j:] += (vx[:, j, None] * vx[:, : order + 1 - j]
-                       + vy[:, j, None] * vy[:, : order + 1 - j])
-    derived = np.concatenate([seg.C[[idx[n] for n in angles]] - seg.C[refs],
-                              vsq])
-    nums, dens = batch_pade(derived, half, half)
-    rows = [idx[n] for n in plain]
-    names = plain + angles + [f"vsq:{b}" for b in buses]
-    delta_ps, delta_pa, steady = steady_state_check(
-        np.concatenate([seg.C[rows], derived]),
-        np.concatenate([seg.pade_num[rows], nums]),
-        np.concatenate([seg.pade_den[rows], dens]), seg.t_e, eps_t)
+    rows = built.monitored
+    plain = rows.plain  # none when every machine sits at a source's bus
+    checks = [steady_state_check(seg.C[plain], seg.pade_num[plain],
+                                 seg.pade_den[plain], seg.t_e, eps_t)
+              ] if len(plain) else []
+    derived_built = all(steady.all() for *_, steady in checks)
+    if derived_built:
+        order = seg.C.shape[1] - 1
+        vx, vy = seg.C[rows.vx], seg.C[rows.vy]
+        # V^2 = vx^2 + vy^2 truncated at the series order, all buses at once
+        vsq = np.zeros_like(vx)
+        for j in range(order + 1):
+            vsq[:, j:] += (vx[:, j, None] * vx[:, : order + 1 - j]
+                           + vy[:, j, None] * vy[:, : order + 1 - j])
+        derived = np.concatenate([seg.C[rows.angles] - seg.C[rows.refs], vsq])
+        checks.append(steady_state_check(
+            derived, *batch_pade(derived, order // 2, order // 2), seg.t_e,
+            eps_t))
+    delta_ps, delta_pa, steady = (np.concatenate(a) for a in zip(*checks))
+    names = rows.names[: len(steady)]
     verdict = SteadyStateVerdict(names, delta_ps, delta_pa, steady, eps_t)
     if not verdict.system_steady and log.isEnabledFor(logging.DEBUG):
         bad = np.flatnonzero(~steady)
         pa = ["undefined" if np.isnan(d) else f"{d:.3g}"
               for d in delta_pa[bad[:5]]]
-        log.debug("not steady at t=%.9g: %d of %d rows: %s", state.t,
-                  len(bad), len(names), ", ".join(
+        log.debug("not steady at t=%.9g: %d of %d rows%s: %s", state.t,
+                  len(bad), len(names), "" if derived_built else
+                  " (plain rows; the derived rows were not built)", ", ".join(
                       f"{names[i]} (PS {delta_ps[i]:.3g}, PA {p})"
                       for i, p in zip(bad, pa)))
     return verdict

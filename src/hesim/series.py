@@ -10,11 +10,14 @@ types.  All of them are pure.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NoValidRange
 
 _PADE_TOL = 1e-8  # re-expansion tolerance, relative to the row scale
+_EPS = np.finfo(float).eps
 
 
 def _solve_stack(T: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -34,88 +37,101 @@ def _solve_stack(T: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                            _solve_stack(T[half:], rhs[half:])])
 
 
-def _pade_level(C: np.ndarray, n_num: int, m: int):
-    """(n_num, m) Pade of every row of C: (nums, dens, accepted).
+@functools.lru_cache(maxsize=None)
+def _level_indices(L: int, m: int):
+    """Gather indices of an (L, m) level into [0] * (m + 1) + c: T[i, j] =
+    c[L + i - j] and c[k - j], j = -1..m (-1 a zero); into h + [0]: h[k - i]."""
+    n = L + m + 1
+    lag = np.arange(n)[:, None] - np.arange(n)
+    band = m + 1 + np.arange(n) - np.arange(-1, m + 1)[:, None]
+    band[0] = 0
+    return L + m + 1 + lag[:m, :m], band, np.where(lag >= 0, lag, n)
+
+
+def _pade_level(C: np.ndarray, L: int, m: int):
+    """(L, m) Pade of every row of C: (nums, dens, accepted).
 
     Rows whose tail sits at float noise are constants and their own
     approximant; the others' Toeplitz systems are gathered with one index
-    array and solved as one stack. A row is accepted when its re-expansion
-    r_k = num_k - sum_{j>=1} den_j r_{k-j} reproduces C[:, :n_num+m+1] within
-    1e-8 of the row scale, NaN and inf never passing. The float recurrence
-    can hide its own rounding (num_k and den_j c_{k-j} share products, so a
-    den of 1e200 re-expands "exactly"), so the bound on each step's
-    rounding, propagated through the Taylor coefficients h of 1/den, is
-    added to the measured error.
+    array and solved as one stack. A row is accepted when the exact
+    re-expansion r of num/den reproduces C[:, :n], n = L + m + 1, within
+    1e-8 of the row scale, NaN and inf never passing: with D the Toeplitz
+    matrix of den, r - c = -D^-1 e, e = den * c - num (zero through t^L), so
+    the certificate is |h * e|, h the Taylor coefficients of 1/den, plus the
+    rounding of e and of that product carried through |h| to first order
+    (num_k and den_j c_(k-j) can round alike: a den of 1e200 would otherwise
+    re-expand "exactly").  No row depends on the other rows of the stack.
     """
-    rows = C.shape[0]
-    L = n_num
-    scale = np.maximum(1.0, np.max(np.abs(C), axis=1))
-    const = np.max(np.abs(C[:, 1:]), axis=1, initial=0.0) <= 1e-14 * scale
-    dens = np.zeros((rows, m + 1), dtype=C.dtype)
-    dens[:, 0] = 1.0
+    rows, n = C.shape[0], L + m + 1
+    toep, band, lag = _level_indices(L, m)
+    size = np.abs(C)
+    scale = np.maximum(1.0, size.max(axis=1))
+    const = size[:, 1:].max(axis=1, initial=0.0) <= 1e-14 * scale
+    dens = np.zeros((rows, n + 2), dtype=C.dtype)  # [0, den, 0, ...]
+    dens[:, 1] = 1.0
+    padded = np.zeros((rows, m + 1 + n), dtype=C.dtype)
+    padded[:, m + 1:] = C[:, :n]
     with np.errstate(all="ignore"):  # non-finite rows are rejected below
-        if m:
-            # T[:, i, j] = c[L + i - j], zero for negative indices
-            gather = L + m + np.arange(m)[:, None] - np.arange(m)
-            padded = np.concatenate([np.zeros((rows, m), dtype=C.dtype), C], axis=1)
-            solve = ~const
-            dens[solve, 1:] = _solve_stack(padded[solve][:, gather],
-                                           -C[solve, L + 1: L + m + 1])
-        nums = np.zeros((rows, L + 1), dtype=C.dtype)
-        for j in range(min(m, L) + 1):
-            nums[:, j:] += dens[:, j, None] * C[:, : L + 1 - j]
+        solve = ~const
+        dens[solve, 2: m + 2] = _solve_stack(padded[solve][:, toep],
+                                             -C[solve, L + 1: L + m + 1])
+        # den_j c_(k-j) summed over j in order, as num_k = sum from 0.0
+        terms = padded[:, band] * dens[:, : m + 2, None]
+        nums = terms[:, :, : L + 1].sum(axis=1)
+        e = terms[:, :, L + 1:].sum(axis=1)
         nums[const] = 0.0
         nums[const, 0] = C[const, 0]
-        gamma = (m + 2) * np.finfo(float).eps
-        n = L + m + 1
-        r = np.zeros((rows, n), dtype=C.dtype)
-        r[:, : L + 1] = nums
-        h = np.zeros((rows, n), dtype=C.dtype)
+        dens = dens[:, 1:]
+        # 1/den by block doubling: with h exact below t^k, den * h - 1 is
+        # zero below t^k, and 1/den = h - h * (den * h - 1) below t^(2k)
+        h = np.zeros_like(dens)
         h[:, 0] = 1.0
-        rho = np.zeros((rows, n))
-        for k in range(1, n):
-            j = min(k, m)
-            terms = dens[:, 1: j + 1] * r[:, k - j: k][:, ::-1]
-            r[:, k] -= terms.sum(axis=1)
-            h[:, k] = -np.einsum("ij,ij->i", dens[:, 1: j + 1], h[:, k - j: k][:, ::-1])
-            rho[:, k] = gamma * (np.abs(r[:, k]) + np.abs(terms).sum(axis=1))
-        # r - (exact re-expansion) = h * (rounding), to first order
-        lag = np.arange(n)[:, None] - np.arange(n)
-        abs_h = np.concatenate([np.abs(h), np.zeros((rows, 1))], axis=1)
-        drift = np.einsum("rki,ri->rk", abs_h[:, np.where(lag >= 0, lag, n)], rho)
-        err = np.max(np.abs(r - C[:, :n]) + drift, axis=1)
+        for k in (1 << i for i in range((n - 1).bit_length())):
+            hi = min(2 * k, n)
+            q = (dens[:, lag[k:hi, :k]] * h[:, None, :k]).sum(axis=-1)
+            h[:, k:hi] = -(h[:, lag[k:hi, k:hi]] * q[:, None, :]).sum(axis=-1)
+        # rounding of each e_k (num_0 = c_0 exactly), then of h * e
+        rho = (m + 2) * _EPS * np.abs(terms).sum(axis=1)
+        rho[:, 0] = 0.0
+        rho[:, L + 1:] += (n + 1) * _EPS * np.abs(e)
+        err = (np.abs(h)[:, lag] * rho[:, None, :]).sum(axis=-1)
+        err[:, L + 1:] += np.abs((h[:, lag[:m, :m]] * e[:, None, :])
+                                 .sum(axis=-1))
+        err = err.max(axis=1)
     ok = np.isfinite(err) & (err <= _PADE_TOL * scale)
-    return nums, dens, ok | const
+    return nums, dens[:, : m + 1], ok | const
 
 
-def batch_pade(C, n_num: int, n_den: int):
+def batch_pade(C, n_num: int, n_den):
     """(n_num, n_den) Pade approximant of every row of a coefficient table.
 
+    ``n_den`` is one denominator order for every row, or one per row.
     Rows that fail the re-expansion check go down the fallback ladder in
     batch, one denominator order m = n_den, ..., 1 at a time; a row still
-    rejected at m = 0 (or a table too short for the orders) keeps its full
-    series as the numerator. Returns zero-padded arrays
-    nums (rows, max(n_num+1, width)) and dens (rows, n_den+1).
+    rejected at m = 0 (or too short for its orders) keeps its full series
+    as the numerator. Returns zero-padded arrays
+    nums (rows, max(n_num+1, width)) and dens (rows, max(n_den)+1).
     """
     C = np.asarray(C)
     C = C.astype(np.result_type(C, float), copy=False)
     rows, width = C.shape
+    top = int(np.max(n_den, initial=0))
+    n_den = np.broadcast_to(n_den, rows)
     nums = np.zeros((rows, max(n_num + 1, width)), dtype=C.dtype)
     nums[:, :width] = C
-    dens = np.zeros((rows, n_den + 1), dtype=C.dtype)
+    dens = np.zeros((rows, top + 1), dtype=C.dtype)
     dens[:, 0] = 1.0
-    if width < n_num + n_den + 1:
-        return nums, dens
-    todo = np.arange(rows)
-    for m in range(n_den, 0, -1):
-        if not len(todo):
-            break
-        num, den, ok = _pade_level(C[todo], n_num, m)
-        done = todo[ok]
+    todo = n_num + n_den + 1 <= width
+    for m in range(top, 0, -1):
+        level = np.flatnonzero(todo & (n_den >= m))
+        if not len(level):
+            continue
+        num, den, ok = _pade_level(C[level], n_num, m)
+        done = level[ok]
         nums[done] = 0.0
         nums[done, : n_num + 1] = num[ok]
         dens[done, : m + 1] = den[ok]
-        todo = todo[~ok]
+        todo[done] = False
     return nums, dens
 
 

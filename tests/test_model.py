@@ -733,3 +733,31 @@ def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
         mdl.write_back(built, values, mine)
         _ref_write_back(built, values, ref.case, ref)
         assert _state_bits(mine) == _state_bits(ref)
+
+
+@pytest.mark.parametrize("name, t_end", [("fourbus", 75.0), ("ne39", 56.0)])
+def test_anchors_read_each_shared_quantity_once(monkeypatch, name, t_end):
+    """At the end state of the hybrid run, in both modes, Built.anchors
+    equals the per-name closures bit for bit, and solves each machine's
+    stator and each motor's T-circuit once and reads each bus voltage once."""
+    case, script = builtin_case(name)
+    st = init_equilibrium(case)
+    run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end), st)
+    calls = []
+    for f in ("_voltage", "_stator", "_motor"):
+        def counted(*args, f=f, real=getattr(mdl, f), **kw):
+            calls.append((f, args[-1]))
+            return real(*args, **kw)
+        monkeypatch.setattr(mdl, f, counted)
+    for mode in (DYNAMIC, QSS):
+        built = mdl.build_system(case, st, mode)
+        calls.clear()
+        got = built.anchors(st)
+        want = [_ref_anchor(case, st, n, False)
+                for n in built.system.var_names]
+        assert _bits(got) == _bits(np.array(want)), mode
+        kinds = {k for k, _ in built.keys}
+        assert len(calls) == len(set(calls))
+        assert {f for f, _ in calls} == {"_voltage"} | (
+            {"_stator"} if "id" in kinds else set()) | (
+            {"_motor"} if "mex" in kinds else set())

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_smib, make_twobus_case
 from hesim import scheduler
-from hesim.bounds import SteadyStateVerdict
+from hesim.bounds import SteadyStateVerdict, steady_state_check
 from hesim.errors import NotSteady
 from hesim.grid import (
     BranchSpec,
@@ -31,7 +31,7 @@ from hesim.scheduler import (
     run_simulation,
     steadiness_verdict,
 )
-from hesim.series import bracketed_root
+from hesim.series import batch_pade, bracketed_root
 
 
 def _twobus_script(extra=()):
@@ -348,13 +348,9 @@ def test_each_segment_logs_one_debug_line(caplog):
                                           "trigger"}
 
 
-def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
-    case, _ = fourbus
-    st = init_equilibrium(case)
-    st.t = 12.5
-    built, steady_seg = _equilibrium_segment(case, st)
-    # one speed row leaves the verdict: PS reads 0.5, and its denominator
-    # 1 - 2t/t_e turns negative, so PA is undefined
+def _failing_speed_segment(steady_seg, built):
+    """The segment with one speed row out of the verdict: PS reads 0.5, and
+    its denominator 1 - 2t/t_e turns negative, so PA is undefined."""
     i = built.system.index["omega:G1"]
     C = steady_seg.C.copy()
     C[i, 1:] = 0.0
@@ -362,18 +358,144 @@ def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
     den = steady_seg.pade_den.copy()
     den[i, 1:] = 0.0
     den[i, 1] = -2.0 / steady_seg.t_e
-    seg = dataclasses.replace(steady_seg, C=C, pade_den=den)
+    return dataclasses.replace(steady_seg, C=C, pade_den=den)
+
+
+def _drifting(seg, row):
+    """The segment with one row's series drifting at 0.5 per second."""
+    C = seg.C.copy()
+    C[row, 1] += 0.5
+    return dataclasses.replace(seg, C=C)
+
+
+def _non_reference_angle(built):
+    """(row, verdict name) of the first rotor angle that is not its own
+    island's reference."""
+    rows = built.monitored
+    k = np.flatnonzero(rows.angles != rows.refs)[0]
+    return rows.angles[k], rows.names[len(rows.plain) + k]
+
+
+def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
+    case, _ = fourbus
+    st = init_equilibrium(case)
+    st.t = 12.5
+    built, steady_seg = _equilibrium_segment(case, st)
+    seg = _failing_speed_segment(steady_seg, built)
     with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
         assert not steadiness_verdict(case, st, built, seg, 1e-3).system_steady
     assert not caplog.records
+    row, angle = _non_reference_angle(built)
     with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
         assert steadiness_verdict(case, st, built, steady_seg,
                                   1e-3).system_steady
         verdict = steadiness_verdict(case, st, built, seg, 1e-3)
+        full = steadiness_verdict(case, st, built,
+                                  _drifting(steady_seg, row), 1e-3)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "hesim.scheduler"]
-    assert lines == [f"not steady at t=12.5: 1 of {len(verdict.names)} rows: "
-                     "omega:G1 (PS 0.5, PA undefined)"]
+    # a plain row decides at stage 1; a relative angle only at stage 2
+    assert len(verdict.names) == len(built.monitored.plain)
+    assert len(full.names) == len(built.monitored.names)
+    assert lines[0] == (
+        f"not steady at t=12.5: 1 of {len(verdict.names)} rows (plain rows; "
+        "the derived rows were not built): omega:G1 (PS 0.5, PA undefined)")
+    assert len(lines) == 2 and lines[1].startswith(
+        f"not steady at t=12.5: 1 of {len(full.names)} rows: {angle} (PS 0.5")
+
+
+def test_derived_rows_decide_when_every_plain_row_is_steady(fourbus):
+    # stage 2: every plain row steady, but one relative rotor angle (and,
+    # separately, one bus voltage's V^2) drifts; neither is a plain row
+    case, _ = fourbus
+    st = init_equilibrium(case)
+    built, steady_seg = _equilibrium_segment(case, st)
+    rows = built.monitored
+    n_plain, n_angles = len(rows.plain), len(rows.angles)
+    for row, name in (_non_reference_angle(built),
+                      (rows.vx[0], rows.names[n_plain + n_angles])):
+        verdict = steadiness_verdict(case, st, built,
+                                     _drifting(steady_seg, row), 1e-3)
+        assert verdict.steady[:n_plain].all()
+        assert not verdict.system_steady
+        assert verdict.names == rows.names
+        assert [verdict.names[i] for i in np.flatnonzero(~verdict.steady)] \
+            == [name]
+
+
+def test_failing_plain_row_builds_no_derived_rows(fourbus, monkeypatch):
+    case, _ = fourbus
+    st = init_equilibrium(case)
+    built, steady_seg = _equilibrium_segment(case, st)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return batch_pade(*args)
+
+    monkeypatch.setattr(scheduler, "batch_pade", counted)
+    seg = _failing_speed_segment(steady_seg, built)
+    assert not steadiness_verdict(case, st, built, seg, 1e-3).system_steady
+    assert calls == []
+    assert steadiness_verdict(case, st, built, steady_seg, 1e-3).system_steady
+    assert len(calls) == 1
+
+
+def _one_table_verdict(built, seg, eps_t):
+    """The verdict as one table: every monitored row, the derived rows (angles
+    relative to their island's reference, V^2) Pade'd in one call."""
+    idx = built.system.index
+    order = seg.C.shape[1] - 1
+    plain = [idx[n] for n in built.monitored_plain]
+    derived = []
+    for isl in built.islands:
+        ref = built.angle_ref.get(isl.index)
+        for gid, name in built.monitored_angles.items():
+            if gid not in isl.machines:
+                continue
+            if ref is None:
+                plain.append(idx[name])
+            else:
+                derived.append(seg.C[idx[name]] - seg.C[idx[ref]])
+    for isl in built.islands:
+        for b in isl.buses:
+            if f"vx:{b}" in idx:
+                vx, vy = seg.C[idx[f"vx:{b}"]], seg.C[idx[f"vy:{b}"]]
+                derived.append((np.convolve(vx, vx)
+                                + np.convolve(vy, vy))[: order + 1])
+    d_num, d_den = batch_pade(np.array(derived), order // 2, order // 2)
+    return steady_state_check(np.vstack([seg.C[plain], derived]),
+                              np.vstack([seg.pade_num[plain], d_num]),
+                              np.vstack([seg.pade_den[plain], d_den]),
+                              seg.t_e, eps_t)
+
+
+def test_two_stage_verdict_matches_one_table_reference(fourbus, monkeypatch):
+    # fourbus hybrid 0-40 s: a passing verdict at 1.8 s, then twenty failing
+    # ones after the load step at 30 s
+    case, script = fourbus
+    seen = []
+
+    def verdict(case, state, built, seg, eps_t):
+        out = steadiness_verdict(case, state, built, seg, eps_t)
+        seen.append((built, seg, eps_t, out))
+        return out
+
+    monkeypatch.setattr(scheduler, "steadiness_verdict", verdict)
+    run_simulation(case, script, RunConfig(mode="hybrid", t_end=40.0))
+    outcomes = [out.system_steady for *_, out in seen]
+    assert outcomes.count(True) >= 2 and outcomes.count(False) >= 10
+    for built, seg, eps_t, out in seen:
+        delta_ps, delta_pa, steady = _one_table_verdict(built, seg, eps_t)
+        assert out.system_steady == bool(steady.all())
+        # the plain rows bit for bit; the derived rows' V^2 is summed in
+        # another order here
+        n = len(built.monitored.plain)
+        assert len(out.steady) in (n, len(steady))
+        assert np.array_equal(out.delta_ps[:n], delta_ps[:n])
+        assert np.array_equal(out.delta_pa[:n], delta_pa[:n], equal_nan=True)
+        assert np.allclose(out.delta_ps[n:], delta_ps[n: len(out.steady)],
+                           rtol=1e-6, atol=1e-15)
 
 
 def test_qss_to_dyn_then_flat(fourbus):

@@ -220,6 +220,26 @@ def test_pade_rejects_reexpansion_lost_to_cancellation():
     assert _degree(den) < 3
 
 
+def test_pade_certificate_counts_c0_as_exact():
+    # a row of a fourbus hybrid segment: its (7,7) level re-expands exactly
+    # to within 1.8% of tol, and its certificate reads 0.94 of tol at t^14,
+    # where |h_14| is 7e5; num_0 = c_0 is exact, and charging it the
+    # rounding of the other coefficients ((m + 2) eps c_0 |h_14|, 0.064 of
+    # tol) rejected the level
+    c = [0.46263641851202897, 0.0, -5.912226444364694e-16,
+         4.994303306087261e-15, -2.764347749526952e-14,
+         1.2256271506977454e-13, -4.4203059266317457e-13,
+         1.3635222135477578e-12, -3.707747409248703e-12,
+         8.97388348589109e-12, -1.9506918634461337e-11,
+         3.85108240554406e-11, -6.96895166868825e-11,
+         1.1637777696269936e-10, -1.803587325812722e-10,
+         2.607230020732454e-10]
+    num, den = _pade(c, 7, 7)
+    assert _degree(den) == 7
+    re = _exact_reexpansion(num, den, 14)
+    assert max(abs(x - Fraction(v)) for x, v in zip(re, c)) < 2e-10
+
+
 # --- evaluation ------------------------------------------------------------------
 
 def test_eval_series_horner():
@@ -320,10 +340,14 @@ def _reference_pade_row(c, n_num, n_den):
     """The ladder of batch_pade for one row, one coefficient at a time.
 
     Same arithmetic as the kernel (one LU solve per level, min-norm least
-    squares for an exactly singular system, the re-expansion recurrence
-    with its rounding bound), written as plain loops over indices.
+    squares for an exactly singular system) and its certificate written as
+    plain loops: e = den * c - num (zero through t^L), the Taylor
+    coefficients h of 1/den by their recurrence, and at each k the product
+    |sum_i h[k-i] e[i]| plus the rounding of e and of that product carried
+    through sum_i |h[k-i]| rho[i].
     """
     L = n_num
+    eps = np.finfo(float).eps
     scale = max(1.0, float(np.max(np.abs(c))))
     if np.max(np.abs(c[1:])) <= 1e-14 * scale:
         return np.r_[c[0], np.zeros(L)], np.ones(1)
@@ -336,23 +360,19 @@ def _reference_pade_row(c, n_num, n_den):
         except np.linalg.LinAlgError:
             b = np.linalg.lstsq(T, rhs, rcond=None)[0]
         den = np.r_[1.0, b]
-        num = np.zeros(L + 1)
-        for i in range(L + 1):
-            for j in range(min(i, m) + 1):
-                num[i] += den[j] * c[i - j]
         n = L + m + 1
-        r, h, rho = np.zeros(n), np.zeros(n), np.zeros(n)
-        r[: L + 1] = num
-        h[0] = 1.0
-        for k in range(1, n):
-            terms = [den[j] * r[k - j] for j in range(1, min(k, m) + 1)]
-            r[k] -= sum(terms)
-            h[k] = -sum(den[j] * h[k - j] for j in range(1, min(k, m) + 1))
-            rho[k] = (m + 2) * np.finfo(float).eps * (
-                abs(r[k]) + sum(abs(x) for x in terms))
-        drift = [sum(abs(h[k - i]) * rho[i] for i in range(k + 1))
+        terms = [[den[j] * c[k - j] for j in range(min(k, m) + 1)]
                  for k in range(n)]
-        err = max(abs(r[k] - c[k]) + drift[k] for k in range(n))
+        num = np.array([sum(terms[k]) for k in range(L + 1)])
+        e = [0.0] * (L + 1) + [sum(terms[k]) for k in range(L + 1, n)]
+        h = [1.0]
+        for k in range(1, n):
+            h.append(-sum(den[j] * h[k - j] for j in range(1, min(k, m) + 1)))
+        rho = [0.0] + [(m + 2) * eps * sum(abs(x) for x in terms[k])
+                       + (n + 1) * eps * abs(e[k]) for k in range(1, n)]
+        err = max(abs(sum(h[k - i] * e[i] for i in range(k + 1)))
+                  + sum(abs(h[k - i]) * rho[i] for i in range(k + 1))
+                  for k in range(n))
         if np.isfinite(err) and err <= 1e-8 * scale:
             return num, den
     return c.copy(), np.ones(1)
@@ -405,6 +425,22 @@ def test_batch_pade_matches_per_row_reference(table, where):
     assert np.array_equal(nums_s[keep], nums)
     assert np.array_equal(dens_s[keep], dens)
     assert np.allclose(nums_s[pos, :2], [1.0, 0.5]) and np.all(dens_s[pos, 1:] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pade_tables(), st.data())
+def test_batch_pade_per_row_orders_match_per_row_calls(table, data):
+    # one call with an order per row (0 keeps the series, 9 is too long for
+    # a 16-wide table) gives each row exactly what its own call gives
+    orders = data.draw(st.lists(st.integers(0, 9), min_size=len(table),
+                                max_size=len(table)))
+    nums, dens = batch_pade(table, 7, np.array(orders))
+    assert dens.shape == (len(table), max(orders) + 1)
+    for i, (c, m) in enumerate(zip(table, orders)):
+        num, den = batch_pade(c[None], 7, m)
+        assert np.array_equal(nums[i], num[0])
+        assert np.array_equal(dens[i, : m + 1], den[0])
+        assert np.all(dens[i, m + 1:] == 0.0)
 
 
 # --- bracketed root -----------------------------------------------------------------
