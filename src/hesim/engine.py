@@ -3,13 +3,17 @@
 A simulation segment (time embedding) or a switching problem (alpha
 embedding) is described as a system of *polynomial* equations over a set of
 unknown series: algebraic equations ``g = 0`` and differential relations
-``dx/dt = f`` whose right-hand sides are sums of terms, each term being a
-constant times at most two factors (an unknown series or a known input
-series).  Substituting series and matching powers of the embedding variable
-turns the system into one explicit update per state plus one linear solve
-per order, with a constant matrix: the order-0 Jacobian of the algebraic
-block, inverted once per segment (dense; the blocks have at most a few
-dozen rows) and reused for every order.
+``dx/dt = f`` whose right-hand sides are sums of terms.  Every term is
+``coeff * x[a] * x[b]`` over the rows of one table: the unknowns, then the
+known input series, then a constant-one row (series 1, 0, 0, ...).  A term
+with fewer than two factors reads the one row in their place, so a constant
+is ``coeff * 1 * 1`` and a linear term ``coeff * x[a] * 1``; each block
+(``"alg"`` and ``"rhs"``) is one (rows, coeffs, a, b) table and each kernel
+over it has one path.  Substituting series and matching powers of the
+embedding variable turns the system into one explicit update per state plus
+one linear solve per order, with a constant matrix: the order-0 Jacobian of
+the algebraic block, inverted once per segment (dense; the blocks have at
+most a few dozen rows) and reused for every order.
 
 Anything quadratic-and-above in the physics (products of voltages, rotor
 trigonometry, motor slip couplings) is expressed at build time with at most
@@ -51,7 +55,7 @@ _ANCHOR_TOL = 1e-6     # largest algebraic residual accepted at an anchor
 _PATH_TOL = 1e-3       # alpha continuation: residual along the path
 _PREDICTOR_TOL = 1e-2  # ... and at alpha = 1, before the Newton corrector
 
-_ABSENT = -1  # encoding for a missing second factor
+_ABSENT = -1  # encoding for a missing factor; compiles to the one row
 
 
 class SystemBuilder:
@@ -89,19 +93,21 @@ class SystemBuilder:
         self.eq_names.append(name)
         return len(self.eq_names) - 1
 
-    def term(self, eq: int, coeff: float, *factors: int) -> None:
+    def term(self, eq: int, coeff: float, *factors) -> None:
+        """Add coeff times the factors (at most two; a None is dropped)."""
         self._add(False, eq, coeff, factors)
 
-    def rhs_term(self, state_slot: int, coeff: float, *factors: int) -> None:
+    def rhs_term(self, state_slot: int, coeff: float, *factors) -> None:
         if self.var_kinds[state_slot] != STATE:
             raise ValueError("rhs_term target must be a state")
         self._add(True, self._state_row_of_var[state_slot], coeff, factors)
 
     def _add(self, is_state: bool, row: int, coeff: float, factors) -> None:
+        factors = [f for f in factors if f is not None]
         if len(factors) > 2:
             raise ValueError("terms must have arity <= 2")
         if coeff != 0.0:
-            f = list(factors) + [_ABSENT] * (2 - len(factors))
+            f = factors + [_ABSENT] * (2 - len(factors))
             self._terms.append((is_state, row, float(coeff), f[0], f[1]))
 
     # -- compilation -----------------------------------------------------------
@@ -117,29 +123,16 @@ class SystemBuilder:
                 f"{len(alg_slots)} algebraic unknowns vs "
                 f"{len(self.eq_names)} algebraic equations")
 
-        def resolve(f: int) -> int:
-            if f == _ABSENT:
-                return _ABSENT
-            if f < _ABSENT:
-                return nv + (-f - 2)  # known slot
-            return f
+        one = nv + len(self.known_names)
 
-        groups: dict[tuple[bool, int], list[list[float]]] = {}
-        for is_state, row, coeff, f1, f2 in self._terms:
-            a, b = resolve(f1), resolve(f2)
-            if a == _ABSENT and b != _ABSENT:
-                a, b = b, a
-            arity = int(a != _ABSENT) + int(b != _ABSENT)
-            groups.setdefault((is_state, arity), []).append([row, coeff, a, b])
-
-        def pack(key):
-            rows = groups.get(key, [])
-            if not rows:
-                return (np.zeros(0, int), np.zeros(0), np.zeros(0, int),
-                        np.zeros(0, int))
-            m = np.array(rows, dtype=float)
-            return (m[:, 0].astype(int), m[:, 1].copy(),
-                    m[:, 2].astype(int), m[:, 3].astype(int))
+        def table(is_state: bool) -> tuple:
+            m = np.array([t[1:] for t in self._terms if t[0] == is_state],
+                         dtype=float).reshape(-1, 4)
+            f = m[:, 2:].astype(int)
+            # an absent factor reads the one row, known j reads row nv + j
+            a, b = np.where(f == _ABSENT, one,
+                            np.where(f < 0, nv - f - 2, f)).T.copy()
+            return m[:, 0].astype(int), m[:, 1].copy(), a, b
 
         return CompiledSystem(
             var_names=list(self.var_names),
@@ -147,14 +140,7 @@ class SystemBuilder:
             eq_names=list(self.eq_names),
             alg_slots=alg_slots,
             state_slots=state_slots,
-            terms={
-                "alg0": pack((False, 0)),
-                "alg1": pack((False, 1)),
-                "alg2": pack((False, 2)),
-                "rhs0": pack((True, 0)),
-                "rhs1": pack((True, 1)),
-                "rhs2": pack((True, 2)),
-            },
+            terms={"alg": table(False), "rhs": table(True)},
         )
 
 
@@ -180,28 +166,19 @@ class CompiledSystem:
     # -- term evaluation over the coefficient table -----------------------------
 
     def _coeff_of(self, kind: str, C: np.ndarray, k: int, n_rows: int) -> np.ndarray:
-        """k-th embedding coefficient of every equation/rhs row."""
-        out = np.zeros(n_rows)
-        r0, c0, _, _ = self.terms[kind + "0"]
-        if k == 0 and len(r0):
-            out += np.bincount(r0, weights=c0, minlength=n_rows)
-        r1, c1, f1, _ = self.terms[kind + "1"]
-        if len(r1):
-            out += np.bincount(r1, weights=c1 * C[f1, k], minlength=n_rows)
-        r2, c2, g1, g2 = self.terms[kind + "2"]
-        if len(r2):
-            A = C[g1, : k + 1]
-            B = C[g2, k::-1]
-            vals = np.einsum("ij,ij->i", A, B)
-            out += np.bincount(r2, weights=c2 * vals, minlength=n_rows)
-        return out
+        """k-th embedding coefficient of every equation/rhs row: each term's
+        Cauchy product at order k, summed into its row."""
+        rows, coeffs, a, b = self.terms[kind]
+        vals = np.einsum("ij,ij->i", C[a, : k + 1], C[b, k::-1])
+        return np.bincount(rows, weights=coeffs * vals, minlength=n_rows)
 
     def _table(self, anchors: np.ndarray, kcoeffs: np.ndarray, order: int) -> np.ndarray:
-        C = np.zeros((self.nv + self.nk, order + 1))
+        """Vars, knowns and the one row, by coefficient."""
+        C = np.zeros((self.nv + self.nk + 1, order + 1))
         C[: self.nv, 0] = anchors
-        if self.nk:
-            m = min(order + 1, kcoeffs.shape[1])
-            C[self.nv:, :m] = kcoeffs[:, :m]
+        m = min(order + 1, kcoeffs.shape[1])
+        C[self.nv: -1, :m] = kcoeffs[:, :m]
+        C[-1, 0] = 1.0
         return C
 
     # -- point evaluation ---------------------------------------------------------
@@ -211,33 +188,20 @@ class CompiledSystem:
         pts = ext.shape[1:]
         x = ext.reshape(len(ext), -1)
         n_pts = x.shape[1]
-        out = np.zeros((n_rows, n_pts))
+        rows, coeffs, a, b = self.terms[kind]
         if (kind, n_pts) not in self._flat:  # scatter indices per point count
-            self._flat[kind, n_pts] = [
-                (self.terms[kind + a][0][:, None] * n_pts
-                 + np.arange(n_pts)).ravel() for a in "12"]
-        flat1, flat2 = self._flat[kind, n_pts]
-
-        def scatter(flat, weights):
-            return np.bincount(flat, weights=weights.ravel(),
-                               minlength=n_rows * n_pts).reshape(n_rows, n_pts)
-
-        r0, c0, _, _ = self.terms[kind + "0"]
-        if len(r0):
-            out += np.bincount(r0, weights=c0, minlength=n_rows)[:, None]
-        r1, c1, f1, _ = self.terms[kind + "1"]
-        if len(r1):
-            out += scatter(flat1, c1[:, None] * x[f1])
-        r2, c2, g1, g2 = self.terms[kind + "2"]
-        if len(r2):
-            out += scatter(flat2, c2[:, None] * x[g1] * x[g2])
+            self._flat[kind, n_pts] = (rows[:, None] * n_pts
+                                       + np.arange(n_pts)).ravel()
+        out = np.bincount(self._flat[kind, n_pts],
+                          weights=(coeffs[:, None] * x[a] * x[b]).ravel(),
+                          minlength=n_rows * n_pts)
         return out.reshape((n_rows,) + pts)
 
     def _ext(self, values, kvalues) -> np.ndarray:
-        if self.nk:
-            return np.concatenate([np.asarray(values, float),
-                                   np.asarray(kvalues, float)])
-        return np.asarray(values, float)
+        """Point values of the table's rows: vars, knowns and the one row."""
+        v = np.asarray(values, float)
+        parts = [v, np.asarray(kvalues, float)] if self.nk else [v]
+        return np.concatenate(parts + [np.ones((1,) + v.shape[1:])])
 
     def alg_residual(self, values: np.ndarray, kvalues: np.ndarray) -> np.ndarray:
         return self._rows_at_point("alg", self._ext(values, kvalues), self.n_alg)
@@ -257,18 +221,13 @@ class CompiledSystem:
 
     def _term_jacobian(self, kind: str, ext: np.ndarray,
                        n_rows: int) -> np.ndarray:
-        """Dense d(rows)/d(vars) of the "alg" or "rhs" terms at one point."""
+        """Dense d(rows)/d(vars) of the "alg" or "rhs" terms at one point:
+        each factor that is an unknown gets coeff times the other factor."""
         J = np.zeros((n_rows, self.nv))
-        r1, c1, f1, _ = self.terms[kind + "1"]
-        if len(r1):
-            m = f1 < self.nv
-            np.add.at(J, (r1[m], f1[m]), c1[m])
-        r2, c2, g1, g2 = self.terms[kind + "2"]
-        if len(r2):
-            m = g1 < self.nv
-            np.add.at(J, (r2[m], g1[m]), c2[m] * ext[g2[m]])
-            m = g2 < self.nv
-            np.add.at(J, (r2[m], g2[m]), c2[m] * ext[g1[m]])
+        rows, coeffs, a, b = self.terms[kind]
+        for f, g in ((a, b), (b, a)):
+            m = f < self.nv
+            np.add.at(J, (rows[m], f[m]), coeffs[m] * ext[g[m]])
         return J
 
     def full_jacobian(self, values: np.ndarray, kvalues: np.ndarray):
@@ -315,7 +274,8 @@ class CompiledSystem:
         States update explicitly from k * x[k] = (k-1)-th coefficient of f;
         the algebraic block solves J y[k] = -rhs with the anchor-point
         Jacobian inverted once (dense; the blocks have at most a few dozen
-        rows).
+        rows).  The solve runs on the table with its constant-one row, which
+        absent factors read; that row is sliced off the returned table.
         """
         C = self._table(anchors, kcoeffs, order)
         if self.n_alg:
@@ -325,8 +285,8 @@ class CompiledSystem:
                 raise AnchorInconsistent(
                     f"anchor residual {np.max(np.abs(res0)):.3e} "
                     f"(worst: {self.eq_names[worst]})")
-            kv = C[self.nv:, 0] if self.nk else np.zeros(0)
-            J = self.alg_jacobian(C[: self.nv, 0], kv)
+            J = self._term_jacobian("alg", C[:, 0],
+                                    self.n_alg)[:, self.alg_slots]
             try:
                 J_inv = np.linalg.inv(J)
             except np.linalg.LinAlgError as exc:
@@ -341,7 +301,7 @@ class CompiledSystem:
                 if not np.all(np.isfinite(sol)):
                     raise SingularJacobian(f"non-finite coefficients at order {k}")
                 C[self.alg_slots, k] = sol
-        return C
+        return C[:-1]
 
 
 # --- segment solutions ------------------------------------------------------------

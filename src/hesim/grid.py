@@ -228,23 +228,25 @@ def rotation(delta: float) -> np.ndarray:
     return np.array([[s, c], [-c, s]])
 
 
-def machine_thevenin(gen: GenSpec, delta: float) -> np.ndarray:
-    """Interface admittance M(delta) Yg^-1 M(delta)^T in network coordinates."""
-    m = rotation(delta)
+def stator_currents(gen: GenSpec, delta: float, eps_d: float, eps_q: float,
+                    v: complex) -> np.ndarray:
+    """(id, iq) from the two stator equations at terminal voltage v."""
+    s, c = math.sin(delta), math.cos(delta)
+    vd = v.real * s - v.imag * c
+    vq = v.real * c + v.imag * s
     yg = np.array([[gen.ra, -gen.xq_t], [gen.xd_t, gen.ra]])
-    return m @ np.linalg.inv(yg) @ m.T
+    return np.linalg.solve(yg, [eps_d - vd, eps_q - vq])
 
 
 def machine_injection(gen: GenSpec, delta: float, eps_d: float, eps_q: float,
                       v: complex) -> complex:
-    """Terminal current injected by the machine at terminal voltage v.
+    """Terminal current injected by the machine at terminal voltage v: the
+    stator currents mapped through M(delta).
 
     Current is zero when v equals the internal potential mapped through
     M(delta), i.e. at the open-circuit match.
     """
-    m = rotation(delta)
-    e_xy = m @ np.array([eps_d, eps_q])
-    ixy = machine_thevenin(gen, delta) @ (e_xy - np.array([v.real, v.imag]))
+    ixy = rotation(delta) @ stator_currents(gen, delta, eps_d, eps_q, v)
     return complex(ixy[0], ixy[1])
 
 

@@ -51,6 +51,7 @@ from .grid import (
     machine_injection,
     motor_circuit,
     motor_equilibrium_slip,
+    stator_currents,
 )
 
 DYNAMIC = "dynamic"
@@ -262,10 +263,7 @@ def _clin(b, eqx, eqy, k: complex, xr: int, xi: int,
     s = -1.0 if conj else 1.0
     for eq, c, f in ((eqx, k.real, xr), (eqx, -k.imag * s, xi),
                      (eqy, k.imag, xr), (eqy, k.real * s, xi)):
-        if extra is None:
-            b.term(eq, c, f)
-        else:
-            b.term(eq, c, f, extra)
+        b.term(eq, c, f, extra)
 
 
 # --------------------------------------------------------------------------
@@ -308,13 +306,15 @@ class Built:
     def monitored(self) -> MonitoredRows:
         """The steadiness verdict's slots, resolved once: plain rows (with
         the absolute angle where an island has no reference), (angle,
-        reference) pairs, the (vx, vy) of every bus for V^2, and the names."""
+        reference) pairs, the (vx, vy) of every bus for V^2, and the names.
+        The reference angle against itself, zero by construction, is not a
+        pair."""
         idx = self.system.index
         pairs = [(self.monitored_angles[g], self.angle_ref.get(isl.index))
                  for isl in self.islands for g in isl.machines
                  if g in self.monitored_angles]
         plain = self.monitored_plain + [a for a, ref in pairs if ref is None]
-        pairs = [(a, ref) for a, ref in pairs if ref is not None]
+        pairs = [(a, ref) for a, ref in pairs if ref not in (None, a)]
         buses = [b for isl in self.islands for b in isl.buses
                  if f"vx:{b}" in idx]
 
@@ -606,7 +606,6 @@ class _Assembler:
         b = self.b
         key = f"load:{lid}"
         pf = self.pf
-        slip0 = self.state.slip.get(lid, 0.02)
         ex, ey, isx, isy, irx, iry = (self.var(f"{n}:{lid}", "alg")
                                       for n in _MOTOR_KINDS)
 
@@ -637,16 +636,12 @@ class _Assembler:
 
         e3x = b.alg_eq(f"mrotx:{lid}")
         e3y = b.alg_eq(f"mroty:{lid}")
-        if slip is None:
-            b.term(e3x, slip0, ex)
-            b.term(e3y, slip0, ey)
-            b.term(e3x, slip0 * m.x2, iry)
-            b.term(e3y, -slip0 * m.x2, irx)
-        else:
-            b.term(e3x, 1.0, slip, ex)
-            b.term(e3y, 1.0, slip, ey)
-            b.term(e3x, m.x2, slip, iry)
-            b.term(e3y, -m.x2, slip, irx)
+        # a frozen slip is a constant: its value scales the terms
+        k = self.state.slip.get(lid, 0.02) if slip is None else 1.0
+        b.term(e3x, k, slip, ex)
+        b.term(e3y, k, slip, ey)
+        b.term(e3x, k * m.x2, slip, iry)
+        b.term(e3y, -k * m.x2, slip, irx)
         b.term(e3x, -m.r2, irx)
         b.term(e3y, -m.r2, iry)
 
@@ -723,12 +718,8 @@ class _Assembler:
             scale = (self.alpha_slot
                      if f"gen:{gid}" in self.mods.scale_devices else None)
             for eq, (cd, cq) in ((eqx, (s0, c0)), (eqy, (-c0, s0))):
-                if scale is None:
-                    b.term(eq, cd, i_d)
-                    b.term(eq, cq, i_q)
-                else:
-                    b.term(eq, cd, scale, i_d)
-                    b.term(eq, cq, scale, i_q)
+                b.term(eq, cd, scale, i_d)
+                b.term(eq, cq, scale, i_q)
             return None
 
         delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
@@ -910,12 +901,8 @@ def _stator(r, gid):
     """(id, iq) from the stator equations at the state's terminal voltage."""
     st = r.st
     g, m = st.case.gen_by_id[gid], st.mach[gid]
-    v = st.v[st.case.bus_index[g.bus]]
-    s, c = math.sin(m.delta), math.cos(m.delta)
-    vd = v.real * s - v.imag * c
-    vq = v.real * c + v.imag * s
-    yg = np.array([[g.ra, -g.xq_t], [g.xd_t, g.ra]])
-    return np.linalg.solve(yg, [m.eps_d - vd, m.eps_q - vq])
+    return stator_currents(g, m.delta, m.eps_d, m.eps_q,
+                           st.v[st.case.bus_index[g.bus]])
 
 
 def _motor(r, lid):

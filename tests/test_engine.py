@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hesim.engine import (
     SystemBuilder,
@@ -227,6 +229,100 @@ def test_newton_refine_rejects_nan_state():
     sys = b.compile()
     with pytest.raises(AnchorInconsistent):
         sys.newton_refine(np.array([np.nan]), np.zeros(0), maxiter=0)
+
+
+# --- the term kernels against per-term loops ---------------------------------
+
+_STATES, _ALGS, _KNOWNS = ("x0", "x1", "x2"), ("y0", "y1", "y2"), ("p0", "p1")
+_FACTORS = (None,) + _STATES + _ALGS + _KNOWNS
+
+
+@st.composite
+def _term_specs(draw):
+    """(terms, seed): terms as (block, row, coeff, factor, factor) over three
+    states, three algebraic unknowns and two knowns.  Always present: a
+    constant, a known factor, known x known and a square; the last row of
+    each block never gets a term."""
+    coeff = st.floats(-2, 2).filter(lambda c: abs(c) >= 1e-3)
+    terms = [("alg", 0, draw(coeff), None, None),
+             ("alg", 1, draw(coeff), "p0", None),
+             ("rhs", 0, draw(coeff), "p0", "p1"),
+             ("rhs", 1, draw(coeff), "x0", "x0")]
+    terms += draw(st.lists(st.tuples(
+        st.sampled_from(["alg", "rhs"]), st.integers(0, 1), coeff,
+        st.sampled_from(_FACTORS), st.sampled_from(_FACTORS)), max_size=12))
+    return terms, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _term_system(terms):
+    b = SystemBuilder()
+    ids = {None: None}
+    ids.update((n, b.state(n)) for n in _STATES)
+    ids.update((n, b.alg(n)) for n in _ALGS)
+    ids.update((n, b.known(n)) for n in _KNOWNS)
+    eqs = [b.alg_eq(f"g{i}") for i in range(len(_ALGS))]
+    for block, row, c, f, g in terms:
+        if block == "alg":
+            b.term(eqs[row], c, ids[f], ids[g])
+        else:
+            b.rhs_term(ids[_STATES[row]], c, ids[f], ids[g])
+    return b.compile()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_specs())
+@example(([("rhs", 0, 1.5, "x1", "x1")], 0))        # square at k > 0
+@example(([("alg", 0, -0.5, None, None)], 1))       # constant at k > 0
+def test_term_kernels_match_per_term_loops(spec):
+    terms, seed = spec
+    sys = _term_system(terms)
+    rng = np.random.default_rng(seed)
+    order, n_pts = 5, 3
+    C = sys._table(rng.normal(size=sys.nv), rng.normal(size=(sys.nk, 4)),
+                   order)
+    C[: sys.nv, 1:] = rng.normal(size=(sys.nv, order))
+    vals = rng.normal(size=(sys.nv, n_pts))
+    kvals = rng.normal(size=(sys.nk, n_pts))
+
+    def read(name):
+        """(series, point values) of a factor; an absent one reads 1."""
+        if name is None:
+            return np.eye(1, order + 1)[0], np.ones(n_pts)
+        if name in sys.index:
+            return C[sys.index[name]], vals[sys.index[name]]
+        return C[sys.nv + _KNOWNS.index(name)], kvals[_KNOWNS.index(name)]
+
+    for kind, n_rows in (("alg", sys.n_alg), ("rhs", sys.n_state)):
+        mine = [t for t in terms if t[0] == kind]
+        for k in range(order + 1):
+            want, size = np.zeros(n_rows), np.zeros(n_rows)
+            for _, row, c, f, g in mine:
+                a, b = read(f)[0], read(g)[0]
+                prods = [c * a[j] * b[k - j] for j in range(k + 1)]
+                want[row] += sum(prods)
+                size[row] += sum(abs(x) for x in prods)
+            got = sys._coeff_of(kind, C, k, n_rows)
+            assert np.all(np.abs(got - want) <= 1e-13 * size)
+        # one point and P points at once
+        want, size = np.zeros((n_rows, n_pts)), np.zeros((n_rows, n_pts))
+        jac, jsize = np.zeros((n_pts, n_rows, sys.nv)), 0.0
+        for _, row, c, f, g in mine:
+            a, b = read(f)[1], read(g)[1]
+            want[row] += c * a * b
+            size[row] += np.abs(c * a * b)
+            for u, other in ((f, b), (g, a)):  # d/du of c*f*g
+                if u in sys.index:
+                    jac[:, row, sys.index[u]] += c * other
+                    jsize = max(jsize, np.max(np.abs(c * other)))
+        ext = sys._ext(vals, kvals)
+        got = sys._rows_at_point(kind, ext, n_rows)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+        assert not got[-1].any()  # the row with no terms
+        for p in range(n_pts):
+            got = sys._rows_at_point(kind, ext[:, p], n_rows)
+            assert np.all(np.abs(got - want[:, p]) <= 1e-13 * size[:, p])
+            J = sys._term_jacobian(kind, ext[:, p], n_rows)
+            assert np.all(np.abs(J - jac[p]) <= 1e-13 * jsize)
 
 
 def _reference_min_real_positive_root(nums, dens, limit):

@@ -11,6 +11,7 @@ import pytest
 from conftest import make_smib, make_twobus_case
 from hesim import scheduler
 from hesim.bounds import SteadyStateVerdict, steady_state_check
+from hesim.caseio import builtin_case
 from hesim.errors import NotSteady
 from hesim.grid import (
     BranchSpec,
@@ -423,6 +424,23 @@ def test_derived_rows_decide_when_every_plain_row_is_steady(fourbus):
             == [name]
 
 
+@pytest.mark.parametrize("name, t_end", [("fourbus", 0.0), ("ne39", 62.0)])
+def test_no_angle_is_checked_against_itself(name, t_end):
+    # ne39 starts with one machine; its restoration adds G31 at 60 s
+    case, script = builtin_case(name)
+    st = init_equilibrium(case)
+    if t_end:
+        run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end),
+                       st)
+    built = build_system(case, st, DYNAMIC)
+    rows = built.monitored
+    assert len(rows.angles) and not np.any(rows.angles == rows.refs)
+    # each island's reference angle is neither a pair nor a plain row
+    refs = {built.system.index[r] for r in built.angle_ref.values()}
+    assert refs.isdisjoint(rows.plain)
+    assert len(rows.angles) == len(built.monitored_angles) - len(refs)
+
+
 def test_failing_plain_row_builds_no_derived_rows(fourbus, monkeypatch):
     case, _ = fourbus
     st = init_equilibrium(case)
@@ -455,7 +473,7 @@ def _one_table_verdict(built, seg, eps_t):
                 continue
             if ref is None:
                 plain.append(idx[name])
-            else:
+            elif name != ref:  # the reference against itself is zero
                 derived.append(seg.C[idx[name]] - seg.C[idx[ref]])
     for isl in built.islands:
         for b in isl.buses:
