@@ -14,13 +14,7 @@ from .grid import (
     build_admittance,
     machine_injection,
 )
-from .model import (
-    SystemState,
-    dynamic_residual,
-    init_equilibrium,
-    qss_residual,
-    solve_powerflow,
-)
+from .model import SystemState, init_equilibrium, solve_powerflow
 from .reference import TwoBusCase, integrate_reference, two_bus_current_sq, \
     two_bus_event_time
 from .scheduler import (

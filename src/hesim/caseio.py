@@ -24,8 +24,7 @@ from .grid import (
     LoadSpec,
     MotorSpec,
 )
-from .scheduler import (CHANNEL_ARGS, EVENT_KEYS, Condition, SimEvent,
-                        Trajectory)
+from .scheduler import CHANNEL_ARGS, Condition, SimEvent, Trajectory
 
 _GEN_KEYS = {
     "p": "p_set", "v": "v_set", "h": "h", "d": "d", "ra": "ra",
@@ -66,9 +65,13 @@ def _num(s, line_no, what):
     return v
 
 
+# event keys that name an element of the case; every other key is a number
+_NAMED = ("bus", "branch", "load", "gen")
+
+
 def _check_event(case: GridCase, ev: SimEvent, line_no: int) -> None:
     """Every bus, branch, load and generator the event names must exist."""
-    named = [(key, ev.payload[key]) for key in EVENT_KEYS[ev.kind]]
+    named = list(ev.payload.items())
     if ev.condition is not None:
         chan, args = ev.condition.channel, ev.condition.args
         if chan == "I":
@@ -205,13 +208,9 @@ def parse_case(text: str):
                 kind = rest[1]
                 opts = rest[2:]
             _, kv = _split_kv(opts, line_no)
-            payload: dict = {}
-            for k, v in kv.items():
-                if k in ("rate", "r", "x", "b", "g"):
-                    payload[k] = _num(v, line_no, k)
-                else:
-                    payload[k] = v
-            label = payload.pop("name", kind)
+            label = kv.pop("name", kind)
+            payload = {k: v if k in _NAMED else _num(v, line_no, k)
+                       for k, v in kv.items()}
             try:
                 events.append(SimEvent(kind=kind, t_due=t_due,
                                        condition=condition,
@@ -309,9 +308,8 @@ def _chan_name(chan, args):
     return chan if not args else f"{chan}:{','.join(args)}"
 
 
-def write_trajectory(traj: Trajectory, dt: float = 0.1,
-                     event_aligned: bool = False) -> str:
-    """Sample the analytic segments on a dt grid or at segment boundaries.
+def write_trajectory(traj: Trajectory, dt: float = 0.1) -> str:
+    """Sample the analytic segments on a dt grid.
 
     Values are evaluated from the stored series/Pade representations, never
     re-integrated; event rows are appended as comments.
@@ -320,11 +318,7 @@ def write_trajectory(traj: Trajectory, dt: float = 0.1,
         raise ValidationError("cannot write an empty trajectory")
     case = traj.case
     chans = trajectory_channels(case)
-    if event_aligned:
-        ts = np.unique(np.array([s.t0 for s in traj.segments]
-                                + [traj.segments[-1].t1]))
-    else:
-        ts = traj.sample_times(dt)
+    ts = traj.sample_times(dt)
     starts = np.array([s.t0 for s in traj.segments])
     ks = np.clip(np.searchsorted(starts, ts + 1e-12) - 1,
                  0, len(traj.segments) - 1)

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import caseio
 from .errors import HesimError
-from .scheduler import (HYBRID, SWITCH_KINDS, ChannelMap, RunConfig,
-                        run_simulation)
+from .scheduler import EVENTS, HYBRID, ChannelMap, RunConfig, run_simulation
 
 log = logging.getLogger("hesim")
 
@@ -107,26 +106,32 @@ def cmd_simulate(args) -> int:
 def _method_event_times(case, script, methods, config):
     """Conditional-event times from fixed-step baseline integrations.
 
-    Only scripts made of ramps (no instant switches) can be replayed this
-    way; the 2-bus ramping study is the intended use.
+    One system, built at t = 0, is integrated to the end, so the script may
+    change it only at t = 0 and without a switch (a ramp starting then);
+    every later event must leave it alone (record, stop).  The 2-bus ramping
+    study is the intended use.
     """
     import copy
 
     from . import model as mdl
     from .reference import DaeModel, integrate_reference, linear_crossing
 
-    if any(e.kind in SWITCH_KINDS for e in script):
-        raise HesimError("--methods supports ramp-only scripts")
+    at_start = []
+    for ev in script:
+        kind = EVENTS[ev.kind]
+        if kind.action is None:
+            continue
+        if ev.t_due is None or ev.t_due > 1e-9 or kind.switch:
+            when = "on a trigger" if ev.t_due is None else f"at t={ev.t_due!r}"
+            raise HesimError(f"--methods cannot replay {ev} {when}")
+        at_start.append(ev)
     conds = [e for e in script if e.condition is not None]
     if not conds:
         return []
     st = mdl.init_equilibrium(case, mode=config.mode
                               if config.mode != "hybrid" else "dynamic")
-    for ev in script:
-        if ev.kind in ("ramp_load", "ramp_gen"):
-            what = ev.kind[len("ramp_"):]
-            st.ramps.append(mdl.Ramp(f"{what}:{ev.payload[what]}",
-                                     ev.payload["rate"], ev.t_due))
+    for ev in sorted(at_start, key=lambda e: e.t_due):
+        EVENTS[ev.kind].action(case, st, ev.payload, 0.0)
     built = mdl.build_system(case, st, st.mode)
     mdl.refine_state(built, st)
     name = {"me": "modified-euler", "trap": "trapezoidal",
@@ -165,6 +170,11 @@ def cmd_compare(args) -> int:
     except ValueError as exc:  # invalid run settings: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the fixed-step baselines reject a script they cannot replay before
+    # any run starts
+    method_rows = (_method_event_times(case, script, methods,
+                                       _config(args, script))
+                   if methods else [])
     trajs = {}
     for mode, config in configs.items():
         trajs[mode] = run_simulation(case, script, config)
@@ -197,9 +207,7 @@ def cmd_compare(args) -> int:
         for ev in trajs[mode].events:
             if ev.kind == "conditional":
                 cond_rows.append((mode, ev.label, ev.t))
-    if methods:
-        cond_rows += _method_event_times(case, script, methods,
-                                         _config(args, script))
+    cond_rows += method_rows
     if cond_rows:
         base_times = {label: t for mode, label, t in cond_rows
                       if mode == base}

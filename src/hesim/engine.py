@@ -42,9 +42,7 @@ pade_with_fallback = batch_pade
 ALG = "alg"
 STATE = "state"
 
-# embedding kinds, recorded on problems/solutions for bookkeeping
-TIME_DYNAMIC = "TIME_DYNAMIC"
-TIME_QSS = "TIME_QSS"
+# switching-problem kinds, named in an alpha continuation's failure
 ALPHA_POWERFLOW = "ALPHA_POWERFLOW"
 ALPHA_ADD = "ALPHA_ADD"
 ALPHA_CUT = "ALPHA_CUT"
@@ -386,7 +384,6 @@ class SegmentSolution:
     sampled output channels all read this one rule.
     """
 
-    kind: str
     system: CompiledSystem
     C: np.ndarray              # (nv, order+1) series coefficients
     kcoeffs: np.ndarray        # (nk, order+1) known input coefficients
@@ -444,8 +441,8 @@ class SegmentSolution:
 
 
 def solve_segment(system: CompiledSystem, anchors: np.ndarray,
-                  kcoeffs: np.ndarray, order: int, kind: str,
-                  tol_res: float, t_max: float) -> SegmentSolution:
+                  kcoeffs: np.ndarray, order: int, tol_res: float,
+                  t_max: float) -> SegmentSolution:
     """Solve a time-embedded segment and certify its effective range.
 
     Rows with a spurious real pole in (0, t_max] are refitted one
@@ -461,7 +458,7 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     C[: system.nv][tail <= 1e-12 * scale, 1:] = 0.0
     L, M = diagonal_orders(order)
     nums, dens = batch_pade(C[: system.nv], L, M)
-    seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
+    seg = SegmentSolution(system=system, C=C[: system.nv],
                           kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
 
     poles, spurious = min_real_positive_root(nums, dens, t_max)
@@ -500,7 +497,7 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
         C = system.solve_series(anchors, kcoeffs, n)
         L, M = diagonal_orders(n)
         nums, dens = batch_pade(C[: system.nv], L, M)
-        seg = SegmentSolution(kind=kind, system=system, C=C[: system.nv],
+        seg = SegmentSolution(system=system, C=C[: system.nv],
                               kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
         res = seg.residual_max_at(np.array(ALPHA_CHECKPOINTS))
         bad = ~(res <= np.where(np.array(ALPHA_CHECKPOINTS) == 1.0,

@@ -19,10 +19,6 @@ class EmptyVariableSet(HesimError):
 
 # --- grid model ------------------------------------------------------------
 
-class DimensionMismatch(HesimError):
-    """Residual evaluation called with inconsistently sized vectors."""
-
-
 class IslandWithoutGeneration(HesimError):
     """An energized island carries no source; it cannot be solved."""
 
@@ -60,10 +56,6 @@ class SegmentFailure(HesimError):
     """A simulation segment could not be solved, neither at the configured
     series order nor ten orders higher.  At either order the range search
     tries ranges down to t_max * 2^-20 (no halved t_max is retried)."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 # --- reference solvers -----------------------------------------------------

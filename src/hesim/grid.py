@@ -39,10 +39,6 @@ class BranchSpec:
     b_sh: float = 0.0
     status: int = 1
 
-    @property
-    def y_series(self) -> complex:
-        return 1.0 / complex(self.r, self.x)
-
 
 @dataclass(frozen=True)
 class MotorSpec:
@@ -272,8 +268,7 @@ def motor_torque(motor: MotorSpec, v: complex, slip: float) -> float:
     return (e * i_r.conjugate()).real
 
 
-def motor_equilibrium_slip(motor: MotorSpec, v: complex,
-                           s_hint: float = 0.02) -> float:
+def motor_equilibrium_slip(motor: MotorSpec, v: complex) -> float:
     """Stable-branch slip solving torque balance at terminal voltage v."""
     def f(s):
         return motor.torque - motor_torque(motor, v, s)

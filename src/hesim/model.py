@@ -35,7 +35,6 @@ from .engine import (
     solve_alpha_problem,
 )
 from .errors import (
-    DimensionMismatch,
     IslandWithoutGeneration,
     NoConvergenceAtAlpha1,
     PowerFlowInfeasible,
@@ -988,45 +987,6 @@ def refine_state(built: Built, state: SystemState,
     kv = built.knowns(state, state.t, 1)[:, 0]
     refined = built.system.newton_refine(anchors, kv, tol=tol)
     write_back(built, refined, state)
-
-
-# --------------------------------------------------------------------------
-# residual wrappers (spec-level API, reused by oracles and tests)
-# --------------------------------------------------------------------------
-
-
-def point_residual(built: Built, case: GridCase, state: SystemState,
-                   values: Optional[np.ndarray] = None,
-                   dvalues: Optional[np.ndarray] = None) -> np.ndarray:
-    sysm = built.system
-    if values is None:
-        values = built.anchors(state)
-    values = np.asarray(values, dtype=float)
-    if len(values) != sysm.nv:
-        raise DimensionMismatch(f"expected {sysm.nv} values, got {len(values)}")
-    if dvalues is None:
-        dvalues = np.zeros(sysm.n_state)
-    elif len(dvalues) != sysm.n_state:
-        raise DimensionMismatch(
-            f"expected {sysm.n_state} state derivatives, got {len(dvalues)}")
-    kv = built.knowns(state, state.t, 1)[:, 0]
-    return sysm.residual(values, dvalues, kv)
-
-
-def dynamic_residual(case: GridCase, state: SystemState,
-                     values: Optional[np.ndarray] = None,
-                     dvalues: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stacked machine/controller/motor differential and network algebraic
-    residuals of the full dynamic model at the given point."""
-    built = build_system(case, state, DYNAMIC)
-    return point_residual(built, case, state, values, dvalues)
-
-
-def qss_residual(case: GridCase, state: SystemState,
-                 values: Optional[np.ndarray] = None,
-                 dvalues: Optional[np.ndarray] = None) -> np.ndarray:
-    built = build_system(case, state, QSS)
-    return point_residual(built, case, state, values, dvalues)
 
 
 # --------------------------------------------------------------------------

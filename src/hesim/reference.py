@@ -290,28 +290,3 @@ def linear_crossing(ts: np.ndarray, hs: np.ndarray):
         if a < 0.0 <= b or a > 0.0 >= b:
             return float(ts[k] + (ts[k + 1] - ts[k]) * a / (a - b))
     return None
-
-
-def cubic_crossing(ts: np.ndarray, hs: np.ndarray):
-    """First zero crossing using a local cubic fit around the bracket."""
-    for k in range(len(ts) - 1):
-        a, b = hs[k], hs[k + 1]
-        if a == 0.0:
-            return float(ts[k])
-        if a < 0.0 <= b or a > 0.0 >= b:
-            lo = max(0, k - 1)
-            hi = min(len(ts), k + 3)
-            if hi - lo < 4:
-                lo = max(0, hi - 4)
-            tt = ts[lo:hi]
-            hh = hs[lo:hi]
-            coeffs = np.polynomial.polynomial.polyfit(tt - ts[k], hh,
-                                                      min(3, len(tt) - 1))
-            roots = np.polynomial.polynomial.polyroots(coeffs)
-            cands = [r.real for r in roots
-                     if abs(r.imag) < 1e-9
-                     and -1e-12 <= r.real <= ts[k + 1] - ts[k] + 1e-12]
-            if cands:
-                return float(ts[k] + min(cands))
-            return linear_crossing(ts, hs)
-    return None

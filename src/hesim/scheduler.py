@@ -17,7 +17,7 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,6 +48,9 @@ from .model import (
 from .series import batch_pade, bracketed_root
 
 HYBRID = "hybrid"
+DWELL = 1.0          # least dynamic time before steadiness is checked again
+MAX_STEP_DYN = 1.0   # longest dynamic segment, s
+STEP_SAFETY = 0.9    # a step short of the gap is this share of t_e
 
 log = logging.getLogger(__name__)
 
@@ -61,10 +64,7 @@ class RunConfig:
     dt_out: float = 0.1
     t_end: float = 10.0
     event_tol: float = 1e-6       # conditional-event root tolerance
-    dwell: float = 1.0            # min dynamic time before re-checking steadiness
-    max_step_dyn: float = 1.0
     max_step_qss: float = 30.0
-    step_safety: float = 0.9
 
     def __post_init__(self):
         if self.mode not in (HYBRID, DYNAMIC, QSS):
@@ -80,18 +80,68 @@ class RunConfig:
 # events
 # --------------------------------------------------------------------------
 
-SWITCH_KINDS = {"add_branch", "cut_branch", "add_load", "cut_load",
-                "add_gen", "cut_gen", "add_shunt", "param_branch"}
-# event kind -> the payload keys it needs; a bus, branch, load or gen key
-# names an element of the case
-EVENT_KEYS = {
-    "add_branch": ("branch",), "cut_branch": ("branch",),
-    "param_branch": ("branch", "r", "x"), "add_shunt": ("bus", "g", "b"),
-    "add_load": ("load",), "cut_load": ("load",), "ramp_load": ("load", "rate"),
-    "ramp_stop_load": ("load",), "add_gen": ("gen",), "cut_gen": ("gen",),
-    "ramp_gen": ("gen", "rate"), "ramp_stop_gen": ("gen",),
-    "record": (), "stop": (),
+
+@dataclass(frozen=True)
+class EventKind:
+    """One scripted event kind.  ``needs`` and ``optional`` are its payload
+    keys: a bus, branch, load or gen key names an element of the case, any
+    other key is a number.  A ``switch`` changes the network through an
+    alpha continuation, which runs in dynamic mode.  ``action(case, state,
+    payload, t)`` applies the event and may return its record's info."""
+    needs: tuple = ()
+    optional: tuple = ()
+    switch: bool = False
+    action: Optional[Callable] = None
+
+
+def _stop_ramps(state: SystemState, what: str, key: str, t: float) -> None:
+    """Fold the ramps on a load's scale or a generator's dispatch into its
+    base value at t, and drop them."""
+    target = f"{what}:{key}"
+    if not any(r.target == target for r in state.ramps):
+        return
+    if what == "load":
+        state.load_scale[key] = state.scale_now(key, t)
+    else:
+        state.mach[key].p_disp = state.pdisp_now(key, t)
+    state.ramps[:] = [r for r in state.ramps if r.target != target]
+
+
+EVENTS = {
+    "add_branch": EventKind(("branch",), switch=True, action=lambda c, s, p, t:
+                            mdl.apply_add_branch(c, s, p["branch"])),
+    "cut_branch": EventKind(("branch",), switch=True, action=lambda c, s, p, t:
+                            {"collapsed": mdl.apply_cut_branch(
+                                c, s, p["branch"])}),
+    "param_branch": EventKind(("branch", "r", "x"), ("b",), switch=True,
+                              action=lambda c, s, p, t: mdl.apply_branch_param(
+                                  c, s, p["branch"], p["r"], p["x"],
+                                  p.get("b", 0.0))),
+    "add_shunt": EventKind(("bus", "g", "b"), switch=True,
+                           action=lambda c, s, p, t: mdl.apply_add_shunt(
+                               c, s, int(p["bus"]), complex(p["g"], p["b"]))),
+    "add_load": EventKind(("load",), switch=True, action=lambda c, s, p, t:
+                          mdl.apply_add_load(c, s, p["load"])),
+    "cut_load": EventKind(("load",), switch=True, action=lambda c, s, p, t:
+                          mdl.apply_cut_load(c, s, p["load"])),
+    "add_gen": EventKind(("gen",), switch=True, action=lambda c, s, p, t:
+                         mdl.apply_add_gen(c, s, p["gen"])),
+    "cut_gen": EventKind(("gen",), switch=True, action=lambda c, s, p, t:
+                         {"collapsed": mdl.apply_cut_gen(c, s, p["gen"])}),
+    "ramp_load": EventKind(("load", "rate"), action=lambda c, s, p, t:
+                           s.ramps.append(mdl.Ramp(f"load:{p['load']}",
+                                                   p["rate"], t))),
+    "ramp_stop_load": EventKind(("load",), action=lambda c, s, p, t:
+                                _stop_ramps(s, "load", p["load"], t)),
+    "ramp_gen": EventKind(("gen", "rate"), action=lambda c, s, p, t:
+                          s.ramps.append(mdl.Ramp(f"gen:{p['gen']}",
+                                                  p["rate"], t))),
+    "ramp_stop_gen": EventKind(("gen",), action=lambda c, s, p, t:
+                               _stop_ramps(s, "gen", p["gen"], t)),
+    "record": EventKind(),
+    "stop": EventKind(),
 }
+
 # trigger channel -> what its arguments name; I(id) or I(from,to) names a
 # branch through GridCase.branch_ends
 CHANNEL_ARGS = {"t": (), "f": (), "V": ("bus",), "omega": ("gen",),
@@ -111,11 +161,22 @@ class SimEvent:
             raise ValueError("event needs exactly one of time or condition")
         if self.t_due is not None and not math.isfinite(self.t_due):
             raise ValueError("timed events need a finite due time")
-        if self.kind not in EVENT_KEYS:
+        if self.kind not in EVENTS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        for key in EVENT_KEYS[self.kind]:
+        kind = EVENTS[self.kind]
+        for key in kind.needs:
             if key not in self.payload:
                 raise ValueError(f"{self.kind} needs {key}=")
+        for key in self.payload:
+            if key not in kind.needs + kind.optional:
+                raise ValueError(f"{self.kind} takes no {key}=")
+
+    def __str__(self) -> str:
+        """The event as its case-file line names it: kind, payload, name."""
+        name = (f" name={self.label}" if self.label not in ("", self.kind)
+                else "")
+        return " ".join([self.kind] + [f"{k}={v}" for k, v in
+                                       self.payload.items()]) + name
 
 
 @dataclass
@@ -535,77 +596,40 @@ def mode_switch(case: GridCase, state: SystemState, direction: str,
 
 
 def _execute_event(case, state, ev: SimEvent, t: float,
-                   traj: Trajectory, config: RunConfig) -> bool:
+                   traj: Trajectory) -> bool:
     """Run one event at time t. Returns False when the run must stop."""
-    info: dict = {}
-    if ev.kind in SWITCH_KINDS and state.mode == QSS:
+    kind = EVENTS[ev.kind]
+    if kind.switch and state.mode == QSS:
         mode_switch(case, state, "qss->dyn")
         traj.events.append(EventRecord(t, "mode_switch", "qss->dyn",
                                        {"cause": ev.kind}))
-    p = ev.payload
-    if ev.kind == "stop":
-        traj.events.append(EventRecord(t, ev.kind, ev.label, info))
-        return False
-    if ev.kind == "record":
-        pass
-    elif ev.kind == "add_branch":
-        mdl.apply_add_branch(case, state, p["branch"])
-    elif ev.kind == "cut_branch":
-        info["collapsed"] = mdl.apply_cut_branch(case, state, p["branch"])
-    elif ev.kind == "add_load":
-        mdl.apply_add_load(case, state, p["load"])
-    elif ev.kind == "cut_load":
-        mdl.apply_cut_load(case, state, p["load"])
-    elif ev.kind == "add_gen":
-        mdl.apply_add_gen(case, state, p["gen"])
-    elif ev.kind == "cut_gen":
-        info["collapsed"] = mdl.apply_cut_gen(case, state, p["gen"])
-    elif ev.kind == "add_shunt":
-        mdl.apply_add_shunt(case, state, int(p["bus"]),
-                            complex(p["g"], p["b"]))
-    elif ev.kind == "param_branch":
-        mdl.apply_branch_param(case, state, p["branch"], p["r"], p["x"],
-                             p.get("b", 0.0))
-    elif ev.kind == "ramp_load":
-        state.ramps.append(mdl.Ramp(f"load:{p['load']}", p["rate"], t))
-    elif ev.kind == "ramp_stop_load":
-        lid = p["load"]
-        for r in list(state.ramps):
-            if r.target == f"load:{lid}":
-                state.load_scale[lid] += r.rate * (t - r.t_start)
-                state.ramps.remove(r)
-    elif ev.kind == "ramp_gen":
-        state.ramps.append(mdl.Ramp(f"gen:{p['gen']}", p["rate"], t))
-    elif ev.kind == "ramp_stop_gen":
-        gid = p["gen"]
-        for r in list(state.ramps):
-            if r.target == f"gen:{gid}":
-                state.mach[gid].p_disp += r.rate * (t - r.t_start)
-                state.ramps.remove(r)
-    if ev.kind in SWITCH_KINDS:
+    info = kind.action(case, state, ev.payload, t) if kind.action else None
+    if kind.switch:
         state.last_dyn_entry = t
-    traj.events.append(EventRecord(t, ev.kind, ev.label, info))
-    return True
+    traj.events.append(EventRecord(t, ev.kind, ev.label, info or {}))
+    return ev.kind != "stop"
 
 
-def _solve_with_ladder(built, state, t, order, kind, tol_res, t_max):
+def _solve_with_ladder(built, state, t, order, tol_res, t_max):
     """Retry ladder: the configured order, then ten orders higher."""
     anchors = built.anchors(state)
     last = None
     for n in (order, order + 10):
         try:
             return solve_segment(built.system, anchors,
-                                 built.knowns(state, t, n + 1), n, kind,
-                                 tol_res, t_max)
+                                 built.knowns(state, t, n + 1), n, tol_res,
+                                 t_max)
         except (NoValidRange, SingularJacobian, AnchorInconsistent) as exc:
             last = exc
-    raise SegmentFailure(f"segment at t={t:.6f}: {last}", time=t)
+    raise SegmentFailure(str(last))
 
 
 def run_simulation(case: GridCase, script: list, config: RunConfig,
                    state: Optional[SystemState] = None) -> Trajectory:
     """Event-driven extended-term simulation; returns the piecewise
-    trajectory (partial, with a failure record, if a segment fails)."""
+    trajectory.  A HesimError from an event, a mode switch or a segment
+    ends the run: the trajectory up to it is kept, and ``failure`` names
+    the step that failed, its time and the reason."""
     wall0 = _time.perf_counter()
     traj = Trajectory(case)
     if state is None:
@@ -627,11 +651,13 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
     t = 0.0
     state.t = 0.0
     running = True
+    doing = ""  # the step under way, named by a failure
     try:
         while running and t < config.t_end - 1e-9:
             while timed and timed[0].t_due <= t + 1e-9:
                 ev = timed.pop(0)
-                running = _execute_event(case, state, ev, t, traj, config)
+                doing = str(ev)
+                running = _execute_event(case, state, ev, t, traj)
                 if not running:
                     break
             if not running:
@@ -642,13 +668,12 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             if gap <= 1e-9:
                 continue
             mode = state.mode
-            cap = config.max_step_dyn if mode == DYNAMIC else config.max_step_qss
+            doing = f"{mode} segment"
+            cap = MAX_STEP_DYN if mode == DYNAMIC else config.max_step_qss
             built, chan_map = built_for(mode)
             seg = _solve_with_ladder(built, state, t, config.order,
-                                     "TIME_DYNAMIC" if mode == DYNAMIC
-                                     else "TIME_QSS", config.tol_res,
-                                     min(gap, cap))
-            step = gap if seg.t_e >= gap - 1e-12 else config.step_safety * seg.t_e
+                                     config.tol_res, min(gap, cap))
+            step = gap if seg.t_e >= gap - 1e-12 else STEP_SAFETY * seg.t_e
             step = min(step, gap)
 
             rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
@@ -672,11 +697,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             write_back(built, values, state)
             t = t + step
             state.t = t
-            try:
-                refine_state(built, state)
-            except (AnchorInconsistent, SingularJacobian) as exc:
-                raise SegmentFailure(
-                    f"state refinement at t={t:.6f}: {exc}", time=t) from exc
+            doing = "state refinement"
+            refine_state(built, state)
 
             if mode == QSS:
                 # reactive limits are enforced by PV->PQ switching between
@@ -696,12 +718,14 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 ev = conditional.pop(hit[0])
                 traj.events.append(EventRecord(
                     t, "conditional", ev.condition.text, {"resolved_t": t}))
-                running = _execute_event(case, state, ev, t, traj, config)
+                doing = str(ev)
+                running = _execute_event(case, state, ev, t, traj)
                 continue
 
             if (config.mode == HYBRID and mode == DYNAMIC
-                    and t - state.last_dyn_entry >= config.dwell - 1e-9
+                    and t - state.last_dyn_entry >= DWELL - 1e-9
                     and any(isl.machines for isl in built.islands)):
+                doing = "dyn->qss switch"
                 verdict = steadiness_verdict(case, state, built, seg,
                                              config.eps_t)
                 if verdict.system_steady:
@@ -709,8 +733,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                     traj.events.append(EventRecord(
                         t, "mode_switch", "dyn->qss",
                         {"verdict": verdict}))
-    except SegmentFailure as exc:
-        traj.failure = str(exc)
-        traj.events.append(EventRecord(t, "failure", str(exc), {}))
+    except HesimError as exc:
+        traj.failure = f"{doing} at t={t:.6f}: {exc}"
+        traj.events.append(EventRecord(t, "failure", traj.failure, {}))
     traj.wall_time = _time.perf_counter() - wall0
     return traj

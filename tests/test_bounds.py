@@ -304,8 +304,7 @@ def test_reference_angle_invariance(fourbus):
     st_ = init_equilibrium(case)
     built = build_system(case, st_, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st_),
-                        built.knowns(st_, st_.t, 16), 15, "TIME_DYNAMIC",
-                        1e-8, 0.2)
+                        built.knowns(st_, st_.t, 16), 15, 1e-8, 0.2)
     rows = [built.system.index[n] for n in built.monitored_angles.values()]
     assert len(rows) > 1
     C = seg.C.copy()

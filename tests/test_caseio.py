@@ -111,6 +111,22 @@ def test_current_trigger_on_parallel_circuits_rejected():
     assert script[-2].condition.args == ("L23B",)
 
 
+def test_unknown_event_key_rejected_at_its_line():
+    # a misspelt key must not drop silently: bsh= would leave b = 0
+    from importlib import resources
+
+    line = "EVENT 30.0 param_branch branch=L12 r=0.01 x=0.08 bsh=0.5"
+    text = resources.files("hesim.cases").joinpath("fourbus.case").read_text()
+    text = text.replace("STOP 500.0", f"{line}\nSTOP 500.0")
+    with pytest.raises(ParseError, match="param_branch takes no bsh=") as exc:
+        parse_case(text)
+    assert exc.value.line_no == text.splitlines().index(line) + 1
+    # b= is the optional key of the kind
+    _, script = parse_case(text.replace("bsh=", "b="))
+    assert script[-2].payload == {"branch": "L12", "r": 0.01, "x": 0.08,
+                                  "b": 0.5}
+
+
 def test_current_trigger_without_branch_rejected():
     with pytest.raises(ParseError, match="no branch joins buses 1 and 3"):
         parse_case(_fourbus_with_trigger("I(1,3) > 0.5"))
@@ -461,11 +477,3 @@ def test_trajectory_column_count_enforced():
     bad = "time,mode,f\n0.0,qss,60.0\n1.0,qss\n"
     with pytest.raises(ParseError, match="column count"):
         parse_trajectory(bad)
-
-
-def test_event_aligned_sampling(small_run):
-    text = write_trajectory(small_run, event_aligned=True)
-    names, ts, modes, data, events = parse_trajectory(text)
-    starts = sorted({s.t0 for s in small_run.segments}
-                    | {small_run.segments[-1].t1})
-    assert np.allclose(ts, starts)

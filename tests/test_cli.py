@@ -202,3 +202,50 @@ def _builtin_text(name):
     from importlib import resources
 
     return resources.files("hesim.cases").joinpath(f"{name}.case").read_text()
+
+
+_UNREPLAYABLE = {
+    # the analytic runs stop the ramp at 5 s and never reach 3 pu
+    "ramp-stop": [("STOP 15.0", "EVENT 5.0 ramp_stop_load load=LD2\n"
+                                "STOP 15.0")],
+    # a ramp from 2 s: only the analytic runs start it late
+    "late-ramp": [("EVENT 0.0 ramp_load", "EVENT 2.0 ramp_load"),
+                  ("STOP 15.0", 'EVENT cond "V(2) > 1.0101" record\n'
+                                "STOP 15.0")],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_UNREPLAYABLE))
+def test_methods_reject_scripts_they_cannot_replay(tmp_path, capsys,
+                                                   variant):
+    text = _builtin_text("twobus")
+    for old, new in _UNREPLAYABLE[variant]:
+        text = text.replace(old, new)
+    case_file = tmp_path / "twobus_script.case"
+    case_file.write_text(text)
+    rc = run_cli(["compare", str(case_file), "--runs", "qss,dynamic",
+                  "--methods", "me,trap"])
+    io = capsys.readouterr()
+    assert rc == 1
+    assert io.err.startswith("error: --methods cannot replay ")
+    assert io.out == ""  # rejected before any run
+
+
+def test_failed_event_keeps_the_partial_trajectory(tmp_path, capsys):
+    # picking up a 40 pu load at 30 s has no post-switch state
+    text = _builtin_text("fourbus").replace(
+        "LOAD LX2 2 p=0.15 q=0.05", "LOAD LX2 2 p=40 q=20")
+    case_file = tmp_path / "heavy.case"
+    case_file.write_text(text)
+    out, summ = tmp_path / "traj.csv", tmp_path / "run.sum"
+    rc = run_cli(["simulate", str(case_file), "--t-end", "40",
+                  "--out", str(out), "--summary", str(summ)])
+    assert rc == 1
+    rows = [line for line in out.read_text().splitlines()
+            if line[:1].isdigit()]
+    assert float(rows[-1].split(",")[0]) == 30.0
+    kv = dict(line.split("=", 1) for line in summ.read_text().splitlines())
+    assert float(kv["t_end"]) == 30.0
+    failure = kv["failure"]
+    assert failure.startswith("add_load load=LX2 at t=30.000000: ")
+    assert capsys.readouterr().err == f"error: {failure}\n"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesim.engine import (
+    ALPHA_CHECKPOINTS,
     SystemBuilder,
     batch_pade,
     min_real_positive_root,
@@ -83,7 +84,7 @@ def test_segment_effective_range_and_eval():
     b.rhs_term(x, 1.0, x, x)
     sys = b.compile()
     seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=15,
-                        kind="TIME_DYNAMIC", tol_res=1e-6, t_max=2.0)
+                        tol_res=1e-6, t_max=2.0)
     assert seg.t_e < 1.0
     t = 0.4
     x_at = seg.values_at(t)[sys.index["x"]]
@@ -97,7 +98,7 @@ def test_segment_flat_at_equilibrium():
     b.rhs_term(x, 1.0)  # x' = 1 - x, equilibrium at 1
     sys = b.compile()
     seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=10,
-                        kind="TIME_DYNAMIC", tol_res=1e-8, t_max=5.0)
+                        tol_res=1e-8, t_max=5.0)
     assert seg.t_e == 5.0
     assert np.allclose(seg.C[0][1:], 0.0, atol=1e-14)
 
@@ -181,11 +182,11 @@ def test_segment_chaining_state_is_exact():
     b.rhs_term(x, -0.7, x)
     sys = b.compile()
     seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 15,
-                        "TIME_DYNAMIC", 1e-8, 1.0)
+                        1e-8, 1.0)
     step = 0.8 * seg.t_e
     x1 = seg.values_at(step)[0]
     seg2 = solve_segment(sys, np.array([x1]), np.zeros((0, 0)), 15,
-                         "TIME_DYNAMIC", 1e-8, 1.0)
+                         1e-8, 1.0)
     assert seg2.C[0, 0] == x1
     assert seg2.values_at(0.0)[sys.index["x"]] == pytest.approx(x1, abs=1e-15)
 
@@ -197,8 +198,7 @@ def test_he_problem_wrapper():
     b.rhs_term(x, -2.0, x)
     sys = b.compile()
     seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=12,
-                        kind="TIME_DYNAMIC", tol_res=1e-8, t_max=3.0)
-    assert seg.kind == "TIME_DYNAMIC"
+                        tol_res=1e-8, t_max=3.0)
     x_at = seg.values_at(1.0)[sys.index["x"]]
     assert x_at == pytest.approx(math.exp(-2.0), abs=1e-9)
 
@@ -212,7 +212,7 @@ def test_he_problem_wrapper():
     b2.term(eq, -1.0, al)
     sys2 = b2.compile()
     seg2 = solve_segment(sys2, np.array([1.0]), np.array([[0.0, 1.0]]),
-                         order=10, kind="ALPHA_PARAM", tol_res=1e-6, t_max=1.0)
+                         order=10, tol_res=1e-6, t_max=1.0)
     assert seg2.t_e == 1.0
     y_at = seg2.values_at(1.0)[sys2.index["y"]]
     assert y_at == pytest.approx(2.0, abs=1e-12)
@@ -408,7 +408,7 @@ def test_spurious_pole_is_refitted_and_does_not_cap_the_range():
     nums, dens = batch_pade(sys.solve_series(anchors, kc, order)[:1], 7, 7)
     poles, spurious = min_real_positive_root(nums, dens, 1.0)
     assert spurious.tolist() == [True] and poles.tolist() == [np.inf]
-    seg = solve_segment(sys, anchors, kc, order, "TIME_DYNAMIC", 1e-6, 1.0)
+    seg = solve_segment(sys, anchors, kc, order, 1e-6, 1.0)
     assert seg.refit == 1
     roots = np.polynomial.polynomial.polyroots(np.trim_zeros(seg.pade_den[0],
                                                              "b"))
@@ -441,7 +441,7 @@ def test_nan_probe_fails_its_range(monkeypatch):
             return res
         monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
         return solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
-                             "TIME_DYNAMIC", 1e-8, 2.0).t_e
+                             1e-8, 2.0).t_e
 
     assert solve_with_nan(lambda call: []) == 2.0
     # the first range's end point: the next range of the ladder
@@ -480,7 +480,7 @@ def test_range_below_failing_probes_of_every_call(monkeypatch):
 
     monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
     t_e = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
-                        "TIME_DYNAMIC", 1e-8, 1.0).t_e
+                        1e-8, 1.0).t_e
     assert t_e == 2.0 ** (-31 / 8) and t_e < min(failed)
 
 
@@ -581,18 +581,22 @@ def test_residual_probes_match_per_table_horner(monkeypatch, name, t_end):
     def checked(seg, t, table=None):
         got = probe(seg, t, table)
         _check_against_reference(seg, t, got)
-        calls.append((seg.kind, np.size(t)))
+        calls.append((seg, np.atleast_1d(t)))  # holds seg: ids stay unique
         return got
 
     monkeypatch.setattr(SegmentSolution, "residual_max_at", checked)
     case, script = builtin_case(name)
     traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end))
     assert traj.failure is None
-    kinds = {k for k, _ in calls}
-    assert {"TIME_DYNAMIC", "TIME_QSS"} <= kinds or name == "ne39"
-    assert sum(n for _, n in calls) > 500  # probe times checked
+    probed = {id(seg) for seg, _ in calls}
+    modes = {rec.mode for rec in traj.segments if id(rec.sol) in probed}
+    assert {"dynamic", "qss"} <= modes or name == "ne39"
+    assert sum(t.size for _, t in calls) > 500  # probe times checked
     if name == "ne39":  # switching events: alpha checkpoints
-        assert any(k.startswith("ALPHA") for k in kinds)
+        segments = {id(rec.sol) for rec in traj.segments}
+        assert any(id(seg) not in segments
+                   and t.tolist() == list(ALPHA_CHECKPOINTS)
+                   for seg, t in calls)
 
 
 # --- the range certificate between its probes ----------------------------
@@ -623,7 +627,8 @@ def test_range_certificate_holds_densely_at_ne39_worst_anchor():
     # poles left in, the step taken reaches 148 x tol_res
     from hesim.caseio import builtin_case
     from hesim.model import build_system, init_equilibrium
-    from hesim.scheduler import RunConfig, _solve_with_ladder, run_simulation
+    from hesim.scheduler import (MAX_STEP_DYN, STEP_SAFETY, RunConfig,
+                                 _solve_with_ladder, run_simulation)
 
     t0 = 7.971352229493641
     case, script = builtin_case("ne39")
@@ -631,12 +636,12 @@ def test_range_certificate_holds_densely_at_ne39_worst_anchor():
     state = init_equilibrium(case)
     assert run_simulation(case, script, config, state).failure is None
     assert state.mode == "dynamic"
-    t_max = min([config.max_step_dyn] + [e.t_due - t0 for e in script
-                                         if e.t_due and e.t_due > t0])
+    t_max = min([MAX_STEP_DYN] + [e.t_due - t0 for e in script
+                                  if e.t_due and e.t_due > t0])
     built = build_system(case, state, state.mode)
-    seg = _solve_with_ladder(built, state, t0, config.order, "TIME_DYNAMIC",
-                             config.tol_res, t_max)
-    step = t_max if seg.t_e >= t_max else config.step_safety * seg.t_e
+    seg = _solve_with_ladder(built, state, t0, config.order, config.tol_res,
+                             t_max)
+    step = t_max if seg.t_e >= t_max else STEP_SAFETY * seg.t_e
     assert _dense_residual(seg, step) <= config.tol_res
 
 
@@ -653,8 +658,7 @@ def test_residual_probes_match_reference_on_non_finite_rows():
     sys = b.compile()
     kc = np.zeros((1, 16))
     kc[0, :2] = [0.1, 0.3]
-    seg = solve_segment(sys, np.array([1.0, 2.0]), kc, 15, "TIME_DYNAMIC",
-                        1e-8, 1.0)
+    seg = solve_segment(sys, np.array([1.0, 2.0]), kc, 15, 1e-8, 1.0)
     ts = np.linspace(0.0, 1.0, 9)
     for t in (ts, 0.3):
         _check_against_reference(seg, t, seg.residual_max_at(t))

@@ -12,10 +12,7 @@ from scipy.optimize import root
 from conftest import make_smib, make_twobus_case
 from hesim.caseio import builtin_case
 from hesim.engine import solve_segment
-from hesim.errors import (
-    DimensionMismatch,
-    PowerFlowInfeasible,
-)
+from hesim.errors import PowerFlowInfeasible
 from hesim.grid import (
     DYN4,
     SOURCE,
@@ -42,11 +39,9 @@ from hesim.model import (
     apply_cut_gen,
     apply_cut_load,
     build_system,
-    dynamic_residual,
     fresh_state,
     init_equilibrium,
     island_flat_voltage,
-    qss_residual,
     refine_state,
     refresh_islands,
     solve_powerflow,
@@ -102,10 +97,17 @@ def test_island_without_generation():
 
 # --- equilibrium and residuals -----------------------------------------------------
 
+def _residual_at_anchor(case, st, mode):
+    built = build_system(case, st, mode)
+    return built.system.residual(built.anchors(st),
+                                 np.zeros(built.system.n_state),
+                                 built.knowns(st, st.t, 1)[:, 0])
+
+
 def test_equilibrium_residual_vanishes(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
-    assert np.max(np.abs(dynamic_residual(case, st))) < 1e-10
+    assert np.max(np.abs(_residual_at_anchor(case, st, DYNAMIC))) < 1e-10
 
 
 def test_fourbus_initial_dispatch(fourbus):
@@ -121,19 +123,11 @@ def test_equilibrium_holds_over_ten_seconds(fourbus):
     st = init_equilibrium(case)
     built = build_system(case, st, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, 0.0, 16), 15, "TIME_DYNAMIC",
-                        1e-8, 10.0)
+                        built.knowns(st, 0.0, 16), 15, 1e-8, 10.0)
     assert seg.t_e == 10.0
     v0 = seg.values_at(0.0)
     v10 = seg.values_at(10.0)
     assert np.max(np.abs(v10 - v0)) < 1e-8
-
-
-def test_dimension_mismatch():
-    case = make_smib()
-    st = init_equilibrium(case)
-    with pytest.raises(DimensionMismatch):
-        dynamic_residual(case, st, values=np.zeros(3))
 
 
 def test_residual_central_difference_matches_rhs():
@@ -144,8 +138,7 @@ def test_residual_central_difference_matches_rhs():
     built = build_system(case, st, DYNAMIC)
     refine_state(built, st)
     seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, 0.0, 16), 15, "TIME_DYNAMIC",
-                        1e-9, 1.0)
+                        built.knowns(st, 0.0, 16), 15, 1e-9, 1.0)
     sysm = built.system
     t0 = 0.2
     errs = []
@@ -191,7 +184,7 @@ def test_perturbing_one_bus_changes_only_local_rows():
 def test_qss_equilibrium_residual(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case, mode=QSS)
-    assert np.max(np.abs(qss_residual(case, st))) < 1e-9
+    assert np.max(np.abs(_residual_at_anchor(case, st, QSS))) < 1e-9
     assert st.df[0] == pytest.approx(0.0, abs=1e-9)
 
 

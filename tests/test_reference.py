@@ -14,7 +14,6 @@ from hesim.model import DYNAMIC, build_system, init_equilibrium
 from hesim.reference import (
     DaeModel,
     TwoBusCase,
-    cubic_crossing,
     integrate_reference,
     linear_crossing,
     two_bus_current_sq,
@@ -154,20 +153,9 @@ def test_linear_crossing_exact_on_affine():
     assert linear_crossing(ts, hs) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_cubic_beats_linear_on_curved_signal():
-    ts = np.arange(0.0, 1.01, 0.05)
-    hs = np.sin(3.0 * ts) - 0.7
-    true = math.asin(0.7) / 3.0
-    lin = linear_crossing(ts, hs)
-    cub = cubic_crossing(ts, hs)
-    assert abs(cub - true) < abs(lin - true)
-    assert abs(cub - true) < 1e-5
-
-
 def test_no_crossing_gives_none():
     ts = np.arange(0.0, 1.0, 0.1)
     assert linear_crossing(ts, ts + 1.0) is None
-    assert cubic_crossing(ts, ts + 1.0) is None
 
 
 def test_singular_algebraic_jacobian_rejects_at_first_solve(monkeypatch):

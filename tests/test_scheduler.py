@@ -62,11 +62,14 @@ def test_event_needs_time_or_condition():
     (lambda: SimEvent(kind="explode", t_due=1.0), "unknown event kind"),
     (lambda: SimEvent(kind="param_branch", t_due=1.0,
                       payload={"branch": "L12", "r": 0.1}), "needs x="),
+    (lambda: SimEvent(kind="param_branch", t_due=1.0,
+                      payload={"branch": "L12", "r": 0.01, "x": 0.08,
+                               "bsh": 0.5}), "param_branch takes no bsh="),
     (lambda: Condition.parse("X(1) > 3"), "unknown channel 'X'"),
     (lambda: Condition.parse("f(1) > 60.1"), "f takes 0 argument"),
     (lambda: Condition.parse("omega() > 0.01"), "omega takes 1 argument"),
-], ids=["unknown-kind", "missing-key", "unknown-channel", "f-with-argument",
-        "omega-without-argument"])
+], ids=["unknown-kind", "missing-key", "unknown-key", "unknown-channel",
+        "f-with-argument", "omega-without-argument"])
 def test_events_and_triggers_are_checked_when_built(make, reason):
     with pytest.raises(ValueError, match=reason):
         make()
@@ -237,6 +240,27 @@ def test_events_split_segments_and_order():
     assert v_end == pytest.approx(expect, abs=1e-9)
 
 
+@pytest.mark.parametrize("what, key", [("load", "LD2"), ("gen", "G1")])
+def test_ramp_stop_folds_its_ramps_into_the_base_value(fourbus, what, key):
+    # two ramps on the target and one on another: the stop at t = 2 adds
+    # each ramp's rate * (2 - start) to the base and drops only its own
+    case, _ = fourbus
+    st = init_equilibrium(case)
+
+    def base():
+        return st.load_scale[key] if what == "load" else st.mach[key].p_disp
+
+    other = {"load": "LD3", "gen": "G2"}[what]
+    start = scheduler.EVENTS[f"ramp_{what}"].action
+    for t0, rate, target in ((0.0, 0.5, key), (0.5, 0.1, other),
+                             (1.0, -0.2, key)):
+        start(case, st, {what: target, "rate": rate}, t0)
+    before = base()
+    scheduler.EVENTS[f"ramp_stop_{what}"].action(case, st, {what: key}, 2.0)
+    assert base() == before + 0.5 * 2.0 + (-0.2) * 1.0
+    assert [r.target for r in st.ramps] == [f"{what}:{other}"]
+
+
 # --- hybrid mode behavior ----------------------------------------------------------
 
 def test_empty_script_switches_to_qss_after_first_segment(fourbus):
@@ -297,8 +321,7 @@ def test_mode_switch_requires_verdict(fourbus):
 def _equilibrium_segment(case, st):
     built = build_system(case, st, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, st.t, 16), 15, "TIME_DYNAMIC",
-                        1e-8, 1.0)
+                        built.knowns(st, st.t, 16), 15, 1e-8, 1.0)
     return built, seg
 
 

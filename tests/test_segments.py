@@ -108,7 +108,7 @@ def test_alpha_path_continuity_and_order_independence(fourbus):
     C = built.system.solve_series(anchors, kc, order)
     L, M = diagonal_orders(order)
     nums, dens = batch_pade(C[: built.system.nv], L, M)
-    seg = SegmentSolution(kind="ALPHA_PARAM", system=built.system,
+    seg = SegmentSolution(system=built.system,
                           C=C[: built.system.nv], kcoeffs=kc,
                           pade_num=nums, pade_den=dens)
     grid = np.linspace(0, 1, 41)

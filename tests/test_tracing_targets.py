@@ -31,3 +31,26 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_mode_switch_direction_is_its_third_positional_argument(
+        monkeypatch):
+    # the tracer counts scheduler.mode_switch.<direction> from args[2]
+    from hesim import scheduler
+    from hesim.caseio import builtin_case
+
+    calls = []
+    switch = scheduler.mode_switch
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return switch(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "mode_switch", recording)
+    case, script = builtin_case("fourbus")
+    traj = scheduler.run_simulation(
+        case, script, scheduler.RunConfig(mode="hybrid", t_end=40.0))
+    assert traj.failure is None
+    assert all(len(args) > 2 and args[2] in ("dyn->qss", "qss->dyn")
+               for args in calls)
+    assert {args[2] for args in calls} == {"dyn->qss", "qss->dyn"}
