@@ -347,7 +347,7 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray, limit: float):
     spurious = np.zeros(len(dens), dtype=bool)
     # without a negative coefficient there is no positive root (Descartes)
     degree = np.where(np.all(dens >= 0.0, axis=1), 0, _degree(dens))
-    for d in np.unique(degree[degree > 0]):
+    for d in sorted(set(degree[degree > 0].tolist())):
         sel = np.flatnonzero(degree == d)
         c = dens[sel, : d + 1]
         comp = np.zeros((len(sel), d, d))

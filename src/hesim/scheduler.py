@@ -1,13 +1,13 @@
 """Event-driven simulation: segments, events, and dynamic/QSS mode switching.
 
-The loop alternates analytic segments with instantaneous events.  Segments
-never straddle an event: timed events bound the step, condition-triggered
-events are localized on the analytic trajectory (one scan of all pending
-triggers per segment, a root solve only for the earliest bracket) and the
-segment is truncated there.  After every dynamic segment in hybrid mode
-the steady-state criteria run on the segment's coefficients, and a passing
-verdict converts the machines to the QSS representation; any switching event
-while in QSS converts back first.
+The loop alternates analytic segments with instantaneous events.  Timed
+events bound the step; condition-triggered events are localized on the
+analytic trajectory (one scan of all pending triggers, a root solve only
+for the earliest bracket).  A ``record`` trigger is read off its segment;
+any other trigger truncates the segment there.  After every dynamic segment
+in hybrid mode the steady-state criteria run on its coefficients, and a
+passing verdict converts the machines to the QSS representation; any
+switching event while in QSS converts back first.
 """
 
 from __future__ import annotations
@@ -422,7 +422,7 @@ class Trajectory:
         """
         chans = tuple((chan, tuple(args)) for chan, args in chans)
         out = np.full((len(chans), len(ts)), np.nan)
-        for k in np.unique(ks):
+        for k in sorted(set(ks.tolist())):
             at = np.flatnonzero(ks == k)
             rec = self.segments[k]
             out[:, at] = rec.channels(
@@ -443,15 +443,17 @@ class Trajectory:
 
 
 def locate_conditional_event(rec: SegmentRecord, conds: list,
-                             window: float, tol: float = 1e-6):
-    """Earliest trigger root on [0, window]: (index into conds, tau) or None.
+                             window: float, tol: float = 1e-6,
+                             start: float = 0.0):
+    """Earliest trigger root on [start, window]: (index into conds, tau) or
+    None; a trigger already true at ``start`` fires there.
 
     One scan finds every trigger's first sign change on 65 points; only the
     triggers bracketed in the earliest subinterval are refined (ITP, to
     ``tol``), as a later bracket holds no earlier root.  Ties go to the
     first in list order; NaN never brackets.
     """
-    taus = np.linspace(0.0, window, 65)
+    taus = np.linspace(start, window, 65)
     keys = tuple(dict.fromkeys((c.channel, c.args) for c in conds))
     table = rec.sol.stacked()  # one table for the scan and the root solves
     lhs = dict(zip(keys, rec.channels(keys, taus, table)))
@@ -464,7 +466,7 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     if k == 64:
         return None
     rows = np.flatnonzero(first == k)
-    best, refined = ((int(rows[0]), 0.0), 0) if k < 0 else (None, len(rows))
+    best, refined = ((int(rows[0]), start), 0) if k < 0 else (None, len(rows))
     for i in rows[:refined]:
         c = conds[i]
         tau = bracketed_root(
@@ -597,8 +599,12 @@ def mode_switch(case: GridCase, state: SystemState, direction: str,
 
 def _execute_event(case, state, ev: SimEvent, t: float,
                    traj: Trajectory) -> bool:
-    """Run one event at time t. Returns False when the run must stop."""
+    """Run one event at time t, a triggered one logged with its condition
+    first. Returns False when the run must stop."""
     kind = EVENTS[ev.kind]
+    if ev.condition is not None:
+        traj.events.append(EventRecord(t, "conditional", ev.condition.text,
+                                       {"resolved_t": t}))
     if kind.switch and state.mode == QSS:
         mode_switch(case, state, "qss->dyn")
         traj.events.append(EventRecord(t, "mode_switch", "qss->dyn",
@@ -679,9 +685,18 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
                                 built=built, case=case, chan_map=chan_map)
 
-            hit = conditional and locate_conditional_event(
-                rec, [ev.condition for ev in conditional], step,
-                config.event_tol)
+            # a record trigger is read off the segment; only a trigger that
+            # changes the system ends it
+            hit, tau, recorded = None, 0.0, 0
+            while conditional:
+                hit = locate_conditional_event(
+                    rec, [ev.condition for ev in conditional], step,
+                    config.event_tol, tau)
+                if not hit or conditional[hit[0]].kind != "record":
+                    break
+                ev, tau, hit = conditional.pop(hit[0]), hit[1], None
+                _execute_event(case, state, ev, t + tau, traj)
+                recorded += 1
             if hit:
                 step = rec.step = hit[1]
             if log.isEnabledFor(logging.DEBUG):
@@ -689,8 +704,9 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                        else "residual" if seg.t_e < seg.t_cap
                        else "cap" if seg.t_cap >= min(gap, cap) else "pole")
                 log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step "
-                          "%.6g, limited by %s, %d rows refitted", t, mode,
-                          seg.C.shape[1] - 1, seg.t_e, step, why, seg.refit)
+                          "%.6g, limited by %s, %d record triggers fired, %d "
+                          "rows refitted", t, mode, seg.C.shape[1] - 1,
+                          seg.t_e, step, why, recorded, seg.refit)
 
             traj.segments.append(rec)
             values = seg.values_at(step)
@@ -716,8 +732,6 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
 
             if hit:
                 ev = conditional.pop(hit[0])
-                traj.events.append(EventRecord(
-                    t, "conditional", ev.condition.text, {"resolved_t": t}))
                 doing = str(ev)
                 running = _execute_event(case, state, ev, t, traj)
                 continue

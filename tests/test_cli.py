@@ -115,6 +115,25 @@ def test_simulate_never_imports_scipy(tmp_path):
     assert (tmp_path / "traj.csv").exists()
 
 
+_NO_NUMPY_MA = """
+import sys
+import hesim.cli
+rc = hesim.cli.main(["simulate", "builtin:twobus", "--mode", "qss",
+                     "--out", sys.argv[1]])
+assert rc == 0, rc
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_simulate_never_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, which costs milliseconds in a fresh
+    # interpreter
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA, str(tmp_path / "traj.csv")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 _OFFLINE_SCRIPTS = {
     # both corridor circuits cut, then a trigger on one of them
     "branch-id": ("", "EVENT 5.0 cut_branch branch=L23A\n"

@@ -22,7 +22,7 @@ from hesim.grid import (
 )
 from hesim.model import DYNAMIC, QSS, build_system, init_equilibrium
 from hesim.engine import solve_segment
-from hesim.reference import TwoBusCase, two_bus_event_time
+from hesim.reference import TwoBusCase, two_bus_current_sq, two_bus_event_time
 from hesim.scheduler import (
     Condition,
     RunConfig,
@@ -218,6 +218,89 @@ def test_threshold_crossing_matches_closed_form():
     assert abs(hit.t - t_ref) < 1e-4
 
 
+def _record_triggers(conds):
+    return [SimEvent(kind="record", label=c, condition=Condition.parse(c))
+            for c in conds]
+
+
+def test_record_triggers_do_not_end_segments(caplog):
+    # 50 line-current thresholds at seeded, stratified times of the ramp, as
+    # the benchmark's generator builds them
+    tb = TwoBusCase()
+    rng = np.random.default_rng(1)
+    width = (15.18 - 0.61) / 50
+    thresholds = [math.sqrt(two_bus_current_sq(
+        tb, 0.61 + (k + rng.uniform(0.1, 0.9)) * width)) for k in range(50)]
+    config = RunConfig(mode="qss", t_end=15.4)
+    plain = run_simulation(make_twobus_case(), _twobus_script(), config)
+    with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
+        traj = run_simulation(make_twobus_case(), _twobus_script(
+            _record_triggers([f"I(1,2) > {x!r}" for x in thresholds])),
+            config)
+    assert traj.failure is None
+    assert len(traj.segments) == len(plain.segments)
+    fired = [e for e in traj.events if e.kind == "conditional"]
+    assert len(fired) == 50
+    for e, x in zip(fired, thresholds):
+        assert e.label == f"I(1,2) > {x!r}"
+        assert abs(e.t - two_bus_event_time(tb, x)) < 1e-4
+    ts = [e.t for e in traj.events]
+    assert ts == sorted(ts)
+    lines = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG]
+    assert len(lines) == len(traj.segments)
+    assert sum(int(line.split(" record triggers fired")[0].split()[-1])
+               for line in lines) == 50
+    assert not any("limited by trigger" in line for line in lines)
+
+
+def test_record_trigger_before_a_ramp_stop_in_one_segment():
+    # the record fires inside the segment, which still ends at the
+    # ramp_stop_load root; V(2) then stays at the stopped load level
+    tb = TwoBusCase()
+    i_rec, i_stop = (math.sqrt(two_bus_current_sq(tb, t))
+                     for t in (1.0, 3.0))
+    script = _twobus_script(_record_triggers([f"I(1,2) > {i_rec!r}"]) + [
+        SimEvent(kind="ramp_stop_load", payload={"load": "LD2"},
+                 condition=Condition.parse(f"I(1,2) > {i_stop!r}"))])
+    traj = run_simulation(make_twobus_case(), script,
+                          RunConfig(mode="qss", t_end=6.0, event_tol=1e-10))
+    assert traj.failure is None
+    t_rec, t_stop = (e.t for e in traj.events if e.kind == "conditional")
+    assert t_rec == pytest.approx(two_bus_event_time(tb, i_rec), abs=1e-6)
+    assert t_stop == pytest.approx(two_bus_event_time(tb, i_stop), abs=1e-6)
+    assert [e.kind for e in traj.events] == [
+        "ramp_load", "conditional", "record", "conditional", "ramp_stop_load"]
+    first = traj.segments[0]
+    assert first.t0 < t_rec < first.t1 == t_stop
+    expect = t_stop * math.hypot(tb.p, tb.q) / math.sqrt(
+        two_bus_current_sq(tb, t_stop))
+    assert traj.channel("V", ("2",), [4.0, 5.9]) == pytest.approx(
+        [expect] * 2, abs=1e-9)
+
+
+def test_tied_and_initially_true_record_triggers(ramp_segment):
+    # one threshold twice, and a trigger true from the start
+    x = math.sqrt(two_bus_current_sq(TwoBusCase(), 0.75))
+    traj = run_simulation(make_twobus_case(), _twobus_script(
+        _record_triggers([f"I(1,2) > {x!r}", f"I(1,2) > {x!r}", "t > -1.0"])),
+        RunConfig(mode="qss", t_end=2.0))
+    fired = [e.t for e in traj.events if e.kind == "conditional"]
+    assert fired[0] == 0.0
+    assert fired[1:] == pytest.approx([0.75] * 2, abs=1e-6)
+    assert abs(fired[1] - fired[2]) <= 1e-6
+    # on one segment, from a start offset: a trigger true there fires there
+    rec, at = ramp_segment
+    conds = [Condition.parse(f"I(1,2) > {at('I', ('1', '2'), 20.5)!r}"),
+             Condition.parse(f"t > {at('t', (), 40.5)!r}")]
+    start = rec.step * 30 / 64
+    assert locate_conditional_event(rec, conds, rec.step, 1e-9, start) \
+        == (0, start)
+    index, tau = locate_conditional_event(rec, conds[1:], rec.step, 1e-9,
+                                          start)
+    assert index == 0 and tau == pytest.approx(rec.step * 40.5 / 64, abs=1e-8)
+
+
 def test_events_split_segments_and_order():
     case = make_twobus_case()
     ev = [SimEvent(kind="ramp_load", t_due=0.0,
@@ -233,8 +316,7 @@ def test_events_split_segments_and_order():
     # ramp stopped: the load level stays at 1.5 afterwards
     v_end = traj.channel("V", ("2",), [2.9])[0]
     tb = TwoBusCase()
-    import hesim.reference as ref
-    i_sq = ref.two_bus_current_sq(tb, 1.5)
+    i_sq = two_bus_current_sq(tb, 1.5)
     # |V2| = lam*|S| / I
     expect = 1.5 * math.hypot(0.1, 0.3) / math.sqrt(i_sq)
     assert v_end == pytest.approx(expect, abs=1e-9)

@@ -54,3 +54,24 @@ def test_mode_switch_direction_is_its_third_positional_argument(
     assert all(len(args) > 2 and args[2] in ("dyn->qss", "qss->dyn")
                for args in calls)
     assert {args[2] for args in calls} == {"dyn->qss", "qss->dyn"}
+
+
+def test_scheduler_calls_the_locator_through_its_module_global(monkeypatch):
+    # the tracer counts scheduler.locate_conditional_event by patching this
+    # global; a local binding in the loop would leave the count at 0
+    from hesim import scheduler
+    from hesim.caseio import builtin_case
+
+    calls = []
+    locate = scheduler.locate_conditional_event
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "locate_conditional_event", counting)
+    case, script = builtin_case("twobus")
+    traj = scheduler.run_simulation(
+        case, script, scheduler.RunConfig(mode="qss", t_end=15.0))
+    assert traj.failure is None
+    assert calls
