@@ -142,6 +142,9 @@ class GridCase:
             if abs(complex(br.r, br.x)) <= 0.0:
                 raise ValidationError(
                     f"branch {br.branch_id} has zero impedance")
+            if br.from_bus == br.to_bus:
+                raise ValidationError(
+                    f"branch {br.branch_id} joins bus {br.from_bus} to itself")
         for g in self.gens:
             if g.bus not in self.bus_index:
                 raise ValidationError(
@@ -189,6 +192,20 @@ class GridCase:
         return [l for l in self.loads if l.bus == bus]
 
 
+def branch_params(case: GridCase, overrides: dict, branch_id: str) -> tuple:
+    """(series admittance, charging b_sh) of a branch, read from its
+    (r, x, b) override when it has one."""
+    br = case.branch_by_id[branch_id]
+    r, x, b = overrides.get(branch_id, (br.r, br.x, br.b_sh))
+    return 1.0 / complex(r, x), b
+
+
+def branch_stamp(i, j, y: complex, b: float) -> dict:
+    """The admittance map {(row, column): y} a branch of series admittance
+    y and charging b adds between nodes i and j."""
+    return {(i, i): y + 0.5j * b, (i, j): -y, (j, j): y + 0.5j * b, (j, i): -y}
+
+
 def build_admittance(case: GridCase, online_branches: set[str],
                      branch_overrides: Optional[dict] = None):
     """Nodal assembly over online branches.
@@ -201,12 +218,10 @@ def build_admittance(case: GridCase, online_branches: set[str],
     n = case.n_bus
     ys = np.zeros((n, n), dtype=complex)
     ysh = np.zeros(n, dtype=complex)
-    overrides = branch_overrides or {}
     for br in case.branches:
         if br.branch_id not in online_branches:
             continue
-        r, x, b = overrides.get(br.branch_id, (br.r, br.x, br.b_sh))
-        y = 1.0 / complex(r, x)
+        y, b = branch_params(case, branch_overrides or {}, br.branch_id)
         i = case.bus_index[br.from_bus]
         j = case.bus_index[br.to_bus]
         ys[i, i] += y

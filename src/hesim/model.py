@@ -46,6 +46,8 @@ from .grid import (
     GenSpec,
     GridCase,
     LoadSpec,
+    branch_params,
+    branch_stamp,
     build_admittance,
     machine_injection,
     motor_circuit,
@@ -272,14 +274,18 @@ def _clin(b, eqx, eqy, k: complex, xr: int, xi: int,
 
 @dataclass
 class AlphaMods:
-    """What the alpha continuation scales, relative to the base system."""
+    """What the alpha continuation scales, relative to the base system.
+
+    A switch's network change is two admittance maps {(row bus, column
+    bus): y}: ``dy`` is added scaled by alpha, ``dy_fade`` (a cut element's
+    equivalent) scaled by 1 - alpha.
+    """
     kind: str = ALPHA_PARAM
     powerflow: bool = False                          # scale everything from no load
     scale_devices: set = field(default_factory=set)  # freshly added devices
     ramp_down_devices: set = field(default_factory=set)  # cut fallback
-    cut_equiv: list = field(default_factory=list)    # (bus, y_inj)
-    delta_y: list = field(default_factory=list)
-    # delta_y entries: ("shunt", bus, y) or ("branch", i, j, y, b_i, b_j)
+    dy: dict = field(default_factory=dict)
+    dy_fade: dict = field(default_factory=dict)
 
 
 # the slots of a steadiness verdict's rows, see Built.monitored
@@ -383,7 +389,7 @@ class _Assembler:
     # -- the build -----------------------------------------------------------------
 
     def run(self) -> Built:
-        case, state, mods = self.case, self.state, self.mods
+        case, state, mods = self.case, self.state, self.mods or AlphaMods()
         pf = self.pf
         ebuses = [b.bus for b in case.buses
                   if state.energized[case.bus_index[b.bus]]]
@@ -391,7 +397,7 @@ class _Assembler:
 
         alpha_slot = self.b.known("alpha") if self.alpha else None
         omalpha_slot = None
-        if self.alpha and (mods.cut_equiv or mods.ramp_down_devices):
+        if self.alpha and (mods.dy_fade or mods.ramp_down_devices):
             omalpha_slot = self.b.known("one_minus_alpha")
         self.alpha_slot = alpha_slot
         self.omalpha_slot = omalpha_slot
@@ -446,47 +452,25 @@ class _Assembler:
                 self.balance[bus] = (self.b.alg_eq(f"balx:{bus}"),
                                      self.b.alg_eq(f"baly:{bus}"))
 
-        # ---- network terms ----
+        # ---- network terms: admittance maps, each stamped -y * V(column) ----
+        # charging and shunts scale with alpha in the powerflow so the
+        # no-load anchor is the exact flat profile
         ys, ysh = build_admittance(case, state.branch_online,
                                    state.branch_overrides)
-        for bus in ebuses:
-            if bus not in self.balance:
-                continue
-            eqx, eqy = self.balance[bus]
-            i = case.bus_index[bus]
-            for other in ebuses:
-                j = case.bus_index[other]
-                if ys[i, j] != 0:
-                    _clin(self.b, eqx, eqy, -ys[i, j], *vslots[other])
-            y0 = ysh[i] + state.extra_shunts.get(bus, 0.0)
-            if y0 != 0:
-                # charging and shunts scale with alpha in the powerflow so
-                # the no-load anchor is the exact flat profile
-                _clin(self.b, eqx, eqy, -y0, *vslots[bus],
-                      extra=alpha_slot if pf else None)
-
-        if self.alpha:
-            for entry in mods.delta_y:
-                if entry[0] == "shunt":
-                    _, bus, y = entry
-                    if bus in self.balance:
-                        _clin(self.b, *self.balance[bus], -y, *vslots[bus],
-                              extra=alpha_slot)
-                else:
-                    _, bi_, bj_, y, chg_i, chg_j = entry
-                    for a, other, chg in ((bi_, bj_, chg_i), (bj_, bi_, chg_j)):
-                        if a not in self.balance:
-                            continue
-                        eqx, eqy = self.balance[a]
-                        _clin(self.b, eqx, eqy, -(y + 0.5j * chg),
-                              *vslots[a], extra=alpha_slot)
-                        if other in vslots:
-                            _clin(self.b, eqx, eqy, y, *vslots[other],
-                                  extra=alpha_slot)
-            for bus, y_inj in mods.cut_equiv:
-                if bus in self.balance:
-                    _clin(self.b, *self.balance[bus], y_inj, *vslots[bus],
-                          extra=omalpha_slot)
+        ids = [b.bus for b in case.buses]
+        rows, cols = ys.nonzero()
+        series = {(ids[i], ids[j]): y for i, j, y in zip(
+            rows.tolist(), cols.tolist(), ys[rows, cols].tolist())}
+        shunts = {(bus, bus): y + state.extra_shunts.get(bus, 0.0)
+                  for bus, y in zip(ids, ysh.tolist())}
+        for amap, slot in ((series, None),
+                           (shunts, alpha_slot if pf else None),
+                           (mods.dy, alpha_slot),
+                           (mods.dy_fade, omalpha_slot)):
+            for (row, col), y in amap.items():
+                if row in self.balance and col in vslots:
+                    _clin(self.b, *self.balance[row], -y, *vslots[col],
+                          extra=slot)
 
         # ---- W / Vmag / U defining equations ----
         for bus, (wx, wy) in wslots.items():
@@ -566,27 +550,31 @@ class _Assembler:
             monitored_plain=monitored_plain,
             monitored_angles=monitored_angles, angle_ref=angle_ref,
             powerflow=pf,
-            branch_params={br.branch_id: (y, b) for br, y, b in (
-                _branch_params(case, state, i) for i in state.branch_online)},
+            branch_params={i: branch_params(case, state.branch_overrides, i)
+                           for i in state.branch_online},
         )
 
     # -- device emitters ---------------------------------------------------------
 
-    def _load_scale_factor(self, l: LoadSpec):
-        """(known slot or None, folded constant) for the static load scale."""
-        key = f"load:{l.load_id}"
-        if self.alpha:
-            lam = self.state.scale_now(l.load_id)
-            if key in self.mods.scale_devices or self.pf:
-                return self.alpha_slot, lam
-            if key in self.mods.ramp_down_devices:
-                return self.omalpha_slot, lam
-            return None, lam
-        return self.b.known(f"scale:{l.load_id}"), 1.0
+    def _scale(self, key: str):
+        """The known scaling a device in an alpha problem: alpha for a
+        device being added (every device in the powerflow), 1 - alpha for a
+        device ramped down, else none."""
+        if not self.alpha:
+            return None
+        if key in self.mods.scale_devices or self.pf:
+            return self.alpha_slot
+        if key in self.mods.ramp_down_devices:
+            return self.omalpha_slot
+        return None
 
     def _emit_static_load(self, l: LoadSpec) -> None:
         eqx, eqy = self.balance[l.bus]
-        slot, lam = self._load_scale_factor(l)
+        if self.alpha:  # the scale folds into the coefficients
+            slot = self._scale(f"load:{l.load_id}")
+            lam = self.state.scale_now(l.load_id)
+        else:
+            slot, lam = self.b.known(f"scale:{l.load_id}"), 1.0
         s = complex(l.p, l.q)
         if l.f_z > 0:
             # constant-impedance part: admittance P - jQ at nominal voltage
@@ -603,7 +591,6 @@ class _Assembler:
         m = l.motor
         lid = l.load_id
         b = self.b
-        key = f"load:{lid}"
         pf = self.pf
         ex, ey, isx, isy, irx, iry = (self.var(f"{n}:{lid}", "alg")
                                       for n in _MOTOR_KINDS)
@@ -654,13 +641,8 @@ class _Assembler:
             b.rhs_term(slip, -1.0 / (2 * m.h), ex, irx)
             b.rhs_term(slip, -1.0 / (2 * m.h), ey, iry)
 
-        eqx, eqy = self.balance[l.bus]
-        if self.alpha and (key in self.mods.scale_devices or pf):
-            _clin(b, eqx, eqy, -1.0, isx, isy, extra=self.alpha_slot)
-        elif self.alpha and key in self.mods.ramp_down_devices:
-            _clin(b, eqx, eqy, -1.0, isx, isy, extra=self.omalpha_slot)
-        else:
-            _clin(b, eqx, eqy, -1.0, isx, isy)
+        _clin(b, *self.balance[l.bus], -1.0, isx, isy,
+              extra=self._scale(f"load:{lid}"))
 
     def _emit_pv_gen(self, g: GenSpec, isl: Island) -> None:
         """Powerflow representation: alpha-scaled P, series reactive unknown,
@@ -714,8 +696,7 @@ class _Assembler:
             b.term(eq_, -ms.eps_q)
             b.term(eq_, c0, vx)
             b.term(eq_, s0, vy)
-            scale = (self.alpha_slot
-                     if f"gen:{gid}" in self.mods.scale_devices else None)
+            scale = self._scale(f"gen:{gid}")
             for eq, (cd, cq) in ((eqx, (s0, c0)), (eqy, (-c0, s0))):
                 b.term(eq, cd, scale, i_d)
                 b.term(eq, cq, scale, i_q)
@@ -1170,7 +1151,7 @@ def apply_add_shunt(case: GridCase, state: SystemState, bus: int,
     """
     try:
         _alpha_solve(case, state,
-                     AlphaMods(kind=ALPHA_PARAM, delta_y=[("shunt", bus, y)]))
+                     AlphaMods(kind=ALPHA_PARAM, dy={(bus, bus): y}))
     except NoConvergenceAtAlpha1:
         if _depth >= 8:
             raise
@@ -1189,18 +1170,16 @@ def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
     """Instant change of a branch's parameters (alpha-blended, staged when
     the single-sweep continuation fails)."""
     br = case.branch_by_id[branch_id]
-    r0, x0, b0 = state.branch_overrides.get(branch_id, (br.r, br.x, br.b_sh))
+    y0, b0 = branch_params(case, state.branch_overrides, branch_id)
     if branch_id in state.branch_online:
-        dy = 1.0 / complex(r, x) - 1.0 / complex(r0, x0)
-        db = b_sh - b0
+        dy = branch_stamp(br.from_bus, br.to_bus,
+                          1.0 / complex(r, x) - y0, b_sh - b0)
         try:
-            _alpha_solve(case, state, AlphaMods(
-                kind=ALPHA_PARAM,
-                delta_y=[("branch", br.from_bus, br.to_bus, dy, db, db)]))
+            _alpha_solve(case, state, AlphaMods(kind=ALPHA_PARAM, dy=dy))
         except NoConvergenceAtAlpha1:
             if _depth >= 8:
                 raise
-            z_mid = 2.0 / (1.0 / complex(r0, x0) + 1.0 / complex(r, x))
+            z_mid = 2.0 / (y0 + 1.0 / complex(r, x))
             apply_branch_param(case, state, branch_id, z_mid.real, z_mid.imag,
                                0.5 * (b0 + b_sh), _depth + 1)
             apply_branch_param(case, state, branch_id, r, x, b_sh, _depth + 1)
@@ -1209,50 +1188,26 @@ def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
     state.bump()
 
 
-def _branch_params(case: GridCase, state: SystemState, branch_id: str):
-    br = case.branch_by_id[branch_id]
-    r, x, b = state.branch_overrides.get(branch_id, (br.r, br.x, br.b_sh))
-    return br, 1.0 / complex(r, x), b
-
-
 def _energize_through(case: GridCase, state: SystemState, branch_id: str,
                       live_bus: int, dead_bus: int) -> None:
-    """Close a line into a de-energized component.
+    """Close a line into a de-energized island.
 
     The dead side reduces to a driving-point admittance at the live end
     (Schur complement of its passive network); that shunt is alpha-embedded,
     then the dead-side voltages follow from the passive solve.
     """
-    br, y, b = _branch_params(case, state, branch_id)
-    # gather the dead component reachable from dead_bus over online branches
-    comp = {dead_bus}
-    frontier = [dead_bus]
-    while frontier:
-        nxt = []
-        for other in case.branches:
-            if other.branch_id not in state.branch_online:
-                continue
-            f, t = other.from_bus, other.to_bus
-            for a, bb in ((f, t), (t, f)):
-                if a in comp and bb not in comp \
-                        and not state.energized[case.bus_index[bb]]:
-                    comp.add(bb)
-                    nxt.append(bb)
-        frontier = nxt
-    comp = sorted(comp)
+    y, b = branch_params(case, state.branch_overrides, branch_id)
+    comp = state.islands[state.island_of[dead_bus]].buses
     pos = {bus: k for k, bus in enumerate(comp)}
     m = len(comp)
     ydd = np.zeros((m, m), dtype=complex)
     for other in case.branches:
-        if other.branch_id not in state.branch_online:
-            continue
-        if other.from_bus in pos and other.to_bus in pos:
-            _, yo, bo = _branch_params(case, state, other.branch_id)
-            a, bb = pos[other.from_bus], pos[other.to_bus]
-            ydd[a, a] += yo + 0.5j * bo
-            ydd[bb, bb] += yo + 0.5j * bo
-            ydd[a, bb] -= yo
-            ydd[bb, a] -= yo
+        if other.branch_id in state.branch_online and other.from_bus in pos:
+            stamp = branch_stamp(pos[other.from_bus], pos[other.to_bus],
+                                 *branch_params(case, state.branch_overrides,
+                                                other.branch_id))
+            for cell, y_cell in stamp.items():
+                ydd[cell] += y_cell
     for bus in comp:
         ydd[pos[bus], pos[bus]] += state.extra_shunts.get(bus, 0.0)
     d0 = pos[dead_bus]
@@ -1263,39 +1218,30 @@ def _energize_through(case: GridCase, state: SystemState, branch_id: str,
         raise NoConvergenceAtAlpha1(f"dead side of {branch_id}: {exc}") from exc
     y_eq = (y + 0.5j * b) - y * y * col[d0]
     _alpha_solve(case, state, AlphaMods(
-        kind=ALPHA_ADD, delta_y=[("shunt", live_bus, y_eq)]))
+        kind=ALPHA_ADD, dy={(live_bus, live_bus): y_eq}))
     v_live = state.v[case.bus_index[live_bus]]
     v_dead = np.linalg.solve(ydd, np.eye(m)[:, d0] * y * v_live)
     for bus in comp:
         state.energized[case.bus_index[bus]] = True
         state.v[case.bus_index[bus]] = v_dead[pos[bus]]
-    state.branch_online.add(branch_id)
-    refresh_islands(case, state)
-    state.bump()
 
 
 def apply_add_branch(case: GridCase, state: SystemState,
                      branch_id: str) -> None:
-    br, y, b = _branch_params(case, state, branch_id)
-    fi = case.bus_index[br.from_bus]
-    ti = case.bus_index[br.to_bus]
-    f_live = state.energized[fi]
-    t_live = state.energized[ti]
+    br = case.branch_by_id[branch_id]
+    f_live = state.energized[case.bus_index[br.from_bus]]
+    t_live = state.energized[case.bus_index[br.to_bus]]
     if f_live and t_live:
-        _alpha_solve(case, state, AlphaMods(
-            kind=ALPHA_ADD,
-            delta_y=[("branch", br.from_bus, br.to_bus, y, b, b)]))
-        state.branch_online.add(branch_id)
-        refresh_islands(case, state)
-        state.bump()
+        _alpha_solve(case, state, AlphaMods(kind=ALPHA_ADD, dy=branch_stamp(
+            br.from_bus, br.to_bus,
+            *branch_params(case, state.branch_overrides, branch_id))))
     elif f_live or t_live:
         live, dead = (br.from_bus, br.to_bus) if f_live \
             else (br.to_bus, br.from_bus)
         _energize_through(case, state, branch_id, live, dead)
-    else:
-        state.branch_online.add(branch_id)
-        refresh_islands(case, state)
-        state.bump()
+    state.branch_online.add(branch_id)
+    refresh_islands(case, state)
+    state.bump()
 
 
 def apply_cut_branch(case: GridCase, state: SystemState,
@@ -1304,23 +1250,23 @@ def apply_cut_branch(case: GridCase, state: SystemState,
 
     Returns the collapse log.
     """
-    br, y, b = _branch_params(case, state, branch_id)
+    br = case.branch_by_id[branch_id]
+    y, b = branch_params(case, state.branch_overrides, branch_id)
     fi, ti = case.bus_index[br.from_bus], case.bus_index[br.to_bus]
     vf, vt = state.v[fi], state.v[ti]
     i_from = y * (vf - vt) + 0.5j * b * vf   # drawn into the element
     i_to = y * (vt - vf) + 0.5j * b * vt
     state.branch_online.discard(branch_id)
     collapsed = refresh_islands(case, state)
-    cut_equiv = []
+    dy_fade = {}
     for bus, v, i_draw in ((br.from_bus, vf, i_from), (br.to_bus, vt, i_to)):
         if not state.energized[case.bus_index[bus]]:
             continue  # that side went down with the element
         if abs(v) < DEAD_VOLTAGE:
             raise ZeroBoundaryVoltage(f"branch {branch_id} at bus {bus}")
-        cut_equiv.append((bus, -i_draw / v))
-    if cut_equiv:
-        _alpha_solve(case, state,
-                     AlphaMods(kind=ALPHA_CUT, cut_equiv=cut_equiv))
+        dy_fade[bus, bus] = i_draw / v
+    if dy_fade:
+        _alpha_solve(case, state, AlphaMods(kind=ALPHA_CUT, dy_fade=dy_fade))
     state.bump()
     return collapsed
 
@@ -1356,7 +1302,7 @@ def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
                               state.slip.get(load_id))
         state.load_online.discard(load_id)
         _alpha_solve(case, state, AlphaMods(
-            kind=ALPHA_CUT, cut_equiv=[(l.bus, -i_draw / v)]))
+            kind=ALPHA_CUT, dy_fade={(l.bus, l.bus): i_draw / v}))
     state.load_online.discard(load_id)
     state.slip.pop(load_id, None)
     state.bump()
@@ -1367,7 +1313,12 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
     g = case.gen_by_id[gen_id]
     bi = case.bus_index[g.bus]
     if not state.energized[bi]:
-        # black start: the machine energizes its own island
+        # black start: the machine energizes its own bus, then closes its
+        # online branches, all into dead buses, one by one
+        ties = [br.branch_id for br in case.branches
+                if br.branch_id in state.branch_online
+                and g.bus in (br.from_bus, br.to_bus)]
+        state.branch_online.difference_update(ties)
         state.gen_online.add(gen_id)
         sb = case.buses[bi]
         v = g.v_set * cmath.exp(1j * sb.angle_init)
@@ -1377,6 +1328,8 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
             g, v, 0.0 + 0.0j, 0.0, 0.0, case.f_nominal)
         refresh_islands(case, state)
         state.bump()
+        for branch_id in ties:
+            apply_add_branch(case, state, branch_id)
         return
     v = state.v[bi]
     state.gen_online.add(gen_id)
@@ -1408,6 +1361,6 @@ def apply_cut_gen(case: GridCase, state: SystemState, gen_id: str) -> list:
         if abs(v) < DEAD_VOLTAGE:
             raise ZeroBoundaryVoltage(f"generator {gen_id} at bus {g.bus}")
         _alpha_solve(case, state, AlphaMods(
-            kind=ALPHA_CUT, cut_equiv=[(g.bus, i_inj / v)]))
+            kind=ALPHA_CUT, dy_fade={(g.bus, g.bus): -i_inj / v}))
     state.bump()
     return collapsed

@@ -71,7 +71,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.order < 4 or self.order > 40:
             raise ValueError("series order must be in 4..40")
-        for name in ("eps_t", "tol_res", "dt_out", "t_end", "event_tol"):
+        for name in ("eps_t", "tol_res", "dt_out", "t_end", "event_tol",
+                     "max_step_qss"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
 
@@ -223,8 +224,11 @@ class Condition:
         if need is not None and len(args) != len(need):
             raise ValueError(f"{chan} takes {len(need)} argument(s), "
                              f"not {len(args)}")
+        rhs = float(m.group("rhs"))
+        if not math.isfinite(rhs):
+            raise ValueError(f"threshold {m.group('rhs')!r} is not finite")
         return cls(text=text, channel=chan, args=args, op=m.group("op"),
-                   rhs=float(m.group("rhs")))
+                   rhs=rhs)
 
     def h(self, lhs):
         return lhs - self.rhs if self.op.startswith(">") else self.rhs - lhs

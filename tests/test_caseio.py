@@ -111,6 +111,17 @@ def test_current_trigger_on_parallel_circuits_rejected():
     assert script[-2].condition.args == ("L23B",)
 
 
+@pytest.mark.parametrize("rhs", ["1e999", "-1e999"])
+def test_non_finite_trigger_threshold_rejected_at_its_line(rhs):
+    # like every other number of a case file; inf would fire at t = 0
+    expr = f"V(2) < {rhs}"
+    text = _fourbus_with_trigger(expr)
+    with pytest.raises(ParseError, match="not finite") as exc:
+        parse_case(text)
+    line = f'EVENT cond "{expr}" record'
+    assert exc.value.line_no == text.splitlines().index(line) + 1
+
+
 def test_unknown_event_key_rejected_at_its_line():
     # a misspelt key must not drop silently: bsh= would leave b = 0
     from importlib import resources

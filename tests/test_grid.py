@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesim.errors import ValidationError
 from hesim.grid import (
@@ -14,6 +16,8 @@ from hesim.grid import (
     GridCase,
     LoadSpec,
     MotorSpec,
+    branch_params,
+    branch_stamp,
     build_admittance,
     machine_injection,
     motor_circuit,
@@ -62,6 +66,37 @@ def test_branch_override_changes_assembly():
     case = two_bus_case()
     ys, _ = build_admittance(case, {"b"}, {"b": (0.02, 0.1, 0.0)})
     assert ys[0, 1] == pytest.approx(-1.0 / complex(0.02, 0.1))
+
+
+_impedance = st.tuples(st.floats(0.0, 0.1), st.floats(-0.5, 0.5),
+                       st.floats(-0.5, 0.5)).filter(
+    lambda p: abs(complex(p[0], p[1])) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.sampled_from([(1, 2), (2, 1), (2, 3), (1, 3)]),
+       params=_impedance, override=st.none() | _impedance)
+def test_branch_stamp_is_the_admittance_change(ends, params, override):
+    # a new branch n next to a ring of three: its stamp is the change of
+    # ys + diag(ysh) when it goes online, with its override if it has one
+    overrides = {} if override is None else {"n": override}
+    case = GridCase(
+        name="ring", buses=[BusSpec(1), BusSpec(2), BusSpec(3)],
+        branches=[BranchSpec("a", 1, 2, 0.01, 0.05, 0.02),
+                  BranchSpec("c", 2, 3, 0.02, 0.1, 0.04),
+                  BranchSpec("d", 3, 1, 0.01, 0.08),
+                  BranchSpec("n", *ends, *params)])
+    ring = {"a", "c", "d"}
+    before, after = (ys + np.diag(ysh) for ys, ysh in (
+        build_admittance(case, ring, overrides),
+        build_admittance(case, ring | {"n"}, overrides)))
+    want = np.zeros((3, 3), dtype=complex)
+    i, j = (case.bus_index[bus] for bus in ends)
+    for cell, y in branch_stamp(i, j, *branch_params(case, overrides,
+                                                     "n")).items():
+        want[cell] += y
+    scale = 1.0 + np.abs(after).max()
+    assert np.allclose(after - before, want, rtol=0.0, atol=1e-13 * scale)
 
 
 # --- machine interface ------------------------------------------------------------
@@ -138,6 +173,12 @@ def test_zero_impedance_rejected():
     with pytest.raises(ValidationError, match="zero impedance"):
         GridCase(name="bad", buses=[BusSpec(1), BusSpec(2)],
                  branches=[BranchSpec("b", 1, 2, 0.0, 0.0)])
+
+
+def test_self_loop_branch_rejected():
+    with pytest.raises(ValidationError, match="to itself"):
+        GridCase(name="bad", buses=[BusSpec(1)],
+                 branches=[BranchSpec("b", 1, 1, 0.01, 0.05)])
 
 
 def test_zip_fractions_must_sum_to_one():

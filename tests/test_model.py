@@ -301,7 +301,7 @@ def test_cut_load_at_dead_boundary_matches_resolve(monkeypatch):
     apply_cut_load(case, st, "LZ")
     monkeypatch.undo()
     [mods] = builds
-    assert mods.ramp_down_devices == {"load:LZ"} and not mods.cut_equiv
+    assert mods.ramp_down_devices == {"load:LZ"} and not mods.dy_fade
     assert "LZ" not in st.load_online
     ref = copy.deepcopy(st)
     built, vals = _oracle_resolve(case, ref)

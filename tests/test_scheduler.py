@@ -667,6 +667,24 @@ def test_cut_tie_collapses_sourceless_island():
     assert v4 == 0.0
 
 
+@pytest.mark.parametrize("mode", ["dynamic", "hybrid"])
+def test_black_start_closes_its_online_branches(mode):
+    # the collapse leaves L12 online; the restarted machine closes it into
+    # the dead bus 2 instead of treating that bus as grounded
+    case = GridCase(
+        name="blackstart", f_nominal=60.0, buses=[BusSpec(1), BusSpec(2)],
+        branches=[BranchSpec("L12", 1, 2, 0.01, 0.08, 0.04)],
+        gens=[GenSpec("G1", 1, p_set=0.3, v_set=1.02)],
+        loads=[LoadSpec("LD2", 2, 0.3, 0.1, 1.0, 0.0, 0.0)])
+    script = [SimEvent(kind="cut_gen", t_due=1.0, payload={"gen": "G1"}),
+              SimEvent(kind="add_gen", t_due=2.0, payload={"gen": "G1"})]
+    traj = run_simulation(case, script, RunConfig(mode=mode, t_end=4.0))
+    assert traj.failure is None
+    v1, v2 = (traj.channel("V", (b,), [1.5, 3.9]) for b in ("1", "2"))
+    assert v1[0] == v2[0] == 0.0
+    assert 0.95 < v1[1] < 1.05 and abs(v2[1] - v1[1]) < 0.01
+
+
 def test_q_limit_converts_pv_to_pq():
     case = GridCase(
         name="qlim", f_nominal=60.0,

@@ -90,7 +90,7 @@ def test_alpha_path_continuity_and_order_independence(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
     mods = mdl.AlphaMods(kind="ALPHA_PARAM",
-                         delta_y=[("shunt", 3, 0.04 - 0.12j)])
+                         dy={(3, 3): 0.04 - 0.12j})
     built = build_system(case, st, DYNAMIC, mods)
     anchors = built.anchors(st)
     results = []
