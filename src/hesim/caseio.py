@@ -319,19 +319,16 @@ def write_trajectory(traj: Trajectory, dt: float = 0.1) -> str:
     case = traj.case
     chans = trajectory_channels(case)
     ts = traj.sample_times(dt)
-    starts = np.array([s.t0 for s in traj.segments])
-    ks = np.clip(np.searchsorted(starts, ts + 1e-12) - 1,
-                 0, len(traj.segments) - 1)
+    ks = traj.segment_index(ts)
     cols = traj.sample(chans, ts, ks)
 
     header = ["time", "mode"] + [_chan_name(c, a) for c, a in chans]
     lines = [f"# hesim trajectory v1",
              f"# case: {case.name}",
              ",".join(header)]
-    for i, t in enumerate(ts):
-        row = [_fmt(t), traj.segments[ks[i]].mode]
-        row += [_fmt(v) for v in cols[:, i]]
-        lines.append(",".join(row))
+    for t, k, row in zip(ts.tolist(), ks.tolist(), cols.T.tolist()):
+        lines.append(",".join([repr(t), traj.segments[k].mode,
+                               *map(repr, row)]))
     for ev in traj.events:
         lines.append(f"# event,{_fmt(ev.t)},{ev.kind},{ev.label}")
     return "\n".join(lines) + "\n"

@@ -23,6 +23,7 @@ higher arities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,8 @@ ALPHA_ADD = "ALPHA_ADD"
 ALPHA_CUT = "ALPHA_CUT"
 ALPHA_PARAM = "ALPHA_PARAM"
 
-ALPHA_CHECKPOINTS = (0.25, 0.5, 0.75, 1.0)
 _ANCHOR_TOL = 1e-6     # largest algebraic residual accepted at an anchor
-_PATH_TOL = 1e-3       # alpha continuation: residual along the path
-_PREDICTOR_TOL = 1e-2  # ... and at alpha = 1, before the Newton corrector
+_MIN_STAGE = 2.0 ** -8  # shortest alpha stage short of alpha = 1
 
 _ABSENT = -1  # encoding for a missing factor; compiles to the one row
 
@@ -265,6 +264,7 @@ class CompiledSystem:
 
     # -- the order-by-order solve ---------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite: raises
     def solve_series(self, anchors: np.ndarray, kcoeffs: np.ndarray,
                      order: int) -> np.ndarray:
         """Coefficient table (vars+knowns x order+1); one linear solve per order.
@@ -428,6 +428,7 @@ class SegmentSolution:
     def values_at(self, t) -> np.ndarray:
         return self.evaluate(t)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite: reads inf
     def residual_max_at(self, t, table=None):
         """Max-norm residual at t, or at every time of a 1-D t in one Horner
         pass over rows x times; a non-finite value or residual reads inf.
@@ -480,40 +481,56 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     return seg
 
 
+def _taylor_shift(c: np.ndarray, a: float) -> np.ndarray:
+    """Coefficients in s of every row's polynomial at a + s: one product
+    with the binomial matrix B[k, j] = C(k, j) a^(k - j)."""
+    k = np.arange(c.shape[1])
+    binom = np.array([[math.comb(i, j) for j in k] for i in k], dtype=float)
+    return c @ (binom * a ** np.maximum(k[:, None] - k, 0))
+
+
+def _alpha_stage(system: CompiledSystem, anchors: np.ndarray,
+                 kcoeffs: np.ndarray, order: int, rest: float):
+    """One stage over the rest of the alpha path, at the series order and
+    then ten orders higher."""
+    try:
+        return solve_segment(system, anchors, kcoeffs, order, _ANCHOR_TOL,
+                             rest)
+    except (NoValidRange, SingularJacobian, AnchorInconsistent):
+        return solve_segment(system, anchors, kcoeffs, order + 10,
+                             _ANCHOR_TOL, rest)
+
+
 def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
                         kcoeffs: np.ndarray, kind: str,
                         order: int = 30) -> np.ndarray:
     """Continuation from alpha=0 (pre-switch) to the alpha=1 state.
 
-    The Pade continuation is validated along the path (alpha = 0.25, 0.5,
-    0.75) and acts as a predictor at alpha = 1, where a Newton corrector
-    lands on the exact post-switch state; the correction must stay small so
-    a branch jump cannot masquerade as convergence.  Failure after one order
-    increase means the switch target does not exist (e.g. energizing into an
-    infeasible condition).
+    A chain of stages, each a ``solve_segment`` over the rest of the path.
+    Where a stage's certified range ends short of alpha = 1, a Newton
+    corrector refines the state there, as it does at alpha = 1; no
+    correction may exceed 0.1, so a branch jump cannot masquerade as
+    convergence.  A stage that fails or certifies less than 2^-8 of the
+    path means the switch target does not exist (e.g. energizing into an
+    infeasible condition); the error names the alpha reached.
     """
-    last_err = None
-    for n in (order, order + 10):
-        C = system.solve_series(anchors, kcoeffs, n)
-        L, M = diagonal_orders(n)
-        nums, dens = batch_pade(C[: system.nv], L, M)
-        seg = SegmentSolution(system=system, C=C[: system.nv],
-                              kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
-        res = seg.residual_max_at(np.array(ALPHA_CHECKPOINTS))
-        bad = ~(res <= np.where(np.array(ALPHA_CHECKPOINTS) == 1.0,
-                                _PREDICTOR_TOL, _PATH_TOL))  # NaN fails
-        if bad.any():
-            i = int(np.argmax(bad))
-            last_err = f"residual {res[i]:.3e} at alpha={ALPHA_CHECKPOINTS[i]}"
-            continue
-        values, known = seg.evaluate(1.0)
+    a = 0.0
+    while True:
+        rest = 1.0 - a
         try:
+            seg = _alpha_stage(system, anchors, _taylor_shift(kcoeffs, a),
+                               order, rest)
+            step = min(seg.t_e, rest)
+            if step < min(_MIN_STAGE, rest):
+                raise NoValidRange(f"stage certified only {step:.3e}")
+            values, known = seg.evaluate(step)
             polished = system.newton_refine(values, known, tol=1e-12)
-        except (AnchorInconsistent, SingularJacobian) as exc:
-            last_err = str(exc)
-            continue
-        if np.max(np.abs(polished - values)) > 0.1:
-            last_err = "corrector moved off the continuation branch"
-            continue
-        return polished
-    raise NoConvergenceAtAlpha1(f"{kind}: {last_err}")
+            if not np.max(np.abs(polished - values)) <= 0.1:
+                raise NoValidRange(
+                    "corrector moved off the continuation branch")
+        except (NoValidRange, SingularJacobian, AnchorInconsistent) as exc:
+            raise NoConvergenceAtAlpha1(
+                f"{kind} stops at alpha={a:.6g}: {exc}") from exc
+        if step == rest:
+            return polished
+        a, anchors = a + step, polished

@@ -39,7 +39,9 @@ class AnchorInconsistent(HesimError):
 
 
 class NoConvergenceAtAlpha1(HesimError):
-    """The switching continuation does not reach a valid state at alpha=1."""
+    """The switching continuation does not reach a valid state at alpha=1:
+    a stage failed or certified less than 2^-8 of the path.  The message
+    names the switch kind and the alpha reached."""
 
 
 class ZeroBoundaryVoltage(HesimError):

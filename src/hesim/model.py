@@ -1057,8 +1057,8 @@ def machine_terminal_power(case: GridCase, state: SystemState,
 # --------------------------------------------------------------------------
 
 
-def solve_powerflow(case: GridCase, state: Optional[SystemState] = None,
-                    order: int = 30) -> SystemState:
+def solve_powerflow(case: GridCase,
+                    state: Optional[SystemState] = None) -> SystemState:
     """Holomorphic-embedding power flow from the no-load flat start.
 
     Injections, shunts and PV setpoint offsets are scaled with alpha; at
@@ -1080,8 +1080,7 @@ def solve_powerflow(case: GridCase, state: Optional[SystemState] = None,
         isl = state.islands[state.island_of[l.bus]]
         vflat = island_flat_voltage(case, isl)
         state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
-    _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW, powerflow=True),
-                 order)
+    _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW, powerflow=True))
     return state
 
 
@@ -1132,32 +1131,23 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
 # --------------------------------------------------------------------------
 
 
-def _alpha_solve(case: GridCase, state: SystemState, mods: AlphaMods,
-                 order: int = 30) -> None:
+def _alpha_solve(case: GridCase, state: SystemState, mods: AlphaMods) -> None:
     built = build_system(case, state, state.mode, mods)
-    anchors = built.anchors(state)
-    kc = built.knowns(state, state.t, order + 11)
-    values = solve_alpha_problem(built.system, anchors, kc,
-                                 kind=mods.kind, order=order)
+    # every known input is affine in alpha: two coefficients hold it all
+    values = solve_alpha_problem(built.system, built.anchors(state),
+                                 built.knowns(state, state.t, 2),
+                                 kind=mods.kind)
     write_back(built, values, state)
 
 
 def apply_add_shunt(case: GridCase, state: SystemState, bus: int,
-                    y: complex, _depth: int = 0) -> None:
+                    y: complex) -> None:
     """Connect a shunt admittance (also how faults are applied).
 
-    Violent changes (a bolted fault drives a voltage-magnitude auxiliary
-    toward its branch point) are continued in halved stages.
+    A violent change (a bolted fault drives a voltage-magnitude auxiliary
+    toward its branch point) takes several certified alpha stages.
     """
-    try:
-        _alpha_solve(case, state,
-                     AlphaMods(kind=ALPHA_PARAM, dy={(bus, bus): y}))
-    except NoConvergenceAtAlpha1:
-        if _depth >= 8:
-            raise
-        apply_add_shunt(case, state, bus, y / 2, _depth + 1)
-        apply_add_shunt(case, state, bus, y / 2, _depth + 1)
-        return
+    _alpha_solve(case, state, AlphaMods(kind=ALPHA_PARAM, dy={(bus, bus): y}))
     state.extra_shunts[bus] = state.extra_shunts.get(bus, 0.0) + y
     if abs(state.extra_shunts[bus]) < 1e-14:
         del state.extra_shunts[bus]
@@ -1165,25 +1155,14 @@ def apply_add_shunt(case: GridCase, state: SystemState, bus: int,
 
 
 def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
-                       r: float, x: float, b_sh: float,
-                       _depth: int = 0) -> None:
-    """Instant change of a branch's parameters (alpha-blended, staged when
-    the single-sweep continuation fails)."""
+                       r: float, x: float, b_sh: float) -> None:
+    """Instant change of a branch's parameters, alpha-blended from the old
+    to the new admittance."""
     br = case.branch_by_id[branch_id]
     y0, b0 = branch_params(case, state.branch_overrides, branch_id)
     if branch_id in state.branch_online:
-        dy = branch_stamp(br.from_bus, br.to_bus,
-                          1.0 / complex(r, x) - y0, b_sh - b0)
-        try:
-            _alpha_solve(case, state, AlphaMods(kind=ALPHA_PARAM, dy=dy))
-        except NoConvergenceAtAlpha1:
-            if _depth >= 8:
-                raise
-            z_mid = 2.0 / (y0 + 1.0 / complex(r, x))
-            apply_branch_param(case, state, branch_id, z_mid.real, z_mid.imag,
-                               0.5 * (b0 + b_sh), _depth + 1)
-            apply_branch_param(case, state, branch_id, r, x, b_sh, _depth + 1)
-            return
+        _alpha_solve(case, state, AlphaMods(kind=ALPHA_PARAM, dy=branch_stamp(
+            br.from_bus, br.to_bus, 1.0 / complex(r, x) - y0, b_sh - b0)))
     state.branch_overrides[branch_id] = (r, x, b_sh)
     state.bump()
 

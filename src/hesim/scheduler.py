@@ -405,18 +405,17 @@ class Trajectory:
             out[s.mode] = out.get(s.mode, 0) + 1
         return out
 
-    def record_for(self, t: float) -> SegmentRecord:
-        return self.segments[self._index(t)]
-
-    def _index(self, ts):
-        """The first segment ending at or after each time (else the last)."""
-        ends = np.array([s.t1 for s in self.segments])
-        return np.minimum(np.searchsorted(ends, np.asarray(ts) - 1e-12),
-                          len(ends) - 1)
+    def segment_index(self, ts):
+        """The segment each time reads: the last one starting at or before
+        it (else the first), so an event instant reads the segment after
+        the event.  The written trajectory and ``channel`` share this rule."""
+        starts = np.array([s.t0 for s in self.segments])
+        return np.clip(np.searchsorted(starts, np.asarray(ts) + 1e-12) - 1,
+                       0, len(starts) - 1)
 
     def channel(self, chan: str, args: tuple, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.sample([(chan, args)], ts, self._index(ts))[0]
+        return self.sample([(chan, args)], ts, self.segment_index(ts))[0]
 
     def sample(self, chans: list, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Channels x times, time i evaluated on segment ks[i].
@@ -740,9 +739,13 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 running = _execute_event(case, state, ev, t, traj)
                 continue
 
+            # no switch to QSS where a timed switch event is due at once:
+            # it would switch straight back
             if (config.mode == HYBRID and mode == DYNAMIC
                     and t - state.last_dyn_entry >= DWELL - 1e-9
-                    and any(isl.machines for isl in built.islands)):
+                    and any(isl.machines for isl in built.islands)
+                    and not any(EVENTS[ev.kind].switch for ev in timed
+                                if ev.t_due <= t + 1e-9)):
                 doing = "dyn->qss switch"
                 verdict = steadiness_verdict(case, state, built, seg,
                                              config.eps_t)

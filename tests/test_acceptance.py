@@ -306,7 +306,9 @@ def _compare_channels(case, traj, segs, skip_names=("alpha",)):
                 # at an event boundary the algebraic variables jump; the
                 # owning segment is ambiguous there, so skip the sample
                 continue
-            rec = traj.record_for(min(t, traj.t_end - 1e-9))
+            # the epoch's last sample is the next event's instant: read
+            # the segment before it
+            rec = traj.segments[traj.segment_index(t - 1e-9)]
             tau = min(max(t - rec.t0, 0.0), rec.step)
             for i, name in enumerate(out.names):
                 kind = name.split(":")[0]

@@ -318,24 +318,29 @@ def test_write_samples_match_segment_eval(small_run):
     names, ts, modes, data, events = parse_trajectory(text)
     j = names.index("V:2") - 2  # columns after time, mode
     for k, t in enumerate(ts):
-        expect = _ref_at(small_run.record_for(t), "V", ("2",), t)
+        rec = small_run.segments[small_run.segment_index(t)]
+        expect = _ref_at(rec, "V", ("2",), t)
         assert data[k, j] == expect
+
+
+def _starting_at(traj, t):
+    """The last segment starting at or before t (else the first)."""
+    starts = [s.t0 for s in traj.segments]
+    k = int(np.searchsorted(starts, t + 1e-12) - 1)
+    return traj.segments[max(0, min(k, len(starts) - 1))]
 
 
 def _per_sample_trajectory(traj, dt):
     """write_trajectory evaluated one sample time and one channel at a time."""
     chans = trajectory_channels(traj.case)
     ts = traj.sample_times(dt)
-    starts = np.array([s.t0 for s in traj.segments])
     name = lambda c, a: c if not a else f"{c}:{','.join(a)}"
     lines = ["# hesim trajectory v1", f"# case: {traj.case.name}",
              ",".join(["time", "mode"] + [name(c, a) for c, a in chans])]
     for t in ts:
-        k = int(np.searchsorted(starts, t + 1e-12) - 1)
-        k = max(0, min(k, len(traj.segments) - 1))
-        row = [repr(float(t)), traj.segments[k].mode]
-        row += [repr(float(_ref_at(traj.segments[k], c, a, t)))
-                for c, a in chans]
+        rec = _starting_at(traj, t)
+        row = [repr(float(t)), rec.mode]
+        row += [repr(float(_ref_at(rec, c, a, t))) for c, a in chans]
         lines.append(",".join(row))
     for ev in traj.events:
         lines.append(f"# event,{float(ev.t)!r},{ev.kind},{ev.label}")
@@ -355,11 +360,20 @@ def fourbus_40():
 def test_sampler_matches_per_sample_evaluation(fourbus_40):
     traj = fourbus_40
     assert write_trajectory(traj, 0.1) == _per_sample_trajectory(traj, 0.1)
-    # Trajectory.channel assigns a boundary time to the segment ending there
+    # Trajectory.channel reads the file's rule at any time, on or off grid
     ts = np.linspace(0.0, traj.t_end, 173)
     for chan, args in (("f", ()), ("V", ("3",)), ("pg", ("G1",))):
-        want = [_ref_at(traj.record_for(t), chan, args, t) for t in ts]
+        want = [_ref_at(_starting_at(traj, t), chan, args, t) for t in ts]
         assert np.array_equal(traj.channel(chan, args, ts), want)
+
+
+def test_channel_reads_the_written_row_at_an_event_instant(fourbus_40):
+    # the load step at 30 s: both readers take the segment after the event
+    traj = fourbus_40
+    names, ts, _, data, _ = parse_trajectory(write_trajectory(traj, 0.1))
+    row = data[int(np.flatnonzero(ts == 30.0)[0]), names.index("V:2") - 2]
+    assert traj.channel("V", ("2",), 30.0)[0] == row
+    assert row == pytest.approx(0.94815, abs=5e-6)
 
 
 @pytest.fixture(scope="module")

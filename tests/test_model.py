@@ -418,6 +418,45 @@ def test_infeasible_fault_raises():
         apply_add_shunt(case, st, 2, -500.0j)
 
 
+def _pick_up_lx2(p):
+    """The failed pickup of fourbus's LX2 block at p pu (q = p/2) at the
+    t = 0 equilibrium: its error message, once the state is checked to be
+    left as it was."""
+    from importlib import resources
+
+    from hesim.caseio import parse_case
+    from hesim.errors import NoConvergenceAtAlpha1
+
+    text = resources.files("hesim.cases").joinpath("fourbus.case").read_text()
+    case, _ = parse_case(text.replace("LOAD LX2 2 p=0.15 q=0.05",
+                                      f"LOAD LX2 2 p={p} q={p / 2}"))
+    st = init_equilibrium(case)
+    with pytest.raises(NoConvergenceAtAlpha1) as err:
+        apply_add_load(case, st, "LX2")
+    assert "LX2" not in st.load_online
+    return str(err.value)
+
+
+def test_infeasible_load_pickup_names_the_alpha_it_reached():
+    # no post-switch state: the chain stops at the nose, where the load
+    # picked up, alpha * p, is the same whatever p
+    import re
+
+    picked = []
+    for p in (2.0, 4.0):
+        alpha = re.search(r"alpha=([0-9.e+-]+):", _pick_up_lx2(p))
+        assert alpha
+        picked.append(p * float(alpha.group(1)))
+    assert picked[1] == pytest.approx(picked[0], rel=0.01)
+
+
+@pytest.mark.parametrize("p", [1e6, 1e8])
+def test_overflowing_pickup_fails_without_warnings(p):
+    # the probes (1e6) and then the series (1e8) overflow: tier-1 turns an
+    # escaping RuntimeWarning into an error, so this checks both are quiet
+    assert "stops at alpha=0:" in _pick_up_lx2(p)
+
+
 # --- island labelling -----------------------------------------------------------
 
 

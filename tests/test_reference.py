@@ -138,10 +138,9 @@ def test_adaptive_agrees_with_embedding_on_smib():
     traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=2.0),
                           state=copy.deepcopy(st))
     for name in ("omega:G1", "delta:G1", "epsq:G1"):
-        he = np.array([traj.record_for(t).sol.values_at(
-            min(t - traj.record_for(t).t0, traj.record_for(t).step))[
-                traj.record_for(t).built.system.index[name]]
-            for t in out.ts])
+        recs = [traj.segments[k] for k in traj.segment_index(out.ts)]
+        he = np.array([rec.sol.values_at(min(t - rec.t0, rec.step))[
+            rec.built.system.index[name]] for rec, t in zip(recs, out.ts)])
         assert np.max(np.abs(he - out.col(name))) < 1e-6
 
 

@@ -369,7 +369,8 @@ def test_switch_events_revert_to_dynamic_first(fourbus_hybrid):
         if ev.kind in ("add_load", "cut_load") and ev.t > 1.0:
             prev = [e for e in evs[:i] if e.t == ev.t
                     and e.kind == "mode_switch" and e.label == "qss->dyn"]
-            seg_mode = fourbus_hybrid.record_for(ev.t - 1e-6).mode
+            seg_mode = fourbus_hybrid.segments[
+                fourbus_hybrid.segment_index(ev.t - 1e-6)].mode
             if seg_mode == QSS:
                 assert prev, f"event at {ev.t} did not revert first"
 
@@ -544,6 +545,20 @@ def test_no_angle_is_checked_against_itself(name, t_end):
     refs = {built.system.index[r] for r in built.angle_ref.values()}
     assert refs.isdisjoint(rows.plain)
     assert len(rows.angles) == len(built.monitored_angles) - len(refs)
+
+
+def test_no_switch_to_qss_where_a_timed_switch_is_due():
+    # ne39's restoration steps are timed switches; a dyn->qss switch at one
+    # of them would switch straight back and back-initialize every machine
+    case, script = builtin_case("ne39")
+    traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=56.0))
+    assert traj.failure is None
+    due = [ev.t_due for ev in script
+           if ev.t_due is not None and scheduler.EVENTS[ev.kind].switch]
+    to_qss = [ev.t for ev in traj.events
+              if ev.kind == "mode_switch" and ev.label == "dyn->qss"]
+    assert due and to_qss
+    assert not [t for t in to_qss if any(abs(t - d) <= 1e-9 for d in due)]
 
 
 def test_failing_plain_row_builds_no_derived_rows(fourbus, monkeypatch):

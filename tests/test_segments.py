@@ -53,7 +53,7 @@ def test_governor_ramp_tracks_adaptive_integrator():
                           state=st)
     for name in ("omega:G1", "epsq:G1", "gov:G1", "agc:G1"):
         for k, t in enumerate(out.ts):
-            rec = traj.record_for(t)
+            rec = traj.segments[traj.segment_index(t)]
             tau = min(t - rec.t0, rec.step)
             row = rec.built.system.index[name]
             he = rec.sol.values_at(tau)[row]

@@ -75,3 +75,29 @@ def test_scheduler_calls_the_locator_through_its_module_global(monkeypatch):
         case, script, scheduler.RunConfig(mode="qss", t_end=15.0))
     assert traj.failure is None
     assert calls
+
+
+def test_one_alpha_solve_per_switch(monkeypatch):
+    # the tracer counts engine.solve_alpha_problem through this model
+    # global: one call for the power flow and one per switch, however many
+    # stages a switch's alpha path takes
+    from hesim import model, scheduler
+    from hesim.caseio import builtin_case
+
+    calls = []
+    solve = model.solve_alpha_problem
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(model, "solve_alpha_problem", counting)
+    case, script = builtin_case("ne39")
+    traj = scheduler.run_simulation(
+        case, script, scheduler.RunConfig(mode="hybrid", t_end=20.0))
+    assert traj.failure is None
+    switches = [ev for ev in traj.events if ev.kind in scheduler.EVENTS
+                and scheduler.EVENTS[ev.kind].switch]
+    assert switches
+    assert len(calls) == 1 + len(switches)
+    assert calls[0] == "ALPHA_POWERFLOW"
