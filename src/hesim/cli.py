@@ -139,7 +139,7 @@ def _method_event_times(case, script, methods, config):
     # the triggers read through the channel map of the analytic segments
     chans = tuple((e.condition.channel, e.condition.args) for e in conds)
     chan_map = ChannelMap(built, case, st.mode)
-    known = built.knowns(st, 0.0, 2).T  # the ramps are linear in t
+    known = built.knowns(st, 0.0).T  # the ramps are linear in t
     rows = []
     for m in methods:
         model = DaeModel(built, copy.deepcopy(st))

@@ -444,7 +444,24 @@ class SegmentSolution:
 def solve_segment(system: CompiledSystem, anchors: np.ndarray,
                   kcoeffs: np.ndarray, order: int, tol_res: float,
                   t_max: float) -> SegmentSolution:
-    """Solve a time-embedded segment and certify its effective range.
+    """Solve an embedded segment and certify its effective range, at the
+    series order and, where no range certifies (``NoValidRange``), once
+    more ten orders higher.  A singular Jacobian or an inconsistent anchor
+    is not retried: the anchor check, the anchor Jacobian and coefficients
+    0..order are the same at both orders.
+    """
+    try:
+        return _certified_segment(system, anchors, kcoeffs, order, tol_res,
+                                  t_max)
+    except NoValidRange:
+        return _certified_segment(system, anchors, kcoeffs, order + 10,
+                                  tol_res, t_max)
+
+
+def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
+                       kcoeffs: np.ndarray, order: int, tol_res: float,
+                       t_max: float) -> SegmentSolution:
+    """One order's segment and its certified range.
 
     Rows with a spurious real pole in (0, t_max] are refitted one
     denominator order lower, one ``batch_pade`` call per pass with an order
@@ -489,18 +506,6 @@ def _taylor_shift(c: np.ndarray, a: float) -> np.ndarray:
     return c @ (binom * a ** np.maximum(k[:, None] - k, 0))
 
 
-def _alpha_stage(system: CompiledSystem, anchors: np.ndarray,
-                 kcoeffs: np.ndarray, order: int, rest: float):
-    """One stage over the rest of the alpha path, at the series order and
-    then ten orders higher."""
-    try:
-        return solve_segment(system, anchors, kcoeffs, order, _ANCHOR_TOL,
-                             rest)
-    except (NoValidRange, SingularJacobian, AnchorInconsistent):
-        return solve_segment(system, anchors, kcoeffs, order + 10,
-                             _ANCHOR_TOL, rest)
-
-
 def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
                         kcoeffs: np.ndarray, kind: str,
                         order: int = 30) -> np.ndarray:
@@ -518,8 +523,8 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
     while True:
         rest = 1.0 - a
         try:
-            seg = _alpha_stage(system, anchors, _taylor_shift(kcoeffs, a),
-                               order, rest)
+            seg = solve_segment(system, anchors, _taylor_shift(kcoeffs, a),
+                                order, _ANCHOR_TOL, rest)
             step = min(seg.t_e, rest)
             if step < min(_MIN_STAGE, rest):
                 raise NoValidRange(f"stage certified only {step:.3e}")

@@ -54,12 +54,6 @@ class NotSteady(HesimError):
     """Dynamic-to-QSS conversion requested without a steady-state verdict."""
 
 
-class SegmentFailure(HesimError):
-    """A simulation segment could not be solved, neither at the configured
-    series order nor ten orders higher.  At either order the range search
-    tries ranges down to t_max * 2^-20 (no halved t_max is retried)."""
-
-
 # --- reference solvers -----------------------------------------------------
 
 class PastCollapse(HesimError):

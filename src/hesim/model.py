@@ -296,9 +296,6 @@ MonitoredRows = namedtuple("MonitoredRows", "names plain angles refs vx vy")
 class Built:
     system: object
     islands: list
-    monitored_plain: list = field(default_factory=list)
-    monitored_angles: dict = field(default_factory=dict)  # gen -> var name
-    angle_ref: dict = field(default_factory=dict)         # island -> var name
     powerflow: bool = False  # bus quantities read the island's flat voltage
     # online branch -> (series admittance, b_sh)
     branch_params: dict = field(default_factory=dict)
@@ -309,17 +306,22 @@ class Built:
 
     @functools.cached_property
     def monitored(self) -> MonitoredRows:
-        """The steadiness verdict's slots, resolved once: plain rows (with
-        the absolute angle where an island has no reference), (angle,
-        reference) pairs, the (vx, vy) of every bus for V^2, and the names.
-        The reference angle against itself, zero by construction, is not a
-        pair."""
+        """The steadiness verdict's slots, resolved once from the names:
+        the plain rows of every machine with a rotor angle, each angle
+        paired with its island's reference angle, the (vx, vy) of every bus
+        for V^2, and the names.  The reference is the island's ``ref_gen``
+        where it has an angle, else its first machine with one; the
+        reference against itself, zero by construction, is not a pair."""
         idx = self.system.index
-        pairs = [(self.monitored_angles[g], self.angle_ref.get(isl.index))
-                 for isl in self.islands for g in isl.machines
-                 if g in self.monitored_angles]
-        plain = self.monitored_plain + [a for a, ref in pairs if ref is None]
-        pairs = [(a, ref) for a, ref in pairs if ref not in (None, a)]
+        plain, pairs = [], []
+        for isl in self.islands:
+            gens = [g for g in isl.machines if f"delta:{g}" in idx]
+            if not gens:
+                continue
+            ref = isl.ref_gen if isl.ref_gen in gens else gens[0]
+            plain += [f"{n}:{g}" for g in gens
+                      for n in ("omega", "epsq", "epsd", "avr", "gov")]
+            pairs += [(f"delta:{g}", f"delta:{ref}") for g in gens if g != ref]
         buses = [b for isl in self.islands for b in isl.buses
                  if f"vx:{b}" in idx]
 
@@ -336,13 +338,12 @@ class Built:
         reads = _Reads(self, state)
         return np.array([_READ[kind](reads, key) for kind, key in self.keys])
 
-    def knowns(self, state: SystemState, t0: float, width: int) -> np.ndarray:
-        out = np.zeros((len(self.known_keys), max(width, 1)))
-        for i, (kind, key) in enumerate(self.known_keys):
-            coeffs = _KNOWN[kind](state, key, t0)
-            m = min(width, len(coeffs))
-            out[i, :m] = coeffs[:m]
-        return out
+    def knowns(self, state: SystemState, t0: float) -> np.ndarray:
+        """The known inputs' (value, rate) at t0, one row each: every one
+        is affine in the embedding variable."""
+        return np.array([_KNOWN[kind](state, key, t0)
+                         for kind, key in self.known_keys],
+                        dtype=float).reshape(-1, 2)
 
 
 class _Assembler:
@@ -509,9 +510,6 @@ class _Assembler:
                 self._emit_motor(l)
 
         # ---- generators ----
-        monitored_plain: list = []
-        monitored_angles: dict = {}
-        angle_ref: dict = {}
         mach_emitted: list = []
         for isl in islands:
             for gid in isl.machines:
@@ -527,18 +525,11 @@ class _Assembler:
                 else:
                     self._emit_machine_vars(g)
                     mach_emitted.append((g, isl))
-            if self.mode == DYNAMIC and not self.alpha and isl.machines:
-                ref = isl.ref_gen if isl.ref_gen in isl.machines \
-                    else isl.machines[0]
-                angle_ref[isl.index] = f"delta:{ref}"
 
         # dynamic machine equations emitted after all slots exist, because
         # the AGC integrator couples to peer machine speeds
         for g, isl in mach_emitted:
-            names = self._emit_machine_eqs(g, isl)
-            if names is not None:
-                monitored_plain += names["plain"]
-                monitored_angles[g.gen_id] = names["angle"]
+            self._emit_machine_eqs(g, isl)
 
         # ---- QSS island closure ----
         if self.mode == QSS and not pf:
@@ -546,10 +537,7 @@ class _Assembler:
                 self._emit_island_frequency(isl, slack_gen)
 
         return Built(
-            system=self.b.compile(), islands=islands,
-            monitored_plain=monitored_plain,
-            monitored_angles=monitored_angles, angle_ref=angle_ref,
-            powerflow=pf,
+            system=self.b.compile(), islands=islands, powerflow=pf,
             branch_params={i: branch_params(case, state.branch_overrides, i)
                            for i in state.branch_online},
         )
@@ -673,7 +661,7 @@ class _Assembler:
         self.var(f"id:{g.gen_id}", "alg")
         self.var(f"iq:{g.gen_id}", "alg")
 
-    def _emit_machine_eqs(self, g: GenSpec, isl: Island):
+    def _emit_machine_eqs(self, g: GenSpec, isl: Island) -> None:
         b = self.b
         gid = g.gen_id
         s_ = self.slots
@@ -700,7 +688,7 @@ class _Assembler:
             for eq, (cd, cq) in ((eqx, (s0, c0)), (eqy, (-c0, s0))):
                 b.term(eq, cd, scale, i_d)
                 b.term(eq, cq, scale, i_q)
-            return None
+            return
 
         delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
         epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
@@ -764,12 +752,6 @@ class _Assembler:
         b.term(eqx, 1.0, i_q, cosd)
         b.term(eqy, -1.0, i_d, cosd)
         b.term(eqy, 1.0, i_q, sind)
-
-        return {
-            "plain": [f"omega:{gid}", f"epsq:{gid}", f"epsd:{gid}",
-                      f"avr:{gid}", f"gov:{gid}"],
-            "angle": f"delta:{gid}",
-        }
 
     def _emit_qss_gen(self, g: GenSpec, isl: Island) -> None:
         """PV bus with droop frequency response and AGC dispatch integrator."""
@@ -965,7 +947,7 @@ def refine_state(built: Built, state: SystemState,
     if built.system.nv == 0:
         return
     anchors = built.anchors(state)
-    kv = built.knowns(state, state.t, 1)[:, 0]
+    kv = built.knowns(state, state.t)[:, 0]
     refined = built.system.newton_refine(anchors, kv, tol=tol)
     write_back(built, refined, state)
 
@@ -1135,7 +1117,7 @@ def _alpha_solve(case: GridCase, state: SystemState, mods: AlphaMods) -> None:
     built = build_system(case, state, state.mode, mods)
     # every known input is affine in alpha: two coefficients hold it all
     values = solve_alpha_problem(built.system, built.anchors(state),
-                                 built.knowns(state, state.t, 2),
+                                 built.knowns(state, state.t),
                                  kind=mods.kind)
     write_back(built, values, state)
 

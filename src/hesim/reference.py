@@ -89,7 +89,7 @@ class DaeModel:
     def kv(self, t: float) -> np.ndarray:
         if not self.sys.nk:
             return np.zeros(0)
-        return self.built.knowns(self.state, t, 1)[:, 0]
+        return self.built.knowns(self.state, t)[:, 0]
 
     def initial(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.built.anchors(self.state)

@@ -24,14 +24,7 @@ import numpy as np
 from . import model as mdl
 from .bounds import SteadyStateVerdict, steady_state_check
 from .engine import SegmentSolution, solve_segment
-from .errors import (
-    AnchorInconsistent,
-    HesimError,
-    NotSteady,
-    NoValidRange,
-    SegmentFailure,
-    SingularJacobian,
-)
+from .errors import HesimError, NotSteady
 from .grid import GridCase
 from .model import (
     DYNAMIC,
@@ -619,20 +612,6 @@ def _execute_event(case, state, ev: SimEvent, t: float,
     return ev.kind != "stop"
 
 
-def _solve_with_ladder(built, state, t, order, tol_res, t_max):
-    """Retry ladder: the configured order, then ten orders higher."""
-    anchors = built.anchors(state)
-    last = None
-    for n in (order, order + 10):
-        try:
-            return solve_segment(built.system, anchors,
-                                 built.knowns(state, t, n + 1), n, tol_res,
-                                 t_max)
-        except (NoValidRange, SingularJacobian, AnchorInconsistent) as exc:
-            last = exc
-    raise SegmentFailure(str(last))
-
-
 def run_simulation(case: GridCase, script: list, config: RunConfig,
                    state: Optional[SystemState] = None) -> Trajectory:
     """Event-driven extended-term simulation; returns the piecewise
@@ -680,8 +659,10 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             doing = f"{mode} segment"
             cap = MAX_STEP_DYN if mode == DYNAMIC else config.max_step_qss
             built, chan_map = built_for(mode)
-            seg = _solve_with_ladder(built, state, t, config.order,
-                                     config.tol_res, min(gap, cap))
+            # every known input is affine in t: two coefficients hold it all
+            seg = solve_segment(built.system, built.anchors(state),
+                                built.knowns(state, t), config.order,
+                                config.tol_res, min(gap, cap))
             step = gap if seg.t_e >= gap - 1e-12 else STEP_SAFETY * seg.t_e
             step = min(step, gap)
 

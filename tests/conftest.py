@@ -38,6 +38,24 @@ def make_twobus_case():
     )
 
 
+def monitored_names(built):
+    """A Built's verdict rows from its machines and names: (the plain row
+    names, {island index: (reference angle, every angle of the island)}).
+    A machine is monitored where its delta:<gen> exists; the reference is
+    the island's ref_gen where that is monitored, else its first monitored
+    machine."""
+    idx = built.system.index
+    plain, angles = [], {}
+    for isl in built.islands:
+        gens = [g for g in isl.machines if f"delta:{g}" in idx]
+        if gens:
+            ref = isl.ref_gen if isl.ref_gen in gens else gens[0]
+            plain += [f"{kind}:{g}" for g in gens
+                      for kind in ("omega", "epsq", "epsd", "avr", "gov")]
+            angles[isl.index] = (f"delta:{ref}", [f"delta:{g}" for g in gens])
+    return plain, angles
+
+
 @pytest.fixture(scope="session")
 def fourbus():
     case, script = builtin_case("fourbus")

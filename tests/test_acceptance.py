@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import hesim.model as mdl
-from conftest import make_smib
+from conftest import make_smib, monitored_names
 from hesim.bounds import poly_bounds, steady_state_check, verdict_from_deltas
 from hesim.caseio import builtin_case
 from hesim.grid import LoadSpec
@@ -165,16 +165,10 @@ def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
         half = order // 2
         idx = built.system.index
 
-        rows = [idx[name] for name in built.monitored_plain]
-        derived = []
-        for isl in built.islands:
-            ref = built.angle_ref.get(isl.index)
-            if ref is None:
-                continue
-            rc = seg.C[idx[ref]]
-            for gid, name in built.monitored_angles.items():
-                if gid in isl.machines:
-                    derived.append(seg.C[idx[name]] - rc)
+        plain, angles = monitored_names(built)
+        rows = [idx[name] for name in plain]
+        derived = [seg.C[idx[name]] - seg.C[idx[ref]]
+                   for ref, names in angles.values() for name in names]
         for isl in built.islands:
             for bus in isl.buses:
                 if f"vx:{bus}" not in idx:
@@ -364,7 +358,7 @@ def test_criterion_8_switch_correctness(fourbus):
     def oracle(st):
         built = build_system(case, st, DYNAMIC)
         sysm = built.system
-        kv = built.knowns(st, st.t, 1)[:, 0] if sysm.nk else np.zeros(0)
+        kv = built.knowns(st, st.t)[:, 0] if sysm.nk else np.zeros(0)
         x0 = built.anchors(st)
 
         def fun(y):

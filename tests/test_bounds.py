@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import monitored_names
 from hesim.bounds import (
     SteadyStateVerdict,
     poly_bounds,
@@ -304,8 +305,10 @@ def test_reference_angle_invariance(fourbus):
     st_ = init_equilibrium(case)
     built = build_system(case, st_, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st_),
-                        built.knowns(st_, st_.t, 16), 15, 1e-8, 0.2)
-    rows = [built.system.index[n] for n in built.monitored_angles.values()]
+                        built.knowns(st_, st_.t), 15, 1e-8, 0.2)
+    _, angles = monitored_names(built)
+    rows = [built.system.index[n] for _, names in angles.values()
+            for n in names]
     assert len(rows) > 1
     C = seg.C.copy()
     C[rows, 1] += 7.0

@@ -548,7 +548,7 @@ def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
     built = build_system(case, st, mode)
     sys = built.system
     v = built.anchors(st)
-    kv = built.knowns(st, st.t, 1)[:, 0] if sys.nk else np.zeros(0)
+    kv = built.knowns(st, st.t)[:, 0] if sys.nk else np.zeros(0)
     if perturbed:
         v = v + np.random.default_rng(5).uniform(-0.05, 0.05, v.shape)
     J = sys.alg_jacobian(v, kv)
@@ -675,7 +675,7 @@ def test_range_certificate_holds_densely_at_ne39_worst_anchor():
     from hesim.caseio import builtin_case
     from hesim.model import build_system, init_equilibrium
     from hesim.scheduler import (MAX_STEP_DYN, STEP_SAFETY, RunConfig,
-                                 _solve_with_ladder, run_simulation)
+                                 run_simulation)
 
     t0 = 7.971352229493641
     case, script = builtin_case("ne39")
@@ -686,8 +686,9 @@ def test_range_certificate_holds_densely_at_ne39_worst_anchor():
     t_max = min([MAX_STEP_DYN] + [e.t_due - t0 for e in script
                                   if e.t_due and e.t_due > t0])
     built = build_system(case, state, state.mode)
-    seg = _solve_with_ladder(built, state, t0, config.order, config.tol_res,
-                             t_max)
+    seg = solve_segment(built.system, built.anchors(state),
+                        built.knowns(state, t0), config.order, config.tol_res,
+                        t_max)
     step = t_max if seg.t_e >= t_max else STEP_SAFETY * seg.t_e
     assert _dense_residual(seg, step) <= config.tol_res
 

@@ -101,7 +101,7 @@ def _residual_at_anchor(case, st, mode):
     built = build_system(case, st, mode)
     return built.system.residual(built.anchors(st),
                                  np.zeros(built.system.n_state),
-                                 built.knowns(st, st.t, 1)[:, 0])
+                                 built.knowns(st, st.t)[:, 0])
 
 
 def test_equilibrium_residual_vanishes(fourbus):
@@ -123,7 +123,7 @@ def test_equilibrium_holds_over_ten_seconds(fourbus):
     st = init_equilibrium(case)
     built = build_system(case, st, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, 0.0, 16), 15, 1e-8, 10.0)
+                        built.knowns(st, 0.0), 15, 1e-8, 10.0)
     assert seg.t_e == 10.0
     v0 = seg.values_at(0.0)
     v10 = seg.values_at(10.0)
@@ -138,7 +138,7 @@ def test_residual_central_difference_matches_rhs():
     built = build_system(case, st, DYNAMIC)
     refine_state(built, st)
     seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, 0.0, 16), 15, 1e-9, 1.0)
+                        built.knowns(st, 0.0), 15, 1e-9, 1.0)
     sysm = built.system
     t0 = 0.2
     errs = []
@@ -164,11 +164,11 @@ def test_perturbing_one_bus_changes_only_local_rows():
     built = build_system(case, st, DYNAMIC)
     base = built.anchors(st)
     r0 = built.system.residual(base, np.zeros(built.system.n_state),
-                               built.knowns(st, 0.0, 1)[:, 0])
+                               built.knowns(st, 0.0)[:, 0])
     pert = base.copy()
     pert[built.system.index["vx:2"]] += 0.01
     r1 = built.system.residual(pert, np.zeros(built.system.n_state),
-                               built.knowns(st, 0.0, 1)[:, 0])
+                               built.knowns(st, 0.0)[:, 0])
     changed = np.where(np.abs(r1 - r0) > 1e-12)[0]
     names = [f"d({built.system.var_names[s]})"
              for s in built.system.state_slots] + built.system.eq_names
@@ -227,7 +227,7 @@ def _oracle_resolve(case, st, mode=DYNAMIC):
     frozen-state algebraic equations, started from the current values."""
     built = build_system(case, st, mode)
     sysm = built.system
-    kv = built.knowns(st, st.t, 1)[:, 0] if sysm.nk else np.zeros(0)
+    kv = built.knowns(st, st.t)[:, 0] if sysm.nk else np.zeros(0)
     x0 = built.anchors(st)
 
     def fun(y):
@@ -611,8 +611,8 @@ def _ref_anchor(case, st, name, pf):
     return z.imag if kind.endswith("y") else z.real
 
 
-def _ref_knowns(st, names, t0, width):
-    out = np.zeros((len(names), max(width, 1)))
+def _ref_knowns(st, names, t0):
+    out = np.zeros((len(names), 2))
     for i, name in enumerate(names):
         kind, _, key = name.partition(":")
         if kind in ("alpha", "one_minus_alpha"):
@@ -626,8 +626,7 @@ def _ref_knowns(st, names, t0, width):
                     value += r.rate * (t0 - r.t_start)
             coeffs = np.array([value, sum(r.rate for r in st.ramps
                                           if r.target == target)])
-        m = min(width, len(coeffs))
-        out[i, :m] = coeffs[:m]
+        out[i] = coeffs
     return out
 
 
@@ -757,9 +756,9 @@ def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
         want = np.array([_ref_anchor(st.case, st, n, flavor == "powerflow")
                          for n in names])
         assert _bits(got) == _bits(want), (flavor, st.t)
-        for t0, width in ((st.t, 1), (st.t + 0.37, 2), (st.t + 2.5, 17)):
-            assert _bits(built.knowns(st, t0, width)) == _bits(
-                _ref_knowns(st, built.system.known_names, t0, width))
+        for t0 in (st.t, st.t + 0.37, st.t + 2.5):
+            assert _bits(built.knowns(st, t0)) == _bits(
+                _ref_knowns(st, built.system.known_names, t0))
         values = got * (1.0 + rng.normal(0.0, 1e-3, len(got)))
         mine, ref = copy.deepcopy(st), copy.deepcopy(st)
         mdl.write_back(built, values, mine)

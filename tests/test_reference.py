@@ -79,8 +79,8 @@ def _decay_model():
         def anchors(self, state):
             return np.array([1.0])
 
-        def knowns(self, state, t0, width):
-            return np.zeros((0, width))
+        def knowns(self, state, t0):
+            return np.zeros((0, 2))
 
     return DaeModel(Built(), None)
 

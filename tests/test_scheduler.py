@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_smib, make_twobus_case
+from conftest import make_smib, make_twobus_case, monitored_names
 from hesim import scheduler
 from hesim.bounds import SteadyStateVerdict, steady_state_check
 from hesim.caseio import builtin_case
@@ -404,7 +404,7 @@ def test_mode_switch_requires_verdict(fourbus):
 def _equilibrium_segment(case, st):
     built = build_system(case, st, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, st.t, 16), 15, 1e-8, 1.0)
+                        built.knowns(st, st.t), 15, 1e-8, 1.0)
     return built, seg
 
 
@@ -542,9 +542,11 @@ def test_no_angle_is_checked_against_itself(name, t_end):
     rows = built.monitored
     assert len(rows.angles) and not np.any(rows.angles == rows.refs)
     # each island's reference angle is neither a pair nor a plain row
-    refs = {built.system.index[r] for r in built.angle_ref.values()}
+    _, angles = monitored_names(built)
+    refs = {built.system.index[ref] for ref, _ in angles.values()}
     assert refs.isdisjoint(rows.plain)
-    assert len(rows.angles) == len(built.monitored_angles) - len(refs)
+    assert len(rows.angles) == sum(len(n) for _, n in angles.values()) \
+        - len(refs)
 
 
 def test_no_switch_to_qss_where_a_timed_switch_is_due():
@@ -584,17 +586,12 @@ def _one_table_verdict(built, seg, eps_t):
     relative to their island's reference, V^2) Pade'd in one call."""
     idx = built.system.index
     order = seg.C.shape[1] - 1
-    plain = [idx[n] for n in built.monitored_plain]
-    derived = []
-    for isl in built.islands:
-        ref = built.angle_ref.get(isl.index)
-        for gid, name in built.monitored_angles.items():
-            if gid not in isl.machines:
-                continue
-            if ref is None:
-                plain.append(idx[name])
-            elif name != ref:  # the reference against itself is zero
-                derived.append(seg.C[idx[name]] - seg.C[idx[ref]])
+    names, angles = monitored_names(built)
+    plain = [idx[n] for n in names]
+    # the reference against itself is zero
+    derived = [seg.C[idx[name]] - seg.C[idx[ref]]
+               for ref, isl_angles in angles.values()
+               for name in isl_angles if name != ref]
     for isl in built.islands:
         for b in isl.buses:
             if f"vx:{b}" in idx:

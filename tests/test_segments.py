@@ -95,7 +95,7 @@ def test_alpha_path_continuity_and_order_independence(fourbus):
     anchors = built.anchors(st)
     results = []
     for order in (10, 20, 30):
-        kc = built.knowns(st, 0.0, order + 11)
+        kc = built.knowns(st, 0.0)
         vals = solve_alpha_problem(built.system, anchors, kc,
                                    kind="ALPHA_PARAM", order=order)
         results.append(vals)
@@ -104,7 +104,7 @@ def test_alpha_path_continuity_and_order_independence(fourbus):
 
     # sampled continuity along the alpha path
     order = 30
-    kc = built.knowns(st, 0.0, order + 1)
+    kc = built.knowns(st, 0.0)
     C = built.system.solve_series(anchors, kc, order)
     L, M = diagonal_orders(order)
     nums, dens = batch_pade(C[: built.system.nv], L, M)
