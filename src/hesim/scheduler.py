@@ -43,7 +43,6 @@ from .series import batch_pade, bracketed_root
 HYBRID = "hybrid"
 DWELL = 1.0          # least dynamic time before steadiness is checked again
 MAX_STEP_DYN = 1.0   # longest dynamic segment, s
-STEP_SAFETY = 0.9    # a step short of the gap is this share of t_e
 
 log = logging.getLogger(__name__)
 
@@ -663,8 +662,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             seg = solve_segment(built.system, built.anchors(state),
                                 built.knowns(state, t), config.order,
                                 config.tol_res, min(gap, cap))
-            step = gap if seg.t_e >= gap - 1e-12 else STEP_SAFETY * seg.t_e
-            step = min(step, gap)
+            step = min(seg.t_e, gap)  # the certified range, end point probed
 
             rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
                                 built=built, case=case, chan_map=chan_map)
@@ -684,7 +682,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             if hit:
                 step = rec.step = hit[1]
             if log.isEnabledFor(logging.DEBUG):
-                why = ("trigger" if hit else "gap" if seg.t_e >= gap - 1e-12
+                why = ("trigger" if hit else "gap" if step == gap
                        else "residual" if seg.t_e < seg.t_cap
                        else "cap" if seg.t_cap >= min(gap, cap) else "pole")
                 log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step "

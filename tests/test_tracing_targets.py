@@ -77,6 +77,27 @@ def test_scheduler_calls_the_locator_through_its_module_global(monkeypatch):
     assert calls
 
 
+def test_one_segment_solve_per_segment(monkeypatch):
+    # the tracer counts engine.solve_segment through this scheduler global:
+    # one call per segment, its retry ten orders higher included
+    from hesim import scheduler
+    from hesim.caseio import builtin_case
+
+    calls = []
+    solve = scheduler.solve_segment
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "solve_segment", counting)
+    case, script = builtin_case("fourbus")
+    traj = scheduler.run_simulation(
+        case, script, scheduler.RunConfig(mode="hybrid", t_end=40.0))
+    assert traj.failure is None
+    assert len(calls) == len(traj.segments) > 0
+
+
 def test_one_alpha_solve_per_switch(monkeypatch):
     # the tracer counts engine.solve_alpha_problem through this model
     # global: one call for the power flow and one per switch, however many
