@@ -429,11 +429,10 @@ class SegmentSolution:
         return self.evaluate(t)[0]
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite: reads inf
-    def residual_max_at(self, t, table=None):
+    def residual_max_at(self, t):
         """Max-norm residual at t, or at every time of a 1-D t in one Horner
-        pass over rows x times; a non-finite value or residual reads inf.
-        ``table`` reuses a ``stacked(rates=True)`` across calls."""
-        vals, known, rates = self.evaluate(t, rates=True, table=table)
+        pass over rows x times; a non-finite value or residual reads inf."""
+        vals, known, rates = self.evaluate(t, rates=True)
         r = self.system.residual(vals, rates, known)
         worst = np.max(np.abs(r), axis=0, initial=0.0)
         finite = np.all(np.isfinite(vals), axis=0) & np.isfinite(worst)
@@ -492,9 +491,7 @@ def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
     seg.t_cap = t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     if t_cap <= 0:
         raise NoValidRange("rational approximant has a pole at the anchor")
-    table = seg.stacked(rates=True)  # built once for all probe calls
-    seg.t_e = shrink_refine_range(lambda ts: seg.residual_max_at(ts, table),
-                                  tol_res, t_cap)
+    seg.t_e = shrink_refine_range(seg.residual_max_at, tol_res, t_cap)
     return seg
 
 

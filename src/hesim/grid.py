@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .series import bracketed_root
+from .series import bracketed_roots
 
 SOURCE = "source"   # ideal voltage source (slack / infinite bus)
 DYN4 = "dyn4"       # two-axis transient machine + AVR + governor + AGC
@@ -298,4 +298,5 @@ def motor_equilibrium_slip(motor: MotorSpec, v: complex) -> float:
     hi = grid[peak]
     if f(hi) > 0:
         hi = 1.0
-    return bracketed_root(f, lo, hi, xtol=1e-14)
+    return float(bracketed_roots(lambda i, s: [f(x) for x in s], [lo], [hi],
+                                 xtol=1e-14)[0])

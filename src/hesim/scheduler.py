@@ -2,9 +2,9 @@
 
 The loop alternates analytic segments with instantaneous events.  Timed
 events bound the step; condition-triggered events are localized on the
-analytic trajectory (one scan of all pending triggers, a root solve only
-for the earliest bracket).  A ``record`` trigger is read off its segment;
-any other trigger truncates the segment there.  After every dynamic segment
+analytic trajectory, all pending triggers of a segment in one pass.
+``record`` triggers are read off their segment in time order; the first
+other trigger truncates the segment there.  After every dynamic segment
 in hybrid mode the steady-state criteria run on its coefficients, and a
 passing verdict converts the machines to the QSS representation; any
 switching event while in QSS converts back first.
@@ -38,11 +38,13 @@ from .model import (
     refine_state,
     write_back,
 )
-from .series import batch_pade, bracketed_root
+from .series import batch_pade, bracketed_roots
 
 HYBRID = "hybrid"
 DWELL = 1.0          # least dynamic time before steadiness is checked again
 MAX_STEP_DYN = 1.0   # longest dynamic segment, s
+MAX_STEP_QSS = 30.0  # longest QSS segment, s
+EVENT_TOL = 1e-6     # conditional-event root tolerance, s
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +57,13 @@ class RunConfig:
     tol_res: float = 1e-6         # residual certificate tolerance
     dt_out: float = 0.1
     t_end: float = 10.0
-    event_tol: float = 1e-6       # conditional-event root tolerance
-    max_step_qss: float = 30.0
 
     def __post_init__(self):
         if self.mode not in (HYBRID, DYNAMIC, QSS):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.order < 4 or self.order > 40:
             raise ValueError("series order must be in 4..40")
-        for name in ("eps_t", "tol_res", "dt_out", "t_end", "event_tol",
-                     "max_step_qss"):
+        for name in ("eps_t", "tol_res", "dt_out", "t_end"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
 
@@ -365,10 +364,10 @@ class SegmentRecord:
         return self.chan_map.apply(chans, self.sol.evaluate(tau, table=table),
                                    self.t0 + tau)
 
-    def channel(self, chan: str, args: tuple, tau, table=None):
+    def channel(self, chan: str, args: tuple, tau):
         """Evaluate an output channel at segment-local time(s)."""
         tt = np.asarray(tau, dtype=float)
-        out = self.channels(((chan, tuple(args)),), tt.reshape(-1), table)[0]
+        out = self.channels(((chan, tuple(args)),), tt.reshape(-1))[0]
         return out.reshape(tt.shape)[()]
 
 
@@ -438,41 +437,34 @@ class Trajectory:
 
 
 def locate_conditional_event(rec: SegmentRecord, conds: list,
-                             window: float, tol: float = 1e-6,
-                             start: float = 0.0):
-    """Earliest trigger root on [start, window]: (index into conds, tau) or
-    None; a trigger already true at ``start`` fires there.
-
-    One scan finds every trigger's first sign change on 65 points; only the
-    triggers bracketed in the earliest subinterval are refined (ITP, to
-    ``tol``), as a later bracket holds no earlier root.  Ties go to the
-    first in list order; NaN never brackets.
+                             window: float, tol: float = 1e-6) -> list:
+    """Every trigger's first root on [0, window], in time order: a list of
+    (index into conds, tau), ties in list order.  A trigger already true at
+    0 fires there; NaN never brackets.  One scan of 65 points finds each
+    trigger's first sign change, and one batched ITP solve refines every
+    bracket to ``tol``, evaluating the segment once per iteration.
     """
-    taus = np.linspace(start, window, 65)
+    taus = np.linspace(0.0, window, 65)
     keys = tuple(dict.fromkeys((c.channel, c.args) for c in conds))
-    table = rec.sol.stacked()  # one table for the scan and the root solves
-    lhs = dict(zip(keys, rec.channels(keys, taus, table)))
-    hs = np.reshape([c.h(lhs[c.channel, c.args]) for c in conds], (-1, 65))
+    col = np.array([keys.index((c.channel, c.args)) for c in conds], int)
+    table = rec.sol.stacked()  # one table for the scan and the root solve
+    lhs = rec.channels(keys, taus, table)[col]  # each trigger's channel
+    hs = np.reshape([c.h(v) for c, v in zip(conds, lhs)], (-1, 65))
     a, b = hs[:, :-1], hs[:, 1:]
     brackets = ((a < 0.0) & (b >= 0.0)) | ((a > 0.0) & (b <= 0.0))
     first = np.where(brackets.any(axis=1), brackets.argmax(axis=1), 64)
     first[hs[:, 0] >= 0.0] = -1
-    k = int(first.min(initial=64))
-    if k == 64:
-        return None
-    rows = np.flatnonzero(first == k)
-    best, refined = ((int(rows[0]), start), 0) if k < 0 else (None, len(rows))
-    for i in rows[:refined]:
-        c = conds[i]
-        tau = bracketed_root(
-            lambda x: float(c.h(rec.channel(c.channel, c.args, x, table))),
-            taus[k], taus[k + 1], xtol=tol)
-        if best is None or tau < best[1]:
-            best = (int(i), tau)
-    log.info("conditional event at t=%.9g: %s (%d triggers scanned, "
-             "%d refined)", rec.t0 + best[1], conds[best[0]].text,
-             len(conds), refined)
-    return best
+    tau = np.zeros(len(conds))
+    rows = np.flatnonzero((first >= 0) & (first < 64))
+    if len(rows):
+        def h(i, x):  # each bracket's trigger, its own channel at its point
+            vals = rec.channels(keys, x, table)[col[rows[i]], range(len(i))]
+            return [conds[k].h(v) for k, v in zip(rows[i], vals)]
+        tau[rows] = bracketed_roots(h, taus[first[rows]],
+                                    taus[first[rows] + 1], tol)
+    hits = np.flatnonzero(first < 64)
+    return [(int(i), float(tau[i]))
+            for i in hits[np.argsort(tau[hits], kind="stable")]]
 
 
 # --------------------------------------------------------------------------
@@ -598,6 +590,7 @@ def _execute_event(case, state, ev: SimEvent, t: float,
     first. Returns False when the run must stop."""
     kind = EVENTS[ev.kind]
     if ev.condition is not None:
+        log.info("conditional event at t=%.9g: %s", t, ev.condition.text)
         traj.events.append(EventRecord(t, "conditional", ev.condition.text,
                                        {"resolved_t": t}))
     if kind.switch and state.mode == QSS:
@@ -656,7 +649,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 continue
             mode = state.mode
             doing = f"{mode} segment"
-            cap = MAX_STEP_DYN if mode == DYNAMIC else config.max_step_qss
+            cap = MAX_STEP_DYN if mode == DYNAMIC else MAX_STEP_QSS
             built, chan_map = built_for(mode)
             # every known input is affine in t: two coefficients hold it all
             seg = solve_segment(built.system, built.anchors(state),
@@ -667,20 +660,20 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
                                 built=built, case=case, chan_map=chan_map)
 
-            # a record trigger is read off the segment; only a trigger that
-            # changes the system ends it
-            hit, tau, recorded = None, 0.0, 0
-            while conditional:
-                hit = locate_conditional_event(
+            # record triggers are read off the segment in time order; the
+            # first trigger that changes the system ends it at its root
+            hit, done = None, set()
+            for i, tau in (locate_conditional_event(
                     rec, [ev.condition for ev in conditional], step,
-                    config.event_tol, tau)
-                if not hit or conditional[hit[0]].kind != "record":
+                    EVENT_TOL) if conditional else []):
+                done.add(i)
+                if conditional[i].kind != "record":
+                    hit, step = conditional[i], tau
+                    rec.step = step
                     break
-                ev, tau, hit = conditional.pop(hit[0]), hit[1], None
-                _execute_event(case, state, ev, t + tau, traj)
-                recorded += 1
-            if hit:
-                step = rec.step = hit[1]
+                _execute_event(case, state, conditional[i], t + tau, traj)
+            conditional = [ev for i, ev in enumerate(conditional)
+                           if i not in done]
             if log.isEnabledFor(logging.DEBUG):
                 why = ("trigger" if hit else "gap" if step == gap
                        else "residual" if seg.t_e < seg.t_cap
@@ -688,7 +681,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step "
                           "%.6g, limited by %s, %d record triggers fired, %d "
                           "rows refitted", t, mode, seg.C.shape[1] - 1,
-                          seg.t_e, step, why, recorded, seg.refit)
+                          seg.t_e, step, why, len(done) - (hit is not None),
+                          seg.refit)
 
             traj.segments.append(rec)
             values = seg.values_at(step)
@@ -713,9 +707,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                                 t, "q_limit", gid, {"q": ms.q_fixed}))
 
             if hit:
-                ev = conditional.pop(hit[0])
-                doing = str(ev)
-                running = _execute_event(case, state, ev, t, traj)
+                doing = str(hit)
+                running = _execute_event(case, state, hit, t, traj)
                 continue
 
             # no switch to QSS where a timed switch event is due at once:

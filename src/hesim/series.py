@@ -1,4 +1,4 @@
-"""Batched Pade conversion, effective ranges and a bracketed root finder.
+"""Batched Pade conversion, effective ranges and a batched root finder.
 
 Every analytic segment produced by the embedding engine is a coefficient
 table with one row per variable: its truncated power series
@@ -135,37 +135,46 @@ def batch_pade(C, n_num: int, n_den):
     return nums, dens
 
 
-def bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
-    """A point within xtol of a sign change of f in [lo, hi].
+def bracketed_roots(f, lo, hi, xtol: float) -> np.ndarray:
+    """A point within xtol of a sign change of f in each bracket [lo, hi].
 
-    The ITP method (Oliveira & Takahashi, ACM TOMS 2020): regula falsi,
+    The ITP method (Oliveira & Takahashi, ACM TOMS 2020), one loop for all
+    brackets, each leaving it where it alone would stop: regula falsi,
     truncated and projected so that it never needs more evaluations than
-    bisection plus one, and superlinear on smooth f. Raises ValueError when
-    f has one sign at both ends or is not finite where evaluated.
+    bisection plus one, and superlinear on smooth f.  ``f(i, x)`` gives the
+    function of each bracket index in i at its point in x.  Raises
+    ValueError when f has one sign at both ends of a bracket or is not
+    finite where evaluated.
     """
-    y_lo, y_hi = f(lo), f(hi)
-    if not (np.isfinite(y_lo) and np.isfinite(y_hi)) or y_lo * y_hi > 0:
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    every = np.arange(len(lo))
+    y_lo, y_hi = (np.array(f(every, x), dtype=float) for x in (lo, hi))
+    ends = np.sign(y_lo) * np.sign(y_hi)  # y_lo * y_hi can underflow to 0
+    if not (np.isfinite([y_lo, y_hi]).all() and (ends <= 0).all()):
         raise ValueError("f must be finite with different signs at lo and hi")
-    sign = 1.0 if y_hi > 0 or y_lo < 0 else -1.0  # sign * f rises from lo to hi
-    n_max = int(np.ceil(np.log2(max((hi - lo) / (2.0 * xtol), 1.0)))) + 1
-    k1 = 0.2 / (hi - lo)
-    for j in range(n_max + 1):
+    sign = np.where((y_hi > 0) | (y_lo < 0), 1.0, -1.0)  # sign*f rises
+    width0 = hi - lo
+    n_max = np.ceil(np.log2(np.maximum(width0 / (2.0 * xtol), 1.0))
+                    ).astype(int) + 1
+    for j in range(int(n_max.max(initial=0)) + 1):
         width, mid = hi - lo, 0.5 * (lo + hi)
-        if y_lo * y_hi == 0 or width <= 2.0 * xtol or not lo < mid < hi:
+        i = np.flatnonzero((j <= n_max) & (y_lo != 0) & (y_hi != 0)
+                           & (width > 2.0 * xtol) & (lo < mid) & (mid < hi))
+        if not len(i):
             break
-        x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
-        toward, delta = np.sign(mid - x_f), k1 * width * width
-        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
-        r = xtol * 2.0 ** (n_max - j) - 0.5 * width
-        x = x_t if abs(x_t - mid) <= r else mid - toward * r
-        y = f(x)
-        if not np.isfinite(y):
-            raise ValueError(f"f is not finite at {x!r}")
-        if sign * y > 0:
-            hi, y_hi = x, y
-        else:
-            lo, y_lo = x, y
-    return float(lo if y_lo == 0 else hi if y_hi == 0 else 0.5 * (lo + hi))
+        a, b, ya, yb, w, m = lo[i], hi[i], y_lo[i], y_hi[i], width[i], mid[i]
+        x_f = (yb * a - ya * b) / (yb - ya)
+        toward, delta = np.sign(m - x_f), 0.2 / width0[i] * w * w
+        x_t = np.where(delta <= np.abs(m - x_f), x_f + toward * delta, m)
+        r = xtol * 2.0 ** (n_max[i] - j) - 0.5 * w
+        x = np.where(np.abs(x_t - m) <= r, x_t, m - toward * r)
+        y = np.asarray(f(i, x), dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError(f"f is not finite at {x[~np.isfinite(y)]!r}")
+        up = sign[i] * y > 0
+        hi[i[up]], y_hi[i[up]] = x[up], y[up]
+        lo[i[~up]], y_lo[i[~up]] = x[~up], y[~up]
+    return np.where(y_lo == 0, lo, np.where(y_hi == 0, hi, 0.5 * (lo + hi)))
 
 
 def diagonal_orders(order: int) -> tuple[int, int]:

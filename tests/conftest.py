@@ -1,5 +1,8 @@
 """Shared fixtures; the expensive reference runs are session-scoped."""
 
+import math
+
+import numpy as np
 import pytest
 
 from hesim.caseio import builtin_case
@@ -11,6 +14,7 @@ from hesim.grid import (
     GridCase,
     LoadSpec,
 )
+from hesim.reference import TwoBusCase, two_bus_current_sq
 from hesim.scheduler import RunConfig, run_simulation
 
 
@@ -36,6 +40,16 @@ def make_twobus_case():
         gens=[GenSpec("S1", 1, kind=SOURCE, v_set=1.01)],
         loads=[LoadSpec("LD2", 2, 0.1, 0.3, 0.0, 0.0, 1.0, scale=0.0)],
     )
+
+
+def twobus_ramp_thresholds(n=50, seed=1):
+    """Line currents of the twobus ramp at n seeded, stratified times, as
+    the benchmark's twobus-events generator sets its record triggers."""
+    tb = TwoBusCase()
+    rng = np.random.default_rng(seed)
+    width = (15.18 - 0.61) / n
+    return [math.sqrt(two_bus_current_sq(
+        tb, 0.61 + (k + rng.uniform(0.1, 0.9)) * width)) for k in range(n)]
 
 
 def monitored_names(built):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import hesim.model as mdl
+from hesim import scheduler
 from conftest import make_smib, monitored_names
 from hesim.bounds import poly_bounds, steady_state_check, verdict_from_deltas
 from hesim.caseio import builtin_case
@@ -53,14 +54,15 @@ def _report(n, text):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_1_twobus_event_times():
+def test_criterion_1_twobus_event_times(monkeypatch):
+    monkeypatch.setattr(scheduler, "MAX_STEP_QSS", 4.0)
     t0 = time.perf_counter()
     tb = TwoBusCase()
     case, _ = builtin_case("twobus")
     script = [SimEvent(kind="ramp_load", t_due=0.0,
                        payload={"load": "LD2", "rate": 1.0})]
     traj = run_simulation(case, script,
-                          RunConfig(mode="qss", t_end=15.4, max_step_qss=4.0))
+                          RunConfig(mode="qss", t_end=15.4))
     assert traj.failure is None
 
     # 20 thresholds spanning the loading range, jittered off any grid phase
@@ -72,9 +74,9 @@ def test_criterion_1_twobus_event_times():
     def he_crossing(i_th):
         cond = Condition.parse(f"I(1,2) > {float(i_th)!r}")
         for rec in traj.segments:
-            hit = locate_conditional_event(rec, [cond], rec.step, tol=1e-12)
-            if hit is not None and hit[1] > 0.0:
-                return rec.t0 + hit[1]
+            hits = locate_conditional_event(rec, [cond], rec.step, tol=1e-12)
+            if hits and hits[0][1] > 0.0:
+                return rec.t0 + hits[0][1]
         return None
 
     # fixed-step baselines: per-step algebraic solves on the same model,

@@ -187,8 +187,7 @@ def test_invalid_run_settings_exit_2_before_the_run(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("field", ["tol_res", "dt_out", "t_end",
-                                   "event_tol", "eps_t", "max_step_qss"])
+@pytest.mark.parametrize("field", ["tol_res", "dt_out", "t_end", "eps_t"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_run_config_rejects_non_positive_or_non_finite(field, bad):
     from hesim.scheduler import RunConfig

@@ -484,8 +484,8 @@ def test_nan_probe_fails_its_range(monkeypatch):
     def solve_with_nan(where):
         calls = []
 
-        def patched(seg, t, table=None):
-            res = probe(seg, t, table)
+        def patched(seg, t):
+            res = probe(seg, t)
             res[where(len(calls))] = np.nan
             calls.append(t)
             return res
@@ -523,10 +523,10 @@ def test_range_below_failing_probes_of_every_call(monkeypatch):
     probe = SegmentSolution.residual_max_at
     failed = []
 
-    def patched(seg, t, table=None):
+    def patched(seg, t):
         bad = ((t >= 0.2) & (t <= 0.25)) | ((t >= 0.073) & (t <= 0.076))
         failed.extend(t[bad])
-        return np.where(bad, 1.0, probe(seg, t, table))
+        return np.where(bad, 1.0, probe(seg, t))
 
     monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
     t_e = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
@@ -550,9 +550,9 @@ def test_solve_segment_retries_ten_orders_higher_only_on_no_valid_range(
     probe = SegmentSolution.residual_max_at
     orders = []
 
-    def patched(seg, t, table=None):
+    def patched(seg, t):
         orders.append(seg.C.shape[1] - 1)
-        return probe(seg, t, table) + (1.0 if orders[-1] == 10 else 0.0)
+        return probe(seg, t) + (1.0 if orders[-1] == 10 else 0.0)
 
     monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
     seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10, 1e-8, 2.0)
@@ -671,8 +671,8 @@ def test_residual_probes_match_per_table_horner(monkeypatch, name, t_end):
     calls = []
     probe = SegmentSolution.residual_max_at
 
-    def checked(seg, t, table=None):
-        got = probe(seg, t, table)
+    def checked(seg, t):
+        got = probe(seg, t)
         _check_against_reference(seg, t, got)
         calls.append((seg, np.atleast_1d(t)))  # holds seg: ids stay unique
         return got

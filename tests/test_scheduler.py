@@ -8,7 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_smib, make_twobus_case, monitored_names
+from conftest import (
+    make_smib,
+    make_twobus_case,
+    monitored_names,
+    twobus_ramp_thresholds,
+)
 from hesim import scheduler
 from hesim.bounds import SteadyStateVerdict, steady_state_check
 from hesim.caseio import builtin_case
@@ -32,7 +37,7 @@ from hesim.scheduler import (
     run_simulation,
     steadiness_verdict,
 )
-from hesim.series import batch_pade, bracketed_root
+from hesim.series import batch_pade, bracketed_roots
 
 
 def _twobus_script(extra=()):
@@ -83,7 +88,7 @@ def test_no_crossing_returns_none():
                           RunConfig(mode="qss", t_end=2.0))
     rec = traj.segments[0]
     cond = Condition.parse("I(1,2) > 99.0")
-    assert locate_conditional_event(rec, [cond], rec.step) is None
+    assert locate_conditional_event(rec, [cond], rec.step) == []
 
 
 def test_affine_condition_half_second():
@@ -93,15 +98,16 @@ def test_affine_condition_half_second():
     rec = traj.segments[0]
     assert rec.step >= 1.0
     cond = Condition.parse("t > 0.5")
-    index, hit = locate_conditional_event(rec, [cond], rec.step, tol=1e-9)
+    [(index, hit)] = locate_conditional_event(rec, [cond], rec.step, tol=1e-9)
     assert index == 0
     assert hit == pytest.approx(0.5 - rec.t0, abs=1e-6)
 
 
 def _per_trigger_locate(rec, conds, window, tol):
     """The loop the batched kernel replaces: each trigger scanned on its own
-    grid and refined, the earliest root kept (first in list order on ties)."""
-    best = None
+    grid and its first bracket refined by a kernel call of its own; every
+    first root, in time order (list order on ties)."""
+    hits = []
     for i, c in enumerate(conds):
         taus = np.linspace(0.0, window, 65)
         hs = np.asarray(c.h(rec.channel(c.channel, c.args, taus)), float)
@@ -109,13 +115,13 @@ def _per_trigger_locate(rec, conds, window, tol):
         for k in range(64 if hit is None else 0):
             a, b = hs[k], hs[k + 1]
             if b != a and (a < 0.0 <= b or a > 0.0 >= b):
-                hit = bracketed_root(
-                    lambda x: float(c.h(rec.channel(c.channel, c.args, x))),
-                    taus[k], taus[k + 1], xtol=tol)
+                hit = float(bracketed_roots(
+                    lambda j, x: c.h(rec.channel(c.channel, c.args, x)),
+                    [taus[k]], [taus[k + 1]], xtol=tol)[0])
                 break
-        if hit is not None and (best is None or hit < best[1]):
-            best = (i, hit)
-    return best
+        if hit is not None:
+            hits.append((i, hit))
+    return sorted(hits, key=lambda h: h[1])
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +162,9 @@ def test_batched_locate_matches_per_trigger_loop(ramp_segment, case):
     }[case]
     conds = [Condition.parse(c) for c in conds]
     got = locate_conditional_event(rec, conds, rec.step, 1e-9)
-    assert (got and got[0]) == expected
+    assert (got[0][0] if got else None) == expected
     if case == "at_zero":
-        assert got[1] == 0.0
+        assert got[0][1] == 0.0
     for order in itertools.permutations(range(len(conds))):
         perm = [conds[i] for i in order]
         assert (locate_conditional_event(rec, perm, rec.step, 1e-9)
@@ -171,22 +177,23 @@ def test_batched_locate_refines_only_the_earliest_brackets(ramp_segment,
     taus = np.linspace(0.0, rec.step, 65)
     calls = []
 
-    def counting_root(f, lo, hi, xtol):
-        calls.append((lo, hi))
-        return bracketed_root(f, lo, hi, xtol)
+    def counting_roots(f, lo, hi, xtol):
+        calls.append((list(lo), list(hi)))
+        return bracketed_roots(f, lo, hi, xtol)
 
-    monkeypatch.setattr(scheduler, "bracketed_root", counting_root)
+    monkeypatch.setattr(scheduler, "bracketed_roots", counting_roots)
     conds = [Condition.parse(c) for c in (
         f"I(1,2) > {at('I', ('1', '2'), 44.5)!r}",
         f"I(1,2) > {at('I', ('1', '2'), 9.7)!r}",
         f"I(1,2) > {at('I', ('1', '2'), 60.5)!r}",
         f"t > {at('t', (), 9.2)!r}",
         f"V(2) < {at('V', ('2',), 30.5)!r}")]
-    hit = locate_conditional_event(rec, conds, rec.step, 1e-9)
-    # only the two triggers bracketed in subinterval 9 are refined
-    assert calls == [(taus[9], taus[10])] * 2
-    assert hit == _per_trigger_locate(rec, conds, rec.step, 1e-9)
-    assert hit[0] == 3
+    hits = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    # one kernel call refines every trigger's first bracket, in list order
+    first = [44, 9, 60, 9, 30]
+    assert calls == [([taus[k] for k in first], [taus[k + 1] for k in first])]
+    assert hits == _per_trigger_locate(rec, conds, rec.step, 1e-9)
+    assert [i for i, _ in hits] == [3, 1, 4, 0, 2]
 
 
 def test_fired_event_logs_scan_counts(caplog):
@@ -194,7 +201,7 @@ def test_fired_event_logs_scan_counts(caplog):
     script = _twobus_script([SimEvent(kind="record", label=c,
                                       condition=Condition.parse(c))
                              for c in conds])
-    with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
+    with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
         traj = run_simulation(make_twobus_case(), script,
                               RunConfig(mode="qss", t_end=2.0))
     assert [e.t for e in traj.events if e.kind == "conditional"] \
@@ -203,16 +210,22 @@ def test_fired_event_logs_scan_counts(caplog):
              if r.name == "hesim.scheduler" and r.levelno == logging.INFO]
     assert len(lines) == 2
     assert lines[0].startswith("conditional event at t=0.5")
-    assert "t > 0.5 (3 triggers scanned, 1 refined)" in lines[0]
-    assert "t > 1.25 (2 triggers scanned, 1 refined)" in lines[1]
+    assert lines[0].endswith(": t > 0.5")
+    assert lines[1].startswith("conditional event at t=1.25")
+    assert lines[1].endswith(": t > 1.25")
+    debug = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG]
+    assert len(debug) == len(traj.segments) == 1
+    assert ", 2 record triggers fired," in debug[0]
 
 
-def test_threshold_crossing_matches_closed_form():
+def test_threshold_crossing_matches_closed_form(monkeypatch):
+    monkeypatch.setattr(scheduler, "EVENT_TOL", 1e-10)
     case = make_twobus_case()
     cond = SimEvent(kind="record", condition=Condition.parse("I(1,2) > 4.0"),
                     label="th")
     traj = run_simulation(case, _twobus_script([cond]),
-                          RunConfig(mode="qss", t_end=14.0, event_tol=1e-10))
+                          RunConfig(mode="qss", t_end=14.0))
     hit = [e for e in traj.events if e.kind == "conditional"][0]
     t_ref = two_bus_event_time(TwoBusCase(), 4.0)
     assert abs(hit.t - t_ref) < 1e-4
@@ -224,13 +237,8 @@ def _record_triggers(conds):
 
 
 def test_record_triggers_do_not_end_segments(caplog):
-    # 50 line-current thresholds at seeded, stratified times of the ramp, as
-    # the benchmark's generator builds them
     tb = TwoBusCase()
-    rng = np.random.default_rng(1)
-    width = (15.18 - 0.61) / 50
-    thresholds = [math.sqrt(two_bus_current_sq(
-        tb, 0.61 + (k + rng.uniform(0.1, 0.9)) * width)) for k in range(50)]
+    thresholds = twobus_ramp_thresholds()
     config = RunConfig(mode="qss", t_end=15.4)
     plain = run_simulation(make_twobus_case(), _twobus_script(), config)
     with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
@@ -254,9 +262,10 @@ def test_record_triggers_do_not_end_segments(caplog):
     assert not any("limited by trigger" in line for line in lines)
 
 
-def test_record_trigger_before_a_ramp_stop_in_one_segment():
+def test_record_trigger_before_a_ramp_stop_in_one_segment(monkeypatch):
     # the record fires inside the segment, which still ends at the
     # ramp_stop_load root; V(2) then stays at the stopped load level
+    monkeypatch.setattr(scheduler, "EVENT_TOL", 1e-10)
     tb = TwoBusCase()
     i_rec, i_stop = (math.sqrt(two_bus_current_sq(tb, t))
                      for t in (1.0, 3.0))
@@ -264,7 +273,7 @@ def test_record_trigger_before_a_ramp_stop_in_one_segment():
         SimEvent(kind="ramp_stop_load", payload={"load": "LD2"},
                  condition=Condition.parse(f"I(1,2) > {i_stop!r}"))])
     traj = run_simulation(make_twobus_case(), script,
-                          RunConfig(mode="qss", t_end=6.0, event_tol=1e-10))
+                          RunConfig(mode="qss", t_end=6.0))
     assert traj.failure is None
     t_rec, t_stop = (e.t for e in traj.events if e.kind == "conditional")
     assert t_rec == pytest.approx(two_bus_event_time(tb, i_rec), abs=1e-6)
@@ -289,16 +298,43 @@ def test_tied_and_initially_true_record_triggers(ramp_segment):
     assert fired[0] == 0.0
     assert fired[1:] == pytest.approx([0.75] * 2, abs=1e-6)
     assert abs(fired[1] - fired[2]) <= 1e-6
-    # on one segment, from a start offset: a trigger true there fires there
+    # on one segment: the trigger true at 0 first, then ties in list order
     rec, at = ramp_segment
-    conds = [Condition.parse(f"I(1,2) > {at('I', ('1', '2'), 20.5)!r}"),
-             Condition.parse(f"t > {at('t', (), 40.5)!r}")]
-    start = rec.step * 30 / 64
-    assert locate_conditional_event(rec, conds, rec.step, 1e-9, start) \
-        == (0, start)
-    index, tau = locate_conditional_event(rec, conds[1:], rec.step, 1e-9,
-                                          start)
-    assert index == 0 and tau == pytest.approx(rec.step * 40.5 / 64, abs=1e-8)
+    x = at('I', ('1', '2'), 20.5)
+    conds = [Condition.parse(c) for c in (
+        f"I(1,2) > {x!r}", f"t > {at('t', (), 40.5)!r}", f"I(1,2) > {x!r}",
+        "t > -1.0")]
+    hits = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    assert [i for i, _ in hits] == [3, 0, 2, 1]
+    assert hits[0][1] == 0.0 and hits[1][1] == hits[2][1]
+    assert hits[1][1] == pytest.approx(rec.step * 20.5 / 64, abs=1e-8)
+    assert hits[3][1] == pytest.approx(rec.step * 40.5 / 64, abs=1e-8)
+
+
+def test_record_rooted_after_a_system_change_waits_for_it(monkeypatch,
+                                                          caplog):
+    # at t = 1 a second ramp doubles the load's rate, so the load level is
+    # 2t - 1 from there; the record's threshold (level 2) roots at t = 2 on
+    # the first segment but is reached at t = 1.5, after the new ramp
+    monkeypatch.setattr(scheduler, "EVENT_TOL", 1e-10)
+    tb = TwoBusCase()
+    x = math.sqrt(two_bus_current_sq(tb, 2.0))
+    script = _twobus_script(_record_triggers([f"I(1,2) > {x!r}"]) + [
+        SimEvent(kind="ramp_load", payload={"load": "LD2", "rate": 1.0},
+                 condition=Condition.parse("t > 1.0"))])
+    with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
+        traj = run_simulation(make_twobus_case(), script,
+                              RunConfig(mode="qss", t_end=4.0))
+    assert traj.failure is None
+    assert traj.segments[0].t1 == pytest.approx(1.0, abs=1e-9)
+    assert [e.kind for e in traj.events] == [
+        "ramp_load", "conditional", "ramp_load", "conditional", "record"]
+    t_ramp, t_rec = (e.t for e in traj.events if e.kind == "conditional")
+    assert t_ramp == pytest.approx(1.0, abs=1e-6)
+    assert t_rec == pytest.approx(1.5, abs=1e-6)
+    # a root found but not fired is not logged
+    assert len([r for r in caplog.records
+                if r.levelno == logging.INFO]) == 2
 
 
 def test_events_split_segments_and_order():

@@ -13,11 +13,12 @@ from hesim.engine import SystemBuilder, _horner
 from hesim.errors import NoValidRange
 from hesim.series import (
     batch_pade,
-    bracketed_root,
+    bracketed_roots,
     shrink_refine_range,
 )
 
 RNG = np.random.default_rng(2024)
+EPS = np.finfo(float).eps
 POLYVAL = np.polynomial.polynomial.polyval
 
 
@@ -443,17 +444,62 @@ def test_batch_pade_per_row_orders_match_per_row_calls(table, data):
         assert np.all(dens[i, m + 1:] == 0.0)
 
 
-# --- bracketed root -----------------------------------------------------------------
+# --- bracketed roots ----------------------------------------------------------------
+
+def _one_by_one(f):
+    """A per-point f as bracketed_roots calls it: bracket indices, points."""
+    return lambda i, x: [f(v) for v in x]
+
 
 def test_bracketed_root_meets_xtol():
     root = 2.0 ** (1.0 / 3.0)
     for xtol in (1e-6, 1e-12, 1e-14):
-        x = bracketed_root(lambda s: s ** 3 - 2.0, 0.0, 3.0, xtol)
-        assert abs(x - root) <= xtol
+        x = bracketed_roots(_one_by_one(lambda s: s ** 3 - 2.0), [0.0], [3.0],
+                            xtol)
+        assert abs(x[0] - root) <= xtol
 
 
 def test_bracketed_root_rejects_bad_brackets():
     with pytest.raises(ValueError):
-        bracketed_root(lambda s: s * s + 1.0, -1.0, 1.0, 1e-9)
+        bracketed_roots(_one_by_one(lambda s: s * s + 1.0), [-1.0], [1.0],
+                        1e-9)
     with pytest.raises(ValueError):
-        bracketed_root(lambda s: math.nan if s > 0.2 else -1.0, 0.0, 1.0, 1e-9)
+        bracketed_roots(_one_by_one(lambda s: math.nan if s > 0.2 else -1.0),
+                        [0.0], [1.0], 1e-9)
+
+
+_bracket = st.tuples(
+    st.floats(-10.0, 10.0),                       # root
+    st.floats(1e-3, 5.0), st.floats(1e-3, 5.0),   # distance to lo and hi
+    st.sampled_from([1.0, -1.0]),                 # rising or falling
+    st.integers(1, 3))                            # odd power about the root
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_bracket, min_size=1, max_size=8),
+       st.sampled_from([1e-6, 1e-9, 1e-12]), st.data())
+@example([(0.0, 1.0, 1.0, 1.0, 1)], 1e-9, None)  # root at the first midpoint
+# f(lo) * f(hi) underflows to 0 once f(lo) = -5e-324: no end is a root
+@example([(5e-324, 1.0, 1.0, 1.0, 1)], 1e-6, None)
+def test_bracketed_roots_match_each_bracket_solved_alone(stack, xtol, data):
+    # monotone f_i(x) = s (x - r)^p: one batched solve gives every row the
+    # bits of that bracket's own solve, within xtol of its root
+    fs = [lambda x, r=r, s=s, p=p: s * (x - r) ** (2 * p - 1)
+          for r, _, _, s, p in stack]
+    lo = [r - a for r, a, *_ in stack]
+    hi = [r + b for r, _, b, *_ in stack]
+
+    def f(i, x):
+        return [fs[k](v) for k, v in zip(i, x)]
+
+    roots = bracketed_roots(f, lo, hi, xtol)
+    for k, (r, *_) in enumerate(stack):
+        alone = bracketed_roots(_one_by_one(fs[k]), [lo[k]], [hi[k]], xtol)
+        assert roots[k].tobytes() == alone[0].tobytes()
+        assert abs(roots[k] - r) <= xtol * (1.0 + 1e-12) + 4 * abs(r) * EPS
+    if data is not None:
+        # one bracket with one sign at both ends spoils the stack
+        bad = data.draw(st.integers(0, len(stack) - 1))
+        fs[bad] = lambda x: 1.0 + x * x
+        with pytest.raises(ValueError):
+            bracketed_roots(f, lo, hi, xtol)

@@ -77,6 +77,35 @@ def test_scheduler_calls_the_locator_through_its_module_global(monkeypatch):
     assert calls
 
 
+def test_one_locator_call_per_segment_with_pending_triggers(monkeypatch):
+    # 50 record triggers on the twobus ramp, as the benchmark's twobus-events
+    # workload sets them: one pass locates a segment's triggers, with no
+    # second call from a fired record's root
+    from conftest import make_twobus_case, twobus_ramp_thresholds
+    from hesim import scheduler
+
+    conds = [f"I(1,2) > {x!r}" for x in twobus_ramp_thresholds()]
+    script = [scheduler.SimEvent(kind="ramp_load", t_due=0.0,
+                                 payload={"load": "LD2", "rate": 1.0})] + [
+        scheduler.SimEvent(kind="record", label=c,
+                           condition=scheduler.Condition.parse(c))
+        for c in conds]
+    calls = []
+    locate = scheduler.locate_conditional_event
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "locate_conditional_event", counting)
+    traj = scheduler.run_simulation(make_twobus_case(), script,
+                                    scheduler.RunConfig(mode="qss",
+                                                        t_end=15.4))
+    assert traj.failure is None
+    assert len([e for e in traj.events if e.kind == "conditional"]) == 50
+    assert len(calls) == len(traj.segments)
+
+
 def test_one_segment_solve_per_segment(monkeypatch):
     # the tracer counts engine.solve_segment through this scheduler global:
     # one call per segment, its retry ten orders higher included
