@@ -9,10 +9,9 @@ output channels with the executed-event log appended as comment rows.
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
 from importlib import resources
-from typing import Optional
-
-import numpy as np
+from typing import get_type_hints
 
 from .errors import ParseError, ValidationError
 from .grid import (
@@ -26,14 +25,6 @@ from .grid import (
 )
 from .scheduler import CHANNEL_ARGS, Condition, SimEvent, Trajectory
 
-_GEN_KEYS = {
-    "p": "p_set", "v": "v_set", "h": "h", "d": "d", "ra": "ra",
-    "xd": "xd", "xq": "xq", "xdt": "xd_t", "xqt": "xq_t",
-    "td0": "td0_t", "tq0": "tq0_t", "ka": "avr_ka", "ta": "avr_ta",
-    "rdroop": "gov_r", "t1": "gov_t1", "t2": "gov_t2", "tg": "agc_tg",
-    "qmin": "q_min", "qmax": "q_max",
-}
-
 
 def _split_kv(tokens, line_no):
     pos, kv = [], {}
@@ -46,6 +37,15 @@ def _split_kv(tokens, line_no):
         else:
             pos.append(tok)
     return pos, kv
+
+
+def _takes(tag, pos, kv, n_pos, keys, line_no):
+    """Reject a positional token past the first n_pos, or a key not in keys."""
+    if len(pos) > n_pos:
+        raise ParseError(line_no, f"{tag} takes no {pos[n_pos]!r}")
+    for k in kv:
+        if k not in keys:
+            raise ParseError(line_no, f"{tag} takes no {k}=")
 
 
 def _int(s, line_no, what):
@@ -63,6 +63,69 @@ def _num(s, line_no, what):
     if not math.isfinite(v):
         raise ParseError(line_no, f"{what}: {s!r} is not finite")
     return v
+
+
+def _motor(s, line_no, what):
+    vals = [_num(x, line_no, what) for x in s.split(",")]
+    if len(vals) != 7:
+        raise ParseError(line_no, "motor= needs h,r1,x1,xm,r2,x2,torque")
+    return MotorSpec(*vals)
+
+
+# a field is read by its type (int, str, else a number), except these two
+_BY_NAME = {"angle_init": lambda s, n, what: math.radians(_num(s, n, what)),
+            "motor": _motor}
+_BY_TYPE = {int: _int, str: lambda s, n, what: s}
+
+
+class _Section:
+    """One element section: the spec class it builds, the GridCase list it
+    fills, the fields its positional tokens set and the field each key=
+    sets.  Defaults come from the spec class."""
+
+    def __init__(self, spec, fills, pos, keys):
+        self.spec, self.fills, self.pos, self.keys = spec, fills, pos, keys
+        hints = get_type_hints(spec)
+        self.read = {f: _BY_NAME.get(f) or _BY_TYPE.get(hints[f], _num)
+                     for f in (*pos, *keys.values())}
+        self.labels = [f.replace("_", " ") for f in pos]
+        required = {f.name for f in fields(spec) if f.default is MISSING}
+        self.needs = [k for k, f in keys.items() if f in required]
+
+
+_SECTIONS = {
+    "BUS": _Section(BusSpec, "buses", ("bus",),
+                    {"kv": "base_kv", "v": "v_init", "angle": "angle_init"}),
+    "BRANCH": _Section(BranchSpec, "branches",
+                       ("branch_id", "from_bus", "to_bus"),
+                       {"r": "r", "x": "x", "b": "b_sh", "status": "status"}),
+    "GEN": _Section(GenSpec, "gens", ("gen_id", "bus"), {
+        "kind": "kind", "p": "p_set", "v": "v_set", "h": "h", "d": "d",
+        "ra": "ra", "xd": "xd", "xq": "xq", "xdt": "xd_t", "xqt": "xq_t",
+        "td0": "td0_t", "tq0": "tq0_t", "ka": "avr_ka", "ta": "avr_ta",
+        "rdroop": "gov_r", "t1": "gov_t1", "t2": "gov_t2", "tg": "agc_tg",
+        "qmin": "q_min", "qmax": "q_max", "status": "status"}),
+    "LOAD": _Section(LoadSpec, "loads", ("load_id", "bus"), {
+        "p": "p", "q": "q", "fz": "f_z", "fi": "f_i", "fp": "f_p",
+        "scale": "scale", "motor": "motor", "status": "status"}),
+}
+
+
+def _element(tag, pos, kv, line_no):
+    """The spec of one BUS, BRANCH, GEN or LOAD line."""
+    sec = _SECTIONS[tag]
+    _takes(tag, pos, kv, len(sec.pos), sec.keys, line_no)
+    if len(pos) < len(sec.pos):
+        raise ParseError(line_no, f"{tag} needs " + ", ".join(sec.labels))
+    if any(k not in kv for k in sec.needs):
+        raise ParseError(line_no, f"{tag} needs "
+                         + " and ".join(f"{k}=" for k in sec.needs))
+    read, out = sec.read, {}
+    for f, what, s in zip(sec.pos, sec.labels, pos):
+        out[f] = read[f](s, line_no, what)
+    for k, s in kv.items():
+        out[sec.keys[k]] = read[sec.keys[k]](s, line_no, k)
+    return sec.spec(**out)
 
 
 # event keys that name an element of the case; every other key is a number
@@ -91,9 +154,8 @@ def _check_event(case: GridCase, ev: SimEvent, line_no: int) -> None:
 
 def parse_case(text: str):
     """Parse a case file into (GridCase, event script)."""
-    name = "unnamed"
-    fnom = 60.0
-    buses, branches, gens, loads = [], [], [], []
+    name, fnom = "unnamed", 60.0
+    elements = {sec.fills: [] for sec in _SECTIONS.values()}
     events: list[SimEvent] = []
     checked = []                 # (line, event) of EVENT lines
     seen_any = False
@@ -122,77 +184,20 @@ def parse_case(text: str):
             parts.append(buf)
         tag, *rest = parts
 
-        if tag == "CASE":
+        if tag in _SECTIONS:
+            elements[_SECTIONS[tag].fills].append(
+                _element(tag, *_split_kv(rest, line_no), line_no))
+        elif tag == "CASE":
             pos, kv = _split_kv(rest, line_no)
+            _takes(tag, pos, kv, 1, ("fnom",), line_no)
             if pos:
                 name = pos[0]
             if "fnom" in kv:
                 fnom = _num(kv["fnom"], line_no, "fnom")
-        elif tag == "BUS":
-            pos, kv = _split_kv(rest, line_no)
-            if len(pos) != 1:
-                raise ParseError(line_no, "BUS needs exactly one id")
-            buses.append(BusSpec(
-                bus=_int(pos[0], line_no, "bus id"),
-                base_kv=_num(kv.get("kv", "1"), line_no, "kv"),
-                v_init=_num(kv.get("v", "1"), line_no, "v"),
-                angle_init=math.radians(
-                    _num(kv.get("angle", "0"), line_no, "angle")),
-            ))
-        elif tag == "BRANCH":
-            pos, kv = _split_kv(rest, line_no)
-            if len(pos) != 3:
-                raise ParseError(line_no, "BRANCH needs id, from, to")
-            if "r" not in kv or "x" not in kv:
-                raise ParseError(line_no, "BRANCH needs r= and x=")
-            branches.append(BranchSpec(
-                branch_id=pos[0], from_bus=_int(pos[1], line_no, "from bus"),
-                to_bus=_int(pos[2], line_no, "to bus"),
-                r=_num(kv["r"], line_no, "r"),
-                x=_num(kv["x"], line_no, "x"),
-                b_sh=_num(kv.get("b", "0"), line_no, "b"),
-                status=_int(kv.get("status", "1"), line_no, "status"),
-            ))
-        elif tag == "GEN":
-            pos, kv = _split_kv(rest, line_no)
-            if len(pos) != 2:
-                raise ParseError(line_no, "GEN needs id and bus")
-            fields = {"gen_id": pos[0], "bus": _int(pos[1], line_no, "bus"),
-                      "kind": kv.pop("kind", DYN4),
-                      "status": _int(kv.pop("status", "1"), line_no, "status")}
-            for k, v in kv.items():
-                if k not in _GEN_KEYS:
-                    raise ParseError(line_no, f"unknown GEN option {k!r}")
-                fields[_GEN_KEYS[k]] = _num(v, line_no, k)
-            gens.append(GenSpec(**fields))
-        elif tag == "LOAD":
-            pos, kv = _split_kv(rest, line_no)
-            if len(pos) != 2:
-                raise ParseError(line_no, "LOAD needs id and bus")
-            motor = None
-            if "motor" in kv:
-                vals = [_num(x, line_no, "motor") for x in
-                        kv.pop("motor").split(",")]
-                if len(vals) != 7:
-                    raise ParseError(
-                        line_no, "motor= needs h,r1,x1,xm,r2,x2,torque")
-                motor = MotorSpec(*vals)
-            loads.append(LoadSpec(
-                load_id=pos[0], bus=_int(pos[1], line_no, "bus"),
-                p=_num(kv.get("p", "0"), line_no, "p"),
-                q=_num(kv.get("q", "0"), line_no, "q"),
-                f_z=_num(kv.get("fz", "0"), line_no, "fz"),
-                f_i=_num(kv.get("fi", "0"), line_no, "fi"),
-                f_p=_num(kv.get("fp", "1"), line_no, "fp"),
-                motor=motor,
-                status=_int(kv.get("status", "1"), line_no, "status"),
-                scale=_num(kv.get("scale", "1"), line_no, "scale"),
-            ))
         elif tag == "EVENT":
             if len(rest) < 2:
                 raise ParseError(line_no, "EVENT needs a time and a kind")
-            t_due = None
-            condition = None
+            t_due = condition = None
             if rest[0] == "cond":
                 if len(rest) < 3:
                     raise ParseError(line_no, "conditional EVENT needs "
@@ -201,13 +206,12 @@ def parse_case(text: str):
                     condition = Condition.parse(rest[1])
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
-                kind = rest[2]
-                opts = rest[3:]
+                kind, opts = rest[2], rest[3:]
             else:
                 t_due = _num(rest[0], line_no, "event time")
-                kind = rest[1]
-                opts = rest[2:]
-            _, kv = _split_kv(opts, line_no)
+                kind, opts = rest[1], rest[2:]
+            pos, kv = _split_kv(opts, line_no)
+            _takes(kind, pos, {}, 0, (), line_no)
             label = kv.pop("name", kind)
             payload = {k: v if k in _NAMED else _num(v, line_no, k)
                        for k, v in kv.items()}
@@ -219,9 +223,10 @@ def parse_case(text: str):
                 raise ParseError(line_no, str(exc)) from None
             checked.append((line_no, events[-1]))
         elif tag == "STOP":
-            pos, _ = _split_kv(rest, line_no)
-            if len(pos) != 1:
+            pos, kv = _split_kv(rest, line_no)
+            if not pos:
                 raise ParseError(line_no, "STOP needs a time")
+            _takes(tag, pos, kv, 1, (), line_no)
             events.append(SimEvent(kind="stop",
                                    t_due=_num(pos[0], line_no, "stop time"),
                                    label="stop"))
@@ -230,50 +235,10 @@ def parse_case(text: str):
 
     if not seen_any:
         raise ParseError(0, "empty case file")
-    case = GridCase(name=name, f_nominal=fnom, buses=buses,
-                    branches=branches, gens=gens, loads=loads)
+    case = GridCase(name=name, f_nominal=fnom, **elements)
     for line_no, ev in checked:
         _check_event(case, ev, line_no)
     return case, events
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_case(case: GridCase, events: Optional[list] = None) -> str:
-    """Canonical emission; parse(write_case(parse(x))) == parse(x)."""
-    out = [f"CASE {case.name} fnom={_fmt(case.f_nominal)}"]
-    for b in case.buses:
-        out.append(f"BUS {b.bus} kv={_fmt(b.base_kv)} v={_fmt(b.v_init)} "
-                   f"angle={_fmt(math.degrees(b.angle_init))}")
-    for br in case.branches:
-        out.append(f"BRANCH {br.branch_id} {br.from_bus} {br.to_bus} "
-                   f"r={_fmt(br.r)} x={_fmt(br.x)} b={_fmt(br.b_sh)} "
-                   f"status={br.status}")
-    rev = {v: k for k, v in _GEN_KEYS.items()}
-    for g in case.gens:
-        opts = " ".join(f"{rev[f]}={_fmt(getattr(g, f))}"
-                        for f in rev if hasattr(g, f))
-        out.append(f"GEN {g.gen_id} {g.bus} kind={g.kind} {opts} "
-                   f"status={g.status}")
-    for l in case.loads:
-        motor = ""
-        if l.motor is not None:
-            m = l.motor
-            motor = (" motor=" + ",".join(_fmt(v) for v in
-                     (m.h, m.r1, m.x1, m.xm, m.r2, m.x2, m.torque)))
-        out.append(f"LOAD {l.load_id} {l.bus} p={_fmt(l.p)} q={_fmt(l.q)} "
-                   f"fz={_fmt(l.f_z)} fi={_fmt(l.f_i)} fp={_fmt(l.f_p)} "
-                   f"scale={_fmt(l.scale)}{motor} status={l.status}")
-    for ev in events or []:
-        opts = " ".join(f"{k}={v if isinstance(v, str) else _fmt(v)}"
-                        for k, v in ev.payload.items())
-        head = (f"EVENT cond \"{ev.condition.text}\""
-                if ev.condition is not None else f"EVENT {_fmt(ev.t_due)}")
-        name = f" name={ev.label}" if ev.label != ev.kind else ""
-        out.append(f"{head} {ev.kind} {opts}".rstrip() + name)
-    return "\n".join(out) + "\n"
 
 
 def load_case(path: str):
@@ -330,40 +295,5 @@ def write_trajectory(traj: Trajectory, dt: float = 0.1) -> str:
         lines.append(",".join([repr(t), traj.segments[k].mode,
                                *map(repr, row)]))
     for ev in traj.events:
-        lines.append(f"# event,{_fmt(ev.t)},{ev.kind},{ev.label}")
+        lines.append(f"# event,{float(ev.t)!r},{ev.kind},{ev.label}")
     return "\n".join(lines) + "\n"
-
-
-def parse_trajectory(text: str):
-    """Read a trajectory file back: (names, times, mode tags, data, events)."""
-    names = None
-    rows = []
-    modes = []
-    events = []
-    last_t = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("event,"):
-                _, t, kind, label = body.split(",", 3)
-                events.append((float(t), kind, label))
-            continue
-        parts = line.split(",")
-        if names is None:
-            names = parts
-            continue
-        if len(parts) != len(names):
-            raise ParseError(line_no, "column count changed")
-        t = float(parts[0])
-        if last_t is not None and t <= last_t:
-            raise ParseError(line_no, "times must be strictly increasing")
-        last_t = t
-        modes.append(parts[1])
-        rows.append([t] + [float(x) for x in parts[2:]])
-    if names is None:
-        raise ParseError(0, "empty trajectory file")
-    data = np.array(rows)
-    return names, data[:, 0], modes, data[:, 1:], events

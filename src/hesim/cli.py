@@ -186,12 +186,12 @@ def cmd_compare(args) -> int:
     t_end = min(t.t_end for t in trajs.values())
     ts = np.arange(0.0, t_end + 1e-9, args.dt_out)
     chans = [("f", ())] + [("V", (str(b.bus),)) for b in case.buses]
+    vals = {mode: traj.sample(chans, ts, traj.segment_index(ts))
+            for mode, traj in trajs.items()}
     lines = []
     for mode in runs[1:]:
-        for chan, cargs in chans:
-            a = trajs[base].channel(chan, cargs, ts)
-            b = trajs[mode].channel(chan, cargs, ts)
-            d = np.abs(a - b)
+        diffs = np.abs(vals[base] - vals[mode])
+        for (chan, cargs), d in zip(chans, diffs):
             name = chan if not cargs else f"{chan}:{','.join(cargs)}"
             lines.append((f"{base}|{mode}", name, float(np.max(d)),
                           float(np.mean(d))))

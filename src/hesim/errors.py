@@ -71,7 +71,7 @@ class StepRejectionLimit(HesimError):
 # --- case I/O --------------------------------------------------------------
 
 class ParseError(HesimError):
-    """Malformed case or trajectory text."""
+    """Malformed case text; only the case parser raises it."""
 
     def __init__(self, line_no, reason):
         super().__init__(f"line {line_no}: {reason}")

@@ -56,11 +56,11 @@ class MotorSpec:
 class LoadSpec:
     load_id: str
     bus: int
-    p: float
-    q: float
-    f_z: float
-    f_i: float
-    f_p: float
+    p: float = 0.0
+    q: float = 0.0
+    f_z: float = 0.0
+    f_i: float = 0.0
+    f_p: float = 1.0
     motor: Optional[MotorSpec] = None
     status: int = 1
     scale: float = 1.0  # initial multiplier on the static ZIP block

@@ -2,19 +2,21 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hesim.caseio import (
+    _SECTIONS,
+    _element,
     builtin_case,
     parse_case,
-    parse_trajectory,
     trajectory_channels,
-    write_case,
     write_trajectory,
 )
 from hesim.errors import ParseError, ValidationError
+from hesim.grid import MotorSpec
 from hesim.scheduler import RunConfig, Trajectory, run_simulation
 
 
@@ -27,6 +29,9 @@ def test_builtin_twobus_parameters():
     assert (load.p, load.q) == (0.1, 0.3)
     ramps = [e for e in script if e.kind == "ramp_load"]
     assert ramps and ramps[0].payload["rate"] == 1.0
+    conds = [e for e in script if e.condition is not None]
+    assert conds and conds[0].condition.text == "I(1,2) > 3.0"
+    assert conds[0].condition.rhs == 3.0
 
 
 def test_empty_file_rejected():
@@ -65,30 +70,43 @@ def test_parse_line_numbers_in_errors():
         raise AssertionError("expected ParseError")
 
 
-def test_case_roundtrip_semantic_identity():
-    for name in ("twobus", "fourbus", "ne39"):
-        case, script = builtin_case(name)
-        text = write_case(case, script)
-        case2, script2 = parse_case(text)
-        assert case2.buses == case.buses
-        assert case2.branches == case.branches
-        assert case2.gens == case.gens
-        assert case2.loads == case.loads
-        assert len(script2) == len(script)
-        for a, b in zip(script, script2):
-            assert (a.kind, a.t_due, a.payload) == (b.kind, b.t_due, b.payload)
-        # canonical emission is a fixed point
-        assert write_case(case2, script2) == text
+# a sample token per field read by name or by a type other than a number
+_SAMPLE = {"angle_init": ("90", math.pi / 2),
+           "motor": ("1,2,3,4,5,6,7", MotorSpec(1, 2, 3, 4, 5, 6, 7)),
+           "kind": ("source", "source"), "status": ("0", 0)}
+_POSITIONAL = {"bus": ("3", 3), "from_bus": ("3", 3), "to_bus": ("4", 4)}
 
 
-def test_conditional_event_roundtrip():
-    case, script = builtin_case("twobus")
-    conds = [e for e in script if e.condition is not None]
-    assert conds and conds[0].condition.text == "I(1,2) > 3.0"
-    text = write_case(case, script)
-    _, script2 = parse_case(text)
-    conds2 = [e for e in script2 if e.condition is not None]
-    assert conds2[0].condition.rhs == 3.0
+@pytest.mark.parametrize("tag", list(_SECTIONS))
+def test_each_section_key_sets_its_field_and_the_rest_keep_defaults(tag):
+    sec = _SECTIONS[tag]
+    pos = [_POSITIONAL.get(f, ("X", "X")) for f in sec.pos]
+    fixed = dict(zip(sec.pos, [want for _, want in pos]))
+    needs = {k: "0.5" for k in sec.needs}
+    fixed.update({sec.keys[k]: 0.5 for k in sec.needs})
+    assert len(set(sec.keys.values())) == len(sec.keys)
+    for i, (key, field) in enumerate(sec.keys.items()):
+        tok, want = _SAMPLE.get(field, (repr(2.5 + i), 2.5 + i))
+        got = _element(tag, [t for t, _ in pos], {**needs, key: tok}, 1)
+        assert got == sec.spec(**{**fixed, field: want}), key
+        assert getattr(got, field) == want
+
+
+def test_readme_lists_each_section_option_key():
+    from pathlib import Path
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Case file format", 1)[1]
+    block = block.split("```", 2)[1]
+    listed, tag = {}, None
+    for line in block.splitlines():
+        if line and not line[0].isspace():
+            tag = line.split()[0]
+        if tag:
+            listed.setdefault(tag, set()).update(re.findall(r"(\w+)=", line))
+    for tag, sec in _SECTIONS.items():
+        assert listed[tag] == set(sec.keys), tag
+    assert listed["CASE"] == {"fnom"}
 
 
 def _fourbus_with_trigger(expr: str) -> str:
@@ -159,8 +177,21 @@ def _twobus_text(old, new):
     ("GEN S1 1", "GEN S1 one", "bus: 'one' is not an integer"),
     ("LOAD LD2 2", "LOAD LD2 b2", "bus: 'b2' is not an integer"),
     ("b=0.0", "b=0.0 status=on", "status: 'on' is not an integer"),
+    # a token the line does not take
+    ("CASE twobus fnom=60.0", "CASE x fnom=50 fnmo=60", "CASE takes no fnmo="),
+    ("CASE twobus fnom=60.0", "CASE x y", "CASE takes no 'y'"),
+    ("BUS 1", "BUS 1 V=1.05 angel=3", "BUS takes no V="),
+    ("BUS 2", "BUS 2 3", "BUS takes no '3'"),
+    ("BRANCH L12 1 2 r=0.01 x=0.05 b=0.0", "BRANCH b 1 2 r=0.01 x=0.1 B=0.5",
+     "BRANCH takes no B="),
+    ("v=1.01", "v=1.01 H=4.0", "GEN takes no H="),
+    ("LOAD LD2 2 p=0.1 q=0.3", "LOAD LD2 2 P=1.0 q=0.2", "LOAD takes no P="),
+    ("STOP 15.0", "EVENT 3.0 stop now", "stop takes no 'now'"),
+    ("STOP 15.0", "STOP 5 at=3", "STOP takes no at="),
 ], ids=["stop-without-time", "branch-bus", "gen-bus", "load-bus",
-        "status-on"])
+        "status-on", "case-key", "case-positional", "bus-key",
+        "bus-positional", "branch-key", "gen-key", "load-key",
+        "event-positional", "stop-key"])
 def test_malformed_line_is_a_parse_error_at_its_line(old, new, reason):
     text = _twobus_text(old, new)
     with pytest.raises(ParseError) as exc:
@@ -198,6 +229,18 @@ def test_event_checks_accept_bus_voltage_and_frequency_triggers():
 
 # --- trajectory files --------------------------------------------------------------
 
+def _read_trajectory(text):
+    """(names, times, modes, data, events) of a written trajectory."""
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    data = np.array([[float(x) for x in r[2:]] for r in rows[1:]])
+    events = [line.split(",", 3)[1:] for line in lines
+              if line.startswith("# event,")]
+    return (rows[0], np.array([float(r[0]) for r in rows[1:]]),
+            [r[1] for r in rows[1:]], data,
+            [(float(t), kind, label) for t, kind, label in events])
+
+
 @pytest.fixture(scope="module")
 def small_run():
     case, script = builtin_case("twobus")
@@ -209,7 +252,7 @@ def test_flat_run_constant_columns():
     case, _ = builtin_case("twobus")
     traj = run_simulation(case, [], RunConfig(mode="qss", t_end=2.0))
     text = write_trajectory(traj, 0.5)
-    names, ts, modes, data, events = parse_trajectory(text)
+    names, ts, modes, data, events = _read_trajectory(text)
     for j in range(data.shape[1]):
         col = data[:, j]
         assert np.all(col == col[0])
@@ -315,7 +358,7 @@ def _ref_at(rec, chan, args, t):
 
 def test_write_samples_match_segment_eval(small_run):
     text = write_trajectory(small_run, 0.25)
-    names, ts, modes, data, events = parse_trajectory(text)
+    names, ts, modes, data, events = _read_trajectory(text)
     j = names.index("V:2") - 2  # columns after time, mode
     for k, t in enumerate(ts):
         rec = small_run.segments[small_run.segment_index(t)]
@@ -370,7 +413,7 @@ def test_sampler_matches_per_sample_evaluation(fourbus_40):
 def test_channel_reads_the_written_row_at_an_event_instant(fourbus_40):
     # the load step at 30 s: both readers take the segment after the event
     traj = fourbus_40
-    names, ts, _, data, _ = parse_trajectory(write_trajectory(traj, 0.1))
+    names, ts, _, data, _ = _read_trajectory(write_trajectory(traj, 0.1))
     row = data[int(np.flatnonzero(ts == 30.0)[0]), names.index("V:2") - 2]
     assert traj.channel("V", ("2",), 30.0)[0] == row
     assert row == pytest.approx(0.94815, abs=5e-6)
@@ -478,7 +521,7 @@ def test_sampled_channel_is_nan_where_its_denominator_vanishes(small_run):
 
 def test_trajectory_rewrite_byte_identical(small_run):
     text = write_trajectory(small_run, 0.5)
-    names, ts, modes, data, events = parse_trajectory(text)
+    names, ts, modes, data, events = _read_trajectory(text)
     # rebuild the exact same content from parsed values
     lines = text.splitlines()
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
@@ -490,15 +533,3 @@ def test_trajectory_rewrite_byte_identical(small_run):
     for t, kind, label in events:
         rebuilt.append(f"# event,{repr(float(t))},{kind},{label}")
     assert "\n".join(rebuilt) + "\n" == text
-
-
-def test_trajectory_times_strictly_increasing_enforced():
-    bad = "time,mode,f\n0.0,qss,60.0\n0.0,qss,60.0\n"
-    with pytest.raises(ParseError, match="strictly increasing"):
-        parse_trajectory(bad)
-
-
-def test_trajectory_column_count_enforced():
-    bad = "time,mode,f\n0.0,qss,60.0\n1.0,qss\n"
-    with pytest.raises(ParseError, match="column count"):
-        parse_trajectory(bad)
