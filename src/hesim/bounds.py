@@ -85,11 +85,12 @@ def steady_state_check(C, nums, dens, t_e: float, eps_t: float):
         raise ValueError("t_e must be positive")
     # one width for all three, with at least one zero column after den
     width = max(np.shape(C)[1], np.shape(nums)[1], np.shape(dens)[1] + 1)
-    C, num, den = (np.pad(np.asarray(a, dtype=float),
-                          ((0, 0), (0, width - np.shape(a)[1])))
-                   for a in (C, nums, dens))
+    table = np.zeros((3, len(C), width))
+    for part, a in zip(table, (C, nums, dens)):
+        part[:, : np.shape(a)[1]] = a
+    C, num, den = table
     n = len(C)
-    finite = np.isfinite(np.hstack([C, num, den])).all(axis=1)
+    finite = np.isfinite(table).all(axis=(0, 2))
     with np.errstate(all="ignore"):  # the NaN-masked rows may overflow
         # one pass over the PS rows, the PA numerator rows and den
         lb, ub = poly_bounds(np.vstack([C[:, 1:],

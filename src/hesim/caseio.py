@@ -152,6 +152,23 @@ def _check_event(case: GridCase, ev: SimEvent, line_no: int) -> None:
             raise ParseError(line_no, f"no {what} {name!r}")
 
 
+def _quoted_tokens(line: str, line_no: int) -> list[str]:
+    """Tokens of a line whose quoted condition expressions may contain
+    spaces; the quotes are dropped."""
+    parts, buf, quoted = [], "", False
+    for ch in line + " ":  # the space ends the last token
+        if ch == '"':
+            quoted = not quoted
+        elif ch.isspace() and not quoted:
+            parts += [buf] if buf else []
+            buf = ""
+        else:
+            buf += ch
+    if quoted:
+        raise ParseError(line_no, "unterminated quote")
+    return parts
+
+
 def parse_case(text: str):
     """Parse a case file into (GridCase, event script)."""
     name, fnom = "unnamed", 60.0
@@ -165,24 +182,8 @@ def parse_case(text: str):
         if not line:
             continue
         seen_any = True
-        # quoted condition expressions may contain spaces
-        parts: list[str] = []
-        buf = ""
-        quoted = False
-        for ch in line:
-            if ch == '"':
-                quoted = not quoted
-            elif ch.isspace() and not quoted:
-                if buf:
-                    parts.append(buf)
-                    buf = ""
-            else:
-                buf += ch
-        if quoted:
-            raise ParseError(line_no, "unterminated quote")
-        if buf:
-            parts.append(buf)
-        tag, *rest = parts
+        tag, *rest = (_quoted_tokens(line, line_no) if '"' in line
+                      else line.split())
 
         if tag in _SECTIONS:
             elements[_SECTIONS[tag].fills].append(

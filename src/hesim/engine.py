@@ -23,6 +23,7 @@ higher arities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ _ANCHOR_TOL = 1e-6     # largest algebraic residual accepted at an anchor
 _MIN_STAGE = 2.0 ** -8  # shortest alpha stage short of alpha = 1
 
 _ABSENT = -1  # encoding for a missing factor; compiles to the one row
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 class SystemBuilder:
@@ -326,6 +328,31 @@ def _degree(dens: np.ndarray) -> np.ndarray:
     return dens.shape[1] - 1 - np.argmax(dens[:, ::-1] != 0.0, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _pascal(n: int) -> np.ndarray:
+    """Read-only binomial matrix P[i, j] = C(i, j), i, j < n."""
+    P = np.array([[math.comb(i, j) for j in range(n)] for i in range(n)],
+                 dtype=float)
+    P.flags.writeable = False
+    return P
+
+
+def _pole_free(dens: np.ndarray, limit: float) -> np.ndarray:
+    """Rows proven to have no real root in (0, limit], by a sign test
+    (Vincent; Collins & Akritas 1976): t = limit*s/(1+s) times (1+s)^D, D
+    the top degree, is one Möbius-matrix product (a degree-d row comes out
+    times (1+s)^(D-d)), and every coefficient in s positive beyond its
+    rounding bound leaves no root in s in (0, inf], i.e. t in (0, limit]."""
+    D = dens.shape[1] - 1
+    mobius = _pascal(D + 1)[::-1, ::-1]  # B[k, j] = C(D - k, j - k)
+    with np.errstate(all="ignore"):  # NaN and inf fail the ">" below
+        c = dens * limit ** np.arange(D + 1)
+        bound = (2 * D + 4) * _EPS * (np.abs(c) @ mobius)
+        # the bound is relative: it holds where no nonzero c_k is subnormal
+        normal = np.all((np.abs(c) >= _TINY) | (dens == 0.0), axis=1)
+        return normal & np.all(c @ mobius > bound, axis=1)
+
+
 def min_real_positive_root(nums: np.ndarray, dens: np.ndarray, limit: float):
     """Each row's smallest *genuine* real pole in (0, limit] (inf where
     none), and a mask of the rows holding a spurious one.
@@ -339,14 +366,16 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray, limit: float):
     not cap the range, but the approximant still spikes next to it, so
     ``solve_segment`` cancels it by refitting its row.
 
-    Rows are grouped by trimmed denominator degree; each group's roots are
-    the eigenvalues of a stack of the companion matrices that
-    ``numpy.polynomial.polynomial.polyroots`` builds, found in one call.
+    Rows that ``_pole_free`` does not clear are grouped by trimmed degree;
+    each group's roots are the eigenvalues of a stack of the companion
+    matrices that ``numpy.polynomial.polynomial.polyroots`` builds.
     """
     poles = np.full(len(dens), np.inf)
     spurious = np.zeros(len(dens), dtype=bool)
     # without a negative coefficient there is no positive root (Descartes)
     degree = np.where(np.all(dens >= 0.0, axis=1), 0, _degree(dens))
+    sel = np.flatnonzero(degree)
+    degree[sel[_pole_free(dens[sel], limit)]] = 0
     for d in sorted(set(degree[degree > 0].tolist())):
         sel = np.flatnonzero(degree == d)
         c = dens[sel, : d + 1]
@@ -499,8 +528,7 @@ def _taylor_shift(c: np.ndarray, a: float) -> np.ndarray:
     """Coefficients in s of every row's polynomial at a + s: one product
     with the binomial matrix B[k, j] = C(k, j) a^(k - j)."""
     k = np.arange(c.shape[1])
-    binom = np.array([[math.comb(i, j) for j in k] for i in k], dtype=float)
-    return c @ (binom * a ** np.maximum(k[:, None] - k, 0))
+    return c @ (_pascal(len(k)) * a ** np.maximum(k[:, None] - k, 0))
 
 
 def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,

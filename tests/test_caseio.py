@@ -10,6 +10,7 @@ import pytest
 from hesim.caseio import (
     _SECTIONS,
     _element,
+    _quoted_tokens,
     builtin_case,
     parse_case,
     trajectory_channels,
@@ -68,6 +69,28 @@ def test_parse_line_numbers_in_errors():
         assert exc.line_no == 3
     else:
         raise AssertionError("expected ParseError")
+
+
+def test_unterminated_quote_is_a_parse_error_at_its_line():
+    with pytest.raises(ParseError, match="unterminated quote") as exc:
+        parse_case('CASE x\nBUS 1\nEVENT cond "V(1) < 0.5 record\n')
+    assert exc.value.line_no == 3
+
+
+def test_builtin_lines_tokenize_alike_on_both_paths():
+    # parse_case splits a line without a quote with str.split and walks
+    # only quoted lines; on every other line the walker must agree
+    from importlib import resources
+    checked = 0
+    for name in ("twobus", "fourbus", "ne39"):
+        text = resources.files("hesim.cases").joinpath(
+            f"{name}.case").read_text()
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line and '"' not in line:
+                assert _quoted_tokens(line, line_no) == line.split()
+                checked += 1
+    assert checked > 100
 
 
 # a sample token per field read by name or by a type other than a number

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hesim.engine import (
     _ANCHOR_TOL,
     SystemBuilder,
+    _pole_free,
     batch_pade,
     min_real_positive_root,
     solve_alpha_problem,
@@ -433,6 +434,61 @@ def test_pole_screen_on_kernel_output():
         got = float(np.min(poles, initial=np.inf))
         assert got == _reference_min_real_positive_root(nums, dens, limit)
     assert got == pytest.approx(0.8, rel=1e-9)  # at limit 3.0
+
+
+# kinds of placed root in (0, limit]; "above" and "none" place none there
+_INSIDE = ("below", "at", "near_zero", "double", "pair")
+
+
+def _placed_dens(kind, limit, frac, q, outside):
+    """Denominator stack (den[0] = 1): a row with the placed root or pair and
+    the outside roots, the outside roots alone (of lower degree, zero-padded)
+    and a NaN row.  The outside roots are limit * r, every r in ``outside``
+    outside (0, 1]; a pair sits at limit * frac * (1 +- i 10^-q)."""
+    P = np.polynomial.polynomial
+    x = limit * frac
+    placed = {"below": [limit * (1 - 1e-9)], "at": [limit],
+              "above": [limit * (1 + 1e-9)], "near_zero": [limit * 1e-9],
+              "double": [x, x]}.get(kind, [])
+    rest = P.polyfromroots([limit * r for r in outside])
+    rows = [P.polymul(P.polyfromroots(placed), rest), rest]
+    if kind == "pair":
+        rows[0] = P.polymul(rows[0], [x * x * (1 + 10.0 ** (-2 * q)),
+                                      -2 * x, 1])
+    dens = np.full((3, len(rows[0])), np.nan)
+    for i, c in enumerate(rows):
+        dens[i] = 0.0
+        dens[i, : len(c)] = c / c[0]
+    return dens
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(_INSIDE + ("above", "none")),
+       limit=st.floats(1e-3, 1e3),
+       frac=st.floats(0.01, 0.95),
+       q=st.integers(3, 12),
+       outside=st.lists(st.one_of(st.floats(-50.0, -0.02),
+                                  st.floats(1.5, 50.0)), max_size=8))
+@example(kind="at", limit=1.0, frac=0.5, q=3, outside=[])
+@example(kind="above", limit=2.0, frac=0.5, q=3, outside=[-1.0, 3.0])
+@example(kind="double", limit=0.1, frac=0.95, q=3, outside=[1.5, -0.02])
+@example(kind="pair", limit=10.0, frac=0.9, q=12, outside=[2.0])
+@example(kind="near_zero", limit=1e-3, frac=0.5, q=3, outside=[-50.0])
+def test_sign_test_clears_no_row_with_a_root_in_range(kind, limit, frac, q,
+                                                      outside):
+    dens = _placed_dens(kind, limit, frac, q, outside)
+    clear = _pole_free(dens, limit)
+    # the outside roots map to s in [-3, -0.0196]: each factor's
+    # coefficients lose at most a factor 5 to cancellation, far above the
+    # rounding bound, so their row is always cleared
+    assert clear[1] and not clear[2]  # and never the NaN row
+    for row in dens[:-1][clear[:-1]]:
+        # loose on the imaginary part: a double root splits by ~sqrt(eps)
+        r = np.polynomial.polynomial.polyroots(np.trim_zeros(row, "b"))
+        real = np.abs(r.imag) <= 1e-6 * np.abs(r.real)
+        assert not np.any(real & (r.real > 0.0) & (r.real <= limit))
+    if kind in _INSIDE:
+        assert not clear[0]
 
 
 def _forced_state(f, order):

@@ -151,3 +151,36 @@ def test_one_alpha_solve_per_switch(monkeypatch):
     assert switches
     assert len(calls) == 1 + len(switches)
     assert calls[0] == "ALPHA_POWERFLOW"
+
+
+def test_segments_screen_poles_through_the_engine_global(monkeypatch):
+    # the tracer times engine.min_real_positive_root by patching this
+    # global; a local binding in _certified_segment (which the alpha stages
+    # run too) would leave its calls and self time at 0
+    import numpy as np
+
+    from hesim import engine
+
+    calls = []
+    screen = engine.min_real_positive_root
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return screen(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "min_real_positive_root", counting)
+    b = engine.SystemBuilder()
+    x = b.state("x")
+    b.rhs_term(x, -1.0, x)
+    seg = engine.solve_segment(b.compile(), np.array([1.0]),
+                               np.zeros((0, 16)), 15, 1e-6, 1.0)
+    assert len(calls) == 1 and seg.t_e > 0.0
+    b = engine.SystemBuilder()
+    y, alpha = b.alg("y"), b.known("alpha")
+    eq = b.alg_eq("g")
+    b.term(eq, 1.0, y)
+    b.term(eq, -1.0)
+    b.term(eq, -1.0, alpha)
+    out = engine.solve_alpha_problem(b.compile(), np.array([1.0]),
+                                     np.array([[0.0, 1.0]]), "ALPHA_PARAM")
+    assert len(calls) > 1 and out.tolist() == [2.0]
