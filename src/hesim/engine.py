@@ -7,7 +7,10 @@ unknown series: algebraic equations ``g = 0`` and differential relations
 ``coeff * x[a] * x[b]`` over the rows of one table: the unknowns, then the
 known input series, then a constant-one row (series 1, 0, 0, ...).  A term
 with fewer than two factors reads the one row in their place, so a constant
-is ``coeff * 1 * 1`` and a linear term ``coeff * x[a] * 1``; each block
+is ``coeff * 1 * 1`` and a linear term ``coeff * x[a] * 1``.  A float
+factor is a constant: it multiplies the coefficient at build time, so a
+quantity frozen across a switch instant is passed where a time embedding
+passes its unknown, and the equation is written once.  Each block
 (``"alg"`` and ``"rhs"``) is one (rows, coeffs, a, b) table and each kernel
 over it has one path.  Substituting series and matching powers of the
 embedding variable turns the system into one explicit update per state plus
@@ -51,14 +54,17 @@ ALPHA_CUT = "ALPHA_CUT"
 ALPHA_PARAM = "ALPHA_PARAM"
 
 _ANCHOR_TOL = 1e-6     # largest algebraic residual accepted at an anchor
-_MIN_STAGE = 2.0 ** -8  # shortest alpha stage short of alpha = 1
+_MIN_STAGE = 2.0 ** -8  # shortest stage short of 1, per alpha reached
 
 _ABSENT = -1  # encoding for a missing factor; compiles to the one row
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 class SystemBuilder:
-    """Collects unknowns, known inputs and polynomial terms, then compiles."""
+    """Collects unknowns, known inputs and polynomial terms, then compiles.
+
+    A term's factors are slots (int) of unknowns or known inputs, None
+    (dropped), or floats: constants that multiply the coefficient."""
 
     def __init__(self):
         self.var_names: list[str] = []
@@ -93,7 +99,8 @@ class SystemBuilder:
         return len(self.eq_names) - 1
 
     def term(self, eq: int, coeff: float, *factors) -> None:
-        """Add coeff times the factors (at most two; a None is dropped)."""
+        """Add coeff times the factors (at most two slots; a None is
+        dropped, a float multiplies coeff)."""
         self._add(False, eq, coeff, factors)
 
     def rhs_term(self, state_slot: int, coeff: float, *factors) -> None:
@@ -102,11 +109,16 @@ class SystemBuilder:
         self._add(True, self._state_row_of_var[state_slot], coeff, factors)
 
     def _add(self, is_state: bool, row: int, coeff: float, factors) -> None:
-        factors = [f for f in factors if f is not None]
-        if len(factors) > 2:
+        slots = []
+        for f in factors:
+            if isinstance(f, float):
+                coeff = coeff * f
+            elif f is not None:
+                slots.append(f)
+        if len(slots) > 2:
             raise ValueError("terms must have arity <= 2")
         if coeff != 0.0:
-            f = factors + [_ABSENT] * (2 - len(factors))
+            f = slots + [_ABSENT] * (2 - len(slots))
             self._terms.append((is_state, row, float(coeff), f[0], f[1]))
 
     # -- compilation -----------------------------------------------------------
@@ -541,8 +553,9 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
     corrector refines the state there, as it does at alpha = 1; no
     correction may exceed 0.1, so a branch jump cannot masquerade as
     convergence.  A stage that fails or certifies less than 2^-8 of the
-    path means the switch target does not exist (e.g. energizing into an
-    infeasible condition); the error names the alpha reached.
+    alpha it would reach means the switch target does not exist (e.g.
+    energizing into an infeasible condition); the error names the alpha
+    reached, close to the nose also where the nose lies early on the path.
     """
     a = 0.0
     while True:
@@ -551,7 +564,7 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
             seg = solve_segment(system, anchors, _taylor_shift(kcoeffs, a),
                                 order, _ANCHOR_TOL, rest)
             step = min(seg.t_e, rest)
-            if step < min(_MIN_STAGE, rest):
+            if step < min(_MIN_STAGE * (a + step), rest):
                 raise NoValidRange(f"stage certified only {step:.3e}")
             values, known = seg.evaluate(step)
             polished = system.newton_refine(values, known, tol=1e-12)

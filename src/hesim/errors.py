@@ -40,8 +40,8 @@ class AnchorInconsistent(HesimError):
 
 class NoConvergenceAtAlpha1(HesimError):
     """The switching continuation does not reach a valid state at alpha=1:
-    a stage failed or certified less than 2^-8 of the path.  The message
-    names the switch kind and the alpha reached."""
+    a stage failed or certified less than 2^-8 of the alpha it would
+    reach.  The message names the switch kind and the alpha reached."""
 
 
 class ZeroBoundaryVoltage(HesimError):

@@ -8,6 +8,10 @@ The same device equations are emitted in three flavors:
 * alpha-embedded algebraic problems (initial power flow and the switch
   kinds), where differential states are frozen across the instant.
 
+Each device's equations are written once for all three: a quantity frozen
+across a switch instant is passed as a constant (float) factor where a time
+embedding passes its unknown.
+
 Everything is rectangular: a complex network quantity is a pair of real
 unknowns, conjugation is a sign flip, and the reciprocal voltage W carries
 its own defining equations V*W = 1 wherever constant-power or
@@ -518,10 +522,8 @@ class _Assembler:
                 g = case.gen_by_id[gid]
                 if g.bus not in self.balance:
                     continue
-                if pf:
+                if pf or self.mode == QSS:
                     self._emit_pv_gen(g, isl)
-                elif self.mode == QSS:
-                    self._emit_qss_gen(g, isl)
                 else:
                     self._emit_machine_vars(g)
                     mach_emitted.append((g, isl))
@@ -583,14 +585,11 @@ class _Assembler:
         ex, ey, isx, isy, irx, iry = (self.var(f"{n}:{lid}", "alg")
                                       for n in _MOTOR_KINDS)
 
-        if self.alpha and not pf:
-            slip = None          # frozen across the instant
-        elif self.mode == QSS or pf:
-            slip = self.var(f"slip:{lid}", "alg")
-            slip_alg = True
+        if self.alpha and not pf:  # frozen across the instant: a constant
+            kind, slip = None, self.state.slip.get(lid, 0.02)
         else:
-            slip = self.var(f"slip:{lid}", "state")
-            slip_alg = False
+            kind = "alg" if self.mode == QSS or pf else "state"
+            slip = self.var(f"slip:{lid}", kind)
 
         vx, vy = self.vslots[l.bus]
         e1x = b.alg_eq(f"mstx:{lid}")
@@ -610,48 +609,25 @@ class _Assembler:
 
         e3x = b.alg_eq(f"mrotx:{lid}")
         e3y = b.alg_eq(f"mroty:{lid}")
-        # a frozen slip is a constant: its value scales the terms
-        k = self.state.slip.get(lid, 0.02) if slip is None else 1.0
-        b.term(e3x, k, slip, ex)
-        b.term(e3y, k, slip, ey)
-        b.term(e3x, k * m.x2, slip, iry)
-        b.term(e3y, -k * m.x2, slip, irx)
+        b.term(e3x, 1.0, slip, ex)
+        b.term(e3y, 1.0, slip, ey)
+        b.term(e3x, m.x2, slip, iry)
+        b.term(e3y, -m.x2, slip, irx)
         b.term(e3x, -m.r2, irx)
         b.term(e3y, -m.r2, iry)
 
-        if slip is not None and slip_alg:
+        # torque balance: algebraic with an algebraic slip, else its rate
+        torque = ((m.torque,), (-1.0, ex, irx), (-1.0, ey, iry))
+        if kind == "alg":
             eq = b.alg_eq(f"mtorq:{lid}")
-            b.term(eq, m.torque)
-            b.term(eq, -1.0, ex, irx)
-            b.term(eq, -1.0, ey, iry)
-        elif slip is not None:
-            b.rhs_term(slip, m.torque / (2 * m.h))
-            b.rhs_term(slip, -1.0 / (2 * m.h), ex, irx)
-            b.rhs_term(slip, -1.0 / (2 * m.h), ey, iry)
+            for c, *f in torque:
+                b.term(eq, c, *f)
+        elif kind == "state":
+            for c, *f in torque:
+                b.rhs_term(slip, c / (2 * m.h), *f)
 
         _clin(b, *self.balance[l.bus], -1.0, isx, isy,
               extra=self._scale(f"load:{lid}"))
-
-    def _emit_pv_gen(self, g: GenSpec, isl: Island) -> None:
-        """Powerflow representation: alpha-scaled P, series reactive unknown,
-        PV magnitude blended from the flat profile to the setpoint."""
-        b = self.b
-        eqx, eqy = self.balance[g.bus]
-        wx, wy = self.wslots[g.bus]
-        q = self.var(f"qpv:{g.gen_id}", "alg")
-        p = (self.state.pdisp_now(g.gen_id) + self.state.mach[g.gen_id].agc
-             if g.gen_id in self.state.mach else g.p_set)
-        b.term(eqx, p, self.alpha_slot, wx)
-        b.term(eqy, -p, self.alpha_slot, wy)
-        b.term(eqx, -1.0, q, wy)
-        b.term(eqy, -1.0, q, wx)
-        vx, vy = self.vslots[g.bus]
-        vsl = abs(island_flat_voltage(self.case, isl))
-        eq = b.alg_eq(f"pv:{g.gen_id}")
-        b.term(eq, 1.0, vx, vx)
-        b.term(eq, 1.0, vy, vy)
-        b.term(eq, -vsl * vsl)
-        b.term(eq, -(g.v_set ** 2 - vsl * vsl), self.alpha_slot)
 
     def _emit_machine_vars(self, g: GenSpec) -> None:
         if not self.alpha:  # frozen across a switch instant
@@ -668,28 +644,40 @@ class _Assembler:
         eqx, eqy = self.balance[g.bus]
         vx, vy = self.vslots[g.bus]
         i_d, i_q = s_[f"id:{gid}"], s_[f"iq:{gid}"]
-
-        if self.alpha:
+        if self.alpha:  # frozen across the instant: constant factors
             ms = self.state.mach[gid]
-            s0, c0 = math.sin(ms.delta), math.cos(ms.delta)
-            ed = b.alg_eq(f"statord:{gid}")
-            eq_ = b.alg_eq(f"statorq:{gid}")
-            b.term(ed, g.ra, i_d)
-            b.term(ed, -g.xq_t, i_q)
-            b.term(ed, -ms.eps_d)
-            b.term(ed, s0, vx)
-            b.term(ed, -c0, vy)
-            b.term(eq_, g.xd_t, i_d)
-            b.term(eq_, g.ra, i_q)
-            b.term(eq_, -ms.eps_q)
-            b.term(eq_, c0, vx)
-            b.term(eq_, s0, vy)
-            scale = self._scale(f"gen:{gid}")
-            for eq, (cd, cq) in ((eqx, (s0, c0)), (eqy, (-c0, s0))):
-                b.term(eq, cd, scale, i_d)
-                b.term(eq, cq, scale, i_q)
-            return
+            epsq, epsd = ms.eps_q, ms.eps_d
+            sind, cosd = math.sin(ms.delta), math.cos(ms.delta)
+        else:
+            epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
+            sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
+            self._emit_rotor(g, isl)
 
+        ed = b.alg_eq(f"statord:{gid}")
+        eq_ = b.alg_eq(f"statorq:{gid}")
+        b.term(ed, g.ra, i_d)
+        b.term(ed, -g.xq_t, i_q)
+        b.term(ed, -1.0, epsd)
+        b.term(ed, 1.0, vx, sind)
+        b.term(ed, -1.0, vy, cosd)
+        b.term(eq_, g.xd_t, i_d)
+        b.term(eq_, g.ra, i_q)
+        b.term(eq_, -1.0, epsq)
+        b.term(eq_, 1.0, vx, cosd)
+        b.term(eq_, 1.0, vy, sind)
+
+        scale = self._scale(f"gen:{gid}")
+        b.term(eqx, 1.0, scale, i_d, sind)
+        b.term(eqx, 1.0, scale, i_q, cosd)
+        b.term(eqy, -1.0, scale, i_d, cosd)
+        b.term(eqy, 1.0, scale, i_q, sind)
+
+    def _emit_rotor(self, g: GenSpec, isl: Island) -> None:
+        """The differential rows: swing, flux decay, AVR, governor, AGC."""
+        b = self.b
+        gid = g.gen_id
+        s_ = self.slots
+        i_d, i_q = s_[f"id:{gid}"], s_[f"iq:{gid}"]
         delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
         epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
         sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
@@ -735,69 +723,57 @@ class _Assembler:
                            -(self.case.f_nominal / g.agc_tg) * gm.h / h_tot,
                            s_[f"omega:{mid}"])
 
-        ed = b.alg_eq(f"statord:{gid}")
-        eq_ = b.alg_eq(f"statorq:{gid}")
-        b.term(ed, g.ra, i_d)
-        b.term(ed, -g.xq_t, i_q)
-        b.term(ed, -1.0, epsd)
-        b.term(ed, 1.0, vx, sind)
-        b.term(ed, -1.0, vy, cosd)
-        b.term(eq_, g.xd_t, i_d)
-        b.term(eq_, g.ra, i_q)
-        b.term(eq_, -1.0, epsq)
-        b.term(eq_, 1.0, vx, cosd)
-        b.term(eq_, 1.0, vy, sind)
-
-        b.term(eqx, 1.0, i_d, sind)
-        b.term(eqx, 1.0, i_q, cosd)
-        b.term(eqy, -1.0, i_d, cosd)
-        b.term(eqy, 1.0, i_q, sind)
-
-    def _emit_qss_gen(self, g: GenSpec, isl: Island) -> None:
-        """PV bus with droop frequency response and AGC dispatch integrator."""
+    def _emit_pv_gen(self, g: GenSpec, isl: Island) -> None:
+        """A machine as a PV bus: a reactive unknown ``qg`` holds |V|^2 at
+        v_set^2.  In the powerflow, P is alpha-scaled and v_set^2 is blended
+        from the flat profile.  In QSS, P is the dispatch plus the AGC
+        integrator (both frozen across a switch instant) with droop
+        frequency response, and a reactive output at its limit is fixed."""
         b = self.b
         gid = g.gen_id
         st = self.state
         eqx, eqy = self.balance[g.bus]
         wx, wy = self.wslots[g.bus]
-        ms = st.mach[gid]
-        kf = g.k_freq / self.case.f_nominal  # pu per Hz
-
-        df_slot = self.slots.get(f"df:{isl.index}")
-        if df_slot is None and not isl.sources:
-            df_slot = self.var(f"df:{isl.index}", "alg")
-
-        if self.alpha:
-            p_now = st.pdisp_now(gid) + ms.agc
-            b.term(eqx, p_now, wx)
-            b.term(eqy, -p_now, wy)
-            pagc = None
+        ms = st.mach.get(gid)
+        if self.pf:
+            p = st.pdisp_now(gid) + ms.agc if ms is not None else g.p_set
+            b.term(eqx, p, self.alpha_slot, wx)
+            b.term(eqy, -p, self.alpha_slot, wy)
+            vsl = abs(island_flat_voltage(self.case, isl))
+            v0_sq, v1_sq = vsl * vsl, g.v_set ** 2
         else:
-            pagc = self.var(f"pagc:{gid}", "state")
-            pd_slot = self.b.known(f"pdisp:{gid}")
-            b.term(eqx, 1.0, pd_slot, wx)
-            b.term(eqy, -1.0, pd_slot, wy)
-            b.term(eqx, 1.0, pagc, wx)
-            b.term(eqy, -1.0, pagc, wy)
-        if df_slot is not None:
-            b.term(eqx, -kf, df_slot, wx)
-            b.term(eqy, kf, df_slot, wy)
+            df_slot = self.slots.get(f"df:{isl.index}")
+            if df_slot is None and not isl.sources:
+                df_slot = self.var(f"df:{isl.index}", "alg")
+            if self.alpha:  # frozen across the instant: constant factors
+                pd, pagc = st.pdisp_now(gid), ms.agc
+            else:
+                pagc = self.var(f"pagc:{gid}", "state")
+                pd = b.known(f"pdisp:{gid}")
+                if df_slot is not None and g.agc_tg > 0:
+                    b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
+            for f in (pd, pagc):
+                b.term(eqx, 1.0, f, wx)
+                b.term(eqy, -1.0, f, wy)
+            if df_slot is not None:
+                kf = g.k_freq / self.case.f_nominal  # pu per Hz
+                b.term(eqx, -kf, df_slot, wx)
+                b.term(eqy, kf, df_slot, wy)
+            if ms.q_fixed is not None:
+                b.term(eqx, -ms.q_fixed, wy)
+                b.term(eqy, -ms.q_fixed, wx)
+                return
+            v0_sq = v1_sq = ms.v_set ** 2
 
-        if ms.q_fixed is None:
-            qg = self.var(f"qg:{gid}", "alg")
-            b.term(eqx, -1.0, qg, wy)
-            b.term(eqy, -1.0, qg, wx)
-            vx, vy = self.vslots[g.bus]
-            eq = b.alg_eq(f"pv:{gid}")
-            b.term(eq, 1.0, vx, vx)
-            b.term(eq, 1.0, vy, vy)
-            b.term(eq, -ms.v_set ** 2)
-        else:
-            b.term(eqx, -ms.q_fixed, wy)
-            b.term(eqy, -ms.q_fixed, wx)
-
-        if pagc is not None and df_slot is not None and g.agc_tg > 0:
-            b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
+        qg = self.var(f"qg:{gid}", "alg")
+        b.term(eqx, -1.0, qg, wy)
+        b.term(eqy, -1.0, qg, wx)
+        vx, vy = self.vslots[g.bus]
+        eq = b.alg_eq(f"pv:{gid}")
+        b.term(eq, 1.0, vx, vx)
+        b.term(eq, 1.0, vy, vy)
+        b.term(eq, -v0_sq)
+        b.term(eq, -(v1_sq - v0_sq), self.alpha_slot)
 
     def _emit_island_frequency(self, isl: Island, slack_gen) -> None:
         """One angle pin per island closes the frequency unknown."""
@@ -896,8 +872,8 @@ _READ = {
     "cosd": lambda r, gid: math.cos(r.st.mach[gid].delta),
     "id": lambda r, gid: r(_stator, gid)[0],
     "iq": lambda r, gid: r(_stator, gid)[1],
-    "qg": lambda r, gid: r.st.mach[gid].q_g,
-    "qpv": lambda r, gid: 0.0,
+    # the powerflow starts every PV bus from zero reactive output
+    "qg": lambda r, gid: 0.0 if r.built.powerflow else r.st.mach[gid].q_g,
     **{kind: lambda r, lid, i=i: r(_motor, lid)[i]
        for i, kind in enumerate(_MOTOR_KINDS)},
     "slip": lambda r, lid: r.st.slip.get(lid, 0.02),
@@ -911,9 +887,8 @@ _STORE = {
     "vy": lambda st, bus, x: setitem(st.v.imag, st.case.bus_index[bus], x),
     **{kind: lambda st, gid, x, f=f: setattr(st.mach[gid], f, x)
        for kind, f in _MACHINE_FIELDS.items()},
-    **{kind: lambda st, gid, x: setattr(
-        st.mach.setdefault(gid, MachineState()), "q_g", x)
-       for kind in ("qg", "qpv")},
+    "qg": lambda st, gid, x: setattr(
+        st.mach.setdefault(gid, MachineState()), "q_g", x),
     "slip": lambda st, lid, x: setitem(st.slip, lid, x),
     "df": lambda st, i, x: setitem(st.df, i, x),
 }

@@ -38,7 +38,7 @@ from .model import (
     refine_state,
     write_back,
 )
-from .series import batch_pade, bracketed_roots
+from .series import batch_pade, bracketed_roots, diagonal_orders
 
 HYBRID = "hybrid"
 DWELL = 1.0          # least dynamic time before steadiness is checked again
@@ -399,14 +399,11 @@ class Trajectory:
     def segment_index(self, ts):
         """The segment each time reads: the last one starting at or before
         it (else the first), so an event instant reads the segment after
-        the event.  The written trajectory and ``channel`` share this rule."""
+        the event.  The written trajectory and ``hesim compare`` sample
+        through ``sample`` with this rule."""
         starts = np.array([s.t0 for s in self.segments])
         return np.clip(np.searchsorted(starts, np.asarray(ts) + 1e-12) - 1,
                        0, len(starts) - 1)
-
-    def channel(self, chan: str, args: tuple, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.sample([(chan, args)], ts, self.segment_index(ts))[0]
 
     def sample(self, chans: list, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Channels x times, time i evaluated on segment ks[i].
@@ -500,7 +497,7 @@ def steadiness_verdict(case: GridCase, state: SystemState, built: Built,
                            + vy[:, j, None] * vy[:, : order + 1 - j])
         derived = np.concatenate([seg.C[rows.angles] - seg.C[rows.refs], vsq])
         checks.append(steady_state_check(
-            derived, *batch_pade(derived, order // 2, order // 2), seg.t_e,
+            derived, *batch_pade(derived, *diagonal_orders(order)), seg.t_e,
             eps_t))
     delta_ps, delta_pa, steady = (np.concatenate(a) for a in zip(*checks))
     names = rows.names[: len(steady)]

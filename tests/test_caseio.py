@@ -426,11 +426,13 @@ def fourbus_40():
 def test_sampler_matches_per_sample_evaluation(fourbus_40):
     traj = fourbus_40
     assert write_trajectory(traj, 0.1) == _per_sample_trajectory(traj, 0.1)
-    # Trajectory.channel reads the file's rule at any time, on or off grid
+    # Trajectory.sample reads the file's rule at any time, on or off grid
     ts = np.linspace(0.0, traj.t_end, 173)
-    for chan, args in (("f", ()), ("V", ("3",)), ("pg", ("G1",))):
-        want = [_ref_at(_starting_at(traj, t), chan, args, t) for t in ts]
-        assert np.array_equal(traj.channel(chan, args, ts), want)
+    chans = [("f", ()), ("V", ("3",)), ("pg", ("G1",))]
+    want = [[_ref_at(_starting_at(traj, t), chan, args, t) for t in ts]
+            for chan, args in chans]
+    assert np.array_equal(traj.sample(chans, ts, traj.segment_index(ts)),
+                          want)
 
 
 def test_channel_reads_the_written_row_at_an_event_instant(fourbus_40):
@@ -438,7 +440,9 @@ def test_channel_reads_the_written_row_at_an_event_instant(fourbus_40):
     traj = fourbus_40
     names, ts, _, data, _ = _read_trajectory(write_trajectory(traj, 0.1))
     row = data[int(np.flatnonzero(ts == 30.0)[0]), names.index("V:2") - 2]
-    assert traj.channel("V", ("2",), 30.0)[0] == row
+    ts = np.array([30.0])
+    assert traj.sample([("V", ("2",))], ts, traj.segment_index(ts))[
+        0, 0] == row
     assert row == pytest.approx(0.94815, abs=5e-6)
 
 

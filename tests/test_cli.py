@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hesim
@@ -165,7 +166,8 @@ def test_trigger_on_offline_branch_runs_to_completion(tmp_path, variant):
     assert out.exists() and "failure=\n" in summ.read_text()
     # an offline branch carries no current, like a dead bus has no voltage
     traj = run_simulation(*parse_case(text), RunConfig(t_end=10.0))
-    before, after = traj.channel("I", args, [4.0, 8.0])
+    ts = np.array([4.0, 8.0])
+    before, after = traj.sample([("I", args)], ts, traj.segment_index(ts))[0]
     assert before > 0.0 and after == 0.0
 
 

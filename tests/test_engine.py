@@ -68,6 +68,40 @@ def test_algebraic_block_with_state_coupling():
     assert np.allclose(C[1], expect, atol=1e-12)
 
 
+def test_float_factor_is_a_constant_on_the_coefficient():
+    # each term with float factors compiles to the term with coeff * c
+    # written out, bit for bit; a zero constant drops the term as a zero
+    # coefficient does, and three slot factors still raise
+    def build(folded):
+        b = SystemBuilder()
+        x, y, s = b.alg("x"), b.alg("y"), b.state("s")
+        k = b.known("k")
+        e1, e2 = b.alg_eq("e1"), b.alg_eq("e2")
+        if folded:
+            b.term(e1, 0.1 * 0.7, x, y)
+            b.term(e1, -0.3 * 1.9)
+            b.term(e2, 2.0 * -1.3 * 0.6, k, x)
+            b.rhs_term(s, 0.5 * 3.0, s)
+        else:
+            b.term(e1, 0.1, x, 0.7, y)
+            b.term(e1, -0.3, 1.9)
+            b.term(e1, 1.0, 0.0, x)
+            b.term(e1, 0.0, x)
+            b.term(e2, 2.0, -1.3, k, None, x, 0.6)
+            b.rhs_term(s, 0.5, s, 3.0)
+            b.rhs_term(s, 4.0, 0.0)
+            with pytest.raises(ValueError, match="arity"):
+                b.term(e2, 1.0, x, 2.0, y, k)
+        b.term(e2, 1.0, y)
+        return b.compile().terms
+
+    got, want = build(False), build(True)
+    for kind in ("alg", "rhs"):
+        assert [a.tobytes() for a in got[kind]] == [
+            a.tobytes() for a in want[kind]]
+    assert len(want["alg"][1]) == 4 and len(want["rhs"][1]) == 1
+
+
 def test_anchor_inconsistent_raises():
     b = SystemBuilder()
     y = b.alg("y")

@@ -355,7 +355,7 @@ def test_matched_synchronization_is_flat(fourbus):
                           state=st)
     assert traj.failure is None
     ts = np.linspace(0, 2, 21)
-    v2 = traj.channel("V", ("2",), ts)
+    v2 = traj.sample([("V", ("2",))], ts, traj.segment_index(ts))[0]
     assert np.max(np.abs(v2 - abs(st.v[1]))) < 1e-7
 
 
@@ -437,24 +437,29 @@ def _pick_up_lx2(p):
     return str(err.value)
 
 
+def _picked_up(p):
+    """alpha * p: the pu of the LX2 pickup at p the failure message names."""
+    import re
+
+    alpha = re.search(r"stops at alpha=([0-9.e+-]+):", _pick_up_lx2(p))
+    assert alpha
+    return p * float(alpha.group(1))
+
+
 def test_infeasible_load_pickup_names_the_alpha_it_reached():
     # no post-switch state: the chain stops at the nose, where the load
     # picked up, alpha * p, is the same whatever p
-    import re
-
-    picked = []
-    for p in (2.0, 4.0):
-        alpha = re.search(r"alpha=([0-9.e+-]+):", _pick_up_lx2(p))
-        assert alpha
-        picked.append(p * float(alpha.group(1)))
-    assert picked[1] == pytest.approx(picked[0], rel=0.01)
+    nose = _picked_up(2.0)
+    for p in (4.0, 10.0, 20.0, 40.0, 400.0):
+        assert _picked_up(p) == pytest.approx(nose, rel=0.01), p
 
 
 @pytest.mark.parametrize("p", [1e6, 1e8])
 def test_overflowing_pickup_fails_without_warnings(p):
     # the probes (1e6) and then the series (1e8) overflow: tier-1 turns an
-    # escaping RuntimeWarning into an error, so this checks both are quiet
-    assert "stops at alpha=0:" in _pick_up_lx2(p)
+    # escaping RuntimeWarning into an error, so this checks both are quiet.
+    # The alpha named is one a stage certified, short of the nose (1.31 pu)
+    assert 0.0 <= _picked_up(p) < 1.3
 
 
 # --- island labelling -----------------------------------------------------------
@@ -602,10 +607,8 @@ def _ref_anchor(case, st, name, pf):
         return st.slip.get(key, 0.02)
     elif kind == "df":
         return st.df.get(int(key), 0.0)
-    elif kind == "qpv":
-        return 0.0
-    elif kind == "qg":
-        return st.mach[key].q_g
+    elif kind == "qg":  # the powerflow starts from zero reactive output
+        return 0.0 if pf else st.mach[key].q_g
     else:
         return getattr(st.mach[key], _REF_FIELDS[kind])
     return z.imag if kind.endswith("y") else z.real
@@ -641,7 +644,7 @@ def _ref_write_back(built, values, case, state):
             vi[int(rest)] = val
         elif kind in _REF_FIELDS:
             setattr(state.mach[rest], _REF_FIELDS[kind], val)
-        elif kind in ("qg", "qpv"):
+        elif kind == "qg":
             state.mach.setdefault(rest, MachineState()).q_g = val
         elif kind == "slip":
             state.slip[rest] = val

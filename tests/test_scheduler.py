@@ -284,8 +284,9 @@ def test_record_trigger_before_a_ramp_stop_in_one_segment(monkeypatch):
     assert first.t0 < t_rec < first.t1 == t_stop
     expect = t_stop * math.hypot(tb.p, tb.q) / math.sqrt(
         two_bus_current_sq(tb, t_stop))
-    assert traj.channel("V", ("2",), [4.0, 5.9]) == pytest.approx(
-        [expect] * 2, abs=1e-9)
+    ts = np.array([4.0, 5.9])
+    assert traj.sample([("V", ("2",))], ts, traj.segment_index(ts))[
+        0] == pytest.approx([expect] * 2, abs=1e-9)
 
 
 def test_tied_and_initially_true_record_triggers(ramp_segment):
@@ -350,7 +351,8 @@ def test_events_split_segments_and_order():
     for s in traj.segments:
         assert not (s.t0 < 1.5 - 1e-9 < s.t1 - 1e-9)
     # ramp stopped: the load level stays at 1.5 afterwards
-    v_end = traj.channel("V", ("2",), [2.9])[0]
+    ts = np.array([2.9])
+    v_end = traj.sample([("V", ("2",))], ts, traj.segment_index(ts))[0, 0]
     tb = TwoBusCase()
     i_sq = two_bus_current_sq(tb, 1.5)
     # |V2| = lam*|S| / I
@@ -419,8 +421,8 @@ def test_event_log_times_nondecreasing(fourbus_hybrid):
 def test_qss_fraction_and_fidelity(fourbus_hybrid, fourbus_dynamic):
     assert fourbus_hybrid.qss_fraction() > 0.7
     ts = np.arange(0.0, 500.0001, 0.5)
-    f_h = fourbus_hybrid.channel("f", (), ts)
-    f_d = fourbus_dynamic.channel("f", (), ts)
+    f_h, f_d = (traj.sample([("f", ())], ts, traj.segment_index(ts))[0]
+                for traj in (fourbus_hybrid, fourbus_dynamic))
     assert np.max(np.abs(f_h - f_d)) < 0.02
 
 
@@ -677,10 +679,10 @@ def test_qss_to_dyn_then_flat(fourbus):
                           state=st)
     assert traj.failure is None
     ts = np.linspace(0, 5, 26)
-    f = traj.channel("f", (), ts)
+    f, *vs = traj.sample([("f", ())] + [("V", (b,)) for b in "1234"], ts,
+                         traj.segment_index(ts))
     assert np.max(np.abs(f - 60.0)) < 1e-6
-    for b in ("1", "2", "3", "4"):
-        v = traj.channel("V", (b,), ts)
+    for v in vs:
         assert np.max(np.abs(v - v[0])) < 1e-6
 
 
@@ -709,9 +711,10 @@ def test_cut_tie_collapses_sourceless_island():
     cut = [e for e in traj.events if e.kind == "cut_branch"][0]
     assert "load:l4" in cut.info["collapsed"]
     # the surviving island keeps running
-    v2 = traj.channel("V", ("2",), [3.9])[0]
+    ts = np.array([3.9])
+    (v2,), (v4,) = traj.sample([("V", ("2",)), ("V", ("4",))], ts,
+                               traj.segment_index(ts))
     assert 0.9 < v2 < 1.1
-    v4 = traj.channel("V", ("4",), [3.9])[0]
     assert v4 == 0.0
 
 
@@ -728,7 +731,9 @@ def test_black_start_closes_its_online_branches(mode):
               SimEvent(kind="add_gen", t_due=2.0, payload={"gen": "G1"})]
     traj = run_simulation(case, script, RunConfig(mode=mode, t_end=4.0))
     assert traj.failure is None
-    v1, v2 = (traj.channel("V", (b,), [1.5, 3.9]) for b in ("1", "2"))
+    ts = np.array([1.5, 3.9])
+    v1, v2 = traj.sample([("V", ("1",)), ("V", ("2",))], ts,
+                         traj.segment_index(ts))
     assert v1[0] == v2[0] == 0.0
     assert 0.95 < v1[1] < 1.05 and abs(v2[1] - v1[1]) < 0.01
 
@@ -748,7 +753,8 @@ def test_q_limit_converts_pv_to_pq():
     hits = [e for e in traj.events if e.kind == "q_limit"]
     assert hits, "expected the reactive limit to engage"
     # PV magnitude released: terminal voltage drops below the setpoint
-    v1 = traj.channel("V", ("1",), [traj.t_end - 0.1])[0]
+    ts = np.array([traj.t_end - 0.1])
+    v1 = traj.sample([("V", ("1",))], ts, traj.segment_index(ts))[0, 0]
     assert v1 < 1.05 - 1e-4
 
 
@@ -759,8 +765,9 @@ def test_frequency_shows_agc_restoration_shape(fourbus_hybrid):
     # toward nominal before the next event
     ts_dip = np.linspace(30.0, 36.0, 61)
     ts_rec = np.linspace(56.0, 59.9, 20)
-    f_dip = fourbus_hybrid.channel("f", (), ts_dip)
-    f_rec = fourbus_hybrid.channel("f", (), ts_rec)
+    f_dip, f_rec = (fourbus_hybrid.sample(
+        [("f", ())], ts, fourbus_hybrid.segment_index(ts))[0]
+        for ts in (ts_dip, ts_rec))
     assert f_dip.min() < 59.9          # visible sag
     assert np.all(np.abs(f_rec - 60.0) < 0.01)  # restored before the cut
 
@@ -776,7 +783,8 @@ def test_speed_envelope_decays_on_small_signal_case():
     traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=6.0),
                           state=st)
     ts = np.linspace(0.0, 6.0, 1200)
-    w = np.abs(traj.channel("omega", ("G1",), ts))
+    w = np.abs(traj.sample([("omega", ("G1",))], ts,
+                           traj.segment_index(ts))[0])
     peaks = [w[i] for i in range(1, len(w) - 1)
              if w[i] >= w[i - 1] and w[i] >= w[i + 1] and w[i] > 1e-9]
     assert len(peaks) >= 3
@@ -795,11 +803,11 @@ def test_fault_apply_and_clear_rides_through():
     ]
     traj = run_simulation(case, script, RunConfig(mode="dynamic", t_end=9.0))
     assert traj.failure is None
-    v1 = traj.channel("V", ("1",), [1.05])[0]
+    ts = np.array([1.05, 8.9])
+    (v1, v_end), (_, w_end) = traj.sample(
+        [("V", ("1",)), ("omega", ("G1",))], ts, traj.segment_index(ts))
     assert v1 < 0.6                      # depressed during the fault
-    w_end = traj.channel("omega", ("G1",), [8.9])[0]
     assert abs(w_end) < 2e-4             # settled afterwards
-    v_end = traj.channel("V", ("1",), [8.9])[0]
     assert v_end == pytest.approx(1.02, abs=0.01)
 
 
@@ -819,7 +827,8 @@ def test_conditional_event_trips_branch(fourbus):
     conds = [e for e in traj.events if e.kind == "conditional"]
     assert conds and conds[0].t == trips[0].t
     # the corridor now runs on one circuit: per-branch current doubles
-    i_end = traj.channel("I", ("L23A",), [19.9])[0]
+    ts = np.array([19.9])
+    i_end = traj.sample([("I", ("L23A",))], ts, traj.segment_index(ts))[0, 0]
     assert i_end > 0.075
 
 

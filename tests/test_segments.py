@@ -75,7 +75,8 @@ def test_qss_agc_decay_matches_adaptive_integrator():
                               rtol=1e-11, atol=1e-13, dt_out=1.0)
     traj = run_simulation(case, [], RunConfig(mode="qss", t_end=12.0),
                           state=st)
-    df_he = traj.channel("f", (), out.ts) - case.f_nominal
+    df_he = traj.sample([("f", ())], out.ts,
+                        traj.segment_index(out.ts))[0] - case.f_nominal
     df_rk = out.col("df:0")
     assert np.max(np.abs(df_he - df_rk)) < 1e-6
     # frequency pulled back toward nominal
