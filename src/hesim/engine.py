@@ -556,9 +556,13 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
     alpha it would reach means the switch target does not exist (e.g.
     energizing into an infeasible condition); the error names the alpha
     reached, close to the nose also where the nose lies early on the path.
+    So does a chain still short of alpha = 1 after 2^8 stages.  That cap
+    bounds the work: a stage that just passes the minimum grows alpha by
+    1/255 of itself, so from solve_segment's shortest first range (2^-20 of
+    the path) an uncapped chain could run about 3,500 stages.
     """
-    a = 0.0
-    while True:
+    a, stages = 0.0, round(1 / _MIN_STAGE)
+    for _ in range(stages):
         rest = 1.0 - a
         try:
             seg = solve_segment(system, anchors, _taylor_shift(kcoeffs, a),
@@ -577,3 +581,5 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
         if step == rest:
             return polished
         a, anchors = a + step, polished
+    raise NoConvergenceAtAlpha1(
+        f"{kind} stops at alpha={a:.6g}: no alpha=1 in {stages} stages")

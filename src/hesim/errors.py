@@ -41,7 +41,8 @@ class AnchorInconsistent(HesimError):
 class NoConvergenceAtAlpha1(HesimError):
     """The switching continuation does not reach a valid state at alpha=1:
     a stage failed or certified less than 2^-8 of the alpha it would
-    reach.  The message names the switch kind and the alpha reached."""
+    reach, or 2^8 stages did not get there.  The message names the switch
+    kind and the alpha reached."""
 
 
 class ZeroBoundaryVoltage(HesimError):

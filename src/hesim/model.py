@@ -522,8 +522,10 @@ class _Assembler:
                 g = case.gen_by_id[gid]
                 if g.bus not in self.balance:
                     continue
-                if pf or self.mode == QSS:
-                    self._emit_pv_gen(g, isl)
+                if pf:
+                    self._emit_pf_gen(g, isl)
+                elif self.mode == QSS:
+                    self._emit_qss_gen(g, isl)
                 else:
                     self._emit_machine_vars(g)
                     mach_emitted.append((g, isl))
@@ -651,7 +653,47 @@ class _Assembler:
         else:
             epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
             sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
-            self._emit_rotor(g, isl)
+            # the differential rows: swing, flux decay, AVR, governor, AGC
+            delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
+            avr, gov = s_[f"avr:{gid}"], s_[f"gov:{gid}"]
+            agc, pd_slot = s_[f"agc:{gid}"], b.known(f"pdisp:{gid}")
+
+            w_s = self.case.omega_base
+            b.rhs_term(delta, w_s, omega)
+            b.rhs_term(sind, w_s, omega, cosd)
+            b.rhs_term(cosd, -w_s, omega, sind)
+
+            h2 = 2.0 * g.h
+            t21 = g.gov_t2 / g.gov_t1
+            b.rhs_term(omega, 1.0 / h2, pd_slot)
+            b.rhs_term(omega, 1.0 / h2, agc)
+            b.rhs_term(omega, -t21 / (g.gov_r * h2), omega)
+            b.rhs_term(omega, (1.0 - t21) / h2, gov)
+            b.rhs_term(omega, -g.d / h2, omega)
+            b.rhs_term(omega, -1.0 / h2, epsd, i_d)
+            b.rhs_term(omega, -1.0 / h2, epsq, i_q)
+            b.rhs_term(omega, -(g.xq_t - g.xd_t) / h2, i_d, i_q)
+
+            b.rhs_term(epsq, -1.0 / g.td0_t, epsq)
+            b.rhs_term(epsq, -(g.xd - g.xd_t) / g.td0_t, i_d)
+            b.rhs_term(epsq, 1.0 / g.td0_t, avr)
+            b.rhs_term(epsd, -1.0 / g.tq0_t, epsd)
+            b.rhs_term(epsd, (g.xq - g.xq_t) / g.tq0_t, i_q)
+
+            ms = self.state.mach[gid]
+            b.rhs_term(avr, g.avr_ka * ms.v_ref / g.avr_ta)
+            b.rhs_term(avr, -g.avr_ka / g.avr_ta, self.vmslots[g.bus])
+            b.rhs_term(avr, -1.0 / g.avr_ta, avr)
+
+            b.rhs_term(gov, -1.0 / (g.gov_r * g.gov_t1), omega)
+            b.rhs_term(gov, -1.0 / g.gov_t1, gov)
+
+            if g.agc_tg > 0 and isl.machines:
+                h_tot = sum(self.case.gen_by_id[m].h for m in isl.machines)
+                k_agc = self.case.f_nominal / g.agc_tg
+                for mid in isl.machines:
+                    gm = self.case.gen_by_id[mid]
+                    b.rhs_term(agc, -k_agc * gm.h / h_tot, s_[f"omega:{mid}"])
 
         ed = b.alg_eq(f"statord:{gid}")
         eq_ = b.alg_eq(f"statorq:{gid}")
@@ -672,108 +714,69 @@ class _Assembler:
         b.term(eqy, -1.0, scale, i_d, cosd)
         b.term(eqy, 1.0, scale, i_q, sind)
 
-    def _emit_rotor(self, g: GenSpec, isl: Island) -> None:
-        """The differential rows: swing, flux decay, AVR, governor, AGC."""
-        b = self.b
-        gid = g.gen_id
-        s_ = self.slots
-        i_d, i_q = s_[f"id:{gid}"], s_[f"iq:{gid}"]
-        delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
-        epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
-        sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
-        avr, gov, agc = s_[f"avr:{gid}"], s_[f"gov:{gid}"], s_[f"agc:{gid}"]
+    def _emit_pf_gen(self, g: GenSpec, isl: Island) -> None:
+        """Powerflow: alpha-scaled P; the PV row's |V|^2 is blended from the
+        flat profile to v_set^2."""
+        st = self.state
+        eqx, eqy = self.balance[g.bus]
+        wx, wy = self.wslots[g.bus]
+        ms = st.mach.get(g.gen_id)
+        p = st.pdisp_now(g.gen_id) + ms.agc if ms is not None else g.p_set
+        self.b.term(eqx, p, self.alpha_slot, wx)
+        self.b.term(eqy, -p, self.alpha_slot, wy)
+        vsl = abs(island_flat_voltage(self.case, isl))
+        eq = self._emit_pv_row(g, vsl * vsl)
+        self.b.term(eq, -(g.v_set ** 2 - vsl * vsl), self.alpha_slot)
 
-        pd_slot = self.b.known(f"pdisp:{gid}")
-
-        w_s = self.case.omega_base
-        b.rhs_term(delta, w_s, omega)
-        b.rhs_term(sind, w_s, omega, cosd)
-        b.rhs_term(cosd, -w_s, omega, sind)
-
-        h2 = 2.0 * g.h
-        t21 = g.gov_t2 / g.gov_t1
-        b.rhs_term(omega, 1.0 / h2, pd_slot)
-        b.rhs_term(omega, 1.0 / h2, agc)
-        b.rhs_term(omega, -t21 / (g.gov_r * h2), omega)
-        b.rhs_term(omega, (1.0 - t21) / h2, gov)
-        b.rhs_term(omega, -g.d / h2, omega)
-        b.rhs_term(omega, -1.0 / h2, epsd, i_d)
-        b.rhs_term(omega, -1.0 / h2, epsq, i_q)
-        b.rhs_term(omega, -(g.xq_t - g.xd_t) / h2, i_d, i_q)
-
-        b.rhs_term(epsq, -1.0 / g.td0_t, epsq)
-        b.rhs_term(epsq, -(g.xd - g.xd_t) / g.td0_t, i_d)
-        b.rhs_term(epsq, 1.0 / g.td0_t, avr)
-        b.rhs_term(epsd, -1.0 / g.tq0_t, epsd)
-        b.rhs_term(epsd, (g.xq - g.xq_t) / g.tq0_t, i_q)
-
-        ms = self.state.mach[gid]
-        b.rhs_term(avr, g.avr_ka * ms.v_ref / g.avr_ta)
-        b.rhs_term(avr, -g.avr_ka / g.avr_ta, self.vmslots[g.bus])
-        b.rhs_term(avr, -1.0 / g.avr_ta, avr)
-
-        b.rhs_term(gov, -1.0 / (g.gov_r * g.gov_t1), omega)
-        b.rhs_term(gov, -1.0 / g.gov_t1, gov)
-
-        if g.agc_tg > 0 and isl.machines:
-            h_tot = sum(self.case.gen_by_id[m].h for m in isl.machines)
-            for mid in isl.machines:
-                gm = self.case.gen_by_id[mid]
-                b.rhs_term(agc,
-                           -(self.case.f_nominal / g.agc_tg) * gm.h / h_tot,
-                           s_[f"omega:{mid}"])
-
-    def _emit_pv_gen(self, g: GenSpec, isl: Island) -> None:
-        """A machine as a PV bus: a reactive unknown ``qg`` holds |V|^2 at
-        v_set^2.  In the powerflow, P is alpha-scaled and v_set^2 is blended
-        from the flat profile.  In QSS, P is the dispatch plus the AGC
-        integrator (both frozen across a switch instant) with droop
-        frequency response, and a reactive output at its limit is fixed."""
+    def _emit_qss_gen(self, g: GenSpec, isl: Island) -> None:
+        """QSS: P is the dispatch plus the AGC integrator (one constant,
+        frozen across a switch instant) with droop frequency response; a
+        reactive output at its limit is fixed, else the PV row holds
+        |V|^2 at v_set^2."""
         b = self.b
         gid = g.gen_id
         st = self.state
         eqx, eqy = self.balance[g.bus]
         wx, wy = self.wslots[g.bus]
-        ms = st.mach.get(gid)
-        if self.pf:
-            p = st.pdisp_now(gid) + ms.agc if ms is not None else g.p_set
-            b.term(eqx, p, self.alpha_slot, wx)
-            b.term(eqy, -p, self.alpha_slot, wy)
-            vsl = abs(island_flat_voltage(self.case, isl))
-            v0_sq, v1_sq = vsl * vsl, g.v_set ** 2
+        ms = st.mach[gid]
+        df_slot = self.slots.get(f"df:{isl.index}")
+        if df_slot is None and not isl.sources:
+            df_slot = self.var(f"df:{isl.index}", "alg")
+        if self.alpha:  # a zero constant drops the AGC term
+            pd, pagc = st.pdisp_now(gid) + ms.agc, 0.0
         else:
-            df_slot = self.slots.get(f"df:{isl.index}")
-            if df_slot is None and not isl.sources:
-                df_slot = self.var(f"df:{isl.index}", "alg")
-            if self.alpha:  # frozen across the instant: constant factors
-                pd, pagc = st.pdisp_now(gid), ms.agc
-            else:
-                pagc = self.var(f"pagc:{gid}", "state")
-                pd = b.known(f"pdisp:{gid}")
-                if df_slot is not None and g.agc_tg > 0:
-                    b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
-            for f in (pd, pagc):
-                b.term(eqx, 1.0, f, wx)
-                b.term(eqy, -1.0, f, wy)
-            if df_slot is not None:
-                kf = g.k_freq / self.case.f_nominal  # pu per Hz
-                b.term(eqx, -kf, df_slot, wx)
-                b.term(eqy, kf, df_slot, wy)
-            if ms.q_fixed is not None:
-                b.term(eqx, -ms.q_fixed, wy)
-                b.term(eqy, -ms.q_fixed, wx)
-                return
-            v0_sq = v1_sq = ms.v_set ** 2
+            pagc = self.var(f"pagc:{gid}", "state")
+            pd = b.known(f"pdisp:{gid}")
+            if df_slot is not None and g.agc_tg > 0:
+                b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
+        for f in (pd, pagc):
+            b.term(eqx, 1.0, f, wx)
+            b.term(eqy, -1.0, f, wy)
+        if df_slot is not None:
+            kf = g.k_freq / self.case.f_nominal  # pu per Hz
+            b.term(eqx, -kf, df_slot, wx)
+            b.term(eqy, kf, df_slot, wy)
+        if ms.q_fixed is None:
+            self._emit_pv_row(g, ms.v_set ** 2)
+        else:
+            b.term(eqx, -ms.q_fixed, wy)
+            b.term(eqy, -ms.q_fixed, wx)
 
-        qg = self.var(f"qg:{gid}", "alg")
+    def _emit_pv_row(self, g: GenSpec, v_sq: float) -> int:
+        """A reactive unknown ``qg`` that holds |V|^2 at v_sq; returns the
+        PV row."""
+        b = self.b
+        eqx, eqy = self.balance[g.bus]
+        wx, wy = self.wslots[g.bus]
+        qg = self.var(f"qg:{g.gen_id}", "alg")
         b.term(eqx, -1.0, qg, wy)
         b.term(eqy, -1.0, qg, wx)
         vx, vy = self.vslots[g.bus]
-        eq = b.alg_eq(f"pv:{gid}")
+        eq = b.alg_eq(f"pv:{g.gen_id}")
         b.term(eq, 1.0, vx, vx)
         b.term(eq, 1.0, vy, vy)
-        b.term(eq, -v0_sq)
-        b.term(eq, -(v1_sq - v0_sq), self.alpha_slot)
+        b.term(eq, -v_sq)
+        return eq
 
     def _emit_island_frequency(self, isl: Island, slack_gen) -> None:
         """One angle pin per island closes the frequency unknown."""

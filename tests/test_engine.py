@@ -180,6 +180,35 @@ def test_alpha_continuation_infeasible():
                             np.array([[0.0, 1.0]]), kind="ALPHA_PARAM")
 
 
+def test_alpha_chain_of_creeping_stages_stops_at_its_cap(monkeypatch):
+    # 0 = y^2 - (1 + 3 alpha) has a root at alpha = 1, but each stage is cut
+    # to 1e-3, or to 1/200 of the alpha reached: every stage passes the
+    # minimum (1/255 of it), and the chain stops at its 256th
+    import hesim.engine as engine
+
+    b = SystemBuilder()
+    y, alpha = b.alg("y"), b.known("alpha")
+    eq = b.alg_eq("emb")
+    b.term(eq, 1.0, y, y)
+    b.term(eq, -1.0)
+    b.term(eq, -3.0, alpha)
+    stages = []
+    solve = engine.solve_segment
+
+    def creeping(*args):
+        seg = solve(*args)
+        stages.append(seg)
+        seg.t_e = min(seg.t_e, max(1e-3, (1.0 - args[-1]) / 200))
+        return seg
+
+    monkeypatch.setattr(engine, "solve_segment", creeping)
+    with pytest.raises(NoConvergenceAtAlpha1,
+                       match=r"alpha=0\.2[0-9]*: no alpha=1 in 256 stages"):
+        solve_alpha_problem(b.compile(), np.array([1.0]),
+                            np.array([[0.0, 1.0]]), kind="ALPHA_PARAM")
+    assert len(stages) == 256
+
+
 def _alpha_systems(c):
     """y^2 + c alpha - 1 = 0, and x y = 1 with x^2 + c alpha - 1 = 0: the
     anchors at alpha = 0 and the closed-form roots at alpha = 1."""
