@@ -104,7 +104,8 @@ def cmd_simulate(args) -> int:
 
 
 def _method_event_times(case, script, methods, config):
-    """Conditional-event times from fixed-step baseline integrations.
+    """Conditional-event times from baseline integrations, one per
+    (name, integrator) pair of ``methods``.
 
     One system, built at t = 0, is integrated to the end, so the script may
     change it only at t = 0 and without a switch (a ramp starting then);
@@ -134,16 +135,14 @@ def _method_event_times(case, script, methods, config):
         EVENTS[ev.kind].action(case, st, ev.payload, 0.0)
     built = mdl.build_system(case, st, st.mode)
     mdl.refine_state(built, st)
-    name = {"me": "modified-euler", "trap": "trapezoidal",
-            "adaptive": "adaptive-high-order"}
     # the triggers read through the channel map of the analytic segments
     chans = tuple((e.condition.channel, e.condition.args) for e in conds)
     chan_map = ChannelMap(built, case, st.mode)
     known = built.knowns(st, 0.0).T  # the ramps are linear in t
     rows = []
-    for m in methods:
+    for m, integrator in methods:
         model = DaeModel(built, copy.deepcopy(st))
-        out = integrate_reference(model, (0.0, config.t_end), name[m],
+        out = integrate_reference(model, (0.0, config.t_end), integrator,
                                   h=0.01)
         lhs = chan_map.apply(chans, (out.values.T, np.polynomial.polynomial
                                      .polyval(out.ts, known)), out.ts)
@@ -170,11 +169,17 @@ def cmd_compare(args) -> int:
     except ValueError as exc:  # invalid run settings: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # the fixed-step baselines reject a script they cannot replay before
-    # any run starts
-    method_rows = (_method_event_times(case, script, methods,
-                                       _config(args, script))
-                   if methods else [])
+    integrator = {"me": "modified-euler", "trap": "trapezoidal",
+                  "adaptive": "adaptive-high-order"}
+    unknown = [m for m in methods if m not in integrator]
+    if unknown:
+        print(f"error: unknown --methods {', '.join(unknown)} (choose from "
+              f"{', '.join(integrator)})", file=sys.stderr)
+        return 2
+    # the baselines reject a script they cannot replay before any run starts
+    method_rows = (_method_event_times(
+        case, script, [(m, integrator[m]) for m in methods],
+        _config(args, script)) if methods else [])
     trajs = {}
     for mode, config in configs.items():
         trajs[mode] = run_simulation(case, script, config)
@@ -242,8 +247,10 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--runs", default="hybrid,dynamic",
                        help="comma-separated mode list, first is baseline")
     p_cmp.add_argument("--methods", default="",
-                       help="also resolve conditional events with fixed-step "
-                            "baselines: me, trap (ramp-only scripts)")
+                       help="also resolve conditional events with baseline "
+                            "integrators: me, trap (fixed step) or adaptive "
+                            "(DOP853), ramp-only scripts; an unknown name "
+                            "exits 2")
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)

@@ -12,6 +12,10 @@ Each device's equations are written once for all three: a quantity frozen
 across a switch instant is passed as a constant (float) factor where a time
 embedding passes its unknown.
 
+This module also makes every change of the runtime state: the switch
+continuations, the mode switches (the QSS start shares the dyn->qss
+conversion), the PV->PQ fix at a reactive limit and the ramps.
+
 Everything is rectangular: a complex network quantity is a pair of real
 unknowns, conjugation is a sign flip, and the reciprocal voltage W carries
 its own defining equations V*W = 1 wherever constant-power or
@@ -30,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import SteadyStateVerdict
 from .engine import (
     ALPHA_ADD,
     ALPHA_CUT,
@@ -39,8 +44,10 @@ from .engine import (
     solve_alpha_problem,
 )
 from .errors import (
+    HesimError,
     IslandWithoutGeneration,
     NoConvergenceAtAlpha1,
+    NotSteady,
     PowerFlowInfeasible,
     ZeroBoundaryVoltage,
 )
@@ -107,6 +114,12 @@ class Island:
     def energized(self) -> bool:
         return bool(self.sources or self.machines)
 
+    @property
+    def slack(self) -> Optional[str]:
+        """The generator that holds the island's reference: its first
+        source, else its reference machine."""
+        return self.sources[0] if self.sources else self.ref_gen
+
 
 @dataclass
 class SystemState:
@@ -132,6 +145,21 @@ class SystemState:
 
     def bump(self) -> None:
         self.epoch += 1
+
+    def start_ramp(self, what: str, key: str, rate: float, t: float) -> None:
+        self.ramps.append(Ramp(f"{what}:{key}", rate, t))
+
+    def stop_ramps(self, what: str, key: str, t: float) -> None:
+        """Fold the ramps on a load's scale or a generator's dispatch into
+        its base value at t, and drop them."""
+        target = f"{what}:{key}"
+        if not any(r.target == target for r in self.ramps):
+            return
+        if what == "load":
+            self.load_scale[key] = self.scale_now(key, t)
+        else:
+            self.mach[key].p_disp = self.pdisp_now(key, t)
+        self.ramps[:] = [r for r in self.ramps if r.target != target]
 
     def ramped(self, target: str, base: float,
                t: Optional[float] = None) -> tuple:
@@ -241,20 +269,16 @@ def coi_speed(case: GridCase, state: SystemState, island: Island) -> float:
     return num / den if den > 0 else 0.0
 
 
-def island_slack(case: GridCase, isl: Island) -> Optional[GenSpec]:
-    if isl.sources:
-        return case.gen_by_id[isl.sources[0]]
-    if isl.ref_gen is not None:
-        return case.gen_by_id[isl.ref_gen]
-    return None
+def setpoint_voltage(case: GridCase, g: GenSpec) -> complex:
+    """A generator's setpoint phasor: v_set at its bus's initial angle."""
+    return g.v_set * cmath.exp(1j * case.buses[case.bus_index[g.bus]]
+                               .angle_init)
 
 
 def island_flat_voltage(case: GridCase, isl: Island) -> complex:
-    g = island_slack(case, isl)
-    if g is None:
+    if isl.slack is None:
         raise IslandWithoutGeneration(f"island {isl.index} has no generation")
-    sb = case.buses[case.bus_index[g.bus]]
-    return g.v_set * cmath.exp(1j * sb.angle_init)
+    return setpoint_voltage(case, case.gen_by_id[isl.slack])
 
 
 # --------------------------------------------------------------------------
@@ -407,21 +431,11 @@ class _Assembler:
         self.alpha_slot = alpha_slot
         self.omalpha_slot = omalpha_slot
 
-        # slack selection: sources always pin their bus; the powerflow also
-        # promotes the reference machine to slack in source-less islands
-        slack_gen: dict = {}
-        for isl in islands:
-            if isl.sources:
-                slack_gen[isl.index] = isl.sources[0]
-            elif pf:
-                if isl.ref_gen is None:
-                    raise IslandWithoutGeneration(
-                        f"island {isl.index} has no generation")
-                slack_gen[isl.index] = isl.ref_gen
-        pinned_buses = {case.gen_by_id[g].bus for g in slack_gen.values()}
-        for isl in islands:
-            for g in isl.sources:
-                pinned_buses.add(case.gen_by_id[g].bus)
+        # sources always pin their bus; the powerflow also pins the slack
+        # machine's bus in source-less islands, so no machine equations are
+        # emitted for it
+        pinned_buses = {case.gen_by_id[g].bus for isl in islands
+                        for g in isl.sources + ([isl.slack] if pf else [])}
 
         # ---- per-bus unknowns ----
         vslots, wslots, vmslots, uslots = {}, {}, {}, {}
@@ -443,10 +457,9 @@ class _Assembler:
         # ---- balance equations or source pins ----
         for bus in ebuses:
             if bus in pinned_buses:
-                g = next(g for g in case.gens_at(bus)
-                         if g.gen_id in state.gen_online)
-                sb = case.buses[case.bus_index[bus]]
-                e = g.v_set * cmath.exp(1j * sb.angle_init)
+                e = setpoint_voltage(case, next(
+                    g for g in case.gens_at(bus)
+                    if g.gen_id in state.gen_online))
                 eqx = self.b.alg_eq(f"pinx:{bus}")
                 eqy = self.b.alg_eq(f"piny:{bus}")
                 self.b.term(eqx, 1.0, vslots[bus][0])
@@ -517,10 +530,8 @@ class _Assembler:
         mach_emitted: list = []
         for isl in islands:
             for gid in isl.machines:
-                if gid == slack_gen.get(isl.index):
-                    continue
                 g = case.gen_by_id[gid]
-                if g.bus not in self.balance:
+                if g.bus not in self.balance:  # a pinned bus
                     continue
                 if pf:
                     self._emit_pf_gen(g, isl)
@@ -538,7 +549,7 @@ class _Assembler:
         # ---- QSS island closure ----
         if self.mode == QSS and not pf:
             for isl in islands:
-                self._emit_island_frequency(isl, slack_gen)
+                self._emit_island_frequency(isl)
 
         return Built(
             system=self.b.compile(), islands=islands, powerflow=pf,
@@ -778,13 +789,10 @@ class _Assembler:
         b.term(eq, -v_sq)
         return eq
 
-    def _emit_island_frequency(self, isl: Island, slack_gen) -> None:
+    def _emit_island_frequency(self, isl: Island) -> None:
         """One angle pin per island closes the frequency unknown."""
-        if isl.sources or isl.index in slack_gen:
+        if isl.sources:
             return  # a source pins both angle and frequency
-        if not isl.machines:
-            raise IslandWithoutGeneration(
-                f"island {isl.index} cannot run in QSS without generation")
         if f"df:{isl.index}" not in self.slots:
             self.var(f"df:{isl.index}", "alg")
         ref = self.case.gen_by_id[isl.ref_gen]
@@ -1003,13 +1011,99 @@ def machine_init_from_terminal(g: GenSpec, v: complex, s_inj: complex,
     )
 
 
-def machine_terminal_power(case: GridCase, state: SystemState,
-                           gid: str) -> complex:
-    g = case.gen_by_id[gid]
-    ms = state.mach[gid]
-    v = state.v[case.bus_index[g.bus]]
-    i = machine_injection(g, ms.delta, ms.eps_d, ms.eps_q, v)
-    return v * i.conjugate()
+# --------------------------------------------------------------------------
+# mode switching
+# --------------------------------------------------------------------------
+
+
+def _machines_to_pv(case: GridCase, state: SystemState) -> None:
+    """Turn every machine into a PV bus that holds its terminal voltage and
+    output; an island without a source takes its frequency deviation from
+    the machines' center of inertia."""
+    for isl in state.islands:
+        df = 0.0 if isl.sources else case.f_nominal * coi_speed(
+            case, state, isl)
+        state.df[isl.index] = df
+        for gid in isl.machines:
+            g = case.gen_by_id[gid]
+            ms = state.mach[gid]
+            v = state.v[case.bus_index[g.bus]]
+            s_term = v * machine_injection(g, ms.delta, ms.eps_d, ms.eps_q,
+                                           v).conjugate()
+            ms.v_set = abs(v)
+            ms.q_g = s_term.imag
+            ms.agc = (s_term.real + (g.k_freq / case.f_nominal) * df
+                      - state.pdisp_now(gid))
+            ms.q_fixed = None
+
+
+def _machines_from_pv(case: GridCase, state: SystemState) -> None:
+    """Back-initialize every machine from its PV operating point, so the
+    dynamic residual vanishes at the instant."""
+    for isl in state.islands:
+        df = 0.0 if isl.sources else state.df.get(isl.index, 0.0)
+        for gid in isl.machines:
+            g = case.gen_by_id[gid]
+            ms = state.mach[gid]
+            ms.q_fixed = None  # the AVR takes over again
+            v = state.v[case.bus_index[g.bus]]
+            p_inj = (state.pdisp_now(gid) + ms.agc
+                     - (g.k_freq / case.f_nominal) * df)
+            new = machine_init_from_terminal(g, v, complex(p_inj, ms.q_g), df,
+                                             state.pdisp_now(gid),
+                                             case.f_nominal)
+            new.p_disp, new.v_set = ms.p_disp, ms.v_set
+            state.mach[gid] = new
+
+
+def _enter_mode(case: GridCase, state: SystemState, mode: str) -> None:
+    """Make ``mode`` the state's mode and its algebraic variables
+    consistent with it at the instant."""
+    state.mode = mode
+    if mode == DYNAMIC:
+        state.last_dyn_entry = state.t
+    state.bump()
+    refine_state(build_system(case, state, mode), state)
+
+
+def mode_switch(case: GridCase, state: SystemState, direction: str,
+                verdict: Optional[SteadyStateVerdict] = None) -> None:
+    """Convert machines to PV/QSS form (dyn->qss) or back (qss->dyn).
+
+    dyn->qss demands a passing steady-state verdict; ``init_equilibrium``
+    starts QSS through the same conversion.  The reverse direction
+    back-initializes every machine from its PV operating point.
+    """
+    if direction == "dyn->qss":
+        if state.mode != DYNAMIC:
+            raise HesimError("not in dynamic mode")
+        if verdict is None or not verdict.system_steady:
+            raise NotSteady("dynamic-to-QSS switch without a steady verdict")
+        _machines_to_pv(case, state)
+        _enter_mode(case, state, QSS)
+    elif direction == "qss->dyn":
+        if state.mode != QSS:
+            raise HesimError("not in QSS mode")
+        _machines_from_pv(case, state)
+        _enter_mode(case, state, DYNAMIC)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+
+
+def fix_q_limits(case: GridCase, state: SystemState) -> list:
+    """PV->PQ: fix each PV machine's reactive output that left its limits
+    at the limit it crossed.  Returns (gen id, q) of every machine fixed."""
+    fixed = []
+    for isl in state.islands:
+        for gid in isl.machines:
+            g = case.gen_by_id[gid]
+            ms = state.mach[gid]
+            if ms.q_fixed is None and not (g.q_min <= ms.q_g <= g.q_max):
+                ms.q_fixed = min(max(ms.q_g, g.q_min), g.q_max)
+                fixed.append((gid, ms.q_fixed))
+    if fixed:
+        state.bump()
+    return fixed
 
 
 # --------------------------------------------------------------------------
@@ -1055,13 +1149,10 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
         raise PowerFlowInfeasible(str(exc)) from exc
 
     for isl in state.islands:
-        if not isl.energized:
-            continue
-        slack = isl.sources[0] if isl.sources else isl.ref_gen
         for gid in isl.machines:
             g = case.gen_by_id[gid]
             v = state.v[case.bus_index[g.bus]]
-            if gid == slack:
+            if gid == isl.slack:
                 i_inj = required_injection(case, state, g.bus)
                 s_inj = v * i_inj.conjugate()
             else:
@@ -1070,19 +1161,9 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
             state.mach[gid] = machine_init_from_terminal(
                 g, v, s_inj, 0.0, s_inj.real, case.f_nominal)
 
-    state.mode = mode
     if mode == QSS:
-        for isl in state.islands:
-            for gid in isl.machines:
-                ms = state.mach[gid]
-                ms.v_set = abs(state.v[case.bus_index[
-                    case.gen_by_id[gid].bus]])
-                # QSS dispatch convention: pagc tops up the terminal output,
-                # so it is zero at the solved power flow
-                ms.agc = 0.0
-        state.df = {isl.index: 0.0 for isl in state.islands}
-    built = build_system(case, state, mode)
-    refine_state(built, state)
+        _machines_to_pv(case, state)
+    _enter_mode(case, state, mode)
     return state
 
 
@@ -1115,11 +1196,14 @@ def apply_add_shunt(case: GridCase, state: SystemState, bus: int,
 
 
 def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
-                       r: float, x: float, b_sh: float) -> None:
+                       r: float, x: float,
+                       b_sh: Optional[float] = None) -> None:
     """Instant change of a branch's parameters, alpha-blended from the old
-    to the new admittance."""
+    to the new admittance; without ``b_sh`` the branch keeps its present
+    charging."""
     br = case.branch_by_id[branch_id]
     y0, b0 = branch_params(case, state.branch_overrides, branch_id)
+    b_sh = b0 if b_sh is None else b_sh
     if branch_id in state.branch_online:
         _alpha_solve(case, state, AlphaMods(kind=ALPHA_PARAM, dy=branch_stamp(
             br.from_bus, br.to_bus, 1.0 / complex(r, x) - y0, b_sh - b0)))
@@ -1259,8 +1343,7 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
                 and g.bus in (br.from_bus, br.to_bus)]
         state.branch_online.difference_update(ties)
         state.gen_online.add(gen_id)
-        sb = case.buses[bi]
-        v = g.v_set * cmath.exp(1j * sb.angle_init)
+        v = setpoint_voltage(case, g)
         state.v[bi] = v
         state.energized[bi] = True
         state.mach[gen_id] = machine_init_from_terminal(

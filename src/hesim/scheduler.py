@@ -1,4 +1,5 @@
-"""Event-driven simulation: segments, events, and dynamic/QSS mode switching.
+"""Event-driven simulation: segments, events, and when to switch between
+dynamic and QSS mode.
 
 The loop alternates analytic segments with instantaneous events.  Timed
 events bound the step; condition-triggered events are localized on the
@@ -6,8 +7,10 @@ analytic trajectory, all pending triggers of a segment in one pass.
 ``record`` triggers are read off their segment in time order; the first
 other trigger truncates the segment there.  After every dynamic segment
 in hybrid mode the steady-state criteria run on its coefficients, and a
-passing verdict converts the machines to the QSS representation; any
-switching event while in QSS converts back first.
+passing verdict switches to QSS; any switching event while in QSS switches
+back first.  This module keeps time, events, triggers and the steadiness
+policy; every change of the runtime state (a switch, a mode switch, a
+reactive limit, a ramp) is made in ``hesim.model``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import model as mdl
 from .bounds import SteadyStateVerdict, steady_state_check
 from .engine import SegmentSolution, solve_segment
-from .errors import HesimError, NotSteady
+from .errors import HesimError
 from .grid import GridCase
 from .model import (
     DYNAMIC,
@@ -32,9 +35,8 @@ from .model import (
     Built,
     SystemState,
     build_system,
-    coi_speed,
     init_equilibrium,
-    machine_terminal_power,
+    mode_switch,
     refine_state,
     write_back,
 )
@@ -86,19 +88,6 @@ class EventKind:
     action: Optional[Callable] = None
 
 
-def _stop_ramps(state: SystemState, what: str, key: str, t: float) -> None:
-    """Fold the ramps on a load's scale or a generator's dispatch into its
-    base value at t, and drop them."""
-    target = f"{what}:{key}"
-    if not any(r.target == target for r in state.ramps):
-        return
-    if what == "load":
-        state.load_scale[key] = state.scale_now(key, t)
-    else:
-        state.mach[key].p_disp = state.pdisp_now(key, t)
-    state.ramps[:] = [r for r in state.ramps if r.target != target]
-
-
 EVENTS = {
     "add_branch": EventKind(("branch",), switch=True, action=lambda c, s, p, t:
                             mdl.apply_add_branch(c, s, p["branch"])),
@@ -108,7 +97,7 @@ EVENTS = {
     "param_branch": EventKind(("branch", "r", "x"), ("b",), switch=True,
                               action=lambda c, s, p, t: mdl.apply_branch_param(
                                   c, s, p["branch"], p["r"], p["x"],
-                                  p.get("b", 0.0))),
+                                  p.get("b"))),
     "add_shunt": EventKind(("bus", "g", "b"), switch=True,
                            action=lambda c, s, p, t: mdl.apply_add_shunt(
                                c, s, int(p["bus"]), complex(p["g"], p["b"]))),
@@ -121,15 +110,13 @@ EVENTS = {
     "cut_gen": EventKind(("gen",), switch=True, action=lambda c, s, p, t:
                          {"collapsed": mdl.apply_cut_gen(c, s, p["gen"])}),
     "ramp_load": EventKind(("load", "rate"), action=lambda c, s, p, t:
-                           s.ramps.append(mdl.Ramp(f"load:{p['load']}",
-                                                   p["rate"], t))),
+                           s.start_ramp("load", p["load"], p["rate"], t)),
     "ramp_stop_load": EventKind(("load",), action=lambda c, s, p, t:
-                                _stop_ramps(s, "load", p["load"], t)),
+                                s.stop_ramps("load", p["load"], t)),
     "ramp_gen": EventKind(("gen", "rate"), action=lambda c, s, p, t:
-                          s.ramps.append(mdl.Ramp(f"gen:{p['gen']}",
-                                                  p["rate"], t))),
+                          s.start_ramp("gen", p["gen"], p["rate"], t)),
     "ramp_stop_gen": EventKind(("gen",), action=lambda c, s, p, t:
-                               _stop_ramps(s, "gen", p["gen"], t)),
+                               s.stop_ramps("gen", p["gen"], t)),
     "record": EventKind(),
     "stop": EventKind(),
 }
@@ -465,7 +452,7 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
 
 
 # --------------------------------------------------------------------------
-# mode switching
+# steadiness verdict
 # --------------------------------------------------------------------------
 
 
@@ -512,68 +499,6 @@ def steadiness_verdict(case: GridCase, state: SystemState, built: Built,
                       f"{names[i]} (PS {delta_ps[i]:.3g}, PA {p})"
                       for i, p in zip(bad, pa)))
     return verdict
-
-
-def mode_switch(case: GridCase, state: SystemState, direction: str,
-                verdict: Optional[SteadyStateVerdict] = None) -> None:
-    """Convert machines to PV/QSS form (dyn->qss) or back (qss->dyn).
-
-    dyn->qss demands a passing steady-state verdict; the reverse direction
-    back-initializes every machine from its PV operating point so the
-    dynamic residual vanishes at the instant.
-    """
-    if direction == "dyn->qss":
-        if state.mode != DYNAMIC:
-            raise HesimError("not in dynamic mode")
-        if verdict is None or not verdict.system_steady:
-            raise NotSteady("dynamic-to-QSS switch without a steady verdict")
-        for isl in state.islands:
-            if not isl.energized:
-                continue
-            df = 0.0 if isl.sources else case.f_nominal * coi_speed(
-                case, state, isl)
-            state.df[isl.index] = df
-            for gid in isl.machines:
-                g = case.gen_by_id[gid]
-                ms = state.mach[gid]
-                s_term = machine_terminal_power(case, state, gid)
-                ms.v_set = abs(state.v[case.bus_index[g.bus]])
-                ms.q_g = s_term.imag
-                ms.agc = (s_term.real + (g.k_freq / case.f_nominal) * df
-                          - state.pdisp_now(gid))
-                ms.q_fixed = None
-        state.mode = QSS
-        state.bump()
-        built = build_system(case, state, QSS)
-        refine_state(built, state)
-    elif direction == "qss->dyn":
-        if state.mode != QSS:
-            raise HesimError("not in QSS mode")
-        for isl in state.islands:
-            if not isl.energized:
-                continue
-            df = 0.0 if isl.sources else state.df.get(isl.index, 0.0)
-            for gid in isl.machines:
-                g = case.gen_by_id[gid]
-                ms = state.mach[gid]
-                ms.q_fixed = None  # the AVR takes over again
-                v = state.v[case.bus_index[g.bus]]
-                p_inj = (state.pdisp_now(gid) + ms.agc
-                         - (g.k_freq / case.f_nominal) * df)
-                s_inj = complex(p_inj, ms.q_g)
-                base = ms.p_disp
-                new = mdl.machine_init_from_terminal(
-                    g, v, s_inj, df, state.pdisp_now(gid), case.f_nominal)
-                new.p_disp = base
-                new.v_set = ms.v_set
-                state.mach[gid] = new
-        state.mode = DYNAMIC
-        state.last_dyn_entry = state.t
-        state.bump()
-        built = build_system(case, state, DYNAMIC)
-        refine_state(built, state)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
 
 
 # --------------------------------------------------------------------------
@@ -692,16 +617,9 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             if mode == QSS:
                 # reactive limits are enforced by PV->PQ switching between
                 # segments only, never inside one
-                for isl in built.islands:
-                    for gid in isl.machines:
-                        g = case.gen_by_id[gid]
-                        ms = state.mach[gid]
-                        if ms.q_fixed is None and not \
-                                (g.q_min <= ms.q_g <= g.q_max):
-                            ms.q_fixed = min(max(ms.q_g, g.q_min), g.q_max)
-                            state.bump()
-                            traj.events.append(EventRecord(
-                                t, "q_limit", gid, {"q": ms.q_fixed}))
+                for gid, q in mdl.fix_q_limits(case, state):
+                    traj.events.append(EventRecord(t, "q_limit", gid,
+                                                   {"q": q}))
 
             if hit:
                 doing = str(hit)

@@ -116,6 +116,21 @@ def test_simulate_never_imports_scipy(tmp_path):
     assert (tmp_path / "traj.csv").exists()
 
 
+_NO_ORACLES = """
+import sys
+import hesim.cli
+assert "hesim.reference" not in sys.modules
+"""
+
+
+def test_cli_import_leaves_the_oracles_unloaded():
+    # a fresh interpreter: the package top level re-exports nothing, so
+    # importing the command line does not load the test oracles
+    proc = subprocess.run([sys.executable, "-c", _NO_ORACLES],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 _NO_NUMPY_MA = """
 import sys
 import hesim.cli
@@ -216,6 +231,43 @@ def test_methods_baseline_event_times(tmp_path, capsys):
     for cond in ("I(1,2) > 3.0", "V(2) < 0.97"):
         for method in ("me", "trap"):
             assert abs(times[method, cond] - times["qss", cond]) < 1e-4
+
+
+def test_unknown_method_exits_2_before_any_run(capsys, monkeypatch):
+    import hesim.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    monkeypatch.setattr(cli, "_method_event_times", no_run)
+    rc = run_cli(["compare", "builtin:twobus", "--runs", "qss",
+                  "--methods", "me,foo,trap"])
+    io = capsys.readouterr()
+    assert rc == 2
+    assert io.err == ("error: unknown --methods foo (choose from me, trap, "
+                      "adaptive)\n")
+    assert io.out == ""
+
+
+def test_compare_out_file_holds_both_tables(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    rc = run_cli(["compare", "builtin:twobus", "--runs", "qss,dynamic",
+                  "--methods", "me", "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "pair,channel,max_abs_diff,mean_abs_diff"
+    pairs = [line for line in lines if line.startswith("qss|dynamic,")]
+    assert [line.split(",")[1] for line in pairs] == ["f", "V:1", "V:2"]
+    assert pairs == [line for line in printed
+                     if line.startswith("qss|dynamic,")]
+    # each event row as printed, without its difference column
+    events = ["event," + line.rsplit(",", 1)[0] for line in printed
+              if line.split(",")[0] in ("qss", "dynamic", "me")]
+    assert [line.split(",")[1] for line in events] == ["qss", "dynamic", "me"]
+    assert lines[1 + len(pairs):] == events
+    assert all("I(1,2) > 3.0" in line for line in events)
 
 
 def _builtin_text(name):

@@ -21,6 +21,7 @@ from hesim.grid import (
     GenSpec,
     GridCase,
     LoadSpec,
+    MotorSpec,
     motor_circuit,
 )
 from hesim import model as mdl
@@ -333,6 +334,57 @@ def test_cut_zero_current_branch_is_identity():
     v_before = st.v.copy()
     apply_cut_branch(case, st, "stub")  # bus 3 goes dark with the element
     assert np.max(np.abs(st.v[:2] - v_before[:2])) < 1e-9
+
+
+def _dead_side_case(load_status=1):
+    """A source feeding a Z load at bus 3 through two charged lines."""
+    return GridCase(
+        name="deadside", buses=[BusSpec(1), BusSpec(2), BusSpec(3)],
+        branches=[BranchSpec("L12", 1, 2, 0.01, 0.1, 0.2),
+                  BranchSpec("L23", 2, 3, 0.02, 0.1, 0.3)],
+        gens=[GenSpec("S1", 1, kind=SOURCE, v_set=1.0)],
+        loads=[LoadSpec("LZ", 3, 0.5, 0.2, 1.0, 0.0, 0.0,
+                        status=load_status)],
+    )
+
+
+def test_close_into_a_dead_island_of_two_buses_matches_powerflow():
+    # the dead side {2, 3} keeps L23 online; the close reduces it to a
+    # driving-point admittance, so its matrix must stamp L23 and its charging
+    case = _dead_side_case()
+    st = init_equilibrium(case)
+    collapsed = apply_cut_branch(case, st, "L12")
+    assert {"bus:2", "bus:3", "load:LZ"} <= set(collapsed)
+    assert "L23" in st.branch_online
+    apply_add_branch(case, st, "L12")
+    assert st.energized.all() and len(st.islands) == 1
+    # the load went down with its island: the energized network has none
+    ref = init_equilibrium(_dead_side_case(load_status=0))
+    assert np.max(np.abs(st.v - ref.v)) < 1e-12
+    assert abs(st.v[2]) > abs(st.v[0])  # the charging lifts the open end
+
+
+def test_sourceless_slack_machine_with_a_motor_at_its_bus_is_flat():
+    # the slack machine's injection reads its bus's ZIP block and motor
+    # current, so the dynamic state starts in equilibrium
+    motor = MotorSpec(0.6, 0.02, 0.1, 3.0, 0.03, 0.1, 0.25)
+    case = GridCase(
+        name="motorslack", f_nominal=60.0, buses=[BusSpec(1), BusSpec(2)],
+        branches=[BranchSpec("L12", 1, 2, 0.01, 0.08, 0.04)],
+        gens=[GenSpec("G1", 1, p_set=0.2, v_set=1.02)],
+        loads=[LoadSpec("LM", 1, 0.4, 0.1, 0.3, 0.2, 0.5, motor=motor),
+               LoadSpec("L2", 2, 0.3, 0.1, 1.0, 0.0, 0.0)],
+    )
+    st = init_equilibrium(case)
+    assert st.islands[0].ref_gen == "G1" and not st.islands[0].sources
+    assert st.mach["G1"].p_disp > 0.4  # both loads and the motor, not p_set
+    traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=5.0),
+                          state=st)
+    assert traj.failure is None
+    ts = np.linspace(0.0, 5.0, 51)
+    rows = traj.sample([("f", ()), ("V", ("1",)), ("V", ("2",)),
+                        ("omega", ("G1",))], ts, traj.segment_index(ts))
+    assert np.max(np.ptp(rows, axis=1)) < 1e-9
 
 
 def test_matched_synchronization_is_flat(fourbus):

@@ -381,6 +381,30 @@ def test_ramp_stop_folds_its_ramps_into_the_base_value(fourbus, what, key):
     assert [r.target for r in st.ramps] == [f"{what}:{other}"]
 
 
+def test_param_branch_without_b_keeps_the_present_charging():
+    # fourbus L12 has b = 0.04: an omitted b= keeps the case value, or the
+    # override's where an earlier event set one
+    from importlib import resources
+
+    from hesim.caseio import parse_case
+
+    lines = ["EVENT 1.0 param_branch branch=L12 r=0.01 x=0.08",
+             "EVENT 2.0 param_branch branch=L12 r=0.012 x=0.09 b=0.4",
+             "EVENT 3.0 param_branch branch=L12 r=0.01 x=0.08"]
+    text = resources.files("hesim.cases").joinpath("fourbus.case").read_text()
+    case, script = parse_case(text.replace(
+        "STOP 500.0", "\n".join(lines + ["STOP 500.0"])))
+    st = init_equilibrium(case)
+    v0 = st.v.copy()
+    for ev, want in zip(script[-4:-1], [(0.01, 0.08, 0.04),
+                                        (0.012, 0.09, 0.4),
+                                        (0.01, 0.08, 0.4)]):
+        scheduler.EVENTS[ev.kind].action(case, st, ev.payload, ev.t_due)
+        assert st.branch_overrides["L12"] == want
+        if ev.t_due == 1.0:  # the case's own parameters: nothing moves
+            assert np.max(np.abs(st.v - v0)) < 1e-9
+
+
 # --- hybrid mode behavior ----------------------------------------------------------
 
 def test_empty_script_switches_to_qss_after_first_segment(fourbus):
