@@ -29,7 +29,9 @@ def _setup_logging() -> None:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("case", help="case file path, or builtin:<name>")
     p.add_argument("--mode", default=HYBRID,
-                   choices=["hybrid", "dynamic", "qss"])
+                   choices=["hybrid", "dynamic", "qss"],
+                   help="qss starts in QSS; a switch event is solved in "
+                   "dynamic mode, and only hybrid returns to QSS after it")
     p.add_argument("--order", type=int, default=15,
                    help="series order N (4..40)")
     p.add_argument("--eps-t", type=float, default=1e-3,

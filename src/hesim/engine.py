@@ -103,7 +103,10 @@ class SystemBuilder:
         dropped, a float multiplies coeff)."""
         self._add(False, eq, coeff, factors)
 
-    def rhs_term(self, state_slot: int, coeff: float, *factors) -> None:
+    def rhs_term(self, state_slot, coeff: float, *factors) -> None:
+        """Add a term to a state's rate; a float target has no rate."""
+        if isinstance(state_slot, float):
+            return
         if self.var_kinds[state_slot] != STATE:
             raise ValueError("rhs_term target must be a state")
         self._add(True, self._state_row_of_var[state_slot], coeff, factors)
@@ -567,7 +570,7 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
         try:
             seg = solve_segment(system, anchors, _taylor_shift(kcoeffs, a),
                                 order, _ANCHOR_TOL, rest)
-            step = min(seg.t_e, rest)
+            step = seg.t_e
             if step < min(_MIN_STAGE * (a + step), rest):
                 raise NoValidRange(f"stage certified only {step:.3e}")
             values, known = seg.evaluate(step)

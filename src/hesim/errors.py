@@ -19,10 +19,6 @@ class EmptyVariableSet(HesimError):
 
 # --- grid model ------------------------------------------------------------
 
-class IslandWithoutGeneration(HesimError):
-    """An energized island carries no source; it cannot be solved."""
-
-
 class PowerFlowInfeasible(HesimError):
     """Initial power flow has no solution (e.g. loading past the nose)."""
 

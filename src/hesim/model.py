@@ -6,11 +6,13 @@ The same device equations are emitted in three flavors:
 * time-embedded QSS segments (machines collapsed to PV buses with droop and
   AGC dispatch integrators, motor slip algebraic),
 * alpha-embedded algebraic problems (initial power flow and the switch
-  kinds), where differential states are frozen across the instant.
+  kinds), where the states of the state's mode are frozen across the
+  instant (a QSS motor slip is algebraic, so it stays an unknown).
 
-Each device's equations are written once for all three: a quantity frozen
-across a switch instant is passed as a constant (float) factor where a time
-embedding passes its unknown.
+Each device's equations are written once for all three, with no branch on
+the embedding: in an alpha build ``_Assembler.var`` returns a state's value
+and ``_Assembler.known`` a time input's value at the instant, each a
+constant (float) factor where a time embedding passes its unknown.
 
 This module also makes every change of the runtime state: the switch
 continuations, the mode switches (the QSS start shares the dyn->qss
@@ -45,7 +47,6 @@ from .engine import (
 )
 from .errors import (
     HesimError,
-    IslandWithoutGeneration,
     NoConvergenceAtAlpha1,
     NotSteady,
     PowerFlowInfeasible,
@@ -157,7 +158,7 @@ class SystemState:
             return
         if what == "load":
             self.load_scale[key] = self.scale_now(key, t)
-        else:
+        elif key in self.mach:  # a cut generator has nothing to fold
             self.mach[key].p_disp = self.pdisp_now(key, t)
         self.ramps[:] = [r for r in self.ramps if r.target != target]
 
@@ -240,11 +241,6 @@ def refresh_islands(case: GridCase, state: SystemState) -> list:
                     collapsed.append(f"bus:{bus}")
                 state.energized[bi] = False
                 state.v[bi] = 0.0
-            for g in case.gens:
-                if g.bus in buses and g.gen_id in state.gen_online:
-                    state.gen_online.discard(g.gen_id)
-                    state.mach.pop(g.gen_id, None)
-                    collapsed.append(f"gen:{g.gen_id}")
             for l in case.loads:
                 if l.bus in buses and l.load_id in state.load_online:
                     state.load_online.discard(l.load_id)
@@ -276,8 +272,6 @@ def setpoint_voltage(case: GridCase, g: GenSpec) -> complex:
 
 
 def island_flat_voltage(case: GridCase, isl: Island) -> complex:
-    if isl.slack is None:
-        raise IslandWithoutGeneration(f"island {isl.index} has no generation")
     return setpoint_voltage(case, case.gen_by_id[isl.slack])
 
 
@@ -287,12 +281,12 @@ def island_flat_voltage(case: GridCase, isl: Island) -> complex:
 
 
 def _clin(b, eqx, eqy, k: complex, xr: int, xi: int,
-          conj: bool = False, extra: Optional[int] = None) -> None:
-    """Add k*X (or k*conj(X)) to the complex equation (eqx, eqy)."""
+          conj: bool = False, extra: tuple = ()) -> None:
+    """Add k*X (or k*conj(X)) times the extra factors to (eqx, eqy)."""
     s = -1.0 if conj else 1.0
     for eq, c, f in ((eqx, k.real, xr), (eqx, -k.imag * s, xi),
                      (eqy, k.imag, xr), (eqy, k.real * s, xi)):
-        b.term(eq, c, f, extra)
+        b.term(eq, c, f, *extra)
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +303,6 @@ class AlphaMods:
     equivalent) scaled by 1 - alpha.
     """
     kind: str = ALPHA_PARAM
-    powerflow: bool = False                          # scale everything from no load
     scale_devices: set = field(default_factory=set)  # freshly added devices
     ramp_down_devices: set = field(default_factory=set)  # cut fallback
     dy: dict = field(default_factory=dict)
@@ -381,19 +374,34 @@ class _Assembler:
         self.case = case
         self.state = state
         self.mode = mode
-        self.mods = mods
+        self.mods = mods or AlphaMods()
         self.alpha = mods is not None
-        self.pf = self.alpha and mods.powerflow
+        self.pf = self.alpha and mods.kind == ALPHA_POWERFLOW
+        self.reads = _Reads(None, state)  # a frozen state reads no Built
         self.b = SystemBuilder()
         self.slots: dict = {}
         self.balance: dict = {}
 
     # -- registration helpers ---------------------------------------------------
 
-    def var(self, name, kind) -> int:
-        slot = self.b.alg(name) if kind == "alg" else self.b.state(name)
+    def var(self, name, kind):
+        """An unknown's slot; an alpha build freezes a state at its value."""
+        if kind == "alg":
+            slot = self.b.alg(name)
+        elif self.alpha:
+            kind, key = _kind_key(name)
+            slot = _READ[kind](self.reads, key)
+        else:
+            slot = self.b.state(name)
         self.slots[name] = slot
         return slot
+
+    def known(self, name):
+        """A time input's slot; an alpha build holds it at its value."""
+        if not self.alpha:
+            return self.b.known(name)
+        kind, key = _kind_key(name)
+        return _KNOWN[kind](self.state, key, self.state.t)[0]
 
     def needs(self, bus: int):
         """(need_w, need_vm, need_u) for a bus in the current flavor."""
@@ -411,25 +419,23 @@ class _Assembler:
                 continue
             if self.mode == QSS or self.pf:
                 need_w = True
-            if self.mode == DYNAMIC and not self.pf and not self.alpha:
+            if self.mode == DYNAMIC and not self.alpha:
                 need_vm = True  # AVR input; frozen across switch instants
         return need_w, need_vm, need_u
 
     # -- the build -----------------------------------------------------------------
 
     def run(self) -> Built:
-        case, state, mods = self.case, self.state, self.mods or AlphaMods()
+        case, state, mods = self.case, self.state, self.mods
         pf = self.pf
         ebuses = [b.bus for b in case.buses
                   if state.energized[case.bus_index[b.bus]]]
         islands = [isl for isl in state.islands if isl.energized]
 
-        alpha_slot = self.b.known("alpha") if self.alpha else None
-        omalpha_slot = None
+        self.alpha_slot = self.b.known("alpha") if self.alpha else None
+        self.omalpha_slot = None
         if self.alpha and (mods.dy_fade or mods.ramp_down_devices):
-            omalpha_slot = self.b.known("one_minus_alpha")
-        self.alpha_slot = alpha_slot
-        self.omalpha_slot = omalpha_slot
+            self.omalpha_slot = self.b.known("one_minus_alpha")
 
         # sources always pin their bus; the powerflow also pins the slack
         # machine's bus in source-less islands, so no machine equations are
@@ -482,13 +488,13 @@ class _Assembler:
         shunts = {(bus, bus): y + state.extra_shunts.get(bus, 0.0)
                   for bus, y in zip(ids, ysh.tolist())}
         for amap, slot in ((series, None),
-                           (shunts, alpha_slot if pf else None),
-                           (mods.dy, alpha_slot),
-                           (mods.dy_fade, omalpha_slot)):
+                           (shunts, self.alpha_slot if pf else None),
+                           (mods.dy, self.alpha_slot),
+                           (mods.dy_fade, self.omalpha_slot)):
             for (row, col), y in amap.items():
                 if row in self.balance and col in vslots:
                     _clin(self.b, *self.balance[row], -y, *vslots[col],
-                          extra=slot)
+                          extra=(slot,))
 
         # ---- W / Vmag / U defining equations ----
         for bus, (wx, wy) in wslots.items():
@@ -563,8 +569,6 @@ class _Assembler:
         """The known scaling a device in an alpha problem: alpha for a
         device being added (every device in the powerflow), 1 - alpha for a
         device ramped down, else none."""
-        if not self.alpha:
-            return None
         if key in self.mods.scale_devices or self.pf:
             return self.alpha_slot
         if key in self.mods.ramp_down_devices:
@@ -573,36 +577,28 @@ class _Assembler:
 
     def _emit_static_load(self, l: LoadSpec) -> None:
         eqx, eqy = self.balance[l.bus]
-        if self.alpha:  # the scale folds into the coefficients
-            slot = self._scale(f"load:{l.load_id}")
-            lam = self.state.scale_now(l.load_id)
-        else:
-            slot, lam = self.b.known(f"scale:{l.load_id}"), 1.0
+        extra = (self.known(f"scale:{l.load_id}"),
+                 self._scale(f"load:{l.load_id}"))
         s = complex(l.p, l.q)
         if l.f_z > 0:
             # constant-impedance part: admittance P - jQ at nominal voltage
-            _clin(self.b, eqx, eqy, -lam * (s * l.f_z).conjugate(),
-                  *self.vslots[l.bus], extra=slot)
+            _clin(self.b, eqx, eqy, -(s * l.f_z).conjugate(),
+                  *self.vslots[l.bus], extra=extra)
         if l.f_p > 0:
-            _clin(self.b, eqx, eqy, -lam * (s * l.f_p).conjugate(),
-                  *self.wslots[l.bus], conj=True, extra=slot)
+            _clin(self.b, eqx, eqy, -(s * l.f_p).conjugate(),
+                  *self.wslots[l.bus], conj=True, extra=extra)
         if l.f_i > 0:
-            _clin(self.b, eqx, eqy, -lam * (s * l.f_i).conjugate(),
-                  *self.uslots[l.bus], conj=True, extra=slot)
+            _clin(self.b, eqx, eqy, -(s * l.f_i).conjugate(),
+                  *self.uslots[l.bus], conj=True, extra=extra)
 
     def _emit_motor(self, l: LoadSpec) -> None:
         m = l.motor
         lid = l.load_id
         b = self.b
-        pf = self.pf
         ex, ey, isx, isy, irx, iry = (self.var(f"{n}:{lid}", "alg")
                                       for n in _MOTOR_KINDS)
-
-        if self.alpha and not pf:  # frozen across the instant: a constant
-            kind, slip = None, self.state.slip.get(lid, 0.02)
-        else:
-            kind = "alg" if self.mode == QSS or pf else "state"
-            slip = self.var(f"slip:{lid}", kind)
+        kind = "alg" if self.mode == QSS or self.pf else "state"
+        slip = self.var(f"slip:{lid}", kind)
 
         vx, vy = self.vslots[l.bus]
         e1x = b.alg_eq(f"mstx:{lid}")
@@ -635,18 +631,17 @@ class _Assembler:
             eq = b.alg_eq(f"mtorq:{lid}")
             for c, *f in torque:
                 b.term(eq, c, *f)
-        elif kind == "state":
+        else:
             for c, *f in torque:
                 b.rhs_term(slip, c / (2 * m.h), *f)
 
         _clin(b, *self.balance[l.bus], -1.0, isx, isy,
-              extra=self._scale(f"load:{lid}"))
+              extra=(self._scale(f"load:{lid}"),))
 
     def _emit_machine_vars(self, g: GenSpec) -> None:
-        if not self.alpha:  # frozen across a switch instant
-            for n in ("delta", "omega", "epsq", "epsd", "sind", "cosd",
-                      "avr", "gov", "agc"):
-                self.var(f"{n}:{g.gen_id}", "state")
+        for n in ("delta", "omega", "epsq", "epsd", "sind", "cosd",
+                  "avr", "gov", "agc"):
+            self.var(f"{n}:{g.gen_id}", "state")
         self.var(f"id:{g.gen_id}", "alg")
         self.var(f"iq:{g.gen_id}", "alg")
 
@@ -657,54 +652,49 @@ class _Assembler:
         eqx, eqy = self.balance[g.bus]
         vx, vy = self.vslots[g.bus]
         i_d, i_q = s_[f"id:{gid}"], s_[f"iq:{gid}"]
-        if self.alpha:  # frozen across the instant: constant factors
-            ms = self.state.mach[gid]
-            epsq, epsd = ms.eps_q, ms.eps_d
-            sind, cosd = math.sin(ms.delta), math.cos(ms.delta)
-        else:
-            epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
-            sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
-            # the differential rows: swing, flux decay, AVR, governor, AGC
-            delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
-            avr, gov = s_[f"avr:{gid}"], s_[f"gov:{gid}"]
-            agc, pd_slot = s_[f"agc:{gid}"], b.known(f"pdisp:{gid}")
+        epsq, epsd = s_[f"epsq:{gid}"], s_[f"epsd:{gid}"]
+        sind, cosd = s_[f"sind:{gid}"], s_[f"cosd:{gid}"]
+        # the differential rows: swing, flux decay, AVR, governor, AGC
+        delta, omega = s_[f"delta:{gid}"], s_[f"omega:{gid}"]
+        avr, gov = s_[f"avr:{gid}"], s_[f"gov:{gid}"]
+        agc, pd = s_[f"agc:{gid}"], self.known(f"pdisp:{gid}")
 
-            w_s = self.case.omega_base
-            b.rhs_term(delta, w_s, omega)
-            b.rhs_term(sind, w_s, omega, cosd)
-            b.rhs_term(cosd, -w_s, omega, sind)
+        w_s = self.case.omega_base
+        b.rhs_term(delta, w_s, omega)
+        b.rhs_term(sind, w_s, omega, cosd)
+        b.rhs_term(cosd, -w_s, omega, sind)
 
-            h2 = 2.0 * g.h
-            t21 = g.gov_t2 / g.gov_t1
-            b.rhs_term(omega, 1.0 / h2, pd_slot)
-            b.rhs_term(omega, 1.0 / h2, agc)
-            b.rhs_term(omega, -t21 / (g.gov_r * h2), omega)
-            b.rhs_term(omega, (1.0 - t21) / h2, gov)
-            b.rhs_term(omega, -g.d / h2, omega)
-            b.rhs_term(omega, -1.0 / h2, epsd, i_d)
-            b.rhs_term(omega, -1.0 / h2, epsq, i_q)
-            b.rhs_term(omega, -(g.xq_t - g.xd_t) / h2, i_d, i_q)
+        h2 = 2.0 * g.h
+        t21 = g.gov_t2 / g.gov_t1
+        b.rhs_term(omega, 1.0 / h2, pd)
+        b.rhs_term(omega, 1.0 / h2, agc)
+        b.rhs_term(omega, -t21 / (g.gov_r * h2), omega)
+        b.rhs_term(omega, (1.0 - t21) / h2, gov)
+        b.rhs_term(omega, -g.d / h2, omega)
+        b.rhs_term(omega, -1.0 / h2, epsd, i_d)
+        b.rhs_term(omega, -1.0 / h2, epsq, i_q)
+        b.rhs_term(omega, -(g.xq_t - g.xd_t) / h2, i_d, i_q)
 
-            b.rhs_term(epsq, -1.0 / g.td0_t, epsq)
-            b.rhs_term(epsq, -(g.xd - g.xd_t) / g.td0_t, i_d)
-            b.rhs_term(epsq, 1.0 / g.td0_t, avr)
-            b.rhs_term(epsd, -1.0 / g.tq0_t, epsd)
-            b.rhs_term(epsd, (g.xq - g.xq_t) / g.tq0_t, i_q)
+        b.rhs_term(epsq, -1.0 / g.td0_t, epsq)
+        b.rhs_term(epsq, -(g.xd - g.xd_t) / g.td0_t, i_d)
+        b.rhs_term(epsq, 1.0 / g.td0_t, avr)
+        b.rhs_term(epsd, -1.0 / g.tq0_t, epsd)
+        b.rhs_term(epsd, (g.xq - g.xq_t) / g.tq0_t, i_q)
 
-            ms = self.state.mach[gid]
-            b.rhs_term(avr, g.avr_ka * ms.v_ref / g.avr_ta)
-            b.rhs_term(avr, -g.avr_ka / g.avr_ta, self.vmslots[g.bus])
-            b.rhs_term(avr, -1.0 / g.avr_ta, avr)
+        b.rhs_term(avr, g.avr_ka * self.state.mach[gid].v_ref / g.avr_ta)
+        # an alpha build has no |V| unknown: it freezes the AVR
+        b.rhs_term(avr, -g.avr_ka / g.avr_ta, self.vmslots.get(g.bus))
+        b.rhs_term(avr, -1.0 / g.avr_ta, avr)
 
-            b.rhs_term(gov, -1.0 / (g.gov_r * g.gov_t1), omega)
-            b.rhs_term(gov, -1.0 / g.gov_t1, gov)
+        b.rhs_term(gov, -1.0 / (g.gov_r * g.gov_t1), omega)
+        b.rhs_term(gov, -1.0 / g.gov_t1, gov)
 
-            if g.agc_tg > 0 and isl.machines:
-                h_tot = sum(self.case.gen_by_id[m].h for m in isl.machines)
-                k_agc = self.case.f_nominal / g.agc_tg
-                for mid in isl.machines:
-                    gm = self.case.gen_by_id[mid]
-                    b.rhs_term(agc, -k_agc * gm.h / h_tot, s_[f"omega:{mid}"])
+        if g.agc_tg > 0 and isl.machines:
+            h_tot = sum(self.case.gen_by_id[m].h for m in isl.machines)
+            k_agc = self.case.f_nominal / g.agc_tg
+            for mid in isl.machines:
+                gm = self.case.gen_by_id[mid]
+                b.rhs_term(agc, -k_agc * gm.h / h_tot, s_[f"omega:{mid}"])
 
         ed = b.alg_eq(f"statord:{gid}")
         eq_ = b.alg_eq(f"statorq:{gid}")
@@ -740,8 +730,8 @@ class _Assembler:
         self.b.term(eq, -(g.v_set ** 2 - vsl * vsl), self.alpha_slot)
 
     def _emit_qss_gen(self, g: GenSpec, isl: Island) -> None:
-        """QSS: P is the dispatch plus the AGC integrator (one constant,
-        frozen across a switch instant) with droop frequency response; a
+        """QSS: P is the dispatch plus the AGC integrator (both frozen
+        across a switch instant) with droop frequency response; a
         reactive output at its limit is fixed, else the PV row holds
         |V|^2 at v_set^2."""
         b = self.b
@@ -753,13 +743,10 @@ class _Assembler:
         df_slot = self.slots.get(f"df:{isl.index}")
         if df_slot is None and not isl.sources:
             df_slot = self.var(f"df:{isl.index}", "alg")
-        if self.alpha:  # a zero constant drops the AGC term
-            pd, pagc = st.pdisp_now(gid) + ms.agc, 0.0
-        else:
-            pagc = self.var(f"pagc:{gid}", "state")
-            pd = b.known(f"pdisp:{gid}")
-            if df_slot is not None and g.agc_tg > 0:
-                b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
+        pagc = self.var(f"pagc:{gid}", "state")
+        pd = self.known(f"pdisp:{gid}")
+        if df_slot is not None and g.agc_tg > 0:
+            b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
         for f in (pd, pagc):
             b.term(eqx, 1.0, f, wx)
             b.term(eqy, -1.0, f, wy)
@@ -793,8 +780,6 @@ class _Assembler:
         """One angle pin per island closes the frequency unknown."""
         if isl.sources:
             return  # a source pins both angle and frequency
-        if f"df:{isl.index}" not in self.slots:
-            self.var(f"df:{isl.index}", "alg")
         ref = self.case.gen_by_id[isl.ref_gen]
         bi = self.case.bus_index[ref.bus]
         v0 = self.state.v[bi]
@@ -1134,7 +1119,7 @@ def solve_powerflow(case: GridCase,
         isl = state.islands[state.island_of[l.bus]]
         vflat = island_flat_voltage(case, isl)
         state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
-    _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW, powerflow=True))
+    _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW))
     return state
 
 
@@ -1145,7 +1130,7 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
     refresh_islands(case, state)
     try:
         solve_powerflow(case, state)
-    except (NoConvergenceAtAlpha1, IslandWithoutGeneration) as exc:
+    except NoConvergenceAtAlpha1 as exc:
         raise PowerFlowInfeasible(str(exc)) from exc
 
     for isl in state.islands:
@@ -1170,6 +1155,13 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
 # --------------------------------------------------------------------------
 # switch operations (alpha-embedded instant events)
 # --------------------------------------------------------------------------
+
+
+def _require_status(online: set, what: str, key: str, adding: bool) -> None:
+    """Adding an online element or cutting an offline one fails."""
+    if (key in online) == adding:
+        raise HesimError(f"{what} {key} is already "
+                         f"{'online' if adding else 'offline'}")
 
 
 def _alpha_solve(case: GridCase, state: SystemState, mods: AlphaMods) -> None:
@@ -1251,6 +1243,7 @@ def _energize_through(case: GridCase, state: SystemState, branch_id: str,
 
 def apply_add_branch(case: GridCase, state: SystemState,
                      branch_id: str) -> None:
+    _require_status(state.branch_online, "branch", branch_id, True)
     br = case.branch_by_id[branch_id]
     f_live = state.energized[case.bus_index[br.from_bus]]
     t_live = state.energized[case.bus_index[br.to_bus]]
@@ -1273,6 +1266,7 @@ def apply_cut_branch(case: GridCase, state: SystemState,
 
     Returns the collapse log.
     """
+    _require_status(state.branch_online, "branch", branch_id, False)
     br = case.branch_by_id[branch_id]
     y, b = branch_params(case, state.branch_overrides, branch_id)
     fi, ti = case.bus_index[br.from_bus], case.bus_index[br.to_bus]
@@ -1295,6 +1289,7 @@ def apply_cut_branch(case: GridCase, state: SystemState,
 
 
 def apply_add_load(case: GridCase, state: SystemState, load_id: str) -> None:
+    _require_status(state.load_online, "load", load_id, True)
     l = case.load_by_id[load_id]
     if not state.energized[case.bus_index[l.bus]]:
         raise NoConvergenceAtAlpha1(f"bus {l.bus} is de-energized")
@@ -1312,6 +1307,7 @@ def apply_add_load(case: GridCase, state: SystemState, load_id: str) -> None:
 
 
 def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
+    _require_status(state.load_online, "load", load_id, False)
     l = case.load_by_id[load_id]
     bi = case.bus_index[l.bus]
     v = state.v[bi]
@@ -1333,6 +1329,7 @@ def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
 
 def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
     """Synchronize a machine at matched voltage (zero-exchange insertion)."""
+    _require_status(state.gen_online, "generator", gen_id, True)
     g = case.gen_by_id[gen_id]
     bi = case.bus_index[g.bus]
     if not state.energized[bi]:
@@ -1370,6 +1367,7 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
 
 
 def apply_cut_gen(case: GridCase, state: SystemState, gen_id: str) -> list:
+    _require_status(state.gen_online, "generator", gen_id, False)
     g = case.gen_by_id[gen_id]
     bi = case.bus_index[g.bus]
     v = state.v[bi]

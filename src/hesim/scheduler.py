@@ -577,7 +577,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             seg = solve_segment(built.system, built.anchors(state),
                                 built.knowns(state, t), config.order,
                                 config.tol_res, min(gap, cap))
-            step = min(seg.t_e, gap)  # the certified range, end point probed
+            step = seg.t_e  # the certified range, end point probed
 
             rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
                                 built=built, case=case, chan_map=chan_map)

@@ -102,6 +102,19 @@ def test_float_factor_is_a_constant_on_the_coefficient():
     assert len(want["alg"][1]) == 4 and len(want["rhs"][1]) == 1
 
 
+def test_rhs_term_on_a_float_target_adds_no_term():
+    # a float target is a state frozen at that value: it has no rate
+    b = SystemBuilder()
+    x, s = b.alg("x"), b.state("s")
+    b.alg_eq("e")
+    b.rhs_term(s, -1.0, s)
+    b.rhs_term(0.25, 3.0, x, s)
+    b.rhs_term(0.0, 1.0)
+    assert len(b.compile().terms["rhs"][1]) == 1
+    with pytest.raises(ValueError, match="must be a state"):
+        b.rhs_term(x, 1.0, s)
+
+
 def test_anchor_inconsistent_raises():
     b = SystemBuilder()
     y = b.alg("y")

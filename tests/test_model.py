@@ -220,6 +220,43 @@ def test_qss_droop_sign_and_linearity():
     assert dfs[1] == pytest.approx(dfs[0] / 2, rel=1e-6)
 
 
+def test_qss_switch_ends_on_the_qss_equilibrium(fourbus):
+    # a QSS switch keeps the motor slip algebraic, with its torque balance,
+    # so the continuation ends where the QSS system's residual vanishes
+    case, _ = fourbus
+    st = init_equilibrium(case, mode=QSS)
+    for switch in (apply_add_load, apply_cut_load):
+        switch(case, st, "LX2")
+        built = build_system(case, st, QSS)
+        res = built.system.alg_residual(built.anchors(st),
+                                        built.knowns(st, st.t)[:, 0])
+        assert np.max(np.abs(res)) < 1e-12, switch.__name__
+
+
+def test_alpha_builds_freeze_every_state_and_time_input(monkeypatch):
+    # in both modes a switch's alpha build has no state among its unknowns,
+    # no known input but alpha and 1 - alpha; a QSS one keeps each motor's
+    # slip an unknown with its torque balance, a dynamic one freezes it
+    builds, real = [], mdl.build_system
+
+    def build(case, state, mode, mods=None):
+        built = real(case, state, mode, mods)
+        if mods is not None and mods.kind != mdl.ALPHA_POWERFLOW:
+            builds.append((mode, built))
+        return built
+
+    monkeypatch.setattr(mdl, "build_system", build)
+    _fourbus_switches()
+    assert {mode for mode, _ in builds} == {DYNAMIC, QSS}
+    for mode, built in builds:
+        sysm = built.system
+        assert sysm.n_state == 0
+        assert set(sysm.known_names) <= {"alpha", "one_minus_alpha"}
+        slips = {n for n in sysm.var_names if n.startswith("slip:")}
+        torques = {n for n in sysm.eq_names if n.startswith("mtorq:")}
+        assert len(slips) == len(torques) == (2 if mode == QSS else 0)
+
+
 # --- switch operations vs direct re-solve oracles --------------------------------------
 
 
@@ -783,7 +820,7 @@ def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
         built = real_build(case, state, mode, mods)
         if mods is None:
             flavor = mode
-        elif mods.powerflow:
+        elif mods.kind == mdl.ALPHA_POWERFLOW:
             flavor = "powerflow"
         elif mods.ramp_down_devices:
             flavor = f"{mode} ramp-down"

@@ -381,6 +381,32 @@ def test_ramp_stop_folds_its_ramps_into_the_base_value(fourbus, what, key):
     assert [r.target for r in st.ramps] == [f"{what}:{other}"]
 
 
+# a machine beside a source: cutting the machine leaves the source's island
+_SOURCE_AND_MACHINE = """CASE cutgen fnom=60.0
+BUS 1
+BUS 2
+BRANCH L12 1 2 r=0.01 x=0.08 b=0.04
+GEN S1 1 kind=source v=1.02
+GEN G1 2 p=0.3 v=1.01
+LOAD LD2 2 p=0.5 q=0.1 fz=1.0 fi=0.0 fp=0.0
+"""
+
+
+def test_ramp_stop_of_a_cut_generator_drops_its_ramps():
+    from hesim.caseio import parse_case
+
+    case, script = parse_case(_SOURCE_AND_MACHINE + """
+EVENT 1.0 ramp_gen gen=G1 rate=0.01
+EVENT 2.0 cut_gen gen=G1
+EVENT 3.0 ramp_stop_gen gen=G1
+STOP 4.0
+""")
+    traj = run_simulation(case, script, RunConfig(mode="dynamic", t_end=4.0))
+    assert traj.failure is None and traj.t_end == 4.0
+    assert [e.kind for e in traj.events] == [
+        "ramp_gen", "cut_gen", "ramp_stop_gen"]
+
+
 def test_param_branch_without_b_keeps_the_present_charging():
     # fourbus L12 has b = 0.04: an omitted b= keeps the case value, or the
     # override's where an earlier event set one
@@ -723,6 +749,41 @@ def _two_island_case():
         loads=[LoadSpec("l2", 2, 0.2, 0.05, 0, 0, 1),
                LoadSpec("l4", 4, 0.15, 0.05, 0.5, 0, 0.5)],
     )
+
+
+@pytest.mark.parametrize("make, events, t, reason", [
+    ("fourbus", ["add_load load=LD2"], 1.0, "load LD2 is already online"),
+    ("fourbus", ["add_gen gen=G1"], 1.0, "generator G1 is already online"),
+    ("fourbus", ["add_branch branch=L12"], 1.0,
+     "branch L12 is already online"),
+    ("fourbus", ["cut_load load=LX2"], 1.0, "load LX2 is already offline"),
+    ("fourbus", ["cut_branch branch=L23B"] * 2, 2.0,
+     "branch L23B is already offline"),
+    ("machine", ["cut_gen gen=G1"] * 2, 2.0,
+     "generator G1 is already offline"),
+    ("tie", ["cut_branch branch=tie", "cut_load load=l4"], 2.0,
+     "load l4 is already offline"),  # l4 collapsed with its island
+], ids=["add-online-load", "add-online-gen", "add-online-branch",
+        "cut-offline-load", "cut-offline-branch", "cut-offline-gen",
+        "cut-collapsed-load"])
+def test_switch_to_the_status_an_element_has_fails_by_name(make, events, t,
+                                                           reason):
+    # a switch must change its element's status; the failure names the
+    # element and its status before any continuation runs
+    from hesim.caseio import parse_case
+
+    case = {"fourbus": lambda: builtin_case("fourbus")[0],
+            "machine": lambda: parse_case(_SOURCE_AND_MACHINE)[0],
+            "tie": _two_island_case}[make]()
+    script = []
+    for k, line in enumerate(events):
+        kind, arg = line.split()
+        key, value = arg.split("=")
+        script.append(SimEvent(kind=kind, t_due=1.0 + k,
+                               payload={key: value}))
+    traj = run_simulation(case, script, RunConfig(mode="dynamic", t_end=3.0))
+    assert traj.failure == f"{events[-1]} at t={t:.6f}: {reason}"
+    assert traj.t_end == t
 
 
 def test_cut_tie_collapses_sourceless_island():
