@@ -23,7 +23,8 @@ from .grid import (
     LoadSpec,
     MotorSpec,
 )
-from .scheduler import CHANNEL_ARGS, Condition, SimEvent, Trajectory
+from .model import CHANNEL_ARGS
+from .scheduler import Condition, SimEvent, Trajectory
 
 
 def _split_kv(tokens, line_no):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import caseio
 from .errors import HesimError
-from .scheduler import EVENTS, HYBRID, ChannelMap, RunConfig, run_simulation
+from .scheduler import EVENTS, HYBRID, RunConfig, run_simulation
 
 log = logging.getLogger("hesim")
 
@@ -139,15 +139,15 @@ def _method_event_times(case, script, methods, config):
     mdl.refine_state(built, st)
     # the triggers read through the channel map of the analytic segments
     chans = tuple((e.condition.channel, e.condition.args) for e in conds)
-    chan_map = ChannelMap(built, case, st.mode)
     known = built.knowns(st, 0.0).T  # the ramps are linear in t
     rows = []
     for m, integrator in methods:
         model = DaeModel(built, copy.deepcopy(st))
         out = integrate_reference(model, (0.0, config.t_end), integrator,
                                   h=0.01)
-        lhs = chan_map.apply(chans, (out.values.T, np.polynomial.polynomial
-                                     .polyval(out.ts, known)), out.ts)
+        lhs = built.channel_map.apply(chans, (
+            out.values.T, np.polynomial.polynomial.polyval(out.ts, known)),
+            out.ts)
         for ev, h in zip(conds, lhs):
             t_hit = linear_crossing(out.ts, ev.condition.h(h))
             if t_hit is not None:

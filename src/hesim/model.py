@@ -14,9 +14,9 @@ the embedding: in an alpha build ``_Assembler.var`` returns a state's value
 and ``_Assembler.known`` a time input's value at the instant, each a
 constant (float) factor where a time embedding passes its unknown.
 
-This module also makes every change of the runtime state: the switch
-continuations, the mode switches (the QSS start shares the dyn->qss
-conversion), the PV->PQ fix at a reactive limit and the ramps.
+This module also makes every change of the runtime state (the switch
+continuations, the mode switches, the PV->PQ fix at a reactive limit, the
+ramps) and reads a Built: its verdict rows and output channels are plans.
 
 Everything is rectangular: a complex network quantity is a pair of real
 unknowns, conjugation is a sign flip, and the reciprocal voltage W carries
@@ -316,8 +316,9 @@ MonitoredRows = namedtuple("MonitoredRows", "names plain angles refs vx vy")
 @dataclass
 class Built:
     system: object
+    case: GridCase
+    mode: str            # the state's mode it was built for
     islands: list
-    powerflow: bool = False  # bus quantities read the island's flat voltage
     # online branch -> (series admittance, b_sh)
     branch_params: dict = field(default_factory=dict)
 
@@ -354,9 +355,14 @@ class Built:
             at(plain), at(a for a, _ in pairs), at(r for _, r in pairs),
             at(f"vx:{b}" for b in buses), at(f"vy:{b}" for b in buses))
 
+    @functools.cached_property
+    def channel_map(self) -> "ChannelMap":
+        """The output channels' plans, resolved from the names once."""
+        return ChannelMap(self)
+
     def anchors(self, state: SystemState) -> np.ndarray:
         """The unknowns, in slot order, read from the runtime state."""
-        reads = _Reads(self, state)
+        reads = _Reads(state)
         return np.array([_READ[kind](reads, key) for kind, key in self.keys])
 
     def knowns(self, state: SystemState, t0: float) -> np.ndarray:
@@ -365,6 +371,130 @@ class Built:
         return np.array([_KNOWN[kind](state, key, t0)
                          for kind, key in self.known_keys],
                         dtype=float).reshape(-1, 2)
+
+
+# --------------------------------------------------------------------------
+# output channels
+# --------------------------------------------------------------------------
+
+# trigger channel -> what its arguments name; I(id) or I(from,to) names a
+# branch through GridCase.branch_ends
+CHANNEL_ARGS = {"t": (), "f": (), "V": ("bus",), "omega": ("gen",),
+                "delta": ("gen",), "pg": ("gen",), "I": None}
+
+
+class ChannelMap:
+    """Where the output channels t, V(bus), I(from,to) or I(branch id), f,
+    omega(gen), delta(gen) and pg(gen) read their inputs, for one Built.
+
+    Rows index a value matrix: values and known inputs, a zero row and a
+    NaN row.  A name the Built lacks reads 0 where the channel does (a dead
+    bus, a QSS machine outside every island) and NaN elsewhere.  Branch
+    currents use the Built's snapshot of the online branches' parameters.
+    """
+
+    def __init__(self, built: Built):
+        self.case, self.qss = built.case, built.mode == QSS
+        self.islands, self.branch_params = built.islands, built.branch_params
+        nv, nk = built.system.nv, built.system.nk
+        self.rows = {**built.system.index, **{
+            n: nv + i for i, n in enumerate(built.system.known_names)}}
+        self.zero, self.nan = nv + nk, nv + nk + 1
+        self.plans: dict = {}
+
+    def apply(self, chans: tuple, rows, t) -> np.ndarray:
+        """Channels x times from (values, knowns) rows at the times t."""
+        X = np.concatenate([*rows, [np.zeros(len(t)), np.full(len(t), np.nan)]])
+        if chans not in self.plans:
+            kinds = {c: [i for i, (k, _) in enumerate(chans) if k == c]
+                     for c, _ in chans}
+            self.plans[chans] = [(p, self._kind(c, [chans[i][1] for i in p]))
+                                 for c, p in kinds.items()]
+        out = np.empty((len(chans), len(t)))
+        for pos, kind in self.plans[chans]:
+            out[pos] = kind(X, t)
+        return out
+
+    def _at(self, names, absent: int) -> np.ndarray:
+        return np.array([self.rows.get(n, absent) for n in names], dtype=int)
+
+    def _island_of_gen(self, gid: str):
+        return next((isl for isl in self.islands
+                     if gid in isl.machines or gid in isl.sources), None)
+
+    def _main_island(self):
+        """The island of the lowest-numbered generator bus."""
+        return min(self.islands, default=None, key=lambda isl: min(
+            [self.case.gen_by_id[g].bus for g in isl.machines + isl.sources],
+            default=10 ** 9))
+
+    def _kind(self, chan: str, arglist: list):
+        """(value matrix, times) -> one kind's rows."""
+        case, zero, nan, at = self.case, self.zero, self.nan, self._at
+        fnom = case.f_nominal
+        ids = [a[0] if a else None for a in arglist]
+        gens = [case.gen_by_id.get(g) for g in ids]
+        if chan == "t":
+            return lambda X, t: t
+        if chan == "V":
+            vx = at([f"vx:{int(b)}" for b in ids], zero)
+            vy = at([f"vy:{int(b)}" for b in ids], zero)
+            return lambda X, t: np.hypot(X[vx], X[vy])
+        if chan == "I":
+            ends = [(self.branch_params.get(br.branch_id),
+                     at([f"vx:{a}", f"vy:{a}", f"vx:{b}", f"vy:{b}"], zero))
+                    for br, a, b in map(case.branch_ends, arglist)]
+            return lambda X, t: [_branch_current(X[v], yc) for yc, v in ends]
+        if chan == "f":
+            isl = self._main_island()
+            if self.qss:
+                df = at([f"df:{isl.index}" if isl else ""], zero)
+                return lambda X, t: fnom + X[df]
+            machines = isl.machines if isl is not None else []
+            h = [case.gen_by_id[g].h for g in machines]
+            w = np.array([0.0] + [hi / sum(h) for hi in h])[:, None]
+            om = np.r_[zero, at([f"omega:{g}" for g in machines], nan)]
+            # an H-weighted sum from 0.0 in machine order: cumsum adds in
+            # sequence, where np.sum may add in pairs
+            return lambda X, t: fnom * (
+                1.0 + np.cumsum(w * X[om], axis=0)[-1])
+        if chan in ("omega", "pg") and self.qss:
+            df = at([f"df:{i.index}" if i else ""
+                     for i in map(self._island_of_gen, ids)], zero)
+            if chan == "omega":
+                return lambda X, t: X[df] / fnom
+            pagc = at([f"pagc:{g}" for g in ids], nan)
+            pd = at([f"pdisp:{g}" for g in ids], zero)
+            gain = np.array([[getattr(g, "k_freq", 0.0) / fnom]
+                             for g in gens])
+            return lambda X, t: X[pd] + X[pagc] - gain * X[df]
+        if chan in ("omega", "delta"):
+            rows = at([f"{chan}:{g}" for g in ids], nan)
+            return lambda X, t: X[rows]
+        if chan == "pg":
+            i_d, i_q, s, c = (at([f"{n}:{g}" for g in ids], nan)
+                              for n in ("id", "iq", "sind", "cosd"))
+            vx, vy = (at([f"{n}:{getattr(g, 'bus', '')}" for g in gens], nan)
+                      for n in ("vx", "vy"))
+            # electrical power of dynamic machines from their dq currents
+            return lambda X, t: (
+                X[vx] * (X[i_d] * X[s] + X[i_q] * X[c])
+                + X[vy] * (-X[i_d] * X[c] + X[i_q] * X[s]))
+        raise KeyError(f"unknown channel {chan!r}")
+
+
+def _branch_current(v, yc):
+    """|I| at the from end of a branch (none when offline), from the (vx,
+    vy) rows of its ends and its (y_series, b_sh), in real arithmetic:
+    numpy's complex multiply may fuse a multiply-add, so its bits would
+    depend on the batch size."""
+    if yc is None:
+        return np.zeros(v.shape[1])
+    y, c = yc[0], 0.5j * yc[1]
+    vfx, vfy, dx, dy = v[0], v[1], v[0] - v[2], v[1] - v[3]
+    ix = (y.real * dx - y.imag * dy) + (c.real * vfx - c.imag * vfy)
+    iy = (y.real * dy + y.imag * dx) + (c.real * vfy + c.imag * vfx)
+    return np.abs(ix + 1j * iy)
 
 
 class _Assembler:
@@ -377,7 +507,7 @@ class _Assembler:
         self.mods = mods or AlphaMods()
         self.alpha = mods is not None
         self.pf = self.alpha and mods.kind == ALPHA_POWERFLOW
-        self.reads = _Reads(None, state)  # a frozen state reads no Built
+        self.reads = _Reads(state)
         self.b = SystemBuilder()
         self.slots: dict = {}
         self.balance: dict = {}
@@ -557,11 +687,10 @@ class _Assembler:
             for isl in islands:
                 self._emit_island_frequency(isl)
 
-        return Built(
-            system=self.b.compile(), islands=islands, powerflow=pf,
-            branch_params={i: branch_params(case, state.branch_overrides, i)
-                           for i in state.branch_online},
-        )
+        return Built(system=self.b.compile(), case=case, mode=self.mode,
+                     islands=islands, branch_params={
+                         i: branch_params(case, state.branch_overrides, i)
+                         for i in state.branch_online})
 
     # -- device emitters ---------------------------------------------------------
 
@@ -721,8 +850,7 @@ class _Assembler:
         st = self.state
         eqx, eqy = self.balance[g.bus]
         wx, wy = self.wslots[g.bus]
-        ms = st.mach.get(g.gen_id)
-        p = st.pdisp_now(g.gen_id) + ms.agc if ms is not None else g.p_set
+        p = st.pdisp_now(g.gen_id) + st.mach[g.gen_id].agc
         self.b.term(eqx, p, self.alpha_slot, wx)
         self.b.term(eqy, -p, self.alpha_slot, wy)
         vsl = abs(island_flat_voltage(self.case, isl))
@@ -810,8 +938,8 @@ class _Reads:
     stator solve and motor T-circuit is computed once however many unknowns
     read it."""
 
-    def __init__(self, built, st):
-        self.built, self.st, self.memo = built, st, {}
+    def __init__(self, st):
+        self.st, self.memo = st, {}
 
     def __call__(self, f, key):
         if (f, key) not in self.memo:
@@ -820,11 +948,7 @@ class _Reads:
 
 
 def _voltage(r, bus):
-    """A bus voltage; in the powerflow, the flat voltage of its island."""
-    st = r.st
-    if r.built.powerflow:
-        return island_flat_voltage(st.case, st.islands[st.island_of[bus]])
-    return st.v[st.case.bus_index[bus]]
+    return r.st.v[r.st.case.bus_index[bus]]
 
 
 def _unit_conj(v):
@@ -849,7 +973,7 @@ def _motor(r, lid):
 
 _MACHINE_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
                    "epsd": "eps_d", "avr": "avr", "gov": "gov", "agc": "agc",
-                   "pagc": "agc"}
+                   "pagc": "agc", "qg": "q_g"}
 _MOTOR_KINDS = ("mex", "mey", "misx", "misy", "mirx", "miry")
 _NUMBERED = {"vx", "vy", "wx", "wy", "vm", "ux", "uy", "df"}  # int keys
 
@@ -868,8 +992,6 @@ _READ = {
     "cosd": lambda r, gid: math.cos(r.st.mach[gid].delta),
     "id": lambda r, gid: r(_stator, gid)[0],
     "iq": lambda r, gid: r(_stator, gid)[1],
-    # the powerflow starts every PV bus from zero reactive output
-    "qg": lambda r, gid: 0.0 if r.built.powerflow else r.st.mach[gid].q_g,
     **{kind: lambda r, lid, i=i: r(_motor, lid)[i]
        for i, kind in enumerate(_MOTOR_KINDS)},
     "slip": lambda r, lid: r.st.slip.get(lid, 0.02),
@@ -883,8 +1005,6 @@ _STORE = {
     "vy": lambda st, bus, x: setitem(st.v.imag, st.case.bus_index[bus], x),
     **{kind: lambda st, gid, x, f=f: setattr(st.mach[gid], f, x)
        for kind, f in _MACHINE_FIELDS.items()},
-    "qg": lambda st, gid, x: setattr(
-        st.mach.setdefault(gid, MachineState()), "q_g", x),
     "slip": lambda st, lid, x: setitem(st.slip, lid, x),
     "df": lambda st, i, x: setitem(st.df, i, x),
 }
@@ -1103,22 +1223,26 @@ def solve_powerflow(case: GridCase,
     Injections, shunts and PV setpoint offsets are scaled with alpha; at
     alpha = 0 the network floats at the slack voltage, at alpha = 1 the
     loaded solution is reached (or NoConvergenceAtAlpha1 if none exists).
+    The state starts at the flat profile: every energized bus at its
+    island's flat voltage, every motor at its equilibrium slip there, and
+    every online machine a placeholder that dispatches its p_set with no
+    reactive output.
     """
     if state is None:
         state = fresh_state(case)
         refresh_islands(case, state)
-    if not any(isl.energized for isl in state.islands):
+    live = [isl for isl in state.islands if isl.energized]
+    if not live:
         return state  # everything is dark; nothing to solve
-    # equilibrium slip anchors at the flat voltage
-    for l in case.loads:
-        if l.motor is None or l.load_id not in state.load_online:
-            continue
-        bi = case.bus_index[l.bus]
-        if not state.energized[bi]:
-            continue
-        isl = state.islands[state.island_of[l.bus]]
+    for isl in live:
         vflat = island_flat_voltage(case, isl)
-        state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
+        for bus in isl.buses:
+            state.v[case.bus_index[bus]] = vflat
+        for gid in isl.machines:
+            state.mach[gid] = MachineState(p_disp=case.gen_by_id[gid].p_set)
+        for l in case.loads:  # state.slip holds every live motor
+            if l.load_id in state.slip and l.bus in isl.buses:
+                state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
     _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW))
     return state
 
@@ -1141,8 +1265,7 @@ def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
                 i_inj = required_injection(case, state, g.bus)
                 s_inj = v * i_inj.conjugate()
             else:
-                q = state.mach[gid].q_g if gid in state.mach else 0.0
-                s_inj = complex(g.p_set, q)
+                s_inj = complex(g.p_set, state.mach[gid].q_g)
             state.mach[gid] = machine_init_from_terminal(
                 g, v, s_inj, 0.0, s_inj.real, case.f_nominal)
 

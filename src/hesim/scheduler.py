@@ -9,8 +9,8 @@ other trigger truncates the segment there.  After every dynamic segment
 in hybrid mode the steady-state criteria run on its coefficients, and a
 passing verdict switches to QSS; any switching event while in QSS switches
 back first.  This module keeps time, events, triggers and the steadiness
-policy; every change of the runtime state (a switch, a mode switch, a
-reactive limit, a ramp) is made in ``hesim.model``.
+policy; ``hesim.model`` makes every change of the runtime state (a switch,
+a mode switch, a reactive limit, a ramp) and reads every output channel.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .engine import SegmentSolution, solve_segment
 from .errors import HesimError
 from .grid import GridCase
 from .model import (
+    CHANNEL_ARGS,
     DYNAMIC,
     QSS,
     Built,
@@ -121,12 +122,6 @@ EVENTS = {
     "stop": EventKind(),
 }
 
-# trigger channel -> what its arguments name; I(id) or I(from,to) names a
-# branch through GridCase.branch_ends
-CHANNEL_ARGS = {"t": (), "f": (), "V": ("bus",), "omega": ("gen",),
-                "delta": ("gen",), "pg": ("gen",), "I": None}
-
-
 @dataclass
 class SimEvent:
     kind: str
@@ -217,129 +212,17 @@ class Condition:
 # --------------------------------------------------------------------------
 
 
-class ChannelMap:
-    """Where the output channels t, V(bus), I(from,to) or I(branch id), f,
-    omega(gen), delta(gen) and pg(gen) read their inputs, for one Built.
-
-    Rows index a value matrix: values and known inputs, a zero row and a
-    NaN row.  A name the Built lacks reads 0 where the channel does (a dead
-    bus, a QSS machine outside every island) and NaN elsewhere.  Branch
-    currents use the Built's snapshot of the online branches' parameters.
-    """
-
-    def __init__(self, built: Built, case: GridCase, mode: str):
-        self.case, self.qss, self.islands = case, mode == QSS, built.islands
-        self.branch_params = built.branch_params
-        nv, nk = built.system.nv, built.system.nk
-        self.rows = {**built.system.index, **{
-            n: nv + i for i, n in enumerate(built.system.known_names)}}
-        self.zero, self.nan = nv + nk, nv + nk + 1
-        self.plans: dict = {}
-
-    def apply(self, chans: tuple, rows, t) -> np.ndarray:
-        """Channels x times from (values, knowns) rows at the times t."""
-        X = np.concatenate([*rows, [np.zeros(len(t)), np.full(len(t), np.nan)]])
-        if chans not in self.plans:
-            kinds = {c: [i for i, (k, _) in enumerate(chans) if k == c]
-                     for c, _ in chans}
-            self.plans[chans] = [(p, self._kind(c, [chans[i][1] for i in p]))
-                                 for c, p in kinds.items()]
-        out = np.empty((len(chans), len(t)))
-        for pos, kind in self.plans[chans]:
-            out[pos] = kind(X, t)
-        return out
-
-    def _at(self, names, absent: int) -> np.ndarray:
-        return np.array([self.rows.get(n, absent) for n in names], dtype=int)
-
-    def _island_of_gen(self, gid: str):
-        return next((isl for isl in self.islands
-                     if gid in isl.machines or gid in isl.sources), None)
-
-    def _main_island(self):
-        """The island of the lowest-numbered generator bus."""
-        return min(self.islands, default=None, key=lambda isl: min(
-            [self.case.gen_by_id[g].bus for g in isl.machines + isl.sources],
-            default=10 ** 9))
-
-    def _kind(self, chan: str, arglist: list):
-        """(value matrix, times) -> one kind's rows."""
-        case, zero, nan, at = self.case, self.zero, self.nan, self._at
-        fnom = case.f_nominal
-        ids = [a[0] if a else None for a in arglist]
-        gens = [case.gen_by_id.get(g) for g in ids]
-        if chan == "t":
-            return lambda X, t: t
-        if chan == "V":
-            vx = at([f"vx:{int(b)}" for b in ids], zero)
-            vy = at([f"vy:{int(b)}" for b in ids], zero)
-            return lambda X, t: np.hypot(X[vx], X[vy])
-        if chan == "I":
-            ends = [(self.branch_params.get(br.branch_id),
-                     at([f"vx:{a}", f"vy:{a}", f"vx:{b}", f"vy:{b}"], zero))
-                    for br, a, b in map(case.branch_ends, arglist)]
-            return lambda X, t: [_branch_current(X[v], yc) for yc, v in ends]
-        if chan == "f":
-            isl = self._main_island()
-            if self.qss:
-                df = at([f"df:{isl.index}" if isl else ""], zero)
-                return lambda X, t: fnom + X[df]
-            machines = isl.machines if isl is not None else []
-            h = [case.gen_by_id[g].h for g in machines]
-            w = np.array([0.0] + [hi / sum(h) for hi in h])[:, None]
-            om = np.r_[zero, at([f"omega:{g}" for g in machines], nan)]
-            # an H-weighted sum from 0.0 in machine order: cumsum adds in
-            # sequence, where np.sum may add in pairs
-            return lambda X, t: fnom * (
-                1.0 + np.cumsum(w * X[om], axis=0)[-1])
-        if chan in ("omega", "pg") and self.qss:
-            df = at([f"df:{i.index}" if i else ""
-                     for i in map(self._island_of_gen, ids)], zero)
-            if chan == "omega":
-                return lambda X, t: X[df] / fnom
-            pagc = at([f"pagc:{g}" for g in ids], nan)
-            pd = at([f"pdisp:{g}" for g in ids], zero)
-            gain = np.array([[getattr(g, "k_freq", 0.0) / fnom]
-                             for g in gens])
-            return lambda X, t: X[pd] + X[pagc] - gain * X[df]
-        if chan in ("omega", "delta"):
-            rows = at([f"{chan}:{g}" for g in ids], nan)
-            return lambda X, t: X[rows]
-        if chan == "pg":
-            i_d, i_q, s, c = (at([f"{n}:{g}" for g in ids], nan)
-                              for n in ("id", "iq", "sind", "cosd"))
-            vx, vy = (at([f"{n}:{getattr(g, 'bus', '')}" for g in gens], nan)
-                      for n in ("vx", "vy"))
-            # electrical power of dynamic machines from their dq currents
-            return lambda X, t: (
-                X[vx] * (X[i_d] * X[s] + X[i_q] * X[c])
-                + X[vy] * (-X[i_d] * X[c] + X[i_q] * X[s]))
-        raise KeyError(f"unknown channel {chan!r}")
-
-
-def _branch_current(v, yc):
-    """|I| at the from end of a branch (none when offline), from the (vx,
-    vy) rows of its ends and its (y_series, b_sh), in real arithmetic:
-    numpy's complex multiply may fuse a multiply-add, so its bits would
-    depend on the batch size."""
-    if yc is None:
-        return np.zeros(v.shape[1])
-    y, c = yc[0], 0.5j * yc[1]
-    vfx, vfy, dx, dy = v[0], v[1], v[0] - v[2], v[1] - v[3]
-    ix = (y.real * dx - y.imag * dy) + (c.real * vfx - c.imag * vfy)
-    iy = (y.real * dy + y.imag * dx) + (c.real * vfy + c.imag * vfx)
-    return np.abs(ix + 1j * iy)
-
-
 @dataclass
 class SegmentRecord:
     t0: float
-    step: float
-    mode: str
+    step: float  # the certified range, end point probed, or up to a trigger
     sol: SegmentSolution
     built: Built
-    case: GridCase
-    chan_map: ChannelMap         # shared by the records of one Built
+    limiter: str  # what ended the step: gap, residual, cap, pole or trigger
+
+    @property
+    def mode(self) -> str:
+        return self.built.mode
 
     @property
     def t1(self) -> float:
@@ -348,8 +231,8 @@ class SegmentRecord:
     def channels(self, chans: tuple, tau, table=None) -> np.ndarray:
         """Channels x times (tau 1-D, segment-local) from one evaluation of
         the segment's rows; ``table`` reuses a ``sol.stacked()``."""
-        return self.chan_map.apply(chans, self.sol.evaluate(tau, table=table),
-                                   self.t0 + tau)
+        return self.built.channel_map.apply(
+            chans, self.sol.evaluate(tau, table=table), self.t0 + tau)
 
     def channel(self, chan: str, args: tuple, tau):
         """Evaluate an output channel at segment-local time(s)."""
@@ -534,9 +417,6 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
     the step that failed, its time and the reason."""
     wall0 = _time.perf_counter()
     traj = Trajectory(case)
-    if state is None:
-        start_mode = QSS if config.mode == QSS else DYNAMIC
-        state = init_equilibrium(case, mode=start_mode)
     timed = sorted([e for e in script if e.t_due is not None],
                    key=lambda e: e.t_due)
     conditional = [e for e in script if e.condition is not None]
@@ -546,15 +426,17 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
         key = (mode, state.epoch)
         if key not in built_cache:
             built_cache.clear()
-            built = build_system(case, state, mode)
-            built_cache[key] = built, ChannelMap(built, case, mode)
+            built_cache[key] = build_system(case, state, mode)
         return built_cache[key]
 
     t = 0.0
-    state.t = 0.0
     running = True
-    doing = ""  # the step under way, named by a failure
+    doing = "initialization"  # the step under way, named by a failure
     try:
+        if state is None:
+            state = init_equilibrium(
+                case, mode=QSS if config.mode == QSS else DYNAMIC)
+        state.t = 0.0
         while running and t < config.t_end - 1e-9:
             while timed and timed[0].t_due <= t + 1e-9:
                 ev = timed.pop(0)
@@ -572,44 +454,37 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             mode = state.mode
             doing = f"{mode} segment"
             cap = MAX_STEP_DYN if mode == DYNAMIC else MAX_STEP_QSS
-            built, chan_map = built_for(mode)
+            built = built_for(mode)
             # every known input is affine in t: two coefficients hold it all
             seg = solve_segment(built.system, built.anchors(state),
                                 built.knowns(state, t), config.order,
                                 config.tol_res, min(gap, cap))
-            step = seg.t_e  # the certified range, end point probed
-
-            rec = SegmentRecord(t0=t, step=step, mode=mode, sol=seg,
-                                built=built, case=case, chan_map=chan_map)
+            rec = SegmentRecord(t, seg.t_e, seg, built, limiter=(
+                "gap" if seg.t_e == gap else "residual" if seg.t_e < seg.t_cap
+                else "cap" if seg.t_cap >= min(gap, cap) else "pole"))
 
             # record triggers are read off the segment in time order; the
             # first trigger that changes the system ends it at its root
             hit, done = None, set()
             for i, tau in (locate_conditional_event(
-                    rec, [ev.condition for ev in conditional], step,
+                    rec, [ev.condition for ev in conditional], rec.step,
                     EVENT_TOL) if conditional else []):
                 done.add(i)
                 if conditional[i].kind != "record":
-                    hit, step = conditional[i], tau
-                    rec.step = step
+                    hit, rec.step, rec.limiter = conditional[i], tau, "trigger"
                     break
                 _execute_event(case, state, conditional[i], t + tau, traj)
             conditional = [ev for i, ev in enumerate(conditional)
                            if i not in done]
-            if log.isEnabledFor(logging.DEBUG):
-                why = ("trigger" if hit else "gap" if step == gap
-                       else "residual" if seg.t_e < seg.t_cap
-                       else "cap" if seg.t_cap >= min(gap, cap) else "pole")
-                log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step "
-                          "%.6g, limited by %s, %d record triggers fired, %d "
-                          "rows refitted", t, mode, seg.C.shape[1] - 1,
-                          seg.t_e, step, why, len(done) - (hit is not None),
-                          seg.refit)
+            log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step %.6g, "
+                      "limited by %s, %d record triggers fired, %d rows "
+                      "refitted", rec.t0, rec.mode, seg.C.shape[1] - 1,
+                      seg.t_e, rec.step, rec.limiter,
+                      len(done) - (hit is not None), seg.refit)
 
             traj.segments.append(rec)
-            values = seg.values_at(step)
-            write_back(built, values, state)
-            t = t + step
+            write_back(built, seg.values_at(rec.step), state)
+            t = t + rec.step
             state.t = t
             doing = "state refinement"
             refine_state(built, state)

@@ -313,7 +313,7 @@ def _island_of(rec, gid):
 
 def _ref_channel(rec, chan, args, tau):
     """One output channel at one scalar segment-local time."""
-    case, val = rec.case, (lambda name: _value(rec, name, tau))
+    case, val = rec.built.case, (lambda name: _value(rec, name, tau))
     nan = math.nan
     if chan == "t":
         return rec.t0 + tau
@@ -502,7 +502,6 @@ def test_frequency_sums_many_machines_in_order():
     from hesim.engine import SystemBuilder
     from hesim.grid import BusSpec, GenSpec, GridCase
     from hesim.model import Built, Island
-    from hesim.scheduler import ChannelMap
 
     gids = [f"G{i}" for i in range(11)]
     case = GridCase(name="many", f_nominal=60.0,
@@ -513,10 +512,10 @@ def test_frequency_sums_many_machines_in_order():
     b = SystemBuilder()
     for g in gids:
         b.state(f"omega:{g}")
-    built = Built(system=b.compile(),
+    built = Built(system=b.compile(), case=case, mode="dynamic",
                   islands=[Island(0, list(range(len(gids))), [], gids,
                                   gids[0])])
-    chan_map = ChannelMap(built, case, "dynamic")
+    chan_map = built.channel_map
     h_tot = sum(case.gen_by_id[g].h for g in gids)
     rng = np.random.default_rng(5)
     for n in [1] * 200 + [2, 7]:

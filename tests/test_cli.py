@@ -321,3 +321,24 @@ def test_failed_event_keeps_the_partial_trajectory(tmp_path, capsys):
     failure = kv["failure"]
     assert failure.startswith("add_load load=LX2 at t=30.000000: ")
     assert capsys.readouterr().err == f"error: {failure}\n"
+
+
+def test_infeasible_start_fails_through_the_summary(tmp_path, capsys):
+    # a 5 + j2 pu load is past the nose of a line with x = 0.2 pu: the power
+    # flow has no solution, and the run fails as initialization
+    case_file = tmp_path / "infeasible.case"
+    case_file.write_text("CASE infeasible\nBUS 1\nBUS 2\n"
+                         "BRANCH L12 1 2 r=0.01 x=0.2\n"
+                         "GEN S1 1 kind=source v=1.0\n"
+                         "LOAD LD2 2 p=5.0 q=2.0 fz=0 fi=0 fp=1\nSTOP 1.0\n")
+    out, summ = tmp_path / "traj.csv", tmp_path / "run.sum"
+    rc = run_cli(["simulate", str(case_file), "--out", str(out),
+                  "--summary", str(summ)])
+    assert rc == 1
+    assert not out.exists()  # an empty trajectory is not written
+    kv = dict(line.split("=", 1) for line in summ.read_text().splitlines())
+    assert kv["t_end"] == "0" and kv["segments_dynamic"] == "0"
+    failure = kv["failure"]
+    assert failure.startswith("initialization at t=0.000000: "
+                              "ALPHA_POWERFLOW stops at alpha=")
+    assert capsys.readouterr().err == f"error: {failure}\n"

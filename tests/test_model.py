@@ -12,7 +12,7 @@ from scipy.optimize import root
 from conftest import make_smib, make_twobus_case
 from hesim.caseio import builtin_case
 from hesim.engine import solve_segment
-from hesim.errors import PowerFlowInfeasible
+from hesim.errors import PowerFlowInfeasible, ZeroBoundaryVoltage
 from hesim.grid import (
     DYN4,
     SOURCE,
@@ -48,7 +48,7 @@ from hesim.model import (
     solve_powerflow,
 )
 from hesim.reference import TwoBusCase
-from hesim.scheduler import RunConfig, run_simulation
+from hesim.scheduler import EVENTS, RunConfig, SimEvent, run_simulation
 
 
 # --- power flow ----------------------------------------------------------------
@@ -344,6 +344,37 @@ def test_cut_load_at_dead_boundary_matches_resolve(monkeypatch):
     ref = copy.deepcopy(st)
     built, vals = _oracle_resolve(case, ref)
     assert np.max(np.abs(built.anchors(st) - vals)) < 1e-8
+
+
+@pytest.mark.parametrize("element, event, reason", [
+    (BranchSpec("La", 1, 2, 0.01, 0.1), "cut_branch branch=La",
+     "branch La at bus 2"),
+    (GenSpec("G2", 2, p_set=0.0), "cut_gen gen=G2", "generator G2 at bus 2"),
+], ids=["parallel-branch", "machine"])
+def test_cut_at_a_dead_boundary_bus_fails_by_name(element, event, reason):
+    # the shunts of _dead_load_case hold bus 2 near 0 V while it stays
+    # energized, so a cut there has no equivalent shunt
+    case = GridCase(
+        name="deadcut", buses=[BusSpec(1), BusSpec(2)],
+        branches=[BranchSpec("L12", 1, 2, 0.01, 0.1)]
+        + [element] * isinstance(element, BranchSpec),
+        gens=[GenSpec("S1", 1, kind=SOURCE, v_set=1.0)]
+        + [element] * isinstance(element, GenSpec),
+        loads=[LoadSpec("LZ", 2, 0.5, 0.2, 1.0, 0.0, 0.0)])
+    kind, _, arg = event.partition(" ")
+    key, value = arg.split("=")
+    script = [SimEvent("add_shunt", t_due=0.0, payload={
+        "bus": "2", "g": y.real, "b": y.imag})
+        for y in (-1e3j, 1e5 + 0j, 1e7 + 0j, 1e9 + 0j)]
+    st = init_equilibrium(case)
+    for ev in script:
+        EVENTS[ev.kind].action(case, st, ev.payload, 0.0)
+    assert 0.0 < abs(st.v[1]) < DEAD_VOLTAGE and st.energized[1]
+    with pytest.raises(ZeroBoundaryVoltage, match=f"^{reason}$"):
+        EVENTS[kind].action(case, st, {key: value}, 0.0)
+    script.append(SimEvent(kind, t_due=0.0, payload={key: value}))
+    traj = run_simulation(case, script, RunConfig(mode="dynamic", t_end=1.0))
+    assert traj.failure == f"{event} at t=0.000000: {reason}"
 
 
 def test_cut_then_readd_roundtrip(fourbus):
@@ -660,13 +691,11 @@ _REF_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
                "pagc": "agc"}
 
 
-def _ref_anchor(case, st, name, pf):
+def _ref_anchor(case, st, name):
     """One unknown read from the state the way a per-name closure did."""
     kind, _, key = name.partition(":")
 
     def volt(bus):
-        if pf:
-            return island_flat_voltage(case, st.islands[st.island_of[bus]])
         return st.v[case.bus_index[bus]]
 
     if kind in ("vx", "vy"):
@@ -700,8 +729,8 @@ def _ref_anchor(case, st, name, pf):
         return st.slip.get(key, 0.02)
     elif kind == "df":
         return st.df.get(int(key), 0.0)
-    elif kind == "qg":  # the powerflow starts from zero reactive output
-        return 0.0 if pf else st.mach[key].q_g
+    elif kind == "qg":
+        return st.mach[key].q_g
     else:
         return getattr(st.mach[key], _REF_FIELDS[kind])
     return z.imag if kind.endswith("y") else z.real
@@ -848,9 +877,13 @@ def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
         assert not any(map(callable, held))  # a Built holds data only
         names = built.system.var_names
         flavor = flavor_of[id(built)][1]
+        if flavor == "powerflow":  # the continuation starts flat
+            for isl in filter(lambda isl: isl.energized, st.islands):
+                assert all(st.v[st.case.bus_index[bus]] == island_flat_voltage(
+                    st.case, isl) for bus in isl.buses)
+                assert all(st.mach[g].q_g == 0.0 for g in isl.machines)
         got = built.anchors(st)
-        want = np.array([_ref_anchor(st.case, st, n, flavor == "powerflow")
-                         for n in names])
+        want = np.array([_ref_anchor(st.case, st, n) for n in names])
         assert _bits(got) == _bits(want), (flavor, st.t)
         for t0 in (st.t, st.t + 0.37, st.t + 2.5):
             assert _bits(built.knowns(st, t0)) == _bits(
@@ -880,8 +913,7 @@ def test_anchors_read_each_shared_quantity_once(monkeypatch, name, t_end):
         built = mdl.build_system(case, st, mode)
         calls.clear()
         got = built.anchors(st)
-        want = [_ref_anchor(case, st, n, False)
-                for n in built.system.var_names]
+        want = [_ref_anchor(case, st, n) for n in built.system.var_names]
         assert _bits(got) == _bits(np.array(want)), mode
         kinds = {k for k, _ in built.keys}
         assert len(calls) == len(set(calls))

@@ -1,5 +1,6 @@
 """Event orchestration, conditional events, mode switching, islanding."""
 
+import collections
 import dataclasses
 import itertools
 import logging
@@ -541,6 +542,25 @@ def test_each_segment_logs_one_debug_line(caplog):
     limits = {line.split("limited by ")[1].split(",")[0] for line in lines}
     assert "gap" in limits and limits <= {"gap", "cap", "pole", "residual",
                                           "trigger"}
+
+
+def test_each_record_keeps_the_limiter_its_debug_line_names(fourbus,
+                                                            caplog):
+    case, script = fourbus
+    with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
+        traj = run_simulation(case, script,
+                              RunConfig(mode="hybrid", t_end=75.0))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("segment at ")]
+    assert traj.failure is None and len(lines) == len(traj.segments)
+    assert [rec.limiter for rec in traj.segments] == [
+        line.split("limited by ")[1].split(",")[0] for line in lines]
+    counts = {}
+    for rec in traj.segments:
+        counts.setdefault(rec.mode, collections.Counter())[rec.limiter] += 1
+    assert {mode: c.total() for mode, c in counts.items()} \
+        == traj.segment_counts()
+    assert set(counts) == {DYNAMIC, QSS} and len(counts[DYNAMIC]) > 1
 
 
 def _failing_speed_segment(steady_seg, built):
