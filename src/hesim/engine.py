@@ -176,6 +176,7 @@ class CompiledSystem:
         self.n_state = len(self.state_slots)
         self.index = {n: i for i, n in enumerate(self.var_names)}
         self._flat: dict = {}  # (kind, point count) -> scatter indices
+        self._jac: dict = {}   # kind -> Jacobian scatter, see _term_jacobian
 
     # -- term evaluation over the coefficient table -----------------------------
 
@@ -236,13 +237,19 @@ class CompiledSystem:
     def _term_jacobian(self, kind: str, ext: np.ndarray,
                        n_rows: int) -> np.ndarray:
         """Dense d(rows)/d(vars) of the "alg" or "rhs" terms at one point:
-        each factor that is an unknown gets coeff times the other factor."""
-        J = np.zeros((n_rows, self.nv))
-        rows, coeffs, a, b = self.terms[kind]
-        for f, g in ((a, b), (b, a)):
-            m = f < self.nv
-            np.add.at(J, (rows[m], f[m]), coeffs[m] * ext[g[m]])
-        return J
+        each factor that is an unknown gets coeff times the other factor,
+        summed into its cell in one pass (the a-factor entries first)."""
+        if kind not in self._jac:
+            rows, coeffs, a, b = self.terms[kind]
+            ma, mb = a < self.nv, b < self.nv
+            self._jac[kind] = (
+                np.concatenate([rows[ma] * self.nv + a[ma],
+                                rows[mb] * self.nv + b[mb]]),
+                np.concatenate([coeffs[ma], coeffs[mb]]),
+                np.concatenate([b[ma], a[mb]]))
+        cell, coeffs, other = self._jac[kind]
+        return np.bincount(cell, weights=coeffs * ext[other],
+                           minlength=n_rows * self.nv).reshape(n_rows, self.nv)
 
     def full_jacobian(self, values: np.ndarray, kvalues: np.ndarray):
         """(df/dvars, dg/dvars) dense, for the implicit reference solvers."""
