@@ -73,9 +73,8 @@ def _motor(s, line_no, what):
     return MotorSpec(*vals)
 
 
-# a field is read by its type (int, str, else a number), except these two
-_BY_NAME = {"angle_init": lambda s, n, what: math.radians(_num(s, n, what)),
-            "motor": _motor}
+# a field is read by its type (int, str, else a number), except motor=
+_BY_NAME = {"motor": _motor}
 _BY_TYPE = {int: _int, str: lambda s, n, what: s}
 
 
@@ -95,8 +94,7 @@ class _Section:
 
 
 _SECTIONS = {
-    "BUS": _Section(BusSpec, "buses", ("bus",),
-                    {"kv": "base_kv", "v": "v_init", "angle": "angle_init"}),
+    "BUS": _Section(BusSpec, "buses", ("bus",), {"kv": "base_kv"}),
     "BRANCH": _Section(BranchSpec, "branches",
                        ("branch_id", "from_bus", "to_bus"),
                        {"r": "r", "x": "x", "b": "b_sh", "status": "status"}),

@@ -25,8 +25,6 @@ DYN4 = "dyn4"       # two-axis transient machine + AVR + governor + AGC
 class BusSpec:
     bus: int
     base_kv: float = 1.0
-    v_init: float = 1.0
-    angle_init: float = 0.0  # rad
 
 
 @dataclass(frozen=True)

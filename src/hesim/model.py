@@ -182,8 +182,7 @@ class SystemState:
 
 def fresh_state(case: GridCase) -> SystemState:
     st = SystemState(case)
-    st.v = np.array([b.v_init * cmath.exp(1j * b.angle_init)
-                     for b in case.buses], dtype=complex)
+    st.v = np.ones(case.n_bus, dtype=complex)
     st.energized = np.ones(case.n_bus, dtype=bool)
     st.branch_online = {b.branch_id for b in case.branches if b.status}
     st.gen_online = {g.gen_id for g in case.gens if g.status}
@@ -266,9 +265,8 @@ def coi_speed(case: GridCase, state: SystemState, island: Island) -> float:
 
 
 def setpoint_voltage(case: GridCase, g: GenSpec) -> complex:
-    """A generator's setpoint phasor: v_set at its bus's initial angle."""
-    return g.v_set * cmath.exp(1j * case.buses[case.bus_index[g.bus]]
-                               .angle_init)
+    """A generator's setpoint phasor: v_set at angle zero."""
+    return complex(g.v_set)
 
 
 def island_flat_voltage(case: GridCase, isl: Island) -> complex:
