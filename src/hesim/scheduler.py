@@ -339,8 +339,8 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
 # --------------------------------------------------------------------------
 
 
-def steadiness_verdict(case: GridCase, state: SystemState, built: Built,
-                       seg: SegmentSolution, eps_t: float) -> SteadyStateVerdict:
+def steadiness_verdict(state: SystemState, built: Built, seg: SegmentSolution,
+                       eps_t: float) -> SteadyStateVerdict:
     """Run the rate criteria on the monitored rows, in two stages.
 
     Monitored, over all islands (``Built.monitored``): machine speeds,
@@ -509,8 +509,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                     and not any(EVENTS[ev.kind].switch for ev in timed
                                 if ev.t_due <= t + 1e-9)):
                 doing = "dyn->qss switch"
-                verdict = steadiness_verdict(case, state, built, seg,
-                                             config.eps_t)
+                verdict = steadiness_verdict(state, built, seg, config.eps_t)
                 if verdict.system_steady:
                     mode_switch(case, state, "dyn->qss", verdict)
                     traj.events.append(EventRecord(

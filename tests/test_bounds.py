@@ -312,9 +312,9 @@ def test_reference_angle_invariance(fourbus):
     assert len(rows) > 1
     C = seg.C.copy()
     C[rows, 1] += 7.0
-    plain = steadiness_verdict(case, st_, built, seg, 1e-3)
-    shifted = steadiness_verdict(case, st_, built,
-                                 dataclasses.replace(seg, C=C), 1e-3)
+    plain = steadiness_verdict(st_, built, seg, 1e-3)
+    shifted = steadiness_verdict(st_, built, dataclasses.replace(seg, C=C),
+                                 1e-3)
     assert plain.names == shifted.names
     assert list(plain.steady) == list(shifted.steady)
     assert plain.system_steady == shifted.system_steady

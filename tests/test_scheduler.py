@@ -498,7 +498,7 @@ def _equilibrium_segment(case, st):
 
 
 def _equilibrium_verdict(case, st):
-    return steadiness_verdict(case, st, *_equilibrium_segment(case, st), 1e-3)
+    return steadiness_verdict(st, *_equilibrium_segment(case, st), 1e-3)
 
 
 def test_roundtrip_dyn_qss_dyn_at_equilibrium(fourbus):
@@ -598,15 +598,13 @@ def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
     built, steady_seg = _equilibrium_segment(case, st)
     seg = _failing_speed_segment(steady_seg, built)
     with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
-        assert not steadiness_verdict(case, st, built, seg, 1e-3).system_steady
+        assert not steadiness_verdict(st, built, seg, 1e-3).system_steady
     assert not caplog.records
     row, angle = _non_reference_angle(built)
     with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
-        assert steadiness_verdict(case, st, built, steady_seg,
-                                  1e-3).system_steady
-        verdict = steadiness_verdict(case, st, built, seg, 1e-3)
-        full = steadiness_verdict(case, st, built,
-                                  _drifting(steady_seg, row), 1e-3)
+        assert steadiness_verdict(st, built, steady_seg, 1e-3).system_steady
+        verdict = steadiness_verdict(st, built, seg, 1e-3)
+        full = steadiness_verdict(st, built, _drifting(steady_seg, row), 1e-3)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "hesim.scheduler"]
     # a plain row decides at stage 1; a relative angle only at stage 2
@@ -629,8 +627,8 @@ def test_derived_rows_decide_when_every_plain_row_is_steady(fourbus):
     n_plain, n_angles = len(rows.plain), len(rows.angles)
     for row, name in (_non_reference_angle(built),
                       (rows.vx[0], rows.names[n_plain + n_angles])):
-        verdict = steadiness_verdict(case, st, built,
-                                     _drifting(steady_seg, row), 1e-3)
+        verdict = steadiness_verdict(st, built, _drifting(steady_seg, row),
+                                     1e-3)
         assert verdict.steady[:n_plain].all()
         assert not verdict.system_steady
         assert verdict.names == rows.names
@@ -683,9 +681,9 @@ def test_failing_plain_row_builds_no_derived_rows(fourbus, monkeypatch):
 
     monkeypatch.setattr(scheduler, "batch_pade", counted)
     seg = _failing_speed_segment(steady_seg, built)
-    assert not steadiness_verdict(case, st, built, seg, 1e-3).system_steady
+    assert not steadiness_verdict(st, built, seg, 1e-3).system_steady
     assert calls == []
-    assert steadiness_verdict(case, st, built, steady_seg, 1e-3).system_steady
+    assert steadiness_verdict(st, built, steady_seg, 1e-3).system_steady
     assert len(calls) == 1
 
 
@@ -719,8 +717,8 @@ def test_two_stage_verdict_matches_one_table_reference(fourbus, monkeypatch):
     case, script = fourbus
     seen = []
 
-    def verdict(case, state, built, seg, eps_t):
-        out = steadiness_verdict(case, state, built, seg, eps_t)
+    def verdict(state, built, seg, eps_t):
+        out = steadiness_verdict(state, built, seg, eps_t)
         seen.append((built, seg, eps_t, out))
         return out
 
