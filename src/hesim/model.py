@@ -264,13 +264,9 @@ def coi_speed(case: GridCase, state: SystemState, island: Island) -> float:
     return num / den if den > 0 else 0.0
 
 
-def setpoint_voltage(case: GridCase, g: GenSpec) -> complex:
-    """A generator's setpoint phasor: v_set at angle zero."""
-    return complex(g.v_set)
-
-
 def island_flat_voltage(case: GridCase, isl: Island) -> complex:
-    return setpoint_voltage(case, case.gen_by_id[isl.slack])
+    """The slack's setpoint phasor: its v_set at angle zero."""
+    return complex(case.gen_by_id[isl.slack].v_set)
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +348,13 @@ class Built:
             plain + [a for a, _ in pairs] + [f"vsq:{b}" for b in buses],
             at(plain), at(a for a, _ in pairs), at(r for _, r in pairs),
             at(f"vx:{b}" for b in buses), at(f"vy:{b}" for b in buses))
+
+    @functools.cached_property
+    def angle_slots(self) -> tuple:
+        """The (sin, cos, angle) slots of every machine's rotor angle."""
+        gids = [key for kind, key in self.keys if kind == "sind"]
+        return tuple(np.array([self.system.index[f"{n}:{g}"] for g in gids],
+                              dtype=int) for n in ("sind", "cosd", "delta"))
 
     @functools.cached_property
     def channel_map(self) -> "ChannelMap":
@@ -591,9 +594,8 @@ class _Assembler:
         # ---- balance equations or source pins ----
         for bus in ebuses:
             if bus in pinned_buses:
-                e = setpoint_voltage(case, next(
-                    g for g in case.gens_at(bus)
-                    if g.gen_id in state.gen_online))
+                e = complex(next(g for g in case.gens_at(bus)
+                                 if g.gen_id in state.gen_online).v_set)
                 eqx = self.b.alg_eq(f"pinx:{bus}")
                 eqy = self.b.alg_eq(f"piny:{bus}")
                 self.b.term(eqx, 1.0, vslots[bus][0])
@@ -1031,14 +1033,22 @@ def write_back(built: Built, values: np.ndarray, state: SystemState) -> None:
 
 
 def refine_state(built: Built, state: SystemState,
-                 tol: float = 1e-12) -> None:
-    """Newton-polish the algebraic variables so the anchor is consistent."""
-    if built.system.nv == 0:
-        return
-    anchors = built.anchors(state)
-    kv = built.knowns(state, state.t)[:, 0]
-    refined = built.system.newton_refine(anchors, kv, tol=tol)
-    write_back(built, refined, state)
+                 values: Optional[np.ndarray] = None,
+                 tol: float = 1e-12) -> np.ndarray:
+    """Newton-polish the algebraic unknowns of ``values`` (a segment's end
+    values, else the anchors read from the state) with each rotor angle's
+    sine and cosine re-read from the angle, as ``anchors`` reads them;
+    write the state once and return the vector, the next anchor."""
+    if values is None:
+        x = built.anchors(state)
+    else:
+        x = np.array(values, dtype=float)
+        sin, cos, delta = built.angle_slots
+        x[sin], x[cos] = np.sin(x[delta]), np.cos(x[delta])
+    x = built.system.newton_refine(x, built.knowns(state, state.t)[:, 0],
+                                   tol=tol)
+    write_back(built, x, state)
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -1159,23 +1169,26 @@ def _machines_from_pv(case: GridCase, state: SystemState) -> None:
             state.mach[gid] = new
 
 
-def _enter_mode(case: GridCase, state: SystemState, mode: str) -> None:
+def _enter_mode(case: GridCase, state: SystemState, mode: str) -> tuple:
     """Make ``mode`` the state's mode and its algebraic variables
-    consistent with it at the instant."""
+    consistent with it at the instant.  Returns the mode's Built and the
+    refined vector, the first segment's anchor."""
     state.mode = mode
     if mode == DYNAMIC:
         state.last_dyn_entry = state.t
     state.bump()
-    refine_state(build_system(case, state, mode), state)
+    built = build_system(case, state, mode)
+    return built, refine_state(built, state)
 
 
 def mode_switch(case: GridCase, state: SystemState, direction: str,
-                verdict: Optional[SteadyStateVerdict] = None) -> None:
+                verdict: Optional[SteadyStateVerdict] = None) -> tuple:
     """Convert machines to PV/QSS form (dyn->qss) or back (qss->dyn).
 
     dyn->qss demands a passing steady-state verdict; ``init_equilibrium``
     starts QSS through the same conversion.  The reverse direction
-    back-initializes every machine from its PV operating point.
+    back-initializes every machine from its PV operating point.  Returns
+    the new mode's Built and its refined anchor (see ``_enter_mode``).
     """
     if direction == "dyn->qss":
         if state.mode != DYNAMIC:
@@ -1183,14 +1196,13 @@ def mode_switch(case: GridCase, state: SystemState, direction: str,
         if verdict is None or not verdict.system_steady:
             raise NotSteady("dynamic-to-QSS switch without a steady verdict")
         _machines_to_pv(case, state)
-        _enter_mode(case, state, QSS)
-    elif direction == "qss->dyn":
+        return _enter_mode(case, state, QSS)
+    if direction == "qss->dyn":
         if state.mode != QSS:
             raise HesimError("not in QSS mode")
         _machines_from_pv(case, state)
-        _enter_mode(case, state, DYNAMIC)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+        return _enter_mode(case, state, DYNAMIC)
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def fix_q_limits(case: GridCase, state: SystemState) -> list:
@@ -1461,7 +1473,7 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
                 and g.bus in (br.from_bus, br.to_bus)]
         state.branch_online.difference_update(ties)
         state.gen_online.add(gen_id)
-        v = setpoint_voltage(case, g)
+        v = complex(g.v_set)
         state.v[bi] = v
         state.energized[bi] = True
         state.mach[gen_id] = machine_init_from_terminal(

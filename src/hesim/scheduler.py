@@ -39,7 +39,6 @@ from .model import (
     init_equilibrium,
     mode_switch,
     refine_state,
-    write_back,
 )
 from .series import batch_pade, bracketed_roots, diagonal_orders
 
@@ -420,14 +419,11 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
     timed = sorted([e for e in script if e.t_due is not None],
                    key=lambda e: e.t_due)
     conditional = [e for e in script if e.condition is not None]
-    built_cache: dict = {}
-
-    def built_for(mode):
-        key = (mode, state.epoch)
-        if key not in built_cache:
-            built_cache.clear()
-            built_cache[key] = build_system(case, state, mode)
-        return built_cache[key]
+    # (mode, epoch) -> (Built, next anchor): a refine hands its vector over
+    # and a mode entry seeds its epoch; an epoch no refine touched (the
+    # start, or after an alpha solve) is built and read from the state.
+    # Every change to a field the anchors read bumps the epoch.
+    handoff: dict = {}
 
     t = 0.0
     running = True
@@ -454,11 +450,14 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             mode = state.mode
             doing = f"{mode} segment"
             cap = MAX_STEP_DYN if mode == DYNAMIC else MAX_STEP_QSS
-            built = built_for(mode)
+            key = (mode, state.epoch)
+            if key not in handoff:
+                built = build_system(case, state, mode)
+                handoff = {key: (built, built.anchors(state))}
+            built, anchors = handoff[key]
             # every known input is affine in t: two coefficients hold it all
-            seg = solve_segment(built.system, built.anchors(state),
-                                built.knowns(state, t), config.order,
-                                config.tol_res, min(gap, cap))
+            seg = solve_segment(built.system, anchors, built.knowns(state, t),
+                                config.order, config.tol_res, min(gap, cap))
             rec = SegmentRecord(t, seg.t_e, seg, built, limiter=(
                 "gap" if seg.t_e == gap else "residual" if seg.t_e < seg.t_cap
                 else "cap" if seg.t_cap >= min(gap, cap) else "pole"))
@@ -483,11 +482,11 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                       len(done) - (hit is not None), seg.refit)
 
             traj.segments.append(rec)
-            write_back(built, seg.values_at(rec.step), state)
             t = t + rec.step
             state.t = t
             doing = "state refinement"
-            refine_state(built, state)
+            handoff[key] = built, refine_state(built, state,
+                                               seg.values_at(rec.step))
 
             if mode == QSS:
                 # reactive limits are enforced by PV->PQ switching between
@@ -511,7 +510,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 doing = "dyn->qss switch"
                 verdict = steadiness_verdict(state, built, seg, config.eps_t)
                 if verdict.system_steady:
-                    mode_switch(case, state, "dyn->qss", verdict)
+                    entered = mode_switch(case, state, "dyn->qss", verdict)
+                    handoff = {(QSS, state.epoch): entered}
                     traj.events.append(EventRecord(
                         t, "mode_switch", "dyn->qss",
                         {"verdict": verdict}))

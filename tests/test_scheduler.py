@@ -945,3 +945,93 @@ def test_hybrid_run_is_deterministic(fourbus):
                               RunConfig(mode="hybrid", t_end=70.0))
         texts.append(write_trajectory(traj, 0.5))
     assert texts[0] == texts[1]
+
+
+# --- the anchor handoff ---------------------------------------------------------------
+
+def _handoff_run(monkeypatch, name, mode, t_end):
+    """Run a built-in case from an initialized state, with spies on every
+    time build and its anchor reads (by (mode, epoch) at the call), every
+    refine and every segment solve.  A refine's handed vector and a
+    segment's anchor are compared with the anchors read from the state."""
+    from hesim import model as mdl
+
+    case, script = builtin_case(name)
+    state = init_equilibrium(case)  # its mode entry is not the run's
+    builds, reads = collections.Counter(), collections.Counter()
+    refines, starts = [], []  # max |diff|; (from a refine?, max |diff|)
+    builts, handed = {}, {}  # id(system) -> time Built; last handed vector
+    build, read = mdl.build_system, mdl.Built.anchors
+    refine, solve = mdl.refine_state, scheduler.solve_segment
+
+    def building(case, st, mode, mods=None):
+        built = build(case, st, mode, mods)
+        if mods is None:
+            builds[mode, st.epoch] += 1
+            builts[id(built.system)] = built  # alive, so ids stay unique
+        return built
+
+    def reading(self, st):
+        if id(self.system) in builts:
+            reads[self.mode, st.epoch] += 1
+        return read(self, st)
+
+    def refining(built, st, *args, **kwargs):
+        x = refine(built, st, *args, **kwargs)
+        handed[id(built.system)] = x
+        refines.append(np.max(np.abs(x - read(built, st)), initial=0.0))
+        return x
+
+    def solving(system, anchors, *args, **kwargs):
+        diff = anchors - read(builts[id(system)], state)
+        starts.append((handed.get(id(system)) is anchors,
+                       np.max(np.abs(diff), initial=0.0)))
+        return solve(system, anchors, *args, **kwargs)
+
+    for owner in (mdl, scheduler):
+        monkeypatch.setattr(owner, "build_system", building)
+        monkeypatch.setattr(owner, "refine_state", refining)
+    monkeypatch.setattr(mdl.Built, "anchors", reading)
+    monkeypatch.setattr(scheduler, "solve_segment", solving)
+    traj = run_simulation(case, script, RunConfig(mode=mode, t_end=t_end),
+                          state)
+    assert traj.failure is None
+    return traj, builds, reads, refines, starts
+
+
+def test_each_epoch_is_built_once_and_read_from_the_state_once(monkeypatch):
+    # fourbus hybrid 0-75 s: a mode entry seeds its epoch with the Built it
+    # refined; each segment starts from the vector the last refine handed
+    # over, so only an epoch no refine touched is read from the state
+    traj, builds, reads, _, _ = _handoff_run(monkeypatch, "fourbus",
+                                             "hybrid", 75.0)
+    switches = [e for e in traj.events if e.kind == "mode_switch"]
+    assert len(switches) >= 4 and len(traj.segments) >= 40
+    assert max(builds.values()) == 1 and max(reads.values()) == 1
+    assert set(reads) == set(builds)
+
+
+@pytest.mark.parametrize("name, mode, t_end", [
+    ("fourbus", "hybrid", 75.0), ("fourbus", "dynamic", 75.0),
+    ("ne39", "hybrid", 56.0), ("ne39", "dynamic", 56.0)])
+def test_refined_vector_is_the_anchors_of_the_state(monkeypatch, name, mode,
+                                                    t_end):
+    # the handed vector stands for the state it wrote: its rotor-angle sines
+    # and cosines re-read, its algebraic unknowns polished to one root; and
+    # no change to what the anchors read goes without an epoch bump
+    traj, _, _, refines, starts = _handoff_run(monkeypatch, name, mode, t_end)
+    assert len(refines) >= len(traj.segments)
+    assert max(refines) <= 1e-9
+    assert max(diff for _, diff in starts) <= 1e-9
+
+
+def test_segment_after_an_event_starts_from_the_new_epochs_anchors(
+        monkeypatch):
+    # fourbus hybrid 0-75 s: the load steps at 30 s and 60 s each end an
+    # epoch with an alpha solve that no refine follows
+    traj, _, _, _, starts = _handoff_run(monkeypatch, "fourbus", "hybrid",
+                                         75.0)
+    read = [diff for handed, diff in starts if not handed]
+    assert len(read) == 3  # the start and the two load steps
+    assert read == [0.0] * 3
+    assert len(starts) == len(traj.segments)
