@@ -1044,7 +1044,9 @@ def refine_state(built: Built, state: SystemState,
     else:
         x = np.array(values, dtype=float)
         sin, cos, delta = built.angle_slots
-        x[sin], x[cos] = np.sin(x[delta]), np.cos(x[delta])
+        angles = x[delta].tolist()
+        x[sin] = [math.sin(a) for a in angles]
+        x[cos] = [math.cos(a) for a in angles]
     x = built.system.newton_refine(x, built.knowns(state, state.t)[:, 0],
                                    tol=tol)
     write_back(built, x, state)

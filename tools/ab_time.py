@@ -40,9 +40,9 @@ import json, os, statistics, sys
 from time import process_time
 os.sched_setaffinity(0, {{int(sys.argv[1])}})
 sys.path.insert(0, sys.argv[2])
-sys.dont_write_bytecode = True
+keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 from run import _ref_loop
-sys.dont_write_bytecode = False
+sys.dont_write_bytecode = keep
 from hesim.cli import main
 
 def loops():
