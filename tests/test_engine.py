@@ -730,6 +730,16 @@ def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
     J = sys.alg_jacobian(v, kv)
     assert J.shape == (sys.n_alg, sys.n_alg)
     assert np.array_equal(J, sys.full_jacobian(v, kv)[1][:, sys.alg_slots])
+    # the one-pass sum adds each cell's entries in the order two np.add.at
+    # passes (a factors, then b factors) did: the same bits
+    ext = sys._ext(v, kv)
+    for kind, n_rows in (("alg", sys.n_alg), ("rhs", sys.n_state)):
+        rows, coeffs, a, b = sys.terms[kind]
+        ref = np.zeros((n_rows, sys.nv))
+        for f, g in ((a, b), (b, a)):
+            m = f < sys.nv
+            np.add.at(ref, (rows[m], f[m]), coeffs[m] * ext[g[m]])
+        assert np.array_equal(sys._term_jacobian(kind, ext, n_rows), ref)
     # the residual is at most bilinear in the unknowns, so the central
     # difference is exact up to rounding
     h = 1e-3
