@@ -1,8 +1,7 @@
 """Case and trajectory text formats, plus the built-in study cases.
 
 Case files are line-oriented, section-tagged, '#'-commented text; all
-electrical quantities are per-unit on a common system base, angles are in
-degrees.  Trajectory files are comma-separated samples of the canonical
+electrical quantities are per-unit on a common system base.  Trajectory files are comma-separated samples of the canonical
 output channels with the executed-event log appended as comment rows.
 """
 

@@ -264,14 +264,15 @@ class CompiledSystem:
         return J[:, self.alg_slots]
 
     def newton_refine(self, values: np.ndarray, kvalues: np.ndarray,
-                      tol: float = 1e-12, maxiter: int = 12) -> np.ndarray:
-        """Polish the algebraic unknowns so g = 0 holds at the anchor."""
+                      maxiter: int = 12) -> np.ndarray:
+        """Polish the algebraic unknowns until |g| <= 1e-12 at the anchor;
+        a residual still above 1e-7 after ``maxiter`` steps fails."""
         v = np.array(values, dtype=float)
         if not self.n_alg:
             return v
         for _ in range(maxiter):
             r = self.alg_residual(v, kvalues)
-            if np.max(np.abs(r)) <= tol:
+            if np.max(np.abs(r)) <= 1e-12:
                 return v
             J = self.alg_jacobian(v, kvalues)
             try:
@@ -282,7 +283,7 @@ class CompiledSystem:
                 raise SingularJacobian("non-finite Newton step")
             v[self.alg_slots] += delta
         r = np.max(np.abs(self.alg_residual(v, kvalues)))
-        if not r <= max(tol, 1e-7):  # a NaN residual fails too
+        if not r <= 1e-7:  # a NaN residual fails too
             raise AnchorInconsistent(f"Newton refinement stalled at {r:.3e}")
         return v
 
@@ -581,7 +582,7 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
             if step < min(_MIN_STAGE * (a + step), rest):
                 raise NoValidRange(f"stage certified only {step:.3e}")
             values, known = seg.evaluate(step)
-            polished = system.newton_refine(values, known, tol=1e-12)
+            polished = system.newton_refine(values, known)
             if not np.max(np.abs(polished - values)) <= 0.1:
                 raise NoValidRange(
                     "corrector moved off the continuation branch")

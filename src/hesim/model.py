@@ -141,11 +141,6 @@ class SystemState:
     branch_overrides: dict = field(default_factory=dict)  # id -> (r, x, b)
     islands: list = field(default_factory=list)
     island_of: dict = field(default_factory=dict)
-    epoch: int = 0
-    last_dyn_entry: float = 0.0
-
-    def bump(self) -> None:
-        self.epoch += 1
 
     def start_ramp(self, what: str, key: str, rate: float, t: float) -> None:
         self.ramps.append(Ramp(f"{what}:{key}", rate, t))
@@ -363,8 +358,7 @@ class Built:
 
     def anchors(self, state: SystemState) -> np.ndarray:
         """The unknowns, in slot order, read from the runtime state."""
-        reads = _Reads(state)
-        return np.array([_READ[kind](reads, key) for kind, key in self.keys])
+        return np.array([_READ[kind](state, key) for kind, key in self.keys])
 
     def knowns(self, state: SystemState, t0: float) -> np.ndarray:
         """The known inputs' (value, rate) at t0, one row each: every one
@@ -508,7 +502,6 @@ class _Assembler:
         self.mods = mods or AlphaMods()
         self.alpha = mods is not None
         self.pf = self.alpha and mods.kind == ALPHA_POWERFLOW
-        self.reads = _Reads(state)
         self.b = SystemBuilder()
         self.slots: dict = {}
         self.balance: dict = {}
@@ -521,7 +514,7 @@ class _Assembler:
             slot = self.b.alg(name)
         elif self.alpha:
             kind, key = _kind_key(name)
-            slot = _READ[kind](self.reads, key)
+            slot = _READ[kind](self.state, key)
         else:
             slot = self.b.state(name)
         self.slots[name] = slot
@@ -932,42 +925,25 @@ def build_system(case: GridCase, state: SystemState, mode: str,
 # holds a kind of unknown or known input.
 
 
-class _Reads:
-    """One ``Built.anchors`` call's view of the runtime state: ``reads(f,
-    key)`` is f(reads, key), computed once per call, so each bus voltage,
-    stator solve and motor T-circuit is computed once however many unknowns
-    read it."""
-
-    def __init__(self, st):
-        self.st, self.memo = st, {}
-
-    def __call__(self, f, key):
-        if (f, key) not in self.memo:
-            self.memo[f, key] = f(self, key)
-        return self.memo[f, key]
-
-
-def _voltage(r, bus):
-    return r.st.v[r.st.case.bus_index[bus]]
+def _voltage(st, bus):
+    return st.v[st.case.bus_index[bus]]
 
 
 def _unit_conj(v):
     return v.conjugate() / abs(v)  # |V| * W
 
 
-def _stator(r, gid):
+def _stator(st, gid):
     """(id, iq) from the stator equations at the state's terminal voltage."""
-    st = r.st
     g, m = st.case.gen_by_id[gid], st.mach[gid]
-    return stator_currents(g, m.delta, m.eps_d, m.eps_q,
-                           st.v[st.case.bus_index[g.bus]])
+    return stator_currents(g, m.delta, m.eps_d, m.eps_q, _voltage(st, g.bus))
 
 
-def _motor(r, lid):
+def _motor(st, lid):
     """Magnetizing voltage, stator and rotor current of the T-circuit, as
     (real, imaginary) parts in the order of _MOTOR_KINDS."""
-    l = r.st.case.load_by_id[lid]
-    z = motor_circuit(l.motor, r(_voltage, l.bus), r.st.slip.get(lid, 0.02))
+    l = st.case.load_by_id[lid]
+    z = motor_circuit(l.motor, _voltage(st, l.bus), st.slip.get(lid, 0.02))
     return [part for zi in z for part in (zi.real, zi.imag)]
 
 
@@ -977,25 +953,25 @@ _MACHINE_FIELDS = {"delta": "delta", "omega": "omega", "epsq": "eps_q",
 _MOTOR_KINDS = ("mex", "mey", "misx", "misy", "mirx", "miry")
 _NUMBERED = {"vx", "vy", "wx", "wy", "vm", "ux", "uy", "df"}  # int keys
 
-# kind -> (_Reads, key) -> the unknown's anchor value
+# kind -> (state, key) -> the unknown's anchor value
 _READ = {
-    "vx": lambda r, bus: r(_voltage, bus).real,
-    "vy": lambda r, bus: r(_voltage, bus).imag,
-    "wx": lambda r, bus: (1.0 / r(_voltage, bus)).real,
-    "wy": lambda r, bus: (1.0 / r(_voltage, bus)).imag,
-    "vm": lambda r, bus: abs(r(_voltage, bus)),
-    "ux": lambda r, bus: _unit_conj(r(_voltage, bus)).real,
-    "uy": lambda r, bus: _unit_conj(r(_voltage, bus)).imag,
-    **{kind: lambda r, gid, f=f: getattr(r.st.mach[gid], f)
+    "vx": lambda st, bus: _voltage(st, bus).real,
+    "vy": lambda st, bus: _voltage(st, bus).imag,
+    "wx": lambda st, bus: (1.0 / _voltage(st, bus)).real,
+    "wy": lambda st, bus: (1.0 / _voltage(st, bus)).imag,
+    "vm": lambda st, bus: abs(_voltage(st, bus)),
+    "ux": lambda st, bus: _unit_conj(_voltage(st, bus)).real,
+    "uy": lambda st, bus: _unit_conj(_voltage(st, bus)).imag,
+    **{kind: lambda st, gid, f=f: getattr(st.mach[gid], f)
        for kind, f in _MACHINE_FIELDS.items()},
-    "sind": lambda r, gid: math.sin(r.st.mach[gid].delta),
-    "cosd": lambda r, gid: math.cos(r.st.mach[gid].delta),
-    "id": lambda r, gid: r(_stator, gid)[0],
-    "iq": lambda r, gid: r(_stator, gid)[1],
-    **{kind: lambda r, lid, i=i: r(_motor, lid)[i]
+    "sind": lambda st, gid: math.sin(st.mach[gid].delta),
+    "cosd": lambda st, gid: math.cos(st.mach[gid].delta),
+    "id": lambda st, gid: _stator(st, gid)[0],
+    "iq": lambda st, gid: _stator(st, gid)[1],
+    **{kind: lambda st, lid, i=i: _motor(st, lid)[i]
        for i, kind in enumerate(_MOTOR_KINDS)},
-    "slip": lambda r, lid: r.st.slip.get(lid, 0.02),
-    "df": lambda r, i: r.st.df.get(i, 0.0),
+    "slip": lambda st, lid: st.slip.get(lid, 0.02),
+    "df": lambda st, i: st.df.get(i, 0.0),
 }
 
 # kind -> (state, key, value) stores a solved value; only the fundamental
@@ -1033,8 +1009,7 @@ def write_back(built: Built, values: np.ndarray, state: SystemState) -> None:
 
 
 def refine_state(built: Built, state: SystemState,
-                 values: Optional[np.ndarray] = None,
-                 tol: float = 1e-12) -> np.ndarray:
+                 values: Optional[np.ndarray] = None) -> np.ndarray:
     """Newton-polish the algebraic unknowns of ``values`` (a segment's end
     values, else the anchors read from the state) with each rotor angle's
     sine and cosine re-read from the angle, as ``anchors`` reads them;
@@ -1047,8 +1022,7 @@ def refine_state(built: Built, state: SystemState,
         angles = x[delta].tolist()
         x[sin] = [math.sin(a) for a in angles]
         x[cos] = [math.cos(a) for a in angles]
-    x = built.system.newton_refine(x, built.knowns(state, state.t)[:, 0],
-                                   tol=tol)
+    x = built.system.newton_refine(x, built.knowns(state, state.t)[:, 0])
     write_back(built, x, state)
     return x
 
@@ -1176,9 +1150,6 @@ def _enter_mode(case: GridCase, state: SystemState, mode: str) -> tuple:
     consistent with it at the instant.  Returns the mode's Built and the
     refined vector, the first segment's anchor."""
     state.mode = mode
-    if mode == DYNAMIC:
-        state.last_dyn_entry = state.t
-    state.bump()
     built = build_system(case, state, mode)
     return built, refine_state(built, state)
 
@@ -1218,8 +1189,6 @@ def fix_q_limits(case: GridCase, state: SystemState) -> list:
             if ms.q_fixed is None and not (g.q_min <= ms.q_g <= g.q_max):
                 ms.q_fixed = min(max(ms.q_g, g.q_min), g.q_max)
                 fixed.append((gid, ms.q_fixed))
-    if fixed:
-        state.bump()
     return fixed
 
 
@@ -1319,7 +1288,6 @@ def apply_add_shunt(case: GridCase, state: SystemState, bus: int,
     state.extra_shunts[bus] = state.extra_shunts.get(bus, 0.0) + y
     if abs(state.extra_shunts[bus]) < 1e-14:
         del state.extra_shunts[bus]
-    state.bump()
 
 
 def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
@@ -1335,7 +1303,6 @@ def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
         _alpha_solve(case, state, AlphaMods(kind=ALPHA_PARAM, dy=branch_stamp(
             br.from_bus, br.to_bus, 1.0 / complex(r, x) - y0, b_sh - b0)))
     state.branch_overrides[branch_id] = (r, x, b_sh)
-    state.bump()
 
 
 def _energize_through(case: GridCase, state: SystemState, branch_id: str,
@@ -1392,7 +1359,6 @@ def apply_add_branch(case: GridCase, state: SystemState,
         _energize_through(case, state, branch_id, live, dead)
     state.branch_online.add(branch_id)
     refresh_islands(case, state)
-    state.bump()
 
 
 def apply_cut_branch(case: GridCase, state: SystemState,
@@ -1419,7 +1385,6 @@ def apply_cut_branch(case: GridCase, state: SystemState,
         dy_fade[bus, bus] = i_draw / v
     if dy_fade:
         _alpha_solve(case, state, AlphaMods(kind=ALPHA_CUT, dy_fade=dy_fade))
-    state.bump()
     return collapsed
 
 
@@ -1438,7 +1403,6 @@ def apply_add_load(case: GridCase, state: SystemState, load_id: str) -> None:
         state.load_online.discard(load_id)
         state.slip.pop(load_id, None)
         raise
-    state.bump()
 
 
 def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
@@ -1459,7 +1423,6 @@ def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
             kind=ALPHA_CUT, dy_fade={(l.bus, l.bus): i_draw / v}))
     state.load_online.discard(load_id)
     state.slip.pop(load_id, None)
-    state.bump()
 
 
 def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
@@ -1481,7 +1444,6 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
         state.mach[gen_id] = machine_init_from_terminal(
             g, v, 0.0 + 0.0j, 0.0, 0.0, case.f_nominal)
         refresh_islands(case, state)
-        state.bump()
         for branch_id in ties:
             apply_add_branch(case, state, branch_id)
         return
@@ -1498,7 +1460,6 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
         state.mach.pop(gen_id, None)
         refresh_islands(case, state)
         raise
-    state.bump()
 
 
 def apply_cut_gen(case: GridCase, state: SystemState, gen_id: str) -> list:
@@ -1517,5 +1478,4 @@ def apply_cut_gen(case: GridCase, state: SystemState, gen_id: str) -> list:
             raise ZeroBoundaryVoltage(f"generator {gen_id} at bus {g.bus}")
         _alpha_solve(case, state, AlphaMods(
             kind=ALPHA_CUT, dy_fade={(g.bus, g.bus): -i_inj / v}))
-    state.bump()
     return collapsed

@@ -402,8 +402,6 @@ def _execute_event(case, state, ev: SimEvent, t: float,
         traj.events.append(EventRecord(t, "mode_switch", "qss->dyn",
                                        {"cause": ev.kind}))
     info = kind.action(case, state, ev.payload, t) if kind.action else None
-    if kind.switch:
-        state.last_dyn_entry = t
     traj.events.append(EventRecord(t, ev.kind, ev.label, info or {}))
     return ev.kind != "stop"
 
@@ -419,11 +417,11 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
     timed = sorted([e for e in script if e.t_due is not None],
                    key=lambda e: e.t_due)
     conditional = [e for e in script if e.condition is not None]
-    # (mode, epoch) -> (Built, next anchor): a refine hands its vector over
-    # and a mode entry seeds its epoch; an epoch no refine touched (the
-    # start, or after an alpha solve) is built and read from the state.
-    # Every change to a field the anchors read bumps the epoch.
-    handoff: dict = {}
+    # (Built, next anchor) of the state's mode: a refine hands its vector
+    # over and a dyn->qss switch seeds the pair.  A switch event or a
+    # Q-limit fix drops it, so the next segment builds and reads afresh.
+    handoff = None
+    dyn_from = 0.0  # the last switch event; the verdict waits DWELL after it
 
     t = 0.0
     running = True
@@ -438,6 +436,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 ev = timed.pop(0)
                 doing = str(ev)
                 running = _execute_event(case, state, ev, t, traj)
+                if EVENTS[ev.kind].switch:
+                    handoff, dyn_from = None, t
                 if not running:
                     break
             if not running:
@@ -450,11 +450,10 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             mode = state.mode
             doing = f"{mode} segment"
             cap = MAX_STEP_DYN if mode == DYNAMIC else MAX_STEP_QSS
-            key = (mode, state.epoch)
-            if key not in handoff:
+            if handoff is None:
                 built = build_system(case, state, mode)
-                handoff = {key: (built, built.anchors(state))}
-            built, anchors = handoff[key]
+                handoff = built, built.anchors(state)
+            built, anchors = handoff
             # every known input is affine in t: two coefficients hold it all
             seg = solve_segment(built.system, anchors, built.knowns(state, t),
                                 config.order, config.tol_res, min(gap, cap))
@@ -485,33 +484,35 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             t = t + rec.step
             state.t = t
             doing = "state refinement"
-            handoff[key] = built, refine_state(built, state,
-                                               seg.values_at(rec.step))
+            handoff = built, refine_state(built, state,
+                                          seg.values_at(rec.step))
 
             if mode == QSS:
                 # reactive limits are enforced by PV->PQ switching between
                 # segments only, never inside one
                 for gid, q in mdl.fix_q_limits(case, state):
+                    handoff = None  # the machine's bus is PQ now
                     traj.events.append(EventRecord(t, "q_limit", gid,
                                                    {"q": q}))
 
             if hit:
                 doing = str(hit)
                 running = _execute_event(case, state, hit, t, traj)
+                if EVENTS[hit.kind].switch:
+                    handoff, dyn_from = None, t
                 continue
 
             # no switch to QSS where a timed switch event is due at once:
             # it would switch straight back
             if (config.mode == HYBRID and mode == DYNAMIC
-                    and t - state.last_dyn_entry >= DWELL - 1e-9
+                    and t - dyn_from >= DWELL - 1e-9
                     and any(isl.machines for isl in built.islands)
                     and not any(EVENTS[ev.kind].switch for ev in timed
                                 if ev.t_due <= t + 1e-9)):
                 doing = "dyn->qss switch"
                 verdict = steadiness_verdict(state, built, seg, config.eps_t)
                 if verdict.system_steady:
-                    entered = mode_switch(case, state, "dyn->qss", verdict)
-                    handoff = {(QSS, state.epoch): entered}
+                    handoff = mode_switch(case, state, "dyn->qss", verdict)
                     traj.events.append(EventRecord(
                         t, "mode_switch", "dyn->qss",
                         {"verdict": verdict}))

@@ -288,7 +288,6 @@ def _reference_piecewise(case, state, events, t_end, dt_out):
                 st.load_online.discard(ev.payload["load"])
             else:
                 raise NotImplementedError(ev.kind)
-            st.bump()
     return segs
 
 

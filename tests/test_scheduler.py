@@ -861,6 +861,30 @@ def test_q_limit_converts_pv_to_pq():
     assert v1 < 1.05 - 1e-4
 
 
+def test_q_limit_fix_drops_the_built_of_the_qss_segments(monkeypatch):
+    # qss 0-60 s: the machine's reactive output is above its limit, so the
+    # fix at the end of the first 30 s segment makes its bus PQ, and the
+    # next segment builds the system afresh (it then starts from the PV
+    # state and fails: ROADMAP item 6)
+    case = GridCase(
+        name="qlim", f_nominal=60.0,
+        buses=[BusSpec(1), BusSpec(2)],
+        branches=[BranchSpec("a", 1, 2, 0.01, 0.08)],
+        gens=[GenSpec("g", 1, p_set=0.5, v_set=1.05, q_max=0.2)],
+        loads=[LoadSpec("l", 2, 0.5, 0.3, 0, 0, 1)],
+    )
+    built_at, build = [], scheduler.build_system
+
+    def building(case, st, mode, mods=None):
+        built_at.append((st.t, st.mach["g"].q_fixed))
+        return build(case, st, mode, mods)
+
+    monkeypatch.setattr(scheduler, "build_system", building)
+    traj = run_simulation(case, [], RunConfig(mode="qss", t_end=60.0))
+    assert [e.t for e in traj.events if e.kind == "q_limit"] == [30.0]
+    assert built_at == [(0.0, None), (30.0, 0.2)]
+
+
 # --- qualitative trajectory shapes ---------------------------------------------------
 
 def test_frequency_shows_agc_restoration_shape(fourbus_hybrid):
@@ -952,28 +976,47 @@ def test_hybrid_run_is_deterministic(fourbus):
 def _handoff_run(monkeypatch, name, mode, t_end):
     """Run a built-in case from an initialized state, with spies on every
     time build and its anchor reads (by (mode, epoch) at the call), every
-    refine and every segment solve.  A refine's handed vector and a
-    segment's anchor are compared with the anchors read from the state."""
+    refine and every segment solve.  An epoch is the stretch between two
+    state changes, counted by spies too: a switch event, a Q-limit fix or
+    a mode entry.  A refine's handed vector and a segment's anchor are
+    compared with the anchors read from the state."""
     from hesim import model as mdl
 
     case, script = builtin_case(name)
     state = init_equilibrium(case)  # its mode entry is not the run's
+    epoch = [0]
     builds, reads = collections.Counter(), collections.Counter()
     refines, starts = [], []  # max |diff|; (from a refine?, max |diff|)
     builts, handed = {}, {}  # id(system) -> time Built; last handed vector
     build, read = mdl.build_system, mdl.Built.anchors
     refine, solve = mdl.refine_state, scheduler.solve_segment
+    enter, fix, execute = (mdl._enter_mode, mdl.fix_q_limits,
+                           scheduler._execute_event)
+
+    def entering(case, st, mode):
+        epoch[0] += 1
+        return enter(case, st, mode)
+
+    def fixing(case, st):
+        fixed = fix(case, st)
+        epoch[0] += bool(fixed)
+        return fixed
+
+    def executing(case, st, ev, *args):
+        running = execute(case, st, ev, *args)
+        epoch[0] += scheduler.EVENTS[ev.kind].switch
+        return running
 
     def building(case, st, mode, mods=None):
         built = build(case, st, mode, mods)
         if mods is None:
-            builds[mode, st.epoch] += 1
+            builds[mode, epoch[0]] += 1
             builts[id(built.system)] = built  # alive, so ids stay unique
         return built
 
     def reading(self, st):
         if id(self.system) in builts:
-            reads[self.mode, st.epoch] += 1
+            reads[self.mode, epoch[0]] += 1
         return read(self, st)
 
     def refining(built, st, *args, **kwargs):
@@ -991,6 +1034,9 @@ def _handoff_run(monkeypatch, name, mode, t_end):
     for owner in (mdl, scheduler):
         monkeypatch.setattr(owner, "build_system", building)
         monkeypatch.setattr(owner, "refine_state", refining)
+    monkeypatch.setattr(mdl, "_enter_mode", entering)
+    monkeypatch.setattr(mdl, "fix_q_limits", fixing)
+    monkeypatch.setattr(scheduler, "_execute_event", executing)
     monkeypatch.setattr(mdl.Built, "anchors", reading)
     monkeypatch.setattr(scheduler, "solve_segment", solving)
     traj = run_simulation(case, script, RunConfig(mode=mode, t_end=t_end),
@@ -1018,7 +1064,7 @@ def test_refined_vector_is_the_anchors_of_the_state(monkeypatch, name, mode,
                                                     t_end):
     # the handed vector stands for the state it wrote: its rotor-angle sines
     # and cosines re-read, its algebraic unknowns polished to one root; and
-    # no change to what the anchors read goes without an epoch bump
+    # no change to what the anchors read leaves a stale pair in the cache
     traj, _, _, refines, starts = _handoff_run(monkeypatch, name, mode, t_end)
     assert len(refines) >= len(traj.segments)
     assert max(refines) <= 1e-9
@@ -1035,3 +1081,28 @@ def test_segment_after_an_event_starts_from_the_new_epochs_anchors(
     assert len(read) == 3  # the start and the two load steps
     assert read == [0.0] * 3
     assert len(starts) == len(traj.segments)
+
+
+@pytest.mark.parametrize("name, t_end", [("fourbus", 75.0), ("ne39", 56.0)])
+def test_verdict_waits_the_dwell_after_the_start_and_each_switch(
+        monkeypatch, name, t_end):
+    # hybrid: steadiness is checked no sooner than DWELL after the run start
+    # or the last switch event, and the rule binds
+    case, script = builtin_case(name)
+    at, verdict = [], scheduler.steadiness_verdict
+
+    def judging(state, *args):
+        at.append(state.t)
+        return verdict(state, *args)
+
+    monkeypatch.setattr(scheduler, "steadiness_verdict", judging)
+    traj = run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end))
+    assert traj.failure is None
+    kinds = scheduler.EVENTS
+    switches = [e.t for e in traj.events
+                if e.kind in kinds and kinds[e.kind].switch]
+    assert switches and len(at) >= 20
+    gaps = [t - max([0.0] + [s for s in switches if s <= t + 1e-12])
+            for t in at]
+    assert min(gaps) >= scheduler.DWELL - 1e-9
+    assert any(abs(g - scheduler.DWELL) <= 1e-9 for g in gaps)

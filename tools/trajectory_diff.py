@@ -41,6 +41,7 @@ def runs(new_tree: Path, workdir: Path) -> list:
     """(label, hesim argv without --out/--summary, writes files) of every
     run; the benchmark's case files are written to workdir."""
     sys.path[:0] = [str(new_tree / "src"), str(new_tree / "benchmarks")]
+    sys.dont_write_bytecode = True  # nothing lands in benchmarks/__pycache__
     from workloads import WORKLOADS
 
     out = []
