@@ -93,7 +93,7 @@ class _Section:
 
 
 _SECTIONS = {
-    "BUS": _Section(BusSpec, "buses", ("bus",), {"kv": "base_kv"}),
+    "BUS": _Section(BusSpec, "buses", ("bus",), {}),
     "BRANCH": _Section(BranchSpec, "branches",
                        ("branch_id", "from_bus", "to_bus"),
                        {"r": "r", "x": "x", "b": "b_sh", "status": "status"}),

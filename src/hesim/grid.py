@@ -24,7 +24,6 @@ DYN4 = "dyn4"       # two-axis transient machine + AVR + governor + AGC
 @dataclass(frozen=True)
 class BusSpec:
     bus: int
-    base_kv: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -206,29 +205,27 @@ def branch_stamp(i, j, y: complex, b: float) -> dict:
 
 def build_admittance(case: GridCase, online_branches: set[str],
                      branch_overrides: Optional[dict] = None):
-    """Nodal assembly over online branches.
+    """Nodal assembly over online branches: (series, charging) maps.
 
-    Returns (y_series, y_shunt): the series admittance matrix (zero row sums)
-    and the per-bus shunt vector from line charging.  Constant-impedance load
-    admittances are emitted as explicit terms by the model builders so they
-    can be scaled and switched, so they are *not* merged here.
+    ``series`` is {(row bus, column bus): y}, each online branch's series
+    stamp summed in case order, its keys row by row in bus-index order.
+    ``charging`` is {bus: sum of 0.5j * b}, kept apart because the power
+    flow scales it with alpha.  Load admittances are not merged here.
     """
-    n = case.n_bus
-    ys = np.zeros((n, n), dtype=complex)
-    ysh = np.zeros(n, dtype=complex)
+    series: dict = {}
+    charging: dict = {}
     for br in case.branches:
         if br.branch_id not in online_branches:
             continue
         y, b = branch_params(case, branch_overrides or {}, br.branch_id)
-        i = case.bus_index[br.from_bus]
-        j = case.bus_index[br.to_bus]
-        ys[i, i] += y
-        ys[j, j] += y
-        ys[i, j] -= y
-        ys[j, i] -= y
-        ysh[i] += 0.5j * b
-        ysh[j] += 0.5j * b
-    return ys, ysh
+        for cell, y_cell in branch_stamp(br.from_bus, br.to_bus, y,
+                                         0.0).items():
+            series[cell] = series.get(cell, 0.0) + y_cell
+        for bus in (br.from_bus, br.to_bus):
+            charging[bus] = charging.get(bus, 0.0) + 0.5j * b
+    at = case.bus_index
+    return {cell: series[cell] for cell in sorted(
+        series, key=lambda c: (at[c[0]], at[c[1]]))}, charging
 
 
 def rotation(delta: float) -> np.ndarray:

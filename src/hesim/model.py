@@ -140,7 +140,6 @@ class SystemState:
     extra_shunts: dict = field(default_factory=dict)  # bus -> admittance
     branch_overrides: dict = field(default_factory=dict)  # id -> (r, x, b)
     islands: list = field(default_factory=list)
-    island_of: dict = field(default_factory=dict)
 
     def start_ramp(self, what: str, key: str, rate: float, t: float) -> None:
         self.ramps.append(Ramp(f"{what}:{key}", rate, t))
@@ -215,7 +214,6 @@ def refresh_islands(case: GridCase, state: SystemState) -> list:
 
     collapsed: list = []
     islands: list = []
-    island_of: dict = {}
     for c in comps:
         buses = sorted(case.buses[i].bus for i in range(n) if roots[i] == c)
         sources = [g.gen_id for g in case.gens
@@ -240,12 +238,12 @@ def refresh_islands(case: GridCase, state: SystemState) -> list:
                     state.load_online.discard(l.load_id)
                     state.slip.pop(l.load_id, None)
                     collapsed.append(f"load:{l.load_id}")
-        for bus in buses:
-            island_of[bus] = isl.index
         islands.append(isl)
+    # each island takes the df of the old island its slack was in
+    df = {gid: state.df.get(isl.index, 0.0) for isl in state.islands
+          for gid in isl.sources + isl.machines}
     state.islands = islands
-    state.island_of = island_of
-    state.df = {i: state.df.get(i, 0.0) for i in range(len(islands))}
+    state.df = {isl.index: df.get(isl.slack, 0.0) for isl in islands}
     return collapsed
 
 
@@ -602,14 +600,10 @@ class _Assembler:
         # ---- network terms: admittance maps, each stamped -y * V(column) ----
         # charging and shunts scale with alpha in the powerflow so the
         # no-load anchor is the exact flat profile
-        ys, ysh = build_admittance(case, state.branch_online,
-                                   state.branch_overrides)
-        ids = [b.bus for b in case.buses]
-        rows, cols = ys.nonzero()
-        series = {(ids[i], ids[j]): y for i, j, y in zip(
-            rows.tolist(), cols.tolist(), ys[rows, cols].tolist())}
-        shunts = {(bus, bus): y + state.extra_shunts.get(bus, 0.0)
-                  for bus, y in zip(ids, ysh.tolist())}
+        series, charging = build_admittance(case, state.branch_online,
+                                            state.branch_overrides)
+        shunts = {(b.bus, b.bus): charging.get(b.bus, 0j)
+                  + state.extra_shunts.get(b.bus, 0.0) for b in case.buses}
         for amap, slot in ((series, None),
                            (shunts, self.alpha_slot if pf else None),
                            (mods.dy, self.alpha_slot),
@@ -1052,11 +1046,12 @@ def load_current(l: LoadSpec, v: complex, scale: float,
 
 def required_injection(case: GridCase, state: SystemState, bus: int) -> complex:
     """Current a generator at this bus must inject for the network balance."""
-    ys, ysh = build_admittance(case, state.branch_online,
-                               state.branch_overrides)
+    series, charging = build_admittance(case, state.branch_online,
+                                        state.branch_overrides)
     i = case.bus_index[bus]
-    inet = (ys[i] @ state.v) \
-        + (ysh[i] + state.extra_shunts.get(bus, 0.0)) * state.v[i]
+    row = np.array([series.get((bus, b.bus), 0j) for b in case.buses])
+    shunt = charging.get(bus, 0j) + state.extra_shunts.get(bus, 0.0)
+    inet = row @ state.v + shunt * state.v[i]
     for l in case.loads_at(bus):
         if l.load_id in state.load_online:
             inet += load_current(l, state.v[i], state.scale_now(l.load_id),
@@ -1305,6 +1300,21 @@ def apply_branch_param(case: GridCase, state: SystemState, branch_id: str,
     state.branch_overrides[branch_id] = (r, x, b_sh)
 
 
+def _fade_out(case: GridCase, state: SystemState, what: str,
+              draws: dict) -> None:
+    """Fade a cut element out as the shunt draws[bus] / v, scaled by
+    1 - alpha, at each bus it drew from that is still live."""
+    dy_fade = {}
+    for bus, i_draw in draws.items():
+        if not state.energized[case.bus_index[bus]]:
+            continue
+        if abs(_voltage(state, bus)) < DEAD_VOLTAGE:
+            raise ZeroBoundaryVoltage(f"{what} at bus {bus}")
+        dy_fade[bus, bus] = i_draw / _voltage(state, bus)
+    if dy_fade:
+        _alpha_solve(case, state, AlphaMods(kind=ALPHA_CUT, dy_fade=dy_fade))
+
+
 def _energize_through(case: GridCase, state: SystemState, branch_id: str,
                       live_bus: int, dead_bus: int) -> None:
     """Close a line into a de-energized island.
@@ -1314,30 +1324,26 @@ def _energize_through(case: GridCase, state: SystemState, branch_id: str,
     then the dead-side voltages follow from the passive solve.
     """
     y, b = branch_params(case, state.branch_overrides, branch_id)
-    comp = state.islands[state.island_of[dead_bus]].buses
+    comp = next(isl.buses for isl in state.islands if dead_bus in isl.buses)
     pos = {bus: k for k, bus in enumerate(comp)}
-    m = len(comp)
-    ydd = np.zeros((m, m), dtype=complex)
-    for other in case.branches:
-        if other.branch_id in state.branch_online and other.from_bus in pos:
-            stamp = branch_stamp(pos[other.from_bus], pos[other.to_bus],
-                                 *branch_params(case, state.branch_overrides,
-                                                other.branch_id))
-            for cell, y_cell in stamp.items():
-                ydd[cell] += y_cell
-    for bus in comp:
-        ydd[pos[bus], pos[bus]] += state.extra_shunts.get(bus, 0.0)
+    series, charging = build_admittance(case, state.branch_online,
+                                        state.branch_overrides)
+    ydd = np.diag([charging.get(bus, 0j) + state.extra_shunts.get(bus, 0.0)
+                   for bus in comp])
+    for (row, column), y_cell in series.items():
+        if row in pos:
+            ydd[pos[row], pos[column]] += y_cell
     d0 = pos[dead_bus]
     ydd[d0, d0] += y + 0.5j * b  # the new line seen from the dead end
     try:
-        col = np.linalg.solve(ydd, np.eye(m)[:, d0])
+        col = np.linalg.solve(ydd, np.eye(len(comp))[:, d0])
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceAtAlpha1(f"dead side of {branch_id}: {exc}") from exc
     y_eq = (y + 0.5j * b) - y * y * col[d0]
     _alpha_solve(case, state, AlphaMods(
         kind=ALPHA_ADD, dy={(live_bus, live_bus): y_eq}))
     v_live = state.v[case.bus_index[live_bus]]
-    v_dead = np.linalg.solve(ydd, np.eye(m)[:, d0] * y * v_live)
+    v_dead = np.linalg.solve(ydd, np.eye(len(comp))[:, d0] * y * v_live)
     for bus in comp:
         state.energized[case.bus_index[bus]] = True
         state.v[case.bus_index[bus]] = v_dead[pos[bus]]
@@ -1370,21 +1376,13 @@ def apply_cut_branch(case: GridCase, state: SystemState,
     _require_status(state.branch_online, "branch", branch_id, False)
     br = case.branch_by_id[branch_id]
     y, b = branch_params(case, state.branch_overrides, branch_id)
-    fi, ti = case.bus_index[br.from_bus], case.bus_index[br.to_bus]
-    vf, vt = state.v[fi], state.v[ti]
+    vf, vt = _voltage(state, br.from_bus), _voltage(state, br.to_bus)
     i_from = y * (vf - vt) + 0.5j * b * vf   # drawn into the element
     i_to = y * (vt - vf) + 0.5j * b * vt
     state.branch_online.discard(branch_id)
     collapsed = refresh_islands(case, state)
-    dy_fade = {}
-    for bus, v, i_draw in ((br.from_bus, vf, i_from), (br.to_bus, vt, i_to)):
-        if not state.energized[case.bus_index[bus]]:
-            continue  # that side went down with the element
-        if abs(v) < DEAD_VOLTAGE:
-            raise ZeroBoundaryVoltage(f"branch {branch_id} at bus {bus}")
-        dy_fade[bus, bus] = i_draw / v
-    if dy_fade:
-        _alpha_solve(case, state, AlphaMods(kind=ALPHA_CUT, dy_fade=dy_fade))
+    _fade_out(case, state, f"branch {branch_id}",
+              {br.from_bus: i_from, br.to_bus: i_to})
     return collapsed
 
 
@@ -1408,8 +1406,7 @@ def apply_add_load(case: GridCase, state: SystemState, load_id: str) -> None:
 def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
     _require_status(state.load_online, "load", load_id, False)
     l = case.load_by_id[load_id]
-    bi = case.bus_index[l.bus]
-    v = state.v[bi]
+    v = _voltage(state, l.bus)
     if abs(v) < DEAD_VOLTAGE:
         # boundary voltage unusable for an equivalent shunt: fall back to
         # ramping the device's own current down with (1 - alpha)
@@ -1419,8 +1416,7 @@ def apply_cut_load(case: GridCase, state: SystemState, load_id: str) -> None:
         i_draw = load_current(l, v, state.scale_now(load_id),
                               state.slip.get(load_id))
         state.load_online.discard(load_id)
-        _alpha_solve(case, state, AlphaMods(
-            kind=ALPHA_CUT, dy_fade={(l.bus, l.bus): i_draw / v}))
+        _fade_out(case, state, f"load {load_id}", {l.bus: i_draw})
     state.load_online.discard(load_id)
     state.slip.pop(load_id, None)
 
@@ -1465,17 +1461,12 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
 def apply_cut_gen(case: GridCase, state: SystemState, gen_id: str) -> list:
     _require_status(state.gen_online, "generator", gen_id, False)
     g = case.gen_by_id[gen_id]
-    bi = case.bus_index[g.bus]
-    v = state.v[bi]
+    v = _voltage(state, g.bus)
     ms = state.mach.get(gen_id)
     i_inj = machine_injection(g, ms.delta, ms.eps_d, ms.eps_q, v) \
         if ms is not None else 0.0 + 0.0j
     state.gen_online.discard(gen_id)
     state.mach.pop(gen_id, None)
     collapsed = refresh_islands(case, state)
-    if state.energized[bi]:
-        if abs(v) < DEAD_VOLTAGE:
-            raise ZeroBoundaryVoltage(f"generator {gen_id} at bus {g.bus}")
-        _alpha_solve(case, state, AlphaMods(
-            kind=ALPHA_CUT, dy_fade={(g.bus, g.bus): -i_inj / v}))
+    _fade_out(case, state, f"generator {gen_id}", {g.bus: -i_inj})
     return collapsed

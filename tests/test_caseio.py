@@ -59,7 +59,7 @@ def test_unknown_section_rejected():
 
 def test_nonnumeric_field_rejected():
     with pytest.raises(ParseError, match="not a number"):
-        parse_case("CASE x\nBUS 1 kv=abc\n")
+        parse_case("CASE x\nBUS 1\nBUS 2\nBRANCH b 1 2 r=abc x=0.1\n")
 
 
 def test_parse_line_numbers_in_errors():
@@ -204,9 +204,10 @@ def _twobus_text(old, new):
     ("CASE twobus fnom=60.0", "CASE x y", "CASE takes no 'y'"),
     ("BUS 1", "BUS 1 V=1.05 angel=3", "BUS takes no V="),
     ("BUS 2", "BUS 2 3", "BUS takes no '3'"),
-    # every bus starts at 1 + 0j: a start voltage or angle is no key
+    # a BUS line takes its number only: no start voltage, angle or base kV
     ("BUS 1", "BUS 1 v=1.05", "BUS takes no v="),
-    ("BUS 2", "BUS 2 kv=230 angle=30", "BUS takes no angle="),
+    ("BUS 2", "BUS 2 angle=30", "BUS takes no angle="),
+    ("BUS 2", "BUS 2 kv=230", "BUS takes no kv="),
     ("BRANCH L12 1 2 r=0.01 x=0.05 b=0.0", "BRANCH b 1 2 r=0.01 x=0.1 B=0.5",
      "BRANCH takes no B="),
     ("v=1.01", "v=1.01 H=4.0", "GEN takes no H="),
@@ -215,8 +216,8 @@ def _twobus_text(old, new):
     ("STOP 15.0", "STOP 5 at=3", "STOP takes no at="),
 ], ids=["stop-without-time", "branch-bus", "gen-bus", "load-bus",
         "status-on", "case-key", "case-positional", "bus-key",
-        "bus-positional", "bus-v", "bus-angle", "branch-key", "gen-key", "load-key",
-        "event-positional", "stop-key"])
+        "bus-positional", "bus-v", "bus-angle", "bus-kv", "branch-key",
+        "gen-key", "load-key", "event-positional", "stop-key"])
 def test_malformed_line_is_a_parse_error_at_its_line(old, new, reason):
     text = _twobus_text(old, new)
     with pytest.raises(ParseError) as exc:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hesim.caseio import builtin_case
 from hesim.errors import ValidationError
 from hesim.grid import (
     BranchSpec,
@@ -41,31 +42,68 @@ def two_bus_case():
 
 def test_single_branch_offdiagonal():
     case = two_bus_case()
-    ys, ysh = build_admittance(case, {"b"})
+    series, charging = build_admittance(case, {"b"})
     z = complex(0.01, 0.05)
-    assert ys[0, 1] == pytest.approx(-1.0 / z)
-    assert ys[1, 0] == pytest.approx(-1.0 / z)
-    assert np.allclose(ys.sum(axis=1), 0.0)
+    assert series[1, 2] == pytest.approx(-1.0 / z)
+    assert series[2, 1] == pytest.approx(-1.0 / z)
+    assert series[1, 1] + series[1, 2] == pytest.approx(0.0, abs=1e-12)
+    assert charging == {1: 0j, 2: 0j}
 
 
-def test_empty_branch_set_gives_zero_matrix():
+def test_empty_branch_set_gives_empty_maps():
     case = two_bus_case()
-    ys, ysh = build_admittance(case, set())
-    assert np.all(ys == 0) and np.all(ysh == 0)
+    assert build_admittance(case, set()) == ({}, {})
 
 
 def test_fourbus_row_sums_equal_shunt_totals(fourbus):
+    # series rows sum to zero; charging holds half of each branch's b at
+    # either end
     case, _ = fourbus
     online = {b.branch_id for b in case.branches}
-    ys, ysh = build_admittance(case, online)
-    yfull = ys + np.diag(ysh)
-    assert np.allclose(yfull.sum(axis=1), ysh)
+    series, charging = build_admittance(case, online)
+    rows: dict = {}
+    for (row, _), y in series.items():
+        rows[row] = rows.get(row, 0.0) + y
+    assert all(abs(y) < 1e-12 for y in rows.values())
+    for bus in charging:
+        want = sum(0.5j * br.b_sh for br in case.branches
+                   if bus in (br.from_bus, br.to_bus))
+        assert charging[bus] == pytest.approx(want, abs=1e-15)
+    assert sum(charging.values()) == pytest.approx(
+        sum(1j * br.b_sh for br in case.branches), abs=1e-15)
 
 
 def test_branch_override_changes_assembly():
     case = two_bus_case()
-    ys, _ = build_admittance(case, {"b"}, {"b": (0.02, 0.1, 0.0)})
-    assert ys[0, 1] == pytest.approx(-1.0 / complex(0.02, 0.1))
+    series, _ = build_admittance(case, {"b"}, {"b": (0.02, 0.1, 0.0)})
+    assert series[1, 2] == pytest.approx(-1.0 / complex(0.02, 0.1))
+
+
+def _shuffled_case():
+    # bus numbers out of index order, branches out of bus order, a
+    # parallel circuit and an offline branch
+    return GridCase(
+        name="shuffled", buses=[BusSpec(b) for b in (30, 4, 17, 9, 1)],
+        branches=[BranchSpec("a", 1, 17, 0.01, 0.05, 0.02),
+                  BranchSpec("b", 9, 30, 0.02, 0.1),
+                  BranchSpec("c", 4, 1, 0.01, 0.08, 0.04),
+                  BranchSpec("d", 17, 1, 0.03, 0.2),
+                  BranchSpec("e", 30, 4, 0.01, 0.06, status=0)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_case("ne39")[0], _shuffled_case], ids=["ne39", "shuffled"])
+def test_series_keys_come_row_by_row_in_bus_index_order(make):
+    # the order every build stamps its network terms in
+    case = make()
+    online = {br.branch_id for br in case.branches if br.status}
+    series, _ = build_admittance(case, online)
+    cells = [(case.bus_index[r], case.bus_index[c]) for r, c in series]
+    assert cells == sorted(set(cells))
+    ends = {(br.from_bus, br.to_bus) for br in case.branches
+            if br.branch_id in online}
+    assert set(series) == {(b, b) for pair in ends for b in pair} | ends | {
+        (t, f) for f, t in ends}
 
 
 _impedance = st.tuples(st.floats(0.0, 0.1), st.floats(-0.5, 0.5),
@@ -73,12 +111,21 @@ _impedance = st.tuples(st.floats(0.0, 0.1), st.floats(-0.5, 0.5),
     lambda p: abs(complex(p[0], p[1])) > 1e-3)
 
 
+def _with_charging(series, charging):
+    """One map of series and charging admittance, charging on the diagonal."""
+    full = dict(series)
+    for bus, y in charging.items():
+        full[bus, bus] = full.get((bus, bus), 0.0) + y
+    return full
+
+
 @settings(max_examples=200, deadline=None)
 @given(ends=st.sampled_from([(1, 2), (2, 1), (2, 3), (1, 3)]),
        params=_impedance, override=st.none() | _impedance)
 def test_branch_stamp_is_the_admittance_change(ends, params, override):
     # a new branch n next to a ring of three: its stamp is the change of
-    # ys + diag(ysh) when it goes online, with its override if it has one
+    # the series and charging maps when it goes online, with its override
+    # if it has one
     overrides = {} if override is None else {"n": override}
     case = GridCase(
         name="ring", buses=[BusSpec(1), BusSpec(2), BusSpec(3)],
@@ -87,16 +134,13 @@ def test_branch_stamp_is_the_admittance_change(ends, params, override):
                   BranchSpec("d", 3, 1, 0.01, 0.08),
                   BranchSpec("n", *ends, *params)])
     ring = {"a", "c", "d"}
-    before, after = (ys + np.diag(ysh) for ys, ysh in (
-        build_admittance(case, ring, overrides),
-        build_admittance(case, ring | {"n"}, overrides)))
-    want = np.zeros((3, 3), dtype=complex)
-    i, j = (case.bus_index[bus] for bus in ends)
-    for cell, y in branch_stamp(i, j, *branch_params(case, overrides,
-                                                     "n")).items():
-        want[cell] += y
-    scale = 1.0 + np.abs(after).max()
-    assert np.allclose(after - before, want, rtol=0.0, atol=1e-13 * scale)
+    before, after = (_with_charging(*build_admittance(case, online, overrides))
+                     for online in (ring, ring | {"n"}))
+    want = branch_stamp(*ends, *branch_params(case, overrides, "n"))
+    scale = 1.0 + max(map(abs, after.values()))
+    for cell in set(before) | set(after) | set(want):
+        change = after.get(cell, 0.0) - before.get(cell, 0.0)
+        assert abs(change - want.get(cell, 0.0)) <= 1e-13 * scale, cell
 
 
 # --- machine interface ------------------------------------------------------------

@@ -604,7 +604,7 @@ def _csgraph_refresh_islands(case, state):
             cols += [j, i]
     adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     n_comp, labels = connected_components(adj, directed=False)
-    collapsed, islands, island_of = [], [], {}
+    collapsed, islands = [], []
     for c in range(n_comp):
         buses = sorted(case.buses[i].bus for i in range(n) if labels[i] == c)
         sources = [g.gen_id for g in case.gens
@@ -632,11 +632,8 @@ def _csgraph_refresh_islands(case, state):
                 if l.bus in buses and l.load_id in state.load_online:
                     state.load_online.discard(l.load_id)
                     collapsed.append(f"load:{l.load_id}")
-        for bus in buses:
-            island_of[bus] = isl.index
         islands.append(isl)
     state.islands = islands
-    state.island_of = island_of
     return collapsed
 
 
@@ -677,10 +674,27 @@ def test_refresh_islands_matches_connected_components(graph):
     collapsed = refresh_islands(case, st)
     assert collapsed == _csgraph_refresh_islands(case, ref)
     assert st.islands == ref.islands  # components and their order
-    assert st.island_of == ref.island_of
     assert np.array_equal(st.energized, ref.energized)
     assert np.array_equal(st.v, ref.v)
     assert (st.gen_online, st.load_online) == (ref.gen_online, ref.load_online)
+
+
+def test_island_change_hands_each_df_to_the_island_of_its_slack():
+    # islands {1, 2} (G1) and {3, 4} (G3); cutting L12 leaves {1}, a dead
+    # {2} and {3, 4}, so G3's island moves from index 1 to index 2
+    case = GridCase(
+        name="split", buses=[BusSpec(b) for b in (1, 2, 3, 4)],
+        branches=[BranchSpec("L12", 1, 2, 0.01, 0.05),
+                  BranchSpec("L34", 3, 4, 0.01, 0.05)],
+        gens=[GenSpec("G1", 1), GenSpec("G3", 3)])
+    st = fresh_state(case)
+    refresh_islands(case, st)
+    assert [isl.buses for isl in st.islands] == [[1, 2], [3, 4]]
+    st.df = {0: 0.1, 1: 0.2}
+    st.branch_online.discard("L12")
+    refresh_islands(case, st)
+    assert [isl.buses for isl in st.islands] == [[1], [2], [3, 4]]
+    assert st.df == {0: 0.1, 1: 0.0, 2: 0.2}
 
 
 # --- state <-> unknowns: the name table against per-name closures --------------

@@ -11,9 +11,15 @@ interpreter that pins itself to one CPU (the same one for both trees) and
 reports the CPU time of the ``simulate`` call divided by the reference
 loop of ``benchmarks/run.py`` (NEW_TREE's), timed in the same process
 just before and just after the call, so a host that changes speed between
-repetitions moves both.  It prints each workload's median NEW/OLD ratio
-and in how many pairs NEW was lower.  It reads ``benchmarks/`` and writes
-nothing there.
+repetitions moves both.  Each repetition gets an empty
+``PYTHONPYCACHEPREFIX``, so it compiles both trees from source and never
+reads a ``__pycache__`` one tree happens to hold.
+
+It prints each workload's median NEW/OLD ratio, in how many pairs NEW was
+lower, and a verdict: ``NEW lower`` or ``NEW higher`` only when NEW is on
+that side in at least 9 of the 10 pairs and the two trees' medians differ
+by more than OLD's interquartile range, else ``unresolved``.  It reads
+``benchmarks/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from trajectory_diff import HERE, runs  # noqa: E402
 
 WORKLOADS = ("twobus-events", "fourbus-hybrid", "ne39-hybrid")
-PAIRS = 8
+PAIRS = 10
+SIDE = 9  # pairs on one side that a verdict needs
 LOOPS = 5  # reference loops timed before and after the call
 
 # one repetition: argv is [cpu, benchmarks dir, hesim argv...]
@@ -65,16 +72,35 @@ print(json.dumps({{"rc": rc, "cpu_s": cpu,
 def time_once(tree: Path, bench: Path, cpu: int, argv: list,
               workdir: Path) -> float:
     """The simulate call's CPU time over the reference loop's, in tree."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), HESIM_LOG="warning")
     extra = ["--out", str(workdir / "traj.csv"),
              "--summary", str(workdir / "run.sum")]
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(cpu), str(bench), *argv, *extra],
-        cwd=workdir, env=env, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(dir=workdir) as cache:
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   HESIM_LOG="warning", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(cpu), str(bench), *argv,
+             *extra], cwd=workdir, env=env, capture_output=True, text=True,
+            check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     if out["rc"] != 0:
         raise RuntimeError(f"{tree}: simulate exited with {out['rc']}")
     return out["cpu_s"] / out["loop_s"]
+
+
+def verdict(old: list, new: list) -> str:
+    """Which side NEW is on, or ``unresolved``: NEW must be on one side in
+    SIDE of the pairs and its median off OLD's by more than OLD's
+    interquartile range."""
+    lower = sum(n < o for o, n in zip(old, new))
+    higher = sum(n > o for o, n in zip(old, new))
+    q1, _, q3 = statistics.quantiles(old, n=4)
+    gap = statistics.median(new) - statistics.median(old)
+    if abs(gap) > q3 - q1:
+        if gap < 0 and lower >= SIDE:
+            return "NEW lower"
+        if gap > 0 and higher >= SIDE:
+            return "NEW higher"
+    return "unresolved"
 
 
 def main(argv: list) -> int:
@@ -99,18 +125,21 @@ def main(argv: list) -> int:
         for name in WORKLOADS:
             work = tmp / f"{name}-timing"
             work.mkdir()
-            for tree in trees:  # warm each tree's module cache once
+            for tree in trees:  # warm each tree's files in the OS cache once
                 time_once(tree, bench, cpu, picked[name], work)
-            ratios = []
+            old, new = [], []
             for k in range(PAIRS):
                 order = trees if k % 2 == 0 else trees[::-1]
                 t = {tree: time_once(tree, bench, cpu, picked[name], work)
                      for tree in order}
-                ratios.append(t[trees[1]] / t[trees[0]])
+                old.append(t[trees[0]])
+                new.append(t[trees[1]])
+            ratios = [n / o for o, n in zip(old, new)]
             lower = sum(r < 1.0 for r in ratios)
             print(f"{name}: NEW/OLD median {statistics.median(ratios):.3f} "
                   f"(min {min(ratios):.3f}, max {max(ratios):.3f}), "
-                  f"NEW lower in {lower} of {PAIRS} pairs", flush=True)
+                  f"NEW lower in {lower} of {PAIRS} pairs: "
+                  f"{verdict(old, new)}", flush=True)
     return 0
 
 
