@@ -52,7 +52,6 @@ class SteadyStateVerdict:
     delta_ps: np.ndarray
     delta_pa: np.ndarray    # NaN where the PA bound is undefined
     steady: np.ndarray
-    threshold: float
 
     @property
     def system_steady(self) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import caseio
 from .errors import HesimError
-from .scheduler import EVENTS, HYBRID, RunConfig, run_simulation
+from .scheduler import EVENTS, RunConfig, run_simulation
 
 log = logging.getLogger("hesim")
 
@@ -28,17 +28,17 @@ def _setup_logging() -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("case", help="case file path, or builtin:<name>")
-    p.add_argument("--mode", default=HYBRID,
+    p.add_argument("--mode", default=RunConfig.mode,
                    choices=["hybrid", "dynamic", "qss"],
                    help="qss starts in QSS; a switch event is solved in "
                    "dynamic mode, and only hybrid returns to QSS after it")
-    p.add_argument("--order", type=int, default=15,
+    p.add_argument("--order", type=int, default=RunConfig.order,
                    help="series order N (4..40)")
-    p.add_argument("--eps-t", type=float, default=1e-3,
+    p.add_argument("--eps-t", type=float, default=RunConfig.eps_t,
                    help="steady-state threshold, per-unit/s")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=RunConfig.tol_res,
                    help="segment residual tolerance")
-    p.add_argument("--dt-out", type=float, default=0.1,
+    p.add_argument("--dt-out", type=float, default=RunConfig.dt_out,
                    help="output sampling interval, s")
     p.add_argument("--t-end", type=float, default=None,
                    help="override the case's stop time")
@@ -57,7 +57,7 @@ def _config(args, script) -> RunConfig:
     t_end = args.t_end
     if t_end is None:
         stops = [e.t_due for e in script if e.kind == "stop"]
-        t_end = min(stops) if stops else 10.0
+        t_end = min(stops) if stops else RunConfig.t_end
     return RunConfig(mode=args.mode, order=args.order, eps_t=args.eps_t,
                      tol_res=args.tol, dt_out=args.dt_out, t_end=t_end)
 

@@ -45,12 +45,6 @@ class ZeroBoundaryVoltage(HesimError):
     """Cut element sits on a (near) zero-voltage boundary bus."""
 
 
-# --- scheduler -------------------------------------------------------------
-
-class NotSteady(HesimError):
-    """Dynamic-to-QSS conversion requested without a steady-state verdict."""
-
-
 # --- reference solvers -----------------------------------------------------
 
 class PastCollapse(HesimError):

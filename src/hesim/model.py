@@ -1,18 +1,21 @@
 """Model assembly: turns a grid case plus runtime state into embedding systems.
 
-The same device equations are emitted in three flavors:
+The device equations come in two modes, each time- or alpha-embedded:
 
-* time-embedded dynamic segments (machines, AVRs, governors, AGC, motors),
-* time-embedded QSS segments (machines collapsed to PV buses with droop and
-  AGC dispatch integrators, motor slip algebraic),
-* alpha-embedded algebraic problems (initial power flow and the switch
-  kinds), where the states of the state's mode are frozen across the
-  instant (a QSS motor slip is algebraic, so it stays an unknown).
+* DYNAMIC: machines, AVRs, governors, AGC and motor slips as states;
+* QSS: machines collapsed to PV buses with droop and AGC dispatch
+  integrators, motor slips algebraic.
 
-Each device's equations are written once for all three, with no branch on
-the embedding: in an alpha build ``_Assembler.var`` returns a state's value
-and ``_Assembler.known`` a time input's value at the instant, each a
-constant (float) factor where a time embedding passes its unknown.
+A time build is a segment; an alpha build is an algebraic problem at an
+instant (a switch, or the initial power flow), where the mode's states are
+frozen (a QSS motor slip is algebraic, so it stays an unknown).  The power
+flow is an alpha build of QSS at no load: every device scaled by alpha,
+each island's slack bus pinned and each PV row blended to its setpoint.
+
+Each device's equations are written once for both embeddings, with no
+branch on the embedding: in an alpha build ``_Assembler.var`` returns a
+state's value and ``_Assembler.known`` a time input's value at the instant,
+each a constant (float) factor where a time embedding passes its unknown.
 
 This module also makes every change of the runtime state (the switch
 continuations, the mode switches, the PV->PQ fix at a reactive limit, the
@@ -36,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import SteadyStateVerdict
 from .engine import (
     ALPHA_ADD,
     ALPHA_CUT,
@@ -48,7 +50,6 @@ from .engine import (
 from .errors import (
     HesimError,
     NoConvergenceAtAlpha1,
-    NotSteady,
     PowerFlowInfeasible,
     ZeroBoundaryVoltage,
 )
@@ -539,7 +540,7 @@ class _Assembler:
         for g in case.gens_at(bus):
             if g.gen_id not in state.gen_online or g.kind != DYN4:
                 continue
-            if self.mode == QSS or self.pf:
+            if self.mode == QSS:
                 need_w = True
             if self.mode == DYNAMIC and not self.alpha:
                 need_vm = True  # AVR input; frozen across switch instants
@@ -549,7 +550,6 @@ class _Assembler:
 
     def run(self) -> Built:
         case, state, mods = self.case, self.state, self.mods
-        pf = self.pf
         ebuses = [b.bus for b in case.buses
                   if state.energized[case.bus_index[b.bus]]]
         islands = [isl for isl in state.islands if isl.energized]
@@ -562,8 +562,8 @@ class _Assembler:
         # sources always pin their bus; the powerflow also pins the slack
         # machine's bus in source-less islands, so no machine equations are
         # emitted for it
-        pinned_buses = {case.gen_by_id[g].bus for isl in islands
-                        for g in isl.sources + ([isl.slack] if pf else [])}
+        self.pinned = {case.gen_by_id[g].bus for isl in islands
+                       for g in isl.sources + ([isl.slack] if self.pf else [])}
 
         # ---- per-bus unknowns ----
         vslots, wslots, vmslots, uslots = {}, {}, {}, {}
@@ -584,7 +584,7 @@ class _Assembler:
 
         # ---- balance equations or source pins ----
         for bus in ebuses:
-            if bus in pinned_buses:
+            if bus in self.pinned:
                 e = complex(next(g for g in case.gens_at(bus)
                                  if g.gen_id in state.gen_online).v_set)
                 eqx = self.b.alg_eq(f"pinx:{bus}")
@@ -605,7 +605,7 @@ class _Assembler:
         shunts = {(b.bus, b.bus): charging.get(b.bus, 0j)
                   + state.extra_shunts.get(b.bus, 0.0) for b in case.buses}
         for amap, slot in ((series, None),
-                           (shunts, self.alpha_slot if pf else None),
+                           (shunts, self.alpha_slot if self.pf else None),
                            (mods.dy, self.alpha_slot),
                            (mods.dy_fade, self.omalpha_slot)):
             for (row, col), y in amap.items():
@@ -656,9 +656,7 @@ class _Assembler:
                 g = case.gen_by_id[gid]
                 if g.bus not in self.balance:  # a pinned bus
                     continue
-                if pf:
-                    self._emit_pf_gen(g, isl)
-                elif self.mode == QSS:
+                if self.mode == QSS:
                     self._emit_qss_gen(g, isl)
                 else:
                     self._emit_machine_vars(g)
@@ -670,7 +668,7 @@ class _Assembler:
             self._emit_machine_eqs(g, isl)
 
         # ---- QSS island closure ----
-        if self.mode == QSS and not pf:
+        if self.mode == QSS:
             for isl in islands:
                 self._emit_island_frequency(isl)
 
@@ -682,7 +680,7 @@ class _Assembler:
     # -- device emitters ---------------------------------------------------------
 
     def _scale(self, key: str):
-        """The known scaling a device in an alpha problem: alpha for a
+        """The known scaling of a device in an alpha problem: alpha for a
         device being added (every device in the powerflow), 1 - alpha for a
         device ramped down, else none."""
         if key in self.mods.scale_devices or self.pf:
@@ -713,7 +711,7 @@ class _Assembler:
         b = self.b
         ex, ey, isx, isy, irx, iry = (self.var(f"{n}:{lid}", "alg")
                                       for n in _MOTOR_KINDS)
-        kind = "alg" if self.mode == QSS or self.pf else "state"
+        kind = "alg" if self.mode == QSS else "state"
         slip = self.var(f"slip:{lid}", kind)
 
         vx, vy = self.vslots[l.bus]
@@ -831,71 +829,62 @@ class _Assembler:
         b.term(eqy, -1.0, scale, i_d, cosd)
         b.term(eqy, 1.0, scale, i_q, sind)
 
-    def _emit_pf_gen(self, g: GenSpec, isl: Island) -> None:
-        """Powerflow: alpha-scaled P; the PV row's |V|^2 is blended from the
-        flat profile to v_set^2."""
-        st = self.state
-        eqx, eqy = self.balance[g.bus]
-        wx, wy = self.wslots[g.bus]
-        p = st.pdisp_now(g.gen_id) + st.mach[g.gen_id].agc
-        self.b.term(eqx, p, self.alpha_slot, wx)
-        self.b.term(eqy, -p, self.alpha_slot, wy)
-        vsl = abs(island_flat_voltage(self.case, isl))
-        eq = self._emit_pv_row(g, vsl * vsl)
-        self.b.term(eq, -(g.v_set ** 2 - vsl * vsl), self.alpha_slot)
-
     def _emit_qss_gen(self, g: GenSpec, isl: Island) -> None:
-        """QSS: P is the dispatch plus the AGC integrator (both frozen
-        across a switch instant) with droop frequency response; a
-        reactive output at its limit is fixed, else the PV row holds
-        |V|^2 at v_set^2."""
+        """A machine as a PV bus.  P is the dispatch plus the AGC integrator
+        (both frozen across a switch instant), scaled as the device is
+        (alpha in the power flow), with droop frequency response where its
+        island's slack bus is not pinned.  A reactive output at its limit
+        is fixed; else the PV row holds |V|^2 at v_set^2, in the power flow
+        blended from the flat profile's |V|^2 to the case's v_set^2."""
         b = self.b
         gid = g.gen_id
-        st = self.state
         eqx, eqy = self.balance[g.bus]
         wx, wy = self.wslots[g.bus]
-        ms = st.mach[gid]
+        ms = self.state.mach[gid]
         df_slot = self.slots.get(f"df:{isl.index}")
-        if df_slot is None and not isl.sources:
+        if df_slot is None and not self._pinned_slack(isl):
             df_slot = self.var(f"df:{isl.index}", "alg")
         pagc = self.var(f"pagc:{gid}", "state")
         pd = self.known(f"pdisp:{gid}")
+        scale = self._scale(f"gen:{gid}")
         if df_slot is not None and g.agc_tg > 0:
             b.rhs_term(pagc, -1.0 / g.agc_tg, df_slot)
         for f in (pd, pagc):
-            b.term(eqx, 1.0, f, wx)
-            b.term(eqy, -1.0, f, wy)
+            b.term(eqx, 1.0, f, scale, wx)
+            b.term(eqy, -1.0, f, scale, wy)
         if df_slot is not None:
             kf = g.k_freq / self.case.f_nominal  # pu per Hz
             b.term(eqx, -kf, df_slot, wx)
             b.term(eqy, kf, df_slot, wy)
-        if ms.q_fixed is None:
-            self._emit_pv_row(g, ms.v_set ** 2)
-        else:
+        if ms.q_fixed is not None:  # a power-flow placeholder has none
             b.term(eqx, -ms.q_fixed, wy)
             b.term(eqy, -ms.q_fixed, wx)
-
-    def _emit_pv_row(self, g: GenSpec, v_sq: float) -> int:
-        """A reactive unknown ``qg`` that holds |V|^2 at v_sq; returns the
-        PV row."""
-        b = self.b
-        eqx, eqy = self.balance[g.bus]
-        wx, wy = self.wslots[g.bus]
-        qg = self.var(f"qg:{g.gen_id}", "alg")
+            return
+        qg = self.var(f"qg:{gid}", "alg")
         b.term(eqx, -1.0, qg, wy)
         b.term(eqy, -1.0, qg, wx)
         vx, vy = self.vslots[g.bus]
-        eq = b.alg_eq(f"pv:{g.gen_id}")
+        eq = b.alg_eq(f"pv:{gid}")
         b.term(eq, 1.0, vx, vx)
         b.term(eq, 1.0, vy, vy)
-        b.term(eq, -v_sq)
-        return eq
+        if self.pf:
+            vsl = abs(island_flat_voltage(self.case, isl))
+            b.term(eq, -(vsl * vsl))
+            b.term(eq, -(g.v_set ** 2 - vsl * vsl), self.alpha_slot)
+        else:
+            b.term(eq, -ms.v_set ** 2)
+
+    def _pinned_slack(self, isl: Island) -> bool:
+        """An island whose slack bus is pinned has no frequency unknown
+        and no angle pin: the pin holds both."""
+        return self.case.gen_by_id[isl.slack].bus in self.pinned
 
     def _emit_island_frequency(self, isl: Island) -> None:
-        """One angle pin per island closes the frequency unknown."""
-        if isl.sources:
-            return  # a source pins both angle and frequency
-        ref = self.case.gen_by_id[isl.ref_gen]
+        """One angle pin per island, at its slack's bus, closes the
+        frequency unknown."""
+        if self._pinned_slack(isl):
+            return
+        ref = self.case.gen_by_id[isl.slack]
         bi = self.case.bus_index[ref.bus]
         v0 = self.state.v[bi]
         th0 = cmath.phase(v0) if abs(v0) > 0 else 0.0
@@ -937,7 +926,7 @@ def _motor(st, lid):
     """Magnetizing voltage, stator and rotor current of the T-circuit, as
     (real, imaginary) parts in the order of _MOTOR_KINDS."""
     l = st.case.load_by_id[lid]
-    z = motor_circuit(l.motor, _voltage(st, l.bus), st.slip.get(lid, 0.02))
+    z = motor_circuit(l.motor, _voltage(st, l.bus), st.slip[lid])
     return [part for zi in z for part in (zi.real, zi.imag)]
 
 
@@ -964,7 +953,7 @@ _READ = {
     "iq": lambda st, gid: _stator(st, gid)[1],
     **{kind: lambda st, lid, i=i: _motor(st, lid)[i]
        for i, kind in enumerate(_MOTOR_KINDS)},
-    "slip": lambda st, lid: st.slip.get(lid, 0.02),
+    "slip": lambda st, lid: st.slip[lid],
     "df": lambda st, i: st.df.get(i, 0.0),
 }
 
@@ -1149,25 +1138,19 @@ def _enter_mode(case: GridCase, state: SystemState, mode: str) -> tuple:
     return built, refine_state(built, state)
 
 
-def mode_switch(case: GridCase, state: SystemState, direction: str,
-                verdict: Optional[SteadyStateVerdict] = None) -> tuple:
-    """Convert machines to PV/QSS form (dyn->qss) or back (qss->dyn).
+def mode_switch(case: GridCase, state: SystemState, direction: str) -> tuple:
+    """Convert every machine to its PV form (dyn->qss) or back-initialize
+    it from its PV operating point (qss->dyn), and enter the new mode.
 
-    dyn->qss demands a passing steady-state verdict; ``init_equilibrium``
-    starts QSS through the same conversion.  The reverse direction
-    back-initializes every machine from its PV operating point.  Returns
-    the new mode's Built and its refined anchor (see ``_enter_mode``).
+    This only converts; the scheduler decides when (dyn->qss after a
+    passing steadiness verdict).  ``init_equilibrium`` starts QSS through
+    the same conversion.  Returns the new mode's Built and its refined
+    anchor (see ``_enter_mode``).
     """
     if direction == "dyn->qss":
-        if state.mode != DYNAMIC:
-            raise HesimError("not in dynamic mode")
-        if verdict is None or not verdict.system_steady:
-            raise NotSteady("dynamic-to-QSS switch without a steady verdict")
         _machines_to_pv(case, state)
         return _enter_mode(case, state, QSS)
     if direction == "qss->dyn":
-        if state.mode != QSS:
-            raise HesimError("not in QSS mode")
         _machines_from_pv(case, state)
         return _enter_mode(case, state, DYNAMIC)
     raise ValueError(f"unknown direction {direction!r}")
@@ -1192,21 +1175,22 @@ def fix_q_limits(case: GridCase, state: SystemState) -> list:
 # --------------------------------------------------------------------------
 
 
-def solve_powerflow(case: GridCase,
-                    state: Optional[SystemState] = None) -> SystemState:
-    """Holomorphic-embedding power flow from the no-load flat start.
+def solve_powerflow(case: GridCase) -> SystemState:
+    """Holomorphic-embedding power flow from the no-load flat start, on a
+    fresh state: an alpha build of the QSS model.
 
-    Injections, shunts and PV setpoint offsets are scaled with alpha; at
-    alpha = 0 the network floats at the slack voltage, at alpha = 1 the
-    loaded solution is reached (or NoConvergenceAtAlpha1 if none exists).
-    The state starts at the flat profile: every energized bus at its
-    island's flat voltage, every motor at its equilibrium slip there, and
-    every online machine a placeholder that dispatches its p_set with no
-    reactive output.
+    Every machine is a PV bus and each island's slack bus is pinned.
+    Injections and shunts are scaled with alpha and each PV row is blended
+    from the flat |V|^2 to its v_set^2; at alpha = 0 the network floats at
+    the slack voltage, at alpha = 1 the loaded solution is reached (or
+    NoConvergenceAtAlpha1 if none exists).  The state starts at the flat
+    profile: every energized bus at its island's flat voltage, every motor
+    at its equilibrium slip there, and every online machine a placeholder
+    that dispatches its p_set with no reactive output.  A state with a
+    live island is left in QSS mode.
     """
-    if state is None:
-        state = fresh_state(case)
-        refresh_islands(case, state)
+    state = fresh_state(case)
+    refresh_islands(case, state)
     live = [isl for isl in state.islands if isl.energized]
     if not live:
         return state  # everything is dark; nothing to solve
@@ -1219,17 +1203,16 @@ def solve_powerflow(case: GridCase,
         for l in case.loads:  # state.slip holds every live motor
             if l.load_id in state.slip and l.bus in isl.buses:
                 state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
+    state.mode = QSS
     _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW))
     return state
 
 
 def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
-    """Power flow, then back-initialization of every dynamic device so the
-    chosen mode's residual vanishes at t = 0."""
-    state = fresh_state(case)
-    refresh_islands(case, state)
+    """Power flow (``solve_powerflow``), then back-initialization of every
+    dynamic device so the chosen mode's residual vanishes at t = 0."""
     try:
-        solve_powerflow(case, state)
+        state = solve_powerflow(case)
     except NoConvergenceAtAlpha1 as exc:
         raise PowerFlowInfeasible(str(exc)) from exc
 

@@ -370,7 +370,7 @@ def steadiness_verdict(state: SystemState, built: Built, seg: SegmentSolution,
             eps_t))
     delta_ps, delta_pa, steady = (np.concatenate(a) for a in zip(*checks))
     names = rows.names[: len(steady)]
-    verdict = SteadyStateVerdict(names, delta_ps, delta_pa, steady, eps_t)
+    verdict = SteadyStateVerdict(names, delta_ps, delta_pa, steady)
     if not verdict.system_steady and log.isEnabledFor(logging.DEBUG):
         bad = np.flatnonzero(~steady)
         pa = ["undefined" if np.isnan(d) else f"{d:.3g}"
@@ -512,7 +512,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 doing = "dyn->qss switch"
                 verdict = steadiness_verdict(state, built, seg, config.eps_t)
                 if verdict.system_steady:
-                    handoff = mode_switch(case, state, "dyn->qss", verdict)
+                    handoff = mode_switch(case, state, "dyn->qss")
                     traj.events.append(EventRecord(
                         t, "mode_switch", "dyn->qss",
                         {"verdict": verdict}))

@@ -286,7 +286,7 @@ def test_steady_state_check_system_verdict():
     den[0] = p_den[0]
     den[1, 0] = 1.0
     out = SteadyStateVerdict(["a", "b"], *check([flat, moving], num,
-                                                den, 1.0), 1e-3)
+                                                den, 1.0))
     assert out.steady[0]
     assert not out.steady[1]
     assert not out.system_steady

@@ -213,6 +213,17 @@ def test_run_config_rejects_non_positive_or_non_finite(field, bad):
         RunConfig(**{field: bad})
 
 
+def test_run_flags_default_to_run_config():
+    import argparse
+
+    from hesim.cli import _add_run_flags, _config
+    from hesim.scheduler import RunConfig
+
+    parser = argparse.ArgumentParser()
+    _add_run_flags(parser)
+    assert _config(parser.parse_args(["builtin:twobus"]), []) == RunConfig()
+
+
 def test_methods_baseline_event_times(tmp_path, capsys):
     # the fixed-step baselines read I(1,2) through the segments' channel map
     text = (_builtin_text("twobus").replace(

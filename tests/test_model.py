@@ -77,6 +77,35 @@ def test_twobus_voltage_matches_quadratic():
     assert abs(st.v[1]) == pytest.approx(math.sqrt(u), abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["fourbus", "ne39"])
+def test_power_flow_is_a_qss_alpha_build(monkeypatch, name):
+    # every machine off a pinned bus is a PV bus with its qg unknown, and
+    # the pinned slack holds both its island's angle and its frequency
+    case, _ = builtin_case(name)
+    builds, real = [], mdl.build_system
+
+    def build(case, state, mode, mods=None):
+        built = real(case, state, mode, mods)
+        if mods is not None and mods.kind == mdl.ALPHA_POWERFLOW:
+            builds.append(built)
+        return built
+
+    monkeypatch.setattr(mdl, "build_system", build)
+    init_equilibrium(case)
+    [built] = builds
+    names, eqs = built.system.var_names, built.system.eq_names
+    assert built.mode == QSS
+    assert built.system.n_state == 0
+    assert not any(n.startswith("df:") for n in names)
+    assert not any(n.startswith("anglepin:") for n in eqs)
+    pinned = {int(n[len("pinx:"):]) for n in eqs if n.startswith("pinx:")}
+    pv = {f"qg:{g}" for isl in built.islands for g in isl.machines
+          if case.gen_by_id[g].bus not in pinned}
+    assert {n for n in names if n.startswith("qg:")} == pv
+    assert all(case.gen_by_id[isl.slack].bus in pinned
+               for isl in built.islands)
+
+
 def test_powerflow_past_nose_infeasible():
     case = make_twobus_case()
     # lam = 17 is beyond the collapse loading (~15.9)

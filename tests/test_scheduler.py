@@ -18,7 +18,6 @@ from conftest import (
 from hesim import scheduler
 from hesim.bounds import SteadyStateVerdict, steady_state_check
 from hesim.caseio import builtin_case
-from hesim.errors import NotSteady
 from hesim.grid import (
     BranchSpec,
     BusSpec,
@@ -479,17 +478,6 @@ def test_qss_fraction_and_fidelity(fourbus_hybrid, fourbus_dynamic):
 
 # --- mode switch state mapping -----------------------------------------------------
 
-def test_mode_switch_requires_verdict(fourbus):
-    case, _ = fourbus
-    st = init_equilibrium(case)
-    with pytest.raises(NotSteady):
-        mode_switch(case, st, "dyn->qss", None)
-    bad = SteadyStateVerdict(["x"], np.array([1.0]), np.array([1.0]),
-                             np.array([False]), 1e-3)
-    with pytest.raises(NotSteady):
-        mode_switch(case, st, "dyn->qss", bad)
-
-
 def _equilibrium_segment(case, st):
     built = build_system(case, st, DYNAMIC)
     seg = solve_segment(built.system, built.anchors(st),
@@ -509,7 +497,7 @@ def test_roundtrip_dyn_qss_dyn_at_equilibrium(fourbus):
               for g, m in st.mach.items()}
     verdict = _equilibrium_verdict(case, st)
     assert verdict.system_steady
-    mode_switch(case, st, "dyn->qss", verdict)
+    mode_switch(case, st, "dyn->qss")
     assert st.mode == QSS
     assert np.max(np.abs(st.v - before_v)) < 1e-6  # PV conversion consistency
     mode_switch(case, st, "qss->dyn")
