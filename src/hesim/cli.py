@@ -135,7 +135,7 @@ def _method_event_times(case, script, methods, config):
                               if config.mode != "hybrid" else "dynamic")
     for ev in sorted(at_start, key=lambda e: e.t_due):
         EVENTS[ev.kind].action(case, st, ev.payload, 0.0)
-    built = mdl.build_system(case, st, st.mode)
+    built = mdl.build_system(case, st)
     mdl.refine_state(built, st)
     # the triggers read through the channel map of the analytic segments
     chans = tuple((e.condition.channel, e.condition.args) for e in conds)

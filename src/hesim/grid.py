@@ -289,9 +289,5 @@ def motor_equilibrium_slip(motor: MotorSpec, v: complex) -> float:
     peak = int(np.argmax(tq))
     if tq[peak] < motor.torque:
         raise ValidationError("motor mechanical torque above breakdown torque")
-    lo = 1e-6
-    hi = grid[peak]
-    if f(hi) > 0:
-        hi = 1.0
-    return float(bracketed_roots(lambda i, s: [f(x) for x in s], [lo], [hi],
-                                 xtol=1e-14)[0])
+    return float(bracketed_roots(lambda i, s: [f(x) for x in s], [1e-6],
+                                 [grid[peak]], xtol=1e-14)[0])

@@ -6,11 +6,12 @@ The device equations come in two modes, each time- or alpha-embedded:
 * QSS: machines collapsed to PV buses with droop and AGC dispatch
   integrators, motor slips algebraic.
 
-A time build is a segment; an alpha build is an algebraic problem at an
-instant (a switch, or the initial power flow), where the mode's states are
-frozen (a QSS motor slip is algebraic, so it stays an unknown).  The power
-flow is an alpha build of QSS at no load: every device scaled by alpha,
-each island's slack bus pinned and each PV row blended to its setpoint.
+A build takes its mode from its state.  A time build is a segment; an alpha
+build is an algebraic problem at an instant (a switch, or the initial power
+flow), where the mode's states are frozen (a QSS motor slip is algebraic, so
+it stays an unknown).  The power flow is an alpha build of QSS at no load:
+every device scaled by alpha, each island's slack bus pinned and each PV row
+blended to its setpoint; a run leaves it through ``_machines_from_pv``.
 
 Each device's equations are written once for both embeddings, with no
 branch on the embedding: in an alpha build ``_Assembler.var`` returns a
@@ -183,9 +184,6 @@ def fresh_state(case: GridCase) -> SystemState:
     st.gen_online = {g.gen_id for g in case.gens if g.status}
     st.load_online = {l.load_id for l in case.loads if l.status}
     st.load_scale = {l.load_id: l.scale for l in case.loads}
-    for l in case.loads:
-        if l.motor is not None and l.load_id in st.load_online:
-            st.slip[l.load_id] = 0.02
     return st
 
 
@@ -494,10 +492,10 @@ def _branch_current(v, yc):
 class _Assembler:
     """One build pass; entry point is build_system below."""
 
-    def __init__(self, case, state, mode, mods):
+    def __init__(self, case, state, mods):
         self.case = case
         self.state = state
-        self.mode = mode
+        self.mode = state.mode
         self.mods = mods or AlphaMods()
         self.alpha = mods is not None
         self.pf = self.alpha and mods.kind == ALPHA_POWERFLOW
@@ -894,9 +892,10 @@ class _Assembler:
         self.b.term(eq, -math.cos(th0), vy)
 
 
-def build_system(case: GridCase, state: SystemState, mode: str,
+def build_system(case: GridCase, state: SystemState,
                  mods: Optional[AlphaMods] = None) -> Built:
-    return _Assembler(case, state, mode, mods).run()
+    """The state's system in its mode; with ``mods`` an alpha build."""
+    return _Assembler(case, state, mods).run()
 
 
 # --------------------------------------------------------------------------
@@ -954,7 +953,7 @@ _READ = {
     **{kind: lambda st, lid, i=i: _motor(st, lid)[i]
        for i, kind in enumerate(_MOTOR_KINDS)},
     "slip": lambda st, lid: st.slip[lid],
-    "df": lambda st, i: st.df.get(i, 0.0),
+    "df": lambda st, i: st.df[i],
 }
 
 # kind -> (state, key, value) stores a solved value; only the fundamental
@@ -1112,20 +1111,19 @@ def _machines_to_pv(case: GridCase, state: SystemState) -> None:
 
 def _machines_from_pv(case: GridCase, state: SystemState) -> None:
     """Back-initialize every machine from its PV operating point, so the
-    dynamic residual vanishes at the instant."""
+    dynamic residual vanishes at the instant; it keeps its dispatch base."""
     for isl in state.islands:
-        df = 0.0 if isl.sources else state.df.get(isl.index, 0.0)
+        df = 0.0 if isl.sources else state.df[isl.index]
         for gid in isl.machines:
             g = case.gen_by_id[gid]
             ms = state.mach[gid]
-            ms.q_fixed = None  # the AVR takes over again
             v = state.v[case.bus_index[g.bus]]
             p_inj = (state.pdisp_now(gid) + ms.agc
                      - (g.k_freq / case.f_nominal) * df)
             new = machine_init_from_terminal(g, v, complex(p_inj, ms.q_g), df,
                                              state.pdisp_now(gid),
                                              case.f_nominal)
-            new.p_disp, new.v_set = ms.p_disp, ms.v_set
+            new.p_disp = ms.p_disp
             state.mach[gid] = new
 
 
@@ -1134,7 +1132,7 @@ def _enter_mode(case: GridCase, state: SystemState, mode: str) -> tuple:
     consistent with it at the instant.  Returns the mode's Built and the
     refined vector, the first segment's anchor."""
     state.mode = mode
-    built = build_system(case, state, mode)
+    built = build_system(case, state)
     return built, refine_state(built, state)
 
 
@@ -1143,9 +1141,9 @@ def mode_switch(case: GridCase, state: SystemState, direction: str) -> tuple:
     it from its PV operating point (qss->dyn), and enter the new mode.
 
     This only converts; the scheduler decides when (dyn->qss after a
-    passing steadiness verdict).  ``init_equilibrium`` starts QSS through
-    the same conversion.  Returns the new mode's Built and its refined
-    anchor (see ``_enter_mode``).
+    passing steadiness verdict).  ``init_equilibrium`` leaves the power
+    flow through the same conversions.  Returns the new mode's Built and
+    its refined anchor (see ``_enter_mode``).
     """
     if direction == "dyn->qss":
         _machines_to_pv(case, state)
@@ -1184,10 +1182,11 @@ def solve_powerflow(case: GridCase) -> SystemState:
     from the flat |V|^2 to its v_set^2; at alpha = 0 the network floats at
     the slack voltage, at alpha = 1 the loaded solution is reached (or
     NoConvergenceAtAlpha1 if none exists).  The state starts at the flat
-    profile: every energized bus at its island's flat voltage, every motor
-    at its equilibrium slip there, and every online machine a placeholder
-    that dispatches its p_set with no reactive output.  A state with a
-    live island is left in QSS mode.
+    profile: every energized bus at its island's flat voltage, every online
+    motor there at its equilibrium slip, and every online machine a
+    placeholder that dispatches its p_set with no reactive output.  It is
+    left in QSS mode, each machine at its PV point: a pinned slack machine
+    at S = V conj(I), I what its bus requires, the others at (p_set, q_g).
     """
     state = fresh_state(case)
     refresh_islands(case, state)
@@ -1200,34 +1199,30 @@ def solve_powerflow(case: GridCase) -> SystemState:
             state.v[case.bus_index[bus]] = vflat
         for gid in isl.machines:
             state.mach[gid] = MachineState(p_disp=case.gen_by_id[gid].p_set)
-        for l in case.loads:  # state.slip holds every live motor
-            if l.load_id in state.slip and l.bus in isl.buses:
+        for l in case.loads:
+            if (l.motor is not None and l.load_id in state.load_online
+                    and l.bus in isl.buses):
                 state.slip[l.load_id] = motor_equilibrium_slip(l.motor, vflat)
     state.mode = QSS
     _alpha_solve(case, state, AlphaMods(kind=ALPHA_POWERFLOW))
+    for isl in live:  # a pinned slack machine injects what its bus needs
+        if isl.slack in isl.machines:
+            bus = case.gen_by_id[isl.slack].bus
+            s = _voltage(state, bus) * required_injection(
+                case, state, bus).conjugate()
+            ms = state.mach[isl.slack]
+            ms.p_disp, ms.q_g = s.real, s.imag
     return state
 
 
 def init_equilibrium(case: GridCase, mode: str = DYNAMIC) -> SystemState:
-    """Power flow (``solve_powerflow``), then back-initialization of every
-    dynamic device so the chosen mode's residual vanishes at t = 0."""
+    """Power flow, left through ``_machines_from_pv`` (and ``_machines_to_pv``
+    for a QSS start), so the mode's residual vanishes at t = 0."""
     try:
         state = solve_powerflow(case)
     except NoConvergenceAtAlpha1 as exc:
         raise PowerFlowInfeasible(str(exc)) from exc
-
-    for isl in state.islands:
-        for gid in isl.machines:
-            g = case.gen_by_id[gid]
-            v = state.v[case.bus_index[g.bus]]
-            if gid == isl.slack:
-                i_inj = required_injection(case, state, g.bus)
-                s_inj = v * i_inj.conjugate()
-            else:
-                s_inj = complex(g.p_set, state.mach[gid].q_g)
-            state.mach[gid] = machine_init_from_terminal(
-                g, v, s_inj, 0.0, s_inj.real, case.f_nominal)
-
+    _machines_from_pv(case, state)
     if mode == QSS:
         _machines_to_pv(case, state)
     _enter_mode(case, state, mode)
@@ -1247,7 +1242,7 @@ def _require_status(online: set, what: str, key: str, adding: bool) -> None:
 
 
 def _alpha_solve(case: GridCase, state: SystemState, mods: AlphaMods) -> None:
-    built = build_system(case, state, state.mode, mods)
+    built = build_system(case, state, mods)
     # every known input is affine in alpha: two coefficients hold it all
     values = solve_alpha_problem(built.system, built.anchors(state),
                                  built.knowns(state, state.t),
@@ -1409,28 +1404,23 @@ def apply_add_gen(case: GridCase, state: SystemState, gen_id: str) -> None:
     _require_status(state.gen_online, "generator", gen_id, True)
     g = case.gen_by_id[gen_id]
     bi = case.bus_index[g.bus]
-    if not state.energized[bi]:
-        # black start: the machine energizes its own bus, then closes its
-        # online branches, all into dead buses, one by one
+    black_start = not state.energized[bi]
+    if black_start:
+        # the machine energizes its own bus, then closes its online
+        # branches, all into dead buses, one by one
         ties = [br.branch_id for br in case.branches
                 if br.branch_id in state.branch_online
                 and g.bus in (br.from_bus, br.to_bus)]
         state.branch_online.difference_update(ties)
-        state.gen_online.add(gen_id)
-        v = complex(g.v_set)
-        state.v[bi] = v
-        state.energized[bi] = True
-        state.mach[gen_id] = machine_init_from_terminal(
-            g, v, 0.0 + 0.0j, 0.0, 0.0, case.f_nominal)
-        refresh_islands(case, state)
+        state.v[bi], state.energized[bi] = g.v_set, True
+    state.gen_online.add(gen_id)
+    state.mach[gen_id] = machine_init_from_terminal(
+        g, state.v[bi], 0.0 + 0.0j, 0.0, 0.0, case.f_nominal)
+    refresh_islands(case, state)
+    if black_start:
         for branch_id in ties:
             apply_add_branch(case, state, branch_id)
         return
-    v = state.v[bi]
-    state.gen_online.add(gen_id)
-    state.mach[gen_id] = machine_init_from_terminal(
-        g, v, 0.0 + 0.0j, 0.0, 0.0, case.f_nominal)
-    refresh_islands(case, state)
     try:
         _alpha_solve(case, state, AlphaMods(
             kind=ALPHA_ADD, scale_devices={f"gen:{gen_id}"}))

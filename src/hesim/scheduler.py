@@ -303,14 +303,14 @@ class Trajectory:
 
 
 def locate_conditional_event(rec: SegmentRecord, conds: list,
-                             window: float, tol: float = 1e-6) -> list:
-    """Every trigger's first root on [0, window], in time order: a list of
-    (index into conds, tau), ties in list order.  A trigger already true at
-    0 fires there; NaN never brackets.  One scan of 65 points finds each
+                             tol: float = EVENT_TOL) -> list:
+    """Every trigger's first root on [0, rec.step], in time order: a list
+    of (index into conds, tau), ties in list order.  A trigger already true
+    at 0 fires there; NaN never brackets.  One scan of 65 points finds each
     trigger's first sign change, and one batched ITP solve refines every
     bracket to ``tol``, evaluating the segment once per iteration.
     """
-    taus = np.linspace(0.0, window, 65)
+    taus = np.linspace(0.0, rec.step, 65)
     keys = tuple(dict.fromkeys((c.channel, c.args) for c in conds))
     col = np.array([keys.index((c.channel, c.args)) for c in conds], int)
     table = rec.sol.stacked()  # one table for the scan and the root solve
@@ -451,7 +451,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             doing = f"{mode} segment"
             cap = MAX_STEP_DYN if mode == DYNAMIC else MAX_STEP_QSS
             if handoff is None:
-                built = build_system(case, state, mode)
+                built = build_system(case, state)
                 handoff = built, built.anchors(state)
             built, anchors = handoff
             # every known input is affine in t: two coefficients hold it all
@@ -465,8 +465,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
             # first trigger that changes the system ends it at its root
             hit, done = None, set()
             for i, tau in (locate_conditional_event(
-                    rec, [ev.condition for ev in conditional], rec.step,
-                    EVENT_TOL) if conditional else []):
+                    rec, [ev.condition for ev in conditional])
+                    if conditional else []):
                 done.add(i)
                 if conditional[i].kind != "record":
                     hit, rec.step, rec.limiter = conditional[i], tau, "trigger"

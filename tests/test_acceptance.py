@@ -74,7 +74,7 @@ def test_criterion_1_twobus_event_times(monkeypatch):
     def he_crossing(i_th):
         cond = Condition.parse(f"I(1,2) > {float(i_th)!r}")
         for rec in traj.segments:
-            hits = locate_conditional_event(rec, [cond], rec.step, tol=1e-12)
+            hits = locate_conditional_event(rec, [cond], tol=1e-12)
             if hits and hits[0][1] > 0.0:
                 return rec.t0 + hits[0][1]
         return None
@@ -83,7 +83,7 @@ def test_criterion_1_twobus_event_times(monkeypatch):
     # event time recovered by linear interpolation of the sampled current
     st = init_equilibrium(case, mode=QSS)
     st.ramps.append(mdl.Ramp("load:LD2", 1.0, 0.0))
-    built = build_system(case, st, QSS)
+    built = build_system(case, st)
     model = DaeModel(built, st)
     y_br = 1.0 / complex(0.01, 0.05)
 
@@ -267,7 +267,7 @@ def _reference_piecewise(case, state, events, t_end, dt_out):
                      key=lambda e: e.t_due)
     while t < t_end - 1e-12:
         t_next = min(t_end, pending[0].t_due if pending else t_end)
-        built = build_system(case, st, DYNAMIC)
+        built = build_system(case, st)
         refine_state(built, st)
         model = DaeModel(built, st)
         out = integrate_reference(model, (t, t_next), "adaptive-high-order",
@@ -355,7 +355,7 @@ def test_criterion_8_switch_correctness(fourbus):
     case, _ = fourbus
 
     def oracle(st):
-        built = build_system(case, st, DYNAMIC)
+        built = build_system(case, st)
         sysm = built.system
         kv = built.knowns(st, st.t)[:, 0] if sysm.nk else np.zeros(0)
         x0 = built.anchors(st)
@@ -387,10 +387,10 @@ def test_criterion_8_switch_correctness(fourbus):
     assert e_par < 1e-8
 
     st = init_equilibrium(case)
-    before = build_system(case, st, DYNAMIC).anchors(st)
+    before = build_system(case, st).anchors(st)
     apply_cut_branch(case, st, "L23B")
     apply_add_branch(case, st, "L23B")
-    after = build_system(case, st, DYNAMIC).anchors(st)
+    after = build_system(case, st).anchors(st)
     e_rt = np.max(np.abs(after - before))
     assert e_rt < 1e-8
     _report(8, f"add-shunt {e_add:.1e}, cut {e_cut:.1e}, param {e_par:.1e}, "

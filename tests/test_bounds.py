@@ -18,7 +18,7 @@ from hesim.bounds import (
 )
 from hesim.engine import solve_segment
 from hesim.errors import EmptyVariableSet
-from hesim.model import DYNAMIC, build_system, init_equilibrium
+from hesim.model import build_system, init_equilibrium
 from hesim.scheduler import steadiness_verdict
 from hesim.series import batch_pade
 
@@ -303,7 +303,7 @@ def test_reference_angle_invariance(fourbus):
     # because each angle is bounded relative to its island's reference
     case, _ = fourbus
     st_ = init_equilibrium(case)
-    built = build_system(case, st_, DYNAMIC)
+    built = build_system(case, st_)
     seg = solve_segment(built.system, built.anchors(st_),
                         built.knowns(st_, st_.t), 15, 1e-8, 0.2)
     _, angles = monitored_names(built)

@@ -720,8 +720,8 @@ def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
     from hesim.model import build_system, init_equilibrium
 
     case, _ = builtin_case(name)
-    st = init_equilibrium(case)
-    built = build_system(case, st, mode)
+    st = init_equilibrium(case, mode)
+    built = build_system(case, st)
     sys = built.system
     v = built.anchors(st)
     kv = built.knowns(st, st.t)[:, 0] if sys.nk else np.zeros(0)
@@ -906,7 +906,7 @@ def test_range_certificate_holds_densely_at_ne39_worst_anchor():
     assert state.mode == "dynamic"
     t_max = min([MAX_STEP_DYN] + [e.t_due - t0 for e in script
                                   if e.t_due and e.t_due > t0])
-    built = build_system(case, state, state.mode)
+    built = build_system(case, state)
     seg = solve_segment(built.system, built.anchors(state),
                         built.knowns(state, t0), config.order, config.tol_res,
                         t_max)

@@ -84,8 +84,8 @@ def test_power_flow_is_a_qss_alpha_build(monkeypatch, name):
     case, _ = builtin_case(name)
     builds, real = [], mdl.build_system
 
-    def build(case, state, mode, mods=None):
-        built = real(case, state, mode, mods)
+    def build(case, state, mods=None):
+        built = real(case, state, mods)
         if mods is not None and mods.kind == mdl.ALPHA_POWERFLOW:
             builds.append(built)
         return built
@@ -104,6 +104,68 @@ def test_power_flow_is_a_qss_alpha_build(monkeypatch, name):
     assert {n for n in names if n.startswith("qg:")} == pv
     assert all(case.gen_by_id[isl.slack].bus in pinned
                for isl in built.islands)
+
+
+@pytest.mark.parametrize("name", ["fourbus", "ne39"])
+def test_power_flow_leaves_each_machine_at_its_pv_point(name):
+    # a pinned slack machine injects what its bus requires; every other
+    # machine dispatches its p_set at its solved reactive output
+    case, _ = builtin_case(name)
+    st = solve_powerflow(case)
+    slacks = 0
+    for isl in st.islands:
+        for gid in isl.machines:
+            g, ms = case.gen_by_id[gid], st.mach[gid]
+            s = st.v[case.bus_index[g.bus]] * mdl.required_injection(
+                case, st, g.bus).conjugate()
+            if gid == isl.slack:
+                slacks += 1
+                assert (ms.p_disp, ms.q_g) == (s.real, s.imag)
+            else:
+                assert ms.p_disp == g.p_set
+                assert complex(ms.p_disp, ms.q_g) == pytest.approx(s, abs=1e-9)
+    assert slacks
+
+
+def _back_initialized(case, mode):
+    """The start by a rule of its own: after the power flow, the slack
+    machine from the injection its bus requires, every other machine from
+    (p_set, q_g), then the mode entered as init_equilibrium enters it."""
+    st = solve_powerflow(case)
+    for isl in st.islands:
+        for gid in isl.machines:
+            g = case.gen_by_id[gid]
+            v = st.v[case.bus_index[g.bus]]
+            if gid == isl.slack:
+                s_inj = v * mdl.required_injection(case, st, g.bus).conjugate()
+            else:
+                s_inj = complex(g.p_set, st.mach[gid].q_g)
+            st.mach[gid] = mdl.machine_init_from_terminal(
+                g, v, s_inj, 0.0, s_inj.real, case.f_nominal)
+    if mode == QSS:
+        mdl._machines_to_pv(case, st)
+    mdl._enter_mode(case, st, mode)
+    return st
+
+
+def _float_bits(st):
+    def hexed(x):
+        return None if x is None else float(x).hex()
+    return (_bits(st.v), {k: hexed(x) for k, x in st.slip.items()},
+            {k: hexed(x) for k, x in st.df.items()},
+            {g: {f: hexed(x) for f, x in vars(m).items()}
+             for g, m in st.mach.items()}, st.mode)
+
+
+@pytest.mark.parametrize("mode", [DYNAMIC, QSS])
+@pytest.mark.parametrize("name", ["twobus", "fourbus", "ne39"])
+def test_start_state_matches_the_back_initialization_rule(name, mode):
+    # leaving the power flow through the QSS exit starts every machine
+    # where the back-initialization rule puts it, bit for bit (a field may
+    # be a Python float on one side and np.float64 on the other)
+    case, _ = builtin_case(name)
+    assert _float_bits(init_equilibrium(case, mode)) == _float_bits(
+        _back_initialized(case, mode))
 
 
 def test_powerflow_past_nose_infeasible():
@@ -127,8 +189,8 @@ def test_island_without_generation():
 
 # --- equilibrium and residuals -----------------------------------------------------
 
-def _residual_at_anchor(case, st, mode):
-    built = build_system(case, st, mode)
+def _residual_at_anchor(case, st):
+    built = build_system(case, st)
     return built.system.residual(built.anchors(st),
                                  np.zeros(built.system.n_state),
                                  built.knowns(st, st.t)[:, 0])
@@ -137,7 +199,7 @@ def _residual_at_anchor(case, st, mode):
 def test_equilibrium_residual_vanishes(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
-    assert np.max(np.abs(_residual_at_anchor(case, st, DYNAMIC))) < 1e-10
+    assert np.max(np.abs(_residual_at_anchor(case, st))) < 1e-10
 
 
 def test_fourbus_initial_dispatch(fourbus):
@@ -151,7 +213,7 @@ def test_fourbus_initial_dispatch(fourbus):
 def test_equilibrium_holds_over_ten_seconds(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     seg = solve_segment(built.system, built.anchors(st),
                         built.knowns(st, 0.0), 15, 1e-8, 10.0)
     assert seg.t_e == 10.0
@@ -165,7 +227,7 @@ def test_residual_central_difference_matches_rhs():
     case = make_smib()
     st = init_equilibrium(case)
     st.mach["G1"].delta += 0.05
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     refine_state(built, st)
     seg = solve_segment(built.system, built.anchors(st),
                         built.knowns(st, 0.0), 15, 1e-9, 1.0)
@@ -191,7 +253,7 @@ def test_residual_central_difference_matches_rhs():
 def test_perturbing_one_bus_changes_only_local_rows():
     case = make_smib()
     st = init_equilibrium(case)
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     base = built.anchors(st)
     r0 = built.system.residual(base, np.zeros(built.system.n_state),
                                built.knowns(st, 0.0)[:, 0])
@@ -214,7 +276,7 @@ def test_perturbing_one_bus_changes_only_local_rows():
 def test_qss_equilibrium_residual(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case, mode=QSS)
-    assert np.max(np.abs(_residual_at_anchor(case, st, QSS))) < 1e-9
+    assert np.max(np.abs(_residual_at_anchor(case, st))) < 1e-9
     assert st.df[0] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -240,7 +302,7 @@ def test_qss_droop_sign_and_linearity():
         case = _lossless_droop_case(ks)
         st = init_equilibrium(case, mode=QSS)
         st.load_scale["l"] = 1.2  # +0.2 pu without AGC action
-        built = build_system(case, st, QSS)
+        built = build_system(case, st)
         # freeze the AGC state and solve the algebraic equilibrium
         refine_state(built, st)
         dfs.append(st.df[0])
@@ -255,7 +317,7 @@ def test_qss_switch_ends_on_the_qss_equilibrium(fourbus):
     st = init_equilibrium(case, mode=QSS)
     for switch in (apply_add_load, apply_cut_load):
         switch(case, st, "LX2")
-        built = build_system(case, st, QSS)
+        built = build_system(case, st)
         res = built.system.alg_residual(built.anchors(st),
                                         built.knowns(st, st.t)[:, 0])
         assert np.max(np.abs(res)) < 1e-12, switch.__name__
@@ -267,10 +329,10 @@ def test_alpha_builds_freeze_every_state_and_time_input(monkeypatch):
     # slip an unknown with its torque balance, a dynamic one freezes it
     builds, real = [], mdl.build_system
 
-    def build(case, state, mode, mods=None):
-        built = real(case, state, mode, mods)
+    def build(case, state, mods=None):
+        built = real(case, state, mods)
         if mods is not None and mods.kind != mdl.ALPHA_POWERFLOW:
-            builds.append((mode, built))
+            builds.append((state.mode, built))
         return built
 
     monkeypatch.setattr(mdl, "build_system", build)
@@ -288,10 +350,10 @@ def test_alpha_builds_freeze_every_state_and_time_input(monkeypatch):
 # --- switch operations vs direct re-solve oracles --------------------------------------
 
 
-def _oracle_resolve(case, st, mode=DYNAMIC):
+def _oracle_resolve(case, st):
     """Independent post-switch solution: scipy Newton-Krylov on the same
     frozen-state algebraic equations, started from the current values."""
-    built = build_system(case, st, mode)
+    built = build_system(case, st)
     sysm = built.system
     kv = built.knowns(st, st.t)[:, 0] if sysm.nk else np.zeros(0)
     x0 = built.anchors(st)
@@ -359,9 +421,9 @@ def test_cut_load_at_dead_boundary_matches_resolve(monkeypatch):
     builds = []
     real_build = mdl.build_system
 
-    def build(case_, st_, mode, mods=None):
+    def build(case_, st_, mods=None):
         builds.append(mods)
-        return real_build(case_, st_, mode, mods)
+        return real_build(case_, st_, mods)
 
     monkeypatch.setattr(mdl, "build_system", build)
     apply_cut_load(case, st, "LZ")
@@ -408,11 +470,11 @@ def test_cut_at_a_dead_boundary_bus_fails_by_name(element, event, reason):
 def test_cut_then_readd_roundtrip(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
-    built0 = build_system(case, st, DYNAMIC)
+    built0 = build_system(case, st)
     before = built0.anchors(st)
     apply_cut_branch(case, st, "L23B")
     apply_add_branch(case, st, "L23B")
-    after = build_system(case, st, DYNAMIC).anchors(st)
+    after = build_system(case, st).anchors(st)
     assert np.max(np.abs(after - before)) < 1e-8
 
 
@@ -841,7 +903,7 @@ def _fourbus_switches():
                      Ramp("gen:G1", -0.0117, 0.21),
                      Ramp("load:LD2", 0.0051, 1.13)]
         st.t = 1.618
-        refine_state(mdl.build_system(case, st, mode), st)
+        refine_state(mdl.build_system(case, st), st)
         apply_add_shunt(case, st, 2, 0.05 - 0.15j)
         apply_branch_param(case, st, "L12", 0.015, 0.1, 0.05)
         apply_cut_branch(case, st, "L23B")
@@ -887,16 +949,16 @@ def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
     flavor_of, seen = {}, []  # id(built) -> (built, flavor), (built, state)
     real_build, real_anchors = mdl.build_system, mdl.Built.anchors
 
-    def build(case, state, mode, mods=None):
-        built = real_build(case, state, mode, mods)
+    def build(case, state, mods=None):
+        built = real_build(case, state, mods)
         if mods is None:
-            flavor = mode
+            flavor = state.mode
         elif mods.kind == mdl.ALPHA_POWERFLOW:
             flavor = "powerflow"
         elif mods.ramp_down_devices:
-            flavor = f"{mode} ramp-down"
+            flavor = f"{state.mode} ramp-down"
         else:
-            flavor = f"{mode} {mods.kind[len('ALPHA_'):].lower()}"
+            flavor = f"{state.mode} {mods.kind[len('ALPHA_'):].lower()}"
         flavor_of[id(built)] = built, flavor  # the Built keeps its id
         return built
 
@@ -945,6 +1007,7 @@ def test_anchors_match_the_per_name_closures_at_the_run_end(name, t_end):
     st = init_equilibrium(case)
     run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end), st)
     for mode in (DYNAMIC, QSS):
-        built = mdl.build_system(case, st, mode)
+        st.mode = mode
+        built = mdl.build_system(case, st)
         want = [_ref_anchor(case, st, n) for n in built.system.var_names]
         assert _bits(built.anchors(st)) == _bits(np.array(want)), mode

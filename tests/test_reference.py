@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from conftest import make_smib
 from hesim.engine import SystemBuilder
 from hesim.errors import PastCollapse, StepRejectionLimit, Unreachable
-from hesim.model import DYNAMIC, build_system, init_equilibrium
+from hesim.model import build_system, init_equilibrium
 from hesim.reference import (
     DaeModel,
     TwoBusCase,
@@ -127,7 +127,7 @@ def test_adaptive_agrees_with_embedding_on_smib():
     case = make_smib()
     st = init_equilibrium(case)
     st.mach["G1"].delta += 0.03
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     from hesim.model import refine_state
     refine_state(built, st)
     model = DaeModel(built, st)

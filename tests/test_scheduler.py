@@ -88,7 +88,7 @@ def test_no_crossing_returns_none():
                           RunConfig(mode="qss", t_end=2.0))
     rec = traj.segments[0]
     cond = Condition.parse("I(1,2) > 99.0")
-    assert locate_conditional_event(rec, [cond], rec.step) == []
+    assert locate_conditional_event(rec, [cond]) == []
 
 
 def test_affine_condition_half_second():
@@ -98,7 +98,7 @@ def test_affine_condition_half_second():
     rec = traj.segments[0]
     assert rec.step >= 1.0
     cond = Condition.parse("t > 0.5")
-    [(index, hit)] = locate_conditional_event(rec, [cond], rec.step, tol=1e-9)
+    [(index, hit)] = locate_conditional_event(rec, [cond], tol=1e-9)
     assert index == 0
     assert hit == pytest.approx(0.5 - rec.t0, abs=1e-6)
 
@@ -161,13 +161,13 @@ def test_batched_locate_matches_per_trigger_loop(ramp_segment, case):
         "nan": (["delta(S1) > 0.0", "delta(S1) < 0.0"], None),
     }[case]
     conds = [Condition.parse(c) for c in conds]
-    got = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    got = locate_conditional_event(rec, conds, 1e-9)
     assert (got[0][0] if got else None) == expected
     if case == "at_zero":
         assert got[0][1] == 0.0
     for order in itertools.permutations(range(len(conds))):
         perm = [conds[i] for i in order]
-        assert (locate_conditional_event(rec, perm, rec.step, 1e-9)
+        assert (locate_conditional_event(rec, perm, 1e-9)
                 == _per_trigger_locate(rec, perm, rec.step, 1e-9))
 
 
@@ -188,7 +188,7 @@ def test_batched_locate_refines_only_the_earliest_brackets(ramp_segment,
         f"I(1,2) > {at('I', ('1', '2'), 60.5)!r}",
         f"t > {at('t', (), 9.2)!r}",
         f"V(2) < {at('V', ('2',), 30.5)!r}")]
-    hits = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    hits = locate_conditional_event(rec, conds, 1e-9)
     # one kernel call refines every trigger's first bracket, in list order
     first = [44, 9, 60, 9, 30]
     assert calls == [([taus[k] for k in first], [taus[k + 1] for k in first])]
@@ -305,7 +305,7 @@ def test_tied_and_initially_true_record_triggers(ramp_segment):
     conds = [Condition.parse(c) for c in (
         f"I(1,2) > {x!r}", f"t > {at('t', (), 40.5)!r}", f"I(1,2) > {x!r}",
         "t > -1.0")]
-    hits = locate_conditional_event(rec, conds, rec.step, 1e-9)
+    hits = locate_conditional_event(rec, conds, 1e-9)
     assert [i for i, _ in hits] == [3, 0, 2, 1]
     assert hits[0][1] == 0.0 and hits[1][1] == hits[2][1]
     assert hits[1][1] == pytest.approx(rec.step * 20.5 / 64, abs=1e-8)
@@ -479,7 +479,7 @@ def test_qss_fraction_and_fidelity(fourbus_hybrid, fourbus_dynamic):
 # --- mode switch state mapping -----------------------------------------------------
 
 def _equilibrium_segment(case, st):
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     seg = solve_segment(built.system, built.anchors(st),
                         built.knowns(st, st.t), 15, 1e-8, 1.0)
     return built, seg
@@ -632,7 +632,7 @@ def test_no_angle_is_checked_against_itself(name, t_end):
     if t_end:
         run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end),
                        st)
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     rows = built.monitored
     assert len(rows.angles) and not np.any(rows.angles == rows.refs)
     # each island's reference angle is neither a pair nor a plain row
@@ -863,9 +863,9 @@ def test_q_limit_fix_drops_the_built_of_the_qss_segments(monkeypatch):
     )
     built_at, build = [], scheduler.build_system
 
-    def building(case, st, mode, mods=None):
+    def building(case, st, mods=None):
         built_at.append((st.t, st.mach["g"].q_fixed))
-        return build(case, st, mode, mods)
+        return build(case, st, mods)
 
     monkeypatch.setattr(scheduler, "build_system", building)
     traj = run_simulation(case, [], RunConfig(mode="qss", t_end=60.0))
@@ -892,7 +892,7 @@ def test_speed_envelope_decays_on_small_signal_case():
     case = make_smib()
     st = init_equilibrium(case)
     st.mach["G1"].delta += 0.02
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     from hesim.model import refine_state
     refine_state(built, st)
     traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=6.0),
@@ -995,10 +995,10 @@ def _handoff_run(monkeypatch, name, mode, t_end):
         epoch[0] += scheduler.EVENTS[ev.kind].switch
         return running
 
-    def building(case, st, mode, mods=None):
-        built = build(case, st, mode, mods)
+    def building(case, st, mods=None):
+        built = build(case, st, mods)
         if mods is None:
-            builds[mode, epoch[0]] += 1
+            builds[st.mode, epoch[0]] += 1
             builts[id(built.system)] = built  # alive, so ids stay unique
         return built
 

@@ -7,7 +7,6 @@ import numpy as np
 
 from conftest import make_smib, make_twobus_case
 from hesim.model import (
-    DYNAMIC,
     QSS,
     Ramp,
     apply_add_load,
@@ -44,7 +43,7 @@ def test_governor_ramp_tracks_adaptive_integrator():
     case = make_smib()
     st = init_equilibrium(case)
     st.ramps.append(Ramp("gen:G1", 0.02, 0.0))
-    built = build_system(case, st, DYNAMIC)
+    built = build_system(case, st)
     refine_state(built, st)
     model = DaeModel(built, copy.deepcopy(st))
     out = integrate_reference(model, (0.0, 4.0), "adaptive-high-order",
@@ -68,7 +67,7 @@ def test_qss_agc_decay_matches_adaptive_integrator():
     st = init_equilibrium(case, mode=QSS)
     apply_add_load(case, st, "LX2")
     st.mode = QSS
-    built = build_system(case, st, QSS)
+    built = build_system(case, st)
     refine_state(built, st)
     model = DaeModel(built, copy.deepcopy(st))
     out = integrate_reference(model, (0.0, 12.0), "adaptive-high-order",
@@ -92,7 +91,7 @@ def test_alpha_path_continuity_and_order_independence(fourbus):
     st = init_equilibrium(case)
     mods = mdl.AlphaMods(kind="ALPHA_PARAM",
                          dy={(3, 3): 0.04 - 0.12j})
-    built = build_system(case, st, DYNAMIC, mods)
+    built = build_system(case, st, mods)
     anchors = built.anchors(st)
     results = []
     for order in (10, 20, 30):
