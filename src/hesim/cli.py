@@ -56,8 +56,8 @@ def _load(case_arg: str):
 def _config(args, script) -> RunConfig:
     t_end = args.t_end
     if t_end is None:
-        stops = [e.t_due for e in script if e.kind == "stop"]
-        t_end = min(stops) if stops else RunConfig.t_end
+        t_end = min((e.t_due for e in script if e.kind == "stop"
+                     and e.t_due is not None), default=RunConfig.t_end)
     return RunConfig(mode=args.mode, order=args.order, eps_t=args.eps_t,
                      tol_res=args.tol, dt_out=args.dt_out, t_end=t_end)
 
@@ -184,9 +184,11 @@ def cmd_compare(args) -> int:
         _config(args, script)) if methods else [])
     trajs = {}
     for mode, config in configs.items():
-        trajs[mode] = run_simulation(case, script, config)
-        if trajs[mode].failure:
-            print(f"error: {mode}: {trajs[mode].failure}", file=sys.stderr)
+        traj = trajs[mode] = run_simulation(case, script, config)
+        failure = traj.failure or (
+            "" if traj.segments else "the run ends before its first segment")
+        if failure:
+            print(f"error: {mode}: {failure}", file=sys.stderr)
             return 1
 
     base = runs[0]

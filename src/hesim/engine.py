@@ -430,47 +430,48 @@ class SegmentSolution:
 
     Times inside the segment are local (0 at the segment anchor); the
     scheduler tracks the absolute start time.  Every value comes from
-    ``evaluate``.  Where a denominator is below 1e-12 in magnitude the
-    unknown reads NaN (the approximant sits at a pole there): the range
-    certificate, the next segment's anchor, trigger localization and the
-    sampled output channels all read this one rule.
+    ``evaluate``, which reads ``table``, built once here and read-only as
+    ``C`` is: the Pade rows, the knowns and the state rows' derivative rows,
+    coefficient-major, without zero top coefficients (which leave Horner's
+    result unchanged bit for bit).  ``pade_num``, ``pade_den`` and
+    ``kcoeffs`` are views of it.  A denominator below 1e-12 in magnitude
+    reads NaN (a pole): the range certificate, the next anchor, trigger
+    localization and the sampled channels all read this one rule.
     """
 
     system: CompiledSystem
     C: np.ndarray              # (nv, order+1) series coefficients
-    kcoeffs: np.ndarray        # (nk, order+1) known input coefficients
+    kcoeffs: np.ndarray        # (nk, any width) known input coefficients
     pade_num: np.ndarray
     pade_den: np.ndarray
     t_e: float = np.inf
     t_cap: float = np.inf      # range cap: t_max or just below a pole
     refit: int = 0             # rows refitted to cancel a spurious pole
 
-    def stacked(self, rates: bool = False) -> tuple:
-        """``evaluate``'s coefficient-major table and its parts' row bounds:
-        numerators, denominators, knowns and, with ``rates``, the state
-        rows' derivative rows.  Zero top coefficients are padded or dropped:
-        at a finite t they leave Horner's result unchanged bit for bit."""
-        parts = [self.pade_num, self.pade_den, self.kcoeffs]
-        if rates:
-            st = self.system.state_slots
-            parts += [_deriv_rows(self.pade_num[st]),
-                      _deriv_rows(self.pade_den[st])]
-        bounds = np.cumsum([0] + [len(p) for p in parts])
+    def __post_init__(self):
+        st = self.system.state_slots
+        parts = [self.pade_num, self.pade_den, self.kcoeffs, *(
+            _deriv_rows(p[st]) for p in (self.pade_num, self.pade_den))]
+        self.bounds = bounds = np.cumsum([0] + [len(p) for p in parts])
         table = np.zeros((max(p.shape[1] for p in parts), bounds[-1]))
         for p, at in zip(parts, bounds):
             table[: p.shape[1], at: at + len(p)] = p.T
         used = np.flatnonzero(table.any(axis=1))
-        return table[: used[-1] + 1 if len(used) else 1], bounds
+        # copies: the padded buffers are freed
+        self.table = table[: used[-1] + 1 if len(used) else 1].copy()
+        self.C = np.array(self.C, dtype=float)
+        self.table.flags.writeable = self.C.flags.writeable = False
+        self.pade_num, self.pade_den, self.kcoeffs, _ = (
+            p.T for p in np.split(self.table, bounds[1:4], axis=1))
 
-    def evaluate(self, t, rates: bool = False, table=None) -> tuple:
+    def evaluate(self, t, rates: bool = False) -> tuple:
         """(values, knowns) at t, scalar or 1-D, each (rows,) + shape(t),
         from one Horner pass over rows x times; with ``rates`` also the
-        state rows' time derivatives; ``table`` reuses a ``stacked(rates)``."""
-        table, bounds = table or self.stacked(rates)
+        state rows' time derivatives."""
+        table = self.table if rates else self.table[:, : self.bounds[3]]
         t = np.asarray(t, dtype=float)
         out = _horner(table.reshape(table.shape + (1,) * t.ndim), t)
-        num, den, known, *d = (out[a:b] for a, b in
-                               zip(bounds[:-1], bounds[1:]))
+        num, den, known, *d = np.split(out, self.bounds[1:-1])
         vals = num / np.where(np.abs(den) < 1e-12, np.nan, den)
         if not rates:
             return vals, known
@@ -519,30 +520,29 @@ def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
     per row, until none is left; the first genuine pole caps the range at
     t_cap, and ``shrink_refine_range`` certifies t_e in (0, t_cap].
     """
-    C = system.solve_series(anchors, kcoeffs, order)
+    C = system.solve_series(anchors, kcoeffs, order)[: system.nv]
     # a variable whose entire tail sits at float noise is a constant; keeping
     # the noise would wreck the range estimate at large t (noise * t^N)
-    tail = np.max(np.abs(C[: system.nv, 1:]), axis=1)
-    scale = np.maximum(1.0, np.abs(C[: system.nv, 0]))
-    C[: system.nv][tail <= 1e-12 * scale, 1:] = 0.0
+    tail = np.max(np.abs(C[:, 1:]), axis=1)
+    scale = np.maximum(1.0, np.abs(C[:, 0]))
+    C[tail <= 1e-12 * scale, 1:] = 0.0
     L, M = diagonal_orders(order)
-    nums, dens = batch_pade(C[: system.nv], L, M)
-    seg = SegmentSolution(system=system, C=C[: system.nv],
-                          kcoeffs=kcoeffs, pade_num=nums, pade_den=dens)
-
+    nums, dens = batch_pade(C, L, M)
     poles, spurious = min_real_positive_root(nums, dens, t_max)
     rows = np.flatnonzero(spurious)
-    seg.refit = len(rows)
+    refit = len(rows)
     while len(rows):  # each pass lowers every listed row's degree
-        nums[rows], low = batch_pade(seg.C[rows], L, _degree(dens[rows]) - 1)
+        nums[rows], low = batch_pade(C[rows], L, _degree(dens[rows]) - 1)
         dens[rows] = 0.0
         dens[rows, : low.shape[1]] = low
         poles[rows], spurious = min_real_positive_root(nums[rows],
                                                        dens[rows], t_max)
         rows = rows[spurious]
-    seg.t_cap = t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
+    t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     if t_cap <= 0:
         raise NoValidRange("rational approximant has a pole at the anchor")
+    seg = SegmentSolution(system=system, C=C, kcoeffs=kcoeffs, pade_num=nums,
+                          pade_den=dens, t_cap=t_cap, refit=refit)
     seg.t_e = shrink_refine_range(seg.residual_max_at, tol_res, t_cap)
     return seg
 

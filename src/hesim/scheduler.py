@@ -227,11 +227,10 @@ class SegmentRecord:
     def t1(self) -> float:
         return self.t0 + self.step
 
-    def channels(self, chans: tuple, tau, table=None) -> np.ndarray:
-        """Channels x times (tau 1-D, segment-local) from one evaluation of
-        the segment's rows; ``table`` reuses a ``sol.stacked()``."""
+    def channels(self, chans: tuple, tau) -> np.ndarray:
+        """Channels x times (tau 1-D, segment-local) from one evaluation."""
         return self.built.channel_map.apply(
-            chans, self.sol.evaluate(tau, table=table), self.t0 + tau)
+            chans, self.sol.evaluate(tau), self.t0 + tau)
 
     def channel(self, chan: str, args: tuple, tau):
         """Evaluate an output channel at segment-local time(s)."""
@@ -313,8 +312,7 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     taus = np.linspace(0.0, rec.step, 65)
     keys = tuple(dict.fromkeys((c.channel, c.args) for c in conds))
     col = np.array([keys.index((c.channel, c.args)) for c in conds], int)
-    table = rec.sol.stacked()  # one table for the scan and the root solve
-    lhs = rec.channels(keys, taus, table)[col]  # each trigger's channel
+    lhs = rec.channels(keys, taus)[col]  # each trigger's channel
     hs = np.reshape([c.h(v) for c, v in zip(conds, lhs)], (-1, 65))
     a, b = hs[:, :-1], hs[:, 1:]
     brackets = ((a < 0.0) & (b >= 0.0)) | ((a > 0.0) & (b <= 0.0))
@@ -324,7 +322,7 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     rows = np.flatnonzero((first >= 0) & (first < 64))
     if len(rows):
         def h(i, x):  # each bracket's trigger, its own channel at its point
-            vals = rec.channels(keys, x, table)[col[rows[i]], range(len(i))]
+            vals = rec.channels(keys, x)[col[rows[i]], range(len(i))]
             return [conds[k].h(v) for k, v in zip(rows[i], vals)]
         tau[rows] = bracketed_roots(h, taus[first[rows]],
                                     taus[first[rows] + 1], tol)

@@ -70,6 +70,12 @@ def monitored_names(built):
     return plain, angles
 
 
+def padded(rows, width):
+    """Coefficient rows zero-padded to width: a segment's Pade rows are
+    views only as wide as its used degree."""
+    return np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+
+
 @pytest.fixture(scope="session")
 def fourbus():
     case, script = builtin_case("fourbus")

@@ -11,7 +11,7 @@ import numpy as np
 
 import hesim.model as mdl
 from hesim import scheduler
-from conftest import make_smib, monitored_names
+from conftest import make_smib, monitored_names, padded
 from hesim.bounds import poly_bounds, steady_state_check, verdict_from_deltas
 from hesim.caseio import builtin_case
 from hesim.grid import LoadSpec
@@ -181,8 +181,8 @@ def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
                     (np.convolve(vx, vx) + np.convolve(vy, vy))[: order + 1])
         d_num, d_den = batch_pade(np.array(derived), half, half)
         C = np.vstack([seg.C[rows], derived])
-        nums = np.vstack([seg.pade_num[rows], d_num])
-        dens = np.vstack([seg.pade_den[rows], d_den])
+        nums = np.vstack([padded(seg.pade_num[rows], d_num.shape[1]), d_num])
+        dens = np.vstack([padded(seg.pade_den[rows], d_den.shape[1]), d_den])
         d_ps, d_pa, _ = steady_state_check(C, nums, dens, t_e, 1e-3)
 
         for c, num, den, dps, dpa in zip(C, nums, dens, d_ps, d_pa):

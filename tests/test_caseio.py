@@ -1,6 +1,6 @@
 """Case/trajectory text formats and the built-in fixtures."""
 
-import copy
+import dataclasses
 import math
 import re
 
@@ -535,11 +535,14 @@ def test_sampled_channel_is_nan_where_its_denominator_vanishes(small_run):
     """The one near-zero-denominator rule: a sampled variable whose Pade
     denominator is below 1e-12 in magnitude reads NaN, and so does every
     channel built from it."""
-    rec = copy.deepcopy(small_run.segments[0])
+    rec = small_run.segments[0]
     assert rec.step >= 1.0
     i = rec.built.system.index["vx:2"]
-    rec.sol.pade_den[i] = 0.0
-    rec.sol.pade_den[i, :2] = [1.0, -2.0]  # 1 - 2 tau: 0 at tau = 0.5
+    den = rec.sol.pade_den.copy()  # a finished segment's rows are read-only
+    den[i] = 0.0
+    den[i, :2] = [1.0, -2.0]  # 1 - 2 tau: 0 at tau = 0.5
+    rec = dataclasses.replace(rec, sol=dataclasses.replace(rec.sol,
+                                                           pade_den=den))
     traj = Trajectory(small_run.case, segments=[rec])
     taus = np.array([0.25, 0.5, 0.5 + 1e-14, 0.75])
     chans = [("V", ("2",)), ("I", ("L12",)), ("V", ("1",))]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -353,3 +354,45 @@ def test_infeasible_start_fails_through_the_summary(tmp_path, capsys):
     assert failure.startswith("initialization at t=0.000000: "
                               "ALPHA_POWERFLOW stops at alpha=")
     assert capsys.readouterr().err == f"error: {failure}\n"
+
+
+@pytest.mark.parametrize("stop", ["STOP 15.0", ""])
+def test_conditional_stop_leaves_the_stop_time_to_timed_stops(tmp_path,
+                                                              capsys, stop):
+    from hesim.caseio import load_case
+    from hesim.cli import _add_run_flags, _config
+    from hesim.scheduler import RunConfig
+
+    text = _builtin_text("twobus").replace(
+        "STOP 15.0", 'EVENT cond "V(2) < 0.9" stop\n' + stop)
+    case_file = tmp_path / "twobus_stop.case"
+    case_file.write_text(text)
+    _, script = load_case(str(case_file))
+    parser = argparse.ArgumentParser()
+    _add_run_flags(parser)
+    args = parser.parse_args([str(case_file)])
+    assert _config(args, script).t_end == (15.0 if stop else RunConfig.t_end)
+    summ = tmp_path / "run.sum"
+    rc = run_cli(["simulate", str(case_file), "--mode", "qss",
+                  "--summary", str(summ)])
+    assert rc == 0
+    kv = dict(line.split("=", 1) for line in summ.read_text().splitlines())
+    assert 6.0 < float(kv["t_end"]) < 6.5 and kv["failure"] == ""
+    rc = run_cli(["compare", str(case_file), "--runs", "qss,qss"])
+    assert rc == 0 and "qss|qss,V:2,0.0," in capsys.readouterr().out
+
+
+def test_run_ending_before_its_first_segment(tmp_path, capsys):
+    text = _builtin_text("fourbus").replace("STOP 500.0",
+                                            "EVENT 0.0 stop\nSTOP 500.0")
+    case_file = tmp_path / "stop_at_zero.case"
+    case_file.write_text(text)
+    out = tmp_path / "traj.csv"
+    rc = run_cli(["simulate", str(case_file), "--t-end", "5",
+                  "--out", str(out)])
+    assert rc == 0 and not out.exists()  # an empty trajectory is not written
+    assert "segments_dynamic=0\n" in capsys.readouterr().out
+    rc = run_cli(["compare", str(case_file), "--t-end", "5"])
+    io = capsys.readouterr()
+    assert rc == 1 and io.out == ""
+    assert io.err == "error: hybrid: the run ends before its first segment\n"

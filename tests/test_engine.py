@@ -1,5 +1,6 @@
 """Embedding engine: order recursion, segments, alpha continuation."""
 
+import dataclasses
 import functools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import padded
 from hesim.engine import (
     _ANCHOR_TOL,
     SystemBuilder,
@@ -752,7 +754,7 @@ def test_alg_jacobian_matches_central_difference(name, mode, perturbed):
     assert np.max(np.abs(J - fd)) < 1e-9 * max(1.0, np.max(np.abs(J)))
 
 
-# --- the stacked evaluator against per-table Horner passes ----------------
+# --- the one evaluation table against per-part Horner passes ----------------
 
 
 def _horner_ref(c, t):
@@ -931,14 +933,25 @@ def test_residual_probes_match_reference_on_non_finite_rows():
     for t in (ts, 0.3):
         _check_against_reference(seg, t, seg.residual_max_at(t))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for row, table, k, bad in ((0, "pade_num", 3, np.nan),
-                                   (1, "pade_den", 2, np.inf),
-                                   (0, "pade_den", 0, 0.0),
-                                   (1, "pade_num", -1, -np.inf)):
-            getattr(seg, table)[row, k] = bad
+        for row, part, k, bad in ((0, "pade_num", 3, np.nan),
+                                  (1, "pade_den", 2, np.inf),
+                                  (0, "pade_den", 0, 0.0),
+                                  (1, "pade_num", -1, -np.inf)):
+            seg = _with_entry(seg, part, row, k, bad)
             for t in (ts, 0.3):
                 _check_against_reference(seg, t, seg.residual_max_at(t))
             assert np.all(seg.residual_max_at(ts) == np.inf)
         # a NaN known coefficient reaches every residual through the x row
-        seg.kcoeffs[0, 5] = np.nan
+        seg = _with_entry(seg, "kcoeffs", 0, 5, np.nan)
         _check_against_reference(seg, ts, seg.residual_max_at(ts))
+
+
+def _with_entry(seg, part, row, k, value):
+    """The segment rebuilt with one coefficient of a part changed at the
+    series width (a finished segment's rows are read-only); the rebuilt
+    part, trimmed to its used degree, keeps every nonzero entry."""
+    coeffs = padded(getattr(seg, part), 16)
+    coeffs[row, k] = value
+    seg = dataclasses.replace(seg, **{part: coeffs})
+    np.testing.assert_array_equal(padded(getattr(seg, part), 16), coeffs)
+    return seg

@@ -13,6 +13,7 @@ from conftest import (
     make_smib,
     make_twobus_case,
     monitored_names,
+    padded,
     twobus_ramp_thresholds,
 )
 from hesim import scheduler
@@ -463,6 +464,16 @@ def test_switch_events_revert_to_dynamic_first(fourbus_hybrid):
                 assert prev, f"event at {ev.t} did not revert first"
 
 
+def test_finished_records_are_read_only(fourbus_hybrid):
+    # evaluate reads one table built with the segment; a write into its
+    # rows or its series would leave that table stale
+    for rec in (fourbus_hybrid.segments[0], fourbus_hybrid.segments[-1]):
+        for rows in (rec.sol.pade_den, rec.sol.C, rec.sol.pade_num,
+                     rec.sol.kcoeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+
+
 def test_event_log_times_nondecreasing(fourbus_hybrid):
     ts = [e.t for e in fourbus_hybrid.events]
     assert all(b >= a - 1e-12 for a, b in zip(ts, ts[1:]))
@@ -694,8 +705,10 @@ def _one_table_verdict(built, seg, eps_t):
                                 + np.convolve(vy, vy))[: order + 1])
     d_num, d_den = batch_pade(np.array(derived), order // 2, order // 2)
     return steady_state_check(np.vstack([seg.C[plain], derived]),
-                              np.vstack([seg.pade_num[plain], d_num]),
-                              np.vstack([seg.pade_den[plain], d_den]),
+                              np.vstack([padded(seg.pade_num[plain],
+                                                d_num.shape[1]), d_num]),
+                              np.vstack([padded(seg.pade_den[plain],
+                                                d_den.shape[1]), d_den]),
                               seg.t_e, eps_t)
 
 
