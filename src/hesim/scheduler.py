@@ -54,7 +54,7 @@ log = logging.getLogger(__name__)
 @dataclass
 class RunConfig:
     mode: str = HYBRID            # hybrid | dynamic | qss
-    order: int = 15               # series order N (4..40)
+    order: int = 20               # series order N (4..40)
     eps_t: float = 1e-3           # steady-state threshold, per-unit/s
     tol_res: float = 1e-6         # residual certificate tolerance
     dt_out: float = 0.1

@@ -24,13 +24,14 @@ def _solve_stack(T: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve every system T[i] x = rhs[i] of a stack with one batched LU.
 
     An exactly singular system (as for the Toeplitz matrix of a polynomial)
-    is split off by halving the stack and takes the minimum-norm solution;
-    the others are solved exactly as if it were not in the stack.
+    is split off by halving the stack and takes the minimum-norm solution,
+    NaN and inf read as 0; the rest solve exactly as they would without it.
     """
     try:
         return np.linalg.solve(T, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(T) == 1:
+            T = np.where(np.isfinite(T), T, 0.0)
             return (np.linalg.pinv(T) @ rhs[..., None])[..., 0]
     half = len(T) // 2
     return np.concatenate([_solve_stack(T[:half], rhs[:half]),
@@ -88,15 +89,14 @@ def _pade_level(C: np.ndarray, L: int, m: int):
         h[:, 0] = 1.0
         for k in (1 << i for i in range((n - 1).bit_length())):
             hi = min(2 * k, n)
-            q = (dens[:, lag[k:hi, :k]] * h[:, None, :k]).sum(axis=-1)
-            h[:, k:hi] = -(h[:, lag[k:hi, k:hi]] * q[:, None, :]).sum(axis=-1)
+            q = dens[:, lag[k:hi, :k]] @ h[:, :k, None]
+            h[:, k:hi] = -(h[:, lag[k:hi, k:hi]] @ q)[..., 0]
         # rounding of each e_k (num_0 = c_0 exactly), then of h * e
         rho = (m + 2) * _EPS * np.abs(terms).sum(axis=1)
         rho[:, 0] = 0.0
         rho[:, L + 1:] += (n + 1) * _EPS * np.abs(e)
-        err = (np.abs(h)[:, lag] * rho[:, None, :]).sum(axis=-1)
-        err[:, L + 1:] += np.abs((h[:, lag[:m, :m]] * e[:, None, :])
-                                 .sum(axis=-1))
+        err = (np.abs(h)[:, lag] @ rho[..., None])[..., 0]
+        err[:, L + 1:] += np.abs(h[:, lag[:m, :m]] @ e[..., None])[..., 0]
         err = err.max(axis=1)
     ok = np.isfinite(err) & (err <= _PADE_TOL * scale)
     return nums, dens[:, : m + 1], ok | const

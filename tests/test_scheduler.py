@@ -1047,11 +1047,11 @@ def _handoff_run(monkeypatch, name, mode, t_end):
 
 
 def test_each_epoch_is_built_once_and_read_from_the_state_once(monkeypatch):
-    # fourbus hybrid 0-75 s: a mode entry seeds its epoch with the Built it
+    # fourbus hybrid 0-100 s: a mode entry seeds its epoch with the Built it
     # refined; each segment starts from the vector the last refine handed
     # over, so only an epoch no refine touched is read from the state
     traj, builds, reads, _, _ = _handoff_run(monkeypatch, "fourbus",
-                                             "hybrid", 75.0)
+                                             "hybrid", 100.0)
     switches = [e for e in traj.events if e.kind == "mode_switch"]
     assert len(switches) >= 4 and len(traj.segments) >= 40
     assert max(builds.values()) == 1 and max(reads.values()) == 1

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from hesim.engine import SystemBuilder, _horner
 from hesim.errors import NoValidRange
 from hesim.series import (
+    _PADE_TOL,
+    _level_indices,
+    _pade_level,
+    _solve_stack,
     batch_pade,
     bracketed_roots,
     shrink_refine_range,
@@ -442,6 +446,111 @@ def test_batch_pade_per_row_orders_match_per_row_calls(table, data):
         assert np.array_equal(nums[i], num[0])
         assert np.array_equal(dens[i, : m + 1], den[0])
         assert np.all(dens[i, m + 1:] == 0.0)
+
+
+# --- one Pade level against its broadcast-sum formula -------------------------------
+
+def _broadcast_sum_level(C, L, m):
+    """``_pade_level`` with its Toeplitz products written as a broadcast
+    multiply and a ``.sum(axis=-1)``, the formula the stacked ``@`` products
+    replaced: (nums, dens, accepted, err, scale)."""
+    rows, n = C.shape[0], L + m + 1
+    toep, band, lag = _level_indices(L, m)
+    size = np.abs(C)
+    scale = np.maximum(1.0, size.max(axis=1))
+    const = size[:, 1:].max(axis=1, initial=0.0) <= 1e-14 * scale
+    dens = np.zeros((rows, n + 2))
+    dens[:, 1] = 1.0
+    padded = np.zeros((rows, m + 1 + n))
+    padded[:, m + 1:] = C[:, :n]
+    with np.errstate(all="ignore"):
+        solve = ~const
+        dens[solve, 2: m + 2] = _solve_stack(padded[solve][:, toep],
+                                             -C[solve, L + 1: L + m + 1])
+        terms = padded[:, band] * dens[:, : m + 2, None]
+        nums = terms[:, :, : L + 1].sum(axis=1)
+        e = terms[:, :, L + 1:].sum(axis=1)
+        nums[const] = 0.0
+        nums[const, 0] = C[const, 0]
+        dens = dens[:, 1:]
+        h = np.zeros_like(dens)
+        h[:, 0] = 1.0
+        for k in (1 << i for i in range((n - 1).bit_length())):
+            hi = min(2 * k, n)
+            q = (dens[:, lag[k:hi, :k]] * h[:, None, :k]).sum(axis=-1)
+            h[:, k:hi] = -(h[:, lag[k:hi, k:hi]] * q[:, None, :]).sum(axis=-1)
+        rho = (m + 2) * EPS * np.abs(terms).sum(axis=1)
+        rho[:, 0] = 0.0
+        rho[:, L + 1:] += (n + 1) * EPS * np.abs(e)
+        err = (np.abs(h)[:, lag] * rho[:, None, :]).sum(axis=-1)
+        err[:, L + 1:] += np.abs((h[:, lag[:m, :m]] * e[:, None, :])
+                                 .sum(axis=-1))
+        err = err.max(axis=1)
+    ok = np.isfinite(err) & (err <= _PADE_TOL * scale)
+    return nums, dens[:, : m + 1], ok | const, err, scale
+
+
+_LEVEL_ROWS = st.sampled_from(["series", "const", "nan", "inf", "polynomial",
+                               "few_poles", "huge"])
+
+
+def _level_row(kind, rng, width):
+    """One coefficient row of the given kind, from the generator rng."""
+    k = np.arange(width)
+    a = 10.0 ** rng.uniform(-3, 3) * rng.choice([-1.0, 1.0])
+    if kind == "const":  # a tail at float noise, or exactly zero
+        return np.r_[a, abs(a) * 1e-15 * rng.uniform(-1, 1, width - 1)
+                     * rng.integers(0, 2)]
+    if kind in ("polynomial", "few_poles"):  # Toeplitz singular, or all but
+        degree = int(rng.integers(0, width))
+        c = np.where(k <= degree, a * rng.uniform(-1, 1, width), 0.0)
+        if kind == "few_poles":
+            poles = rng.uniform(-3, 3, int(rng.integers(1, 3)))
+            c += a * (poles[:, None] ** k).sum(axis=0)
+            c *= 1.0 + 1e-15 * rng.uniform(-1, 1, width)
+        return c
+    c = a * (10.0 ** rng.uniform(-1, 1)) ** k * rng.uniform(-1, 1, width)
+    if kind == "huge":
+        c *= 10.0 ** (rng.uniform(150, 250) * rng.integers(0, 2, width))
+    elif kind in ("nan", "inf"):
+        c[rng.integers(0, width)] = (math.nan if kind == "nan"
+                                     else rng.choice([-math.inf, math.inf]))
+    return c
+
+
+@st.composite
+def _level_orders(draw):
+    """(L, m) of one ladder level, L + m + 1 <= 41."""
+    n = draw(st.integers(2, 41))
+    m = draw(st.integers(1, n - 1))
+    return n - 1 - m, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_orders(), st.lists(_LEVEL_ROWS, min_size=1, max_size=60),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+# a Toeplitz system holding NaN: LU calls it singular, and its SVD did not
+# converge, so the min-norm fallback raised LinAlgError
+@example((11, 13), ["nan"], 0, 170)
+@example((18, 9), ["nan", "nan"], 1, 3980901)
+# a huge row of an earlier generator overflowed while it was drawn
+@example((12, 1), ["series"] * 3 + ["const"] + ["nan"] * 3 + ["inf"] * 3
+         + ["huge"] * 3, 2, 400)
+def test_pade_level_matches_broadcast_sum_formula(orders, kinds, extra, seed):
+    # the stacked products give the formula's nums and dens bit for bit, and
+    # its accept mask wherever its err is not within 8 ulp of the tolerance;
+    # a row holding a NaN is never accepted
+    L, m = orders
+    rng = np.random.default_rng(seed)
+    C = np.array([_level_row(kind, rng, L + m + 1 + extra) for kind in kinds])
+    nums, dens, ok = _pade_level(C, L, m)
+    ref_nums, ref_dens, ref_ok, err, scale = _broadcast_sum_level(C, L, m)
+    assert nums.tobytes() == ref_nums.tobytes()
+    assert dens.tobytes() == ref_dens.tobytes()
+    bound = _PADE_TOL * scale
+    far = ~(np.abs(err - bound) <= 8 * np.spacing(bound))
+    assert np.array_equal(ok[far], ref_ok[far])
+    assert not ok[np.isnan(C).any(axis=1)].any()
 
 
 # --- bracketed roots ----------------------------------------------------------------
