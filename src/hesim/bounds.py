@@ -28,7 +28,7 @@ def poly_bounds(coeffs, T: float):
     input gives two floats, a 2-D input (lower, upper) arrays, one entry
     per row.
     """
-    if T < 0:
+    if not T >= 0:
         raise ValueError("interval end must be nonnegative")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] == 0:
@@ -80,7 +80,7 @@ def steady_state_check(C, nums, dens, t_e: float, eps_t: float):
     """
     if len(C) == 0:
         raise EmptyVariableSet("no variables to check")
-    if t_e <= 0:
+    if not t_e > 0:
         raise ValueError("t_e must be positive")
     # one width for all three, with at least one zero column after den
     width = max(np.shape(C)[1], np.shape(nums)[1], np.shape(dens)[1] + 1)

@@ -341,8 +341,6 @@ def _horner(c: np.ndarray, t) -> np.ndarray:
 
 
 def _deriv_rows(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.shape[1] < 2:
-        return np.zeros_like(coeffs)
     return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
 
 
@@ -426,21 +424,20 @@ def min_real_positive_root(nums: np.ndarray, dens: np.ndarray, limit: float):
 
 @dataclass
 class SegmentSolution:
-    """One analytic segment: series + Pade per unknown, plus its range.
+    """One analytic segment: Pade per unknown, plus its range.
 
     Times inside the segment are local (0 at the segment anchor); the
     scheduler tracks the absolute start time.  Every value comes from
-    ``evaluate``, which reads ``table``, built once here and read-only as
-    ``C`` is: the Pade rows, the knowns and the state rows' derivative rows,
-    coefficient-major, without zero top coefficients (which leave Horner's
-    result unchanged bit for bit).  ``pade_num``, ``pade_den`` and
-    ``kcoeffs`` are views of it.  A denominator below 1e-12 in magnitude
-    reads NaN (a pole): the range certificate, the next anchor, trigger
-    localization and the sampled channels all read this one rule.
+    ``evaluate``, which reads ``table``, built once here and read-only: the
+    Pade rows, the knowns and the state rows' derivative rows, coefficient-
+    major, without zero top coefficients (which leave Horner's result
+    unchanged bit for bit).  ``pade_num``, ``pade_den`` and ``kcoeffs`` are
+    views of it; the segment keeps no series.  A denominator below 1e-12 in
+    magnitude reads NaN (a pole): the range certificate, the next anchor,
+    trigger localization and the sampled channels all read this one rule.
     """
 
     system: CompiledSystem
-    C: np.ndarray              # (nv, order+1) series coefficients
     kcoeffs: np.ndarray        # (nk, any width) known input coefficients
     pade_num: np.ndarray
     pade_den: np.ndarray
@@ -452,15 +449,14 @@ class SegmentSolution:
         st = self.system.state_slots
         parts = [self.pade_num, self.pade_den, self.kcoeffs, *(
             _deriv_rows(p[st]) for p in (self.pade_num, self.pade_den))]
-        self.bounds = bounds = np.cumsum([0] + [len(p) for p in parts])
+        self.bounds = bounds = np.cumsum([0] + [len(p) for p in parts]).tolist()
         table = np.zeros((max(p.shape[1] for p in parts), bounds[-1]))
         for p, at in zip(parts, bounds):
             table[: p.shape[1], at: at + len(p)] = p.T
         used = np.flatnonzero(table.any(axis=1))
         # copies: the padded buffers are freed
         self.table = table[: used[-1] + 1 if len(used) else 1].copy()
-        self.C = np.array(self.C, dtype=float)
-        self.table.flags.writeable = self.C.flags.writeable = False
+        self.table.flags.writeable = False
         self.pade_num, self.pade_den, self.kcoeffs, _ = (
             p.T for p in np.split(self.table, bounds[1:4], axis=1))
 
@@ -495,12 +491,14 @@ class SegmentSolution:
 
 def solve_segment(system: CompiledSystem, anchors: np.ndarray,
                   kcoeffs: np.ndarray, order: int, tol_res: float,
-                  t_max: float) -> SegmentSolution:
+                  t_max: float) -> tuple[SegmentSolution, np.ndarray]:
     """Solve an embedded segment and certify its effective range, at the
     series order and, where no range certifies (``NoValidRange``), once
     more ten orders higher.  A singular Jacobian or an inconsistent anchor
     is not retried: the anchor check, the anchor Jacobian and coefficients
-    0..order are the same at both orders.
+    0..order are the same at both orders.  Returns (segment, C), C the
+    series of the order that certified, noise tails zeroed, a view of
+    ``solve_series``'s buffer that the segment does not keep.
     """
     try:
         return _certified_segment(system, anchors, kcoeffs, order, tol_res,
@@ -512,8 +510,8 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
 
 def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
                        kcoeffs: np.ndarray, order: int, tol_res: float,
-                       t_max: float) -> SegmentSolution:
-    """One order's segment and its certified range.
+                       t_max: float) -> tuple[SegmentSolution, np.ndarray]:
+    """One order's (segment, series) and its certified range.
 
     Rows with a spurious real pole in (0, t_max] are refitted one
     denominator order lower, one ``batch_pade`` call per pass with an order
@@ -541,10 +539,10 @@ def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
     t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     if t_cap <= 0:
         raise NoValidRange("rational approximant has a pole at the anchor")
-    seg = SegmentSolution(system=system, C=C, kcoeffs=kcoeffs, pade_num=nums,
+    seg = SegmentSolution(system=system, kcoeffs=kcoeffs, pade_num=nums,
                           pade_den=dens, t_cap=t_cap, refit=refit)
     seg.t_e = shrink_refine_range(seg.residual_max_at, tol_res, t_cap)
-    return seg
+    return seg, C
 
 
 def _taylor_shift(c: np.ndarray, a: float) -> np.ndarray:
@@ -577,7 +575,7 @@ def solve_alpha_problem(system: CompiledSystem, anchors: np.ndarray,
         rest = 1.0 - a
         try:
             seg = solve_segment(system, anchors, _taylor_shift(kcoeffs, a),
-                                order, _ANCHOR_TOL, rest)
+                                order, _ANCHOR_TOL, rest)[0]
             step = seg.t_e
             if step < min(_MIN_STAGE * (a + step), rest):
                 raise NoValidRange(f"stage certified only {step:.3e}")

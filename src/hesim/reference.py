@@ -216,7 +216,7 @@ def integrate_reference(model: DaeModel, t_span, method: str, h: float = 0.01,
     ys = model.solve_alg(xs, t0, ys) if model.sys.n_alg else ys
 
     if method in ("modified-euler", "trapezoidal"):
-        if h <= 0:
+        if not h > 0:
             raise ValueError("fixed-step methods need h > 0")
         stepper = _step_heun if method == "modified-euler" else _step_trapezoidal
         n = int(round((t1 - t0) / h))

@@ -337,8 +337,8 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
 
 
 def steadiness_verdict(state: SystemState, built: Built, seg: SegmentSolution,
-                       eps_t: float) -> SteadyStateVerdict:
-    """Run the rate criteria on the monitored rows, in two stages.
+                       C: np.ndarray, eps_t: float) -> SteadyStateVerdict:
+    """Run the rate criteria on the monitored rows of (seg, C), in two stages.
 
     Monitored, over all islands (``Built.monitored``): machine speeds,
     internal potentials, AVR and governor states (rows as solved, with their
@@ -350,19 +350,19 @@ def steadiness_verdict(state: SystemState, built: Built, seg: SegmentSolution,
     """
     rows = built.monitored
     plain = rows.plain  # none when every machine sits at a source's bus
-    checks = [steady_state_check(seg.C[plain], seg.pade_num[plain],
+    checks = [steady_state_check(C[plain], seg.pade_num[plain],
                                  seg.pade_den[plain], seg.t_e, eps_t)
               ] if len(plain) else []
     derived_built = all(steady.all() for *_, steady in checks)
     if derived_built:
-        order = seg.C.shape[1] - 1
-        vx, vy = seg.C[rows.vx], seg.C[rows.vy]
+        order = C.shape[1] - 1
+        vx, vy = C[rows.vx], C[rows.vy]
         # V^2 = vx^2 + vy^2 truncated at the series order, all buses at once
         vsq = np.zeros_like(vx)
         for j in range(order + 1):
             vsq[:, j:] += (vx[:, j, None] * vx[:, : order + 1 - j]
                            + vy[:, j, None] * vy[:, : order + 1 - j])
-        derived = np.concatenate([seg.C[rows.angles] - seg.C[rows.refs], vsq])
+        derived = np.concatenate([C[rows.angles] - C[rows.refs], vsq])
         checks.append(steady_state_check(
             derived, *batch_pade(derived, *diagonal_orders(order)), seg.t_e,
             eps_t))
@@ -453,8 +453,9 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                 handoff = built, built.anchors(state)
             built, anchors = handoff
             # every known input is affine in t: two coefficients hold it all
-            seg = solve_segment(built.system, anchors, built.knowns(state, t),
-                                config.order, config.tol_res, min(gap, cap))
+            seg, C = solve_segment(built.system, anchors,
+                                   built.knowns(state, t), config.order,
+                                   config.tol_res, min(gap, cap))
             rec = SegmentRecord(t, seg.t_e, seg, built, limiter=(
                 "gap" if seg.t_e == gap else "residual" if seg.t_e < seg.t_cap
                 else "cap" if seg.t_cap >= min(gap, cap) else "pole"))
@@ -474,7 +475,7 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                            if i not in done]
             log.debug("segment at t=%.9g: %s, order %d, t_e %.6g, step %.6g, "
                       "limited by %s, %d record triggers fired, %d rows "
-                      "refitted", rec.t0, rec.mode, seg.C.shape[1] - 1,
+                      "refitted", rec.t0, rec.mode, C.shape[1] - 1,
                       seg.t_e, rec.step, rec.limiter,
                       len(done) - (hit is not None), seg.refit)
 
@@ -508,7 +509,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
                     and not any(EVENTS[ev.kind].switch for ev in timed
                                 if ev.t_due <= t + 1e-9)):
                 doing = "dyn->qss switch"
-                verdict = steadiness_verdict(state, built, seg, config.eps_t)
+                verdict = steadiness_verdict(state, built, seg, C,
+                                             config.eps_t)
                 if verdict.system_steady:
                     handoff = mode_switch(case, state, "dyn->qss")
                     traj.events.append(EventRecord(

@@ -67,7 +67,8 @@ def _pade_level(C: np.ndarray, L: int, m: int):
     toep, band, lag = _level_indices(L, m)
     size = np.abs(C)
     scale = np.maximum(1.0, size.max(axis=1))
-    const = size[:, 1:].max(axis=1, initial=0.0) <= 1e-14 * scale
+    finite = np.isfinite(scale)  # a row holding NaN or inf never passes
+    const = finite & (size[:, 1:].max(axis=1, initial=0.0) <= 1e-14 * scale)
     dens = np.zeros((rows, n + 2), dtype=C.dtype)  # [0, den, 0, ...]
     dens[:, 1] = 1.0
     padded = np.zeros((rows, m + 1 + n), dtype=C.dtype)
@@ -98,8 +99,7 @@ def _pade_level(C: np.ndarray, L: int, m: int):
         err = (np.abs(h)[:, lag] @ rho[..., None])[..., 0]
         err[:, L + 1:] += np.abs(h[:, lag[:m, :m]] @ e[..., None])[..., 0]
         err = err.max(axis=1)
-    ok = np.isfinite(err) & (err <= _PADE_TOL * scale)
-    return nums, dens[:, : m + 1], ok | const
+    return nums, dens[:, : m + 1], const | finite & (err <= _PADE_TOL * scale)
 
 
 def batch_pade(C, n_num: int, n_den):
@@ -207,9 +207,9 @@ def shrink_refine_range(residual_at, tol_res: float, t_max: float) -> float:
     and those of every larger range; the largest such range is returned.
     Raises NoValidRange when not even t_max * 2^-20 qualifies.
     """
-    if tol_res <= 0:
+    if not tol_res > 0:
         raise ValueError("tol_res must be positive")
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError("t_max must be positive")
     first_bad = np.inf
     for j0 in range(0, _LAST_RANGE + 1, _RANGES_PER_CALL):

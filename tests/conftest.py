@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hesim import scheduler
 from hesim.caseio import builtin_case
 from hesim.grid import (
     SOURCE,
@@ -83,9 +84,26 @@ def fourbus():
 
 
 @pytest.fixture(scope="session")
-def fourbus_hybrid(fourbus):
+def fourbus_hybrid_series():
+    """The series C of each segment of ``fourbus_hybrid``, by id(seg): a
+    finished segment does not keep it."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def fourbus_hybrid(fourbus, fourbus_hybrid_series):
     case, script = fourbus
-    return run_simulation(case, script, RunConfig(mode="hybrid", t_end=500.0))
+    solve = scheduler.solve_segment
+
+    def keeping(*args):
+        seg, C = solve(*args)
+        fourbus_hybrid_series[id(seg)] = C
+        return seg, C
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "solve_segment", keeping)
+        return run_simulation(case, script,
+                              RunConfig(mode="hybrid", t_end=500.0))
 
 
 @pytest.fixture(scope="session")

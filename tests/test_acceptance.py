@@ -152,7 +152,8 @@ def test_criterion_2_bound_soundness():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
+def test_criterion_3_rate_bounds_on_run(fourbus_hybrid,
+                                       fourbus_hybrid_series):
     polyval = np.polynomial.polynomial.polyval
     checked = 0
     violations = 0
@@ -160,27 +161,28 @@ def test_criterion_3_rate_bounds_on_run(fourbus_hybrid):
         if rec.mode != DYNAMIC:
             continue
         seg = rec.sol
+        series = fourbus_hybrid_series[id(seg)]
         built = rec.built
         t_e = seg.t_e
         ts = np.linspace(t_e / 100.0, t_e, 100)
-        order = seg.C.shape[1] - 1
+        order = series.shape[1] - 1
         half = order // 2
         idx = built.system.index
 
         plain, angles = monitored_names(built)
         rows = [idx[name] for name in plain]
-        derived = [seg.C[idx[name]] - seg.C[idx[ref]]
+        derived = [series[idx[name]] - series[idx[ref]]
                    for ref, names in angles.values() for name in names]
         for isl in built.islands:
             for bus in isl.buses:
                 if f"vx:{bus}" not in idx:
                     continue
-                vx = seg.C[idx[f"vx:{bus}"]]
-                vy = seg.C[idx[f"vy:{bus}"]]
+                vx = series[idx[f"vx:{bus}"]]
+                vy = series[idx[f"vy:{bus}"]]
                 derived.append(
                     (np.convolve(vx, vx) + np.convolve(vy, vy))[: order + 1])
         d_num, d_den = batch_pade(np.array(derived), half, half)
-        C = np.vstack([seg.C[rows], derived])
+        C = np.vstack([series[rows], derived])
         nums = np.vstack([padded(seg.pade_num[rows], d_num.shape[1]), d_num])
         dens = np.vstack([padded(seg.pade_den[rows], d_den.shape[1]), d_den])
         d_ps, d_pa, _ = steady_state_check(C, nums, dens, t_e, 1e-3)

@@ -1,6 +1,5 @@
 """Interval-Horner bounds and steady-state rate criteria."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import monitored_names
+from conftest import make_smib, monitored_names
 from hesim.bounds import (
     SteadyStateVerdict,
     poly_bounds,
@@ -19,8 +18,9 @@ from hesim.bounds import (
 from hesim.engine import solve_segment
 from hesim.errors import EmptyVariableSet
 from hesim.model import build_system, init_equilibrium
+from hesim.reference import DaeModel, integrate_reference
 from hesim.scheduler import steadiness_verdict
-from hesim.series import batch_pade
+from hesim.series import batch_pade, shrink_refine_range
 
 RNG = np.random.default_rng(11)
 POLYVAL = np.polynomial.polynomial.polyval
@@ -133,6 +133,30 @@ def test_bounds_sound_property(coeffs, T):
 def test_negative_interval_rejected():
     with pytest.raises(ValueError):
         poly_bounds([1.0], -1.0)
+
+
+def _smib_reference(h):
+    case = make_smib()
+    st_ = init_equilibrium(case)
+    model = DaeModel(build_system(case, st_), st_)
+    return integrate_reference(model, (0.0, 1.0), "trapezoidal", h=h)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: poly_bounds([1.0, 2.0], math.nan), "nonnegative"),
+    (lambda: check([[1.0, 0.0]], [[1.0, 0.0]], [[1.0]], math.nan),
+     "t_e must be positive"),
+    (lambda: shrink_refine_range(np.zeros_like, math.nan, 1.0),
+     "tol_res must be positive"),
+    (lambda: shrink_refine_range(np.zeros_like, 1e-6, math.nan),
+     "t_max must be positive"),
+    (lambda: _smib_reference(math.nan), "h > 0")],
+    ids=["poly_bounds", "steady_state_check", "shrink_refine_range_tol_res",
+         "shrink_refine_range_t_max", "integrate_reference"])
+def test_positivity_guards_reject_nan(call, message):
+    # a NaN argument fails the guard instead of passing every comparison
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_row_table_matches_per_row_calls():
@@ -304,17 +328,16 @@ def test_reference_angle_invariance(fourbus):
     case, _ = fourbus
     st_ = init_equilibrium(case)
     built = build_system(case, st_)
-    seg = solve_segment(built.system, built.anchors(st_),
-                        built.knowns(st_, st_.t), 15, 1e-8, 0.2)
+    seg, C = solve_segment(built.system, built.anchors(st_),
+                           built.knowns(st_, st_.t), 15, 1e-8, 0.2)
     _, angles = monitored_names(built)
     rows = [built.system.index[n] for _, names in angles.values()
             for n in names]
     assert len(rows) > 1
-    C = seg.C.copy()
-    C[rows, 1] += 7.0
-    plain = steadiness_verdict(st_, built, seg, 1e-3)
-    shifted = steadiness_verdict(st_, built, dataclasses.replace(seg, C=C),
-                                 1e-3)
+    drifting = C.copy()
+    drifting[rows, 1] += 7.0
+    plain = steadiness_verdict(st_, built, seg, C, 1e-3)
+    shifted = steadiness_verdict(st_, built, seg, drifting, 1e-3)
     assert plain.names == shifted.names
     assert list(plain.steady) == list(shifted.steady)
     assert plain.system_steady == shifted.system_steady

@@ -134,8 +134,8 @@ def test_segment_effective_range_and_eval():
     x = b.state("x")
     b.rhs_term(x, 1.0, x, x)
     sys = b.compile()
-    seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=15,
-                        tol_res=1e-6, t_max=2.0)
+    seg, _ = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=15,
+                           tol_res=1e-6, t_max=2.0)
     assert seg.t_e < 1.0
     t = 0.4
     x_at = seg.values_at(t)[sys.index["x"]]
@@ -148,10 +148,10 @@ def test_segment_flat_at_equilibrium():
     b.rhs_term(x, -1.0, x)
     b.rhs_term(x, 1.0)  # x' = 1 - x, equilibrium at 1
     sys = b.compile()
-    seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=10,
-                        tol_res=1e-8, t_max=5.0)
+    seg, C = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=10,
+                           tol_res=1e-8, t_max=5.0)
     assert seg.t_e == 5.0
-    assert np.allclose(seg.C[0][1:], 0.0, atol=1e-14)
+    assert np.allclose(C[0][1:], 0.0, atol=1e-14)
 
 
 def test_newton_refine_polishes_algebraic():
@@ -211,10 +211,10 @@ def test_alpha_chain_of_creeping_stages_stops_at_its_cap(monkeypatch):
     solve = engine.solve_segment
 
     def creeping(*args):
-        seg = solve(*args)
+        seg, C = solve(*args)
         stages.append(seg)
         seg.t_e = min(seg.t_e, max(1e-3, (1.0 - args[-1]) / 200))
-        return seg
+        return seg, C
 
     monkeypatch.setattr(engine, "solve_segment", creeping)
     with pytest.raises(NoConvergenceAtAlpha1,
@@ -256,8 +256,9 @@ def test_alpha_chain_reaches_the_root_with_certified_stages(c):
     solve = engine.solve_segment
 
     def recording(*args):
-        stages.append(solve(*args))
-        return stages[-1]
+        seg, C = solve(*args)
+        stages.append(seg)
+        return seg, C
 
     for system, anchors, root in _alpha_systems(c):
         stages.clear()
@@ -310,13 +311,13 @@ def test_segment_chaining_state_is_exact():
     x = b.state("x")
     b.rhs_term(x, -0.7, x)
     sys = b.compile()
-    seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 15,
-                        1e-8, 1.0)
+    seg, _ = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 15,
+                           1e-8, 1.0)
     step = 0.8 * seg.t_e
     x1 = seg.values_at(step)[0]
-    seg2 = solve_segment(sys, np.array([x1]), np.zeros((0, 0)), 15,
-                         1e-8, 1.0)
-    assert seg2.C[0, 0] == x1
+    seg2, C2 = solve_segment(sys, np.array([x1]), np.zeros((0, 0)), 15,
+                             1e-8, 1.0)
+    assert C2[0, 0] == x1
     assert seg2.values_at(0.0)[sys.index["x"]] == pytest.approx(x1, abs=1e-15)
 
 
@@ -326,8 +327,8 @@ def test_he_problem_wrapper():
     x = b.state("x")
     b.rhs_term(x, -2.0, x)
     sys = b.compile()
-    seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=12,
-                        tol_res=1e-8, t_max=3.0)
+    seg, _ = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), order=12,
+                           tol_res=1e-8, t_max=3.0)
     x_at = seg.values_at(1.0)[sys.index["x"]]
     assert x_at == pytest.approx(math.exp(-2.0), abs=1e-9)
 
@@ -340,8 +341,8 @@ def test_he_problem_wrapper():
     b2.term(eq, -1.0)
     b2.term(eq, -1.0, al)
     sys2 = b2.compile()
-    seg2 = solve_segment(sys2, np.array([1.0]), np.array([[0.0, 1.0]]),
-                         order=10, tol_res=1e-6, t_max=1.0)
+    seg2, _ = solve_segment(sys2, np.array([1.0]), np.array([[0.0, 1.0]]),
+                            order=10, tol_res=1e-6, t_max=1.0)
     assert seg2.t_e == 1.0
     y_at = seg2.values_at(1.0)[sys2.index["y"]]
     assert y_at == pytest.approx(2.0, abs=1e-12)
@@ -592,7 +593,7 @@ def test_spurious_pole_is_refitted_and_does_not_cap_the_range():
     nums, dens = batch_pade(sys.solve_series(anchors, kc, order)[:1], 7, 7)
     poles, spurious = min_real_positive_root(nums, dens, 1.0)
     assert spurious.tolist() == [True] and poles.tolist() == [np.inf]
-    seg = solve_segment(sys, anchors, kc, order, 1e-6, 1.0)
+    seg, _ = solve_segment(sys, anchors, kc, order, 1e-6, 1.0)
     assert seg.refit == 1
     roots = np.polynomial.polynomial.polyroots(np.trim_zeros(seg.pade_den[0],
                                                              "b"))
@@ -625,7 +626,7 @@ def test_nan_probe_fails_its_range(monkeypatch):
             return res
         monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
         return solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
-                             1e-8, 2.0).t_e
+                             1e-8, 2.0)[0].t_e
 
     assert solve_with_nan(lambda call: []) == 2.0
     # the first range's end point: the next range of the ladder
@@ -664,7 +665,7 @@ def test_range_below_failing_probes_of_every_call(monkeypatch):
 
     monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
     t_e = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10,
-                        1e-8, 1.0).t_e
+                        1e-8, 1.0)[0].t_e
     assert t_e == 2.0 ** (-31 / 8) and t_e < min(failed)
 
 
@@ -682,21 +683,6 @@ def test_solve_segment_retries_ten_orders_higher_only_on_no_valid_range(
     b.rhs_term(x, 1.0)
     sys = b.compile()
     probe = SegmentSolution.residual_max_at
-    orders = []
-
-    def patched(seg, t):
-        orders.append(seg.C.shape[1] - 1)
-        return probe(seg, t) + (1.0 if orders[-1] == 10 else 0.0)
-
-    monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
-    seg = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10, 1e-8, 2.0)
-    assert (seg.C.shape[1] - 1, seg.t_e) == (20, 2.0)
-    assert sorted(set(orders)) == [10, 20]
-
-    b = SystemBuilder()
-    y = b.alg("y")
-    b.term(b.alg_eq("square"), 1.0, y, y)  # y^2 = 0: zero Jacobian at 0
-    singular = b.compile()
     series = CompiledSystem.solve_series
     solved = []
 
@@ -704,7 +690,21 @@ def test_solve_segment_retries_ten_orders_higher_only_on_no_valid_range(
         solved.append(order)
         return series(system, anchors, kcoeffs, order)
 
+    def patched(seg, t):
+        return probe(seg, t) + (1.0 if solved[-1] == 10 else 0.0)
+
     monkeypatch.setattr(CompiledSystem, "solve_series", counted)
+    monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
+    seg, C = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10, 1e-8,
+                           2.0)
+    assert (C.shape[1] - 1, seg.t_e) == (20, 2.0)
+    assert solved == [10, 20]
+
+    b = SystemBuilder()
+    y = b.alg("y")
+    b.term(b.alg_eq("square"), 1.0, y, y)  # y^2 = 0: zero Jacobian at 0
+    singular = b.compile()
+    solved.clear()
     with pytest.raises(SingularJacobian):
         solve_segment(singular, np.array([0.0]), np.zeros((0, 0)), 10, 1e-8,
                       1.0)
@@ -910,9 +910,9 @@ def test_range_certificate_holds_densely_at_ne39_worst_anchor():
     t_max = min([MAX_STEP_DYN] + [e.t_due - t0 for e in script
                                   if e.t_due and e.t_due > t0])
     built = build_system(case, state)
-    seg = solve_segment(built.system, built.anchors(state),
-                        built.knowns(state, t0), config.order, config.tol_res,
-                        t_max)
+    seg, _ = solve_segment(built.system, built.anchors(state),
+                           built.knowns(state, t0), config.order,
+                           config.tol_res, t_max)
     assert _dense_residual(seg, min(seg.t_e, t_max)) <= config.tol_res
 
 
@@ -929,7 +929,7 @@ def test_residual_probes_match_reference_on_non_finite_rows():
     sys = b.compile()
     kc = np.zeros((1, 16))
     kc[0, :2] = [0.1, 0.3]
-    seg = solve_segment(sys, np.array([1.0, 2.0]), kc, 15, 1e-8, 1.0)
+    seg, _ = solve_segment(sys, np.array([1.0, 2.0]), kc, 15, 1e-8, 1.0)
     ts = np.linspace(0.0, 1.0, 9)
     for t in (ts, 0.3):
         _check_against_reference(seg, t, seg.residual_max_at(t))

@@ -214,8 +214,8 @@ def test_equilibrium_holds_over_ten_seconds(fourbus):
     case, _ = fourbus
     st = init_equilibrium(case)
     built = build_system(case, st)
-    seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, 0.0), 15, 1e-8, 10.0)
+    seg, _ = solve_segment(built.system, built.anchors(st),
+                           built.knowns(st, 0.0), 15, 1e-8, 10.0)
     assert seg.t_e == 10.0
     v0 = seg.values_at(0.0)
     v10 = seg.values_at(10.0)
@@ -229,13 +229,13 @@ def test_residual_central_difference_matches_rhs():
     st.mach["G1"].delta += 0.05
     built = build_system(case, st)
     refine_state(built, st)
-    seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, 0.0), 15, 1e-9, 1.0)
+    seg, C = solve_segment(built.system, built.anchors(st),
+                           built.knowns(st, 0.0), 15, 1e-9, 1.0)
     sysm = built.system
     t0 = 0.2
     errs = []
     def series_at(t):  # the truncated series, not its Pade
-        return np.polynomial.polynomial.polyval(t, seg.C.T)
+        return np.polynomial.polynomial.polyval(t, C.T)
 
     for h in (0.02, 0.01):
         xm = series_at(t0 - h)

@@ -466,12 +466,21 @@ def test_switch_events_revert_to_dynamic_first(fourbus_hybrid):
 
 def test_finished_records_are_read_only(fourbus_hybrid):
     # evaluate reads one table built with the segment; a write into its
-    # rows or its series would leave that table stale
+    # rows would leave that table stale
     for rec in (fourbus_hybrid.segments[0], fourbus_hybrid.segments[-1]):
-        for rows in (rec.sol.pade_den, rec.sol.C, rec.sol.pade_num,
-                     rec.sol.kcoeffs):
+        for rows in (rec.sol.pade_den, rec.sol.pade_num, rec.sol.kcoeffs):
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1.0
+
+
+def test_finished_records_hold_only_their_table(fourbus_hybrid):
+    # the series goes to the verdict and no further: every array a finished
+    # segment keeps is its evaluation table or a view of it
+    for rec in fourbus_hybrid.segments:
+        arrays = [v for v in vars(rec.sol).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) == 4
+        assert all(np.shares_memory(a, rec.sol.table) for a in arrays)
 
 
 def test_event_log_times_nondecreasing(fourbus_hybrid):
@@ -490,10 +499,11 @@ def test_qss_fraction_and_fidelity(fourbus_hybrid, fourbus_dynamic):
 # --- mode switch state mapping -----------------------------------------------------
 
 def _equilibrium_segment(case, st):
+    """(built, segment, its series) of one segment from st."""
     built = build_system(case, st)
-    seg = solve_segment(built.system, built.anchors(st),
-                        built.knowns(st, st.t), 15, 1e-8, 1.0)
-    return built, seg
+    seg, C = solve_segment(built.system, built.anchors(st),
+                           built.knowns(st, st.t), 15, 1e-8, 1.0)
+    return built, seg, C
 
 
 def _equilibrium_verdict(case, st):
@@ -562,24 +572,25 @@ def test_each_record_keeps_the_limiter_its_debug_line_names(fourbus,
     assert set(counts) == {DYNAMIC, QSS} and len(counts[DYNAMIC]) > 1
 
 
-def _failing_speed_segment(steady_seg, built):
-    """The segment with one speed row out of the verdict: PS reads 0.5, and
-    its denominator 1 - 2t/t_e turns negative, so PA is undefined."""
+def _failing_speed_segment(steady_seg, C, built):
+    """(segment, series) with one speed row out of the verdict: PS reads
+    0.5, and its denominator 1 - 2t/t_e turns negative, so PA is
+    undefined."""
     i = built.system.index["omega:G1"]
-    C = steady_seg.C.copy()
+    C = C.copy()
     C[i, 1:] = 0.0
     C[i, 1] = 0.5
     den = steady_seg.pade_den.copy()
     den[i, 1:] = 0.0
     den[i, 1] = -2.0 / steady_seg.t_e
-    return dataclasses.replace(steady_seg, C=C, pade_den=den)
+    return dataclasses.replace(steady_seg, pade_den=den), C
 
 
-def _drifting(seg, row):
-    """The segment with one row's series drifting at 0.5 per second."""
-    C = seg.C.copy()
+def _drifting(C, row):
+    """The series with one row drifting at 0.5 per second."""
+    C = C.copy()
     C[row, 1] += 0.5
-    return dataclasses.replace(seg, C=C)
+    return C
 
 
 def _non_reference_angle(built):
@@ -594,16 +605,18 @@ def test_failing_verdict_logs_one_debug_line(fourbus, caplog):
     case, _ = fourbus
     st = init_equilibrium(case)
     st.t = 12.5
-    built, steady_seg = _equilibrium_segment(case, st)
-    seg = _failing_speed_segment(steady_seg, built)
+    built, steady_seg, steady_C = _equilibrium_segment(case, st)
+    seg, C = _failing_speed_segment(steady_seg, steady_C, built)
     with caplog.at_level(logging.INFO, logger="hesim.scheduler"):
-        assert not steadiness_verdict(st, built, seg, 1e-3).system_steady
+        assert not steadiness_verdict(st, built, seg, C, 1e-3).system_steady
     assert not caplog.records
     row, angle = _non_reference_angle(built)
     with caplog.at_level(logging.DEBUG, logger="hesim.scheduler"):
-        assert steadiness_verdict(st, built, steady_seg, 1e-3).system_steady
-        verdict = steadiness_verdict(st, built, seg, 1e-3)
-        full = steadiness_verdict(st, built, _drifting(steady_seg, row), 1e-3)
+        assert steadiness_verdict(st, built, steady_seg, steady_C,
+                                  1e-3).system_steady
+        verdict = steadiness_verdict(st, built, seg, C, 1e-3)
+        full = steadiness_verdict(st, built, steady_seg,
+                                  _drifting(steady_C, row), 1e-3)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "hesim.scheduler"]
     # a plain row decides at stage 1; a relative angle only at stage 2
@@ -621,13 +634,13 @@ def test_derived_rows_decide_when_every_plain_row_is_steady(fourbus):
     # separately, one bus voltage's V^2) drifts; neither is a plain row
     case, _ = fourbus
     st = init_equilibrium(case)
-    built, steady_seg = _equilibrium_segment(case, st)
+    built, steady_seg, steady_C = _equilibrium_segment(case, st)
     rows = built.monitored
     n_plain, n_angles = len(rows.plain), len(rows.angles)
     for row, name in (_non_reference_angle(built),
                       (rows.vx[0], rows.names[n_plain + n_angles])):
-        verdict = steadiness_verdict(st, built, _drifting(steady_seg, row),
-                                     1e-3)
+        verdict = steadiness_verdict(st, built, steady_seg,
+                                     _drifting(steady_C, row), 1e-3)
         assert verdict.steady[:n_plain].all()
         assert not verdict.system_steady
         assert verdict.names == rows.names
@@ -671,7 +684,7 @@ def test_no_switch_to_qss_where_a_timed_switch_is_due():
 def test_failing_plain_row_builds_no_derived_rows(fourbus, monkeypatch):
     case, _ = fourbus
     st = init_equilibrium(case)
-    built, steady_seg = _equilibrium_segment(case, st)
+    built, steady_seg, steady_C = _equilibrium_segment(case, st)
     calls = []
 
     def counted(*args):
@@ -679,32 +692,33 @@ def test_failing_plain_row_builds_no_derived_rows(fourbus, monkeypatch):
         return batch_pade(*args)
 
     monkeypatch.setattr(scheduler, "batch_pade", counted)
-    seg = _failing_speed_segment(steady_seg, built)
-    assert not steadiness_verdict(st, built, seg, 1e-3).system_steady
+    seg, C = _failing_speed_segment(steady_seg, steady_C, built)
+    assert not steadiness_verdict(st, built, seg, C, 1e-3).system_steady
     assert calls == []
-    assert steadiness_verdict(st, built, steady_seg, 1e-3).system_steady
+    assert steadiness_verdict(st, built, steady_seg, steady_C,
+                              1e-3).system_steady
     assert len(calls) == 1
 
 
-def _one_table_verdict(built, seg, eps_t):
+def _one_table_verdict(built, seg, C, eps_t):
     """The verdict as one table: every monitored row, the derived rows (angles
     relative to their island's reference, V^2) Pade'd in one call."""
     idx = built.system.index
-    order = seg.C.shape[1] - 1
+    order = C.shape[1] - 1
     names, angles = monitored_names(built)
     plain = [idx[n] for n in names]
     # the reference against itself is zero
-    derived = [seg.C[idx[name]] - seg.C[idx[ref]]
+    derived = [C[idx[name]] - C[idx[ref]]
                for ref, isl_angles in angles.values()
                for name in isl_angles if name != ref]
     for isl in built.islands:
         for b in isl.buses:
             if f"vx:{b}" in idx:
-                vx, vy = seg.C[idx[f"vx:{b}"]], seg.C[idx[f"vy:{b}"]]
+                vx, vy = C[idx[f"vx:{b}"]], C[idx[f"vy:{b}"]]
                 derived.append((np.convolve(vx, vx)
                                 + np.convolve(vy, vy))[: order + 1])
     d_num, d_den = batch_pade(np.array(derived), order // 2, order // 2)
-    return steady_state_check(np.vstack([seg.C[plain], derived]),
+    return steady_state_check(np.vstack([C[plain], derived]),
                               np.vstack([padded(seg.pade_num[plain],
                                                 d_num.shape[1]), d_num]),
                               np.vstack([padded(seg.pade_den[plain],
@@ -718,17 +732,17 @@ def test_two_stage_verdict_matches_one_table_reference(fourbus, monkeypatch):
     case, script = fourbus
     seen = []
 
-    def verdict(state, built, seg, eps_t):
-        out = steadiness_verdict(state, built, seg, eps_t)
-        seen.append((built, seg, eps_t, out))
+    def verdict(state, built, seg, C, eps_t):
+        out = steadiness_verdict(state, built, seg, C, eps_t)
+        seen.append((built, seg, C, eps_t, out))
         return out
 
     monkeypatch.setattr(scheduler, "steadiness_verdict", verdict)
     run_simulation(case, script, RunConfig(mode="hybrid", t_end=40.0))
     outcomes = [out.system_steady for *_, out in seen]
     assert outcomes.count(True) >= 2 and outcomes.count(False) >= 10
-    for built, seg, eps_t, out in seen:
-        delta_ps, delta_pa, steady = _one_table_verdict(built, seg, eps_t)
+    for built, seg, C, eps_t, out in seen:
+        delta_ps, delta_pa, steady = _one_table_verdict(built, seg, C, eps_t)
         assert out.system_steady == bool(steady.all())
         # the plain rows bit for bit; the derived rows' V^2 is summed in
         # another order here

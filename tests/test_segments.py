@@ -108,9 +108,8 @@ def test_alpha_path_continuity_and_order_independence(fourbus):
     C = built.system.solve_series(anchors, kc, order)
     L, M = diagonal_orders(order)
     nums, dens = batch_pade(C[: built.system.nv], L, M)
-    seg = SegmentSolution(system=built.system,
-                          C=C[: built.system.nv], kcoeffs=kc,
-                          pade_num=nums, pade_den=dens)
+    seg = SegmentSolution(system=built.system, kcoeffs=kc, pade_num=nums,
+                          pade_den=dens)
     grid = np.linspace(0, 1, 41)
     path = np.array([seg.values_at(a) for a in grid])
     jumps = np.max(np.abs(np.diff(path, axis=0)))

@@ -458,7 +458,8 @@ def _broadcast_sum_level(C, L, m):
     toep, band, lag = _level_indices(L, m)
     size = np.abs(C)
     scale = np.maximum(1.0, size.max(axis=1))
-    const = size[:, 1:].max(axis=1, initial=0.0) <= 1e-14 * scale
+    finite = np.isfinite(scale)
+    const = finite & (size[:, 1:].max(axis=1, initial=0.0) <= 1e-14 * scale)
     dens = np.zeros((rows, n + 2))
     dens[:, 1] = 1.0
     padded = np.zeros((rows, m + 1 + n))
@@ -486,7 +487,7 @@ def _broadcast_sum_level(C, L, m):
         err[:, L + 1:] += np.abs((h[:, lag[:m, :m]] * e[:, None, :])
                                  .sum(axis=-1))
         err = err.max(axis=1)
-    ok = np.isfinite(err) & (err <= _PADE_TOL * scale)
+    ok = finite & (err <= _PADE_TOL * scale)
     return nums, dens[:, : m + 1], ok | const, err, scale
 
 
@@ -539,7 +540,7 @@ def _level_orders(draw):
 def test_pade_level_matches_broadcast_sum_formula(orders, kinds, extra, seed):
     # the stacked products give the formula's nums and dens bit for bit, and
     # its accept mask wherever its err is not within 8 ulp of the tolerance;
-    # a row holding a NaN is never accepted
+    # a row holding a NaN or an inf is never accepted
     L, m = orders
     rng = np.random.default_rng(seed)
     C = np.array([_level_row(kind, rng, L + m + 1 + extra) for kind in kinds])
@@ -550,7 +551,7 @@ def test_pade_level_matches_broadcast_sum_formula(orders, kinds, extra, seed):
     bound = _PADE_TOL * scale
     far = ~(np.abs(err - bound) <= 8 * np.spacing(bound))
     assert np.array_equal(ok[far], ref_ok[far])
-    assert not ok[np.isnan(C).any(axis=1)].any()
+    assert not ok[~np.isfinite(C).all(axis=1)].any()
 
 
 # --- bracketed roots ----------------------------------------------------------------

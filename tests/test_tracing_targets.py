@@ -172,8 +172,8 @@ def test_segments_screen_poles_through_the_engine_global(monkeypatch):
     b = engine.SystemBuilder()
     x = b.state("x")
     b.rhs_term(x, -1.0, x)
-    seg = engine.solve_segment(b.compile(), np.array([1.0]),
-                               np.zeros((0, 16)), 15, 1e-6, 1.0)
+    seg, _ = engine.solve_segment(b.compile(), np.array([1.0]),
+                                  np.zeros((0, 16)), 15, 1e-6, 1.0)
     assert len(calls) == 1 and seg.t_e > 0.0
     b = engine.SystemBuilder()
     y, alpha = b.alg("y"), b.known("alpha")

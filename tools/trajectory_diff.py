@@ -16,8 +16,12 @@ For each run it prints ``identical`` when the trajectory file, the summary
 without ``wall_time_s``, the exit code and the compare output match byte
 for byte; else the largest |difference| of each trajectory column that
 differs (inf where only one side is NaN), the shift of each mode-switch
-time and the lines that differ.
-The exit code is 0 when every run is identical, else 1.
+time and the lines that differ.  Below that it prints the run's peak
+memory in both trees: ``VmHWM`` that the child reads from its own
+``/proc/self/status`` once ``main`` returns (``?`` where it raised).  An
+exec starts ``VmHWM`` afresh, whereas a forked child's ``ru_maxrss`` keeps
+the runner's peak.  The peak is reported only: it is no part of the
+verdict.  The exit code is 0 when every run is identical, else 1.
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-MAIN = "import sys; from hesim.cli import main; sys.exit(main(sys.argv[1:]))"
+MAIN = """\
+import sys
+from hesim.cli import main
+rc = main(sys.argv[1:])
+with open("/proc/self/status") as status, open("vmhwm_kb", "w") as out:
+    out.write(next(line.split()[1] for line in status
+                   if line.startswith("VmHWM:")))
+sys.exit(rc)
+"""
 
 NORTH_STAR = [("builtin:twobus", "qss", "15.4")] + [
     ("builtin:fourbus", mode, "500") for mode in ("hybrid", "dynamic", "qss")
@@ -62,14 +74,17 @@ def runs(new_tree: Path, workdir: Path) -> list:
 
 
 def run_in(tree: Path, argv: list, files: bool, workdir: Path) -> dict:
-    """Exit code, stdout, and (with files) the trajectory and summary."""
+    """Exit code, stdout, peak memory in kB (None where the child wrote
+    none), and (with files) the trajectory and summary."""
     traj, summ = workdir / "traj.csv", workdir / "run.sum"
     extra = ["--out", str(traj), "--summary", str(summ)] if files else []
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), HESIM_LOG="warning")
     proc = subprocess.run([sys.executable, "-c", MAIN, *argv, *extra],
                           cwd=workdir, env=env, capture_output=True,
                           text=True)
-    out = {"rc": proc.returncode, "stderr": proc.stderr}
+    peak = workdir / "vmhwm_kb"
+    out = {"rc": proc.returncode, "stderr": proc.stderr,
+           "peak": int(peak.read_text()) if peak.exists() else None}
     if files:
         out["trajectory"] = traj.read_text() if traj.exists() else ""
         out["summary"] = "".join(
@@ -137,6 +152,14 @@ def text_deltas(what: str, old: str, new: str) -> list:
     return diff
 
 
+def peak_text(old, new) -> str:
+    """'old -> new kB (change MiB)' of two peaks, '?' for a missing one."""
+    text = " -> ".join("?" if kb is None else f"{kb:,}" for kb in (old, new))
+    if old is None or new is None:
+        return text + " kB"
+    return f"{text} kB ({(new - old) / 1024:+.2f} MiB)"
+
+
 def main(argv: list) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -170,6 +193,8 @@ def main(argv: list) -> int:
             same = same and not lines
             print(f"{label}: " + ("identical" if not lines
                                   else "\n    ".join(["differs"] + lines)),
+                  flush=True)
+            print(f"    VmHWM {peak_text(old['peak'], new['peak'])}",
                   flush=True)
     return 0 if same else 1
 
