@@ -200,10 +200,9 @@ def cmd_compare(args) -> int:
     lines = []
     for mode in runs[1:]:
         diffs = np.abs(vals[base] - vals[mode])
-        for (chan, cargs), d in zip(chans, diffs):
-            name = chan if not cargs else f"{chan}:{','.join(cargs)}"
-            lines.append((f"{base}|{mode}", name, float(np.max(d)),
-                          float(np.mean(d))))
+        for chan, d in zip(chans, diffs):
+            lines.append((f"{base}|{mode}", caseio._chan_name(*chan),
+                          float(np.max(d)), float(np.mean(d))))
     print(f"# compare {args.case}: baseline={base}, dt={args.dt_out}")
     print("pair,channel,max_abs_diff,mean_abs_diff")
     for pair, name, mx, mn in lines:

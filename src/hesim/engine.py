@@ -303,7 +303,7 @@ class CompiledSystem:
         C = self._table(anchors, kcoeffs, order)
         if self.n_alg:
             res0 = self._coeff_of("alg", C, 0, self.n_alg)
-            if np.max(np.abs(res0)) > _ANCHOR_TOL:
+            if not np.max(np.abs(res0)) <= _ANCHOR_TOL:
                 worst = int(np.argmax(np.abs(res0)))
                 raise AnchorInconsistent(
                     f"anchor residual {np.max(np.abs(res0)):.3e} "
@@ -492,31 +492,16 @@ class SegmentSolution:
 def solve_segment(system: CompiledSystem, anchors: np.ndarray,
                   kcoeffs: np.ndarray, order: int, tol_res: float,
                   t_max: float) -> tuple[SegmentSolution, np.ndarray]:
-    """Solve an embedded segment and certify its effective range, at the
-    series order and, where no range certifies (``NoValidRange``), once
-    more ten orders higher.  A singular Jacobian or an inconsistent anchor
-    is not retried: the anchor check, the anchor Jacobian and coefficients
-    0..order are the same at both orders.  Returns (segment, C), C the
-    series of the order that certified, noise tails zeroed, a view of
-    ``solve_series``'s buffer that the segment does not keep.
-    """
-    try:
-        return _certified_segment(system, anchors, kcoeffs, order, tol_res,
-                                  t_max)
-    except NoValidRange:
-        return _certified_segment(system, anchors, kcoeffs, order + 10,
-                                  tol_res, t_max)
-
-
-def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
-                       kcoeffs: np.ndarray, order: int, tol_res: float,
-                       t_max: float) -> tuple[SegmentSolution, np.ndarray]:
-    """One order's (segment, series) and its certified range.
+    """Solve an embedded segment at the series order and certify its
+    effective range.  Returns (segment, C), C the series, noise tails
+    zeroed, a view of ``solve_series``'s buffer that the segment does not
+    keep.
 
     Rows with a spurious real pole in (0, t_max] are refitted one
     denominator order lower, one ``batch_pade`` call per pass with an order
     per row, until none is left; the first genuine pole caps the range at
-    t_cap, and ``shrink_refine_range`` certifies t_e in (0, t_cap].
+    t_cap, and ``shrink_refine_range`` certifies t_e in (0, t_cap] or
+    raises ``NoValidRange``.
     """
     C = system.solve_series(anchors, kcoeffs, order)[: system.nv]
     # a variable whose entire tail sits at float noise is a constant; keeping
@@ -537,8 +522,6 @@ def _certified_segment(system: CompiledSystem, anchors: np.ndarray,
                                                        dens[rows], t_max)
         rows = rows[spurious]
     t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
-    if t_cap <= 0:
-        raise NoValidRange("rational approximant has a pole at the anchor")
     seg = SegmentSolution(system=system, kcoeffs=kcoeffs, pade_num=nums,
                           pade_den=dens, t_cap=t_cap, refit=refit)
     seg.t_e = shrink_refine_range(seg.residual_max_at, tol_res, t_cap)

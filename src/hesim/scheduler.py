@@ -393,8 +393,7 @@ def _execute_event(case, state, ev: SimEvent, t: float,
     kind = EVENTS[ev.kind]
     if ev.condition is not None:
         log.info("conditional event at t=%.9g: %s", t, ev.condition.text)
-        traj.events.append(EventRecord(t, "conditional", ev.condition.text,
-                                       {"resolved_t": t}))
+        traj.events.append(EventRecord(t, "conditional", ev.condition.text))
     if kind.switch and state.mode == QSS:
         mode_switch(case, state, "qss->dyn")
         traj.events.append(EventRecord(t, "mode_switch", "qss->dyn",
@@ -404,8 +403,8 @@ def _execute_event(case, state, ev: SimEvent, t: float,
     return ev.kind != "stop"
 
 
-def run_simulation(case: GridCase, script: list, config: RunConfig,
-                   state: Optional[SystemState] = None) -> Trajectory:
+def run_simulation(case: GridCase, script: list,
+                   config: RunConfig) -> Trajectory:
     """Event-driven extended-term simulation; returns the piecewise
     trajectory.  A HesimError from an event, a mode switch or a segment
     ends the run: the trajectory up to it is kept, and ``failure`` names
@@ -425,10 +424,8 @@ def run_simulation(case: GridCase, script: list, config: RunConfig,
     running = True
     doing = "initialization"  # the step under way, named by a failure
     try:
-        if state is None:
-            state = init_equilibrium(
-                case, mode=QSS if config.mode == QSS else DYNAMIC)
-        state.t = 0.0
+        state = init_equilibrium(case,
+                                 mode=QSS if config.mode == QSS else DYNAMIC)
         while running and t < config.t_end - 1e-9:
             while timed and timed[0].t_due <= t + 1e-9:
                 ev = timed.pop(0)

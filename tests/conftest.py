@@ -71,6 +71,13 @@ def monitored_names(built):
     return plain, angles
 
 
+def run_from(monkeypatch, case, script, config, state):
+    """run_simulation started from ``state`` in place of the equilibrium it
+    computes; the run advances ``state`` in place."""
+    monkeypatch.setattr(scheduler, "init_equilibrium", lambda *_, **__: state)
+    return run_simulation(case, script, config)
+
+
 def padded(rows, width):
     """Coefficient rows zero-padded to width: a segment's Pade rows are
     views only as wide as its used degree."""

@@ -11,7 +11,7 @@ import numpy as np
 
 import hesim.model as mdl
 from hesim import scheduler
-from conftest import make_smib, monitored_names, padded
+from conftest import make_smib, monitored_names, padded, run_from
 from hesim.bounds import poly_bounds, steady_state_check, verdict_from_deltas
 from hesim.caseio import builtin_case
 from hesim.grid import LoadSpec
@@ -316,7 +316,8 @@ def _compare_channels(case, traj, segs, skip_names=("alpha",)):
     return worst
 
 
-def test_criterion_7_oracle_equivalence(fourbus, fourbus_dynamic):
+def test_criterion_7_oracle_equivalence(fourbus, fourbus_dynamic,
+                                       monkeypatch):
     t0 = time.perf_counter()
     # (a) single-machine step test
     smib = make_smib()
@@ -324,8 +325,8 @@ def test_criterion_7_oracle_equivalence(fourbus, fourbus_dynamic):
     smib.__post_init__()
     ev = [SimEvent(kind="add_load", t_due=1.0, payload={"load": "LX"})]
     st0 = init_equilibrium(smib)
-    traj = run_simulation(smib, ev, RunConfig(mode="dynamic", t_end=10.0),
-                          state=copy.deepcopy(st0))
+    traj = run_from(monkeypatch, smib, ev,
+                    RunConfig(mode="dynamic", t_end=10.0), copy.deepcopy(st0))
     assert traj.failure is None
     segs = _reference_piecewise(smib, st0, ev, 10.0, dt_out=0.2)
     worst_a = _compare_channels(smib, traj, segs)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import padded
+from conftest import padded, run_from
 from hesim.engine import (
     _ANCHOR_TOL,
     SystemBuilder,
@@ -126,6 +126,22 @@ def test_anchor_inconsistent_raises():
     sys = b.compile()
     with pytest.raises(AnchorInconsistent):
         sys.solve_series(np.array([0.0]), np.zeros((0, 0)), 3)
+
+
+def test_nan_anchor_residual_is_inconsistent():
+    # "r > tol" is False for r = NaN: a NaN anchor must not pass the check
+    # and surface later as non-finite coefficients
+    b = SystemBuilder()
+    x, y = b.state("x"), b.alg("y")
+    g = b.alg_eq("g")
+    b.term(g, 1.0, y)
+    b.term(g, -1.0, x)
+    b.rhs_term(x, -1.0, y)
+    sys = b.compile()
+    anchors = np.zeros(2)
+    anchors[[sys.index["x"], sys.index["y"]]] = [1.0, np.nan]
+    with pytest.raises(AnchorInconsistent, match=r"worst: g\)"):
+        sys.solve_series(anchors, np.zeros((0, 0)), 3)
 
 
 def test_segment_effective_range_and_eval():
@@ -669,11 +685,10 @@ def test_range_below_failing_probes_of_every_call(monkeypatch):
     assert t_e == 2.0 ** (-31 / 8) and t_e < min(failed)
 
 
-def test_solve_segment_retries_ten_orders_higher_only_on_no_valid_range(
-        monkeypatch):
-    # x' = 1 - x at its equilibrium, every probe failing at the series
-    # order: the segment is solved again ten orders higher.  A singular
-    # anchor Jacobian is not retried: the higher order has the same one.
+def test_solve_segment_solves_once_at_the_given_order(monkeypatch):
+    # x' = 1 - x at its equilibrium, every probe failing: one series solve
+    # at the given order, then NoValidRange.  A singular anchor Jacobian
+    # raises from that same one solve.
     from hesim.engine import CompiledSystem, SegmentSolution
     from hesim.errors import SingularJacobian
 
@@ -690,15 +705,12 @@ def test_solve_segment_retries_ten_orders_higher_only_on_no_valid_range(
         solved.append(order)
         return series(system, anchors, kcoeffs, order)
 
-    def patched(seg, t):
-        return probe(seg, t) + (1.0 if solved[-1] == 10 else 0.0)
-
     monkeypatch.setattr(CompiledSystem, "solve_series", counted)
-    monkeypatch.setattr(SegmentSolution, "residual_max_at", patched)
-    seg, C = solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10, 1e-8,
-                           2.0)
-    assert (C.shape[1] - 1, seg.t_e) == (20, 2.0)
-    assert solved == [10, 20]
+    monkeypatch.setattr(SegmentSolution, "residual_max_at",
+                        lambda seg, t: probe(seg, t) + 1.0)
+    with pytest.raises(NoValidRange):
+        solve_segment(sys, np.array([1.0]), np.zeros((0, 0)), 10, 1e-8, 2.0)
+    assert solved == [10]
 
     b = SystemBuilder()
     y = b.alg("y")
@@ -893,19 +905,19 @@ def test_every_uncut_step_is_its_certified_range(name, t_end):
             if rec.step != rec.sol.t_e] == []
 
 
-def test_range_certificate_holds_densely_at_ne39_worst_anchor():
+def test_range_certificate_holds_densely_at_ne39_worst_anchor(monkeypatch):
     # the worst anchor of ne39 hybrid 0-40 s while steps were 0.9 t_e: at
     # 7.971352229493641 s, with spurious poles left in, the step taken
     # reaches 148 x tol_res; the anchor is kept fixed, not a segment start
     from hesim.caseio import builtin_case
     from hesim.model import build_system, init_equilibrium
-    from hesim.scheduler import MAX_STEP_DYN, RunConfig, run_simulation
+    from hesim.scheduler import MAX_STEP_DYN, RunConfig
 
     t0 = 7.971352229493641
     case, script = builtin_case("ne39")
     config = RunConfig(mode="hybrid", t_end=t0)
     state = init_equilibrium(case)
-    assert run_simulation(case, script, config, state).failure is None
+    assert run_from(monkeypatch, case, script, config, state).failure is None
     assert state.mode == "dynamic"
     t_max = min([MAX_STEP_DYN] + [e.t_due - t0 for e in script
                                   if e.t_due and e.t_due > t0])

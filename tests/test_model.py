@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import root
 
-from conftest import make_smib, make_twobus_case
+from conftest import make_smib, make_twobus_case, run_from
 from hesim.caseio import builtin_case
 from hesim.engine import solve_segment
 from hesim.errors import PowerFlowInfeasible, ZeroBoundaryVoltage
@@ -522,7 +522,8 @@ def test_close_into_a_dead_island_of_two_buses_matches_powerflow():
     assert abs(st.v[2]) > abs(st.v[0])  # the charging lifts the open end
 
 
-def test_sourceless_slack_machine_with_a_motor_at_its_bus_is_flat():
+def test_sourceless_slack_machine_with_a_motor_at_its_bus_is_flat(
+        monkeypatch):
     # the slack machine's injection reads its bus's ZIP block and motor
     # current, so the dynamic state starts in equilibrium
     motor = MotorSpec(0.6, 0.02, 0.1, 3.0, 0.03, 0.1, 0.25)
@@ -536,8 +537,8 @@ def test_sourceless_slack_machine_with_a_motor_at_its_bus_is_flat():
     st = init_equilibrium(case)
     assert st.islands[0].ref_gen == "G1" and not st.islands[0].sources
     assert st.mach["G1"].p_disp > 0.4  # both loads and the motor, not p_set
-    traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=5.0),
-                          state=st)
+    traj = run_from(monkeypatch, case, [],
+                    RunConfig(mode="dynamic", t_end=5.0), st)
     assert traj.failure is None
     ts = np.linspace(0.0, 5.0, 51)
     rows = traj.sample([("f", ()), ("V", ("1",)), ("V", ("2",)),
@@ -545,7 +546,7 @@ def test_sourceless_slack_machine_with_a_motor_at_its_bus_is_flat():
     assert np.max(np.ptp(rows, axis=1)) < 1e-9
 
 
-def test_matched_synchronization_is_flat(fourbus):
+def test_matched_synchronization_is_flat(fourbus, monkeypatch):
     case, _ = fourbus
     st = init_equilibrium(case)
     case2 = GridCase(
@@ -560,9 +561,9 @@ def test_matched_synchronization_is_flat(fourbus):
     apply_add_gen(case2, st, "G3")
     assert np.max(np.abs(st.v - v_before)) < 1e-9
     # simulating afterwards stays flat: the machine carries no load
-    from hesim.scheduler import RunConfig, run_simulation
-    traj = run_simulation(case2, [], RunConfig(mode="dynamic", t_end=2.0),
-                          state=st)
+    from hesim.scheduler import RunConfig
+    traj = run_from(monkeypatch, case2, [],
+                    RunConfig(mode="dynamic", t_end=2.0), st)
     assert traj.failure is None
     ts = np.linspace(0, 2, 21)
     v2 = traj.sample([("V", ("2",))], ts, traj.segment_index(ts))[0]
@@ -668,11 +669,13 @@ def test_infeasible_load_pickup_names_the_alpha_it_reached():
     # a first stage certifies 0.954 pu; the next one, starting 0.36 pu short
     # of the nose, fails its probes at the shortest range it may take
     (1e6, "stops at alpha=9.53674e-07: residual above"),
-    (1e8, "stops at alpha=0: non-finite coefficients"),
-], ids=["1000000.0", "100000000.0"])
+    (1e8, "stops at alpha=0: residual above"),
+    (1e12, "stops at alpha=0: non-finite coefficients"),
+], ids=["1000000.0", "100000000.0", "1000000000000.0"])
 def test_overflowing_pickup_fails_without_warnings(p, stop):
-    # the probes (1e6) and then the series (1e8) overflow: tier-1 turns an
-    # escaping RuntimeWarning into an error, so this checks both are quiet
+    # the probes (1e6, 1e8) and then the series (1e12) overflow: tier-1
+    # turns an escaping RuntimeWarning into an error, so this checks both
+    # are quiet
     assert stop in _pick_up_lx2(p)
 
 
@@ -1000,12 +1003,14 @@ def test_name_table_matches_per_name_closures(monkeypatch, scenario, flavors):
 
 
 @pytest.mark.parametrize("name, t_end", [("fourbus", 75.0), ("ne39", 56.0)])
-def test_anchors_match_the_per_name_closures_at_the_run_end(name, t_end):
+def test_anchors_match_the_per_name_closures_at_the_run_end(name, t_end,
+                                                           monkeypatch):
     """At the end state of the hybrid run, in both modes, Built.anchors
     equals the per-name closures bit for bit."""
     case, script = builtin_case(name)
     st = init_equilibrium(case)
-    run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end), st)
+    run_from(monkeypatch, case, script, RunConfig(mode="hybrid", t_end=t_end),
+             st)
     for mode in (DYNAMIC, QSS):
         st.mode = mode
         built = mdl.build_system(case, st)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import make_smib
+from conftest import make_smib, run_from
 from hesim.engine import SystemBuilder
 from hesim.errors import PastCollapse, StepRejectionLimit, Unreachable
 from hesim.model import build_system, init_equilibrium
@@ -123,7 +123,7 @@ def test_adaptive_oracle_tight():
 
 # --- integrators on the grid DAE ------------------------------------------------------
 
-def test_adaptive_agrees_with_embedding_on_smib():
+def test_adaptive_agrees_with_embedding_on_smib(monkeypatch):
     case = make_smib()
     st = init_equilibrium(case)
     st.mach["G1"].delta += 0.03
@@ -133,10 +133,10 @@ def test_adaptive_agrees_with_embedding_on_smib():
     model = DaeModel(built, st)
     out = integrate_reference(model, (0.0, 2.0), "adaptive-high-order",
                               rtol=1e-10, atol=1e-12, dt_out=0.2)
-    from hesim.scheduler import RunConfig, run_simulation
+    from hesim.scheduler import RunConfig
     import copy
-    traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=2.0),
-                          state=copy.deepcopy(st))
+    traj = run_from(monkeypatch, case, [],
+                    RunConfig(mode="dynamic", t_end=2.0), copy.deepcopy(st))
     for name in ("omega:G1", "delta:G1", "epsq:G1"):
         recs = [traj.segments[k] for k in traj.segment_index(out.ts)]
         he = np.array([rec.sol.values_at(min(t - rec.t0, rec.step))[

@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import (
     make_smib,
     make_twobus_case,
     monitored_names,
     padded,
+    run_from,
     twobus_ramp_thresholds,
 )
 from hesim import scheduler
@@ -649,13 +652,13 @@ def test_derived_rows_decide_when_every_plain_row_is_steady(fourbus):
 
 
 @pytest.mark.parametrize("name, t_end", [("fourbus", 0.0), ("ne39", 62.0)])
-def test_no_angle_is_checked_against_itself(name, t_end):
+def test_no_angle_is_checked_against_itself(name, t_end, monkeypatch):
     # ne39 starts with one machine; its restoration adds G31 at 60 s
     case, script = builtin_case(name)
     st = init_equilibrium(case)
     if t_end:
-        run_simulation(case, script, RunConfig(mode="hybrid", t_end=t_end),
-                       st)
+        run_from(monkeypatch, case, script,
+                 RunConfig(mode="hybrid", t_end=t_end), st)
     built = build_system(case, st)
     rows = built.monitored
     assert len(rows.angles) and not np.any(rows.angles == rows.refs)
@@ -754,12 +757,12 @@ def test_two_stage_verdict_matches_one_table_reference(fourbus, monkeypatch):
                            rtol=1e-6, atol=1e-15)
 
 
-def test_qss_to_dyn_then_flat(fourbus):
+def test_qss_to_dyn_then_flat(fourbus, monkeypatch):
     case, _ = fourbus
     st = init_equilibrium(case, mode=QSS)
     mode_switch(case, st, "qss->dyn")
-    traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=5.0),
-                          state=st)
+    traj = run_from(monkeypatch, case, [],
+                    RunConfig(mode="dynamic", t_end=5.0), st)
     assert traj.failure is None
     ts = np.linspace(0, 5, 26)
     f, *vs = traj.sample([("f", ())] + [("V", (b,)) for b in "1234"], ts,
@@ -914,7 +917,7 @@ def test_frequency_shows_agc_restoration_shape(fourbus_hybrid):
     assert np.all(np.abs(f_rec - 60.0) < 0.01)  # restored before the cut
 
 
-def test_speed_envelope_decays_on_small_signal_case():
+def test_speed_envelope_decays_on_small_signal_case(monkeypatch):
     # positive damping: successive |omega| peaks shrink monotonically
     case = make_smib()
     st = init_equilibrium(case)
@@ -922,8 +925,8 @@ def test_speed_envelope_decays_on_small_signal_case():
     built = build_system(case, st)
     from hesim.model import refine_state
     refine_state(built, st)
-    traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=6.0),
-                          state=st)
+    traj = run_from(monkeypatch, case, [],
+                    RunConfig(mode="dynamic", t_end=6.0), st)
     ts = np.linspace(0.0, 6.0, 1200)
     w = np.abs(traj.sample([("omega", ("G1",))], ts,
                            traj.segment_index(ts))[0])
@@ -1054,8 +1057,8 @@ def _handoff_run(monkeypatch, name, mode, t_end):
     monkeypatch.setattr(scheduler, "_execute_event", executing)
     monkeypatch.setattr(mdl.Built, "anchors", reading)
     monkeypatch.setattr(scheduler, "solve_segment", solving)
-    traj = run_simulation(case, script, RunConfig(mode=mode, t_end=t_end),
-                          state)
+    traj = run_from(monkeypatch, case, script,
+                    RunConfig(mode=mode, t_end=t_end), state)
     assert traj.failure is None
     return traj, builds, reads, refines, starts
 
@@ -1121,3 +1124,50 @@ def test_verdict_waits_the_dwell_after_the_start_and_each_switch(
             for t in at]
     assert min(gaps) >= scheduler.DWELL - 1e-9
     assert any(abs(g - scheduler.DWELL) <= 1e-9 for g in gaps)
+
+
+# --- random event scripts -------------------------------------------------------
+
+_FOURBUS_EVENTS = (
+    [(kind, {"branch": b}) for kind in ("add_branch", "cut_branch")
+     for b in ("L12", "L23A", "L23B", "L34")]
+    + [(kind, {"load": ld}) for kind in ("add_load", "cut_load")
+       for ld in ("LD2", "LD3", "LX2", "LX3")]
+    + [(kind, {"gen": g}) for kind in ("add_gen", "cut_gen")
+       for g in ("G1", "G2")]
+    + [("param_branch", {"branch": "L23A", "r": 0.02, "x": 0.15}),
+       ("add_shunt", {"bus": "3", "g": 0.0, "b": 0.2}),
+       ("ramp_load", {"load": "LD2", "rate": 0.005}),
+       ("ramp_gen", {"gen": "G1", "rate": 0.005})])
+_RUN_STEPS = ("initialization", "dynamic segment", "qss segment",
+              "state refinement", "dyn->qss switch")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mode=hst.sampled_from(["hybrid", "dynamic", "qss"]),
+       events=hst.lists(hst.tuples(hst.sampled_from(_FOURBUS_EVENTS),
+                                   hst.floats(0.5, 29.5)),
+                        min_size=2, max_size=5))
+def test_random_fourbus_scripts_fail_by_name_and_certify_every_segment(
+        mode, events):
+    # most scripts fail (an element already online, or a generator or its
+    # tie lost): a failure must name its step, and every segment the run
+    # kept must hold its range certificate and sample finite
+    case, _ = builtin_case("fourbus")
+    script = [SimEvent(kind=kind, t_due=t, payload=dict(payload))
+              for (kind, payload), t in events]
+    config = RunConfig(mode=mode, t_end=30.0)
+    traj = run_simulation(case, script, config)
+    if traj.failure is not None:
+        steps = _RUN_STEPS + tuple(map(str, script))
+        assert traj.failure.startswith(
+            tuple(f"{step} at t=" for step in steps)), traj.failure
+    for rec in traj.segments:
+        worst = np.max(rec.sol.residual_max_at(
+            np.linspace(0.0, rec.step, 64)))
+        assert worst <= config.tol_res, (rec.mode, rec.t0, rec.step, worst)
+    if traj.segments:
+        ts = traj.sample_times(config.dt_out)
+        chans = [("f", ())] + [("V", (str(b.bus),)) for b in case.buses]
+        assert np.all(np.isfinite(traj.sample(chans, ts,
+                                              traj.segment_index(ts))))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from conftest import make_smib, make_twobus_case
+from conftest import make_smib, make_twobus_case, run_from
 from hesim.model import (
     QSS,
     Ramp,
@@ -38,7 +38,7 @@ def test_twobus_voltage_series_matches_closed_form():
             assert abs(float(v2) - expect) < 1e-8
 
 
-def test_governor_ramp_tracks_adaptive_integrator():
+def test_governor_ramp_tracks_adaptive_integrator(monkeypatch):
     # linear dispatch ramp: machine power trajectory vs the RK oracle
     case = make_smib()
     st = init_equilibrium(case)
@@ -48,8 +48,8 @@ def test_governor_ramp_tracks_adaptive_integrator():
     model = DaeModel(built, copy.deepcopy(st))
     out = integrate_reference(model, (0.0, 4.0), "adaptive-high-order",
                               rtol=1e-11, atol=1e-13, dt_out=0.25)
-    traj = run_simulation(case, [], RunConfig(mode="dynamic", t_end=4.0),
-                          state=st)
+    traj = run_from(monkeypatch, case, [],
+                    RunConfig(mode="dynamic", t_end=4.0), st)
     for name in ("omega:G1", "epsq:G1", "gov:G1", "agc:G1"):
         for k, t in enumerate(out.ts):
             rec = traj.segments[traj.segment_index(t)]
@@ -59,7 +59,7 @@ def test_governor_ramp_tracks_adaptive_integrator():
             assert abs(he - out.col(name)[k]) < 1e-6, (name, t)
 
 
-def test_qss_agc_decay_matches_adaptive_integrator():
+def test_qss_agc_decay_matches_adaptive_integrator(monkeypatch):
     # after a load step in QSS, df relaxes toward zero through the AGC
     # integrators; the analytic segments must track the RK oracle
     case, script = __import__("hesim.caseio", fromlist=["builtin_case"]) \
@@ -72,8 +72,8 @@ def test_qss_agc_decay_matches_adaptive_integrator():
     model = DaeModel(built, copy.deepcopy(st))
     out = integrate_reference(model, (0.0, 12.0), "adaptive-high-order",
                               rtol=1e-11, atol=1e-13, dt_out=1.0)
-    traj = run_simulation(case, [], RunConfig(mode="qss", t_end=12.0),
-                          state=st)
+    traj = run_from(monkeypatch, case, [],
+                    RunConfig(mode="qss", t_end=12.0), st)
     df_he = traj.sample([("f", ())], out.ts,
                         traj.segment_index(out.ts))[0] - case.f_nominal
     df_rk = out.col("df:0")

@@ -108,7 +108,7 @@ def test_one_locator_call_per_segment_with_pending_triggers(monkeypatch):
 
 def test_one_segment_solve_per_segment(monkeypatch):
     # the tracer counts engine.solve_segment through this scheduler global:
-    # one call per segment, its retry ten orders higher included
+    # one call per segment
     from hesim import scheduler
     from hesim.caseio import builtin_case
 
