@@ -20,28 +20,25 @@ from .errors import EmptyVariableSet
 def poly_bounds(coeffs, T: float):
     """Bounds of ``sum x[k] t^k`` for t in [0, T], by interval Horner.
 
-    One backward pass over the last axis: the running upper bound is
-    restarted at x_k whenever it is negative (multiplying by t in [0, T]
-    can only pull it up to zero), otherwise multiplied by T and shifted;
-    the lower bound is handled symmetrically. O(N), and the returned
-    interval always contains the polynomial's range on [0, T].  A 1-D
-    input gives two floats, a 2-D input (lower, upper) arrays, one entry
-    per row.
+    One backward pass over the last axis, u <- max(u, 0) * T + x_k: the
+    running upper bound u restarts at x_k where it is negative (multiplying
+    by t in [0, T] can only pull it up to zero), and the lower bound is
+    minus the upper bound of -x, both in one pass over the stacked [x; -x].
+    O(N); the interval always contains the polynomial's range on [0, T].
+    A 1-D input gives two floats, a 2-D input (lower, upper) row arrays.
     """
-    if not T >= 0:
-        raise ValueError("interval end must be nonnegative")
+    if not 0 <= T < np.inf:
+        raise ValueError("interval end must be finite and nonnegative")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] == 0:
         raise ValueError("coefficients must be a non-empty 1-D or 2-D array")
-    ub = lb = c[..., -1]
-    with np.errstate(all="ignore"):  # the branch np.where drops may overflow
-        for k in range(c.shape[-1] - 2, -1, -1):
-            xk = c[..., k]
-            ub = np.where(ub < 0, xk, ub * T + xk)
-            lb = np.where(lb > 0, xk, lb * T + xk)
-    if c.ndim == 1:
-        return float(lb), float(ub)
-    return lb, ub
+    u, *rest = np.moveaxis(np.stack([c, -c]), -1, 0)[::-1]  # u = [ub, -lb]
+    with np.errstate(all="ignore"):  # an overflow reads inf, inf * 0 NaN
+        for xk in rest:
+            np.maximum(u, 0.0, out=u)
+            u *= T
+            u += xk
+    return -u[1], u[0]  # numpy floats for a 1-D input
 
 
 @dataclass(frozen=True)

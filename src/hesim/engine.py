@@ -311,7 +311,7 @@ class CompiledSystem:
             J = self._term_jacobian("alg", C[:, 0],
                                     self.n_alg)[:, self.alg_slots]
             try:
-                J_inv = np.linalg.inv(J)
+                neg_inv = -np.linalg.inv(J)  # (-J^-1) r == J^-1 (-r) exactly
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
         for k in range(1, order + 1):
@@ -319,11 +319,11 @@ class CompiledSystem:
                 fk = self._coeff_of("rhs", C, k - 1, self.n_state)
                 C[self.state_slots, k] = fk / k
             if self.n_alg:
-                rhs = self._coeff_of("alg", C, k, self.n_alg)
-                sol = J_inv @ -rhs
-                if not np.all(np.isfinite(sol)):
-                    raise SingularJacobian(f"non-finite coefficients at order {k}")
-                C[self.alg_slots, k] = sol
+                C[self.alg_slots, k] = neg_inv @ self._coeff_of(
+                    "alg", C, k, self.n_alg)
+        bad = np.flatnonzero(~np.isfinite(C[self.alg_slots, 1:]).all(axis=0))
+        if len(bad):  # name the first order whose solve is not finite
+            raise SingularJacobian(f"non-finite coefficients at order {bad[0] + 1}")
         return C[:-1]
 
 
@@ -501,7 +501,7 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     denominator order lower, one ``batch_pade`` call per pass with an order
     per row, until none is left; the first genuine pole caps the range at
     t_cap, and ``shrink_refine_range`` certifies t_e in (0, t_cap] or
-    raises ``NoValidRange``.
+    raises ``NoValidRange``, named here by its worst row at the smallest range.
     """
     C = system.solve_series(anchors, kcoeffs, order)[: system.nv]
     # a variable whose entire tail sits at float noise is a constant; keeping
@@ -524,7 +524,15 @@ def solve_segment(system: CompiledSystem, anchors: np.ndarray,
     t_cap = min(t_max, 0.995 * np.min(poles, initial=np.inf))
     seg = SegmentSolution(system=system, kcoeffs=kcoeffs, pade_num=nums,
                           pade_den=dens, t_cap=t_cap, refit=refit)
-    seg.t_e = shrink_refine_range(seg.residual_max_at, tol_res, t_cap)
+    try:
+        seg.t_e = shrink_refine_range(seg.residual_max_at, tol_res, t_cap)
+    except NoValidRange as exc:  # name the worst row at the smallest range
+        with np.errstate(all="ignore"):  # argmax takes a NaN row as worst
+            vals, known, rates = seg.evaluate(t_cap * 2.0 ** -20, rates=True)
+            r = np.abs(system.residual(vals, rates, known))
+        worst = ([f"d/dt {system.var_names[i]}" for i in system.state_slots]
+                 + system.eq_names)[np.argmax(r)]
+        raise NoValidRange(f"{exc} (worst: {worst})") from None
     return seg, C
 
 

@@ -306,14 +306,18 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     """Every trigger's first root on [0, rec.step], in time order: a list
     of (index into conds, tau), ties in list order.  A trigger already true
     at 0 fires there; NaN never brackets.  One scan of 65 points finds each
-    trigger's first sign change, and one batched ITP solve refines every
-    bracket to ``tol``, evaluating the segment once per iteration.
+    trigger's first sign change, and one batched ITP solve, started from the
+    scan's values at its ends, refines every bracket to ``tol``.
     """
     taus = np.linspace(0.0, rec.step, 65)
     keys = tuple(dict.fromkeys((c.channel, c.args) for c in conds))
     col = np.array([keys.index((c.channel, c.args)) for c in conds], int)
-    lhs = rec.channels(keys, taus)[col]  # each trigger's channel
-    hs = np.reshape([c.h(v) for c, v in zip(conds, lhs)], (-1, 65))
+    sign, th = np.array([(1.0 if c.op.startswith(">") else -1.0, c.rhs)
+                         for c in conds]).reshape(-1, 2).T
+
+    def h(k, x):  # Condition.h's bits at points x: -(l - r) == r - l
+        return sign[k] * (rec.channels(keys, x)[col[k], range(len(x))] - th[k])
+    hs = h(np.arange(len(conds))[:, None], taus)
     a, b = hs[:, :-1], hs[:, 1:]
     brackets = ((a < 0.0) & (b >= 0.0)) | ((a > 0.0) & (b <= 0.0))
     first = np.where(brackets.any(axis=1), brackets.argmax(axis=1), 64)
@@ -321,11 +325,9 @@ def locate_conditional_event(rec: SegmentRecord, conds: list,
     tau = np.zeros(len(conds))
     rows = np.flatnonzero((first >= 0) & (first < 64))
     if len(rows):
-        def h(i, x):  # each bracket's trigger, its own channel at its point
-            vals = rec.channels(keys, x)[col[rows[i]], range(len(i))]
-            return [conds[k].h(v) for k, v in zip(rows[i], vals)]
-        tau[rows] = bracketed_roots(h, taus[first[rows]],
-                                    taus[first[rows] + 1], tol)
+        ends = first[rows] + np.array([[0], [1]])  # scan points, 2 x brackets
+        tau[rows] = bracketed_roots(lambda i, x: h(rows[i], x), *taus[ends],
+                                    tol, hs[rows, ends])
     hits = np.flatnonzero(first < 64)
     return [(int(i), float(tau[i]))
             for i in hits[np.argsort(tau[hits], kind="stable")]]

@@ -123,6 +123,8 @@ def batch_pade(C, n_num: int, n_den):
     dens[:, 0] = 1.0
     todo = n_num + n_den + 1 <= width
     for m in range(top, 0, -1):
+        if not todo.any():
+            break
         level = np.flatnonzero(todo & (n_den >= m))
         if not len(level):
             continue
@@ -135,20 +137,21 @@ def batch_pade(C, n_num: int, n_den):
     return nums, dens
 
 
-def bracketed_roots(f, lo, hi, xtol: float) -> np.ndarray:
+def bracketed_roots(f, lo, hi, xtol: float, y_ends=None) -> np.ndarray:
     """A point within xtol of a sign change of f in each bracket [lo, hi].
 
     The ITP method (Oliveira & Takahashi, ACM TOMS 2020), one loop for all
     brackets, each leaving it where it alone would stop: regula falsi,
     truncated and projected so that it never needs more evaluations than
     bisection plus one, and superlinear on smooth f.  ``f(i, x)`` gives the
-    function of each bracket index in i at its point in x.  Raises
-    ValueError when f has one sign at both ends of a bracket or is not
-    finite where evaluated.
+    function of each bracket index in i at its point in x; ``y_ends`` (f at
+    lo, f at hi) spares those two calls.  Raises ValueError when f has one
+    sign at both ends of a bracket or is not finite where evaluated.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    every = np.arange(len(lo))
-    y_lo, y_hi = (np.array(f(every, x), dtype=float) for x in (lo, hi))
+    if y_ends is None:
+        y_ends = [f(np.arange(len(lo)), x) for x in (lo, hi)]
+    y_lo, y_hi = (np.array(y, dtype=float) for y in y_ends)
     ends = np.sign(y_lo) * np.sign(y_hi)  # y_lo * y_hi can underflow to 0
     if not (np.isfinite([y_lo, y_hi]).all() and (ends <= 0).all()):
         raise ValueError("f must be finite with different signs at lo and hi")

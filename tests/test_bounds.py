@@ -130,9 +130,35 @@ def test_bounds_sound_property(coeffs, T):
     assert lb <= lo + 1e-9 and hi <= ub + 1e-9
 
 
+_ENTRY = st.one_of(st.floats(-10, 10), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300,
+     -1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2,
+                                          max_side=12), elements=_ENTRY),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.just(1e300)))
+@example(np.array([[1e300, 1e300, 1e300]]), 1e300)   # overflow to inf
+@example(np.array([[-0.0, math.inf, 1.0]]), 0.0)     # inf * 0 reads NaN
+@example(np.array([[1.0, -0.0], [math.nan, -1.0]]), 2.0)
+def test_one_recurrence_matches_two_bound_recurrences(c, T):
+    # the same bits as the scalar two-bound formula in Python floats (IEEE
+    # doubles, no warnings), NaN for NaN; only the sign of a zero may
+    # differ, which array_equal does not see
+    lb, ub = poly_bounds(c, T)
+    ref = np.array([scalar_poly_bounds(row.tolist(), T) for row in c]).T
+    assert np.array_equal(lb, ref[0], equal_nan=True)
+    assert np.array_equal(ub, ref[1], equal_nan=True)
+    for row, l, u in zip(c, lb, ub):   # a 1-D row gives the same two floats
+        assert np.array_equal(poly_bounds(row, T), (l, u), equal_nan=True)
+
+
 def test_negative_interval_rejected():
     with pytest.raises(ValueError):
         poly_bounds([1.0], -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        poly_bounds([1.0, 2.0], math.inf)
 
 
 def _smib_reference(h):

@@ -723,6 +723,41 @@ def test_solve_segment_solves_once_at_the_given_order(monkeypatch):
     assert solved == [10]
 
 
+@pytest.mark.parametrize("bump, worst", [
+    ([1.0, 0.0], "d/dt x"), ([0.0, 1.0], "link"), ([1.0, math.nan], "link")],
+    ids=["state", "algebraic", "nan"])
+def test_failing_segment_names_its_worst_row(monkeypatch, bump, worst):
+    # the all-probes-fail segment of the test above, with an algebraic row
+    # y = x: NoValidRange names the row with the largest |residual| at the
+    # end of the smallest range (a NaN row is the largest), a state row as
+    # d/dt <var> and an algebraic row by its equation
+    from hesim.engine import CompiledSystem, SegmentSolution
+
+    b = SystemBuilder()
+    x, y = b.state("x"), b.alg("y")
+    b.rhs_term(x, -1.0, x)
+    b.rhs_term(x, 1.0)
+    link = b.alg_eq("link")
+    b.term(link, 1.0, y)
+    b.term(link, -1.0, x)
+    sys = b.compile()
+    probe, residual = SegmentSolution.residual_max_at, CompiledSystem.residual
+
+    def bumped(system, values, dvalues, kvalues):
+        r = residual(system, values, dvalues, kvalues)
+        return r + np.reshape(bump, (2,) + (1,) * (r.ndim - 1))
+
+    monkeypatch.setattr(SegmentSolution, "residual_max_at",
+                        lambda seg, t: probe(seg, t) + 1.0)
+    monkeypatch.setattr(CompiledSystem, "residual", bumped)
+    with pytest.raises(NoValidRange) as err:
+        solve_segment(sys, np.array([1.0, 1.0]), np.zeros((0, 0)), 10, 1e-8,
+                      2.0)
+    # t_max * 2^-20, the end of the smallest range, where the row is read
+    assert str(err.value) == (f"residual above 1.00e-08 even at t=1.907e-06 "
+                              f"(worst: {worst})")
+
+
 # --- the dense algebraic Jacobian -----------------------------------------------
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -181,9 +182,9 @@ def test_batched_locate_refines_only_the_earliest_brackets(ramp_segment,
     taus = np.linspace(0.0, rec.step, 65)
     calls = []
 
-    def counting_roots(f, lo, hi, xtol):
+    def counting_roots(f, lo, hi, xtol, y_ends=None):
         calls.append((list(lo), list(hi)))
-        return bracketed_roots(f, lo, hi, xtol)
+        return bracketed_roots(f, lo, hi, xtol, y_ends)
 
     monkeypatch.setattr(scheduler, "bracketed_roots", counting_roots)
     conds = [Condition.parse(c) for c in (
@@ -198,6 +199,70 @@ def test_batched_locate_refines_only_the_earliest_brackets(ramp_segment,
     assert calls == [([taus[k] for k in first], [taus[k + 1] for k in first])]
     assert hits == _per_trigger_locate(rec, conds, rec.step, 1e-9)
     assert [i for i, _ in hits] == [3, 1, 4, 0, 2]
+
+
+_CHANNELS = [("I", ("1", "2")), ("V", ("2",)), ("t", ())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.lists(hst.tuples(
+    hst.sampled_from(_CHANNELS), hst.sampled_from(["<", ">"]),
+    # a threshold at a grid position: on a scan point, between two, or
+    # beyond the segment (never fires, or fires at 0)
+    hst.one_of(hst.integers(0, 64).map(float), hst.floats(0.0, 64.0),
+               hst.sampled_from([-1e3, 1e3]))), min_size=1, max_size=6))
+def test_array_triggers_match_condition_h_bit_for_bit(ramp_segment,
+                                                      triggers):
+    # both directions on three channels: the same hits and the same root
+    # bits as Condition.h per trigger with each bracket's ends evaluated
+    rec, at = ramp_segment
+    conds = []
+    for (chan, args), op, x in triggers:
+        value = x if abs(x) == 1e3 else at(chan, args, x)
+        name = f"{chan}({','.join(args)})" if args else chan
+        conds.append(Condition.parse(f"{name} {op} {value!r}"))
+    got = locate_conditional_event(rec, conds, 1e-9)
+    want = _per_trigger_locate(rec, conds, rec.step, 1e-9)
+    assert [(i, tau.hex()) for i, tau in got] \
+        == [(i, tau.hex()) for i, tau in want]
+
+
+def test_twobus_events_locator_makes_15_segment_evaluations(monkeypatch):
+    # the benchmark's twobus-events run, seed 1: 50 record triggers on the
+    # ramp.  Each locate call evaluates its segment once for the scan and
+    # once per ITP iteration; the bracket ends come from the scan, and no
+    # trigger goes through Condition.h
+    rng = random.Random(1)
+    width = (15.18 - 0.61) / 50
+    thresholds = [math.sqrt(two_bus_current_sq(
+        TwoBusCase(), 0.61 + (k + rng.uniform(0.1, 0.9)) * width))
+        for k in range(50)]
+    evaluations, inside = [], []
+    channels, locate = scheduler.SegmentRecord.channels, \
+        scheduler.locate_conditional_event
+
+    def counted(rec, chans, tau):
+        evaluations.extend(inside)
+        return channels(rec, chans, tau)
+
+    def counted_locate(*args):
+        inside.append(1)
+        try:
+            return locate(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(scheduler.SegmentRecord, "channels", counted)
+    monkeypatch.setattr(scheduler, "locate_conditional_event",
+                        counted_locate)
+    monkeypatch.setattr(Condition, "h", None)  # never called here
+    traj = run_simulation(make_twobus_case(), _twobus_script(
+        _record_triggers([f"I(1,2) > {x!r}" for x in thresholds])),
+        RunConfig(mode="qss", t_end=15.4))
+    assert traj.failure is None
+    assert len([e for e in traj.events if e.kind == "conditional"]) == 50
+    assert len(traj.segments) == 2
+    assert len(evaluations) == 15
 
 
 def test_fired_event_logs_scan_counts(caplog):

@@ -613,3 +613,32 @@ def test_bracketed_roots_match_each_bracket_solved_alone(stack, xtol, data):
         fs[bad] = lambda x: 1.0 + x * x
         with pytest.raises(ValueError):
             bracketed_roots(f, lo, hi, xtol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_bracket, min_size=1, max_size=8),
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+@example([(0.0, 1.0, 1.0, 1.0, 1)], 1e-9)  # root at the first midpoint
+@example([(0.0, 0.0, 1.0, 1.0, 1)], 1e-9)  # root at lo: f(lo) = 0
+def test_bracketed_roots_take_the_end_values_in_place_of_two_calls(stack,
+                                                                   xtol):
+    # the same roots, bit for bit, from f at the ends given, and exactly two
+    # calls of f fewer than when it is asked for them
+    fs = [lambda x, r=r, s=s, p=p: s * (x - r) ** (2 * p - 1)
+          for r, _, _, s, p in stack]
+    lo = np.array([r - a for r, a, *_ in stack])
+    hi = np.array([r + b for r, _, b, *_ in stack])
+    calls = []
+
+    def f(i, x):
+        calls.append(len(i))
+        return [fs[k](v) for k, v in zip(i, x)]
+
+    asked = bracketed_roots(f, lo, hi, xtol)
+    n_asked = len(calls)
+    calls.clear()
+    y_ends = [f(np.arange(len(lo)), x) for x in (lo, hi)]
+    calls.clear()
+    given_ends = bracketed_roots(f, lo, hi, xtol, y_ends)
+    assert given_ends.tobytes() == asked.tobytes()
+    assert len(calls) == n_asked - 2

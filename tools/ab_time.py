@@ -1,12 +1,13 @@
 """Time the benchmark's simulate calls in two source trees, in pairs.
 
-    python3 tools/ab_time.py OLD_TREE [NEW_TREE]
+    python3 tools/ab_time.py OLD_TREE [NEW_TREE] [--workload NAME ...]
 
-The runs are the three benchmark workloads' argument lists as
+The runs are the benchmark workloads' argument lists as
 ``tools/trajectory_diff.py`` builds them (twobus-events seed 1,
 fourbus-hybrid, ne39-hybrid), each writing its trajectory and summary to a
-scratch directory as the benchmark does.  Each workload runs PAIRS pairs,
-alternating which tree goes first.  Every repetition is a fresh
+scratch directory as the benchmark does.  ``--workload NAME``, repeatable,
+times the named workloads only; by default all three run.  Each workload
+runs PAIRS pairs, alternating which tree goes first.  Every repetition is a fresh
 interpreter that pins itself to one CPU (the same one for both trees) and
 reports the CPU time of the ``simulate`` call divided by the reference
 loop of ``benchmarks/run.py`` (NEW_TREE's), timed in the same process
@@ -15,15 +16,17 @@ repetitions moves both.  Each repetition gets an empty
 ``PYTHONPYCACHEPREFIX``, so it compiles both trees from source and never
 reads a ``__pycache__`` one tree happens to hold.
 
-It prints each workload's median NEW/OLD ratio, in how many pairs NEW was
-lower, and a verdict: ``NEW lower`` or ``NEW higher`` only when NEW is on
-that side in at least 9 of the 10 pairs and the two trees' medians differ
-by more than OLD's interquartile range, else ``unresolved``.  It reads
+It prints each workload's median NEW/OLD ratio, each tree's median CPU
+time of the call, in how many pairs NEW was lower, and a verdict:
+``NEW lower`` or ``NEW higher`` only when NEW is on that side in at least
+9 of the 10 pairs and the two trees' medians differ by more than OLD's
+interquartile range, else ``unresolved``.  It reads
 ``benchmarks/`` and writes nothing there.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import statistics
@@ -70,8 +73,9 @@ print(json.dumps({{"rc": rc, "cpu_s": cpu,
 
 
 def time_once(tree: Path, bench: Path, cpu: int, argv: list,
-              workdir: Path) -> float:
-    """The simulate call's CPU time over the reference loop's, in tree."""
+              workdir: Path) -> tuple:
+    """(the simulate call's CPU time over the reference loop's, the call's
+    CPU time in s), in tree."""
     extra = ["--out", str(workdir / "traj.csv"),
              "--summary", str(workdir / "run.sum")]
     with tempfile.TemporaryDirectory(dir=workdir) as cache:
@@ -84,7 +88,7 @@ def time_once(tree: Path, bench: Path, cpu: int, argv: list,
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     if out["rc"] != 0:
         raise RuntimeError(f"{tree}: simulate exited with {out['rc']}")
-    return out["cpu_s"] / out["loop_s"]
+    return out["cpu_s"] / out["loop_s"], out["cpu_s"]
 
 
 def verdict(old: list, new: list) -> str:
@@ -104,11 +108,15 @@ def verdict(old: list, new: list) -> str:
 
 
 def main(argv: list) -> int:
-    if not 1 <= len(argv) <= 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    trees = [Path(argv[0]).resolve(),
-             Path(argv[1]).resolve() if len(argv) > 1 else HERE]
+    parser = argparse.ArgumentParser(
+        description="Time the benchmark's simulate calls in two trees.")
+    parser.add_argument("old_tree")
+    parser.add_argument("new_tree", nargs="?", default=str(HERE))
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="time this workload (repeatable; default: all)")
+    args = parser.parse_args(argv)
+    names = [n for n in WORKLOADS if n in (args.workload or WORKLOADS)]
+    trees = [Path(args.old_tree).resolve(), Path(args.new_tree).resolve()]
     for tree in trees:
         if not (tree / "src" / "hesim").is_dir():
             print(f"error: {tree} has no src/hesim", file=sys.stderr)
@@ -122,22 +130,26 @@ def main(argv: list) -> int:
             name = label.split()[0]
             if name in WORKLOADS:
                 picked.setdefault(name, args)
-        for name in WORKLOADS:
+        for name in names:
             work = tmp / f"{name}-timing"
             work.mkdir()
             for tree in trees:  # warm each tree's files in the OS cache once
                 time_once(tree, bench, cpu, picked[name], work)
-            old, new = [], []
+            old, new, secs = [], [], {tree: [] for tree in trees}
             for k in range(PAIRS):
                 order = trees if k % 2 == 0 else trees[::-1]
                 t = {tree: time_once(tree, bench, cpu, picked[name], work)
                      for tree in order}
-                old.append(t[trees[0]])
-                new.append(t[trees[1]])
+                old.append(t[trees[0]][0])
+                new.append(t[trees[1]][0])
+                for tree in trees:
+                    secs[tree].append(t[tree][1])
             ratios = [n / o for o, n in zip(old, new)]
             lower = sum(r < 1.0 for r in ratios)
+            ms = [1e3 * statistics.median(secs[tree]) for tree in trees]
             print(f"{name}: NEW/OLD median {statistics.median(ratios):.3f} "
-                  f"(min {min(ratios):.3f}, max {max(ratios):.3f}), "
+                  f"(min {min(ratios):.3f}, max {max(ratios):.3f}; "
+                  f"median call OLD {ms[0]:.2f} ms, NEW {ms[1]:.2f} ms), "
                   f"NEW lower in {lower} of {PAIRS} pairs: "
                   f"{verdict(old, new)}", flush=True)
     return 0
